@@ -2,8 +2,10 @@
 
 Every numeric flag takes exact input: plain rationals as "p/q", field
 scalars as "p/q+r/s*sqrt(d)".  Decimal input is rejected so no
-precision is lost at the boundary.  Exit codes: 0 ok, 1 input error,
-2 internal invariant violation.
+precision is lost at the boundary.  Exit codes: 0 ok, 1 input error
+(including a --bound or --factor that is not positive), 2 internal
+error: an internal invariant violation or any other unexpected
+exception, reported as one "InternalError: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ def cmd_validate(args):
 
 def _bound_kwargs(args):
     kw = {}
-    if getattr(args, "bound", None):
+    if getattr(args, "bound", None) is not None:
         kw["trace_length"] = _scalar(args.bound)
-    if getattr(args, "factor", None):
+    if getattr(args, "factor", None) is not None:
         kw["trace_factor"] = args.factor
     return kw
 
@@ -310,6 +312,9 @@ def main(argv=None) -> int:
         return 1
     except InternalInvariantError as exc:
         print(f"InternalInvariantError: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, never bad input: keep it off exit 1
+        print(f"InternalError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

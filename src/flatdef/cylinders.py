@@ -15,7 +15,7 @@ when other separatrices exceeded the trace bound.
 
 from __future__ import annotations
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, NonPositiveLength
 from .field import FieldScalar, Mat2, Vec2
 from .homology import HomologyFrame, homology_frame
 from .polygon import sector_contains
@@ -886,8 +886,17 @@ def decompose(surface: TranslationSurface, direction,
     longest edge.  Status is Periodic only when every separatrix closed
     up within the bound and every complementary component was certified
     as a cylinder, in which case the cylinder areas sum to the area of
-    the normalized surface exactly.
+    the normalized surface exactly.  A trace_factor or trace_length that
+    is not positive raises NonPositiveLength.
     """
+    if trace_factor <= 0:
+        raise NonPositiveLength(f"trace_factor must be positive, got {trace_factor}")
+    if trace_length is not None:
+        if not isinstance(trace_length, FieldScalar):
+            trace_length = FieldScalar(trace_length)
+        if trace_length.sign() <= 0:
+            raise NonPositiveLength(
+                f"trace_length must be positive, got {trace_length}")
     if not isinstance(direction, Direction):
         direction = Direction(direction if isinstance(direction, Vec2)
                               else Vec2(*direction))
@@ -901,8 +910,6 @@ def decompose(surface: TranslationSurface, direction,
     if trace_length is None:
         bound_sq = default_bound_sq(surface, trace_factor)
     else:
-        if not isinstance(trace_length, FieldScalar):
-            trace_length = FieldScalar(trace_length)
         bound_sq = trace_length * trace_length
     # advance on the normalized surface is x-progress = |v| * length on M
     max_advance_sq = bound_sq * v.norm_sq()

@@ -12,7 +12,7 @@ Linearity of the rebuild in period coordinates is checked exactly.
 from __future__ import annotations
 
 from .cylinders import Decomposition, _build_cut_pieces, _Chord, decompose
-from .errors import (DeformationTooLarge, DegenerateCylinder,
+from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
 from .field import FieldScalar, Mat2, Vec2
 from .homology import Cocycle, HomologyFrame
@@ -402,7 +402,9 @@ def deform_from_periods(surface: TranslationSurface, frame: HomologyFrame,
 
     Raises DeformationTooLarge when any polygon stops being simple (or
     the stratum changes, or a real deformation fails to preserve the
-    horizontal cylinder heights it must preserve).
+    horizontal cylinder heights it must preserve).  Only input errors
+    (FlatdefError) of the rebuilt surface become DeformationTooLarge; an
+    InternalInvariantError propagates unchanged.
     """
     frame.check(zeta)
     if not isinstance(eps, FieldScalar):
@@ -433,7 +435,7 @@ def deform_from_periods(surface: TranslationSurface, frame: HomologyFrame,
     try:
         result = TranslationSurface(new_polys, gl, surface.label)
         post_data = result.singularities()
-    except Exception as exc:
+    except FlatdefError as exc:
         raise DeformationTooLarge(f"deformed surface is invalid: {exc}")
     if post_data.signature != pre_data.signature:
         raise DeformationTooLarge("deformation changed the stratum")

@@ -4,13 +4,33 @@ A scalar is a + b*sqrt(d) with a, b rational and d a square-free
 non-negative integer (d = 0 encodes the base field Q, in which case b
 is forced to 0).  All comparisons are decided exactly by
 square-and-compare; there is no floating point anywhere.
+
+Representation: a FieldScalar stores three Python integers A, B, D and
+means (A + B*sqrt(d))/D, so a = A/D and b = B/D share one denominator
+(the integer-polynomial-over-common-denominator form of e-antic).  Every
+scalar is kept in lowest terms:
+
+- D > 0;
+- gcd(A, B, D) = 1 (for d = 0, B = 0 and so gcd(A, D) = 1).
+
+Since (A, B, D) is then unique for each field element, equality within
+one field is equality of the triples, and sign tests need only A, B and
+d.  All arithmetic results come from the private constructor `_new`,
+which restores these invariants with integer operations only; the
+public constructor is the one place that accepts int, Fraction or any
+other value `Fraction()` takes.  The Fraction views `.a` and `.b` exist
+for the public API (serialization, rational relations, tests).  Text
+form and hash are those of the pair (a, b) in lowest terms, so they do
+not depend on the representation.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "FieldCtx",
@@ -24,6 +44,9 @@ __all__ = [
 ]
 
 _Rat = int | Fraction
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _is_square_free(n: int) -> bool:
@@ -92,48 +115,96 @@ class FieldCtx:
 QQ = FieldCtx.get(0)
 
 
-class FieldScalar:
-    """An exact element a + b*sqrt(d) of Q(sqrt(d))."""
+def _rat_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, without building the Fraction."""
+    g = gcd(n, den)
+    if g != 1:
+        n //= g
+        den //= g
+    return str(n) if den == 1 else f"{n}/{den}"
 
-    __slots__ = ("a", "b", "ctx", "_hash")
+
+def _rat_hash(n: int, den: int) -> int:
+    """hash(Fraction(n, den)) for den > 0, by the numeric hash rule."""
+    g = gcd(n, den)
+    if g != 1:
+        n //= g
+        den //= g
+    if den == 1:
+        return hash(n)
+    try:
+        dinv = pow(den, -1, _HASH_MODULUS)
+    except ValueError:
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+class FieldScalar:
+    """An exact element (A + B*sqrt(d))/D of Q(sqrt(d)), in lowest terms."""
+
+    __slots__ = ("_A", "_B", "_D", "ctx", "_hash")
 
     def __init__(self, a: _Rat, b: _Rat = 0, ctx: FieldCtx = QQ):
-        a = Fraction(a)
-        b = Fraction(b)
-        if ctx.d == 0 and b != 0:
+        if type(a) is int and type(b) is int:
+            A, B, D = a, b, 1
+        else:
+            a = Fraction(a)
+            b = Fraction(b)
+            da, db = a.denominator, b.denominator
+            A, B, D = a.numerator * db, b.numerator * da, da * db
+            g = gcd(A, B, D)
+            if g != 1:
+                A //= g
+                B //= g
+                D //= g
+        if B and ctx.d == 0:
             raise ValueError("irrational part requires d > 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_hash", None)
+        _set_A(self, A)
+        _set_B(self, B)
+        _set_D(self, D)
+        _set_ctx(self, ctx)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldScalar is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part a of a + b*sqrt(d)."""
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self) -> Fraction:
+        """The irrational coefficient b of a + b*sqrt(d)."""
+        return Fraction(self._B, self._D)
+
+    def with_ctx(self, ctx: FieldCtx) -> "FieldScalar":
+        """This scalar as an element of `ctx`; rational scalars fit any field."""
+        if self.ctx is ctx:
+            return self
+        if self._B and self.ctx.d != ctx.d:
+            raise ValueError(
+                f"incompatible fields Q(sqrt({self.ctx.d})) and Q(sqrt({ctx.d}))"
+            )
+        return _new(self._A, self._B, self._D, ctx)
+
     # -- coercion -----------------------------------------------------
 
-    def _lift(self, other) -> "FieldScalar | None":
-        if isinstance(other, FieldScalar):
-            if other.ctx is self.ctx:
-                return other
-            if other.b == 0:
-                return FieldScalar(other.a, 0, self.ctx)
-            if self.b == 0:
-                return other  # the caller re-lifts self
-            raise ValueError(
-                f"incompatible fields Q(sqrt({self.ctx.d})) and Q(sqrt({other.ctx.d}))"
-            )
-        if isinstance(other, (int, Fraction)):
-            return FieldScalar(other, 0, self.ctx)
-        return None
-
     def _pair(self, other):
-        o = self._lift(other)
-        if o is None:
-            return None, None
-        if o.ctx is self.ctx:
-            return self, o
-        return FieldScalar(self.a, 0, o.ctx), o
+        """(self, other) as scalars of one field, or (None, None)."""
+        if other.__class__ is FieldScalar:
+            if other.ctx is self.ctx:
+                return self, other
+            if not other._B:
+                return self, other.with_ctx(self.ctx)
+            return self.with_ctx(other.ctx), other
+        if isinstance(other, int):
+            return self, _new(other, 0, 1, self.ctx)
+        if isinstance(other, Fraction):
+            return self, _new(other.numerator, 0, other.denominator, self.ctx)
+        return None, None
 
     # -- ring/field operations ---------------------------------------
 
@@ -141,7 +212,10 @@ class FieldScalar:
         s, o = self._pair(other)
         if s is None:
             return NotImplemented
-        return FieldScalar(s.a + o.a, s.b + o.b, s.ctx)
+        D1, D2 = s._D, o._D
+        if D1 == D2:
+            return _new(s._A + o._A, s._B + o._B, D1, s.ctx)
+        return _new(s._A * D2 + o._A * D1, s._B * D2 + o._B * D1, D1 * D2, s.ctx)
 
     __radd__ = __add__
 
@@ -149,30 +223,34 @@ class FieldScalar:
         s, o = self._pair(other)
         if s is None:
             return NotImplemented
-        return FieldScalar(s.a - o.a, s.b - o.b, s.ctx)
+        D1, D2 = s._D, o._D
+        if D1 == D2:
+            return _new(s._A - o._A, s._B - o._B, D1, s.ctx)
+        return _new(s._A * D2 - o._A * D1, s._B * D2 - o._B * D1, D1 * D2, s.ctx)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldScalar(-self.a, -self.b, self.ctx)
+        return _new(-self._A, -self._B, self._D, self.ctx)
 
     def __mul__(self, other):
         s, o = self._pair(other)
         if s is None:
             return NotImplemented
-        d = s.ctx.d
-        return FieldScalar(s.a * o.a + d * s.b * o.b, s.a * o.b + s.b * o.a, s.ctx)
+        A1, B1, A2, B2 = s._A, s._B, o._A, o._B
+        return _new(A1 * A2 + s.ctx.d * B1 * B2, A1 * B2 + B1 * A2,
+                    s._D * o._D, s.ctx)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
-        if self.is_zero():
+        A, B, D = self._A, self._B, self._D
+        if not A and not B:
             raise ZeroDivisionError("division by zero field scalar")
-        d = self.ctx.d
-        n = self.a * self.a - d * self.b * self.b
-        # n = 0 with (a, b) != 0 would make sqrt(d) rational; impossible
-        return FieldScalar(self.a / n, -self.b / n, self.ctx)
+        # D/(A + B sqrt d) = D (A - B sqrt d) / (A^2 - d B^2); the norm
+        # is never 0 for (A, B) != 0 because sqrt(d) is irrational
+        return _new(D * A, -D * B, A * A - self.ctx.d * B * B, self.ctx)
 
     def __truediv__(self, other):
         s, o = self._pair(other)
@@ -181,17 +259,17 @@ class FieldScalar:
         return s * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        s, o = self._pair(other)
+        if s is None:
             return NotImplemented
-        return o / self
+        return o * s.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = FieldScalar(1, 0, self.ctx)
+        out = _new(1, 0, 1, self.ctx)
         base = self
         while n:
             if n & 1:
@@ -201,34 +279,34 @@ class FieldScalar:
         return out
 
     def conjugate(self) -> "FieldScalar":
-        return FieldScalar(self.a, -self.b, self.ctx)
+        return _new(self._A, -self._B, self._D, self.ctx)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._A and not self._B
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._B
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._B:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self._A, self._D)
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
-        a, b, d = self.a, self.b, self.ctx.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b| sqrt(d), square-free d so never equal
-        return sa if a * a > d * b * b else sb
+        return _sign(self._A, self._B, self.ctx.d)
+
+    def _cmp(self, other):
+        """Sign of self - other, or None if other is not a scalar."""
+        s, o = self._pair(other)
+        if s is None:
+            return None
+        D1, D2 = s._D, o._D
+        if D1 == D2:
+            return _sign(s._A - o._A, s._B - o._B, s.ctx.d)
+        return _sign(s._A * D2 - o._A * D1, s._B * D2 - o._B * D1, s.ctx.d)
 
     def __eq__(self, other) -> bool:
         try:
@@ -237,50 +315,95 @@ class FieldScalar:
             return False
         if s is None:
             return NotImplemented
-        return s.a == o.a and s.b == o.b
+        return s._A == o._A and s._B == o._B and s._D == o._D
 
     def __lt__(self, other):
-        s, o = self._pair(other)
-        if s is None:
-            return NotImplemented
-        return (s - o).sign() < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        s, o = self._pair(other)
-        if s is None:
-            return NotImplemented
-        return (s - o).sign() <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        return not self <= other
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        return not self < other
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.a, self.b, self.ctx.d if self.b else 0))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        A, B, D = self._A, self._B, self._D
+        h = hash((_rat_hash(A, D), _rat_hash(B, D), self.ctx.d if B else 0))
+        _set_hash(self, h)
         return h
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._A or self._B)
 
     # -- text form -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        sign = "-" if self.b < 0 else "+"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.ctx.d})"
+        A, B, D = self._A, self._B, self._D
+        if not B:
+            return _rat_str(A, D)
+        sign = "-" if B < 0 else "+"
+        return f"{_rat_str(A, D)}{sign}{_rat_str(abs(B), D)}*sqrt({self.ctx.d})"
 
     def __repr__(self) -> str:
         return f"FieldScalar({self})"
 
     def __float__(self) -> float:
         # display/rendering only; never used in predicates
-        return float(self.a) + float(self.b) * (self.ctx.d ** 0.5)
+        return self._A / self._D + self._B / self._D * (self.ctx.d ** 0.5)
+
+
+_set_A = FieldScalar._A.__set__
+_set_B = FieldScalar._B.__set__
+_set_D = FieldScalar._D.__set__
+_set_ctx = FieldScalar.ctx.__set__
+_set_hash = FieldScalar._hash.__set__
+_alloc = object.__new__
+
+
+def _new(A: int, B: int, D: int, ctx: FieldCtx) -> FieldScalar:
+    """(A + B*sqrt(d))/D in lowest terms; D must be non-zero.
+
+    Every arithmetic result is built here, from integers only.
+    """
+    if D != 1:
+        if D < 0:
+            A, B, D = -A, -B, -D
+        g = gcd(A, B, D)
+        if g != 1:
+            A //= g
+            B //= g
+            D //= g
+    s = _alloc(FieldScalar)
+    _set_A(s, A)
+    _set_B(s, B)
+    _set_D(s, D)
+    _set_ctx(s, ctx)
+    return s
+
+
+def _sign(A: int, B: int, d: int) -> int:
+    """Exact sign of A + B*sqrt(d)."""
+    if not B:
+        return (A > 0) - (A < 0)
+    if not A:
+        return 1 if B > 0 else -1
+    if (A > 0) == (B > 0):
+        return 1 if A > 0 else -1
+    # opposite signs: |A| vs |B| sqrt(d), square-free d so never equal
+    if A * A > d * B * B:
+        return 1 if A > 0 else -1
+    return 1 if B > 0 else -1
 
 
 _SCALAR_RE = re.compile(
@@ -325,7 +448,7 @@ def unify_ctx(*scalars: FieldScalar) -> FieldCtx:
     """The common field context; rational scalars are compatible with anything."""
     ctx = QQ
     for s in scalars:
-        if s.b != 0:
+        if s._B:
             if ctx.d not in (0, s.ctx.d):
                 raise ValueError(
                     f"incompatible fields Q(sqrt({ctx.d})) and Q(sqrt({s.ctx.d}))"
@@ -340,17 +463,17 @@ class Vec2:
     __slots__ = ("x", "y")
 
     def __init__(self, x: FieldScalar | _Rat, y: FieldScalar | _Rat):
-        if not isinstance(x, FieldScalar):
-            x = FieldScalar(x)
-        if not isinstance(y, FieldScalar):
-            y = FieldScalar(y)
-        ctx = unify_ctx(x, y)
-        if x.ctx is not ctx:
-            x = FieldScalar(x.a, x.b, ctx)
-        if y.ctx is not ctx:
-            y = FieldScalar(y.a, y.b, ctx)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        if not (x.__class__ is FieldScalar and y.__class__ is FieldScalar
+                and x.ctx is y.ctx):
+            if not isinstance(x, FieldScalar):
+                x = FieldScalar(x)
+            if not isinstance(y, FieldScalar):
+                y = FieldScalar(y)
+            ctx = unify_ctx(x, y)
+            x = x.with_ctx(ctx)
+            y = y.with_ctx(ctx)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __setattr__(self, *a):
         raise AttributeError("Vec2 is immutable")
@@ -396,6 +519,10 @@ class Vec2:
 
     def __repr__(self) -> str:
         return f"Vec2({self.x}, {self.y})"
+
+
+_set_x = Vec2.x.__set__
+_set_y = Vec2.y.__set__
 
 
 class Mat2:

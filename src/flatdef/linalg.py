@@ -30,11 +30,10 @@ class ComplexScalar:
             re = FieldScalar(re)
         if not isinstance(im, FieldScalar):
             im = FieldScalar(im)
-        ctx = unify_ctx(re, im)
-        if re.ctx is not ctx:
-            re = FieldScalar(re.a, re.b, ctx)
-        if im.ctx is not ctx:
-            im = FieldScalar(im.a, im.b, ctx)
+        if re.ctx is not im.ctx:
+            ctx = unify_ctx(re, im)
+            re = re.with_ctx(ctx)
+            im = im.with_ctx(ctx)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -214,7 +213,7 @@ class ExactMatrix:
         if ctx is None:
             ctx = unify_ctx(*scalars) if scalars else QQ
         mat = [
-            [x if x.ctx is ctx else FieldScalar(x.a, x.b, ctx) for x in row]
+            [x.with_ctx(ctx) for x in row]
             for row in mat
         ]
         ncols = len(mat[0]) if mat else 0

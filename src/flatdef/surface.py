@@ -71,7 +71,7 @@ class TranslationSurface:
             polys.append(tuple(edges))
         ctx = unify_ctx(*scalars) if scalars else QQ
         polys = [
-            tuple(Vec2(FieldScalar(e.x.a, e.x.b, ctx), FieldScalar(e.y.a, e.y.b, ctx))
+            tuple(e if e.ctx is ctx else Vec2(e.x.with_ctx(ctx), e.y.with_ctx(ctx))
                   for e in poly)
             for poly in polys
         ]

@@ -9,8 +9,11 @@ from flatdef.analysis import (HAS_UNCERTIFIED, accumulate_tangent,
                               independence_check, more_cylinders_search,
                               rank_lower_bound)
 from flatdef.cylinders import PERIODIC, decompose
+from flatdef.deform import deform_from_periods
+from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.homology import homology_frame
+from flatdef.linalg import ComplexScalar
 from flatdef.surface import l_shape
 from flatdef.search import enumerate_directions
 
@@ -196,3 +199,24 @@ class TestMoreCylinders:
                                     max_halvings=3)
         assert res is not None and not res["found"]
         assert len(res["attempted_eps"]) == 3
+
+    def test_invariant_failure_propagates(self, marked_torus, monkeypatch):
+        # a bug while validating the deformed surface must surface as
+        # InternalInvariantError, not as "deformation too large"
+        from flatdef.surface import TranslationSurface
+        f = homology_frame(marked_torus)
+        d = decompose(marked_torus, Vec2(1, 0), frame=f)
+        original = TranslationSurface.singularities
+
+        def broken(self):
+            if self is marked_torus:
+                return original(self)
+            raise InternalInvariantError("forced")
+
+        monkeypatch.setattr(TranslationSurface, "singularities", broken)
+        zeta = f.cocycle([ComplexScalar(0, Fraction(1, 100))] * f.m)
+        with pytest.raises(InternalInvariantError, match="forced"):
+            deform_from_periods(marked_torus, f, zeta, Fraction(1, 8))
+        with pytest.raises(InternalInvariantError, match="forced"):
+            more_cylinders_search(marked_torus, f, d, Fraction(1, 8),
+                                  [Vec2(1, 0)])

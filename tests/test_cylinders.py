@@ -4,6 +4,7 @@ import pytest
 
 from flatdef.cylinders import (BoundExceeded, Direction, PARTIAL, PERIODIC,
                                NO_CYLINDER, decompose, trace_separatrix)
+from flatdef.errors import NonPositiveLength
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.search import enumerate_directions
 
@@ -125,6 +126,17 @@ class TestDecompose:
                         trace_length=FieldScalar(Fraction(1, 2)))
         assert dec.status in (PARTIAL, NO_CYLINDER)
         assert dec.unresolved_rays
+
+    @pytest.mark.parametrize("kw", [
+        {"trace_factor": 0},
+        {"trace_factor": -1},
+        {"trace_length": 0},
+        {"trace_length": Fraction(-1, 2)},
+        {"trace_length": FieldScalar(1, -1, Q5)},  # 1 - sqrt(5) < 0
+    ])
+    def test_nonpositive_bound_rejected(self, torus, kw):
+        with pytest.raises(NonPositiveLength):
+            decompose(torus, Vec2(1, 0), **kw)
 
     def test_square_tiled_rational_always_periodic(self, l_origami):
         for v in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, -1),

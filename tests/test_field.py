@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,183 @@ class TestScalarProperties:
     def test_order_total(self, x, y):
         if x.ctx.d in (0, y.ctx.d) or y.b == 0 or x.b == 0:
             assert (x < y) or (x == y) or (y < x)
+
+
+# -- differential tests against a two-Fraction reference model -------------
+#
+# The reference keeps a scalar as the pair (a, b) of Fractions meaning
+# a + b*sqrt(d), the representation FieldScalar had before it moved to
+# the integer triple (A + B*sqrt(d))/D.  Every operation of the integer
+# core must agree with it exactly, including hash and text.
+
+small_rationals = st.fractions(min_value=-1000, max_value=1000,
+                               max_denominator=60)
+
+
+@st.composite
+def same_field_pairs(draw):
+    d = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    ctx = FieldCtx.get(d)
+    out = []
+    for _ in range(2):
+        a = draw(small_rationals)
+        b = draw(small_rationals) if d else Fraction(0)
+        out.append(FieldScalar(a, b, ctx))
+    return out
+
+
+def ref(x):
+    return x.a, x.b, x.ctx.d
+
+
+def ref_add(p, q):
+    return p[0] + q[0], p[1] + q[1], p[2]
+
+
+def ref_neg(p):
+    return -p[0], -p[1], p[2]
+
+
+def ref_mul(p, q):
+    a1, b1, d = p
+    a2, b2, _ = q
+    return a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, d
+
+
+def ref_inverse(p):
+    a, b, d = p
+    n = a * a - d * b * b
+    return a / n, -b / n, d
+
+
+def ref_sign(p):
+    a, b, d = p
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    return sa if a * a > d * b * b else sb
+
+
+def ref_hash(p):
+    a, b, d = p
+    return hash((a, b, d if b else 0))
+
+
+def ref_str(p):
+    a, b, d = p
+    if b == 0:
+        return str(a)
+    return f"{a}{'-' if b < 0 else '+'}{abs(b)}*sqrt({d})"
+
+
+def check_lowest_terms(x):
+    A, B, D = x._A, x._B, x._D
+    assert all(type(v) is int for v in (A, B, D))
+    assert D > 0
+    assert gcd(A, B, D) == 1
+    assert x.ctx.d or B == 0
+
+
+def agrees(x, p):
+    check_lowest_terms(x)
+    return (x.a, x.b) == (p[0], p[1]) and (x.b == 0 or x.ctx.d == p[2])
+
+
+class TestDifferential:
+    @given(same_field_pairs())
+    def test_ring_ops(self, pair):
+        x, y = pair
+        px, py = ref(x), ref(y)
+        assert agrees(x + y, ref_add(px, py))
+        assert agrees(x - y, ref_add(px, ref_neg(py)))
+        assert agrees(-x, ref_neg(px))
+        assert agrees(x * y, ref_mul(px, py))
+        assert agrees(x.conjugate(), (px[0], -px[1], px[2]))
+
+    @given(same_field_pairs())
+    def test_division_and_inverse(self, pair):
+        x, y = pair
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            return
+        assert agrees(y.inverse(), ref_inverse(ref(y)))
+        assert agrees(x / y, ref_mul(ref(x), ref_inverse(ref(y))))
+
+    @given(same_field_pairs(), st.integers(min_value=-4, max_value=4))
+    def test_pow(self, pair, n):
+        x = pair[0]
+        if n < 0 and x.is_zero():
+            return
+        want = (Fraction(1), Fraction(0), x.ctx.d)
+        base = ref(x) if n >= 0 else ref_inverse(ref(x))
+        for _ in range(abs(n)):
+            want = ref_mul(want, base)
+        assert agrees(x ** n, want)
+
+    @given(same_field_pairs())
+    def test_sign_order_equality(self, pair):
+        x, y = pair
+        assert x.sign() == ref_sign(ref(x))
+        diff = ref_sign(ref_add(ref(x), ref_neg(ref(y))))
+        assert (x < y) == (diff < 0)
+        assert (x <= y) == (diff <= 0)
+        assert (x > y) == (diff > 0)
+        assert (x >= y) == (diff >= 0)
+        assert (x == y) == (ref(x)[:2] == ref(y)[:2])
+        assert bool(x) == (ref_sign(ref(x)) != 0)
+
+    @given(same_field_pairs())
+    def test_hash_and_text(self, pair):
+        for x in pair:
+            check_lowest_terms(x)
+            assert hash(x) == ref_hash(ref(x))
+            assert str(x) == ref_str(ref(x))
+            back = parse_scalar(str(x))
+            check_lowest_terms(back)
+            assert back == x and hash(back) == hash(x)
+
+    @given(small_rationals, same_field_pairs())
+    def test_plain_rational_operands(self, q, pair):
+        x = pair[0]
+        pq = (q, Fraction(0), x.ctx.d)
+        assert agrees(x + q, ref_add(ref(x), pq))
+        assert agrees(q - x, ref_add(pq, ref_neg(ref(x))))
+        assert agrees(q * x, ref_mul(pq, ref(x)))
+        assert agrees(x * 3, ref_mul(ref(x), (Fraction(3), Fraction(0), x.ctx.d)))
+        if not x.is_zero():
+            assert agrees(q / x, ref_mul(pq, ref_inverse(ref(x))))
+        assert (x == q) == (ref(x)[:2] == (q, 0))
+
+    @given(small_rationals, small_rationals, small_rationals)
+    def test_lift_rational_into_quadratic_field(self, q, a, b):
+        r = FieldScalar(q)
+        x = FieldScalar(a, b or 1, Q5)
+        px, pr = ref(x), (q, Fraction(0), 5)
+        for got, want in ((r + x, ref_add(pr, px)), (x + r, ref_add(px, pr)),
+                          (r * x, ref_mul(pr, px)),
+                          (r - x, ref_add(pr, ref_neg(px)))):
+            assert agrees(got, want)
+        assert (r + x).ctx is Q5 and (x - r).ctx is Q5
+        assert (r == x) == (px[:2] == pr[:2])
+        assert hash(FieldScalar(q, 0, Q5)) == hash(r)
+        assert FieldScalar(q, 0, Q5) == r
+
+    @given(small_rationals, small_rationals)
+    def test_incompatible_fields(self, a, b):
+        x = FieldScalar(a, 1, Q2) if b == 0 else FieldScalar(a, b, Q2)
+        y = FieldScalar(b, 1, Q5)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: x / y, lambda: x < y, lambda: y >= x):
+            with pytest.raises(ValueError):
+                op()
+        assert (x == y) is False
+        assert (x != y) is True
 
 
 class TestParse:

@@ -168,6 +168,29 @@ class TestCLI:
                          "-o", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--factor", "0"], ["--factor", "-3"], ["--bound=-1"], ["--bound", "0"],
+    ])
+    def test_nonpositive_bound_flags_exit_1(self, cli_surfaces, capsys, flags):
+        _, lori, _ = cli_surfaces
+        assert main(["decompose", str(lori), "--direction", "1,0"]
+                    + flags) == 1
+        assert "NonPositiveLength" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
+    def test_unexpected_exception_exit_2(self, cli_surfaces, capsys,
+                                         monkeypatch, exc):
+        import flatdef.cli as cli_mod
+
+        def broken(args):
+            raise exc("forced")
+
+        monkeypatch.setattr(cli_mod, "cmd_validate", broken)
+        _, lori, _ = cli_surfaces
+        assert main(["validate", str(lori)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"InternalError: {exc.__name__}: forced\n"
+
     def test_make_origami_not_connected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["make-origami", "--squares", "2", "--right", "()",
