@@ -10,9 +10,6 @@ below.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .cylinders import Decomposition, NO_CYLINDER, PERIODIC, decompose
 from .deform import (cylinder_preserving_space, deform_from_periods, eta,
                      twist_space)
@@ -26,24 +23,7 @@ from .surface import TranslationSurface
 __all__ = ["TangentSpan", "FieldReport", "accumulate_tangent",
            "rank_lower_bound", "independence_check", "field_bound",
            "complete_periodicity_scan", "complete_parabolicity_check",
-           "more_cylinders_search", "scan_map"]
-
-
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("FLATDEF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def scan_map(fn, items):
-    """Order-preserving map over directions, optionally threaded."""
-    n = thread_cap()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+           "more_cylinders_search"]
 
 
 class TangentSpan:
@@ -112,13 +92,10 @@ def accumulate_tangent(surface: TranslationSurface, frame: HomologyFrame,
                        trace_length=None) -> TangentSpan:
     """Span of the period class and all certified direction cocycles."""
     span = TangentSpan(frame)
-
-    def work(d):
-        return decompose(surface, d, trace_factor=trace_factor,
-                         trace_length=trace_length, frame=frame)
-
-    for dec in scan_map(work, directions):
-        span.add_certified(surface, dec)
+    for d in directions:
+        span.add_certified(surface, decompose(
+            surface, d, trace_factor=trace_factor, trace_length=trace_length,
+            frame=frame))
     return span
 
 
@@ -223,7 +200,7 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
             kind = NO_CYLINDER
         return d, kind, dec
 
-    rows = scan_map(work, directions)
+    rows = [work(d) for d in directions]
     counts = {PERIODIC: 0, HAS_UNCERTIFIED: 0, NO_CYLINDER: 0}
     entries = []
     offenders = []

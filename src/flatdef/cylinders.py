@@ -300,7 +300,6 @@ def _build_cut_pieces(surface, chords_by_polygon):
     """
     pieces = []
     sub_lookup = {}    # (p, e, t0) -> _Item  (boundary sub-edges)
-    items_all = []
 
     for p, poly in enumerate(surface.polygons):
         n = len(poly)
@@ -376,9 +375,8 @@ def _build_cut_pieces(surface, chords_by_polygon):
                 it = directed[i]
                 if it.kind == "sub":
                     sub_lookup[(p, it.edge, it.t0)] = it
-        items_all.extend(directed)
 
-    return pieces, sub_lookup, items_all
+    return pieces, sub_lookup
 
 
 def _glue_items(surface, pieces, sub_lookup):
@@ -400,51 +398,53 @@ def _glue_items(surface, pieces, sub_lookup):
         mate.partner = item
 
 
-def _components(pieces):
-    parent = list(range(len(pieces)))
+class _UnionFind:
+    """Union-find on 0..n-1 with path halving.
 
-    def find(x):
+    The smaller root wins every union, so each class is named by its
+    least member and class ids do not depend on the union order.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+            self.parent[max(ra, rb)] = min(ra, rb)
 
+
+def _components(pieces):
+    uf = _UnionFind(len(pieces))
     for piece in pieces:
         for item in piece.items:
             if item.partner is not None:
-                union(piece.pid, item.partner.piece.pid)
+                uf.union(piece.pid, item.partner.piece.pid)
     comps = {}
     for piece in pieces:
-        root = find(piece.pid)
+        root = uf.find(piece.pid)
         piece.component = root
         comps.setdefault(root, []).append(piece)
     return [comps[k] for k in sorted(comps)]
 
 
 def _corner_classes(comp_pieces):
-    """Union-find on piece corners, identified only through glued items."""
+    """Class id of every piece corner (pid, k), corners being identified
+    only through glued items."""
     ids = {}
     for piece in comp_pieces:
         for k in range(len(piece.items)):
             ids[(piece.pid, k)] = len(ids)
-    parent = list(range(len(ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = _UnionFind(len(ids))
     in_comp = {piece.pid for piece in comp_pieces}
     for piece in comp_pieces:
         n = len(piece.items)
@@ -456,14 +456,11 @@ def _corner_classes(comp_pieces):
                 raise InternalInvariantError("gluing escapes the component")
             mn = len(mate.piece.items)
             # item runs a->b; mate runs b->a on the other side
-            union(ids[(piece.pid, (k + 1) % n)],
-                  ids[(mate.piece.pid, mate.index)])
-            union(ids[(piece.pid, k)],
-                  ids[(mate.piece.pid, (mate.index + 1) % mn)])
-    classes = {}
-    for key, idx in ids.items():
-        classes.setdefault(find(idx), []).append(key)
-    return ids, parent, list(classes.values())
+            uf.union(ids[(piece.pid, (k + 1) % n)],
+                     ids[(mate.piece.pid, mate.index)])
+            uf.union(ids[(piece.pid, k)],
+                     ids[(mate.piece.pid, (mate.index + 1) % mn)])
+    return {key: uf.find(idx) for key, idx in ids.items()}
 
 
 def _boundary_circles(comp_pieces):
@@ -532,15 +529,8 @@ class _ComponentCheck:
 def _check_component(surface, comp_pieces):
     """Certify one component of the cut surface as a cylinder."""
     by_piece = {piece.pid: piece for piece in comp_pieces}
-    ids, parent, classes = _corner_classes(comp_pieces)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n_vertices = len(classes)
+    class_of = _corner_classes(comp_pieces)
+    n_vertices = len(set(class_of.values()))
     n_faces = len(comp_pieces)
     glued = 0
     boundary_items = 0
@@ -564,12 +554,12 @@ def _check_component(surface, comp_pieces):
         n = len(piece.items)
         for k, item in enumerate(piece.items):
             if item.partner is None:
-                boundary_classes.add(find(ids[(piece.pid, k)]))
-                boundary_classes.add(find(ids[(piece.pid, (k + 1) % n)]))
+                boundary_classes.add(class_of[(piece.pid, k)])
+                boundary_classes.add(class_of[(piece.pid, (k + 1) % n)])
     for piece in comp_pieces:
         for k, item in enumerate(piece.items):
             if item.start[0] == "vertex":
-                if find(ids[(piece.pid, k)]) not in boundary_classes:
+                if class_of[(piece.pid, k)] not in boundary_classes:
                     return _ComponentCheck(
                         False, "singular point interior to the component")
 
@@ -664,8 +654,8 @@ def _chord_by_start(chords_by_polygon, p, point):
     return None
 
 
-def _cross_path(surface, frame, chords_by_polygon, saddle_connections,
-                corner, height):
+def _cross_path(surface, chords_by_polygon, saddle_connections, corner,
+                height):
     """Vertical cross-cut of a cylinder, from a bottom zero to a top zero.
 
     Traces (0,1) from the corner for exactly `height`; if the endpoint is
@@ -835,34 +825,41 @@ class BoundExceeded:
         return f"BoundExceeded(advance_sq={self.advance_sq})"
 
 
-def trace_separatrix(surface: TranslationSurface, corner, direction,
-                     trace_length):
-    """Follow the separatrix leaving `corner` in `direction`.
+def _positive(name, value):
+    """`value` as a FieldScalar; NonPositiveLength unless it is positive."""
+    if not isinstance(value, FieldScalar):
+        value = FieldScalar(value)
+    if value.sign() <= 0:
+        raise NonPositiveLength(f"{name} must be positive, got {value}")
+    return value
 
-    Returns a SaddleConnection when a singular point is hit within the
-    length bound (measured on this surface), else a BoundExceeded value.
-    The corner must emit the direction: it is the (polygon, vertex)
-    whose half-open sector contains it.
-    """
+
+def _normalize(surface, direction):
+    """(Direction, normalizing matrix g, g-image of the surface), the image
+    validated so its vertex classes are ready for tracing."""
     if not isinstance(direction, Direction):
         direction = Direction(direction if isinstance(direction, Vec2)
                               else Vec2(*direction))
-    v = direction.vector
-    g = Mat2.direction_normalizer(v)
+    g = Mat2.direction_normalizer(direction.vector)
     normalized = surface.apply_matrix(g, label=surface.label)
     normalized.singularities()
-    if not isinstance(trace_length, FieldScalar):
-        trace_length = FieldScalar(trace_length)
-    max_advance_sq = trace_length * trace_length * v.norm_sq()
+    return direction, g, normalized
+
+
+def _trace_east(normalized, g_inv, class_of, corner, max_advance_sq, sc_id):
+    """Follow the eastward separatrix from `corner` of a normalized surface.
+
+    Returns (trace result, SaddleConnection), the connection being None
+    when the trace ran past max_advance_sq.
+    """
     res = trace_from_corner(normalized, corner, EAST(normalized.ctx),
                             max_advance_sq=max_advance_sq)
     if res.kind == "bound":
-        return BoundExceeded(res.advance * res.advance / v.norm_sq())
+        return res, None
     hol_norm = Vec2(res.advance, FieldScalar(0, 0, normalized.ctx))
-    class_of = normalized.vertex_class_map()
-    return SaddleConnection(
-        sc_id=0,
-        holonomy=g.inverse().apply(hol_norm),
+    return res, SaddleConnection(
+        sc_id=sc_id,
+        holonomy=g_inv.apply(hol_norm),
         normalized_holonomy=hol_norm,
         start_corner=corner,
         end_corner=res.end_corner,
@@ -873,6 +870,27 @@ def trace_separatrix(surface: TranslationSurface, corner, direction,
         is_edge_run=(len(res.chords) == 1
                      and _is_edge_run(normalized, res.chords[0])),
     )
+
+
+def trace_separatrix(surface: TranslationSurface, corner, direction,
+                     trace_length):
+    """Follow the separatrix leaving `corner` in `direction`.
+
+    Returns a SaddleConnection when a singular point is hit within the
+    length bound (measured on this surface), else a BoundExceeded value.
+    The corner must emit the direction: it is the (polygon, vertex)
+    whose half-open sector contains it.  A trace_length that is not
+    positive raises NonPositiveLength.
+    """
+    trace_length = _positive("trace_length", trace_length)
+    direction, g, normalized = _normalize(surface, direction)
+    n = direction.vector.norm_sq()
+    res, sc = _trace_east(normalized, g.inverse(),
+                          normalized.vertex_class_map(), corner,
+                          trace_length * trace_length * n, 0)
+    if sc is None:
+        return BoundExceeded(res.advance * res.advance / n)
+    return sc
 
 
 def decompose(surface: TranslationSurface, direction,
@@ -889,23 +907,13 @@ def decompose(surface: TranslationSurface, direction,
     the normalized surface exactly.  A trace_factor or trace_length that
     is not positive raises NonPositiveLength.
     """
-    if trace_factor <= 0:
-        raise NonPositiveLength(f"trace_factor must be positive, got {trace_factor}")
+    _positive("trace_factor", trace_factor)
     if trace_length is not None:
-        if not isinstance(trace_length, FieldScalar):
-            trace_length = FieldScalar(trace_length)
-        if trace_length.sign() <= 0:
-            raise NonPositiveLength(
-                f"trace_length must be positive, got {trace_length}")
-    if not isinstance(direction, Direction):
-        direction = Direction(direction if isinstance(direction, Vec2)
-                              else Vec2(*direction))
+        trace_length = _positive("trace_length", trace_length)
+    direction, g, normalized = _normalize(surface, direction)
     if frame is None:
         frame = homology_frame(surface)
     v = direction.vector
-    g = Mat2.direction_normalizer(v)
-    normalized = surface.apply_matrix(g, label=surface.label)
-    normalized.singularities()
 
     if trace_length is None:
         bound_sq = default_bound_sq(surface, trace_factor)
@@ -919,26 +927,12 @@ def decompose(surface: TranslationSurface, direction,
     g_inv = g.inverse()
     class_of = normalized.vertex_class_map()
     for corner in east_ray_corners(normalized):
-        res = trace_from_corner(normalized, corner, EAST(normalized.ctx),
-                                max_advance_sq=max_advance_sq)
-        if res.kind == "bound":
+        _, sc = _trace_east(normalized, g_inv, class_of, corner,
+                            max_advance_sq, len(saddle_connections))
+        if sc is None:
             unresolved.append(corner)
-            continue
-        hol_norm = Vec2(res.advance, FieldScalar(0, 0, normalized.ctx))
-        sc = SaddleConnection(
-            sc_id=len(saddle_connections),
-            holonomy=g_inv.apply(hol_norm),
-            normalized_holonomy=hol_norm,
-            start_corner=corner,
-            end_corner=res.end_corner,
-            start_class=class_of[corner],
-            end_class=class_of[res.end_corner],
-            chords=list(res.chords),
-            crossings=list(res.crossings),
-            is_edge_run=(len(res.chords) == 1
-                         and _is_edge_run(normalized, res.chords[0])),
-        )
-        saddle_connections.append(sc)
+        else:
+            saddle_connections.append(sc)
     edge_run_sc = {}
     for sc in saddle_connections:
         if sc.is_edge_run:
@@ -959,7 +953,7 @@ def decompose(surface: TranslationSurface, direction,
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 
-    pieces, sub_lookup, _ = _build_cut_pieces(normalized, chords_by_polygon)
+    pieces, sub_lookup = _build_cut_pieces(normalized, chords_by_polygon)
     _glue_items(normalized, pieces, sub_lookup)
     components = _components(pieces)
     by_piece = {piece.pid: piece for piece in pieces}
@@ -976,7 +970,7 @@ def decompose(surface: TranslationSurface, direction,
         germ = _bottom_germ_corner(normalized, by_piece, chord_table,
                                    saddle_connections, check.bottom)
         corner = _find_vertical_corner(normalized, germ)
-        cross_chords = _cross_path(normalized, frame, chords_by_polygon,
+        cross_chords = _cross_path(normalized, chords_by_polygon,
                                    saddle_connections, corner, h)
         cross_coords = frame.coords_of_path(cross_chords)
         start_p, start_pt = _half_height_start(normalized, cross_chords, h)

@@ -37,6 +37,21 @@ def _cylinder_subset(decomposition, ids):
     return chosen
 
 
+def _crossing_cocycle(frame: HomologyFrame, weighted, zero) -> Cocycle:
+    """The cocycle sum_i w_i I_i over (w_i, cylinder_i) pairs, where I_i
+    counts the signed crossings of each basis chain with cylinder i's
+    core; `zero` starts every sum."""
+    totals = []
+    for chain in frame.basis_chains:
+        acc = zero
+        for weight, cyl in weighted:
+            count = sum(c * x for c, x in zip(chain, cyl.core_crossings))
+            if count:
+                acc = acc + weight * count
+        totals.append(acc)
+    return frame.cocycle([ComplexScalar(v) for v in totals])
+
+
 def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
                          decomposition: Decomposition, cyl_id: int) -> Cocycle:
     """The integer cocycle counting crossings with one core circle.
@@ -46,10 +61,7 @@ def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
     decomposition.
     """
     cyl = _cylinder_subset(decomposition, [cyl_id])[0]
-    values = []
-    for chain in frame.basis_chains:
-        values.append(sum(c * x for c, x in zip(chain, cyl.core_crossings)))
-    cocycle = frame.cocycle([ComplexScalar(v) for v in values])
+    cocycle = _crossing_cocycle(frame, [(1, cyl)], 0)
     for sc in decomposition.saddle_connections:
         coords = frame.coords_of_path(sc.chords)
         if not frame.evaluate(cocycle, coords).is_zero():
@@ -64,16 +76,9 @@ def eta_normalized(frame: HomologyFrame, decomposition: Decomposition,
     coordinates (real values; the shear derivative on the normalized
     surface)."""
     chosen = _cylinder_subset(decomposition, ids)
-    ctx = decomposition.normalized.ctx
-    totals = []
-    for chain in frame.basis_chains:
-        acc = FieldScalar(0, 0, ctx)
-        for cyl in chosen:
-            count = sum(c * x for c, x in zip(chain, cyl.core_crossings))
-            if count:
-                acc = acc + cyl.height * count
-        totals.append(acc)
-    return frame.cocycle([ComplexScalar(v) for v in totals])
+    return _crossing_cocycle(
+        frame, [(cyl.height, cyl) for cyl in chosen],
+        FieldScalar(0, 0, decomposition.normalized.ctx))
 
 
 def eta(surface: TranslationSurface, frame: HomologyFrame,
@@ -176,16 +181,10 @@ def torus_closure(moduli, frame: HomologyFrame | None = None,
             frame = decomposition.frame
         if len(moduli) != len(decomposition.cylinders):
             raise ValueError("moduli do not match the decomposition")
-        ctx = decomposition.normalized.ctx
-        totals = []
-        for chain in frame.basis_chains:
-            acc = FieldScalar(0, 0, ctx)
-            for ti, cyl in zip(t, decomposition.cylinders):
-                count = sum(c * x for c, x in zip(chain, cyl.core_crossings))
-                if count:
-                    acc = acc + cyl.circumference * FieldScalar(ti) * count
-            totals.append(acc)
-        cocycle = frame.cocycle([ComplexScalar(v) for v in totals])
+        cocycle = _crossing_cocycle(
+            frame, [(cyl.circumference * FieldScalar(ti), cyl)
+                    for ti, cyl in zip(t, decomposition.cylinders)],
+            FieldScalar(0, 0, decomposition.normalized.ctx))
     return TorusClosure(len(allowed), [list(a) for a in allowed],
                         [list(r) for r in relations], t, cocycle)
 
@@ -234,7 +233,7 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
         copy = _Chord(new_id, ch.polygon, ch.sc_id, ch.sc_index, ch.start,
                       ch.end, ch.start_coords, ch.end_coords)
         reduced_by_polygon.setdefault(ch.polygon, []).append(copy)
-    pieces, sub_lookup, _ = _build_cut_pieces(normalized, reduced_by_polygon)
+    pieces, sub_lookup = _build_cut_pieces(normalized, reduced_by_polygon)
 
     # treatment per reduced piece: each reduced sub-edge starts at a fine
     # subdivision point, so the fine sub item there names the component
@@ -262,6 +261,10 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
             poly.append(g_inv.apply(mapped))
         new_polys.append(poly)
 
+    chord_side = {(item.chord_id, item.direction): (piece.pid, k)
+                  for piece in pieces
+                  for k, item in enumerate(piece.items)
+                  if item.kind == "chord"}
     gluing = []
     seen = set()
     one = FieldScalar(1, 0, normalized.ctx)
@@ -287,15 +290,10 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
                 seen.add(mk)
             else:
                 # chords pair their two directed sides
-                for piece2 in pieces:
-                    for k2, item2 in enumerate(piece2.items):
-                        if (item2.kind == "chord"
-                                and item2.chord_id == item.chord_id
-                                and item2.direction == -item.direction):
-                            mk = (piece2.pid, k2)
-                            gluing.append((key, mk))
-                            seen.add(key)
-                            seen.add(mk)
+                mk = chord_side[(item.chord_id, -item.direction)]
+                gluing.append((key, mk))
+                seen.add(key)
+                seen.add(mk)
     index_map = {}
     for new_p, piece in enumerate(pieces):
         for k in range(len(piece.items)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2
-from .polygon import ear_clip
+from .search import Triangulated
 from .surface import TranslationSurface
 
 __all__ = ["translation_equivalent", "delaunay_cells"]
@@ -20,38 +20,21 @@ MAX_FLIPS = 100_000
 
 
 class _Tri:
-    """Triangulated surface with edge-vector triangles and gluings."""
+    """Triangulated surface with edge-vector triangles and gluings.
+
+    Built from the saddle-connection search's triangulation; the gluing
+    is a copy because flips rewrite it.
+    """
 
     def __init__(self, surface: TranslationSurface):
+        base = Triangulated(surface)
         self.edges = []    # edges[t] = [Vec2, Vec2, Vec2] summing to zero
-        self.gluing = {}
-        diag = {}
-        sides = {}
-        for p, poly in enumerate(surface.polygons):
-            n = len(poly)
+        for p, (i0, i1, i2) in base.triangles:
             verts = surface.vertices(p)
-            for (i0, i1, i2) in ear_clip(list(poly)):
-                t_id = len(self.edges)
-                self.edges.append([verts[i1] - verts[i0],
-                                   verts[i2] - verts[i1],
-                                   verts[i0] - verts[i2]])
-                for k, (a, b) in enumerate(((i0, i1), (i1, i2), (i2, i0))):
-                    if b == (a + 1) % n:
-                        sides[(p, a)] = (t_id, k)
-                    else:
-                        key = (p, min(a, b), max(a, b))
-                        if key in diag:
-                            other = diag.pop(key)
-                            self.gluing[(t_id, k)] = other
-                            self.gluing[other] = (t_id, k)
-                        else:
-                            diag[key] = (t_id, k)
-        if diag:
-            raise InternalInvariantError("unmatched diagonals")
-        for (p, e), side in sides.items():
-            mate = sides[surface.gluing[(p, e)]]
-            self.gluing[side] = mate
-            self.gluing[mate] = side
+            self.edges.append([verts[i1] - verts[i0],
+                               verts[i2] - verts[i1],
+                               verts[i0] - verts[i2]])
+        self.gluing = dict(base.gluing)
 
     def hinge(self, t1, k1):
         """Develop the two triangles sharing edge (t1, k1) into the plane.

@@ -18,11 +18,11 @@ import json
 from .errors import InternalInvariantError, StaleCocycle
 from .field import FieldScalar, Vec2
 from .intmat import integer_kernel, smith_form
-from .linalg import ComplexScalar
+from .linalg import ComplexScalar, row_reduce
 from .surface import TranslationSurface
 
 __all__ = ["HomologyFrame", "Cocycle", "homology_frame", "period_map",
-           "project_absolute", "PathPoint", "Chord"]
+           "PathPoint", "Chord"]
 
 
 # a point on a polygon boundary: ("vertex", i) or ("edge", e, t) with the
@@ -240,21 +240,21 @@ class HomologyFrame:
                                            self.chain_of_coords(cb))
 
     def j_inverse(self):
-        """Inverse of the intersection matrix; integral by unimodularity."""
+        """Inverse of the intersection matrix; integral by unimodularity.
+
+        Row-reduces [J | I] once: J is invertible exactly when the left
+        block reduces to the identity, and the right block is then J^-1.
+        """
         if self._j_inverse is None:
             from fractions import Fraction
             n = 2 * self.genus
-            from .linalg import solve_linear
-            cols = []
             rows = [[Fraction(x) for x in row]
-                    for row in self.intersection_matrix]
-            for k in range(n):
-                rhs = [Fraction(1 if i == k else 0) for i in range(n)]
-                col = solve_linear(rows, rhs)
-                if col is None:
-                    raise InternalInvariantError("intersection form singular")
-                cols.append(col)
-            inv = [[cols[j][i] for j in range(n)] for i in range(n)]
+                    + [Fraction(1 if i == k else 0) for k in range(n)]
+                    for i, row in enumerate(self.intersection_matrix)]
+            _, rref, _ = row_reduce(rows, ncols=2 * n)
+            if len(rref) < n or any(rref[i][i] != 1 for i in range(n)):
+                raise InternalInvariantError("intersection form singular")
+            inv = [row[n:] for row in rref]
             for row in inv:
                 for x in row:
                     if x.denominator != 1:
@@ -402,7 +402,3 @@ def period_map(surface: TranslationSurface,
     if frame.surface is not surface and frame.surface != surface:
         raise ValueError("frame does not belong to this surface")
     return frame.periods()
-
-
-def project_absolute(frame: HomologyFrame, cocycle: Cocycle):
-    return frame.project_absolute(cocycle)

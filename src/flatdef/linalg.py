@@ -241,38 +241,22 @@ def solve_linear(rows, rhs):
 
     A is given by rows; scalars may be Fraction, FieldScalar or
     ComplexScalar (mixed with ints).  Underdetermined systems return the
-    solution with free variables set to zero.
+    solution with free variables set to zero.  Row-reduces [A | rhs]: a
+    pivot in the last column means no solution, otherwise each pivot
+    row gives its pivot variable.
     """
     work = [list(r) + [b] for r, b in zip(rows, rhs)]
     if not work:
         return []
     ncols = len(work[0]) - 1
-    zero, one = _zero_one_like(work[0][0] if ncols else rhs[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if not _is_zero(work[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not _is_zero(work[i][col]):
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(work)):
-        if not _is_zero(work[i][ncols]):
-            return None
+    zero, _ = _zero_one_like(work[0][0] if ncols else rhs[0])
+    _, rowspace, _ = row_reduce(work)
     x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = work[r][ncols]
+    for row in rowspace:
+        pc = next(c for c, v in enumerate(row) if not _is_zero(v))
+        if pc == ncols:
+            return None
+        x[pc] = row[ncols]
     return x
 
 

@@ -292,10 +292,6 @@ def validate(surface: TranslationSurface) -> SingularityData:
     return surface.singularities()
 
 
-def gl2_action(g: Mat2, surface: TranslationSurface) -> TranslationSurface:
-    return surface.apply_matrix(g)
-
-
 def _parse_perm(perm, n: int) -> list[int]:
     """Permutations as mapping lists (1-based values) or cycle tuples."""
     if isinstance(perm, dict):

@@ -138,6 +138,14 @@ class TestDecompose:
         with pytest.raises(NonPositiveLength):
             decompose(torus, Vec2(1, 0), **kw)
 
+    @pytest.mark.parametrize("length", [-10, 0, Fraction(-1, 2)])
+    def test_trace_separatrix_nonpositive_length_rejected(self, torus,
+                                                          length):
+        # the length enters the advance bound squared, so its sign must
+        # be checked before squaring
+        with pytest.raises(NonPositiveLength):
+            trace_separatrix(torus, (0, 0), Vec2(1, 0), length)
+
     def test_square_tiled_rational_always_periodic(self, l_origami):
         for v in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, -1),
                   (2, -3)):

@@ -1,4 +1,3 @@
-from flatdef.analysis import complete_periodicity_scan, scan_map
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
 from flatdef.field import FieldCtx, FieldScalar, Vec2, scalar_sign
@@ -22,18 +21,3 @@ class TestProjectedEta:
         p = f.project_absolute(eta(l_origami, f, d))
         assert any(not v.is_zero() for v in p)
 
-
-class TestThreads:
-    def test_thread_cap_respects_env(self, golden_l, monkeypatch):
-        monkeypatch.setenv("FLATDEF_THREADS", "3")
-        rep_threaded = complete_periodicity_scan(golden_l, 2,
-                                                 trace_factor=50)
-        monkeypatch.setenv("FLATDEF_THREADS", "1")
-        rep_serial = complete_periodicity_scan(golden_l, 2, trace_factor=50)
-        assert rep_threaded["counts"] == rep_serial["counts"]
-        assert rep_threaded["entries"] == rep_serial["entries"]
-
-    def test_scan_map_orders_results(self, monkeypatch):
-        monkeypatch.setenv("FLATDEF_THREADS", "4")
-        out = scan_map(lambda x: x * x, range(20))
-        assert out == [x * x for x in range(20)]

@@ -10,14 +10,19 @@ CHANGES.md.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from flatdef.analysis import accumulate_tangent, rank_lower_bound
-from flatdef.cylinders import PARTIAL, decompose
+from flatdef.cylinders import PARTIAL, decompose, trace_separatrix
+from flatdef.deform import shear, stretch
+from flatdef.equivalence import delaunay_cells
 from flatdef.field import FieldCtx, Vec2
 from flatdef.homology import homology_frame
-from flatdef.serialize import decomposition_to_json, dumps, span_to_json
+from flatdef.search import enumerate_saddle_connections
+from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
+                               surface_to_json)
 from flatdef.surface import l_shape
 
 Q2 = FieldCtx.get(2)
@@ -55,3 +60,65 @@ def test_golden_span_certificate(golden_l):
     span = accumulate_tangent(golden_l, frame, [Vec2(1, 0), Vec2(1, 1)])
     assert _digest(span_to_json(span, rank_lower_bound(span))) == \
         "6edbb045e72b00db6fc5fcb056079704c55b2424dbb2d397c3f935e334456640"
+
+
+# -- pins for the triangulation, chord pairing and separatrix tracing ------
+#
+# The decomposition digests above never reach the saddle-connection
+# search, the Delaunay cells, the shear/stretch rebuilds or
+# trace_separatrix, so each gets its own digest of a canonical JSON form.
+# These were recorded from the integer-triple scalar core while search
+# and equivalence still built their triangulations separately.
+
+
+def _vec(v):
+    return [str(v.x), str(v.y)]
+
+
+def _point(pt):
+    return [str(x) for x in pt]
+
+
+def test_golden_saddle_connection_multiset(golden_l):
+    found = enumerate_saddle_connections(golden_l, 10)
+    rows = sorted((_vec(c.holonomy), c.start_class, c.end_class)
+                  for c in found)
+    assert _digest(rows) == \
+        "c70c801243e12cc275098c4f6aead604706014047a9f1f7cfbcdc66977a7eba2"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("golden_l", "aaa31f466007c2f6fa578e0edb5816fe15f42eb35daee092cea1a14833b9485a"),
+    ("l_origami", "92f6ebe98dfc59fde880a3d1dfb32ce87d5722c1a75de6109fa0afb8d46b0580"),
+])
+def test_delaunay_cells(request, name, digest):
+    cells, gluing = delaunay_cells(request.getfixturevalue(name))
+    payload = {
+        "cells": [[_vec(e) for e in cell] for cell in cells],
+        "gluing": sorted([list(a), list(b)] for a, b in gluing.items()),
+    }
+    assert _digest(payload) == digest
+
+
+@pytest.mark.parametrize("op, amount, digest", [
+    (shear, Fraction(1, 2), "7772bf0bc569c687f576f0feb81726810aed7ea079e55d131c5694d1aea13e5f"),
+    (stretch, Fraction(1, 3), "494d78644fee5ae301c1830d2719c739ee96c97f343bee6b8feed385ebe2ebf0"),
+])
+def test_l_origami_rebuild(l_origami, op, amount, digest):
+    dec = decompose(l_origami, Vec2(1, 0))
+    assert _digest(surface_to_json(op(l_origami, dec, amount))) == digest
+
+
+def test_golden_trace_separatrix(golden_l):
+    sc = trace_separatrix(golden_l, (0, 7), (1, 0), 10)
+    payload = {
+        "holonomy": _vec(sc.holonomy),
+        "normalized_holonomy": _vec(sc.normalized_holonomy),
+        "corners": [list(sc.start_corner), list(sc.end_corner)],
+        "classes": [sc.start_class, sc.end_class],
+        "chords": [[p, _point(a), _point(b)] for p, a, b in sc.chords],
+        "crossings": [_point(c) for c in sc.crossings],
+        "is_edge_run": sc.is_edge_run,
+    }
+    assert _digest(payload) == \
+        "d1c4677d647b94139ff371779c4d5561825119c23f99b4693c74e65f05f26efb"
