@@ -3,9 +3,10 @@
 Every numeric flag takes exact input: plain rationals as "p/q", field
 scalars as "p/q+r/s*sqrt(d)".  Decimal input is rejected so no
 precision is lost at the boundary.  Exit codes: 0 ok, 1 input error
-(including a --bound or --factor that is not positive), 2 internal
-error: an internal invariant violation or any other unexpected
-exception, reported as one "InternalError: ..." line on stderr.
+(including a --bound, --factor or --max-len that is not positive),
+2 internal error: an internal invariant violation or any other
+unexpected exception, reported as one "InternalError: ..." line on
+stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from .analysis import (accumulate_tangent, complete_parabolicity_check,
                        complete_periodicity_scan, field_bound,
                        rank_lower_bound)
-from .cylinders import decompose
+from .cylinders import _positive, decompose
 from .deform import shear, stretch, verify_linearity
 from .equivalence import translation_equivalent
 from .errors import FlatdefError, InternalInvariantError
@@ -77,6 +78,12 @@ def cmd_validate(args):
     print(f"genus {data.genus}, signature ({sig}), m={m}, "
           f"area {surface.area()}")
     return 0
+
+
+def _max_len_sq(args) -> FieldScalar:
+    """The squared --max-len; NonPositiveLength unless it is positive."""
+    radius = _positive("max_len", _scalar(args.max_len))
+    return radius * radius
 
 
 def _bound_kwargs(args):
@@ -140,9 +147,9 @@ def cmd_stretch(args):
 
 def cmd_rank(args):
     surface = load_surface(args.surface)
+    radius_sq = _max_len_sq(args)
     frame = homology_frame(surface)
-    radius = _scalar(args.max_len)
-    directions = enumerate_directions(surface, radius * radius)
+    directions = enumerate_directions(surface, radius_sq)
     span = accumulate_tangent(surface, frame,
                               [d.vector for d in directions],
                               **_bound_kwargs(args))
@@ -157,8 +164,7 @@ def cmd_rank(args):
 
 def cmd_scan(args):
     surface = load_surface(args.surface)
-    radius = _scalar(args.max_len)
-    radius_sq = radius * radius
+    radius_sq = _max_len_sq(args)
     kw = _bound_kwargs(args)
     if args.mode == "periodicity":
         rep = complete_periodicity_scan(surface, radius_sq, **kw)

@@ -835,14 +835,14 @@ def _positive(name, value):
 
 
 def _normalize(surface, direction):
-    """(Direction, normalizing matrix g, g-image of the surface), the image
-    validated so its vertex classes are ready for tracing."""
+    """(Direction, normalizing matrix g, g-image of the surface); g has
+    det |v|^2 > 0, so the image carries the surface's validated vertex
+    classes, ready for tracing."""
     if not isinstance(direction, Direction):
         direction = Direction(direction if isinstance(direction, Vec2)
                               else Vec2(*direction))
     g = Mat2.direction_normalizer(direction.vector)
     normalized = surface.apply_matrix(g, label=surface.label)
-    normalized.singularities()
     return direction, g, normalized
 
 

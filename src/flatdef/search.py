@@ -74,76 +74,70 @@ class Triangulated:
         return self.surface.vertex_class_map()[(p, tri[k])]
 
 
-def _seg_min_dist_sq_beyond(a: Vec2, b: Vec2, bound_sq: FieldScalar) -> bool:
-    """True when every point of segment ab is strictly beyond the bound."""
-    d = b - a
-    dd = d.dot(d)
-    t = -(a.dot(d))
-    # closest point parameter clamped to [0, 1] (times dd to stay exact)
-    if t.sign() <= 0:
-        closest = a
-    elif (t - dd).sign() >= 0:
-        closest = b
-    else:
-        frac = t / dd
-        closest = Vec2(a.x + d.x * frac, a.y + d.y * frac)
-    return (closest.norm_sq() - bound_sq).sign() > 0
+def _window_within(w1: Vec2, w2: Vec2, a: Vec2, b: Vec2,
+                   bound_sq: FieldScalar) -> bool:
+    """Whether segment ab meets the open cone spanned ccw from ray w1 to
+    ray w2 (angle < pi) in a window with a point within the bound.
 
-
-def _ray_segment_point(w: Vec2, a: Vec2, b: Vec2):
-    """The intersection of ray R+ * w with segment ab, if any."""
-    d = b - a
-    denom = w.cross(d)
-    if denom.sign() == 0:
-        return None
-    t = a.cross(d) / denom
-    if t.sign() <= 0:
-        return None
-    s = a.cross(w) / denom
-    if s.sign() < 0 or (s - 1).sign() > 0:
-        return None
-    return Vec2(a.x + d.x * s, a.y + d.y * s)
-
-
-def _clip_window(w1: Vec2, w2: Vec2, a: Vec2, b: Vec2):
-    """Clip segment ab to the open cone spanned ccw from ray w1 to ray w2.
-
-    The cone is convex (angle < pi).  Returns (a', b') or None when the
-    open intersection is empty.
+    Point a + s*d of the segment, d = b - a, lies on the side
+    w x (a + s*d) of ray w's line, so the line crosses the closed
+    segment at s = (w x a) / (w x a - w x b) when the two signs straddle
+    or touch zero, and the crossing is on the ray (at t*w, t > 0) when
+    t = (a x b) / (w x d) is positive.  Each end of the window is a
+    segment endpoint or such a crossing; two crossings are ordered by
+    cross-multiplying their s.  The point of the window nearest the
+    origin is an end, or the foot of the perpendicular from the origin
+    when the window runs past it; a crossing end is within the bound
+    when (a x b)^2 |w|^2 <= R^2 (w x d)^2, and the foot when
+    (a x b)^2 <= R^2 |d|^2.  Nothing is divided.
     """
-    in_a = w1.cross(a).sign() > 0 and a.cross(w2).sign() > 0
-    in_b = w1.cross(b).sign() > 0 and b.cross(w2).sign() > 0
-    lo, hi = a, b
-    if not in_a:
-        p1 = _ray_segment_point(w1, a, b)
-        p2 = _ray_segment_point(w2, a, b)
-        cands = [p for p in (p1, p2) if p is not None]
-        if not cands:
-            if not in_b:
-                return None
-            raise InternalInvariantError("window clip lost an endpoint")
-        if len(cands) == 2:
-            # both rays cross; pick the one nearer to a
-            da = (cands[0] - a).norm_sq()
-            db = (cands[1] - a).norm_sq()
-            lo = cands[0] if (da - db).sign() < 0 else cands[1]
-        else:
-            lo = cands[0]
-    if not in_b:
-        p1 = _ray_segment_point(w1, a, b)
-        p2 = _ray_segment_point(w2, a, b)
-        cands = [p for p in (p1, p2) if p is not None]
-        if not cands:
-            return None
-        if len(cands) == 2:
-            db = (cands[0] - b).norm_sq()
-            da = (cands[1] - b).norm_sq()
-            hi = cands[0] if (db - da).sign() < 0 else cands[1]
-        else:
-            hi = cands[0]
-    if (hi - lo).norm_sq().sign() == 0:
-        return None
-    return lo, hi
+    f1a, f1b, f2a, f2b = w1.cross(a), w1.cross(b), w2.cross(a), w2.cross(b)
+    in_a = f1a.sign() > 0 and f2a.sign() < 0
+    in_b = f1b.sign() > 0 and f2b.sign() < 0
+    ab = a.cross(b)
+    lo = hi = None  # an end on a cone ray, as (ray, w x a, w x a - w x b)
+    if not (in_a and in_b):
+        ab_sign = ab.sign()
+        crossings = []
+        for w, fa, fb in ((w1, f1a, f1b), (w2, f2a, f2b)):
+            sa, sb = fa.sign(), fb.sign()
+            # the line misses the closed segment or runs parallel to it,
+            # or the crossing lies behind the apex
+            if sa == sb or ab_sign != (1 if sb > sa else -1):
+                continue
+            crossings.append((w, fa, fa - fb))
+        if not crossings:
+            if in_b:
+                raise InternalInvariantError("window clip lost an endpoint")
+            return False
+        first = last = crossings[-1]
+        if len(crossings) == 2:
+            (_, n1, d1), (_, n2, d2) = crossings
+            order = (n1 * d2 - n2 * d1).sign() * d1.sign() * d2.sign()
+            if order < 0:
+                first = crossings[0]
+            elif order > 0:
+                last = crossings[0]
+        lo = None if in_a else first
+        hi = None if in_b else last
+        if lo is hi:
+            return False  # the window shrank to one point
+    d = b - a
+    if (a if lo is None else lo[0]).dot(d).sign() >= 0:
+        return _end_within(lo, a, ab, bound_sq)
+    if (b if hi is None else hi[0]).dot(d).sign() <= 0:
+        return _end_within(hi, b, ab, bound_sq)
+    return (ab * ab - bound_sq * d.norm_sq()).sign() <= 0
+
+
+def _end_within(end, endpoint: Vec2, ab: FieldScalar,
+                bound_sq: FieldScalar) -> bool:
+    """Whether a window end lies within the bound: `endpoint` itself when
+    `end` is None, else the crossing (w, _, w x a - w x b) of ray w."""
+    if end is None:
+        return (endpoint.norm_sq() - bound_sq).sign() <= 0
+    w, _, den = end
+    return (ab * ab * w.norm_sq() - bound_sq * den * den).sign() <= 0
 
 
 class FoundConnection:
@@ -184,16 +178,17 @@ def _search_from_corner(tri, t_id, k, bound_sq, found):
     if (b.norm_sq() - bound_sq).sign() <= 0:
         found.append(FoundConnection(b, start_class, tri.vertex_class(t_id, k1)))
     # state: (glued side, cone rays, full edge segment as the pushing
-    # triangle traverses it, clipped window used only for pruning)
-    stack = [(tri.gluing[(t_id, k1)], b, c, b, c, b, c)]
+    # triangle traverses it); a state is pushed only when its window is
+    # not empty and not wholly beyond the bound
+    stack = []
+    if _window_within(b, c, b, c, bound_sq):
+        stack.append((tri.gluing[(t_id, k1)], b, c, b, c))
     guard = 0
     while stack:
         guard += 1
         if guard > 2_000_000:
             raise InternalInvariantError("saddle-connection search runaway")
-        (nt, nk), w1, w2, seg_a, seg_b, win_a, win_b = stack.pop()
-        if _seg_min_dist_sq_beyond(win_a, win_b, bound_sq):
-            continue
+        (nt, nk), w1, w2, seg_a, seg_b = stack.pop()
         # develop triangle nt across its edge nk: its vertices nk and
         # nk+1 sit at seg_b and seg_a (opposite orientation)
         local = [tri.vertex_coords(nt, i) for i in range(3)]
@@ -217,10 +212,8 @@ def _search_from_corner(tri, t_id, k, bound_sq, found):
                 ((nk + 2) % 3, (apex, seg_b), (w1, w2)),
             )
         for edge_k, (ea, eb), (nw1, nw2) in splits:
-            clipped = _clip_window(nw1, nw2, ea, eb)
-            if clipped is not None:
-                stack.append((tri.gluing[(nt, edge_k)], nw1, nw2,
-                              ea, eb, clipped[0], clipped[1]))
+            if _window_within(nw1, nw2, ea, eb, bound_sq):
+                stack.append((tri.gluing[(nt, edge_k)], nw1, nw2, ea, eb))
 
 
 def enumerate_directions(surface: TranslationSurface, bound_sq):

@@ -265,6 +265,15 @@ class TranslationSurface:
 
         Orientation-reversing matrices flip each polygon's boundary
         order so the result is again positively oriented.
+
+        With det > 0 the image carries this surface's singularity data,
+        validating this surface first if it has not been.  A linear map
+        of positive determinant keeps every polygon closed, simple and
+        counterclockwise and keeps glued edges opposite; corners and
+        gluing, hence the vertex classes, are the same.  Along a path
+        from the identity to g in GL+(2,R), which is connected, every
+        corner angle moves continuously within (0, 2*pi), so each
+        vertex's total angle, always a multiple of 2*pi, cannot change.
         """
         det_sign = g.det().sign()
         if det_sign == 0:
@@ -272,9 +281,12 @@ class TranslationSurface:
         if label is None:
             label = self.label
         if det_sign > 0:
+            data = self.singularities()
             polys = [[g.apply(e) for e in poly] for poly in self.polygons]
             gl = {a: b for a, b in self.gluing.items() if a < b}
-            return TranslationSurface(polys, gl.items(), label)
+            image = TranslationSurface(polys, gl.items(), label)
+            image._cache["sing"] = data
+            return image
         polys = []
         for poly in self.polygons:
             n = len(poly)

@@ -77,43 +77,51 @@ def _exit_ray(surface, p, origin: Vec2, direction: Vec2):
     vertex index, or "edge" with (edge index, parameter in (0,1)).
     Edges parallel to the direction are skipped; the caller handles
     along-edge runs before casting.
+
+    Vertex v lies on the side h(v) = direction x (v - origin) of the
+    ray's line, so edge e from v_e to v_e+1 meets the line at parameter
+    s = h(v_e) / (h(v_e) - h(v_e+1)), inside [0, 1] exactly when the two
+    signs straddle or touch zero, with advance
+    t = ((v_e - origin) x edge_e) / (h(v_e+1) - h(v_e)).  Candidates are
+    compared as fractions by cross-multiplication, and only the winner's
+    t and s are divided out.
     """
     verts = surface.vertices(p)
     poly = surface.polygons[p]
     n = len(poly)
-    best = None  # (advance, kind, data, point)
+    c0 = direction.cross(origin)
+    h = [direction.cross(v) - c0 for v in verts]
+    sides = [x.sign() for x in h]
+    best = None  # (num, den, den sign, edge, vertex index or None)
     for e in range(n):
-        a = verts[e]
-        d = poly[e]
-        denom = direction.cross(d)
-        if denom.sign() == 0:
+        f = (e + 1) % n
+        sa, sb = sides[e], sides[f]
+        if sa == sb:
+            continue  # parallel, or the line misses the closed edge
+        num = (verts[e] - origin).cross(poly[e])
+        den = h[f] - h[e]
+        dsgn = 1 if sb > sa else -1
+        if num.sign() * dsgn <= 0:
             continue
-        rel = a - origin
-        t = rel.cross(d) / denom
-        if t.sign() <= 0:
-            continue
-        s = rel.cross(direction) / denom
-        ssgn = s.sign()
-        if ssgn < 0 or (s - 1).sign() > 0:
-            continue
-        if best is not None and (t - best[0]).sign() >= 0:
-            if (t - best[0]).sign() > 0:
+        if best is not None:
+            bnum, bden, bsgn, _, bvertex = best
+            order = (num * bden - bnum * den).sign() * dsgn * bsgn
+            # at the same advance the hit is the same point: a vertex
+            # label found first stays, an edge label gives way
+            if order > 0 or (order == 0 and bvertex is not None):
                 continue
-            # same advance: same geometric point; prefer the vertex label
-            if best[1] == "vertex":
-                continue
-        point = Vec2(a.x + d.x * s, a.y + d.y * s)
-        if ssgn == 0:
-            best = (t, "vertex", e, verts[e])
-        elif (s - 1).sign() == 0:
-            best = (t, "vertex", (e + 1) % n, verts[(e + 1) % n])
-        else:
-            best = (t, "edge", (e, s), point)
+        vertex = e if sa == 0 else f if sb == 0 else None
+        best = (num, den, dsgn, e, vertex)
     if best is None:
         raise InternalInvariantError(
             f"ray from {origin} in polygon {p} escaped the boundary")
-    t, kind, data, point = best
-    return point, t, kind, data
+    num, den, _, e, vertex = best
+    t = num / den
+    if vertex is not None:
+        return verts[vertex], t, "vertex", vertex
+    s = h[e] / -den
+    a, d = verts[e], poly[e]
+    return Vec2(a.x + d.x * s, a.y + d.y * s), t, "edge", (e, s)
 
 
 def _cross_edge(surface, p, e, s):

@@ -177,6 +177,18 @@ class TestCLI:
                     + flags) == 1
         assert "NonPositiveLength" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["scan", "--mode", "periodicity"],
+                                         ["rank"]])
+    @pytest.mark.parametrize("max_len", ["-1", "0", "-1/2"])
+    def test_nonpositive_max_len_exit_1(self, cli_surfaces, capsys, command,
+                                        max_len):
+        _, lori, _ = cli_surfaces
+        assert main([command[0], str(lori)] + command[1:]
+                    + [f"--max-len={max_len}"]) == 1
+        captured = capsys.readouterr()
+        assert "NonPositiveLength" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
     def test_unexpected_exception_exit_2(self, cli_surfaces, capsys,
                                          monkeypatch, exc):

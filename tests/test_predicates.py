@@ -1,0 +1,383 @@
+"""Differential tests of the division-free ray-exit and window predicates.
+
+`tracing._exit_ray` and `search._window_within` compare candidates by
+cross-multiplication and divide only for the winner.  The references
+below are the versions that divided for every candidate: `ref_exit_ray`
+computed t and s for each edge, and the search clipped each window to
+exact intersection points (`ref_clip_window`) and then measured the
+clipped segment's distance from the origin (`ref_beyond`).  Both sides
+must agree exactly: the same values, labels and tie-breaks, or the same
+`InternalInvariantError`.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flatdef.errors import InternalInvariantError
+from flatdef.field import FieldCtx, FieldScalar, Vec2
+from flatdef.polygon import vertex_positions
+from flatdef.search import _window_within
+from flatdef.tracing import _exit_ray
+
+FIELDS = (0, 2, 5)
+
+
+# -- references ---------------------------------------------------------------
+
+def ref_exit_ray(surface, p, origin, direction):
+    verts = surface.vertices(p)
+    poly = surface.polygons[p]
+    n = len(poly)
+    best = None  # (advance, kind, data, point)
+    for e in range(n):
+        a = verts[e]
+        d = poly[e]
+        denom = direction.cross(d)
+        if denom.sign() == 0:
+            continue
+        rel = a - origin
+        t = rel.cross(d) / denom
+        if t.sign() <= 0:
+            continue
+        s = rel.cross(direction) / denom
+        ssgn = s.sign()
+        if ssgn < 0 or (s - 1).sign() > 0:
+            continue
+        if best is not None and (t - best[0]).sign() >= 0:
+            if (t - best[0]).sign() > 0:
+                continue
+            if best[1] == "vertex":
+                continue
+        point = Vec2(a.x + d.x * s, a.y + d.y * s)
+        if ssgn == 0:
+            best = (t, "vertex", e, verts[e])
+        elif (s - 1).sign() == 0:
+            best = (t, "vertex", (e + 1) % n, verts[(e + 1) % n])
+        else:
+            best = (t, "edge", (e, s), point)
+    if best is None:
+        raise InternalInvariantError(
+            f"ray from {origin} in polygon {p} escaped the boundary")
+    t, kind, data, point = best
+    return point, t, kind, data
+
+
+def ref_beyond(a, b, bound_sq):
+    d = b - a
+    dd = d.dot(d)
+    t = -(a.dot(d))
+    if t.sign() <= 0:
+        closest = a
+    elif (t - dd).sign() >= 0:
+        closest = b
+    else:
+        frac = t / dd
+        closest = Vec2(a.x + d.x * frac, a.y + d.y * frac)
+    return (closest.norm_sq() - bound_sq).sign() > 0
+
+
+def ref_ray_segment_point(w, a, b):
+    d = b - a
+    denom = w.cross(d)
+    if denom.sign() == 0:
+        return None
+    t = a.cross(d) / denom
+    if t.sign() <= 0:
+        return None
+    s = a.cross(w) / denom
+    if s.sign() < 0 or (s - 1).sign() > 0:
+        return None
+    return Vec2(a.x + d.x * s, a.y + d.y * s)
+
+
+def ref_clip_window(w1, w2, a, b):
+    in_a = w1.cross(a).sign() > 0 and a.cross(w2).sign() > 0
+    in_b = w1.cross(b).sign() > 0 and b.cross(w2).sign() > 0
+    lo, hi = a, b
+    if not in_a:
+        cands = [p for p in (ref_ray_segment_point(w1, a, b),
+                             ref_ray_segment_point(w2, a, b)) if p is not None]
+        if not cands:
+            if not in_b:
+                return None
+            raise InternalInvariantError("window clip lost an endpoint")
+        if len(cands) == 2:
+            da = (cands[0] - a).norm_sq()
+            db = (cands[1] - a).norm_sq()
+            lo = cands[0] if (da - db).sign() < 0 else cands[1]
+        else:
+            lo = cands[0]
+    if not in_b:
+        cands = [p for p in (ref_ray_segment_point(w1, a, b),
+                             ref_ray_segment_point(w2, a, b)) if p is not None]
+        if not cands:
+            return None
+        if len(cands) == 2:
+            db = (cands[0] - b).norm_sq()
+            da = (cands[1] - b).norm_sq()
+            hi = cands[0] if (db - da).sign() < 0 else cands[1]
+        else:
+            hi = cands[0]
+    if (hi - lo).norm_sq().sign() == 0:
+        return None
+    return lo, hi
+
+
+def ref_window_within(w1, w2, a, b, bound_sq):
+    clipped = ref_clip_window(w1, w2, a, b)
+    return clipped is not None and not ref_beyond(*clipped, bound_sq)
+
+
+def outcome(fn, *args):
+    """A comparable record of a call: its exact result or its error."""
+    try:
+        return ("ok", _exact(fn(*args)))
+    except InternalInvariantError as exc:
+        return ("error", str(exc))
+
+
+def _exact(value):
+    if isinstance(value, FieldScalar):
+        return (value.ctx.d, value._A, value._B, value._D)
+    if isinstance(value, Vec2):
+        return ("vec", _exact(value.x), _exact(value.y))
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return value
+
+
+# -- inputs -------------------------------------------------------------------
+
+def _scalar(draw, ctx, lo=-6, hi=6, positive=False):
+    a = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=8))
+    b = (draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+         if ctx.d else Fraction(0))
+    x = FieldScalar(a, b, ctx)
+    if positive and x.sign() <= 0:
+        x = -x if x.sign() < 0 else FieldScalar(1, 0, ctx)
+    return x
+
+
+# Integer directions in increasing angle; a star polygon with one vertex
+# on each chosen ray is simple and ccw when no two consecutive chosen
+# rays are pi or more apart, which every base set below ensures.
+RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+        (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1),
+        (2, -1)]
+BASE_RAYS = ((0, 4, 8, 12), (0, 6, 11), (2, 7, 13), (3, 9, 14))
+
+
+class OnePolygon:
+    """The two attributes `_exit_ray` reads, for one polygon."""
+
+    def __init__(self, edges):
+        self.polygons = (tuple(edges),)
+        self._verts = vertex_positions(edges)
+
+    def vertices(self, p):
+        return self._verts
+
+
+@st.composite
+def star_polygons(draw):
+    """A polygon star-shaped around an interior point, and that point.
+
+    One vertex sits on each chosen ray from the center, at a random
+    distance (a quadratic irrational in Q(sqrt d)); collinear runs,
+    reflex corners and edges parallel to the axes all occur.
+    """
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    extra = draw(st.sets(st.integers(0, len(RAYS) - 1), max_size=5))
+    idx = sorted(set(draw(st.sampled_from(BASE_RAYS))) | extra)
+    pts = []
+    for i in idx:
+        r = _scalar(draw, ctx, 1, 5, positive=True)
+        pts.append(Vec2(FieldScalar(RAYS[i][0], 0, ctx) * r,
+                        FieldScalar(RAYS[i][1], 0, ctx) * r))
+    edges = [pts[(i + 1) % len(pts)] - pts[i] for i in range(len(pts))]
+    center = -pts[0]  # the star's center in the frame anchored at pts[0]
+    return OnePolygon(edges), center, ctx
+
+
+@st.composite
+def ray_casts(draw):
+    surf, center, ctx = draw(star_polygons())
+    verts = surf.vertices(0)
+    edges = surf.polygons[0]
+    n = len(edges)
+    where = draw(st.sampled_from(["vertex", "edge", "interior", "center"]))
+    i = draw(st.integers(0, n - 1))
+    if where == "vertex":
+        origin = verts[i]
+    elif where == "edge":
+        s = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
+                 .filter(lambda x: 0 < x < 1))
+        origin = verts[i] + edges[i].scale(FieldScalar(s, 0, ctx))
+    elif where == "interior":
+        lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
+                   .filter(lambda x: 0 < x < 1))
+        origin = center + (verts[i] - center).scale(FieldScalar(lam, 0, ctx))
+    else:
+        origin = center
+    how = draw(st.sampled_from(["east", "north", "edge", "vertex", "random"]))
+    zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
+    if how == "east":
+        direction = Vec2(one, zero)
+    elif how == "north":
+        direction = Vec2(zero, one)
+    elif how == "edge":
+        direction = edges[draw(st.integers(0, n - 1))]
+    elif how == "vertex":
+        direction = verts[draw(st.integers(0, n - 1))] - origin
+    else:
+        direction = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    if direction.is_zero():
+        direction = Vec2(one, zero)
+    return surf, origin, direction
+
+
+@st.composite
+def windows(draw):
+    """A cone (w1, w2) of angle in (0, pi), a segment ab and a bound.
+
+    Endpoints are drawn at random, inside the cone, just past either
+    ray, on either ray or its reverse, at the apex, or on the line
+    through the apex and the other endpoint (where the old clip raised);
+    the bound is random or exactly the squared distance of an endpoint,
+    a crossing or the foot.
+    """
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    w1 = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    if w1.is_zero():
+        w1 = Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
+    w2 = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    turn = w1.cross(w2).sign()
+    if turn < 0:
+        w1, w2 = w2, w1
+    elif turn == 0:
+        w2 = Vec2(-w1.y, w1.x)
+    zero = FieldScalar(0, 0, ctx)
+
+    def point(other):
+        kind = draw(st.sampled_from(
+            ["inside"] * 3 + ["past w1", "past w2"] * 2
+            + ["on w1", "on w2", "behind w1", "behind w2", "random", "apex",
+               "through apex"]))
+        lam = _scalar(draw, ctx, 0, 4, positive=True)
+        if kind == "on w1":
+            return w1.scale(lam)
+        if kind == "on w2":
+            return w2.scale(lam)
+        if kind == "behind w1":
+            return w1.scale(-lam)
+        if kind == "behind w2":
+            return w2.scale(-lam)
+        if kind == "apex":
+            return Vec2(zero, zero)
+        if kind == "through apex" and other is not None:
+            return other.scale(-lam)
+        mu = _scalar(draw, ctx, 0, 4, positive=True)
+        if kind == "inside":
+            return w1.scale(lam) + w2.scale(mu)
+        if kind == "past w1":
+            return w1.scale(lam) - w2.scale(mu)
+        if kind == "past w2":
+            return w2.scale(lam) - w1.scale(mu)
+        return Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+
+    a = point(None)
+    b = point(a)
+    if (b - a).is_zero():
+        b = a + w1
+    pick = draw(st.sampled_from(["random", "a", "b", "foot", "w1", "w2"]))
+    d = b - a
+    ab = a.cross(b)
+    if pick == "a":
+        bound_sq = a.norm_sq()
+    elif pick == "b":
+        bound_sq = b.norm_sq()
+    elif pick == "foot":
+        bound_sq = ab * ab / d.norm_sq()
+    elif pick in ("w1", "w2") and (w1 if pick == "w1" else w2).cross(d):
+        w = w1 if pick == "w1" else w2
+        wd = w.cross(d)
+        bound_sq = ab * ab * w.norm_sq() / (wd * wd)
+    else:
+        bound_sq = _scalar(draw, ctx, 0, 30, positive=True)
+    return w1, w2, a, b, bound_sq
+
+
+# -- the tests ----------------------------------------------------------------
+
+class TestExitRay:
+    @settings(max_examples=150, deadline=None)
+    @given(ray_casts())
+    def test_matches_reference(self, case):
+        surf, origin, direction = case
+        assert outcome(_exit_ray, surf, 0, origin, direction) == \
+            outcome(ref_exit_ray, surf, 0, origin, direction)
+
+    @pytest.mark.parametrize("edges, origin, direction, expected", [
+        # the diagonal of the unit square leaves through the corner
+        # (1, 1), which edges 1 and 2 both report as vertex 2
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], (0, 0), (1, 1), ("vertex", 2)),
+        # vertex 3 touches the middle of edge 0: the edge hit found first
+        # gives way to the vertex label at the same advance
+        ([(2, 0), (0, 2), (-1, -2), (-1, 2), (0, -2)], (1, 1), (0, -1),
+         ("vertex", 3)),
+        # a bow tie: edges 0 and 2 cross at (1, 1), and the later edge wins
+        ([(2, 2), (0, -2), (-2, 2), (0, -2)], (1, 0), (0, 1),
+         ("edge", (2, Fraction(1, 2)))),
+    ])
+    def test_ties(self, edges, origin, direction, expected):
+        poly = OnePolygon([Vec2(*e) for e in edges])
+        args = (poly, 0, Vec2(*origin), Vec2(*direction))
+        out = _exit_ray(*args)
+        assert _exact(out) == _exact(ref_exit_ray(*args))
+        assert out[2:] == expected
+
+    def test_escape_raises_like_reference(self):
+        square = OnePolygon([Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)])
+        args = (square, 0, Vec2(0, 0), Vec2(-1, -1))
+        assert outcome(_exit_ray, *args)[0] == "error"
+        assert outcome(_exit_ray, *args) == outcome(ref_exit_ray, *args)
+
+
+class TestWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(windows())
+    def test_matches_reference(self, case):
+        assert outcome(_window_within, *case) == \
+            outcome(ref_window_within, *case)
+
+    @pytest.mark.parametrize("a, b, bound_sq, expected", [
+        # both ends inside the cone; nearest point is the foot at x = 1
+        ((1, -1), (1, 3), 1, True),
+        ((1, -1), (1, 3), Fraction(99, 100), False),
+        # enters through ray (1, 0) at (2, 0), leaves through (0, 1) at
+        # (0, 2), and the other way round; the foot is (1, 1)
+        ((3, -1), (-1, 3), 2, True),
+        ((3, -1), (-1, 3), Fraction(199, 100), False),
+        ((-1, 3), (3, -1), 2, True),
+        ((-1, 3), (3, -1), Fraction(199, 100), False),
+        # the line misses the cone
+        ((-1, -3), (-3, -1), 100, False),
+        # starts on ray (1, 0) and leaves the cone at once: empty window
+        ((2, 0), (3, -1), 100, False),
+        ((-1, 3), (0, 2), 100, False),
+    ])
+    def test_examples(self, a, b, bound_sq, expected):
+        case = (Vec2(1, 0), Vec2(0, 1), Vec2(*a), Vec2(*b),
+                FieldScalar(bound_sq))
+        assert _window_within(*case) is expected
+        assert ref_window_within(*case) is expected
+
+    @pytest.mark.parametrize("a", [(0, 0), (-1, -1)])
+    def test_segment_through_apex_raises_like_reference(self, a):
+        case = (Vec2(1, 0), Vec2(0, 1), Vec2(*a), Vec2(1, 1), FieldScalar(9))
+        assert outcome(_window_within, *case) == \
+            ("error", "window clip lost an endpoint")
+        assert outcome(ref_window_within, *case) == \
+            ("error", "window clip lost an endpoint")

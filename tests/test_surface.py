@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -136,3 +137,55 @@ class TestGL2:
         assert m.area() == FieldScalar(15)
         data = validate(m)
         assert data.signature == (2,)
+
+
+def _fresh(surface):
+    """The same polygons and gluing, validated from scratch."""
+    gluing = [(a, b) for a, b in surface.gluing.items() if a < b]
+    return TranslationSurface(surface.polygons, gluing, surface.label)
+
+
+def _data(d):
+    return (d.classes, d.cone_orders, d.genus)
+
+
+# the 52 matrices of SL(2,Z) with entries in [-2, 2], and the 16 primitive
+# directions (p, q) with |p|, |q| <= 3, one of each +-pair
+SL2Z_SMALL = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3)
+              for c in range(-2, 3) for d in range(-2, 3)
+              if a * d - b * c == 1]
+PRIMITIVE_3 = [(p, q) for p in range(0, 4) for q in range(-3, 4)
+               if (p, q) != (0, 0) and not (p == 0 and q < 0)
+               and gcd(p, q) == 1]
+
+
+class TestTransportedValidation:
+    """apply_matrix with det > 0 hands its singularity data to the image.
+
+    The expectation is an argument, not a fixture (README, "Decisions
+    ledger"): a linear map of positive determinant keeps the polygons
+    simple, closed and counterclockwise, keeps glued edges opposite and
+    keeps every cone angle, so the transported data must equal what a
+    full validation of the image finds.
+    """
+
+    @staticmethod
+    def _check(g):
+        image = golden_l().apply_matrix(g)
+        assert "sing" in image._cache  # carried over, not recomputed
+        assert _data(image.singularities()) == \
+            _data(_fresh(image).singularities())
+
+    @pytest.mark.parametrize("m", SL2Z_SMALL)
+    def test_golden_sl2z_images(self, m):
+        self._check(Mat2(*m))
+
+    @pytest.mark.parametrize("v", PRIMITIVE_3)
+    def test_golden_direction_normalizers(self, v):
+        self._check(Mat2.direction_normalizer(Vec2(*v)))
+
+    def test_unvalidated_source_is_validated_first(self):
+        polys = [[Vec2(2, 0), Vec2(-1, 1), Vec2(0, -2), Vec2(-1, 1)]]
+        gluing = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
+        with pytest.raises(NonSimplePolygon):
+            TranslationSurface(polys, gluing).apply_matrix(Mat2.shear(1))
