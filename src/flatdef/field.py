@@ -424,10 +424,14 @@ def parse_scalar(text: str, ctx: FieldCtx | None = None) -> FieldScalar:
     m = _SCALAR_RE.match(text)
     if not m or (m.group("a") is None and m.group("b") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
+    try:
+        a = Fraction(m.group("a") or 0)
+        b = Fraction(m.group("b") or 0)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"cannot parse scalar {text!r}: zero denominator") from None
     if m.group("b") is None:
         return FieldScalar(a, 0, ctx if ctx is not None else QQ)
-    b = Fraction(m.group("b"))
     if m.group("sign") == "-":
         b = -b
     d = int(m.group("d"))

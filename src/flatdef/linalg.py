@@ -16,7 +16,6 @@ __all__ = [
     "ExactMatrix",
     "row_reduce",
     "rational_relation_lattice",
-    "solve_linear",
 ]
 
 
@@ -234,30 +233,6 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
-
-
-def solve_linear(rows, rhs):
-    """One exact solution x of A x = rhs, or None if inconsistent.
-
-    A is given by rows; scalars may be Fraction, FieldScalar or
-    ComplexScalar (mixed with ints).  Underdetermined systems return the
-    solution with free variables set to zero.  Row-reduces [A | rhs]: a
-    pivot in the last column means no solution, otherwise each pivot
-    row gives its pivot variable.
-    """
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not work:
-        return []
-    ncols = len(work[0]) - 1
-    zero, _ = _zero_one_like(work[0][0] if ncols else rhs[0])
-    _, rowspace, _ = row_reduce(work)
-    x = [zero] * ncols
-    for row in rowspace:
-        pc = next(c for c, v in enumerate(row) if not _is_zero(v))
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols]
-    return x
 
 
 def rational_relation_lattice(values):

@@ -67,7 +67,8 @@ def surface_from_json(data: dict) -> TranslationSurface:
         gluing = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
                   for a, b in data["gluing"]]
         label = data.get("label", "")
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            ZeroDivisionError) as exc:
         raise FlatdefError(f"malformed surface file: {exc}") from None
     return TranslationSurface(polys, gluing, label)
 

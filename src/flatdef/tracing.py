@@ -1,17 +1,25 @@
 """Exact straight-line tracing through glued polygons.
 
-All tracing here happens on a direction-normalized surface, so rays run
-horizontally (for separatrices and core leaves) or vertically (for
-cylinder cross sections).  Positions carry exact coordinates in the
+All tracing here happens on a direction-normalized surface, in one of
+two directions: `EAST` (separatrices and core leaves) or `NORTH`
+(cylinder cross sections).  Positions carry exact coordinates in the
 current polygon's frame together with the boundary parameterization
 needed for homology bookkeeping.
+
+A ray along an axis keeps its height (y for `EAST`, x for `NORTH`)
+inside a polygon, so where it leaves depends only on that height and
+on how far along the ray it starts.  `_SlabTable` indexes one polygon
+by height once, and each crossing is then a table lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import groupby
+
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2
-from .polygon import same_ray, sector_contains
+from .polygon import sector_contains
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST", "NORTH"]
@@ -34,7 +42,7 @@ class TraceResult:
     exhausted mid-flight) or "target" (stopped exactly at the requested
     advance).  chords is the list of polygon runs
     (polygon, start PathPoint, end PathPoint); crossings records every
-    glued-edge transition as (polygon, edge, t, cell, sign).
+    glued-edge transition as (polygon, edge, parameter s on the edge).
     """
 
     __slots__ = ("kind", "chords", "crossings", "advance", "end_corner",
@@ -70,88 +78,187 @@ def east_ray_corners(surface: TranslationSurface):
     return out
 
 
-def _exit_ray(surface, p, origin: Vec2, direction: Vec2):
-    """First boundary hit of the ray origin + t*direction, t > 0.
+def _axis(direction: Vec2) -> int:
+    """0 for `EAST`, 1 for `NORTH`; ValueError for any other direction."""
+    x, y = direction.x, direction.y
+    if not y and x == 1:
+        return 0
+    if not x and y == 1:
+        return 1
+    raise ValueError(f"tracing runs east (1, 0) or north (0, 1), "
+                     f"not {direction}")
 
-    Returns (hit_point, advance, kind, data): kind "vertex" with the
-    vertex index, or "edge" with (edge index, parameter in (0,1)).
-    Edges parallel to the direction are skipped; the caller handles
-    along-edge runs before casting.
 
-    Vertex v lies on the side h(v) = direction x (v - origin) of the
-    ray's line, so edge e from v_e to v_e+1 meets the line at parameter
-    s = h(v_e) / (h(v_e) - h(v_e+1)), inside [0, 1] exactly when the two
-    signs straddle or touch zero, with advance
-    t = ((v_e - origin) x edge_e) / (h(v_e+1) - h(v_e)).  Candidates are
-    compared as fractions by cross-multiplication, and only the winner's
-    t and s are divided out.
+def _split(v: Vec2, axis: int):
+    """(height, along) coordinates of v for rays along `axis`."""
+    return (v.y, v.x) if axis == 0 else (v.x, v.y)
+
+
+def _join(h, a, axis: int) -> Vec2:
+    """The point at height h and along-coordinate a; undoes `_split`."""
+    return Vec2(a, h) if axis == 0 else Vec2(h, a)
+
+
+class _SlabTable:
+    """Where a ray along one axis leaves one polygon, indexed by height.
+
+    `heights` holds the distinct vertex heights in ascending order (the
+    breakpoints).  Open slab i lies between heights[i-1] and heights[i];
+    slabs 0 and len(heights) are unbounded and empty.  For each slab,
+    `order[i]` lists the edges crossing it in along-ray order and
+    `succ[i]` maps each to the next one.  On the line at heights[j],
+    `events[j]` lists the exits of a ray on that line in ascending
+    along-coordinate `alongs[j]`, one per point: a crossed edge, or a
+    vertex with a non-horizontal incident edge.  `lines[e]` holds, for
+    a non-horizontal edge e, its start (height, along), 1/dh and the
+    slope da/dh.
+
+    `exit` reproduces the rule of a scan over all edges: the nearest
+    hit strictly ahead of the origin; at one point a vertex label found
+    first stays, and an edge label gives way to a later candidate.
     """
-    verts = surface.vertices(p)
-    poly = surface.polygons[p]
-    n = len(poly)
-    c0 = direction.cross(origin)
-    h = [direction.cross(v) - c0 for v in verts]
-    sides = [x.sign() for x in h]
-    best = None  # (num, den, den sign, edge, vertex index or None)
-    for e in range(n):
-        f = (e + 1) % n
-        sa, sb = sides[e], sides[f]
-        if sa == sb:
-            continue  # parallel, or the line misses the closed edge
-        num = (verts[e] - origin).cross(poly[e])
-        den = h[f] - h[e]
-        dsgn = 1 if sb > sa else -1
-        if num.sign() * dsgn <= 0:
-            continue
-        if best is not None:
-            bnum, bden, bsgn, _, bvertex = best
-            order = (num * bden - bnum * den).sign() * dsgn * bsgn
-            # at the same advance the hit is the same point: a vertex
-            # label found first stays, an edge label gives way
-            if order > 0 or (order == 0 and bvertex is not None):
-                continue
-        vertex = e if sa == 0 else f if sb == 0 else None
-        best = (num, den, dsgn, e, vertex)
-    if best is None:
+
+    __slots__ = ("p", "axis", "heights", "order", "succ", "events",
+                 "alongs", "lines")
+
+    def __init__(self, p, verts, edges, axis):
+        self.p = p
+        self.axis = axis
+        n = len(edges)
+        pts = [_split(v, axis) for v in verts]
+        # rank[v]: the index of vertex v's height in `heights`, so that
+        # which side of a line a vertex lies on is an integer comparison
+        heights = []
+        rank = [0] * n
+        for v in sorted(range(n), key=lambda v: pts[v][0]):
+            if not heights or heights[-1] != pts[v][0]:
+                heights.append(pts[v][0])
+            rank[v] = len(heights) - 1
+        lines = [None] * n
+        for e, d in enumerate(edges):
+            dh, da = _split(d, axis)
+            if dh:
+                inv = dh.inverse()
+                lines[e] = (pts[e][0], pts[e][1], inv, da * inv)
+
+        self.events = []
+        self.alongs = []
+        # above[j]: (along on line j, slope, edge) of each edge that
+        # crosses the open slab just above line j
+        above = [[] for _ in heights]
+        for j, level in enumerate(heights):
+            cands = []  # (along, kind, data), in edge scan order
+            for e in range(n):
+                f = (e + 1) % n
+                ra, rb = rank[e], rank[f]
+                if ra == rb:
+                    continue  # horizontal
+                if ra == j:
+                    cands.append((pts[e][1], "vertex", e))
+                    if rb > j:
+                        above[j].append((pts[e][1], lines[e][3], e))
+                elif rb == j:
+                    cands.append((pts[f][1], "vertex", f))
+                    if ra > j:
+                        above[j].append((pts[f][1], lines[e][3], e))
+                elif (ra < j) != (rb < j):
+                    h0, a0, inv, slope = lines[e]
+                    r = level - h0
+                    along = a0 + r * slope
+                    cands.append((along, "edge", (e, r * inv)))
+                    above[j].append((along, slope, e))
+            cands.sort(key=lambda c: c[0])  # stable: scan order within a point
+            events = []
+            for along, group in groupby(cands, key=lambda c: c[0]):
+                group = list(group)
+                _, kind, data = next((c for c in group if c[1] == "vertex"),
+                                     group[-1])
+                events.append((kind, data, along))
+            self.events.append(events)
+            self.alongs.append([along for _, _, along in events])
+
+        # the edges of a slab keep their order across it, so it is the
+        # order where they leave its lower line; edges leaving one point
+        # fan out by slope
+        order = [[]] + [[e for _, _, e in sorted(spans)] for spans in above]
+        self.order = order
+        self.succ = [dict(zip(o, o[1:])) for o in order]
+        self.heights = heights
+        self.lines = lines
+
+    def exit(self, h, a, entry=None):
+        """First boundary hit of the ray from (h, a), strictly ahead.
+
+        Returns (kind, data, along): kind "vertex" with the vertex index,
+        or "edge" with (edge index, parameter in (0, 1)), and the hit's
+        along-coordinate.  `entry` names the edge the origin lies inside
+        of, when it does; it spares the search within an open slab.
+        """
+        heights = self.heights
+        i = bisect_left(heights, h)
+        if i < len(heights) and heights[i] == h:
+            alongs = self.alongs[i]
+            k = bisect_right(alongs, a)
+            if k < len(alongs):
+                return self.events[i][k]
+        elif entry is not None:
+            e = self.succ[i].get(entry)
+            if e is not None:
+                h0, a0, inv, slope = self.lines[e]
+                r = h - h0
+                return "edge", (e, r * inv), a0 + r * slope
+        else:
+            for e in self.order[i]:
+                h0, a0, inv, slope = self.lines[e]
+                r = h - h0
+                along = a0 + r * slope
+                if (along - a).sign() > 0:
+                    return "edge", (e, r * inv), along
         raise InternalInvariantError(
-            f"ray from {origin} in polygon {p} escaped the boundary")
-    num, den, _, e, vertex = best
-    t = num / den
-    if vertex is not None:
-        return verts[vertex], t, "vertex", vertex
-    s = h[e] / -den
-    a, d = verts[e], poly[e]
-    return Vec2(a.x + d.x * s, a.y + d.y * s), t, "edge", (e, s)
+            f"ray from {_join(h, a, self.axis)} in polygon {self.p} "
+            f"escaped the boundary")
 
 
-def _cross_edge(surface, p, e, s):
-    """Continue through the gluing: point at parameter s on (p, e) lands
-    at parameter 1-s on the partner edge."""
-    q, f = surface.gluing[(p, e)]
-    s2 = FieldScalar(1, 0, surface.ctx) - s
-    a = surface.vertices(q)[f]
-    d = surface.polygons[q][f]
-    return q, f, s2, Vec2(a.x + d.x * s2, a.y + d.y * s2)
+def _polygon_table(surface, p, axis):
+    """(slab table, per-edge gluing) of polygon p, cached on the surface.
+
+    The gluing entry of edge e is (q, f, dh, da): its partner edge and
+    the translation taking a point of e to the same point of f.
+    """
+    key = ("slabs", p, axis)
+    entry = surface._cache.get(key)
+    if entry is None:
+        verts = surface.vertices(p)
+        table = _SlabTable(p, verts, surface.polygons[p], axis)
+        glue = []
+        for e in range(len(verts)):
+            q, f = surface.gluing[(p, e)]
+            # the point at s on (p, e) is the point at 1 - s on (q, f),
+            # which runs the other way: both differ by end(f) - start(e)
+            end_f = surface.vertices(q)[(f + 1) % len(surface.polygons[q])]
+            glue.append((q, f) + _split(end_f - verts[e], axis))
+        entry = surface._cache[key] = (table, glue)
+    return entry
 
 
 def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
                       max_advance_sq: FieldScalar | None = None,
                       stop_at_advance: FieldScalar | None = None):
-    """Trace the leaf leaving `corner` in `direction`.
+    """Trace the leaf leaving `corner` in `direction`, `EAST` or `NORTH`.
 
-    The advance of the trace is measured in ray-parameter units
-    (direction . displacement / |direction|^2, i.e. plain x- or
-    y-progress for the unit axis directions).  Stops at the first vertex
-    hit; with max_advance_sq set, returns kind "bound" once the squared
-    advance would exceed it; with stop_at_advance set, stops exactly
-    there (kind "target", possibly mid-polygon).
+    The advance of the trace is the plain x- or y-progress.  Stops at
+    the first vertex hit; with max_advance_sq set, returns kind "bound"
+    once the squared advance would exceed it; with stop_at_advance set,
+    stops exactly there (kind "target", possibly mid-polygon).  Any
+    other direction raises ValueError.
     """
+    axis = _axis(direction)
     p, i = corner
     start_ray, end_ray = surface.corner_rays(corner)
     if not sector_contains(start_ray, end_ray, direction,
                            include_start=True, include_end=False):
         raise ValueError(f"direction {direction} does not leave corner {corner}")
-    return _trace(surface, p, surface.vertices(p)[i], ("vertex", i), direction,
+    return _trace(surface, axis, p, surface.vertices(p)[i], ("vertex", i),
                   max_advance_sq, stop_at_advance)
 
 
@@ -159,8 +266,9 @@ def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
                      direction: Vec2,
                      max_advance_sq: FieldScalar | None = None,
                      stop_at_advance: FieldScalar | None = None):
-    """Trace the leaf through an interior point of polygon p."""
-    return _trace(surface, p, origin, None, direction, max_advance_sq,
+    """Trace the leaf through an interior point of polygon p, `EAST` or
+    `NORTH`; any other direction raises ValueError."""
+    return _trace(surface, _axis(direction), p, origin, None, max_advance_sq,
                   stop_at_advance)
 
 
@@ -168,49 +276,48 @@ def _beyond(advance: FieldScalar, bound_sq: FieldScalar) -> bool:
     return (advance * advance - bound_sq).sign() > 0
 
 
-def _trace(surface, p, origin, pos_point, direction,
-           max_advance_sq, stop_at_advance):
-    zero = FieldScalar(0, 0, surface.ctx)
-    advance = zero
+def _trace(surface, axis, p, origin, pos_point, max_advance_sq,
+           stop_at_advance):
+    one = FieldScalar(1, 0, surface.ctx)
+    advance = FieldScalar(0, 0, surface.ctx)
     chords = []
     crossings = []
-    d2 = direction.dot(direction)
+    h, a = _split(origin, axis)
 
     for _ in range(MAX_STEPS):
         # along-edge run: only possible when standing at a vertex
         if pos_point is not None and pos_point[0] == "vertex":
             j = pos_point[1]
-            out_edge = surface.polygons[p][j]
-            if same_ray(out_edge, direction):
+            rise, step = _split(surface.polygons[p][j], axis)
+            if not rise and step.sign() > 0:
                 n = len(surface.polygons[p])
-                step = out_edge.dot(direction) / d2
                 new_adv = advance + step
                 if stop_at_advance is not None:
                     remaining = stop_at_advance - advance
                     if (step - remaining).sign() > 0:
                         frac = remaining / step
-                        stop = Vec2(origin.x + out_edge.x * frac,
-                                    origin.y + out_edge.y * frac)
                         chords.append((p, ("vertex", j), ("edge", j, frac)))
                         return TraceResult("target", chords, crossings,
                                            stop_at_advance,
-                                           end_position=(p, stop),
+                                           end_position=(p, _join(h, a + remaining, axis)),
                                            end_pathpoint=(p, ("edge", j, frac)))
                 if max_advance_sq is not None and _beyond(new_adv, max_advance_sq):
                     return TraceResult("bound", chords, crossings, advance)
                 chords.append((p, ("vertex", j), ("vertex", (j + 1) % n)))
                 return TraceResult("vertex", chords, crossings, new_adv,
                                    end_corner=(p, (j + 1) % n))
-        point, t, kind, data = _exit_ray(surface, p, origin, direction)
+        table, glue = _polygon_table(surface, p, axis)
+        entry = pos_point[1] if pos_point is not None and pos_point[0] == "edge" else None
+        kind, data, along = table.exit(h, a, entry)
+        t = along - a
         if stop_at_advance is not None:
             remaining = stop_at_advance - advance
             if (t - remaining).sign() > 0:
                 # stop mid-chord at the exact requested advance; the
                 # unfinished chord from pos_point is left to the caller
-                stop = Vec2(origin.x + direction.x * remaining,
-                            origin.y + direction.y * remaining)
                 return TraceResult("target", chords, crossings,
-                                   stop_at_advance, end_position=(p, stop),
+                                   stop_at_advance,
+                                   end_position=(p, _join(h, a + remaining, axis)),
                                    pending_start=(p, pos_point))
         new_adv = advance + t
         if max_advance_sq is not None and _beyond(new_adv, max_advance_sq):
@@ -221,13 +328,15 @@ def _trace(surface, p, origin, pos_point, direction,
                                end_corner=(p, data))
         e, s = data
         chords.append((p, pos_point, ("edge", e, s)))
-        q, f, s2, point2 = _cross_edge(surface, p, e, s)
         crossings.append((p, e, s))
+        q, f, dh, da = glue[e]
+        h, a = h + dh, along + da
+        s2 = one - s
         if stop_at_advance is not None and (new_adv - stop_at_advance).sign() == 0:
             return TraceResult("target", chords, crossings, new_adv,
-                               end_position=(q, Vec2(point2.x, point2.y)),
+                               end_position=(q, _join(h, a, axis)),
                                end_corner=None,
                                end_pathpoint=(q, ("edge", f, s2)))
         advance = new_adv
-        p, origin, pos_point = q, point2, ("edge", f, s2)
+        p, pos_point = q, ("edge", f, s2)
     raise InternalInvariantError("trace exceeded the step safety cap")

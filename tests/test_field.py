@@ -268,6 +268,14 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_scalar("sqrt(4)")
 
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "-3/0", "1/0+1*sqrt(2)", "1/2+1/0*sqrt(5)",
+        "1-2/0*sqrt(3)",
+    ])
+    def test_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
+            parse_scalar(text)
+
     def test_rejects_non_square_free(self):
         with pytest.raises(ValueError):
             FieldCtx.get(4)

@@ -189,6 +189,34 @@ class TestCLI:
         assert "NonPositiveLength" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["decompose", "{lori}", "--direction", "1,1/0"],
+        ["shear", "{lori}", "--direction", "1,0", "--t", "1/0",
+         "-o", "{tmp}/out.json"],
+        ["decompose", "{lori}", "--direction", "1,0", "--bound", "3/0"],
+        ["rank", "{lori}", "--max-len", "0/0"],
+        ["make-lshape", "--w1", "2/0", "--h1", "1", "--w2", "1", "--h2", "1",
+         "{tmp}/l.json"],
+    ])
+    def test_zero_denominator_exit_1(self, cli_surfaces, capsys, args):
+        tmp, lori, _ = cli_surfaces
+        argv = [a.format(lori=lori, tmp=tmp) for a in args]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InputError: cannot parse scalar")
+        assert "zero denominator" in err
+
+    def test_zero_denominator_in_file_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "format": 1, "field": {"d": 0},
+            "polygons": [[["1/0", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]],
+            "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+        }))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "FlatdefError: malformed surface file")
+
     @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
     def test_unexpected_exception_exit_2(self, cli_surfaces, capsys,
                                          monkeypatch, exc):

@@ -11,7 +11,6 @@ from flatdef.linalg import (
     ExactMatrix,
     rational_relation_lattice,
     row_reduce,
-    solve_linear,
 )
 
 Q5 = FieldCtx.get(5)
@@ -98,20 +97,6 @@ class TestRowReduce:
         m = ExactMatrix([[1, 2], [3, 4]])
         assert m.rank() == 2
         assert m.ctx.d == 0
-
-
-class TestSolve:
-    def test_unique(self):
-        x = solve_linear([fr(2, 0), fr(0, 4)], fr(6, 8))
-        assert x == [Fraction(3), Fraction(2)]
-
-    def test_inconsistent(self):
-        assert solve_linear([fr(1, 1), fr(1, 1)], fr(1, 2)) is None
-
-    def test_underdetermined(self):
-        x = solve_linear([fr(1, 1)], fr(5))
-        acc = x[0] + x[1]
-        assert acc == 5
 
 
 class TestRelationLattice:

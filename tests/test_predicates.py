@@ -1,13 +1,14 @@
-"""Differential tests of the division-free ray-exit and window predicates.
+"""Differential tests of the slab ray-exit lookup and the window predicate.
 
-`tracing._exit_ray` and `search._window_within` compare candidates by
-cross-multiplication and divide only for the winner.  The references
-below are the versions that divided for every candidate: `ref_exit_ray`
-computed t and s for each edge, and the search clipped each window to
-exact intersection points (`ref_clip_window`) and then measured the
-clipped segment's distance from the origin (`ref_beyond`).  Both sides
-must agree exactly: the same values, labels and tie-breaks, or the same
-`InternalInvariantError`.
+`tracing._SlabTable.exit` finds where a ray along an axis leaves a
+polygon by a search on its height, and `search._window_within` compares
+candidates by cross-multiplication and divides only for the winner.  The
+references below are the versions that divided for every candidate:
+`ref_exit_ray` computed t and s for each edge and kept the nearest hit,
+and the search clipped each window to exact intersection points
+(`ref_clip_window`) and then measured the clipped segment's distance
+from the origin (`ref_beyond`).  Both sides must agree exactly: the same
+values, labels and tie-breaks, or the same `InternalInvariantError`.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.polygon import vertex_positions
 from flatdef.search import _window_within
-from flatdef.tracing import _exit_ray
+from flatdef.surface import square_tiled
+from flatdef.tracing import _SlabTable, _axis, _split, trace_from_corner
 
 FIELDS = (0, 2, 5)
 
@@ -62,6 +64,20 @@ def ref_exit_ray(surface, p, origin, direction):
             f"ray from {origin} in polygon {p} escaped the boundary")
     t, kind, data, point = best
     return point, t, kind, data
+
+
+def slab_exit(surface, p, origin, direction, entry=None):
+    """The slab lookup, in the shape `ref_exit_ray` returns."""
+    axis = _axis(direction)
+    verts, edges = surface.vertices(p), surface.polygons[p]
+    h, a = _split(origin, axis)
+    kind, data, along = _SlabTable(p, verts, edges, axis).exit(h, a, entry)
+    if kind == "vertex":
+        point = verts[data]
+    else:
+        e, s = data
+        point = verts[e] + edges[e].scale(s)
+    return point, along - a, kind, data
 
 
 def ref_beyond(a, b, bound_sq):
@@ -170,7 +186,7 @@ BASE_RAYS = ((0, 4, 8, 12), (0, 6, 11), (2, 7, 13), (3, 9, 14))
 
 
 class OnePolygon:
-    """The two attributes `_exit_ray` reads, for one polygon."""
+    """The two attributes the exit lookups read, for one polygon."""
 
     def __init__(self, edges):
         self.polygons = (tuple(edges),)
@@ -203,39 +219,45 @@ def star_polygons(draw):
 
 @st.composite
 def ray_casts(draw):
+    """A star polygon, an axis direction, an origin and its entry edge.
+
+    The origin sits at a vertex, at a vertex's height (so on a
+    breakpoint line, inside or outside the polygon), inside an edge
+    (whose index is the entry edge), inside the polygon, or at the
+    star's center; the entry edge is None off the edges.
+    """
     surf, center, ctx = draw(star_polygons())
     verts = surf.vertices(0)
     edges = surf.polygons[0]
     n = len(edges)
-    where = draw(st.sampled_from(["vertex", "edge", "interior", "center"]))
+    zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
+    direction = draw(st.sampled_from([Vec2(one, zero), Vec2(zero, one)]))
+    where = draw(st.sampled_from(
+        ["vertex", "vertex height", "edge", "interior", "center"]))
     i = draw(st.integers(0, n - 1))
+    entry = None
+
+    def inside(k):
+        lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
+                   .filter(lambda x: 0 < x < 1))
+        return center + (verts[k] - center).scale(FieldScalar(lam, 0, ctx))
+
     if where == "vertex":
         origin = verts[i]
+    elif where == "vertex height":
+        pt = inside(draw(st.integers(0, n - 1)))
+        origin = (Vec2(pt.x, verts[i].y) if direction.x else
+                  Vec2(verts[i].x, pt.y))
     elif where == "edge":
         s = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
                  .filter(lambda x: 0 < x < 1))
         origin = verts[i] + edges[i].scale(FieldScalar(s, 0, ctx))
+        entry = i
     elif where == "interior":
-        lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
-                   .filter(lambda x: 0 < x < 1))
-        origin = center + (verts[i] - center).scale(FieldScalar(lam, 0, ctx))
+        origin = inside(i)
     else:
         origin = center
-    how = draw(st.sampled_from(["east", "north", "edge", "vertex", "random"]))
-    zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
-    if how == "east":
-        direction = Vec2(one, zero)
-    elif how == "north":
-        direction = Vec2(zero, one)
-    elif how == "edge":
-        direction = edges[draw(st.integers(0, n - 1))]
-    elif how == "vertex":
-        direction = verts[draw(st.integers(0, n - 1))] - origin
-    else:
-        direction = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
-    if direction.is_zero():
-        direction = Vec2(one, zero)
-    return surf, origin, direction
+    return surf, origin, direction, entry
 
 
 @st.composite
@@ -312,37 +334,58 @@ def windows(draw):
 # -- the tests ----------------------------------------------------------------
 
 class TestExitRay:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(ray_casts())
     def test_matches_reference(self, case):
-        surf, origin, direction = case
-        assert outcome(_exit_ray, surf, 0, origin, direction) == \
-            outcome(ref_exit_ray, surf, 0, origin, direction)
+        surf, origin, direction, entry = case
+        args = (surf, 0, origin, direction)
+        found = outcome(slab_exit, *args)
+        assert found == outcome(ref_exit_ray, *args)
+        if entry is not None:
+            assert outcome(slab_exit, *args, entry) == found
 
     @pytest.mark.parametrize("edges, origin, direction, expected", [
-        # the diagonal of the unit square leaves through the corner
-        # (1, 1), which edges 1 and 2 both report as vertex 2
-        ([(1, 0), (0, 1), (-1, 0), (0, -1)], (0, 0), (1, 1), ("vertex", 2)),
+        # a diamond whose diagonal is the ray: it leaves through the
+        # corner (2, 0), which edges 1 and 2 both report as vertex 2
+        ([(1, -1), (1, 1), (-1, 1), (-1, -1)], (0, 0), (1, 0),
+         ("vertex", 2)),
+        ([(1, 1), (-1, 1), (-1, -1), (1, -1)], (0, 0), (0, 1),
+         ("vertex", 2)),
         # vertex 3 touches the middle of edge 0: the edge hit found first
         # gives way to the vertex label at the same advance
-        ([(2, 0), (0, 2), (-1, -2), (-1, 2), (0, -2)], (1, 1), (0, -1),
+        ([(0, 2), (-2, 0), (2, -1), (-2, -1), (2, 0)], (-1, 1), (1, 0),
          ("vertex", 3)),
-        # a bow tie: edges 0 and 2 cross at (1, 1), and the later edge wins
-        ([(2, 2), (0, -2), (-2, 2), (0, -2)], (1, 0), (0, 1),
-         ("edge", (2, Fraction(1, 2)))),
+        ([(-2, 0), (0, -2), (1, 2), (1, -2), (0, 2)], (-1, -1), (0, 1),
+         ("vertex", 3)),
     ])
     def test_ties(self, edges, origin, direction, expected):
         poly = OnePolygon([Vec2(*e) for e in edges])
         args = (poly, 0, Vec2(*origin), Vec2(*direction))
-        out = _exit_ray(*args)
+        out = slab_exit(*args)
         assert _exact(out) == _exact(ref_exit_ray(*args))
         assert out[2:] == expected
 
     def test_escape_raises_like_reference(self):
+        # rays leaving the unit square through the edge they start on,
+        # with and without that edge as the entry hint, and a ray above it
         square = OnePolygon([Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)])
-        args = (square, 0, Vec2(0, 0), Vec2(-1, -1))
-        assert outcome(_exit_ray, *args)[0] == "error"
-        assert outcome(_exit_ray, *args) == outcome(ref_exit_ray, *args)
+        for origin, direction, entry in [
+            ((1, Fraction(1, 2)), (1, 0), None),
+            ((1, Fraction(1, 2)), (1, 0), 1),
+            ((Fraction(1, 3), 1), (0, 1), None),
+            ((Fraction(1, 3), 1), (0, 1), 2),
+            ((0, 2), (1, 0), None),
+        ]:
+            args = (square, 0, Vec2(*origin), Vec2(*direction))
+            assert outcome(slab_exit, *args, entry)[0] == "error"
+            assert outcome(slab_exit, *args, entry) == \
+                outcome(ref_exit_ray, *args)
+
+    @pytest.mark.parametrize("direction", [(1, 1), (2, 0), (-1, 0), (0, -1)])
+    def test_trace_rejects_other_directions(self, direction):
+        torus = square_tiled([1], [1])
+        with pytest.raises(ValueError, match="east .* or north"):
+            trace_from_corner(torus, (0, 0), Vec2(*direction))
 
 
 class TestWindow:
