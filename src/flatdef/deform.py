@@ -3,10 +3,12 @@
 The twist cocycle of a cylinder takes, on each homology class, the
 signed count of crossings with the half-height core circle; scaled by
 the heights and summed over a cylinder set it is the derivative of the
-cylinder shear.  Shear and stretch themselves are geometric rebuilds:
-the surface is recut along exactly those cylinder boundaries where the
-deformed and undeformed regions meet, and the matrix acts piecewise.
-Linearity of the rebuild in period coordinates is checked exactly.
+cylinder shear.  Shear and stretch of every cylinder are the GL(2,R)
+action of one matrix on the whole surface; on a proper subset they are
+geometric rebuilds: the surface is recut along exactly those cylinder
+boundaries where the deformed and undeformed regions meet, and the
+matrix acts piecewise.  Linearity of the deformation in period
+coordinates is checked exactly.
 """
 
 from __future__ import annotations
@@ -192,10 +194,53 @@ def torus_closure(moduli, frame: HomologyFrame | None = None,
 # -- geometric shear and stretch -------------------------------------------
 
 
-def _piecewise_rebuild(decomposition: Decomposition, member_ids,
-                       inner: Mat2):
-    """Recut along boundaries separating member cylinders from the rest
-    and apply `inner` (in normalized coordinates) to the member side.
+def _member_components(decomposition: Decomposition, member_ids) -> set:
+    """The cut components of the chosen cylinders."""
+    cut = decomposition.cut
+    return {cut.pieces[cyl.piece_ids[0]].component
+            for cyl in decomposition.cylinders if cyl.cyl_id in member_ids}
+
+
+def _full_set_map(decomposition: Decomposition, members,
+                  inner: Mat2) -> Mat2 | None:
+    """g^-1 @ inner when the members are every component of the cut.
+
+    Then the deformation moves the whole normalized surface by `inner`,
+    so it is the linear map g^-1 @ inner of that surface, no recut is
+    needed, and apply_matrix carries the validation over (det > 0: the
+    shear has det 1, the stretch 1 + s > 0).  Otherwise None: a proper
+    subset, or a Partial decomposition whose uncertified components stay.
+    """
+    if members != {piece.component for piece in decomposition.cut.pieces}:
+        return None
+    return decomposition.matrix.inverse() @ inner
+
+
+def _deformed_surface(decomposition: Decomposition, member_ids,
+                      inner: Mat2) -> TranslationSurface:
+    members = _member_components(decomposition, member_ids)
+    whole = _full_set_map(decomposition, members, inner)
+    if whole is not None:
+        return decomposition.normalized.apply_matrix(
+            whole, label=decomposition.surface.label)
+    return _piecewise_rebuild(decomposition, members, inner)[0]
+
+
+def _deformed_holonomies(decomposition: Decomposition, member_ids,
+                         inner: Mat2) -> list[Vec2]:
+    """The deformed holonomy of every frame cell."""
+    members = _member_components(decomposition, member_ids)
+    whole = _full_set_map(decomposition, members, inner)
+    if whole is not None:
+        polygons = decomposition.normalized.polygons
+        return [whole.apply(polygons[p][e])
+                for p, e in decomposition.frame.cells]
+    return _piecewise_rebuild(decomposition, members, inner)[1]
+
+
+def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
+    """Recut along boundaries separating the member components from the
+    rest and apply `inner` (in normalized coordinates) to the member side.
 
     Returns (new TranslationSurface, new holonomy per frame cell).
     """
@@ -203,15 +248,7 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
     frame = decomposition.frame
     normalized = decomposition.normalized
     cut = decomposition.cut
-    g = decomposition.matrix
-    g_inv = g.inverse()
-    members = set()
-    comp_of = {}
-    for cyl in decomposition.cylinders:
-        root = cut.pieces[cyl.piece_ids[0]].component
-        comp_of[cyl.cyl_id] = root
-        if cyl.cyl_id in member_ids:
-            members.add(root)
+    g_inv = decomposition.matrix.inverse()
 
     # chords that separate a member region from a non-member region
     chord_sides = {}
@@ -303,6 +340,9 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
     result.singularities()
 
     # restricted holonomy of every original frame cell
+    subs_of_edge: dict[tuple, list] = {}
+    for (p, e, _t0), item in sub_lookup.items():
+        subs_of_edge.setdefault((p, e), []).append(item)
     cell_hol = []
     for cell in frame.cells:
         p, e = cell
@@ -310,20 +350,17 @@ def _piecewise_rebuild(decomposition: Decomposition, member_ids,
         if vec.y.sign() == 0:
             cell_hol.append(g_inv.apply(vec))
             continue
+        subs = subs_of_edge.get(cell)
+        if not subs:
+            raise InternalInvariantError(f"cell {cell} lost its sub-edges")
         total_x = FieldScalar(0, 0, normalized.ctx)
         total_y = FieldScalar(0, 0, normalized.ctx)
-        found = False
-        for (pp, ee, t0), item in sub_lookup.items():
-            if (pp, ee) != cell:
-                continue
-            found = True
+        for item in subs:
             sub_vec = item.vec
             mapped = (inner.apply(sub_vec) if treat[item.piece.pid]
                       else sub_vec)
             total_x = total_x + mapped.x
             total_y = total_y + mapped.y
-        if not found:
-            raise InternalInvariantError(f"cell {cell} lost its sub-edges")
         cell_hol.append(g_inv.apply(Vec2(total_x, total_y)))
     return result, cell_hol
 
@@ -346,15 +383,15 @@ def shear(surface: TranslationSurface, decomposition: Decomposition, t,
     """The cylinder shear u_t applied to the chosen cylinders.
 
     With ids=None the whole certified cylinder set is sheared, which is
-    the deformation that stays in the orbit closure.  The result is
-    rebuilt geometrically; its periods satisfy the exact linearity law,
-    which verify_linearity re-checks independently.
+    the deformation that stays in the orbit closure; when that set fills
+    the surface the result is its image under one matrix, otherwise it
+    is rebuilt geometrically.  Its periods satisfy the exact linearity
+    law, which verify_linearity re-checks independently.
     """
     if not isinstance(t, FieldScalar):
         t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
-    result, _ = _piecewise_rebuild(decomposition, chosen, Mat2.shear(t))
-    return result
+    return _deformed_surface(decomposition, chosen, Mat2.shear(t))
 
 
 def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
@@ -366,23 +403,23 @@ def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
     if one_plus.sign() <= 0:
         raise DegenerateCylinder("stretch needs 1 + s > 0")
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
-    result, _ = _piecewise_rebuild(decomposition, chosen,
-                                   Mat2.vertical_scale(one_plus))
-    return result
+    return _deformed_surface(decomposition, chosen,
+                             Mat2.vertical_scale(one_plus))
 
 
 def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
                      decomposition: Decomposition, t, ids=None) -> bool:
     """Check Phi(shear) = Phi + t * eta exactly, both sides independently.
 
-    The left side comes from the geometric rebuild (sub-edge holonomy
-    sums over the original frame); the right side from the crossing-count
-    cocycle.  Exact disagreement returns False and means a bug.
+    The left side is the deformed holonomy of each frame cell (the
+    matrix image for the full set, sub-edge holonomy sums of the recut
+    for a subset); the right side comes from the crossing-count cocycle.
+    Exact disagreement returns False and means a bug.
     """
     if not isinstance(t, FieldScalar):
         t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
-    _, cell_hol = _piecewise_rebuild(decomposition, chosen, Mat2.shear(t))
+    cell_hol = _deformed_holonomies(decomposition, chosen, Mat2.shear(t))
     sheared = _restricted_periods(frame, cell_hol)
     base = frame.periods()
     ec = eta(surface, frame, decomposition, ids)

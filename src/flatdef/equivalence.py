@@ -144,12 +144,16 @@ def delaunay_cells(surface: TranslationSurface):
     """
     tri = _delaunay(_Tri(surface))
     n = len(tri.edges)
-    # mark non-essential edges: hinge with all four points co-circular
+    # mark non-essential edges: hinge with all four points co-circular;
+    # co-circularity is symmetric, so one test per glued pair
     essential = {}
     for t1 in range(n):
         for k1 in range(3):
-            p, q, a1, a2 = tri.hinge(t1, k1)
-            essential[(t1, k1)] = _incircle(p, q, a1, a2) != 0
+            side = (t1, k1)
+            if side in essential:
+                continue
+            flag = _incircle(*tri.hinge(t1, k1)) != 0
+            essential[side] = essential[tri.gluing[side]] = flag
     # merge triangles across non-essential edges into cells: walk each
     # cell boundary along essential sides
     side_seen = set()

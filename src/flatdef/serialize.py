@@ -9,6 +9,7 @@ identically across runs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cylinders import Decomposition
@@ -33,11 +34,22 @@ def scalar_to_json(x: FieldScalar):
     return [str(x.a), str(x.b)]
 
 
+# the text str(Fraction) writes; Fraction itself would also read "1.5",
+# "1e3", "1_0", "+3" and " 3", which no writer here produces
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(text) -> Fraction:
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise FlatdefError(f"malformed scalar {text!r}; expected p/q")
+    return Fraction(text)
+
+
 def scalar_from_json(v, ctx: FieldCtx) -> FieldScalar:
     if isinstance(v, str):
-        return FieldScalar(Fraction(v), 0, ctx if ctx.d else QQ)
+        return FieldScalar(_rational(v), 0, ctx if ctx.d else QQ)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return FieldScalar(Fraction(v[0]), Fraction(v[1]), ctx)
+        return FieldScalar(_rational(v[0]), _rational(v[1]), ctx)
     raise FlatdefError(f"malformed scalar {v!r}")
 
 
@@ -67,7 +79,7 @@ def surface_from_json(data: dict) -> TranslationSurface:
         gluing = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
                   for a, b in data["gluing"]]
         label = data.get("label", "")
-    except (KeyError, TypeError, ValueError, IndexError,
+    except (FlatdefError, KeyError, TypeError, ValueError, IndexError,
             ZeroDivisionError) as exc:
         raise FlatdefError(f"malformed surface file: {exc}") from None
     return TranslationSurface(polys, gluing, label)

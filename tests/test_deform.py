@@ -1,18 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from flatdef.cylinders import decompose
-from flatdef.deform import (cylinder_preserving_space, deform_from_periods,
+from flatdef.deform import (_deformed_holonomies, _full_set_map,
+                            _member_components, _piecewise_rebuild,
+                            cylinder_preserving_space, deform_from_periods,
                             eta, eta_normalized, intersection_cocycle, shear,
                             stretch, torus_closure, twist_space,
                             verify_linearity)
-from flatdef.errors import DeformationTooLarge, DegenerateCylinder
+from flatdef.errors import (DeformationTooLarge, DegenerateCylinder,
+                            NotConnected)
 from flatdef.equivalence import translation_equivalent
-from flatdef.field import FieldCtx, FieldScalar, Vec2
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
 from flatdef.linalg import ComplexScalar, row_reduce
+from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
+Q2 = FieldCtx.get(2)
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
 
@@ -149,6 +155,100 @@ class TestShearStretch:
         assert out.singularities().signature == (2,)
 
 
+def _seeded_origamis(count, seed=20261018):
+    """Connected square-tiled surfaces with 4 to 8 squares."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 8)
+        h = list(range(1, n + 1))
+        v = list(range(1, n + 1))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        try:
+            out.append(square_tiled(h, v, n=n, label=f"origami-{len(out)}"))
+        except NotConnected:
+            continue
+    return out
+
+
+ORIGAMIS = _seeded_origamis(6)
+
+
+def _full_set_cases(torus, l_origami, golden_l):
+    """(surface, direction) pairs whose full cylinder set fills the surface."""
+    cases = [(torus, (1, 1)), (l_origami, (1, 0)), (l_origami, (1, 1)),
+             (golden_l, (1, 1)), (golden_l, (2, 1)), (golden_l, (0, 1))]
+    cases += [(s, v) for s in ORIGAMIS for v in ((1, 0), (0, 1), (1, 1))]
+    return cases
+
+
+def _fresh(surface):
+    """The same polygons and gluing, validated from scratch."""
+    gluing = [(a, b) for a, b in surface.gluing.items() if a < b]
+    return TranslationSurface(surface.polygons, gluing, surface.label)
+
+
+def _data(d):
+    return (d.classes, d.cone_orders, d.genus)
+
+
+class TestFullSetDeformation:
+    """Shear and stretch of every cylinder are one matrix on the surface.
+
+    The image carries the source's singularity data through apply_matrix
+    (README, "Decisions ledger"); each expectation below is a fresh
+    validation or the general recut of the same deformation.
+    """
+
+    AMOUNTS = [(shear, Fraction(-3, 7)), (shear, Fraction(5, 2)),
+               (stretch, Fraction(-1, 2)), (stretch, Fraction(3))]
+
+    def test_transported_validation(self, torus, l_origami, golden_l):
+        for surf, v in _full_set_cases(torus, l_origami, golden_l):
+            d = decompose(surf, Vec2(*v))
+            assert d.is_periodic
+            for op, amount in self.AMOUNTS:
+                out = op(surf, d, amount)
+                assert "sing" in out._cache  # carried over, not recomputed
+                assert _data(out.singularities()) == \
+                    _data(_fresh(out).singularities())
+
+    def test_matches_general_recut(self, torus, l_origami, golden_l):
+        for surf, v in _full_set_cases(torus, l_origami, golden_l):
+            d = decompose(surf, Vec2(*v))
+            ids = {cyl.cyl_id for cyl in d.cylinders}
+            members = _member_components(d, ids)
+            for op, amount, inner in (
+                    (shear, Fraction(-3, 7), Mat2.shear(Fraction(-3, 7))),
+                    (stretch, Fraction(3, 2),
+                     Mat2.vertical_scale(Fraction(5, 2)))):
+                assert _full_set_map(d, members, inner) is not None
+                recut, hol = _piecewise_rebuild(d, members, inner)
+                assert op(surf, d, amount) == recut
+                assert _deformed_holonomies(d, ids, inner) == hol
+
+    def test_proper_subset_recuts(self, l_origami):
+        # the two horizontal cylinders meet along horizontal edges, so no
+        # chord separates them, yet a one-cylinder shear must recut
+        d = decompose(l_origami, Vec2(1, 0))
+        inner = Mat2.shear(Fraction(1, 2))
+        for cyl in d.cylinders:
+            members = _member_components(d, {cyl.cyl_id})
+            assert _full_set_map(d, members, inner) is None
+            out = shear(l_origami, d, Fraction(1, 2), ids=[cyl.cyl_id])
+            assert out != l_origami.apply_matrix(inner)
+
+    def test_partial_full_set_recuts(self):
+        surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+        d = decompose(surf, Vec2(2, 1))
+        assert not d.is_periodic and d.cylinders
+        members = _member_components(d, {c.cyl_id for c in d.cylinders})
+        assert _full_set_map(d, members, Mat2.shear(1)) is None
+        out = shear(surf, d, Fraction(1, 2))
+        assert len(out.polygons) > len(surf.polygons)
+
+
 class TestVerifyLinearity:
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(7, 5)])
     def test_fixtures(self, torus, l_origami, golden_l, t):
@@ -158,6 +258,13 @@ class TestVerifyLinearity:
                 d = decompose(surf, Vec2(*v), frame=f)
                 assert d.is_periodic
                 assert verify_linearity(surf, f, d, t)
+
+    def test_seeded_origamis(self):
+        for surf in ORIGAMIS:
+            f = homology_frame(surf)
+            for v in ((1, 0), (0, 1), (1, 1)):
+                d = decompose(surf, Vec2(*v), frame=f)
+                assert verify_linearity(surf, f, d, Fraction(-5, 3))
 
     def test_subsets(self, l_origami, golden_l):
         for surf, v in ((l_origami, (1, 0)), (golden_l, (1, 1))):

@@ -217,6 +217,34 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(
             "FlatdefError: malformed surface file")
 
+    # each text means 3/2, 1000, 10 or 3 to Fraction, so the square below
+    # would close up if the text were read; only "p/q" text is a scalar
+    @pytest.mark.parametrize("text, minus", [
+        ("1.5", "-3/2"), ("1e3", "-1000"), ("1_0", "-10"), (" 3", "-3"),
+        ("+3", "-3"),
+    ])
+    def test_non_canonical_scalar_in_file_exit_1(self, tmp_path, capsys,
+                                                 text, minus):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "format": 1, "field": {"d": 0},
+            "polygons": [[[text, "0"], ["0", "1"], [minus, "0"],
+                          ["0", "-1"]]],
+            "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+        }))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "FlatdefError: malformed surface file")
+
+    @pytest.mark.parametrize("value", [
+        ["1.5", "0"], ["0", "1e3"], [1, "0"], 1.5, "1/2*sqrt(5)",
+    ])
+    def test_non_canonical_scalar_rejected(self, value):
+        from flatdef.errors import FlatdefError
+        from flatdef.serialize import scalar_from_json
+        with pytest.raises(FlatdefError, match="malformed scalar"):
+            scalar_from_json(value, Q5)
+
     @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
     def test_unexpected_exception_exit_2(self, cli_surfaces, capsys,
                                          monkeypatch, exc):

@@ -109,6 +109,48 @@ def test_l_origami_rebuild(l_origami, op, amount, digest):
     assert _digest(surface_to_json(op(l_origami, dec, amount))) == digest
 
 
+# Full-set shears and stretches in slanted directions, where the normalizing
+# matrix is not the identity, and subset ones that recut; recorded while
+# every rebuild still recut the surface and validated it from scratch.
+@pytest.mark.parametrize("name, v, op, amount, digest", [
+    ("golden_l", (1, 1), shear, Fraction(1, 2), "0fc9308587e57a191bb5bbf833341c72ac2c90381700ff0abc629876e9a57218"),
+    ("golden_l", (1, 1), shear, Fraction(-2, 3), "103cf9dcfa289e676dee27343e7ac9978f5b0b7c858560e704dddcc77c6c0fe5"),
+    ("golden_l", (2, 1), shear, Fraction(-3, 4), "fc3b4a88f1596338020bf62bfbfad80d81e6c54b0b8430c27055b619ea610ce4"),
+    ("golden_l", (2, 1), stretch, Fraction(-1, 2), "7007f6ad20c27cb4045ccee226c2c0cae86e8a2980bf45bb70657393ef16caf2"),
+    ("golden_l", (1, 1), stretch, Fraction(3), "82b104531f96626351f9085e28c50349d6369909f353a261606710bf9c293151"),
+    ("l_origami", (1, 1), shear, Fraction(1, 3), "08228aaa18f8f2cd2c407564b21aa4c2d283e46ad43a8d4d3420b147477bda42"),
+    ("l_origami", (1, 1), stretch, Fraction(-1, 2), "9d05b45e45dcee35039f839bb95b34d720ee9fb1499017b79e16455b527bf340"),
+])
+def test_full_set_rebuild(request, name, v, op, amount, digest):
+    surf = request.getfixturevalue(name)
+    dec = decompose(surf, Vec2(*v))
+    assert _digest(surface_to_json(op(surf, dec, amount))) == digest
+
+
+@pytest.mark.parametrize("name, v, op, amount, ids, digest", [
+    ("golden_l", (1, 1), shear, Fraction(1, 3), [0], "6c57d18e2ff612af3e0862d711ec59ab263e35d10dc04258dd7c692d2f7d4ce3"),
+    ("golden_l", (2, 1), stretch, Fraction(1, 2), [1], "547297453c118eda1c6064186be82b9cc6fc88b813bc520be4dd82a1f9354ab1"),
+    ("l_origami", (1, 0), shear, Fraction(1, 2), [0], "7ed8662e0d4692b4e413f44a9a3dfbfd668e7b3ea9c627bad0d49809da9ad662"),
+])
+def test_subset_rebuild(request, name, v, op, amount, ids, digest):
+    surf = request.getfixturevalue(name)
+    dec = decompose(surf, Vec2(*v))
+    assert _digest(surface_to_json(op(surf, dec, amount, ids=ids))) == digest
+
+
+# the one certified cylinder of a Partial direction leaves a component
+# that is not a cylinder, so even the full set recuts
+@pytest.mark.parametrize("op, amount, digest", [
+    (shear, Fraction(1, 2), "fc5e8cd2e7011ee9ad5f5c535068c868220385c26fca26bcd82ddb2f0ffdbb5b"),
+    (stretch, Fraction(1, 3), "acdb3ca4f15869c1982cf6a70d885321fe34b06ff991fa03fe965c9fd9756f6c"),
+])
+def test_sqrt2_lshape_partial_rebuild(op, amount, digest):
+    surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+    dec = decompose(surf, Vec2(2, 1))
+    assert dec.status == PARTIAL
+    assert _digest(surface_to_json(op(surf, dec, amount))) == digest
+
+
 def test_golden_trace_separatrix(golden_l):
     sc = trace_separatrix(golden_l, (0, 7), (1, 0), 10)
     payload = {
