@@ -2,7 +2,8 @@
 for translation surfaces."""
 
 from .field import FieldCtx, FieldScalar, Mat2, QQ, Vec2, parse_scalar, scalar_sign
-from .linalg import ComplexScalar, ExactMatrix, rational_relation_lattice, row_reduce
+from .linalg import (ComplexScalar, Echelon, ExactMatrix,
+                     rational_relation_lattice, row_reduce)
 from .surface import TranslationSurface, l_shape, square_tiled, validate
 from .homology import Cocycle, HomologyFrame, homology_frame, period_map
 from .cylinders import (BoundExceeded, Cylinder, Decomposition, Direction,

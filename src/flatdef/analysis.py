@@ -16,7 +16,7 @@ from .deform import (cylinder_preserving_space, deform_from_periods, eta,
 from .errors import DeformationTooLarge, InternalInvariantError
 from .field import FieldScalar
 from .homology import Cocycle, HomologyFrame, homology_frame
-from .linalg import ComplexScalar, row_reduce
+from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
 from .surface import TranslationSurface
 
@@ -31,7 +31,9 @@ class TangentSpan:
 
     Generators start from the period class itself and grow by the shear
     cocycles of fully certified periodic directions; the span is complex,
-    so i*eta comes for free.
+    so i*eta comes for free.  Each generator goes into one echelon basis
+    as a full cocycle and into another as its absolute projection, so
+    the dimensions and the basis are read off, never recomputed.
     """
 
     def __init__(self, frame: HomologyFrame):
@@ -39,12 +41,16 @@ class TangentSpan:
         self.frame_hash = frame.hash
         self.generators = []   # (Cocycle, provenance dict)
         self.skipped = []      # provenance of non-certified directions
+        self._span = Echelon(frame.m)
+        self._p_span = Echelon(2 * frame.genus)
         omega = frame.period_cocycle()
         self._add(omega, {"rule": "PeriodClass", "direction": None})
 
     def _add(self, cocycle: Cocycle, provenance):
         self.frame.check(cocycle)
         self.generators.append((cocycle, provenance))
+        self._span.add(cocycle.values)
+        self._p_span.add(self.frame.project_absolute(cocycle))
 
     def add_certified(self, surface, decomposition: Decomposition):
         if decomposition.status != PERIODIC:
@@ -61,20 +67,14 @@ class TangentSpan:
         return True
 
     def dim(self) -> int:
-        rows = [[v for v in gen.values] for gen, _ in self.generators]
-        rank, _, _ = row_reduce(rows, ncols=self.frame.m)
-        return rank
+        return self._span.rank
 
     def p_dim(self) -> int:
-        rows = [list(self.frame.project_absolute(gen))
-                for gen, _ in self.generators]
-        rank, _, _ = row_reduce(rows, ncols=2 * self.frame.genus)
-        return rank
+        return self._p_span.rank
 
     def basis(self):
-        rows = [[v for v in gen.values] for gen, _ in self.generators]
-        _, rowspace, _ = row_reduce(rows, ncols=self.frame.m)
-        return rowspace
+        """The RREF rows of the span."""
+        return [list(row) for row in self._span.rows]
 
 
 def _provenance(decomposition: Decomposition, rule: str):
@@ -120,11 +120,10 @@ def independence_check(surface: TranslationSurface, frame: HomologyFrame,
     p_omega = frame.project_absolute(omega)
     re_row = [ComplexScalar(v.re) for v in p_omega]
     im_row = [ComplexScalar(v.im) for v in p_omega]
-    target = list(frame.project_absolute(e))
-    rank_base, _, _ = row_reduce([re_row, im_row], ncols=2 * frame.genus)
-    rank_full, _, _ = row_reduce([re_row, im_row, target],
-                                 ncols=2 * frame.genus)
-    return rank_full > rank_base
+    span = Echelon(2 * frame.genus)
+    span.add(re_row)
+    span.add(im_row)
+    return span.add(frame.project_absolute(e))
 
 
 class FieldReport:
@@ -278,12 +277,13 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
                                                 decomposition)
     if cp_dim <= tw_dim:
         return None
-    tw_rows = [[v.re for v in gen.values] for gen in tw_gens]
+    twists = Echelon(frame.m)
+    for gen in tw_gens:
+        twists.add([v.re for v in gen.values])
     chosen = None
     for gen in cp_gens:
-        rows = tw_rows + [[v.re for v in gen.values]]
-        rank, _, _ = row_reduce(rows, ncols=frame.m)
-        if rank > tw_dim:
+        rest = twists.reduce([v.re for v in gen.values])
+        if any(not x.is_zero() for x in rest):
             chosen = gen
             break
     if chosen is None:

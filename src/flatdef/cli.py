@@ -55,6 +55,9 @@ def _parse_cycles(text: str):
         raise FlatdefError(f"cannot parse cycle notation {text!r}")
     out = []
     for cyc in cycles:
+        if not re.fullmatch(r"[0-9,\s]*", cyc):
+            raise FlatdefError(f"bad cycle ({cyc}) in {text!r}: entries "
+                               f"are square numbers in ASCII digits")
         entries = [int(x) for x in re.split(r"[,\s]+", cyc.strip()) if x]
         if entries:
             out.append(tuple(entries))

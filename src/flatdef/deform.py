@@ -18,7 +18,8 @@ from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
 from .field import FieldScalar, Mat2, Vec2
 from .homology import Cocycle, HomologyFrame
-from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
+from .linalg import (ComplexScalar, Echelon, rational_relation_lattice,
+                     row_reduce)
 from .surface import TranslationSurface
 
 __all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
@@ -107,12 +108,12 @@ def twist_space(surface: TranslationSurface, frame: HomologyFrame,
         raise ValueError("twist space needs a Periodic decomposition")
     gens = [eta_normalized(frame, decomposition, [cyl.cyl_id])
             for cyl in decomposition.cylinders]
-    rows = [[v.re for v in gen.values] for gen in gens]
-    rank, _, _ = row_reduce(rows, ncols=frame.m)
-    if rank != len(gens):
-        raise InternalInvariantError(
-            "per-cylinder shear cocycles are not independent")
-    return gens, rank
+    span = Echelon(frame.m)
+    for gen in gens:
+        if not span.add([v.re for v in gen.values]):
+            raise InternalInvariantError(
+                "per-cylinder shear cocycles are not independent")
+    return gens, span.rank
 
 
 def cylinder_preserving_space(surface: TranslationSurface,
@@ -365,19 +366,6 @@ def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
     return result, cell_hol
 
 
-def _restricted_periods(frame: HomologyFrame, cell_hol):
-    out = []
-    for chain in frame.basis_chains:
-        x = cell_hol[0].x - cell_hol[0].x
-        y = x
-        for c, coeff in enumerate(chain):
-            if coeff:
-                x = x + cell_hol[c].x * coeff
-                y = y + cell_hol[c].y * coeff
-        out.append(ComplexScalar(x, y))
-    return out
-
-
 def shear(surface: TranslationSurface, decomposition: Decomposition, t,
           ids=None):
     """The cylinder shear u_t applied to the chosen cylinders.
@@ -420,7 +408,7 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
         t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
     cell_hol = _deformed_holonomies(decomposition, chosen, Mat2.shear(t))
-    sheared = _restricted_periods(frame, cell_hol)
+    sheared = frame.periods_of(cell_hol)
     base = frame.periods()
     ec = eta(surface, frame, decomposition, ids)
     tc = ComplexScalar(t)

@@ -412,7 +412,7 @@ _SCALAR_RE = re.compile(
     \s*
     (?:(?P<sign>[+-])?\s*(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\))?
     \s*$""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

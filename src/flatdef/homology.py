@@ -198,6 +198,12 @@ class HomologyFrame:
 
     def periods(self) -> tuple[ComplexScalar, ...]:
         """Exact periods of the basis classes (the period map Phi)."""
+        return self.periods_of([self.cell_vector(c)
+                                for c in range(len(self.cells))])
+
+    def periods_of(self, cell_hol) -> tuple[ComplexScalar, ...]:
+        """Periods of the basis classes when cell c has holonomy
+        cell_hol[c], as after a deformation that keeps the cell structure."""
         ctx = self.surface.ctx
         out = []
         for chain in self.basis_chains:
@@ -205,7 +211,7 @@ class HomologyFrame:
             y = FieldScalar(0, 0, ctx)
             for c, coeff in enumerate(chain):
                 if coeff:
-                    v = self.cell_vector(c)
+                    v = cell_hol[c]
                     x = x + v.x * coeff
                     y = y + v.y * coeff
             out.append(ComplexScalar(x, y))

@@ -1,18 +1,24 @@
 """Exact linear algebra over Q(sqrt(d)) and its complexification.
 
-row_reduce works generically over anything with field arithmetic and an
-is_zero test (FieldScalar, ComplexScalar, plain Fraction via a shim), so
-real and complex span computations share one code path.
+Echelon is the one Gauss-Jordan elimination: an RREF basis grown one
+row at a time.  row_reduce adds every row to an Echelon and reads the
+nullspace off its pivots, and every span that grows (the tangent span,
+the twist space, independence checks) keeps an Echelon instead of
+re-reducing its generators.  Both work over anything with field
+arithmetic and an is_zero test (FieldScalar, ComplexScalar, plain
+Fraction via a shim), so real and complex spans share one code path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .field import QQ, FieldCtx, FieldScalar, unify_ctx
 
 __all__ = [
     "ComplexScalar",
+    "Echelon",
     "ExactMatrix",
     "row_reduce",
     "rational_relation_lattice",
@@ -135,6 +141,59 @@ def _zero_one_like(x):
     raise TypeError(f"unsupported scalar type {type(x)!r}")
 
 
+class Echelon:
+    """A reduced row echelon basis that grows one row at a time.
+
+    `rows` holds the nonzero RREF rows sorted by pivot column, each with
+    a one at its pivot and zeros at every other pivot; `pivots` holds
+    those columns.  RREF is unique, so the rows depend only on the span
+    of what was added, not on the order.  Read `rows` and `pivots`;
+    change them only through `add`.
+    """
+
+    __slots__ = ("ncols", "rows", "pivots")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> list:
+        """The row minus its part in the span: zero in every pivot column,
+        and all zero exactly when the row lies in the span."""
+        v = list(row)
+        if len(v) != self.ncols:
+            raise ValueError("ragged matrix")
+        for col, basis_row in zip(self.pivots, self.rows):
+            f = v[col]
+            if not _is_zero(f):
+                v = [x - f * y for x, y in zip(v, basis_row)]
+        return v
+
+    def add(self, row) -> bool:
+        """Add a row to the span; False when it already lay in it."""
+        v = self.reduce(row)
+        for col, lead in enumerate(v):
+            if not _is_zero(lead):
+                break
+        else:
+            return False
+        inv = 1 / lead
+        v = [x * inv for x in v]
+        for i, basis_row in enumerate(self.rows):
+            f = basis_row[col]
+            if not _is_zero(f):
+                self.rows[i] = [x - f * y for x, y in zip(basis_row, v)]
+        k = bisect_left(self.pivots, col)
+        self.pivots.insert(k, col)
+        self.rows.insert(k, v)
+        return True
+
+
 def row_reduce(rows, ncols=None):
     """Exact reduced row echelon form.
 
@@ -146,51 +205,34 @@ def row_reduce(rows, ncols=None):
     if isinstance(rows, ExactMatrix):
         ncols = rows.ncols
         rows = rows.rows
-    work = [list(r) for r in rows]
+    rows = list(rows)
     if ncols is None:
-        ncols = len(work[0]) if work else 0
-    for r in work:
+        ncols = len(rows[0]) if rows else 0
+    for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
     if ncols == 0:
         return 0, [], []
-    if not work:
+    if not rows:
         raise ValueError("row_reduce of a zero-row matrix needs at least one row")
 
-    zero, one = _zero_one_like(work[0][0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if not _is_zero(work[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not _is_zero(work[i][col]):
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
+    echelon = Echelon(ncols)
+    for r in rows:
+        echelon.add(r)
+        if echelon.rank == ncols:
             break
-    rowspace = work[:rank]
+    zero, one = _zero_one_like(rows[0][0])
     null_basis = []
-    pivot_set = set(pivots)
+    pivot_set = set(echelon.pivots)
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [zero] * ncols
         v[free] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - rowspace[r][free]
+        for row, pc in zip(echelon.rows, echelon.pivots):
+            v[pc] = zero - row[free]
         null_basis.append(v)
-    return rank, rowspace, null_basis
+    return echelon.rank, echelon.rows, null_basis
 
 
 class ExactMatrix:

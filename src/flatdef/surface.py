@@ -305,25 +305,35 @@ def validate(surface: TranslationSurface) -> SingularityData:
 
 
 def _parse_perm(perm, n: int) -> list[int]:
-    """Permutations as mapping lists (1-based values) or cycle tuples."""
+    """Permutations of 1..n as mapping lists (1-based values), dicts or
+    cycle tuples.
+
+    Every form must name entries in 1..n, none twice, and give a
+    permutation; anything else is a ValueError.
+    """
     if isinstance(perm, dict):
-        table = list(range(n))
-        for k, v in perm.items():
-            table[k - 1] = v - 1
-        return table
-    perm = list(perm)
-    if not perm:
-        return list(range(n))
-    if perm and isinstance(perm[0], (list, tuple)):
-        table = list(range(n))
-        for cyc in perm:
-            for i, a in enumerate(cyc):
-                b = cyc[(i + 1) % len(cyc)]
-                table[a - 1] = b - 1
-        return table
-    if sorted(perm) != list(range(1, n + 1)):
+        pairs = list(perm.items())
+    else:
+        perm = list(perm)
+        if perm and not isinstance(perm[0], (list, tuple)):
+            if sorted(perm) != list(range(1, n + 1)):
+                raise ValueError(f"not a permutation of 1..{n}: {perm}")
+            return [v - 1 for v in perm]
+        pairs = [(a, cyc[(i + 1) % len(cyc)])
+                 for cyc in perm for i, a in enumerate(cyc)]
+    table = list(range(n))
+    moved = set()
+    for a, b in pairs:
+        for x in (a, b):
+            if not isinstance(x, int) or not 1 <= x <= n:
+                raise ValueError(f"permutation entry {x!r} is not in 1..{n}")
+        if a in moved:
+            raise ValueError(f"permutation entry {a} appears twice")
+        moved.add(a)
+        table[a - 1] = b - 1
+    if sorted(table) != list(range(n)):
         raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    return [v - 1 for v in perm]
+    return table
 
 
 def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurface:

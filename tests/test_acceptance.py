@@ -20,7 +20,7 @@ from flatdef.deform import torus_closure, twist_space, verify_linearity
 from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, FieldScalar, Vec2, parse_scalar
 from flatdef.homology import homology_frame
-from flatdef.linalg import ComplexScalar, row_reduce
+from flatdef.linalg import ComplexScalar, Echelon, row_reduce
 from flatdef.search import enumerate_directions
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
@@ -249,32 +249,6 @@ def test_criterion_07_field_bounds():
     assert ok
 
 
-class _IncrementalRank:
-    """Rank of a growing set of rational vectors, one elimination pass
-    per candidate against the stored reduced rows."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []  # reduced rows with leading one, sorted by pivot
-
-    def add(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        for pivot, row in self.rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        for i, x in enumerate(v):
-            if x:
-                inv = 1 / x
-                self.rows.append((i, [a * inv for a in v]))
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def _brute_force_relation_dim(values, bound=20):
     """Dimension of the relations found by enumerating every integer
     vector with entries in [-bound, bound] (meet-in-the-middle over the
@@ -299,7 +273,7 @@ def _brute_force_relation_dim(values, bound=20):
             sa += q * a
             sb += q * b
         table.setdefault(sa * pack + sb, []).append(combo)
-    tracker = _IncrementalRank(r)
+    tracker = Echelon(r)
     max_rank = r - 1  # positive values admit no single-slot relation
     for combo in itertools.product(span, repeat=len(right)):
         sa = sb = 0
@@ -312,7 +286,7 @@ def _brute_force_relation_dim(values, bound=20):
         for lcombo in hits:
             q = lcombo + combo
             if any(q):
-                tracker.add(q)
+                tracker.add([Fraction(x) for x in q])
         if tracker.rank >= max_rank:
             return tracker.rank
     return tracker.rank

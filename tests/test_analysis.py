@@ -13,7 +13,7 @@ from flatdef.deform import deform_from_periods
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.homology import homology_frame
-from flatdef.linalg import ComplexScalar
+from flatdef.linalg import ComplexScalar, row_reduce
 from flatdef.surface import l_shape
 from flatdef.search import enumerate_directions
 
@@ -66,6 +66,25 @@ class TestTangentSpan:
                 dims.add(span.dim())
                 pdims.add(span.p_dim())
             assert len(dims) == 1 and len(pdims) == 1
+
+    def test_echelon_matches_row_reduce(self, l_origami, golden_l):
+        # the span's echelon bases against the old definition: one
+        # row_reduce over every generator, after each added direction
+        dirs = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(2, 1), Vec2(1, -2)]
+        for surf in (l_origami, golden_l):
+            f = homology_frame(surf)
+            span = accumulate_tangent(surf, f, [])
+            for d in dirs:
+                span.add_certified(surf, decompose(surf, d, frame=f))
+                full = [list(gen.values) for gen, _ in span.generators]
+                proj = [list(f.project_absolute(gen))
+                        for gen, _ in span.generators]
+                rank, rref, _ = row_reduce(full, ncols=f.m)
+                assert span.dim() == rank
+                assert span.basis() == rref
+                assert span.p_dim() == row_reduce(proj,
+                                                  ncols=2 * f.genus)[0]
+            assert len(span.generators) == 1 + len(dirs)
 
     def test_partial_directions_quarantined(self, golden_l):
         f = homology_frame(golden_l)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -273,6 +274,45 @@ class TestVerifyLinearity:
             for cyl in d.cylinders:
                 assert verify_linearity(surf, f, d, Fraction(2, 7),
                                         ids=[cyl.cyl_id])
+
+
+def _nonempty_subsets(ids):
+    return [set(c) for k in range(1, len(ids) + 1)
+            for c in itertools.combinations(ids, k)]
+
+
+class TestLinearityLaw:
+    """The cylinder-deformation theorem's invariants on every cylinder
+    subset, not on chosen fixtures: the shear of any subset moves the
+    periods by exactly t * eta of that subset, and eta is additive over
+    disjoint subsets."""
+
+    DIRECTIONS = ((1, 0), (0, 1), (1, 1))
+
+    def _cases(self, l_origami, golden_l):
+        for surf in ORIGAMIS + [l_origami, golden_l]:
+            f = homology_frame(surf)
+            for v in self.DIRECTIONS:
+                d = decompose(surf, Vec2(*v), frame=f)
+                assert d.is_periodic
+                yield surf, f, d, [cyl.cyl_id for cyl in d.cylinders]
+
+    def test_every_subset(self, l_origami, golden_l):
+        checked = 0
+        for surf, f, d, ids in self._cases(l_origami, golden_l):
+            for subset in _nonempty_subsets(ids):
+                assert verify_linearity(surf, f, d, Fraction(-2, 7),
+                                        ids=subset)
+                checked += 1
+        assert checked == 88
+
+    def test_eta_additive(self, l_origami, golden_l):
+        for surf, f, d, ids in self._cases(l_origami, golden_l):
+            for union in _nonempty_subsets(ids):
+                for part in _nonempty_subsets(sorted(union))[:-1]:
+                    rest = union - part
+                    assert eta(surf, f, d, union) == \
+                        eta(surf, f, d, part) + eta(surf, f, d, rest)
 
 
 class TestSpaces:

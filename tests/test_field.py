@@ -276,6 +276,16 @@ class TestParse:
         with pytest.raises(ValueError, match="cannot parse scalar"):
             parse_scalar(text)
 
+    # Arabic-Indic three, fullwidth three over Arabic-Indic four, and a
+    # non-ASCII digit inside sqrt(): the grammar is ASCII [0-9] only, as
+    # in surface files
+    @pytest.mark.parametrize("text", [
+        "\u0663", "\uff13/\u0664", "1+1*sqrt(\u0665)", "\u00a03",
+    ])
+    def test_rejects_non_ascii(self, text):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
+            parse_scalar(text)
+
     def test_rejects_non_square_free(self):
         with pytest.raises(ValueError):
             FieldCtx.get(4)

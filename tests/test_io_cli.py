@@ -259,6 +259,31 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == f"InternalError: {exc.__name__}: forced\n"
 
+    # bad cycles exit 1 as input errors, never 2: entries outside
+    # 1..squares, an entry twice in one cycle or across cycles, and
+    # non-ASCII digits
+    @pytest.mark.parametrize("right, up", [
+        ("(1 2)", "(2 3)"), ("(1 2 2)", "()"), ("(1 2)(2 3)", "()"),
+        ("(0 1)", "()"), ("(\u0661 2)", "()"),
+    ])
+    def test_make_origami_bad_cycles_exit_1(self, tmp_path, capsys, right,
+                                            up):
+        out = tmp_path / "x.json"
+        assert main(["make-origami", "--squares", "2", "--right", right,
+                     "--up", up, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("InputError: permutation entry",
+                               "InputError: not a permutation",
+                               "FlatdefError: bad cycle"))
+        assert not out.exists()
+
+    def test_non_ascii_direction_exit_1(self, cli_surfaces, capsys):
+        _, lori, _ = cli_surfaces
+        assert main(["decompose", str(lori), "--direction",
+                     "\u0663,1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "InputError: cannot parse scalar")
+
     def test_make_origami_not_connected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["make-origami", "--squares", "2", "--right", "()",

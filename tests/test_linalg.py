@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdef.field import FieldCtx, FieldScalar
 from flatdef.intmat import det_int, hermite_form, integer_kernel, smith_form
 from flatdef.linalg import (
     ComplexScalar,
+    Echelon,
     ExactMatrix,
     rational_relation_lattice,
     row_reduce,
@@ -97,6 +99,75 @@ class TestRowReduce:
         m = ExactMatrix([[1, 2], [3, 4]])
         assert m.rank() == 2
         assert m.ctx.d == 0
+
+
+def _random_rows(rng, n, m):
+    """Small Q(sqrt5) rows, often dependent: zeros, repeats and sums."""
+    def entry():
+        if rng.random() < 0.3:
+            return FieldScalar(0, 0, Q5)
+        return FieldScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                           rng.choice((0, 0, 1, -1)), Q5)
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    for i in range(1, n):
+        if rng.random() < 0.3:
+            j = rng.randrange(i)
+            rows[i] = [x + y * 2 for x, y in zip(rows[i - 1], rows[j])]
+    return rows
+
+
+class TestEchelon:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**4))
+    @settings(max_examples=80, deadline=None)
+    def test_against_minor_rank(self, n, m, seed):
+        rng = random.Random(seed)
+        rows = _random_rows(rng, n, m)
+        ech = Echelon(m)
+        for k, row in enumerate(rows):
+            before = ech.rank
+            grew = ech.add(row)
+            # add grows the rank exactly when the row is new to the span
+            assert ech.rank == before + grew
+            assert ech.rank == minor_rank(rows[:k + 1], m)
+            for seen in rows[:k + 1]:
+                assert all(x.is_zero() for x in ech.reduce(seen))
+        # RREF: strictly increasing pivots, each a one, zero in every
+        # other basis row, nothing left of it
+        assert ech.pivots == sorted(set(ech.pivots))
+        assert len(ech.pivots) == ech.rank == len(ech.rows)
+        for i, (col, row) in enumerate(zip(ech.pivots, ech.rows)):
+            assert row[col] == 1
+            assert all(x.is_zero() for x in row[:col])
+            for j, other in enumerate(ech.rows):
+                if j != i:
+                    assert other[col].is_zero()
+        # row_reduce is the same elimination, read off at the end
+        rank, rref, _ = row_reduce(rows, ncols=m)
+        assert (rank, rref) == (ech.rank, ech.rows)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**4))
+    @settings(max_examples=40, deadline=None)
+    def test_order_free(self, n, m, seed):
+        # RREF is unique, so the rows depend only on the span
+        rng = random.Random(seed)
+        rows = _random_rows(rng, n, m)
+        forward, backward = Echelon(m), Echelon(m)
+        for row in rows:
+            forward.add(row)
+        for row in reversed(rows):
+            backward.add(row)
+        assert forward.rows == backward.rows
+
+    def test_reduce_leaves_the_new_part(self):
+        ech = Echelon(3)
+        assert ech.add(fr(1, 2, 0))
+        assert not ech.add(fr(2, 4, 0))
+        assert ech.reduce(fr(3, 1, 5)) == fr(0, -5, 5)
+        assert ech.rank == 1
+
+    def test_ragged_row(self):
+        with pytest.raises(ValueError):
+            Echelon(2).add(fr(1, 2, 3))
 
 
 class TestRelationLattice:

@@ -94,6 +94,25 @@ class TestConstructors:
         with pytest.raises(NotConnected):
             square_tiled([], [], n=2)
 
+    @pytest.mark.parametrize("h", [
+        [(1, 2), (2, 3)],        # 3 lies outside 1..2
+        [(1, 2, 2)],             # 2 twice in one cycle
+        [(1, 2), (2, 1)],        # 1 and 2 twice across cycles
+        [(0, 1)],                # 0 is not a square
+        {1: 2},                  # 2 -> 2 as well: not a bijection
+        {1: 3},
+        [2, 2],                  # mapping list that is no permutation
+    ])
+    def test_origami_bad_permutation(self, h):
+        with pytest.raises(ValueError, match="permutation"):
+            square_tiled(h, [], n=2)
+
+    def test_origami_dict_and_cycle_forms_agree(self):
+        a = square_tiled([(1, 2)], [(1, 3)], n=3)
+        b = square_tiled({1: 2, 2: 1}, {1: 3, 3: 1}, n=3)
+        c = square_tiled([2, 1, 3], [3, 2, 1], n=3)
+        assert a == b == c
+
     def test_l_shape_bad_lengths(self):
         with pytest.raises(NonPositiveLength):
             l_shape(1, 1, 0, 1)
