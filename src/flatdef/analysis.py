@@ -187,23 +187,20 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
     if frame is None:
         frame = homology_frame(surface)
     directions = enumerate_directions(surface, radius_sq)
-
-    def work(d):
+    counts = {PERIODIC: 0, HAS_UNCERTIFIED: 0, NO_CYLINDER: 0}
+    entries = []
+    offenders = []
+    decompositions = {}
+    for d in directions:
         dec = decompose(surface, d, trace_factor=trace_factor,
                         trace_length=trace_length, frame=frame)
+        decompositions[d] = dec
         if dec.status == PERIODIC:
             kind = PERIODIC
         elif dec.cylinders:
             kind = HAS_UNCERTIFIED
         else:
             kind = NO_CYLINDER
-        return d, kind, dec
-
-    rows = [work(d) for d in directions]
-    counts = {PERIODIC: 0, HAS_UNCERTIFIED: 0, NO_CYLINDER: 0}
-    entries = []
-    offenders = []
-    for d, kind, dec in rows:
         counts[kind] += 1
         entries.append({
             "direction": [str(d.vector.x), str(d.vector.y)],
@@ -219,7 +216,7 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
         "entries": entries,
         "offending_directions": [[str(d.vector.x), str(d.vector.y)]
                                  for d in offenders],
-        "decompositions": {d: dec for d, _, dec in rows},
+        "decompositions": decompositions,
     }
 
 

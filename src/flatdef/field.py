@@ -16,10 +16,12 @@ scalar is kept in lowest terms:
 Since (A, B, D) is then unique for each field element, equality within
 one field is equality of the triples, and sign tests need only A, B and
 d.  All arithmetic results come from the private constructor `_new`,
-which restores these invariants with integer operations only; the
-public constructor is the one place that accepts int, Fraction or any
-other value `Fraction()` takes.  The Fraction views `.a` and `.b` exist
-for the public API (serialization, rational relations, tests).  Text
+which restores these invariants with integer operations only.  The
+public constructor takes int and Fraction only and raises TypeError for
+anything else (a float, a str, a Decimal), so no inexact or unparsed
+value becomes a scalar silently; text goes through `parse_scalar`.  The
+Fraction views `.a` and `.b` exist for the public API (serialization,
+rational relations, tests).  Text
 form and hash are those of the pair (a, b) in lowest terms, so they do
 not depend on the representation.
 """
@@ -151,8 +153,10 @@ class FieldScalar:
         if type(a) is int and type(b) is int:
             A, B, D = a, b, 1
         else:
-            a = Fraction(a)
-            b = Fraction(b)
+            for x in (a, b):
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"scalars are exact: expected int or "
+                                    f"Fraction, got {type(x).__name__} {x!r}")
             da, db = a.denominator, b.denominator
             A, B, D = a.numerator * db, b.numerator * da, da * db
             g = gcd(A, B, D)

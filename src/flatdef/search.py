@@ -7,12 +7,28 @@ narrowed as it propagates, and a branch is pruned once every point of
 its window lies beyond the bound.  Every saddle connection of length
 at most R is the straight segment from the origin to a triangle vertex
 seen through some chain of windows, so the enumeration is complete.
+
+The search runs on integers.  Every point it develops is a sum of
+differences of surface vertices.  With d the field of the surface and
+the bound, and D the lcm of the denominators of all vertex coordinates,
+each such point is ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D) for
+integers xa, xb, ya, yb, kept as the tuple (xa, xb, ya, yb); these
+points are closed under the sums and differences the search takes.
+Crosses, dots and their products are computed in Z[sqrt(d)] and their
+signs decided by `field._sign`.  Each predicate is homogeneous in the
+coordinates, so scaling every point by D > 0 changes no sign and no
+decision; a comparison with the bound R^2 = (RA + RB*sqrt(d))/Rd
+carries the scale, |P|^2 <= R^2 becoming
+Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2.  Only a connection that is found is
+built back into field scalars.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2
+from .field import FieldScalar, Vec2, _new, _sign, unify_ctx
 from .polygon import ear_clip
 from .surface import TranslationSurface
 
@@ -74,38 +90,129 @@ class Triangulated:
         return self.surface.vertex_class_map()[(p, tri[k])]
 
 
-def _window_within(w1: Vec2, w2: Vec2, a: Vec2, b: Vec2,
-                   bound_sq: FieldScalar) -> bool:
+# -- the lattice form -----------------------------------------------------
+#
+# A point is a tuple (xa, xb, ya, yb) of integers, meaning
+# ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D) for the search's common
+# denominator D; an element of Z[sqrt(d)] is a pair (A, B), A + B*sqrt(d).
+
+def _cross(p, q, d):
+    """p x q as a pair (A, B)."""
+    pxa, pxb, pya, pyb = p
+    qxa, qxb, qya, qyb = q
+    return (pxa * qya - pya * qxa + d * (pxb * qyb - pyb * qxb),
+            pxa * qyb + pxb * qya - pya * qxb - pyb * qxa)
+
+
+def _dot(p, q, d):
+    """p . q as a pair (A, B)."""
+    pxa, pxb, pya, pyb = p
+    qxa, qxb, qya, qyb = q
+    return (pxa * qxa + pya * qya + d * (pxb * qxb + pyb * qyb),
+            pxa * qxb + pxb * qxa + pya * qyb + pyb * qya)
+
+
+def _norm(p, d):
+    """|p|^2 as a pair (A, B)."""
+    xa, xb, ya, yb = p
+    return xa * xa + ya * ya + d * (xb * xb + yb * yb), 2 * (xa * xb + ya * yb)
+
+
+def _mul(s, t, d):
+    """The product of two pairs."""
+    return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
+
+
+def _add(p, q):
+    return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
+
+
+def _sub(p, q):
+    return p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
+
+
+class _Lattice:
+    """The integer form of one search: its points over one denominator D,
+    and the bound R^2 = (RA + RB*sqrt(d))/Rd.
+
+    `points` are the vertices the search develops from; their field and
+    the bound's must agree (ValueError otherwise, as in arithmetic).
+    """
+
+    __slots__ = ("ctx", "d", "D", "Rd", "RA_D2", "RB_D2")
+
+    def __init__(self, points, bound_sq: FieldScalar):
+        scalars = [s for v in points for s in (v.x, v.y)]
+        ctx = unify_ctx(*scalars)
+        if ctx.d:
+            bound_sq = bound_sq.with_ctx(ctx)  # ValueError for another field
+        self.ctx = ctx
+        self.d = bound_sq.ctx.d if bound_sq._B else ctx.d
+        self.D = D = lcm(*(s._D for s in scalars))
+        # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
+        # scaled point DP, so the bound side carries D^2
+        self.Rd = bound_sq._D
+        self.RA_D2 = bound_sq._A * D * D
+        self.RB_D2 = bound_sq._B * D * D
+
+    def point(self, v: Vec2):
+        D = self.D
+        x, y = v.x, v.y
+        kx, ky = D // x._D, D // y._D
+        return x._A * kx, x._B * kx, y._A * ky, y._B * ky
+
+    def vec2(self, p) -> Vec2:
+        xa, xb, ya, yb = p
+        D, ctx = self.D, self.ctx
+        return Vec2(_new(xa, xb, D, ctx), _new(ya, yb, D, ctx))
+
+    def within(self, num, den=(1, 0)) -> bool:
+        """Whether a scaled squared length num/den (D^2 times the true
+        one, den > 0) is within the bound:
+        Rd*num <= (RA + RB*sqrt(d))*D^2*den."""
+        RA, RB, Rd, d = self.RA_D2, self.RB_D2, self.Rd, self.d
+        dA, dB = den
+        return _sign(RA * dA + d * RB * dB - Rd * num[0],
+                     RA * dB + RB * dA - Rd * num[1], d) >= 0
+
+
+def _window_within(w1, w2, a, b, lat: _Lattice) -> bool:
     """Whether segment ab meets the open cone spanned ccw from ray w1 to
     ray w2 (angle < pi) in a window with a point within the bound.
 
-    Point a + s*d of the segment, d = b - a, lies on the side
-    w x (a + s*d) of ray w's line, so the line crosses the closed
-    segment at s = (w x a) / (w x a - w x b) when the two signs straddle
-    or touch zero, and the crossing is on the ray (at t*w, t > 0) when
-    t = (a x b) / (w x d) is positive.  Each end of the window is a
-    segment endpoint or such a crossing; two crossings are ordered by
-    cross-multiplying their s.  The point of the window nearest the
-    origin is an end, or the foot of the perpendicular from the origin
-    when the window runs past it; a crossing end is within the bound
-    when (a x b)^2 |w|^2 <= R^2 (w x d)^2, and the foot when
-    (a x b)^2 <= R^2 |d|^2.  Nothing is divided.
+    All four points are in `lat`'s integer form.  Point a + s*d of the
+    segment, d = b - a, lies on the side w x (a + s*d) of ray w's line,
+    so the line crosses the closed segment at s = (w x a) / (w x a -
+    w x b) when the two signs straddle or touch zero, and the crossing
+    is on the ray (at t*w, t > 0) when t = (a x b) / (w x d) is
+    positive.  Each end of the window is a segment endpoint or such a
+    crossing; two crossings are ordered by cross-multiplying their s.
+    The point of the window nearest the origin is an end, or the foot
+    of the perpendicular from the origin when the window runs past it;
+    a crossing end is within the bound when (a x b)^2 |w|^2 <=
+    R^2 (w x d)^2, and the foot when (a x b)^2 <= R^2 |d|^2.  Nothing
+    is divided, and every test is homogeneous in the coordinates, so
+    the common scale D of the integer form changes no sign.
     """
-    f1a, f1b, f2a, f2b = w1.cross(a), w1.cross(b), w2.cross(a), w2.cross(b)
-    in_a = f1a.sign() > 0 and f2a.sign() < 0
-    in_b = f1b.sign() > 0 and f2b.sign() < 0
-    ab = a.cross(b)
+    d = lat.d
+    f1a, f1b, f2a, f2b = (_cross(w1, a, d), _cross(w1, b, d),
+                          _cross(w2, a, d), _cross(w2, b, d))
+    s1a, s1b = _sign(*f1a, d), _sign(*f1b, d)
+    s2a, s2b = _sign(*f2a, d), _sign(*f2b, d)
+    in_a = s1a > 0 and s2a < 0
+    in_b = s1b > 0 and s2b < 0
+    ab = _cross(a, b, d)
     lo = hi = None  # an end on a cone ray, as (ray, w x a, w x a - w x b)
     if not (in_a and in_b):
-        ab_sign = ab.sign()
+        ab_sign = _sign(*ab, d)
         crossings = []
-        for w, fa, fb in ((w1, f1a, f1b), (w2, f2a, f2b)):
-            sa, sb = fa.sign(), fb.sign()
+        for w, fa, fb, sa, sb in ((w1, f1a, f1b, s1a, s1b),
+                                  (w2, f2a, f2b, s2a, s2b)):
             # the line misses the closed segment or runs parallel to it,
             # or the crossing lies behind the apex
             if sa == sb or ab_sign != (1 if sb > sa else -1):
                 continue
-            crossings.append((w, fa, fa - fb))
+            crossings.append((w, fa, (fa[0] - fb[0], fa[1] - fb[1])))
         if not crossings:
             if in_b:
                 raise InternalInvariantError("window clip lost an endpoint")
@@ -113,7 +220,9 @@ def _window_within(w1: Vec2, w2: Vec2, a: Vec2, b: Vec2,
         first = last = crossings[-1]
         if len(crossings) == 2:
             (_, n1, d1), (_, n2, d2) = crossings
-            order = (n1 * d2 - n2 * d1).sign() * d1.sign() * d2.sign()
+            x, y = _mul(n1, d2, d), _mul(n2, d1, d)
+            order = (_sign(x[0] - y[0], x[1] - y[1], d)
+                     * _sign(*d1, d) * _sign(*d2, d))
             if order < 0:
                 first = crossings[0]
             elif order > 0:
@@ -122,22 +231,23 @@ def _window_within(w1: Vec2, w2: Vec2, a: Vec2, b: Vec2,
         hi = None if in_b else last
         if lo is hi:
             return False  # the window shrank to one point
-    d = b - a
-    if (a if lo is None else lo[0]).dot(d).sign() >= 0:
-        return _end_within(lo, a, ab, bound_sq)
-    if (b if hi is None else hi[0]).dot(d).sign() <= 0:
-        return _end_within(hi, b, ab, bound_sq)
-    return (ab * ab - bound_sq * d.norm_sq()).sign() <= 0
+    dv = _sub(b, a)
+    if _sign(*_dot(a if lo is None else lo[0], dv, d), d) >= 0:
+        return _end_within(lo, a, ab, lat)
+    if _sign(*_dot(b if hi is None else hi[0], dv, d), d) <= 0:
+        return _end_within(hi, b, ab, lat)
+    return lat.within(_mul(ab, ab, d), _norm(dv, d))
 
 
-def _end_within(end, endpoint: Vec2, ab: FieldScalar,
-                bound_sq: FieldScalar) -> bool:
+def _end_within(end, endpoint, ab, lat: _Lattice) -> bool:
     """Whether a window end lies within the bound: `endpoint` itself when
     `end` is None, else the crossing (w, _, w x a - w x b) of ray w."""
+    d = lat.d
     if end is None:
-        return (endpoint.norm_sq() - bound_sq).sign() <= 0
+        return lat.within(_norm(endpoint, d))
     w, _, den = end
-    return (ab * ab * w.norm_sq() - bound_sq * den * den).sign() <= 0
+    return lat.within(_mul(_mul(ab, ab, d), _norm(w, d), d),
+                      _mul(den, den, d))
 
 
 class FoundConnection:
@@ -154,35 +264,48 @@ def enumerate_saddle_connections(surface: TranslationSurface,
     """All saddle connections with |holonomy|^2 <= bound_sq.
 
     Connections are reported from both endpoints (with opposite
-    holonomies); callers deduplicate as needed.
+    holonomies); callers deduplicate as needed.  `bound_sq` is an int,
+    a Fraction or a FieldScalar of the surface's field (or rational).
     """
     if not isinstance(bound_sq, FieldScalar):
         bound_sq = FieldScalar(bound_sq)
     surface.singularities()
     tri = Triangulated(surface)
+    n = len(tri.triangles)
+    coords = [[tri.vertex_coords(t, k) for k in range(3)] for t in range(n)]
+    lat = _Lattice([v for vs in coords for v in vs], bound_sq)
+    verts = [[lat.point(v) for v in vs] for vs in coords]
+    # spokes[t][k]: from vertex k of triangle t to the vertex before it,
+    # the apex when t is developed across its edge k
+    spokes = [[_sub(vs[(k + 2) % 3], vs[k]) for k in range(3)]
+              for vs in verts]
+    classes = [[tri.vertex_class(t, k) for k in range(3)] for t in range(n)]
+    glue = [[tri.gluing[(t, k)] for k in range(3)] for t in range(n)]
     found = []
     for t_id, k in tri.corners():
-        _search_from_corner(tri, t_id, k, bound_sq, found)
+        _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found)
     return found
 
 
-def _search_from_corner(tri, t_id, k, bound_sq, found):
-    origin = tri.vertex_coords(t_id, k)
-    start_class = tri.vertex_class(t_id, k)
+def _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found):
+    d = lat.d
+    origin = verts[t_id][k]
+    start_class = classes[t_id][k]
     k1 = (k + 1) % 3
     k2 = (k + 2) % 3
-    b = tri.vertex_coords(t_id, k1) - origin
-    c = tri.vertex_coords(t_id, k2) - origin
+    b = _sub(verts[t_id][k1], origin)
+    c = _sub(verts[t_id][k2], origin)
     # the outgoing triangle edge is this corner's germ; the other corner
     # ray belongs to the neighboring corner and is recorded there
-    if (b.norm_sq() - bound_sq).sign() <= 0:
-        found.append(FoundConnection(b, start_class, tri.vertex_class(t_id, k1)))
+    if lat.within(_norm(b, d)):
+        found.append(FoundConnection(lat.vec2(b), start_class,
+                                     classes[t_id][k1]))
     # state: (glued side, cone rays, full edge segment as the pushing
     # triangle traverses it); a state is pushed only when its window is
     # not empty and not wholly beyond the bound
     stack = []
-    if _window_within(b, c, b, c, bound_sq):
-        stack.append((tri.gluing[(t_id, k1)], b, c, b, c))
+    if _window_within(b, c, b, c, lat):
+        stack.append((glue[t_id][k1], b, c, b, c))
     guard = 0
     while stack:
         guard += 1
@@ -190,17 +313,16 @@ def _search_from_corner(tri, t_id, k, bound_sq, found):
             raise InternalInvariantError("saddle-connection search runaway")
         (nt, nk), w1, w2, seg_a, seg_b = stack.pop()
         # develop triangle nt across its edge nk: its vertices nk and
-        # nk+1 sit at seg_b and seg_a (opposite orientation)
-        local = [tri.vertex_coords(nt, i) for i in range(3)]
-        # translation tau with local[nk] + tau = seg_b
-        tau = seg_b - local[nk]
-        apex_idx = (nk + 2) % 3
-        apex = local[apex_idx] + tau
+        # nk+1 sit at seg_b and seg_a (opposite orientation), so the
+        # translation tau = seg_b - verts[nt][nk] puts its apex at
+        # seg_b + spokes[nt][nk]
+        apex = _add(seg_b, spokes[nt][nk])
         # far edges of nt: (nk+1) runs seg_a -> apex, (nk+2) runs apex -> seg_b
-        if w1.cross(apex).sign() > 0 and apex.cross(w2).sign() > 0:
-            if (apex.norm_sq() - bound_sq).sign() <= 0:
+        if (_sign(*_cross(w1, apex, d), d) > 0
+                and _sign(*_cross(apex, w2, d), d) > 0):
+            if lat.within(_norm(apex, d)):
                 found.append(FoundConnection(
-                    apex, start_class, tri.vertex_class(nt, apex_idx)))
+                    lat.vec2(apex), start_class, classes[nt][(nk + 2) % 3]))
             splits = (
                 ((nk + 1) % 3, (seg_a, apex), (w1, apex)),
                 ((nk + 2) % 3, (apex, seg_b), (apex, w2)),
@@ -212,8 +334,8 @@ def _search_from_corner(tri, t_id, k, bound_sq, found):
                 ((nk + 2) % 3, (apex, seg_b), (w1, w2)),
             )
         for edge_k, (ea, eb), (nw1, nw2) in splits:
-            if _window_within(nw1, nw2, ea, eb, bound_sq):
-                stack.append((tri.gluing[(nt, edge_k)], nw1, nw2, ea, eb))
+            if _window_within(nw1, nw2, ea, eb, lat):
+                stack.append((glue[nt][edge_k], nw1, nw2, ea, eb))
 
 
 def enumerate_directions(surface: TranslationSurface, bound_sq):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -311,6 +312,41 @@ class TestCtx:
     def test_d_zero_with_irrational_part_raises(self):
         with pytest.raises(ValueError):
             FieldScalar(1, 1, QQ)
+
+
+# values Fraction() would take but that are not exact rationals here: a
+# float would silently become its binary expansion (0.1 is
+# 3602879701896397/36028797018963968), a str or a Decimal would bypass
+# parse_scalar
+INEXACT = [0.1, 2.0, float("inf"), "1/2", "0.1", Decimal("0.1"), None]
+
+
+class TestExactInput:
+    @pytest.mark.parametrize("x", INEXACT)
+    def test_scalar_rejects(self, x):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            FieldScalar(x)
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            FieldScalar(1, x, Q5)
+        with pytest.raises(TypeError):
+            Q5.scalar(1, x)
+
+    @pytest.mark.parametrize("x", INEXACT)
+    def test_vectors_and_matrices_inherit(self, x):
+        with pytest.raises(TypeError):
+            Vec2(x, 1)
+        with pytest.raises(TypeError):
+            Vec2(0, x)
+        with pytest.raises(TypeError):
+            Mat2(1, x, 0, 1)
+        with pytest.raises(TypeError):
+            Mat2.shear(x)
+
+    def test_exact_values_accepted(self):
+        assert FieldScalar(Fraction(1, 10)) == parse_scalar("1/10")
+        assert FieldScalar(True) == FieldScalar(1)
+        assert FieldScalar(3, Fraction(1, 2), Q5) == s5(3, Fraction(1, 2))
+        assert Q5.scalar("1/2+3*sqrt(5)") == s5(Fraction(1, 2), 3)
 
 
 class TestVecMat:

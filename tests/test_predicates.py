@@ -1,14 +1,16 @@
 """Differential tests of the slab ray-exit lookup and the window predicate.
 
 `tracing._SlabTable.exit` finds where a ray along an axis leaves a
-polygon by a search on its height, and `search._window_within` compares
-candidates by cross-multiplication and divides only for the winner.  The
-references below are the versions that divided for every candidate:
-`ref_exit_ray` computed t and s for each edge and kept the nearest hit,
-and the search clipped each window to exact intersection points
-(`ref_clip_window`) and then measured the clipped segment's distance
-from the origin (`ref_beyond`).  Both sides must agree exactly: the same
-values, labels and tie-breaks, or the same `InternalInvariantError`.
+polygon by a search on its height, and `search._window_within` decides
+a window by cross-multiplication alone, on the integer lattice form of
+its points (each Vec2 case is converted by the search's own
+`search._Lattice`).  The references below are the versions that
+divided for every candidate: `ref_exit_ray` computed t and s for each
+edge and kept the nearest hit, and the search clipped each window to
+exact intersection points (`ref_clip_window`) and then measured the
+clipped segment's distance from the origin (`ref_beyond`).  Both sides
+must agree exactly: the same values, labels and tie-breaks, or the same
+`InternalInvariantError`.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.polygon import vertex_positions
-from flatdef.search import _window_within
+from flatdef.search import _Lattice, _window_within
 from flatdef.surface import square_tiled
 from flatdef.tracing import _SlabTable, _axis, _split, trace_from_corner
 
@@ -144,6 +146,12 @@ def ref_clip_window(w1, w2, a, b):
 def ref_window_within(w1, w2, a, b, bound_sq):
     clipped = ref_clip_window(w1, w2, a, b)
     return clipped is not None and not ref_beyond(*clipped, bound_sq)
+
+
+def lattice_window_within(w1, w2, a, b, bound_sq):
+    """`_window_within` on a Vec2 case, in the search's lattice form."""
+    lat = _Lattice((w1, w2, a, b), bound_sq)
+    return _window_within(*(lat.point(v) for v in (w1, w2, a, b)), lat)
 
 
 def outcome(fn, *args):
@@ -392,7 +400,7 @@ class TestWindow:
     @settings(max_examples=200, deadline=None)
     @given(windows())
     def test_matches_reference(self, case):
-        assert outcome(_window_within, *case) == \
+        assert outcome(lattice_window_within, *case) == \
             outcome(ref_window_within, *case)
 
     @pytest.mark.parametrize("a, b, bound_sq, expected", [
@@ -414,13 +422,13 @@ class TestWindow:
     def test_examples(self, a, b, bound_sq, expected):
         case = (Vec2(1, 0), Vec2(0, 1), Vec2(*a), Vec2(*b),
                 FieldScalar(bound_sq))
-        assert _window_within(*case) is expected
+        assert lattice_window_within(*case) is expected
         assert ref_window_within(*case) is expected
 
     @pytest.mark.parametrize("a", [(0, 0), (-1, -1)])
     def test_segment_through_apex_raises_like_reference(self, a):
         case = (Vec2(1, 0), Vec2(0, 1), Vec2(*a), Vec2(1, 1), FieldScalar(9))
-        assert outcome(_window_within, *case) == \
+        assert outcome(lattice_window_within, *case) == \
             ("error", "window clip lost an endpoint")
         assert outcome(ref_window_within, *case) == \
             ("error", "window clip lost an endpoint")

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -118,6 +119,11 @@ class TestConstructors:
             l_shape(1, 1, 0, 1)
         with pytest.raises(NonPositiveLength):
             l_shape(1, 1, 1, 1)  # needs w2 < w1
+
+    @pytest.mark.parametrize("x", [1.5, "1", Decimal("1.5")])
+    def test_l_shape_rejects_inexact_lengths(self, x):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            l_shape(2, x, 1, 1)
 
     def test_golden_area_identity(self):
         # phi^2 = phi + 1 forces area phi + (phi-1) = 2 phi - 1 = sqrt 5
