@@ -5,35 +5,50 @@ translations matches them.  Both are retriangulated to Delaunay by exact
 incircle flips; gluing co-circular neighbors yields the canonical
 Delaunay cell complex, which is then matched cell by cell over all
 anchors (exponential worst case, fine at desk scale).
+
+Flipping runs on the integer lattice form of the saddle-connection
+search (`search._Lattice`): with D the lcm of the denominators of all
+vertex coordinates, every edge vector is four ints (xa, xb, ya, yb)
+meaning ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D).  A flip takes only
+differences of edge vectors, so the form is closed under flips, and the
+incircle determinant is homogeneous of degree 4, so the scale D changes
+no sign.  Only the edges of the cells returned are built back into
+field scalars.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2
-from .search import Triangulated
+from .field import _sign
+from .search import Triangulated, _Lattice, _add, _cross, _mul, _norm, _sub
 from .surface import TranslationSurface
 
 __all__ = ["translation_equivalent", "delaunay_cells"]
 
 MAX_FLIPS = 100_000
 
+_ORIGIN = (0, 0, 0, 0)
+
 
 class _Tri:
     """Triangulated surface with edge-vector triangles and gluings.
 
     Built from the saddle-connection search's triangulation; the gluing
-    is a copy because flips rewrite it.
+    is a copy because flips rewrite it.  Edge vectors are in the integer
+    form of `lat`.
     """
 
     def __init__(self, surface: TranslationSurface):
         base = Triangulated(surface)
-        self.edges = []    # edges[t] = [Vec2, Vec2, Vec2] summing to zero
+        verts = [surface.vertices(p) for p in range(len(surface.polygons))]
+        self.lat = lat = _Lattice([v for vs in verts for v in vs])
+        points = [[lat.point(v) for v in vs] for vs in verts]
+        self.edges = []    # edges[t] = [e0, e1, e2] summing to zero
         for p, (i0, i1, i2) in base.triangles:
-            verts = surface.vertices(p)
-            self.edges.append([verts[i1] - verts[i0],
-                               verts[i2] - verts[i1],
-                               verts[i0] - verts[i2]])
+            pts = points[p]
+            self.edges.append([_sub(pts[i1], pts[i0]),
+                               _sub(pts[i2], pts[i1]),
+                               _sub(pts[i0], pts[i2])])
         self.gluing = dict(base.gluing)
 
     def hinge(self, t1, k1):
@@ -49,15 +64,11 @@ class _Tri:
         if t2 == t1:
             raise InternalInvariantError("self-glued triangle side")
         e = self.edges[t1][k1]
-        zero = FieldScalar(0, 0, e.ctx)
-        p = Vec2(zero, zero)
-        q = e
-        u = self.edges[t1][(k1 + 1) % 3]
-        apex1 = Vec2(e.x + u.x, e.y + u.y)
+        apex1 = _add(e, self.edges[t1][(k1 + 1) % 3])
         # t2's side k2 carries -e, its tail placed at Q, so its vertex
         # k2+1 lands on P and the apex follows t2's next edge from P
         apex2 = self.edges[t2][(k2 + 1) % 3]
-        return p, q, apex1, apex2
+        return _ORIGIN, e, apex1, apex2
 
     def flip(self, t1, k1):
         """Replace the shared edge of the hinge with the other diagonal.
@@ -67,10 +78,8 @@ class _Tri:
         """
         t2, k2 = self.gluing[(t1, k1)]
         p, q, a1, a2 = self.hinge(t1, k1)
-        d = Vec2(a1.x - a2.x, a1.y - a2.y)
-        n1 = [d, Vec2(p.x - a1.x, p.y - a1.y), Vec2(a2.x - p.x, a2.y - p.y)]
-        n2 = [Vec2(-d.x, -d.y), Vec2(q.x - a2.x, q.y - a2.y),
-              Vec2(a1.x - q.x, a1.y - q.y)]
+        n1 = [_sub(a1, a2), _sub(p, a1), _sub(a2, p)]
+        n2 = [_sub(a2, a1), _sub(q, a2), _sub(a1, q)]
         nb = {
             "qa1": self.gluing[(t1, (k1 + 1) % 3)],
             "a1p": self.gluing[(t1, (k1 + 2) % 3)],
@@ -98,22 +107,25 @@ class _Tri:
             self.gluing[mate] = side
 
 
-def _incircle(p, q, r, s) -> int:
-    """Sign of the incircle determinant for ccw triangle pqr and query s;
-    positive when s is strictly inside the circumcircle."""
-    rows = []
-    for v in (p, q, r):
-        dx = v.x - s.x
-        dy = v.y - s.y
-        rows.append((dx, dy, dx * dx + dy * dy))
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    return det.sign()
+def _incircle(p, q, r, s, d) -> int:
+    """Sign of the incircle determinant for ccw triangle pqr and query s,
+    all in the integer form over Z[sqrt(d)]; positive when s is strictly
+    inside the circumcircle.
+
+    With p' = p - s and so on, the determinant of the rows
+    (x', y', |v'|^2) expanded along its third column is
+    |p'|^2 (q' x r') + |q'|^2 (r' x p') + |r'|^2 (p' x q').
+    """
+    p, q, r = _sub(p, s), _sub(q, s), _sub(r, s)
+    a = _mul(_norm(p, d), _cross(q, r, d), d)
+    b = _mul(_norm(q, d), _cross(r, p, d), d)
+    c = _mul(_norm(r, d), _cross(p, q, d), d)
+    return _sign(a[0] + b[0] + c[0], a[1] + b[1] + c[1], d)
 
 
 def _delaunay(tri: _Tri):
     """Flip until every hinge satisfies the incircle condition."""
+    d = tri.lat.d
     flips = 0
     dirty = True
     while dirty:
@@ -122,8 +134,7 @@ def _delaunay(tri: _Tri):
             for k1 in range(3):
                 if (t1, k1) > tri.gluing[(t1, k1)]:
                     continue
-                p, q, a1, a2 = tri.hinge(t1, k1)
-                if _incircle(p, q, a1, a2) > 0:
+                if _incircle(*tri.hinge(t1, k1), d) > 0:
                     # flippability: the quad must be strictly convex,
                     # which incircle violation guarantees for a hinge
                     tri.flip(t1, k1)
@@ -147,12 +158,13 @@ def delaunay_cells(surface: TranslationSurface):
     # mark non-essential edges: hinge with all four points co-circular;
     # co-circularity is symmetric, so one test per glued pair
     essential = {}
+    lat = tri.lat
     for t1 in range(n):
         for k1 in range(3):
             side = (t1, k1)
             if side in essential:
                 continue
-            flag = _incircle(*tri.hinge(t1, k1)) != 0
+            flag = _incircle(*tri.hinge(t1, k1), lat.d) != 0
             essential[side] = essential[tri.gluing[side]] = flag
     # merge triangles across non-essential edges into cells: walk each
     # cell boundary along essential sides
@@ -187,7 +199,7 @@ def delaunay_cells(surface: TranslationSurface):
                 if side == (t1, k1):
                     break
             cell_id = len(cells)
-            cells.append(tuple(tri.edges[t][k] for t, k in loop))
+            cells.append(tuple(lat.vec2(tri.edges[t][k]) for t, k in loop))
             for slot, s in enumerate(loop):
                 slot_of[s] = (cell_id, slot)
     for s, (cell_id, slot) in slot_of.items():
@@ -235,6 +247,10 @@ def translation_equivalent(m1: TranslationSurface,
     Fast invariants first (area, genus, signature), then canonical
     Delaunay cells and exhaustive anchored matching.
     """
+    # an edge of either surface is a saddle connection of the other, so
+    # equivalent surfaces have their coordinates in one field
+    if m1.ctx.d and m2.ctx.d and m1.ctx.d != m2.ctx.d:
+        return False
     d1 = m1.singularities()
     d2 = m2.singularities()
     if d1.genus != d2.genus or d1.signature != d2.signature:

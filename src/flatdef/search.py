@@ -132,23 +132,29 @@ def _sub(p, q):
 
 
 class _Lattice:
-    """The integer form of one search: its points over one denominator D,
-    and the bound R^2 = (RA + RB*sqrt(d))/Rd.
+    """The integer form of a set of points over one denominator D and,
+    for a search, the bound R^2 = (RA + RB*sqrt(d))/Rd.
 
-    `points` are the vertices the search develops from; their field and
-    the bound's must agree (ValueError otherwise, as in arithmetic).
+    `points` are the vertices whose sums and differences the caller
+    takes; their field and the bound's must agree (ValueError
+    otherwise, as in arithmetic).  With no bound, `within` is not
+    available.
     """
 
     __slots__ = ("ctx", "d", "D", "Rd", "RA_D2", "RB_D2")
 
-    def __init__(self, points, bound_sq: FieldScalar):
+    def __init__(self, points, bound_sq: FieldScalar | None = None):
         scalars = [s for v in points for s in (v.x, v.y)]
         ctx = unify_ctx(*scalars)
+        self.ctx = ctx
+        self.d = ctx.d
+        self.D = D = lcm(*(s._D for s in scalars))
+        if bound_sq is None:
+            return
         if ctx.d:
             bound_sq = bound_sq.with_ctx(ctx)  # ValueError for another field
-        self.ctx = ctx
-        self.d = bound_sq.ctx.d if bound_sq._B else ctx.d
-        self.D = D = lcm(*(s._D for s in scalars))
+        elif bound_sq._B:
+            self.d = bound_sq.ctx.d
         # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
         # scaled point DP, so the bound side carries D^2
         self.Rd = bound_sq._D

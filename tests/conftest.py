@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from flatdef.cylinders import decompose
+from flatdef.deform import shear
+from flatdef.errors import NotConnected
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
@@ -35,3 +40,35 @@ def marked_torus():
     gluing = [((0, 1), (1, 3)), ((1, 1), (0, 3)),
               ((0, 2), (0, 0)), ((1, 2), (1, 0))]
     return TranslationSurface(polys, gluing, "marked-torus")
+
+
+@pytest.fixture(scope="session")
+def multi_twisted():
+    """A factory: the shear of every cylinder of a surface in direction v
+    by the least t > 0 that twists each one a whole number of times
+    (t = lcm of the 1/modulus), which is equivalent to the surface."""
+    def twist(surface, v):
+        dec = decompose(surface, Vec2(*v))
+        inv = [1 / cyl.modulus.as_fraction() for cyl in dec.cylinders]
+        t = Fraction(lcm(*(x.numerator for x in inv)),
+                     gcd(*(x.denominator for x in inv)))
+        return shear(surface, dec, t)
+    return twist
+
+
+@pytest.fixture(scope="session")
+def seeded_origami():
+    """A factory: a connected square-tiled surface with n squares, drawn
+    from random.Random(seed)."""
+    def origami(n, seed):
+        rng = random.Random(seed)
+        while True:
+            h = list(range(1, n + 1))
+            v = list(range(1, n + 1))
+            rng.shuffle(h)
+            rng.shuffle(v)
+            try:
+                return square_tiled(h, v, n=n, label=f"origami-{n}")
+            except NotConnected:
+                continue
+    return origami

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
+from flatdef import equivalence
 from flatdef.cylinders import decompose
 from flatdef.equivalence import delaunay_cells, translation_equivalent
+from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.surface import l_shape, square_tiled
 
@@ -76,3 +80,37 @@ class TestEquivalence:
         g = Mat2(1, Fraction(1, 3), 0, 1)
         assert not translation_equivalent(golden_l,
                                           golden_l.apply_matrix(g))
+
+    def test_other_quadratic_field(self):
+        # equivalent surfaces share a field: each edge of one is a
+        # saddle connection of the other
+        a = l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen())
+        b = l_shape(2, 1, 1, Q5.sqrt_gen())
+        assert not translation_equivalent(a, b)
+        assert not translation_equivalent(b, a)
+
+    def test_rational_against_irrational(self):
+        a = l_shape(2, 1, 1, 1)
+        b = l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen())
+        assert not translation_equivalent(a, b)
+        assert not translation_equivalent(b, a)
+
+
+# six seeded origamis with 4 to 8 squares
+ORIGAMI_SEEDS = [(4, 1), (5, 2), (6, 3), (7, 4), (8, 5), (6, 6)]
+
+
+class TestGuards:
+    def test_flip_limit_raises(self, monkeypatch, multi_twisted,
+                               seeded_origami):
+        twisted = multi_twisted(seeded_origami(6, 6), (1, 1))
+        monkeypatch.setattr(equivalence, "MAX_FLIPS", 0)
+        with pytest.raises(InternalInvariantError, match="did not terminate"):
+            delaunay_cells(twisted)
+
+    @pytest.mark.parametrize("n, seed", ORIGAMI_SEEDS)
+    def test_multi_twist_returns(self, multi_twisted, seeded_origami, n, seed):
+        surface = seeded_origami(n, seed)
+        assert translation_equivalent(surface, surface)
+        for v in ((1, 0), (0, 1), (1, 1)):
+            assert translation_equivalent(surface, multi_twisted(surface, v))

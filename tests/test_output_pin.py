@@ -17,13 +17,14 @@ import pytest
 from flatdef.analysis import accumulate_tangent, rank_lower_bound
 from flatdef.cylinders import PARTIAL, decompose, trace_separatrix
 from flatdef.deform import shear, stretch
+from flatdef import equivalence
 from flatdef.equivalence import delaunay_cells
-from flatdef.field import FieldCtx, Vec2
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
 from flatdef.search import enumerate_saddle_connections
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
-from flatdef.surface import l_shape
+from flatdef.surface import l_shape, square_tiled
 
 Q2 = FieldCtx.get(2)
 
@@ -164,3 +165,64 @@ def test_golden_trace_separatrix(golden_l):
     }
     assert _digest(payload) == \
         "d1c4677d647b94139ff371779c4d5561825119c23f99b4693c74e65f05f26efb"
+
+
+# -- Delaunay cells of long, thin surfaces ----------------------------------
+#
+# Each case pins the cells and gluing and also the flips that
+# retriangulation takes (their number and the digest of their sequence),
+# so that the flip sequence itself is pinned, not only its canonical
+# result.  Recorded while the flips and incircle tests still ran on
+# FieldScalar coordinates.
+
+def _delaunay_case(name, multi_twisted, seeded_origami):
+    if name == "l_origami_multi_twist":
+        return multi_twisted(square_tiled([(1, 2)], [(1, 3)], n=3), (1, 0))
+    if name == "origami6_multi_twist":
+        return multi_twisted(seeded_origami(6, 6), (1, 1))
+    if name == "origami8_multi_twist":
+        return multi_twisted(seeded_origami(8, 8), (1, 0))
+    if name == "golden_l_image":
+        phi = FieldScalar(Fraction(1, 2), Fraction(1, 2), FieldCtx.get(5))
+        return l_shape(phi, 1, 1, phi - 1).apply_matrix(Mat2(2, 1, 1, 1))
+    assert name == "sqrt2_lshape_denominators"
+    return l_shape(Fraction(3, 2), Fraction(1, 3), Fraction(2, 7),
+                   Q2.sqrt_gen() / 5)
+
+
+@pytest.mark.parametrize("name, flips, flips_digest, digest", [
+    ("l_origami_multi_twist", 3,
+     "c8c0e25df96d665d67ceb71cd7d752a0778d21c28c6e784a4d8962e6558b9c4b",
+     "16787c5c306d40a0462b5d49f95a5b7ae42cab1f0f1e4c58307f7fe412d19384"),
+    ("origami6_multi_twist", 36,
+     "690e4c58fe99e11e143c57208a5b2d2a70e15cda5ba0781b32bd0da85eda3e89",
+     "fd36af297783168a044788463f95580dfd4d2d8c409801d2f92c66f6841666ac"),
+    ("origami8_multi_twist", 40,
+     "717d9ed0cd39ee214fe722c67e3947c19780fc5f9a43cd30836108a82cbbb1b0",
+     "20da5f61a6ef3ee840461853018af3738cb449a05504d1d65402bbf375727af8"),
+    ("golden_l_image", 4,
+     "8cf4b0a744b1b4fc4dfe4e6e593343a3d958353271348c868770b667156c0408",
+     "2f2d1ccae49f8243b2542cf6edd202ee16fc35003b4deed717277a51c01c94ec"),
+    ("sqrt2_lshape_denominators", 1,
+     "44aac98bfafaab6111bed86f0289d87de39ebeba80787204e1c379a7c068f7ea",
+     "33237cd55f1e8352c8eb0efe8af2a966a78d28ac8cfb47a5f70b15194d976559"),
+])
+def test_delaunay_cells_and_flips(monkeypatch, multi_twisted, seeded_origami,
+                                  name, flips, flips_digest, digest):
+    surface = _delaunay_case(name, multi_twisted, seeded_origami)
+    flipped = []
+    flip = equivalence._Tri.flip
+
+    def recorded(tri, t1, k1):
+        flipped.append((t1, k1))
+        return flip(tri, t1, k1)
+
+    monkeypatch.setattr(equivalence._Tri, "flip", recorded)
+    cells, gluing = equivalence.delaunay_cells(surface)
+    payload = {
+        "cells": [[_vec(e) for e in cell] for cell in cells],
+        "gluing": sorted([list(a), list(b)] for a, b in gluing.items()),
+    }
+    assert len(flipped) == flips
+    assert _digest(flipped) == flips_digest
+    assert _digest(payload) == digest

@@ -1,4 +1,5 @@
-"""Differential tests of the slab ray-exit lookup and the window predicate.
+"""Differential tests of the slab ray-exit lookup, the window predicate
+and the incircle test.
 
 `tracing._SlabTable.exit` finds where a ray along an axis leaves a
 polygon by a search on its height, and `search._window_within` decides
@@ -10,7 +11,9 @@ edge and kept the nearest hit, and the search clipped each window to
 exact intersection points (`ref_clip_window`) and then measured the
 clipped segment's distance from the origin (`ref_beyond`).  Both sides
 must agree exactly: the same values, labels and tie-breaks, or the same
-`InternalInvariantError`.
+`InternalInvariantError`.  `equivalence._incircle` is checked the same
+way against the 3x3 determinant on FieldScalar coordinates
+(`ref_incircle`) that Delaunay flipping used before the lattice form.
 """
 
 from fractions import Fraction
@@ -18,11 +21,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatdef.equivalence import _incircle, delaunay_cells
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.polygon import vertex_positions
 from flatdef.search import _Lattice, _window_within
-from flatdef.surface import square_tiled
+from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import _SlabTable, _axis, _split, trace_from_corner
 
 FIELDS = (0, 2, 5)
@@ -146,6 +150,25 @@ def ref_clip_window(w1, w2, a, b):
 def ref_window_within(w1, w2, a, b, bound_sq):
     clipped = ref_clip_window(w1, w2, a, b)
     return clipped is not None and not ref_beyond(*clipped, bound_sq)
+
+
+def ref_incircle(p, q, r, s):
+    """Sign of the incircle determinant of pqr and s, on FieldScalars."""
+    rows = []
+    for v in (p, q, r):
+        dx = v.x - s.x
+        dy = v.y - s.y
+        rows.append((dx, dy, dx * dx + dy * dy))
+    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    return det.sign()
+
+
+def lattice_incircle(p, q, r, s):
+    """`_incircle` on Vec2 points, in the search's lattice form."""
+    lat = _Lattice((p, q, r, s))
+    return _incircle(*(lat.point(v) for v in (p, q, r, s)), lat.d)
 
 
 def lattice_window_within(w1, w2, a, b, bound_sq):
@@ -339,6 +362,40 @@ def windows(draw):
     return w1, w2, a, b, bound_sq
 
 
+@st.composite
+def incircle_cases(draw):
+    """Four points: at random, with the query on a triangle vertex, or
+    the corners of a rectangle moved by a similarity z -> (a + bi)z + c,
+    which keeps them co-circular.  Returns (points, co-circular)."""
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    kind = draw(st.sampled_from(["random", "repeated", "rectangle"]))
+
+    def point():
+        return Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+
+    if kind == "rectangle":
+        lo, hi = point(), point()
+        a, b, c = _scalar(draw, ctx), _scalar(draw, ctx), point()
+        corners = [Vec2(lo.x, lo.y), Vec2(hi.x, lo.y), Vec2(hi.x, hi.y),
+                   Vec2(lo.x, hi.y)]
+        pts = [Vec2(a * v.x - b * v.y, b * v.x + a * v.y) + c
+               for v in corners]
+        order = draw(st.permutations(range(4)))
+        return tuple(pts[i] for i in order), True
+    pts = [point() for _ in range(4)]
+    if kind == "repeated":
+        pts[3] = pts[draw(st.integers(0, 2))]
+    return tuple(pts), kind == "repeated"
+
+
+def _cell_corners(cell):
+    """The corners of a cell given by its ccw edge vectors."""
+    corners = [Vec2(0, 0)]
+    for e in cell[:-1]:
+        corners.append(corners[-1] + e)
+    return corners
+
+
 # -- the tests ----------------------------------------------------------------
 
 class TestExitRay:
@@ -432,3 +489,42 @@ class TestWindow:
             ("error", "window clip lost an endpoint")
         assert outcome(ref_window_within, *case) == \
             ("error", "window clip lost an endpoint")
+
+
+class TestIncircle:
+    @settings(max_examples=300, deadline=None)
+    @given(incircle_cases())
+    def test_matches_reference(self, case):
+        pts, cocircular = case
+        sign = lattice_incircle(*pts)
+        assert sign == ref_incircle(*pts)
+        if cocircular:
+            assert sign == 0
+
+    @pytest.mark.parametrize("scale", [
+        FieldScalar(1), FieldScalar(Fraction(7, 3)),
+        FieldScalar(0, Fraction(1, 5), FieldCtx.get(2)),
+    ])
+    def test_unit_square_cocircular(self, scale):
+        corners = [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)]
+        p, q, r, corner = (v.scale(scale) for v in corners)
+        # the fourth corner is on the circle, the centre inside, a far
+        # point outside
+        centre = Vec2(Fraction(1, 2), Fraction(1, 2)).scale(scale)
+        far = Vec2(2, 2).scale(scale)
+        for s, expected in ((corner, 0), (centre, 1), (far, -1)):
+            assert lattice_incircle(p, q, r, s) == expected
+            assert ref_incircle(p, q, r, s) == expected
+
+    @pytest.mark.parametrize("scale", [
+        FieldScalar(1), FieldScalar(Fraction(3, 7)),
+        FieldScalar(Fraction(1, 2), Fraction(1, 2), FieldCtx.get(5)),
+    ])
+    def test_golden_cells_cocircular(self, golden_l, scale):
+        cells, _ = delaunay_cells(golden_l)
+        assert any(len(cell) > 3 for cell in cells)
+        for cell in cells:
+            corners = [v.scale(scale) for v in _cell_corners(cell)]
+            for s in corners[3:]:
+                assert lattice_incircle(*corners[:3], s) == 0
+                assert ref_incircle(*corners[:3], s) == 0
