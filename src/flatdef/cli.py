@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .analysis import (accumulate_tangent, complete_parabolicity_check,
                        complete_periodicity_scan, field_bound,
@@ -226,6 +227,7 @@ def cmd_make_lshape(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each command runs cmd_<command>, with "-" as "_"."""
     parser = argparse.ArgumentParser(
         prog="flatdef",
         description="Exact cylinder decompositions and deformation "
@@ -239,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a surface file")
     p.add_argument("surface")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("decompose", help="cylinders in one direction")
     p.add_argument("surface")
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_bounds(p)
     p.add_argument("--svg", help="also render the decomposition")
     p.add_argument("-o", "--output", help="write JSON here")
-    p.set_defaults(func=cmd_decompose)
 
     for name, helptext, flag in (
         ("shear", "cylinder shear u_t on a certified direction", "--t"),
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--check-equivalent", action="store_true")
         add_bounds(p)
         p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=cmd_shear if name == "shear" else cmd_stretch)
 
     p = sub.add_parser("rank", help="tangent span certificate")
     p.add_argument("surface")
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="saddle connection length bound, exact rational")
     add_bounds(p)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("scan", help="per-direction reports")
     p.add_argument("surface")
@@ -280,14 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="periodicity")
     add_bounds(p)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("render", help="SVG picture of a surface")
     p.add_argument("surface")
     p.add_argument("--direction", help="color the cylinders this way")
     add_bounds(p)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("make-origami", help="build a square-tiled surface")
     p.add_argument("--squares", type=int, required=True)
@@ -295,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up", required=True)
     p.add_argument("--label")
     p.add_argument("output")
-    p.set_defaults(func=cmd_make_origami)
 
     p = sub.add_parser("make-lshape", help="build an L-shaped surface")
     for name in ("w1", "h1", "w2", "h2"):
@@ -304,15 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
                             f"when the value starts with a minus")
     p.add_argument("--label")
     p.add_argument("output")
-    p.set_defaults(func=cmd_make_lshape)
     return parser
 
 
+# parsing leaves the parser as it was, so one serves every call
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command is looked up when it runs, not when the parser was built
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except FlatdefError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
+import flatdef
 from flatdef.cli import main
 from flatdef.cylinders import decompose
 from flatdef.field import FieldCtx, FieldScalar, Vec2
@@ -72,6 +76,39 @@ class TestCLI:
         }))
         assert main(["validate", str(bad)]) == 1
         assert "NonClosedPolygon" in capsys.readouterr().err
+
+    def test_repeated_calls_match_fresh_processes(self, cli_surfaces,
+                                                  capsys):
+        # one process serves good, bad-argument, bad-file and good calls
+        # in turn, with the exit codes and output of a fresh process each
+        tmp, lori, _ = cli_surfaces
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({
+            "format": 1, "field": {"d": 0},
+            "polygons": [[["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-2"]]],
+            "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+        }))
+        calls = [["validate", str(lori)], ["validate"],
+                 ["scan", str(lori), "--mode", "bogus", "--max-len", "1"],
+                 ["validate", str(bad)], ["validate", str(lori)]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(flatdef.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        seen = []
+        for argv in calls:
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "flatdef.cli"]
+                                   + argv, capture_output=True, text=True,
+                                   env=env, timeout=60)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr)
+            seen.append(code)
+        assert seen == [0, 2, 2, 1, 0]
 
     def test_decompose_json_and_svg(self, cli_surfaces):
         tmp, lori, _ = cli_surfaces
