@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError, NonPositiveLength
 from .field import FieldScalar, Mat2, Vec2
 from .homology import HomologyFrame, homology_frame
-from .polygon import sector_contains
+from .polygon import _EAST, sector_contains
 from .surface import TranslationSurface
 from .tracing import EAST, NORTH, east_ray_corners, trace_from_corner, trace_from_point
 
@@ -621,16 +621,16 @@ def _find_vertical_corner(surface, germ_corner):
     The first corner only counts on the arc strictly past the eastward
     germ ray, so the germ found is the one on the cylinder's side.
     """
-    north = NORTH(surface.ctx)
-    east = EAST(surface.ctx)
-    _, end = surface.corner_rays(germ_corner)
-    if sector_contains(east, end, north, include_start=False,
+    lat = surface.lattice()
+    north = (0, 0, 1, 0)  # in the integer form
+    _, end = lat.corner_rays(germ_corner)
+    if sector_contains(_EAST, end, north, lat.d, include_start=False,
                        include_end=False):
         return germ_corner
     corner = surface.next_corner(germ_corner)
     for _ in range(10 * len(surface.gluing) + 8):
-        start, end = surface.corner_rays(corner)
-        if sector_contains(start, end, north, include_start=True,
+        start, end = lat.corner_rays(corner)
+        if sector_contains(start, end, north, lat.d, include_start=True,
                            include_end=False):
             return corner
         corner = surface.next_corner(corner)

@@ -6,9 +6,9 @@ incircle flips; gluing co-circular neighbors yields the canonical
 Delaunay cell complex, which is then matched cell by cell over all
 anchors (exponential worst case, fine at desk scale).
 
-Flipping runs on the integer lattice form of the saddle-connection
-search (`search._Lattice`): with D the lcm of the denominators of all
-vertex coordinates, every edge vector is four ints (xa, xb, ya, yb)
+Flipping runs on the surface's integer lattice form (`polygon.py`,
+`TranslationSurface.lattice`): with D the lcm of the denominators of
+all vertex coordinates, every edge vector is four ints (xa, xb, ya, yb)
 meaning ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D).  A flip takes only
 differences of edge vectors, so the form is closed under flips, and the
 incircle determinant is homogeneous of degree 4, so the scale D changes
@@ -20,29 +20,27 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .field import _sign
-from .search import Triangulated, _Lattice, _add, _cross, _mul, _norm, _sub
+from .polygon import _ORIGIN, _add, _cross, _mul, _norm, _sub
+from .search import Triangulated
 from .surface import TranslationSurface
 
 __all__ = ["translation_equivalent", "delaunay_cells"]
 
 MAX_FLIPS = 100_000
 
-_ORIGIN = (0, 0, 0, 0)
-
 
 class _Tri:
     """Triangulated surface with edge-vector triangles and gluings.
 
     Built from the saddle-connection search's triangulation; the gluing
-    is a copy because flips rewrite it.  Edge vectors are in the integer
-    form of `lat`.
+    is a copy because flips rewrite it.  Edge vectors are in the
+    surface's integer form `lat`.
     """
 
     def __init__(self, surface: TranslationSurface):
         base = Triangulated(surface)
-        verts = [surface.vertices(p) for p in range(len(surface.polygons))]
-        self.lat = lat = _Lattice([v for vs in verts for v in vs])
-        points = [[lat.point(v) for v in vs] for vs in verts]
+        self.lat = surface.lattice()
+        points = self.lat.verts
         self.edges = []    # edges[t] = [e0, e1, e2] summing to zero
         for p, (i0, i1, i2) in base.triangles:
             pts = points[p]

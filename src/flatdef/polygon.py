@@ -1,4 +1,4 @@
-"""Exact planar predicates for polygons given by edge-vector lists.
+"""Exact planar predicates for polygons, on an integer lattice form.
 
 Conventions used throughout the package:
 
@@ -9,14 +9,25 @@ Conventions used throughout the package:
   marked points sitting on an edge of the flat metric;
 * corner i spans, counterclockwise, from the outgoing edge ray E_i to
   the reversed incoming ray -E_{i-1}; its angle lies in (0, 2*pi).
+
+The predicates run on the lattice form (`Lattice`; a surface holds one):
+with D the lcm of the denominators of all edge coordinates, a point
+((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D) is the tuple of integers
+(xa, xb, ya, yb), and an element A + B*sqrt(d) of Z[sqrt(d)] the pair
+(A, B).  Signs are decided by `field._sign`.  Every predicate is
+homogeneous in the coordinates, so the scale D > 0 changes no sign.
 """
 
 from __future__ import annotations
 
-from .field import FieldScalar, Vec2
+from itertools import accumulate
+from math import lcm
+
+from .errors import InternalInvariantError
+from .field import FieldScalar, Vec2, _new, _sign, unify_ctx
 
 __all__ = [
-    "vertex_positions",
+    "Lattice",
     "signed_area2",
     "cross_sign",
     "same_ray",
@@ -27,39 +38,117 @@ __all__ = [
     "ear_clip",
 ]
 
-
-def vertex_positions(edges) -> list[Vec2]:
-    pos = []
-    ctx = edges[0].ctx
-    cur = Vec2(FieldScalar(0, 0, ctx), FieldScalar(0, 0, ctx))
-    for e in edges:
-        pos.append(cur)
-        cur = cur + e
-    return pos
+_ORIGIN = (0, 0, 0, 0)
+_EAST = (1, 0, 0, 0)
 
 
-def signed_area2(edges) -> FieldScalar:
-    """Twice the signed area (shoelace over the anchored vertex chain)."""
-    pos = vertex_positions(edges)
-    n = len(edges)
-    total = FieldScalar(0, 0, edges[0].ctx)
-    for i in range(n):
-        p = pos[i]
-        q = pos[(i + 1) % n]
-        total = total + (p.x * q.y - q.x * p.y)
-    return total
+# -- arithmetic in the lattice form ----------------------------------------
+
+def _cross(p, q, d):
+    """p x q as a pair (A, B)."""
+    pxa, pxb, pya, pyb = p
+    qxa, qxb, qya, qyb = q
+    return (pxa * qya - pya * qxa + d * (pxb * qyb - pyb * qxb),
+            pxa * qyb + pxb * qya - pya * qxb - pyb * qxa)
 
 
-def cross_sign(u: Vec2, v: Vec2) -> int:
-    return u.cross(v).sign()
+def _dot(p, q, d):
+    """p . q as a pair (A, B)."""
+    pxa, pxb, pya, pyb = p
+    qxa, qxb, qya, qyb = q
+    return (pxa * qxa + pya * qya + d * (pxb * qxb + pyb * qyb),
+            pxa * qxb + pxb * qxa + pya * qyb + pyb * qya)
 
 
-def same_ray(u: Vec2, v: Vec2) -> bool:
+def _norm(p, d):
+    """|p|^2 as a pair (A, B)."""
+    xa, xb, ya, yb = p
+    return xa * xa + ya * ya + d * (xb * xb + yb * yb), 2 * (xa * xb + ya * yb)
+
+
+def _mul(s, t, d):
+    """The product of two pairs."""
+    return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
+
+
+def _add(p, q):
+    return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
+
+
+def _sub(p, q):
+    return p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
+
+
+class Lattice:
+    """The integer form of a list of polygons over one denominator D.
+
+    `edges[p]` and `verts[p]` hold polygon p's edge vectors and its
+    vertices, vertex i at the sum of edges 0..i-1.  `point` converts
+    any vector whose coordinate denominators divide D, as those of
+    every sum and difference of vertices do.
+    """
+
+    __slots__ = ("ctx", "d", "D", "edges", "verts")
+
+    def __init__(self, polygons):
+        scalars = [s for poly in polygons for v in poly for s in (v.x, v.y)]
+        self.ctx = ctx = unify_ctx(*scalars)
+        self.d = ctx.d
+        self.D = lcm(*(s._D for s in scalars))
+        self.edges = [[self.point(e) for e in poly] for poly in polygons]
+        self.verts = [list(accumulate(edges[:-1], _add, initial=_ORIGIN))
+                      for edges in self.edges]
+
+    def point(self, v: Vec2):
+        D = self.D
+        x, y = v.x, v.y
+        kx, ky = D // x._D, D // y._D
+        return x._A * kx, x._B * kx, y._A * ky, y._B * ky
+
+    def vec2(self, p) -> Vec2:
+        xa, xb, ya, yb = p
+        D, ctx = self.D, self.ctx
+        return Vec2(_new(xa, xb, D, ctx), _new(ya, yb, D, ctx))
+
+    def corner_rays(self, corner):
+        """(outgoing edge ray, reversed incoming ray) spanning corner
+        (p, i) counterclockwise."""
+        p, i = corner
+        edges = self.edges[p]
+        return edges[i], _sub(_ORIGIN, edges[i - 1])
+
+    def area2(self) -> FieldScalar:
+        """Twice the flat area of all the polygons."""
+        A = B = 0
+        for verts in self.verts:
+            a, b = signed_area2(verts, self.d)
+            A += a
+            B += b
+        return _new(A, B, self.D * self.D, self.ctx)
+
+
+# -- predicates ------------------------------------------------------------
+
+def signed_area2(verts, d):
+    """Twice the signed area (shoelace over the vertex chain), as a pair."""
+    A = B = 0
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        a, b = _cross(p, q, d)
+        A += a
+        B += b
+    return A, B
+
+
+def cross_sign(u, v, d) -> int:
+    return _sign(*_cross(u, v, d), d)
+
+
+def same_ray(u, v, d) -> bool:
     """True when u and v point in exactly the same direction."""
-    return cross_sign(u, v) == 0 and u.dot(v).sign() > 0
+    return cross_sign(u, v, d) == 0 and _sign(*_dot(u, v, d), d) > 0
 
 
-def sector_contains(start: Vec2, end: Vec2, w: Vec2, *,
+def sector_contains(start, end, w, d, *,
                     include_start: bool = True, include_end: bool = False) -> bool:
     """Membership of direction w in the ccw sector from start to end.
 
@@ -67,117 +156,108 @@ def sector_contains(start: Vec2, end: Vec2, w: Vec2, *,
     full turn and contains everything.  Boundary membership follows the
     include_* flags.
     """
-    if same_ray(w, start):
+    if same_ray(w, start, d):
         return include_start
-    if same_ray(w, end):
+    if same_ray(w, end, d):
         return include_end
-    if same_ray(start, end):
+    if same_ray(start, end, d):
         return True  # full 2*pi sector
-    s = cross_sign(start, end)
+    s = cross_sign(start, end, d)
     if s > 0:
-        return cross_sign(start, w) > 0 and cross_sign(w, end) > 0
+        return cross_sign(start, w, d) > 0 and cross_sign(w, end, d) > 0
     if s < 0:
         # complement of the ccw sector from end to start (angle < pi)
-        return not (cross_sign(end, w) > 0 and cross_sign(w, start) > 0)
+        return not (cross_sign(end, w, d) > 0 and cross_sign(w, start, d) > 0)
     # start and end anti-parallel: half-plane to the left of start
-    return cross_sign(start, w) > 0
+    return cross_sign(start, w, d) > 0
 
 
-def _east(ctx) -> Vec2:
-    return Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
-
-
-def corner_crosses_east(out_ray: Vec2, rev_in_ray: Vec2) -> int:
+def corner_crosses_east(out_ray, rev_in_ray, d) -> int:
     """1 when the ccw sweep from out_ray to rev_in_ray crosses (1, 0).
 
     Crossing is counted on the half-open sector (out_ray, rev_in_ray],
     so summing over the corner cycle of a vertex class counts full turns
     exactly once each.
     """
-    e = _east(out_ray.ctx)
-    return 1 if sector_contains(out_ray, rev_in_ray, e,
+    return 1 if sector_contains(out_ray, rev_in_ray, _EAST, d,
                                 include_start=False, include_end=True) else 0
 
 
-def _on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
-    """p strictly inside the open segment (a, b); assumes p collinear with a,b."""
-    d = b - a
-    t = (p - a).dot(d)
-    return t.sign() > 0 and t < d.dot(d)
+def _on_segment(x, a, b, d) -> bool:
+    """x strictly inside the open segment (a, b); assumes x collinear with a,b."""
+    ab = _sub(b, a)
+    t = _dot(_sub(x, a), ab, d)
+    n = _norm(ab, d)
+    return _sign(*t, d) > 0 and _sign(n[0] - t[0], n[1] - t[1], d) > 0
 
 
-def segments_intersect_interior(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
-    """True when segments ab and cd share a point other than common endpoints.
+def segments_intersect_interior(p, q, r, s, d) -> bool:
+    """True when segments pq and rs share a point other than common endpoints.
 
     Endpoint-to-endpoint contact is ignored; endpoint-on-interior and
     interior crossings (including collinear overlap) count.
     """
-    ab = b - a
-    cd = d - c
-    d1 = cross_sign(ab, c - a)
-    d2 = cross_sign(ab, d - a)
-    d3 = cross_sign(cd, a - c)
-    d4 = cross_sign(cd, b - c)
-    if d1 != d2 and d3 != d4 and d1 * d2 < 0 and d3 * d4 < 0:
+    pq = _sub(q, p)
+    rs = _sub(s, r)
+    d1 = cross_sign(pq, _sub(r, p), d)
+    d2 = cross_sign(pq, _sub(s, p), d)
+    d3 = cross_sign(rs, _sub(p, r), d)
+    d4 = cross_sign(rs, _sub(q, r), d)
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return True  # proper crossing
     # collinear / touching configurations
-    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        if cross_sign(v - u, p - u) == 0 and _on_segment(p, u, v):
+    for x, (u, v) in ((r, (p, q)), (s, (p, q)), (p, (r, s)), (q, (r, s))):
+        if cross_sign(_sub(v, u), _sub(x, u), d) == 0 and _on_segment(x, u, v, d):
             return True
     if d1 == 0 and d2 == 0:
         # fully collinear: overlap iff neither is strictly separated
         # endpoints shared already excluded by _on_segment checks unless equal
-        if (a == c and b == d) or (a == d and b == c):
+        if (p == r and q == s) or (p == s and q == r):
             return True
     return False
 
 
-def check_simple(edges) -> None:
+def check_simple(edges, verts, d) -> None:
     """Raise ValueError unless the edge list traces a simple ccw polygon.
 
-    Straight vertices are fine; zero edges, fold-backs, repeated
-    vertices, self-intersections and clockwise orientation are not.
+    `verts[i]` is the sum of edges 0..i-1.  Straight vertices are fine;
+    zero edges, fold-backs, repeated vertices, self-intersections and
+    clockwise orientation are not.
     """
     n = len(edges)
     if n < 3:
         raise ValueError("polygon needs at least 3 edges")
     for e in edges:
-        if e.is_zero():
+        if e == _ORIGIN:
             raise ValueError("zero-length edge")
-    total = edges[0]
-    for e in edges[1:]:
-        total = total + e
-    if not total.is_zero():
+    if _add(verts[-1], edges[-1]) != _ORIGIN:
         raise ValueError("edge vectors do not close up")
     for i in range(n):
-        prev = edges[(i - 1) % n]
-        if same_ray(edges[i], -prev):
+        if same_ray(edges[i], _sub(_ORIGIN, edges[i - 1]), d):
             raise ValueError(f"fold-back at vertex {i}")
-    pos = vertex_positions(edges)
     for i in range(n):
         for j in range(i + 1, n):
-            if pos[i] == pos[j]:
+            if verts[i] == verts[j]:
                 raise ValueError(f"repeated vertex position at {i} and {j}")
     for i in range(n):
-        a, b = pos[i], pos[(i + 1) % n]
+        a, b = verts[i], verts[(i + 1) % n]
         for j in range(i + 1, n):
             if j == i or (j + 1) % n == i or (i + 1) % n == j:
                 continue  # adjacent edges share a vertex by construction
-            c, d = pos[j], pos[(j + 1) % n]
-            if segments_intersect_interior(a, b, c, d):
+            if segments_intersect_interior(a, b, verts[j], verts[(j + 1) % n], d):
                 raise ValueError(f"edges {i} and {j} intersect")
-    if signed_area2(edges).sign() <= 0:
+    if _sign(*signed_area2(verts, d), d) <= 0:
         raise ValueError("boundary is not positively oriented")
 
 
-def _point_in_closed_triangle(p: Vec2, a: Vec2, b: Vec2, c: Vec2) -> bool:
-    s1 = cross_sign(b - a, p - a)
-    s2 = cross_sign(c - b, p - b)
-    s3 = cross_sign(a - c, p - c)
+def _point_in_closed_triangle(x, a, b, c, d) -> bool:
+    s1 = cross_sign(_sub(b, a), _sub(x, a), d)
+    s2 = cross_sign(_sub(c, b), _sub(x, b), d)
+    s3 = cross_sign(_sub(a, c), _sub(x, c), d)
     return s1 >= 0 and s2 >= 0 and s3 >= 0
 
 
-def _diagonal_ok(pos, idx, k) -> bool:
+def _diagonal_ok(pos, idx, k, d) -> bool:
     """Is the diagonal skipping remaining-polygon vertex idx[k] valid?
 
     Checks the ear triangle is ccw and empty and that the new diagonal
@@ -187,52 +267,53 @@ def _diagonal_ok(pos, idx, k) -> bool:
     m = len(idx)
     i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
     a, b, c = pos[i0], pos[i1], pos[i2]
-    if cross_sign(b - a, c - b) <= 0:
+    if cross_sign(_sub(b, a), _sub(c, b), d) <= 0:
         return False  # reflex or straight corner: not an ear tip
     for j in idx:
         if j in (i0, i1, i2):
             continue
-        if _point_in_closed_triangle(pos[j], a, b, c):
+        if _point_in_closed_triangle(pos[j], a, b, c, d):
             return False
     # the diagonal a->c must enter the open interior sector at both ends
     prev_a = pos[idx[(k - 2) % m]]
     next_c = pos[idx[(k + 2) % m]]
-    if not sector_contains(b - a, prev_a - a, c - a,
+    if not sector_contains(_sub(b, a), _sub(prev_a, a), _sub(c, a), d,
                            include_start=False, include_end=False):
         return False
-    if not sector_contains(next_c - c, b - c, a - c,
+    if not sector_contains(_sub(next_c, c), _sub(b, c), _sub(a, c), d,
                            include_start=False, include_end=False):
         return False
     for t in range(m):
         u, v = idx[t], idx[(t + 1) % m]
         if u in (i0, i2) or v in (i0, i2):
             continue
-        if segments_intersect_interior(a, c, pos[u], pos[v]):
+        if segments_intersect_interior(a, c, pos[u], pos[v], d):
             return False
     return True
 
 
-def ear_clip(edges) -> list[tuple[int, int, int]]:
-    """Triangulate a simple ccw polygon; returns vertex-index triples.
+def ear_clip(verts, d) -> list[tuple[int, int, int]]:
+    """Triangulate a simple ccw polygon given by its vertices; returns
+    vertex-index triples.
 
     Straight vertices are tolerated.  O(n^4) worst case, fine at desk
-    scale.
+    scale.  The polygon has been validated, so finding no ear is an
+    internal invariant failure.
     """
-    n = len(edges)
-    pos = vertex_positions(edges)
+    n = len(verts)
     idx = list(range(n))
     tris = []
     while len(idx) > 3:
         for k in range(len(idx)):
-            if _diagonal_ok(pos, idx, k):
+            if _diagonal_ok(verts, idx, k, d):
                 m = len(idx)
                 tris.append((idx[(k - 1) % m], idx[k], idx[(k + 1) % m]))
                 idx.pop(k)
                 break
         else:
-            raise RuntimeError("no ear found; polygon not simple?")
-    a, b, c = (pos[i] for i in idx)
-    if cross_sign(b - a, c - b) <= 0:
-        raise RuntimeError("degenerate final triangle in ear clipping")
+            raise InternalInvariantError("no ear found; polygon not simple?")
+    a, b, c = (verts[i] for i in idx)
+    if cross_sign(_sub(b, a), _sub(c, b), d) <= 0:
+        raise InternalInvariantError("degenerate final triangle in ear clipping")
     tris.append((idx[0], idx[1], idx[2]))
     return tris

@@ -8,28 +8,22 @@ its window lies beyond the bound.  Every saddle connection of length
 at most R is the straight segment from the origin to a triangle vertex
 seen through some chain of windows, so the enumeration is complete.
 
-The search runs on integers.  Every point it develops is a sum of
-differences of surface vertices.  With d the field of the surface and
-the bound, and D the lcm of the denominators of all vertex coordinates,
-each such point is ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D) for
-integers xa, xb, ya, yb, kept as the tuple (xa, xb, ya, yb); these
-points are closed under the sums and differences the search takes.
-Crosses, dots and their products are computed in Z[sqrt(d)] and their
-signs decided by `field._sign`.  Each predicate is homogeneous in the
-coordinates, so scaling every point by D > 0 changes no sign and no
-decision; a comparison with the bound R^2 = (RA + RB*sqrt(d))/Rd
-carries the scale, |P|^2 <= R^2 becoming
-Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2.  Only a connection that is found is
-built back into field scalars.
+The search runs on the surface's integer lattice form (`polygon.py`,
+`TranslationSurface.lattice`): every point it develops is a sum of
+differences of surface vertices, so it stays in that form, and every
+predicate it takes is homogeneous in the coordinates, so the common
+scale D of the form changes no sign.  The bound is the one addition
+each call makes (`_Bound`): with R^2 = (RA + RB*sqrt(d))/Rd it carries
+the scale, |P|^2 <= R^2 becoming Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2.
+Only a connection that is found is built back into field scalars.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2, _new, _sign, unify_ctx
-from .polygon import ear_clip
+from .field import FieldScalar, _sign
+from .polygon import (Lattice, _add, _cross, _dot, _mul, _norm, _sub,
+                      ear_clip)
 from .surface import TranslationSurface
 
 __all__ = ["enumerate_saddle_connections", "enumerate_directions",
@@ -45,15 +39,14 @@ class Triangulated:
     """
 
     def __init__(self, surface: TranslationSurface):
-        self.surface = surface
         self.triangles = []   # list of (polygon, (i0, i1, i2))
         self.gluing = {}      # (tri, k) -> (tri, k)
         diag_sides = {}
         edge_sides = {}
-        for p, poly in enumerate(surface.polygons):
-            n = len(poly)
-            tris = ear_clip(list(poly))
-            for tri in tris:
+        lat = surface.lattice()
+        for p, verts in enumerate(lat.verts):
+            n = len(verts)
+            for tri in ear_clip(verts, lat.d):
                 t_id = len(self.triangles)
                 self.triangles.append((p, tri))
                 for k in range(3):
@@ -76,101 +69,30 @@ class Triangulated:
             self.gluing[side] = mate
             self.gluing[mate] = side
 
-    def corners(self):
-        for t_id in range(len(self.triangles)):
-            for k in range(3):
-                yield (t_id, k)
 
-    def vertex_coords(self, t_id, k) -> Vec2:
-        p, tri = self.triangles[t_id]
-        return self.surface.vertices(p)[tri[k]]
+class _Bound:
+    """The bound R^2 = (RA + RB*sqrt(d))/Rd of one search, against the
+    integer form `lat` of the surface.
 
-    def vertex_class(self, t_id, k) -> int:
-        p, tri = self.triangles[t_id]
-        return self.surface.vertex_class_map()[(p, tri[k])]
-
-
-# -- the lattice form -----------------------------------------------------
-#
-# A point is a tuple (xa, xb, ya, yb) of integers, meaning
-# ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D) for the search's common
-# denominator D; an element of Z[sqrt(d)] is a pair (A, B), A + B*sqrt(d).
-
-def _cross(p, q, d):
-    """p x q as a pair (A, B)."""
-    pxa, pxb, pya, pyb = p
-    qxa, qxb, qya, qyb = q
-    return (pxa * qya - pya * qxa + d * (pxb * qyb - pyb * qxb),
-            pxa * qyb + pxb * qya - pya * qxb - pyb * qxa)
-
-
-def _dot(p, q, d):
-    """p . q as a pair (A, B)."""
-    pxa, pxb, pya, pyb = p
-    qxa, qxb, qya, qyb = q
-    return (pxa * qxa + pya * qya + d * (pxb * qxb + pyb * qyb),
-            pxa * qxb + pxb * qxa + pya * qyb + pyb * qya)
-
-
-def _norm(p, d):
-    """|p|^2 as a pair (A, B)."""
-    xa, xb, ya, yb = p
-    return xa * xa + ya * ya + d * (xb * xb + yb * yb), 2 * (xa * xb + ya * yb)
-
-
-def _mul(s, t, d):
-    """The product of two pairs."""
-    return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
-
-
-def _add(p, q):
-    return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
-
-
-def _sub(p, q):
-    return p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
-
-
-class _Lattice:
-    """The integer form of a set of points over one denominator D and,
-    for a search, the bound R^2 = (RA + RB*sqrt(d))/Rd.
-
-    `points` are the vertices whose sums and differences the caller
-    takes; their field and the bound's must agree (ValueError
-    otherwise, as in arithmetic).  With no bound, `within` is not
-    available.
+    The bound's field and the surface's must agree (ValueError
+    otherwise, as in arithmetic); a bound over Q(sqrt(d)) on a surface
+    over Q sets the d of the search.
     """
 
-    __slots__ = ("ctx", "d", "D", "Rd", "RA_D2", "RB_D2")
+    __slots__ = ("d", "Rd", "RA_D2", "RB_D2")
 
-    def __init__(self, points, bound_sq: FieldScalar | None = None):
-        scalars = [s for v in points for s in (v.x, v.y)]
-        ctx = unify_ctx(*scalars)
-        self.ctx = ctx
-        self.d = ctx.d
-        self.D = D = lcm(*(s._D for s in scalars))
-        if bound_sq is None:
-            return
-        if ctx.d:
-            bound_sq = bound_sq.with_ctx(ctx)  # ValueError for another field
+    def __init__(self, lat: Lattice, bound_sq: FieldScalar):
+        self.d = lat.d
+        if lat.d:
+            bound_sq = bound_sq.with_ctx(lat.ctx)  # ValueError for another field
         elif bound_sq._B:
             self.d = bound_sq.ctx.d
         # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
         # scaled point DP, so the bound side carries D^2
+        D = lat.D
         self.Rd = bound_sq._D
         self.RA_D2 = bound_sq._A * D * D
         self.RB_D2 = bound_sq._B * D * D
-
-    def point(self, v: Vec2):
-        D = self.D
-        x, y = v.x, v.y
-        kx, ky = D // x._D, D // y._D
-        return x._A * kx, x._B * kx, y._A * ky, y._B * ky
-
-    def vec2(self, p) -> Vec2:
-        xa, xb, ya, yb = p
-        D, ctx = self.D, self.ctx
-        return Vec2(_new(xa, xb, D, ctx), _new(ya, yb, D, ctx))
 
     def within(self, num, den=(1, 0)) -> bool:
         """Whether a scaled squared length num/den (D^2 times the true
@@ -182,11 +104,11 @@ class _Lattice:
                      RA * dB + RB * dA - Rd * num[1], d) >= 0
 
 
-def _window_within(w1, w2, a, b, lat: _Lattice) -> bool:
+def _window_within(w1, w2, a, b, bound: _Bound) -> bool:
     """Whether segment ab meets the open cone spanned ccw from ray w1 to
     ray w2 (angle < pi) in a window with a point within the bound.
 
-    All four points are in `lat`'s integer form.  Point a + s*d of the
+    All four points are in one integer form.  Point a + s*d of the
     segment, d = b - a, lies on the side w x (a + s*d) of ray w's line,
     so the line crosses the closed segment at s = (w x a) / (w x a -
     w x b) when the two signs straddle or touch zero, and the crossing
@@ -200,7 +122,7 @@ def _window_within(w1, w2, a, b, lat: _Lattice) -> bool:
     is divided, and every test is homogeneous in the coordinates, so
     the common scale D of the integer form changes no sign.
     """
-    d = lat.d
+    d = bound.d
     f1a, f1b, f2a, f2b = (_cross(w1, a, d), _cross(w1, b, d),
                           _cross(w2, a, d), _cross(w2, b, d))
     s1a, s1b = _sign(*f1a, d), _sign(*f1b, d)
@@ -239,20 +161,20 @@ def _window_within(w1, w2, a, b, lat: _Lattice) -> bool:
             return False  # the window shrank to one point
     dv = _sub(b, a)
     if _sign(*_dot(a if lo is None else lo[0], dv, d), d) >= 0:
-        return _end_within(lo, a, ab, lat)
+        return _end_within(lo, a, ab, bound)
     if _sign(*_dot(b if hi is None else hi[0], dv, d), d) <= 0:
-        return _end_within(hi, b, ab, lat)
-    return lat.within(_mul(ab, ab, d), _norm(dv, d))
+        return _end_within(hi, b, ab, bound)
+    return bound.within(_mul(ab, ab, d), _norm(dv, d))
 
 
-def _end_within(end, endpoint, ab, lat: _Lattice) -> bool:
+def _end_within(end, endpoint, ab, bound: _Bound) -> bool:
     """Whether a window end lies within the bound: `endpoint` itself when
     `end` is None, else the crossing (w, _, w x a - w x b) of ray w."""
-    d = lat.d
+    d = bound.d
     if end is None:
-        return lat.within(_norm(endpoint, d))
+        return bound.within(_norm(endpoint, d))
     w, _, den = end
-    return lat.within(_mul(_mul(ab, ab, d), _norm(w, d), d),
+    return bound.within(_mul(_mul(ab, ab, d), _norm(w, d), d),
                       _mul(den, den, d))
 
 
@@ -277,24 +199,28 @@ def enumerate_saddle_connections(surface: TranslationSurface,
         bound_sq = FieldScalar(bound_sq)
     surface.singularities()
     tri = Triangulated(surface)
+    lat = surface.lattice()
+    bound = _Bound(lat, bound_sq)
     n = len(tri.triangles)
-    coords = [[tri.vertex_coords(t, k) for k in range(3)] for t in range(n)]
-    lat = _Lattice([v for vs in coords for v in vs], bound_sq)
-    verts = [[lat.point(v) for v in vs] for vs in coords]
+    verts = [[lat.verts[p][i] for i in vs] for p, vs in tri.triangles]
     # spokes[t][k]: from vertex k of triangle t to the vertex before it,
     # the apex when t is developed across its edge k
     spokes = [[_sub(vs[(k + 2) % 3], vs[k]) for k in range(3)]
               for vs in verts]
-    classes = [[tri.vertex_class(t, k) for k in range(3)] for t in range(n)]
+    class_of = surface.vertex_class_map()
+    classes = [[class_of[(p, i)] for i in vs] for p, vs in tri.triangles]
     glue = [[tri.gluing[(t, k)] for k in range(3)] for t in range(n)]
     found = []
-    for t_id, k in tri.corners():
-        _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found)
+    for t_id in range(n):
+        for k in range(3):
+            _search_from_corner(lat, bound, verts, spokes, classes, glue,
+                                t_id, k, found)
     return found
 
 
-def _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found):
-    d = lat.d
+def _search_from_corner(lat, bound, verts, spokes, classes, glue, t_id, k,
+                        found):
+    d = bound.d
     origin = verts[t_id][k]
     start_class = classes[t_id][k]
     k1 = (k + 1) % 3
@@ -303,14 +229,14 @@ def _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found):
     c = _sub(verts[t_id][k2], origin)
     # the outgoing triangle edge is this corner's germ; the other corner
     # ray belongs to the neighboring corner and is recorded there
-    if lat.within(_norm(b, d)):
+    if bound.within(_norm(b, d)):
         found.append(FoundConnection(lat.vec2(b), start_class,
                                      classes[t_id][k1]))
     # state: (glued side, cone rays, full edge segment as the pushing
     # triangle traverses it); a state is pushed only when its window is
     # not empty and not wholly beyond the bound
     stack = []
-    if _window_within(b, c, b, c, lat):
+    if _window_within(b, c, b, c, bound):
         stack.append((glue[t_id][k1], b, c, b, c))
     guard = 0
     while stack:
@@ -326,7 +252,7 @@ def _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found):
         # far edges of nt: (nk+1) runs seg_a -> apex, (nk+2) runs apex -> seg_b
         if (_sign(*_cross(w1, apex, d), d) > 0
                 and _sign(*_cross(apex, w2, d), d) > 0):
-            if lat.within(_norm(apex, d)):
+            if bound.within(_norm(apex, d)):
                 found.append(FoundConnection(
                     lat.vec2(apex), start_class, classes[nt][(nk + 2) % 3]))
             splits = (
@@ -340,7 +266,7 @@ def _search_from_corner(lat, verts, spokes, classes, glue, t_id, k, found):
                 ((nk + 2) % 3, (apex, seg_b), (w1, w2)),
             )
         for edge_k, (ea, eb), (nw1, nw2) in splits:
-            if _window_within(nw1, nw2, ea, eb, lat):
+            if _window_within(nw1, nw2, ea, eb, bound):
                 stack.append((glue[nt][edge_k], nw1, nw2, ea, eb))
 
 

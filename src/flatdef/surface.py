@@ -19,10 +19,11 @@ from .errors import (
 )
 from .field import FieldScalar, Mat2, QQ, Vec2, unify_ctx
 from .polygon import (
+    Lattice,
+    _ORIGIN,
+    _add,
     check_simple,
     corner_crosses_east,
-    signed_area2,
-    vertex_positions,
 )
 
 __all__ = ["TranslationSurface", "SingularityData", "square_tiled", "l_shape"]
@@ -118,15 +119,19 @@ class TranslationSurface:
     def vertices(self, p: int) -> list[Vec2]:
         key = ("verts", p)
         if key not in self._cache:
-            self._cache[key] = vertex_positions(self.polygons[p])
+            lat = self.lattice()
+            self._cache[key] = [lat.vec2(v) for v in lat.verts[p]]
         return self._cache[key]
+
+    def lattice(self) -> Lattice:
+        """The integer form of every polygon (`polygon.Lattice`)."""
+        if "lattice" not in self._cache:
+            self._cache["lattice"] = Lattice(self.polygons)
+        return self._cache["lattice"]
 
     def area2(self) -> FieldScalar:
         """Twice the flat area."""
-        total = FieldScalar(0, 0, self.ctx)
-        for poly in self.polygons:
-            total = total + signed_area2(poly)
-        return total
+        return self.lattice().area2()
 
     def area(self) -> FieldScalar:
         return self.area2() / 2
@@ -144,13 +149,6 @@ class TranslationSurface:
         n = len(self.polygons[p])
         return self.gluing[(p, (i - 1) % n)]
 
-    def corner_rays(self, corner: EdgeRef) -> tuple[Vec2, Vec2]:
-        """(outgoing edge ray, reversed incoming ray) spanning the corner ccw."""
-        p, i = corner
-        poly = self.polygons[p]
-        n = len(poly)
-        return poly[i], -poly[(i - 1) % n]
-
     def vertex_class_map(self) -> dict[EdgeRef, int]:
         """corner -> vertex class index, using validated singularity data."""
         data = self.singularities()
@@ -165,18 +163,16 @@ class TranslationSurface:
     def singularities(self) -> SingularityData:
         if "sing" in self._cache:
             return self._cache["sing"]
-        for p, poly in enumerate(self.polygons):
-            total = poly[0]
-            for e in poly[1:]:
-                total = total + e
-            if not total.is_zero():
+        lat = self.lattice()
+        for p, (edges, verts) in enumerate(zip(lat.edges, lat.verts)):
+            if _add(verts[-1], edges[-1]) != _ORIGIN:
                 raise NonClosedPolygon(f"polygon {p} does not close up")
             try:
-                check_simple(list(poly))
+                check_simple(edges, verts, lat.d)
             except ValueError as exc:
                 raise NonSimplePolygon(f"polygon {p}: {exc}") from None
         for a, b in self.gluing.items():
-            if not (self.edge_vector(a) + self.edge_vector(b)).is_zero():
+            if _add(lat.edges[a[0]][a[1]], lat.edges[b[0]][b[1]]) != _ORIGIN:
                 raise GluingMismatch(
                     f"glued edges {a} and {b} are not opposite vectors")
         self._check_connected()
@@ -201,8 +197,7 @@ class TranslationSurface:
         for cycle in classes:
             turns = 0
             for corner in cycle:
-                out_ray, rev_in = self.corner_rays(corner)
-                turns += corner_crosses_east(out_ray, rev_in)
+                turns += corner_crosses_east(*lat.corner_rays(corner), lat.d)
             if turns < 1:
                 raise BadConeAngle(f"vertex class {cycle[0]} has angle < 2*pi")
             cone_orders.append(turns - 1)

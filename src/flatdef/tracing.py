@@ -19,7 +19,7 @@ from itertools import groupby
 
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2
-from .polygon import sector_contains
+from .polygon import _EAST, sector_contains
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST", "NORTH"]
@@ -67,12 +67,12 @@ def east_ray_corners(surface: TranslationSurface):
     exactly one corner, so these are the rays to trace for a horizontal
     decomposition.
     """
-    east = EAST(surface.ctx)
+    lat = surface.lattice()
     out = []
-    for p in range(len(surface.polygons)):
-        for i in range(len(surface.polygons[p])):
-            start, end = surface.corner_rays((p, i))
-            if sector_contains(start, end, east,
+    for p, edges in enumerate(lat.edges):
+        for i in range(len(edges)):
+            start, end = lat.corner_rays((p, i))
+            if sector_contains(start, end, _EAST, lat.d,
                                include_start=True, include_end=False):
                 out.append((p, i))
     return out
@@ -254,8 +254,9 @@ def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
     """
     axis = _axis(direction)
     p, i = corner
-    start_ray, end_ray = surface.corner_rays(corner)
-    if not sector_contains(start_ray, end_ray, direction,
+    lat = surface.lattice()
+    start_ray, end_ray = lat.corner_rays(corner)
+    if not sector_contains(start_ray, end_ray, lat.point(direction), lat.d,
                            include_start=True, include_end=False):
         raise ValueError(f"direction {direction} does not leave corner {corner}")
     return _trace(surface, axis, p, surface.vertices(p)[i], ("vertex", i),

@@ -20,12 +20,12 @@ class TestDelaunay:
         assert len(gluing) == 4
 
     def test_cells_preserve_area(self, golden_l, l_origami):
-        from flatdef.polygon import signed_area2
+        from flatdef.polygon import Lattice
         for surf in (golden_l, l_origami):
             cells, _ = delaunay_cells(surf)
             total = FieldScalar(0, 0, surf.ctx)
             for cell in cells:
-                total = total + signed_area2(list(cell))
+                total = total + Lattice([cell]).area2()
             assert (total - surf.area2()).is_zero()
 
     def test_canonical_under_retriangulation(self, l_origami):

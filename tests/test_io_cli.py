@@ -296,6 +296,29 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == f"InternalError: {exc.__name__}: forced\n"
 
+    @pytest.mark.parametrize("ear_ok, message", [
+        (False, "no ear found; polygon not simple?"),
+        (True, "degenerate final triangle in ear clipping"),
+    ])
+    def test_ear_clip_failure_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     ear_ok, message):
+        # a unit torus with both vertical sides cut in thirds, so the
+        # last three vertices of its square are collinear: refusing
+        # every ear finds none, and taking every ear leaves them last
+        from flatdef import polygon
+        from flatdef.surface import TranslationSurface
+        third = Fraction(1, 3)
+        edges = [(1, 0)] + [(0, third)] * 3 + [(-1, 0)] + [(0, -third)] * 3
+        surf = TranslationSurface([[Vec2(*e) for e in edges]],
+                                  [((0, 0), (0, 4)), ((0, 1), (0, 7)),
+                                   ((0, 2), (0, 6)), ((0, 3), (0, 5))])
+        path = tmp_path / "thirds.json"
+        dump_surface(surf, path)
+        monkeypatch.setattr(polygon, "_diagonal_ok", lambda *args: ear_ok)
+        assert main(["scan", str(path), "--max-len", "1"]) == 2
+        assert capsys.readouterr().err == \
+            f"InternalInvariantError: {message}\n"
+
     # bad cycles exit 1 as input errors, never 2: entries outside
     # 1..squares, an entry twice in one cycle or across cycles, and
     # non-ASCII digits

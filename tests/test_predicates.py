@@ -1,31 +1,40 @@
-"""Differential tests of the slab ray-exit lookup, the window predicate
-and the incircle test.
+"""Differential tests of the slab ray-exit lookup, the window predicate,
+the incircle test and the polygon predicates.
 
 `tracing._SlabTable.exit` finds where a ray along an axis leaves a
 polygon by a search on its height, and `search._window_within` decides
 a window by cross-multiplication alone, on the integer lattice form of
-its points (each Vec2 case is converted by the search's own
-`search._Lattice`).  The references below are the versions that
-divided for every candidate: `ref_exit_ray` computed t and s for each
-edge and kept the nearest hit, and the search clipped each window to
-exact intersection points (`ref_clip_window`) and then measured the
-clipped segment's distance from the origin (`ref_beyond`).  Both sides
+its points (each Vec2 case is converted by `polygon.Lattice`).  The
+references below are the versions that divided for every candidate:
+`ref_exit_ray` computed t and s for each edge and kept the nearest hit,
+and the search clipped each window to exact intersection points
+(`ref_clip_window`) and then measured the clipped segment's distance
+from the origin (`ref_beyond`).  Both sides
 must agree exactly: the same values, labels and tie-breaks, or the same
 `InternalInvariantError`.  `equivalence._incircle` is checked the same
 way against the 3x3 determinant on FieldScalar coordinates
 (`ref_incircle`) that Delaunay flipping used before the lattice form.
+The predicates of `polygon` (validation, ear clipping, sectors, segment
+crossings, area) are checked against copies of the `FieldScalar` code
+they replaced, named `ref_*`: the same results, triangles and error
+messages, valid and invalid polygons and straight vertices included.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdef.equivalence import _incircle, delaunay_cells
 from flatdef.errors import InternalInvariantError
-from flatdef.field import FieldCtx, FieldScalar, Vec2
-from flatdef.polygon import vertex_positions
-from flatdef.search import _Lattice, _window_within
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
+from flatdef.polygon import (Lattice, _point_in_closed_triangle,
+                             check_simple, corner_crosses_east, cross_sign,
+                             ear_clip, same_ray, sector_contains,
+                             segments_intersect_interior)
+from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import _SlabTable, _axis, _split, trace_from_corner
 
@@ -165,16 +174,191 @@ def ref_incircle(p, q, r, s):
     return det.sign()
 
 
+# The FieldScalar predicates the polygon module ran before the lattice
+# form, copied unchanged apart from their names.
+
+def ref_vertex_positions(edges):
+    pos = []
+    ctx = edges[0].ctx
+    cur = Vec2(FieldScalar(0, 0, ctx), FieldScalar(0, 0, ctx))
+    for e in edges:
+        pos.append(cur)
+        cur = cur + e
+    return pos
+
+
+def ref_signed_area2(edges):
+    pos = ref_vertex_positions(edges)
+    n = len(edges)
+    total = FieldScalar(0, 0, edges[0].ctx)
+    for i in range(n):
+        p = pos[i]
+        q = pos[(i + 1) % n]
+        total = total + (p.x * q.y - q.x * p.y)
+    return total
+
+
+def ref_cross_sign(u, v):
+    return u.cross(v).sign()
+
+
+def ref_same_ray(u, v):
+    return ref_cross_sign(u, v) == 0 and u.dot(v).sign() > 0
+
+
+def ref_sector_contains(start, end, w, *, include_start=True,
+                        include_end=False):
+    if ref_same_ray(w, start):
+        return include_start
+    if ref_same_ray(w, end):
+        return include_end
+    if ref_same_ray(start, end):
+        return True
+    s = ref_cross_sign(start, end)
+    if s > 0:
+        return ref_cross_sign(start, w) > 0 and ref_cross_sign(w, end) > 0
+    if s < 0:
+        return not (ref_cross_sign(end, w) > 0 and ref_cross_sign(w, start) > 0)
+    return ref_cross_sign(start, w) > 0
+
+
+def ref_corner_crosses_east(out_ray, rev_in_ray):
+    ctx = out_ray.ctx
+    e = Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
+    return 1 if ref_sector_contains(out_ray, rev_in_ray, e,
+                                    include_start=False, include_end=True) else 0
+
+
+def ref_on_segment(p, a, b):
+    d = b - a
+    t = (p - a).dot(d)
+    return t.sign() > 0 and t < d.dot(d)
+
+
+def ref_segments_intersect_interior(a, b, c, d):
+    ab = b - a
+    cd = d - c
+    d1 = ref_cross_sign(ab, c - a)
+    d2 = ref_cross_sign(ab, d - a)
+    d3 = ref_cross_sign(cd, a - c)
+    d4 = ref_cross_sign(cd, b - c)
+    if d1 != d2 and d3 != d4 and d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        if ref_cross_sign(v - u, p - u) == 0 and ref_on_segment(p, u, v):
+            return True
+    if d1 == 0 and d2 == 0:
+        if (a == c and b == d) or (a == d and b == c):
+            return True
+    return False
+
+
+def ref_check_simple(edges):
+    n = len(edges)
+    if n < 3:
+        raise ValueError("polygon needs at least 3 edges")
+    for e in edges:
+        if e.is_zero():
+            raise ValueError("zero-length edge")
+    total = edges[0]
+    for e in edges[1:]:
+        total = total + e
+    if not total.is_zero():
+        raise ValueError("edge vectors do not close up")
+    for i in range(n):
+        prev = edges[(i - 1) % n]
+        if ref_same_ray(edges[i], -prev):
+            raise ValueError(f"fold-back at vertex {i}")
+    pos = ref_vertex_positions(edges)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pos[i] == pos[j]:
+                raise ValueError(f"repeated vertex position at {i} and {j}")
+    for i in range(n):
+        a, b = pos[i], pos[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            c, d = pos[j], pos[(j + 1) % n]
+            if ref_segments_intersect_interior(a, b, c, d):
+                raise ValueError(f"edges {i} and {j} intersect")
+    if ref_signed_area2(edges).sign() <= 0:
+        raise ValueError("boundary is not positively oriented")
+
+
+def ref_point_in_closed_triangle(p, a, b, c):
+    s1 = ref_cross_sign(b - a, p - a)
+    s2 = ref_cross_sign(c - b, p - b)
+    s3 = ref_cross_sign(a - c, p - c)
+    return s1 >= 0 and s2 >= 0 and s3 >= 0
+
+
+def ref_diagonal_ok(pos, idx, k):
+    m = len(idx)
+    i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
+    a, b, c = pos[i0], pos[i1], pos[i2]
+    if ref_cross_sign(b - a, c - b) <= 0:
+        return False
+    for j in idx:
+        if j in (i0, i1, i2):
+            continue
+        if ref_point_in_closed_triangle(pos[j], a, b, c):
+            return False
+    prev_a = pos[idx[(k - 2) % m]]
+    next_c = pos[idx[(k + 2) % m]]
+    if not ref_sector_contains(b - a, prev_a - a, c - a,
+                               include_start=False, include_end=False):
+        return False
+    if not ref_sector_contains(next_c - c, b - c, a - c,
+                               include_start=False, include_end=False):
+        return False
+    for t in range(m):
+        u, v = idx[t], idx[(t + 1) % m]
+        if u in (i0, i2) or v in (i0, i2):
+            continue
+        if ref_segments_intersect_interior(a, c, pos[u], pos[v]):
+            return False
+    return True
+
+
+def ref_ear_clip(edges):
+    n = len(edges)
+    pos = ref_vertex_positions(edges)
+    idx = list(range(n))
+    tris = []
+    while len(idx) > 3:
+        for k in range(len(idx)):
+            if ref_diagonal_ok(pos, idx, k):
+                m = len(idx)
+                tris.append((idx[(k - 1) % m], idx[k], idx[(k + 1) % m]))
+                idx.pop(k)
+                break
+        else:
+            raise RuntimeError("no ear found; polygon not simple?")
+    a, b, c = (pos[i] for i in idx)
+    if ref_cross_sign(b - a, c - b) <= 0:
+        raise RuntimeError("degenerate final triangle in ear clipping")
+    tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
+
+def lattice(*points):
+    """The integer form over the common denominator of `points`: that of
+    one polygon whose edges are the points."""
+    return Lattice([points])
+
+
 def lattice_incircle(p, q, r, s):
-    """`_incircle` on Vec2 points, in the search's lattice form."""
-    lat = _Lattice((p, q, r, s))
+    """`_incircle` on Vec2 points, in their lattice form."""
+    lat = lattice(p, q, r, s)
     return _incircle(*(lat.point(v) for v in (p, q, r, s)), lat.d)
 
 
 def lattice_window_within(w1, w2, a, b, bound_sq):
-    """`_window_within` on a Vec2 case, in the search's lattice form."""
-    lat = _Lattice((w1, w2, a, b), bound_sq)
-    return _window_within(*(lat.point(v) for v in (w1, w2, a, b)), lat)
+    """`_window_within` on a Vec2 case, in its lattice form."""
+    lat = lattice(w1, w2, a, b)
+    return _window_within(*(lat.point(v) for v in (w1, w2, a, b)),
+                          _Bound(lat, bound_sq))
 
 
 def outcome(fn, *args):
@@ -221,7 +405,9 @@ class OnePolygon:
 
     def __init__(self, edges):
         self.polygons = (tuple(edges),)
-        self._verts = vertex_positions(edges)
+        zero = FieldScalar(0, 0, edges[0].ctx)
+        self._verts = list(accumulate(edges[:-1], Vec2.__add__,
+                                      initial=Vec2(zero, zero)))
 
     def vertices(self, p):
         return self._verts
@@ -528,3 +714,227 @@ class TestIncircle:
             for s in corners[3:]:
                 assert lattice_incircle(*corners[:3], s) == 0
                 assert ref_incircle(*corners[:3], s) == 0
+
+
+# -- polygon predicates on the lattice form -----------------------------------
+
+def raised(fn, *args, **kwargs):
+    """A comparable record of a call: its result or its error's type name
+    and message."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _small(draw, ctx):
+    """0, or +-(sqrt(d) - floor(sqrt(d)))^k: irrational parts far larger
+    than the value, which only a correct d in the products keeps exact."""
+    if not ctx.d or draw(st.booleans()):
+        return FieldScalar(draw(st.integers(-1, 1)), 0, ctx)
+    eps = FieldScalar(-isqrt(ctx.d), 1, ctx)
+    return eps ** draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def ray_triples(draw):
+    """Three non-zero directions over one field, each at random, along an
+    axis, or on the same or the opposite ray as one drawn before."""
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    one = FieldScalar(1, 0, ctx)
+    rays = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(["random", "random", "axis", "same",
+                                     "opposite", "small"]))
+        lam = _scalar(draw, ctx, 0, 4, positive=True)
+        if kind == "small":
+            v = Vec2(_small(draw, ctx), _small(draw, ctx))
+        elif kind in ("same", "opposite") and rays:
+            v = draw(st.sampled_from(rays)).scale(
+                lam if kind == "same" else -lam)
+        elif kind == "axis":
+            x, y = draw(st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]))
+            v = Vec2(one * x, one * y).scale(lam)
+        else:
+            v = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+            if v.is_zero():
+                v = Vec2(one, one)
+        rays.append(v)
+    return rays
+
+
+@st.composite
+def segment_pairs(draw):
+    """Segments ab and cd over one field; c and d at random, at a or b, or
+    on the line through a and b, inside the segment or beyond it."""
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    a = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    b = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    if (b - a).is_zero():
+        b = a + Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
+
+    def point():
+        kind = draw(st.sampled_from(["random", "a", "b", "inside", "beyond"]))
+        if kind == "a":
+            return a
+        if kind == "b":
+            return b
+        if kind == "random":
+            return Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+        sixths = (st.integers(1, 5) if kind == "inside" else
+                  st.integers(-12, -1) | st.integers(7, 18))
+        t = Fraction(draw(sixths), 6)
+        return a + (b - a).scale(FieldScalar(t, 0, ctx))
+
+    c, d = point(), point()
+    if (d - c).is_zero():
+        d = c + Vec2(_scalar(draw, ctx, 1, 3, positive=True),
+                     _scalar(draw, ctx))
+    return a, b, c, d
+
+
+DEFECTS = ("clockwise", "fold-back", "zero edge", "open", "loop", "swap",
+           "two edges")
+
+
+@st.composite
+def polygon_cases(draw, valid=None):
+    """Edge lists of star polygons, some edges cut in two (a straight
+    vertex), started at any vertex; unless `valid`, possibly with one of
+    `DEFECTS`.  Returns (edges, defect or None)."""
+    surf, _, ctx = draw(star_polygons())
+    edges = list(surf.polygons[0])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(edges) - 1))
+        t = FieldScalar(Fraction(draw(st.integers(1, 4)), 5), 0, ctx)
+        edges[i:i + 1] = [edges[i].scale(t), edges[i].scale(1 - t)]
+    k = draw(st.integers(0, len(edges) - 1))
+    edges = edges[k:] + edges[:k]
+    defect = None if valid else draw(st.sampled_from((None,) + DEFECTS))
+    i = draw(st.integers(0, len(edges) - 1))
+    v = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    if v.is_zero():
+        v = Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
+    if defect == "clockwise":
+        edges = [-e for e in reversed(edges)]
+    elif defect == "fold-back":
+        edges[i:i] = [v, -v]
+    elif defect == "zero edge":
+        edges.insert(i, v.scale(FieldScalar(0, 0, ctx)))
+    elif defect == "open":
+        edges[i] = edges[i] + v
+    elif defect == "loop":
+        w = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+        edges[i:i] = [v, w, -(v + w)]
+    elif defect == "swap":
+        j = draw(st.integers(0, len(edges) - 1))
+        edges[i], edges[j] = edges[j], edges[i]
+    elif defect == "two edges":
+        edges = [v, -v]
+    return edges, defect
+
+
+def corners(edges):
+    """Each corner's (outgoing ray, reversed incoming ray)."""
+    return [(edges[i], -edges[i - 1]) for i in range(len(edges))]
+
+
+class TestSectors:
+    @settings(max_examples=200, deadline=None)
+    @given(ray_triples(), st.booleans(), st.booleans())
+    def test_matches_reference(self, rays, include_start, include_end):
+        start, end, w = rays
+        lat = lattice(start, end, w)
+        s, e, x = (lat.point(v) for v in rays)
+        d = lat.d
+        assert cross_sign(s, e, d) == ref_cross_sign(start, end)
+        assert same_ray(s, e, d) == ref_same_ray(start, end)
+        assert sector_contains(s, e, x, d, include_start=include_start,
+                               include_end=include_end) == \
+            ref_sector_contains(start, end, w, include_start=include_start,
+                                include_end=include_end)
+        assert corner_crosses_east(s, e, d) == \
+            ref_corner_crosses_east(start, end)
+
+
+@st.composite
+def triangle_points(draw):
+    """A triangle and a point at a vertex, on an edge or its line, inside,
+    or at random."""
+    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    a, b, c = (Vec2(_scalar(draw, ctx), _scalar(draw, ctx)) for _ in range(3))
+    kind = draw(st.sampled_from(["vertex", "edge", "line", "inside",
+                                 "random"]))
+    u, v, w = draw(st.permutations((a, b, c)))
+    t = FieldScalar(Fraction(draw(st.integers(-6, 12)), 6), 0, ctx)
+    if kind == "vertex":
+        x = u
+    elif kind in ("edge", "line"):
+        if kind == "edge":
+            t = FieldScalar(Fraction(draw(st.integers(1, 5)), 6), 0, ctx)
+        x = u + (v - u).scale(t)
+    elif kind == "inside":
+        x = u + (v - u).scale(FieldScalar(Fraction(1, 3), 0, ctx)) \
+            + (w - u).scale(FieldScalar(Fraction(1, 3), 0, ctx))
+    else:
+        x = Vec2(_scalar(draw, ctx), _scalar(draw, ctx))
+    return x, a, b, c
+
+
+class TestPointInTriangle:
+    @settings(max_examples=200, deadline=None)
+    @given(triangle_points())
+    def test_matches_reference(self, case):
+        lat = lattice(*case)
+        assert _point_in_closed_triangle(*(lat.point(v) for v in case),
+                                         lat.d) == \
+            ref_point_in_closed_triangle(*case)
+
+
+class TestSegments:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_pairs())
+    def test_matches_reference(self, case):
+        lat = lattice(*case)
+        points = [lat.point(v) for v in case]
+        assert segments_intersect_interior(*points, lat.d) == \
+            ref_segments_intersect_interior(*case)
+
+
+class TestPolygons:
+    @settings(max_examples=200, deadline=None)
+    @given(polygon_cases())
+    def test_check_simple_and_area_match_reference(self, case):
+        edges, defect = case
+        lat = Lattice([edges])
+        found = raised(check_simple, lat.edges[0], lat.verts[0], lat.d)
+        assert found == raised(ref_check_simple, edges)
+        assert (found == ("ok", None)) == (defect is None) or defect in (
+            "swap", "loop")  # a swap or a loop may leave a simple polygon
+        assert lat.area2() == ref_signed_area2(edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_cases(valid=True))
+    def test_ear_clip_and_corners_match_reference(self, case):
+        edges, _ = case
+        lat = Lattice([edges])
+        assert ear_clip(lat.verts[0], lat.d) == ref_ear_clip(edges)
+        assert [corner_crosses_east(*lat.corner_rays((0, i)), lat.d)
+                for i in range(len(edges))] == \
+            [ref_corner_crosses_east(*c) for c in corners(edges)]
+
+    @pytest.mark.parametrize("matrix", [(1, 0, 0, 1), (2, 1, 1, 1),
+                                        (1, -2, 1, -1), (-1, 2, -1, 1)])
+    def test_surfaces_match_reference(self, golden_l, matrix):
+        for surf in (golden_l.apply_matrix(Mat2(*matrix)),
+                     l_shape(Fraction(3, 2), Fraction(1, 3), Fraction(2, 7),
+                             FieldScalar(0, Fraction(1, 5), FieldCtx.get(2))),
+                     square_tiled([(1, 2, 3)], [(1, 4)])):
+            lat = surf.lattice()
+            for p, edges in enumerate(surf.polygons):
+                edges = list(edges)
+                assert check_simple(lat.edges[p], lat.verts[p], lat.d) is None
+                assert ear_clip(lat.verts[p], lat.d) == ref_ear_clip(edges)
+            assert surf.area2() == sum(
+                (ref_signed_area2(list(e)) for e in surf.polygons),
+                FieldScalar(0, 0, surf.ctx))
