@@ -10,12 +10,14 @@ CHANGES.md.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
 from flatdef.analysis import accumulate_tangent, rank_lower_bound
-from flatdef.cylinders import PARTIAL, decompose, trace_separatrix
+from flatdef.cylinders import (PARTIAL, BoundExceeded, _normalize, decompose,
+                               default_bound_sq, trace_separatrix)
 from flatdef.deform import shear, stretch
 from flatdef import equivalence
 from flatdef.equivalence import delaunay_cells
@@ -25,6 +27,7 @@ from flatdef.search import enumerate_saddle_connections
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
 from flatdef.surface import l_shape, square_tiled
+from flatdef.tracing import EAST, east_ray_corners, trace_from_corner
 
 Q2 = FieldCtx.get(2)
 
@@ -226,3 +229,56 @@ def test_delaunay_cells_and_flips(monkeypatch, multi_twisted, seeded_origami,
     assert len(flipped) == flips
     assert _digest(flipped) == flips_digest
     assert _digest(payload) == digest
+
+
+# -- east rays of generic L-shapes at the default bound ---------------------
+#
+# The decomposition digests above see a ray only once it closes up, and
+# only through the cylinders it bounds; most rays of a generic L-shape
+# run to the bound.  This digest covers every east ray of the normalized
+# surface, bound rays included (their advance, chords and crossings).
+# Recorded while tracing still ran on FieldScalar slab tables.
+
+def _generic_lshape(d):
+    r = FieldCtx.get(d).sqrt_gen()
+    return l_shape(4 + r / 16, 3 - r / 8, 2 - r / 16, 2 + r / 8,
+                   label=f"l-{d}")
+
+
+def _primitive_directions(bound=3):
+    return [(p, q) for p in range(bound + 1) for q in range(-bound, bound + 1)
+            if (p, q) != (0, 0) and not (p == 0 and q < 0)
+            and math.gcd(p, q) == 1]
+
+
+def test_generic_lshape_east_rays():
+    dirs = _primitive_directions()
+    assert len(dirs) == 16
+    rows = []
+    for d in (2, 3, 5):
+        surf = _generic_lshape(d)
+        bound_sq = default_bound_sq(surf)
+        for v in dirs:
+            direction, _g, normalized = _normalize(surf, Vec2(*v))
+            max_advance_sq = bound_sq * direction.vector.norm_sq()
+            for corner in east_ray_corners(normalized):
+                res = trace_from_corner(normalized, corner,
+                                        EAST(normalized.ctx),
+                                        max_advance_sq=max_advance_sq)
+                rows.append([d, list(v), list(corner), res.kind,
+                             str(res.advance),
+                             None if res.end_corner is None
+                             else list(res.end_corner),
+                             [[p, _point(a), _point(b)]
+                              for p, a, b in res.chords],
+                             [_point(c) for c in res.crossings]])
+    assert len(rows) == 144
+    assert sum(row[3] == "bound" for row in rows) == 108
+    assert _digest(rows) == \
+        "f232977f3cafca013346baf67810c66dbbbb00a6e7e30f73a817806cc599d9f6"
+
+
+def test_trace_separatrix_bound_advance():
+    res = trace_separatrix(_generic_lshape(2), (0, 0), (2, 1), 5)
+    assert isinstance(res, BoundExceeded)
+    assert str(res.advance_sq) == "10245/512+5/8*sqrt(2)"
