@@ -165,7 +165,8 @@ class TranslationSurface:
             return self._cache["sing"]
         lat = self.lattice()
         for p, (edges, verts) in enumerate(zip(lat.edges, lat.verts)):
-            if _add(verts[-1], edges[-1]) != _ORIGIN:
+            # no edges close up; check_simple then rejects the polygon
+            if edges and _add(verts[-1], edges[-1]) != _ORIGIN:
                 raise NonClosedPolygon(f"polygon {p} does not close up")
             try:
                 check_simple(edges, verts, lat.d)

@@ -1,4 +1,4 @@
-"""Exact straight-line tracing through glued polygons.
+"""Exact straight-line tracing through glued polygons, on the lattice form.
 
 All tracing here happens on a direction-normalized surface, in one of
 two directions: `EAST` (separatrices and core leaves) or `NORTH`
@@ -10,16 +10,31 @@ A ray along an axis keeps its height (y for `EAST`, x for `NORTH`)
 inside a polygon, so where it leaves depends only on that height and
 on how far along the ray it starts.  `_SlabTable` indexes one polygon
 by height once, and each crossing is then a table lookup.
+
+The arithmetic runs on the surface's `polygon.Lattice`: a coordinate
+is a pair (A, B) of integers meaning (A + B*sqrt(d))/D.  Gluing
+translations are lattice vectors, so a ray keeps its height on the
+lattice from polygon to polygon, and so does `base`, its start's
+along-coordinate plus the along-parts of the translations it has
+crossed: the advance to a point of along-coordinate x in the current
+polygon's frame is x - base.  An exit through an edge lies at the
+quotient x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0,
+so the bound and stop tests are one cross-multiplied sign each.  A
+start off the lattice (an interior point) is held over k*D for the
+least integer k that holds it; k = 1 at a corner.  `FieldScalar`s are
+built only for what a trace returns: its advance, its end position,
+and, on first access, its chords' and crossings' edge parameters.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import groupby
+from collections.abc import Sequence
+from functools import cmp_to_key
+from math import lcm
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2
-from .polygon import _EAST, sector_contains
+from .field import FieldScalar, Vec2, _new, _sign
+from .polygon import _EAST, _mul, _sub, sector_contains
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST", "NORTH"]
@@ -99,145 +114,257 @@ def _join(h, a, axis: int) -> Vec2:
     return Vec2(a, h) if axis == 0 else Vec2(h, a)
 
 
+def _lattice_split(pt, axis: int):
+    """(height, along) pairs of a lattice point (xa, xb, ya, yb)."""
+    xa, xb, ya, yb = pt
+    return ((ya, yb), (xa, xb)) if axis == 0 else ((xa, xb), (ya, yb))
+
+
+def _quotient(N, R, scale, d, ctx) -> FieldScalar:
+    """The scalar N / (R * scale) of pairs N, R != 0 and an integer scale."""
+    RA, RB = R
+    if not RB:
+        return _new(N[0], N[1], RA * scale, ctx)
+    NA, NB = N
+    return _new(NA * RA - d * NB * RB, NB * RA - NA * RB,
+                (RA * RA - d * RB * RB) * scale, ctx)
+
+
+def _pair(s: FieldScalar, scale: int):
+    """s * scale as a pair; scale must be a multiple of s's denominator."""
+    m = scale // s._D
+    return s._A * m, s._B * m
+
+
+def _start(lat, origin: Vec2, axis: int):
+    """(k, height, along) of a point: the least k >= 1 such that both
+    coordinates are pairs over k*D, and those pairs."""
+    D = lat.D
+    k = lcm(D, origin.x._D, origin.y._D) // D
+    h, a = _split(origin, axis)
+    return k, _pair(h, k * D), _pair(a, k * D)
+
+
+def _escaped(p, h, a, axis):
+    return InternalInvariantError(
+        f"ray from {_join(h, a, axis)} in polygon {p} escaped the boundary")
+
+
 class _SlabTable:
     """Where a ray along one axis leaves one polygon, indexed by height.
 
-    `heights` holds the distinct vertex heights in ascending order (the
-    breakpoints).  Open slab i lies between heights[i-1] and heights[i];
-    slabs 0 and len(heights) are unbounded and empty.  For each slab,
-    `order[i]` lists the edges crossing it in along-ray order and
-    `succ[i]` maps each to the next one.  On the line at heights[j],
-    `events[j]` lists the exits of a ray on that line in ascending
-    along-coordinate `alongs[j]`, one per point: a crossed edge, or a
-    vertex with a non-horizontal incident edge.  `lines[e]` holds, for
-    a non-horizontal edge e, its start (height, along), 1/dh and the
-    slope da/dh.
+    Points are `polygon.Lattice` points over D.  `heights` holds the
+    distinct vertex heights in ascending order (the breakpoints), and
+    `line_of` maps each to its index.  Open slab i lies between
+    heights[i-1] and heights[i]; slabs 0 and len(heights) are unbounded
+    and empty.  For each slab, `order[i]` lists the edges crossing it
+    in along-ray order and `succ[i]` maps each to the exit event of the
+    next one.  On the line at heights[j], `events[j]` lists the exits
+    of a ray on that line in ascending along-coordinate, one per point:
+    a crossed edge, or a vertex with a non-horizontal incident edge;
+    `line_pos[j]` maps each ("edge", e) and ("vertex", v) standing at
+    one of those points to its index.  `lines[e]` holds, for a
+    non-horizontal edge e, its start and direction as pairs
+    (h0, a0, dh, da), `exits[e]` its exit event and `span[e]` the ranks
+    of its lower and upper end.
+
+    An exit event is a tuple (kind, data, C, M, R, R2): kind "vertex"
+    with the vertex index or "edge" with the edge index, and pairs such
+    that the event's along-coordinate, for a ray at height H over k*D,
+    is (k*C + H*M) / R over k*D, with R > 0 and R2 = R*R.
 
     `exit` reproduces the rule of a scan over all edges: the nearest
     hit strictly ahead of the origin; at one point a vertex label found
     first stays, and an edge label gives way to a later candidate.
+    Which of two points comes first is decided by cross-multiplying,
+    never by dividing.
     """
 
-    __slots__ = ("p", "axis", "heights", "order", "succ", "events",
-                 "alongs", "lines")
+    __slots__ = ("heights", "line_of", "order", "succ", "events",
+                 "line_pos", "lines", "exits", "span")
 
-    def __init__(self, p, verts, edges, axis):
-        self.p = p
-        self.axis = axis
+    def __init__(self, verts, edges, axis, d):
         n = len(edges)
-        pts = [_split(v, axis) for v in verts]
+        pts = [_lattice_split(v, axis) for v in verts]
+        heights = sorted({h for h, _ in pts}, key=cmp_to_key(
+            lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
+        line_of = {h: j for j, h in enumerate(heights)}
         # rank[v]: the index of vertex v's height in `heights`, so that
         # which side of a line a vertex lies on is an integer comparison
-        heights = []
-        rank = [0] * n
-        for v in sorted(range(n), key=lambda v: pts[v][0]):
-            if not heights or heights[-1] != pts[v][0]:
-                heights.append(pts[v][0])
-            rank[v] = len(heights) - 1
+        rank = [line_of[h] for h, _ in pts]
         lines = [None] * n
-        for e, d in enumerate(edges):
-            dh, da = _split(d, axis)
-            if dh:
-                inv = dh.inverse()
-                lines[e] = (pts[e][0], pts[e][1], inv, da * inv)
+        exits = [None] * n
+        span = [None] * n
+        one = (1, 0)
+        # per line, in edge scan order: cands holds (P, R, key, event)
+        # for each exit at along-coordinate P/R, and above holds
+        # (P, R, M, R, edge) for each edge of slope M/R that crosses the
+        # open slab just above the line
+        cands = [[] for _ in heights]
+        above = [[] for _ in heights]
+        for e, vec in enumerate(edges):
+            f = (e + 1) % n
+            ra, rb = rank[e], rank[f]
+            if ra == rb:
+                continue  # horizontal
+            dh, da = _lattice_split(vec, axis)
+            h0, a0 = pts[e]
+            lines[e] = (h0, a0, dh, da)
+            # along at height h: a0 + (h - h0) da/dh = (C + h M) / R
+            adh, hda = _mul(a0, dh, d), _mul(h0, da, d)
+            C = adh[0] - hda[0], adh[1] - hda[1]
+            M, R = da, dh
+            if _sign(*R, d) < 0:
+                C, M, R = (-C[0], -C[1]), (-M[0], -M[1]), (-R[0], -R[1])
+            exits[e] = event = ("edge", e, C, M, R, _mul(R, R, d))
+            lo, hi = span[e] = (ra, rb) if ra < rb else (rb, ra)
+            for v, j in ((e, ra), (f, rb)):
+                a = pts[v][1]
+                cands[j].append((a, one, ("vertex", v),
+                                 ("vertex", v, a, (0, 0), one, one)))
+                if j == lo:
+                    above[j].append((a, one, M, R, e))
+            for j in range(lo + 1, hi):
+                hM = _mul(heights[j], M, d)
+                P = C[0] + hM[0], C[1] + hM[1]
+                cands[j].append((P, R, ("edge", e), event))
+                above[j].append((P, R, M, R, e))
+
+        def cmp_quotients(u, v):
+            # P1/R1 against P2/R2, the quotients (P, R), R > 0, that
+            # lead the tuples u and v
+            (P1A, P1B), (R1A, R1B), (P2A, P2B), (R2A, R2B) = u[0], u[1], v[0], v[1]
+            return _sign(P1A * R2A + d * P1B * R2B - P2A * R1A - d * P2B * R1B,
+                         P1A * R2B + P1B * R2A - P2A * R1B - P2B * R1A, d)
 
         self.events = []
-        self.alongs = []
-        # above[j]: (along on line j, slope, edge) of each edge that
-        # crosses the open slab just above line j
-        above = [[] for _ in heights]
-        for j, level in enumerate(heights):
-            cands = []  # (along, kind, data), in edge scan order
-            for e in range(n):
-                f = (e + 1) % n
-                ra, rb = rank[e], rank[f]
-                if ra == rb:
-                    continue  # horizontal
-                if ra == j:
-                    cands.append((pts[e][1], "vertex", e))
-                    if rb > j:
-                        above[j].append((pts[e][1], lines[e][3], e))
-                elif rb == j:
-                    cands.append((pts[f][1], "vertex", f))
-                    if ra > j:
-                        above[j].append((pts[f][1], lines[e][3], e))
-                elif (ra < j) != (rb < j):
-                    h0, a0, inv, slope = lines[e]
-                    r = level - h0
-                    along = a0 + r * slope
-                    cands.append((along, "edge", (e, r * inv)))
-                    above[j].append((along, slope, e))
-            cands.sort(key=lambda c: c[0])  # stable: scan order within a point
+        self.line_pos = []
+        for line in cands:
+            # stable: scan order within a point
+            line.sort(key=cmp_to_key(cmp_quotients))
             events = []
-            for along, group in groupby(cands, key=lambda c: c[0]):
-                group = list(group)
-                _, kind, data = next((c for c in group if c[1] == "vertex"),
-                                     group[-1])
-                events.append((kind, data, along))
+            pos = {}
+            last = None
+            for cand in line:
+                if last is not None and cmp_quotients(last, cand) == 0:
+                    # one point: a vertex label found first stays, an
+                    # edge label gives way to a later candidate
+                    if events[-1][0] == "edge":
+                        events[-1] = cand[3]
+                else:
+                    events.append(cand[3])
+                pos[cand[2]] = len(events) - 1
+                last = cand
             self.events.append(events)
-            self.alongs.append([along for _, _, along in events])
+            self.line_pos.append(pos)
 
         # the edges of a slab keep their order across it, so it is the
         # order where they leave its lower line; edges leaving one point
         # fan out by slope
-        order = [[]] + [[e for _, _, e in sorted(spans)] for spans in above]
+        def cmp_spans(u, v):
+            return (cmp_quotients(u, v) or cmp_quotients(u[2:], v[2:])
+                    or (u[4] > v[4]) - (u[4] < v[4]))
+
+        order = [[]] + [[span[4] for span in sorted(spans, key=cmp_to_key(cmp_spans))]
+                        for spans in above]
         self.order = order
-        self.succ = [dict(zip(o, o[1:])) for o in order]
+        self.succ = [{e: exits[g] for e, g in zip(o, o[1:])} for o in order]
         self.heights = heights
+        self.line_of = line_of
         self.lines = lines
+        self.exits = exits
+        self.span = span
 
-    def exit(self, h, a, entry=None):
-        """First boundary hit of the ray from (h, a), strictly ahead.
+    def exit(self, H, A, k, d, key=None):
+        """The first exit event strictly ahead of a point, or None.
 
-        Returns (kind, data, along): kind "vertex" with the vertex index,
-        or "edge" with (edge index, parameter in (0, 1)), and the hit's
-        along-coordinate.  `entry` names the edge the origin lies inside
-        of, when it does; it spares the search within an open slab.
+        The point lies at height H and along-coordinate A, pairs over
+        k*D.  `key`, ("edge", e) or ("vertex", v), names the event the
+        point stands on, when it is one: the edge it lies inside of or
+        the vertex it is; then A is read only if that event is not an
+        exit of the point's line.
         """
-        heights = self.heights
-        i = bisect_left(heights, h)
-        if i < len(heights) and heights[i] == h:
-            alongs = self.alongs[i]
-            k = bisect_right(alongs, a)
-            if k < len(alongs):
-                return self.events[i][k]
-        elif entry is not None:
-            e = self.succ[i].get(entry)
-            if e is not None:
-                h0, a0, inv, slope = self.lines[e]
-                r = h - h0
-                return "edge", (e, r * inv), a0 + r * slope
+        if k == 1:
+            j = self.line_of.get(H)
+        elif H[0] % k or H[1] % k:
+            j = None
         else:
-            for e in self.order[i]:
-                h0, a0, inv, slope = self.lines[e]
-                r = h - h0
-                along = a0 + r * slope
-                if (along - a).sign() > 0:
-                    return "edge", (e, r * inv), along
-        raise InternalInvariantError(
-            f"ray from {_join(h, a, self.axis)} in polygon {self.p} "
-            f"escaped the boundary")
+            j = self.line_of.get((H[0] // k, H[1] // k))
+        if j is not None:
+            events = self.events[j]
+            i = self.line_pos[j].get(key)
+            if i is None:
+                i = 0
+                while i < len(events) and not _ahead(events[i], H, A, k, d):
+                    i += 1
+            else:
+                i += 1
+            return events[i] if i < len(events) else None
+        # the open slab: the first breakpoint above H, searched among
+        # those the entry edge spans
+        heights = self.heights
+        entry = key[1] if key is not None and key[0] == "edge" else None
+        if entry is not None:
+            lo, hi = self.span[entry]
+            lo += 1
+        else:
+            lo, hi = 0, len(heights)
+        HA, HB = H
+        while lo < hi:
+            mid = (lo + hi) // 2
+            hA, hB = heights[mid]
+            if _sign(HA - k * hA, HB - k * hB, d) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if entry is not None:
+            return self.succ[lo].get(entry)
+        for e in self.order[lo]:
+            if _ahead(self.exits[e], H, A, k, d):
+                return self.exits[e]
+        return None
+
+    def param(self, e, H, k, d, ctx) -> FieldScalar:
+        """The parameter in (0, 1) of the point at height H (over k*D)
+        on edge e."""
+        h0, _, dh, _ = self.lines[e]
+        return _quotient((H[0] - k * h0[0], H[1] - k * h0[1]), dh, k, d, ctx)
+
+
+def _ahead(event, H, A, k, d) -> bool:
+    """Whether `event` lies strictly ahead of along-coordinate A on the
+    ray at height H (all over k*D)."""
+    _, _, C, M, R, _ = event
+    HA, HB = H
+    MA, MB = M
+    RA, RB = R
+    return _sign(k * C[0] + HA * MA + d * HB * MB - A[0] * RA - d * A[1] * RB,
+                 k * C[1] + HA * MB + HB * MA - A[0] * RB - A[1] * RA, d) > 0
 
 
 def _polygon_table(surface, p, axis):
     """(slab table, per-edge gluing) of polygon p, cached on the surface.
 
     The gluing entry of edge e is (q, f, dh, da): its partner edge and
-    the translation taking a point of e to the same point of f.
+    the translation taking a point of e to the same point of f, as
+    pairs over D.
     """
-    key = ("slabs", p, axis)
-    entry = surface._cache.get(key)
+    tables = surface._cache.get(("slabs", axis))
+    if tables is None:
+        tables = surface._cache[("slabs", axis)] = [None] * len(surface.polygons)
+    entry = tables[p]
     if entry is None:
-        verts = surface.vertices(p)
-        table = _SlabTable(p, verts, surface.polygons[p], axis)
+        lat = surface.lattice()
+        verts = lat.verts[p]
+        table = _SlabTable(verts, lat.edges[p], axis, lat.d)
         glue = []
         for e in range(len(verts)):
             q, f = surface.gluing[(p, e)]
             # the point at s on (p, e) is the point at 1 - s on (q, f),
             # which runs the other way: both differ by end(f) - start(e)
-            end_f = surface.vertices(q)[(f + 1) % len(surface.polygons[q])]
-            glue.append((q, f) + _split(end_f - verts[e], axis))
-        entry = surface._cache[key] = (table, glue)
+            end_f = lat.verts[q][(f + 1) % len(lat.verts[q])]
+            glue.append((q, f) + _lattice_split(_sub(end_f, verts[e]), axis))
+        entry = tables[p] = (table, glue)
     return entry
 
 
@@ -259,7 +386,8 @@ def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
     if not sector_contains(start_ray, end_ray, lat.point(direction), lat.d,
                            include_start=True, include_end=False):
         raise ValueError(f"direction {direction} does not leave corner {corner}")
-    return _trace(surface, axis, p, surface.vertices(p)[i], ("vertex", i),
+    h, a = _lattice_split(lat.verts[p][i], axis)
+    return _trace(surface, axis, p, 1, h, a, ("vertex", i), surface.ctx,
                   max_advance_sq, stop_at_advance)
 
 
@@ -269,75 +397,211 @@ def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
                      stop_at_advance: FieldScalar | None = None):
     """Trace the leaf through an interior point of polygon p, `EAST` or
     `NORTH`; any other direction raises ValueError."""
-    return _trace(surface, _axis(direction), p, origin, None, max_advance_sq,
-                  stop_at_advance)
+    axis = _axis(direction)
+    k, h, a = _start(surface.lattice(), origin, axis)
+    return _trace(surface, axis, p, k, h, a, None,
+                  _field(surface.ctx, origin.x, origin.y),
+                  max_advance_sq, stop_at_advance)
 
 
-def _beyond(advance: FieldScalar, bound_sq: FieldScalar) -> bool:
-    return (advance * advance - bound_sq).sign() > 0
+def _field(ctx, *scalars):
+    """The field of `ctx` and the scalars; ValueError if two differ."""
+    for s in scalars:
+        if s._B and s.ctx.d != ctx.d:
+            if ctx.d:
+                raise ValueError(f"incompatible fields Q(sqrt({ctx.d})) "
+                                 f"and Q(sqrt({s.ctx.d}))")
+            ctx = s.ctx
+    return ctx
 
 
-def _trace(surface, axis, p, origin, pos_point, max_advance_sq,
+class _Built(Sequence):
+    """One list of a `_Path`: its length is known at once, its items are
+    built on first access."""
+
+    __slots__ = ("_path", "_index", "_n")
+
+    def __init__(self, path, index, n):
+        self._path = path
+        self._index = index
+        self._n = n
+
+    def _items(self):
+        return self._path.build()[self._index]
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        return self._items()[i]
+
+    def __iter__(self):
+        return iter(self._items())
+
+
+class _Path:
+    """The chords and crossings of a trace, kept as its lattice steps.
+
+    `steps` holds (polygon, crossed edge, height over k*D) per crossing;
+    `end` is the last chord's (polygon, end PathPoint), or None when the
+    trace stopped with no chord left open.  `build` turns them into
+    PathPoints with `FieldScalar` edge parameters, once.
+    """
+
+    __slots__ = ("surface", "axis", "k", "d", "ctx", "start", "steps",
+                 "end", "_built")
+
+    def __init__(self, surface, axis, k, d, ctx, start):
+        self.surface = surface
+        self.axis = axis
+        self.k = k
+        self.d = d
+        self.ctx = ctx
+        self.start = start
+        self.steps = []
+        self.end = None
+        self._built = None
+
+    def build(self):
+        """(chords, crossings, the PathPoint the trace stands on)."""
+        if self._built is None:
+            k, d, ctx = self.k, self.d, self.ctx
+            one = _new(1, 0, 1, ctx)
+            chords, crossings = [], []
+            point = self.start
+            for p, e, H in self.steps:
+                table, glue = _polygon_table(self.surface, p, self.axis)
+                s = table.param(e, H, k, d, ctx)
+                chords.append((p, point, ("edge", e, s)))
+                crossings.append((p, e, s))
+                point = ("edge", glue[e][1], one - s)
+            if self.end is not None:
+                q, end = self.end
+                chords.append((q, point, end))
+            self._built = chords, crossings, point
+        return self._built
+
+    def result(self, kind, advance, **fields):
+        n = len(self.steps)
+        return TraceResult(kind, _Built(self, 0, n + (self.end is not None)),
+                           _Built(self, 1, n), advance, **fields)
+
+
+def _beyond_foreign(XA, XB, RA, RB, BA, BB, BD, d, bd) -> bool:
+    """advance^2 > bound, for a bound over Q(sqrt(bd)) and a surface
+    over another Q(sqrt(d)): advance^2 = X / R (pairs of Z[sqrt d],
+    over (k*D)^2) is compared in the bound's field when it is rational,
+    and else raises the ValueError that `FieldScalar` arithmetic raises
+    for two fields."""
+    if XB * RA - XA * RB:
+        raise ValueError(f"incompatible fields Q(sqrt({d})) and Q(sqrt({bd}))")
+    # X / R = num / den, den = N(R) > 0 since R is a square
+    num, den = XA * RA - d * XB * RB, RA * RA - d * RB * RB
+    return _sign(num * BD - BA * den, -BB * den, bd) > 0
+
+
+def _as_scalar(x) -> FieldScalar:
+    return x if isinstance(x, FieldScalar) else FieldScalar(x)
+
+
+def _trace(surface, axis, p, k, H, base, key, ctx, max_advance_sq,
            stop_at_advance):
-    one = FieldScalar(1, 0, surface.ctx)
-    advance = FieldScalar(0, 0, surface.ctx)
-    chords = []
-    crossings = []
-    h, a = _split(origin, axis)
+    """Trace from the point at height H and along-coordinate `base`
+    (pairs over k*D) of polygon p, standing on `key` (a corner's
+    ("vertex", i)) or inside the polygon (None)."""
+    lat = surface.lattice()
+    kD = k * lat.D
+    if stop_at_advance is not None:
+        stop_at_advance = _as_scalar(stop_at_advance)
+        SA, SB, SD = stop_at_advance._A, stop_at_advance._B, stop_at_advance._D
+        SA, SB = SA * kD, SB * kD
+        ctx = _field(ctx, stop_at_advance)
+    d = ctx.d
+    if max_advance_sq is not None:
+        max_advance_sq = _as_scalar(max_advance_sq)
+        BA, BB, BD = max_advance_sq._A, max_advance_sq._B, max_advance_sq._D
+        BA, BB = BA * kD * kD, BB * kD * kD
+        # the field the bound test runs in; a rational surface takes
+        # the bound's
+        bd = max_advance_sq.ctx.d if BB else d
+        d = d or bd
+    path = _Path(surface, axis, k, d, ctx, key)
+    steps = path.steps
 
-    for _ in range(MAX_STEPS):
-        # along-edge run: only possible when standing at a vertex
-        if pos_point is not None and pos_point[0] == "vertex":
-            j = pos_point[1]
-            rise, step = _split(surface.polygons[p][j], axis)
-            if not rise and step.sign() > 0:
-                n = len(surface.polygons[p])
-                new_adv = advance + step
-                if stop_at_advance is not None:
-                    remaining = stop_at_advance - advance
-                    if (step - remaining).sign() > 0:
-                        frac = remaining / step
-                        chords.append((p, ("vertex", j), ("edge", j, frac)))
-                        return TraceResult("target", chords, crossings,
-                                           stop_at_advance,
-                                           end_position=(p, _join(h, a + remaining, axis)),
-                                           end_pathpoint=(p, ("edge", j, frac)))
-                if max_advance_sq is not None and _beyond(new_adv, max_advance_sq):
-                    return TraceResult("bound", chords, crossings, advance)
-                chords.append((p, ("vertex", j), ("vertex", (j + 1) % n)))
-                return TraceResult("vertex", chords, crossings, new_adv,
-                                   end_corner=(p, (j + 1) % n))
+    def scalar(pair):
+        return _new(pair[0], pair[1], kD, ctx)
+
+    def at_stop(q):
+        # the point at the requested advance, in polygon q's frame
+        return q, _join(scalar(H), scalar(base) + stop_at_advance, axis)
+
+    run = None  # the along-edge run's edge; only possible at a vertex
+    if key is not None:
+        edges = lat.edges[p]
+        rise, step = _lattice_split(edges[key[1]], axis)
+        if rise == (0, 0) and _sign(*step, d) > 0:
+            # its one event ends the trace, so it needs no table
+            run = key[1]
+            v = (run + 1) % len(edges)
+            event = ("vertex", v, _lattice_split(lat.verts[p][v], axis)[1],
+                     (0, 0), (1, 0), (1, 0))
+    if run is None:
         table, glue = _polygon_table(surface, p, axis)
-        entry = pos_point[1] if pos_point is not None and pos_point[0] == "edge" else None
-        kind, data, along = table.exit(h, a, entry)
-        t = along - a
+        event = table.exit(H, base, k, d, key)
+    tables = surface._cache.get(("slabs", axis))
+    prev = None  # the advance so far, as (N, R): N / (R * k * D)
+    for _ in range(MAX_STEPS):
+        if event is None:
+            along = scalar(base)
+            if prev is not None:
+                along = along + _quotient(*prev, kD, d, ctx)
+            raise _escaped(p, scalar(H), along, axis)
+        kind, data, (CA, CB), (MA, MB), (RA, RB), (R2A, R2B) = event
+        HA, HB = H
+        bA, bB = base
+        # the advance to the exit is N / (R * k * D)
+        NA = k * CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
+        NB = k * CB + HA * MB + HB * MA - bA * RB - bB * RA
         if stop_at_advance is not None:
-            remaining = stop_at_advance - advance
-            if (t - remaining).sign() > 0:
+            c = _sign(NA * SD - SA * RA - d * SB * RB,
+                      NB * SD - SA * RB - SB * RA, d)
+            if c > 0 and run is not None:
+                step = _new(NA, NB, kD, ctx)
+                end = ("edge", run, stop_at_advance / step)
+                return TraceResult("target", [(p, key, end)], [],
+                                   stop_at_advance, end_position=at_stop(p),
+                                   end_pathpoint=(p, end))
+            if c > 0:
                 # stop mid-chord at the exact requested advance; the
-                # unfinished chord from pos_point is left to the caller
-                return TraceResult("target", chords, crossings,
-                                   stop_at_advance,
-                                   end_position=(p, _join(h, a + remaining, axis)),
-                                   pending_start=(p, pos_point))
-        new_adv = advance + t
-        if max_advance_sq is not None and _beyond(new_adv, max_advance_sq):
-            return TraceResult("bound", chords, crossings, advance)
+                # unfinished chord from the current point is left to
+                # the caller
+                _, _, point = path.build()
+                return path.result("target", stop_at_advance,
+                                   end_position=at_stop(p),
+                                   pending_start=(p, point))
+        if max_advance_sq is not None:
+            XA, XB = NA * NA + d * NB * NB, 2 * NA * NB
+            if (_sign(XA * BD - BA * R2A - d * BB * R2B,
+                      XB * BD - BA * R2B - BB * R2A, d) > 0 if bd == d
+                    else _beyond_foreign(XA, XB, R2A, R2B, BA, BB, BD, d, bd)):
+                return path.result("bound", _new(0, 0, 1, ctx) if prev is None
+                                   else _quotient(*prev, kD, d, ctx))
         if kind == "vertex":
-            chords.append((p, pos_point, ("vertex", data)))
-            return TraceResult("vertex", chords, crossings, new_adv,
+            path.end = (p, ("vertex", data))
+            return path.result("vertex",
+                               _quotient((NA, NB), (RA, RB), kD, d, ctx),
                                end_corner=(p, data))
-        e, s = data
-        chords.append((p, pos_point, ("edge", e, s)))
-        crossings.append((p, e, s))
-        q, f, dh, da = glue[e]
-        h, a = h + dh, along + da
-        s2 = one - s
-        if stop_at_advance is not None and (new_adv - stop_at_advance).sign() == 0:
-            return TraceResult("target", chords, crossings, new_adv,
-                               end_position=(q, _join(h, a, axis)),
-                               end_corner=None,
-                               end_pathpoint=(q, ("edge", f, s2)))
-        advance = new_adv
-        p, pos_point = q, ("edge", f, s2)
+        steps.append((p, data, H))
+        q, f, (gA, gB), (tA, tB) = glue[data]
+        H = (HA + k * gA, HB + k * gB)
+        base = (bA + k * tA, bB + k * tB)
+        prev = (NA, NB), (RA, RB)
+        if stop_at_advance is not None and c == 0:
+            _, _, point = path.build()
+            return path.result("target", _quotient(*prev, kD, d, ctx),
+                               end_position=at_stop(q),
+                               end_pathpoint=(q, point))
+        p = q
+        table, glue = tables[p] or _polygon_table(surface, p, axis)
+        event = table.exit(H, None, k, d, ("edge", f))
     raise InternalInvariantError("trace exceeded the step safety cap")

@@ -77,6 +77,24 @@ class TestCLI:
         assert main(["validate", str(bad)]) == 1
         assert "NonClosedPolygon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("polygon", [[], [["1", "0"], ["-1", "0"]]])
+    def test_validate_too_few_edges_exit_1(self, tmp_path, capsys, polygon):
+        # an empty polygon closes up trivially and is rejected as a
+        # 2-edge one is, not as an internal error
+        bad = tmp_path / "bad.json"
+        gluing = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
+        if polygon:
+            gluing.append([[1, 0], [1, 1]])
+        bad.write_text(json.dumps({
+            "format": 1, "field": {"d": 0},
+            "polygons": [[["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+                         polygon],
+            "gluing": gluing,
+        }))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            "NonSimplePolygon: polygon 1: polygon needs at least 3 edges\n"
+
     def test_repeated_calls_match_fresh_processes(self, cli_surfaces,
                                                   capsys):
         # one process serves good, bad-argument, bad-file and good calls

@@ -3,11 +3,13 @@ the incircle test and the polygon predicates.
 
 `tracing._SlabTable.exit` finds where a ray along an axis leaves a
 polygon by a search on its height, and `search._window_within` decides
-a window by cross-multiplication alone, on the integer lattice form of
-its points (each Vec2 case is converted by `polygon.Lattice`).  The
-references below are the versions that divided for every candidate:
-`ref_exit_ray` computed t and s for each edge and kept the nearest hit,
-and the search clipped each window to exact intersection points
+a window, both by cross-multiplication alone on the integer lattice
+form of their points: each Vec2 case is converted by `polygon.Lattice`,
+and an exit ray's origin is held over k*D as a trace's interior start
+holds it (`tracing._start`).  The references below are the versions
+that divided for every candidate: `ref_exit_ray` computed t and s for
+each edge and kept the nearest hit, and the search clipped each window
+to exact intersection points
 (`ref_clip_window`) and then measured the clipped segment's distance
 from the origin (`ref_beyond`).  Both sides
 must agree exactly: the same values, labels and tie-breaks, or the same
@@ -29,14 +31,15 @@ from hypothesis import given, settings, strategies as st
 
 from flatdef.equivalence import _incircle, delaunay_cells
 from flatdef.errors import InternalInvariantError
-from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _new
 from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              check_simple, corner_crosses_east, cross_sign,
                              ear_clip, same_ray, sector_contains,
                              segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import _SlabTable, _axis, _split, trace_from_corner
+from flatdef.tracing import (_SlabTable, _axis, _escaped, _quotient, _start,
+                             trace_from_corner)
 
 FIELDS = (0, 2, 5)
 
@@ -82,17 +85,33 @@ def ref_exit_ray(surface, p, origin, direction):
 
 
 def slab_exit(surface, p, origin, direction, entry=None):
-    """The slab lookup, in the shape `ref_exit_ray` returns."""
+    """The slab lookup, in the shape `ref_exit_ray` returns.
+
+    Each case is converted to its lattice form: the polygon through
+    `polygon.Lattice`, the origin over k*D as an interior start of a
+    trace holds it, the entry hint as the key ("edge", entry).
+    """
     axis = _axis(direction)
     verts, edges = surface.vertices(p), surface.polygons[p]
-    h, a = _split(origin, axis)
-    kind, data, along = _SlabTable(p, verts, edges, axis).exit(h, a, entry)
+    lat = Lattice([edges])
+    k, H, A = _start(lat, origin, axis)
+    # scalars come back in the field of the polygon's edges, as the
+    # surface's field is that of its edges
+    kD, d, ctx = k * lat.D, lat.d, edges[0].ctx
+    table = _SlabTable(lat.verts[0], lat.edges[0], axis, d)
+    event = table.exit(H, A, k, d, None if entry is None else ("edge", entry))
+    if event is None:
+        raise _escaped(p, _new(*H, kD, ctx), _new(*A, kD, ctx), axis)
+    kind, data, C, M, R, _ = event
+    along = _quotient((k * C[0] + H[0] * M[0] + d * H[1] * M[1],
+                       k * C[1] + H[0] * M[1] + H[1] * M[0]), R, kD, d, ctx)
     if kind == "vertex":
         point = verts[data]
     else:
-        e, s = data
-        point = verts[e] + edges[e].scale(s)
-    return point, along - a, kind, data
+        s = table.param(data, H, k, d, ctx)
+        point = verts[data] + edges[data].scale(s)
+        data = (data, s)
+    return point, along - _new(*A, kD, ctx), kind, data
 
 
 def ref_beyond(a, b, bound_sq):
