@@ -23,6 +23,7 @@ from flatdef import equivalence
 from flatdef.equivalence import delaunay_cells
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
+from flatdef.render import render_surface
 from flatdef.search import enumerate_saddle_connections
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
@@ -282,3 +283,35 @@ def test_trace_separatrix_bound_advance():
     res = trace_separatrix(_generic_lshape(2), (0, 0), (2, 1), 5)
     assert isinstance(res, BoundExceeded)
     assert str(res.advance_sq) == "10245/512+5/8*sqrt(2)"
+
+
+# -- rendered decompositions ------------------------------------------------
+#
+# An SVG's lines, sorted before hashing: the set of drawn elements (cylinder
+# fills, polygon outlines, core-leaf segments) is pinned, while the order in
+# which a cylinder's core segments are drawn is not.
+
+@pytest.mark.parametrize("name, v, digest", [
+    ("golden_l", (1, 0),
+     "0401df0b39540565f4001c428853d0e99f1e49ca882fe6f5a5d29a2ca3cc4620"),
+    ("golden_l", (1, 1),
+     "ad388102fb616c63a44d2ea02373a2a572f5b08b1b00bd7c55e869fdb3d8230a"),
+    ("golden_l", (2, 1),
+     "6970a2188868650b537ed0639899b5fb8f16c583872804dee5acf0ad8426370c"),
+    ("l_origami", (1, 0),
+     "3338978f79f4adc511617a6fab4eee4a73e509f7b1c571cd1155886cbd4ca9b3"),
+    ("l_origami", (1, 1),
+     "af633cade6175071d837dae66a34b0912ac5fee2e39729dedce3d62152286f8e"),
+    ("l_origami", (2, 1),
+     "4cb25d78de4edb740d13aaecca24601ed3bfd187638991cdeb1fc40598d5aee5"),
+    ("sqrt2_l", (1, 0),
+     "d10221030bfb64a8ebb6b69a29dc951813f1439a6b73bc30011561ee70adce22"),
+])
+def test_render_elements(request, name, v, digest):
+    if name == "sqrt2_l":
+        surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+    else:
+        surf = request.getfixturevalue(name)
+    svg = render_surface(surf, decompose(surf, Vec2(*v)))
+    lines = "\n".join(sorted(svg.splitlines()))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
