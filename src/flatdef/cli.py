@@ -116,7 +116,10 @@ def _deform_common(args, op):
     v = _direction(args.direction)
     dec = decompose(surface, v, frame=frame, **_bound_kwargs(args))
     ids = None
-    if args.subset:
+    if args.subset is not None:
+        if not re.fullmatch(r"[0-9]+(,[0-9]+)*", args.subset):
+            raise ValueError(f"--subset {args.subset!r}: cylinder ids are "
+                             f"comma-separated ASCII digits")
         if not args.uncertified:
             raise FlatdefError(
                 "shearing a proper cylinder subset is not certified by the "

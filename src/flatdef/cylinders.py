@@ -20,7 +20,7 @@ from .field import FieldScalar, Mat2, Vec2
 from .homology import HomologyFrame, homology_frame
 from .polygon import _EAST, sector_contains
 from .surface import TranslationSurface
-from .tracing import EAST, NORTH, east_ray_corners, trace_from_corner, trace_from_point
+from .tracing import EAST, NORTH, east_ray_corners, trace_from_corner
 
 __all__ = ["Direction", "SaddleConnection", "Cylinder", "Decomposition",
            "decompose", "default_bound_sq", "PERIODIC", "PARTIAL",
@@ -720,97 +720,57 @@ def _sc_tail(surface, sc, from_index):
     return [sc.chords[i] for i in range(from_index, len(sc.chords))]
 
 
-def _half_height_start(surface, cross_chords, height):
-    """The point halfway up the strictly rising part of the cross path.
+def _core_from_pieces(surface, comp_pieces, circumference):
+    """The core leaf of a certified component, read from its pieces.
 
-    When the midpoint lies on a polygon edge (the cross path ran along
-    it), the returned position sits on whichever side the eastward core
-    leaf enters.
+    Every polygon vertex is a singular or marked point and the component
+    is bounded by traced saddle connections, so each non-horizontal
+    sub-edge runs from its bottom circle to its top circle, and the leaf
+    at half height crosses it once, at its midpoint.  Items run ccw, so
+    the eastward leaf enters a piece through its one sub-edge running
+    down and leaves through its one sub-edge running up.  The walk
+    starts at the component's first piece and follows the gluing across
+    each exit.  Returns the chords; each one's end is a crossing.
     """
-    target = height / 2
-    ctx = surface.ctx
-    east = EAST(ctx)
-    risen = FieldScalar(0, 0, ctx)
-    for p, start, end in cross_chords:
-        a = _point_coords(surface, p, start)
-        b = _point_coords(surface, p, end)
-        dy = b.y - a.y
-        if dy.sign() <= 0:
-            raise InternalInvariantError("cross path lost height")
-        if ((risen + dy) - target).sign() > 0:
-            frac = (target - risen) / dy
-            pt = Vec2(a.x + (b.x - a.x) * frac, a.y + (b.y - a.y) * frac)
-            on_edge = _chord_edge(surface, p, start, end)
-            if on_edge is None:
-                return p, pt
-            d = surface.polygons[p][on_edge]
-            if d.cross(east).sign() > 0:
-                return p, pt
-            t_here = _edge_param(surface, p, on_edge, pt)
-            q, f = surface.gluing[(p, on_edge)]
-            t_other = FieldScalar(1, 0, ctx) - t_here
-            av = surface.vertices(q)[f]
-            dv = surface.polygons[q][f]
-            return q, Vec2(av.x + dv.x * t_other, av.y + dv.y * t_other)
-        risen = risen + dy
-    raise InternalInvariantError("cross path shorter than half height")
+    ends = {}
+    for piece in comp_pieces:
+        down, up = [], []
+        for item in piece.items:
+            if item.kind == "sub":
+                rise = surface.polygons[piece.polygon][item.edge].y.sign()
+                if rise < 0:
+                    down.append(item)
+                elif rise > 0:
+                    up.append(item)
+        if len(down) != 1 or len(up) != 1:
+            raise InternalInvariantError(
+                f"piece {piece.pid} has {len(down)} core entries and "
+                f"{len(up)} exits")
+        ends[piece.pid] = down[0], up[0]
+    chords = []
+    run2 = FieldScalar(0, 0, surface.ctx)  # twice the x-length walked
+    first = comp_pieces[0]
+    piece = first
+    while True:
+        entry, exit_ = ends.pop(piece.pid)
+        chords.append((piece.polygon, _midpoint(entry), _midpoint(exit_)))
+        run2 = (run2 + exit_.start_coords.x + exit_.end_coords.x
+                - entry.start_coords.x - entry.end_coords.x)
+        piece = exit_.partner.piece
+        if piece is first:
+            break
+        if piece.pid not in ends:
+            raise InternalInvariantError("core walk revisited a piece")
+    if ends:
+        raise InternalInvariantError(
+            f"core walk missed {len(ends)} pieces of the component")
+    if (run2 - circumference * 2).sign() != 0:
+        raise InternalInvariantError("core leaf does not close up")
+    return chords
 
 
-def _chord_edge(surface, p, start, end):
-    """The polygon edge this chord runs along, or None for interior chords."""
-    if start[0] != "vertex":
-        return None
-    j = start[1]
-    n = len(surface.polygons[p])
-    if end[0] == "vertex" and end[1] == (j + 1) % n:
-        return j
-    if end[0] == "edge" and end[1] == j:
-        return j
-    return None
-
-
-def _edge_param(surface, p, e, pt) -> FieldScalar:
-    a = surface.vertices(p)[e]
-    d = surface.polygons[p][e]
-    if d.x.sign() != 0:
-        return (pt.x - a.x) / d.x
-    return (pt.y - a.y) / d.y
-
-
-def _trace_core(surface, p, start_coords, circumference):
-    """Trace the closed core leaf east for exactly one circumference.
-
-    The leaf must return to its start point; the partial first and last
-    chords are merged so the chord list runs boundary point to boundary
-    point for the homology bookkeeping.
-    """
-    east = EAST(surface.ctx)
-    res = trace_from_point(surface, p, start_coords, east,
-                           stop_at_advance=circumference)
-    if res.kind != "target":
-        raise InternalInvariantError("core leaf did not stay regular")
-    q, coords = res.end_position
-    if q != p or (coords.x - start_coords.x).sign() != 0 or \
-       (coords.y - start_coords.y).sign() != 0:
-        raise InternalInvariantError("core leaf did not close up")
-    chords = list(res.chords)
-    if not chords:
-        raise InternalInvariantError("core leaf crossed no edges")
-    first = chords.pop(0)
-    if res.pending_start is not None:
-        # closed strictly inside a polygon: merge the last partial run
-        # with the first one through the interior start point
-        pp, pending_point = res.pending_start
-        if first[0] != pp:
-            raise InternalInvariantError("core closure polygon mismatch")
-        chords.append((pp, pending_point, first[2]))
-    else:
-        # closed exactly on an edge crossing: the start sat on that edge
-        qq, point = res.end_pathpoint
-        if first[0] != qq or qq != q:
-            raise InternalInvariantError("core closure polygon mismatch")
-        chords.append((qq, point, first[2]))
-    return chords, res.crossings
+def _midpoint(item):
+    return ("edge", item.edge, (item.t0 + item.t1) / 2)
 
 
 class BoundExceeded:
@@ -973,9 +933,7 @@ def decompose(surface: TranslationSurface, direction,
         cross_chords = _cross_path(normalized, chords_by_polygon,
                                    saddle_connections, corner, h)
         cross_coords = frame.coords_of_path(cross_chords)
-        start_p, start_pt = _half_height_start(normalized, cross_chords, h)
-        core_chords, core_crossings = _trace_core(normalized, start_p,
-                                                  start_pt, c)
+        core_chords = _core_from_pieces(normalized, comp, c)
         core_coords = frame.coords_of_path(core_chords)
         nv = len(frame.boundary_matrix[0]) if frame.boundary_matrix else 0
         bnd = [0] * nv
@@ -986,7 +944,7 @@ def decompose(surface: TranslationSurface, direction,
         if any(x != 0 for x in bnd):
             raise InternalInvariantError("core class is not absolute")
         crossings_per_cell = [0] * len(frame.cells)
-        for p, e, s in core_crossings:
+        for p, _start, (_, e, _t) in core_chords:
             cidx, _sign = frame.cell_of[(p, e)]
             rp, re = frame.cells[cidx]
             # crossing sign: + when the cell crosses the core going up,

@@ -224,7 +224,8 @@ def _deformed_surface(decomposition: Decomposition, member_ids,
     if whole is not None:
         return decomposition.normalized.apply_matrix(
             whole, label=decomposition.surface.label)
-    return _piecewise_rebuild(decomposition, members, inner)[0]
+    return _recut_surface(decomposition, _recut(decomposition, members),
+                          inner)
 
 
 def _deformed_holonomies(decomposition: Decomposition, member_ids,
@@ -236,20 +237,19 @@ def _deformed_holonomies(decomposition: Decomposition, member_ids,
         polygons = decomposition.normalized.polygons
         return [whole.apply(polygons[p][e])
                 for p, e in decomposition.frame.cells]
-    return _piecewise_rebuild(decomposition, members, inner)[1]
+    return _recut_holonomies(decomposition, _recut(decomposition, members),
+                             inner)
 
 
-def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
-    """Recut along boundaries separating the member components from the
-    rest and apply `inner` (in normalized coordinates) to the member side.
+def _recut(decomposition: Decomposition, members):
+    """Recut the normalized surface along the boundaries separating the
+    member components from the rest.
 
-    Returns (new TranslationSurface, new holonomy per frame cell).
+    Returns (pieces, sub_lookup, treat), `treat` telling for each piece
+    id whether the deformation acts on it.
     """
-    surface = decomposition.surface
-    frame = decomposition.frame
     normalized = decomposition.normalized
     cut = decomposition.cut
-    g_inv = decomposition.matrix.inverse()
 
     # chords that separate a member region from a non-member region
     chord_sides = {}
@@ -287,7 +287,17 @@ def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
                 return fine.piece.component in members
         raise InternalInvariantError("piece treatment undetermined")
 
-    treat = {piece.pid: treatment(piece) for piece in pieces}
+    return pieces, sub_lookup, {piece.pid: treatment(piece)
+                                for piece in pieces}
+
+
+def _recut_surface(decomposition: Decomposition, recut,
+                   inner: Mat2) -> TranslationSurface:
+    """The recut pieces as a surface, `inner` (in normalized coordinates)
+    applied to the treated ones."""
+    normalized = decomposition.normalized
+    g_inv = decomposition.matrix.inverse()
+    pieces, sub_lookup, treat = recut
 
     # polygons of the deformed surface
     new_polys = []
@@ -337,15 +347,23 @@ def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
         for k in range(len(piece.items)):
             index_map[(piece.pid, k)] = (new_p, k)
     gluing = [(index_map[a], index_map[b]) for a, b in gluing]
-    result = TranslationSurface(new_polys, gluing, surface.label)
+    result = TranslationSurface(new_polys, gluing, decomposition.surface.label)
     result.singularities()
+    return result
 
-    # restricted holonomy of every original frame cell
+
+def _recut_holonomies(decomposition: Decomposition, recut,
+                      inner: Mat2) -> list[Vec2]:
+    """The deformed holonomy of every frame cell: the sum over its recut
+    sub-edges, `inner` applied to those of treated pieces."""
+    normalized = decomposition.normalized
+    g_inv = decomposition.matrix.inverse()
+    _pieces, sub_lookup, treat = recut
     subs_of_edge: dict[tuple, list] = {}
     for (p, e, _t0), item in sub_lookup.items():
         subs_of_edge.setdefault((p, e), []).append(item)
     cell_hol = []
-    for cell in frame.cells:
+    for cell in decomposition.frame.cells:
         p, e = cell
         vec = normalized.polygons[p][e]
         if vec.y.sign() == 0:
@@ -363,7 +381,7 @@ def _piecewise_rebuild(decomposition: Decomposition, members, inner: Mat2):
             total_x = total_x + mapped.x
             total_y = total_y + mapped.y
         cell_hol.append(g_inv.apply(Vec2(total_x, total_y)))
-    return result, cell_hol
+    return cell_hol
 
 
 def shear(surface: TranslationSurface, decomposition: Decomposition, t,

@@ -1,10 +1,10 @@
 """Exact straight-line tracing through glued polygons, on the lattice form.
 
 All tracing here happens on a direction-normalized surface, in one of
-two directions: `EAST` (separatrices and core leaves) or `NORTH`
-(cylinder cross sections).  Positions carry exact coordinates in the
-current polygon's frame together with the boundary parameterization
-needed for homology bookkeeping.
+two directions: `EAST` (separatrices) or `NORTH` (cylinder cross
+sections).  Positions carry exact coordinates in the current polygon's
+frame together with the boundary parameterization needed for homology
+bookkeeping.
 
 A ray along an axis keeps its height (y for `EAST`, x for `NORTH`)
 inside a polygon, so where it leaves depends only on that height and

@@ -6,7 +6,8 @@ import pytest
 
 from flatdef.cylinders import decompose
 from flatdef.deform import (_deformed_holonomies, _full_set_map,
-                            _member_components, _piecewise_rebuild,
+                            _member_components, _recut, _recut_holonomies,
+                            _recut_surface,
                             cylinder_preserving_space, deform_from_periods,
                             eta, eta_normalized, intersection_cocycle, shear,
                             stretch, torus_closure, twist_space,
@@ -225,9 +226,10 @@ class TestFullSetDeformation:
                     (stretch, Fraction(3, 2),
                      Mat2.vertical_scale(Fraction(5, 2)))):
                 assert _full_set_map(d, members, inner) is not None
-                recut, hol = _piecewise_rebuild(d, members, inner)
-                assert op(surf, d, amount) == recut
-                assert _deformed_holonomies(d, ids, inner) == hol
+                recut = _recut(d, members)
+                assert op(surf, d, amount) == _recut_surface(d, recut, inner)
+                assert _deformed_holonomies(d, ids, inner) == \
+                    _recut_holonomies(d, recut, inner)
 
     def test_proper_subset_recuts(self, l_origami):
         # the two horizontal cylinders meet along horizontal edges, so no
@@ -274,6 +276,21 @@ class TestVerifyLinearity:
             for cyl in d.cylinders:
                 assert verify_linearity(surf, f, d, Fraction(2, 7),
                                         ids=[cyl.cyl_id])
+
+
+    def test_subset_builds_no_surface(self, monkeypatch, golden_l):
+        f = homology_frame(golden_l)
+        d = decompose(golden_l, Vec2(1, 1), frame=f)
+        built = []
+        init = TranslationSurface.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TranslationSurface, "__init__", counted)
+        assert verify_linearity(golden_l, f, d, Fraction(2, 7), ids=[0])
+        assert built == []
 
 
 def _nonempty_subsets(ids):

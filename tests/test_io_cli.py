@@ -167,6 +167,19 @@ class TestCLI:
         assert main(["shear", str(lori), "--direction", "1,0", "--t", "1",
                      "--subset", "0", "--uncertified", "-o", str(out)]) == 0
 
+    # only comma-separated ASCII digits name cylinders; int() alone would
+    # read an Arabic-Indic digit, "0_0" or "+0", and "" meant the full set
+    @pytest.mark.parametrize("subset", ["\u0661", "0_0", "+0", "", "0,",
+                                        " 0", "0, 1"])
+    def test_shear_bad_subset_exit_1(self, cli_surfaces, capsys, subset):
+        tmp, lori, _ = cli_surfaces
+        out = tmp / "x.json"
+        assert main(["shear", str(lori), "--direction", "1,0", "--t", "1",
+                     "--subset", subset, "--uncertified", "-o",
+                     str(out)]) == 1
+        assert capsys.readouterr().err.startswith("InputError: --subset")
+        assert not out.exists()
+
     def test_stretch(self, cli_surfaces, tmp_path):
         tmp, lori, _ = cli_surfaces
         out = tmp / "st.json"

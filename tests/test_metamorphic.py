@@ -12,12 +12,9 @@ A modulus is area / |c|^2 = area / (lam^2 |v|^2), so the moduli
 themselves scale by |v|^2 / |g.v|^2; the invariant multiset is that of
 modulus * |v|^2 (README, "Decisions ledger").
 
-Some inputs raise InternalInvariantError ("ray ... escaped the
-boundary", ROADMAP item 5): each pair in `KNOWN_ESCAPES` is left out of
-the relation and must still raise, so the test goes red both when the
-defect reaches a new input and when it is fixed.  The four golden pairs
-are the images in `GOLDEN_KNOWN_DEFECT` of perfbench/workloads.py, met
-in the direction that the matrix sends to an axis.
+Every pair must decompose.  Among them are 24, each in a direction that
+the matrix sends to an axis, on which a core traced from a half-height
+start once raised "ray ... escaped the boundary".
 """
 
 from fractions import Fraction
@@ -26,7 +23,6 @@ import pytest
 
 from flatdef.cylinders import decompose
 from flatdef.equivalence import delaunay_cells
-from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.surface import TranslationSurface, l_shape
 
@@ -34,27 +30,6 @@ SL2Z_SMALL = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3)
               for c in range(-2, 3) for d in range(-2, 3)
               if a * d - b * c == 1]
 DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
-
-KNOWN_ESCAPES = {
-    "golden_l": {
-        ((-1, -1, 2, 1), (1, -1)), ((-1, 1, 1, -2), (1, 1)),
-        ((1, -2, 1, -1), (1, 1)), ((2, 1, 1, 1), (1, -1)),
-    },
-    "l_origami": {
-        ((-2, -1, -1, -1), (1, -1)), ((-2, 1, -1, 0), (0, 1)),
-        ((-1, -2, 0, -1), (1, 0)), ((-1, -1, 2, 1), (1, -1)),
-        ((-1, 0, 2, -1), (0, 1)), ((-1, 1, 1, -2), (1, 1)),
-        ((-1, 2, -1, 1), (1, 1)), ((0, -1, 1, 2), (1, 0)),
-        ((0, 1, -1, -2), (1, 0)), ((1, -2, 1, -1), (1, 1)),
-        ((1, -1, -1, 2), (1, 1)), ((1, 0, -2, 1), (0, 1)),
-        ((1, 1, -2, -1), (1, -1)), ((1, 2, 0, 1), (1, 0)),
-        ((2, -1, 1, 0), (0, 1)), ((2, 1, 1, 1), (1, -1)),
-    },
-    "sqrt2_l": {
-        ((-2, 1, -1, 0), (0, 1)), ((-1, 0, 2, -1), (0, 1)),
-        ((1, 0, -2, 1), (0, 1)), ((2, -1, 1, 0), (0, 1)),
-    },
-}
 
 
 @pytest.fixture(scope="module")
@@ -68,26 +43,18 @@ def _invariants(dec, v):
             sorted((c.modulus * scale for c in dec.cylinders), key=str))
 
 
-@pytest.mark.parametrize("name", sorted(KNOWN_ESCAPES))
+@pytest.mark.parametrize("name", ["golden_l", "l_origami", "sqrt2_l"])
 def test_sl2z_on_surface_and_direction(request, name):
     surface = request.getfixturevalue(name)
     expected = {v: _invariants(decompose(surface, Vec2(*v)), Vec2(*v))
                 for v in DIRECTIONS}
-    escaped = set()
     for m in SL2Z_SMALL:
         g = Mat2(*m)
         image = surface.apply_matrix(g)
         for v in DIRECTIONS:
             gv = g.apply(Vec2(*v))
-            try:
-                dec = decompose(image, gv)
-            except InternalInvariantError as exc:
-                if "escaped the boundary" not in str(exc):
-                    raise
-                escaped.add((m, v))
-                continue
+            dec = decompose(image, gv)
             assert _invariants(dec, gv) == expected[v], (m, v)
-    assert escaped == KNOWN_ESCAPES[name]
 
 
 # -- rescaling and re-presentation ---------------------------------------------
