@@ -375,6 +375,26 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(
             "InputError: cannot parse scalar")
 
+    # a scalar over Q(sqrt 5) on a surface over Q(sqrt 2) is bad input
+    @pytest.mark.parametrize("args", [
+        ["decompose", "--direction=1,1*sqrt(5)"],
+        ["shear", "--direction", "1,0", "--t=1*sqrt(5)"],
+        ["stretch", "--direction", "1,0", "--s=1*sqrt(5)"],
+    ])
+    def test_foreign_field_exit_1(self, tmp_path, capsys, args):
+        surf = tmp_path / "sqrt2-l.json"
+        out = tmp_path / "x.json"
+        assert main(["make-lshape", "--w1", "2", "--h1", "1", "--w2", "1",
+                     "--h2", "1*sqrt(2)", str(surf)]) == 0
+        capsys.readouterr()
+        argv = [args[0], str(surf)] + args[1:]
+        if args[0] != "decompose":
+            argv += ["-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "InputError: incompatible fields Q(sqrt(5)) and Q(sqrt(2))\n"
+        assert not out.exists()
+
     def test_make_origami_not_connected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["make-origami", "--squares", "2", "--right", "()",

@@ -19,7 +19,7 @@ from flatdef.analysis import accumulate_tangent, rank_lower_bound
 from flatdef.cylinders import (PARTIAL, BoundExceeded, _normalize, decompose,
                                default_bound_sq, trace_separatrix)
 from flatdef.deform import shear, stretch
-from flatdef import equivalence
+from flatdef import deform, equivalence
 from flatdef.equivalence import delaunay_cells
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
@@ -315,3 +315,78 @@ def test_render_elements(request, name, v, digest):
     svg = render_surface(surf, decompose(surf, Vec2(*v)))
     lines = "\n".join(sorted(svg.splitlines()))
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+# -- normalized surfaces, their lattice forms and their cuts ----------------
+#
+# Every op first sends its direction to horizontal (`apply_matrix`) and
+# then cuts the image along the saddle connections it traces.  These
+# digests pin, over three input sets, each image (polygons, gluing,
+# field, lattice denominator and lattice edges), its default trace bound,
+# and each cut: every piece's polygon, component and items (kind, end
+# points, edge parameters, chord and gluing partner), and the recut that
+# `deform` makes for each single cylinder.  Recorded while images were
+# still built edge by edge on FieldScalars and the face walk still
+# turned on Vec2s.
+
+SL2Z_SMALL = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3)
+              for c in range(-2, 3) for d in range(-2, 3)
+              if a * d - b * c == 1]
+
+
+def _surface_row(surf):
+    lat = surf.lattice()
+    return [[[_vec(e) for e in poly] for poly in surf.polygons],
+            sorted([list(a), list(b)] for a, b in surf.gluing.items()),
+            surf.ctx.d, lat.D, [[list(e) for e in edges] for edges in lat.edges],
+            str(default_bound_sq(surf))]
+
+
+def _pieces_rows(pieces):
+    def param(t):
+        return None if t is None else str(t)
+
+    return [[piece.pid, piece.polygon, piece.component,
+             [[it.kind, _point(it.start), _point(it.end), it.edge,
+               param(it.t0), param(it.t1), it.chord_id, it.direction,
+               None if it.partner is None
+               else [it.partner.piece.pid, it.partner.index]]
+              for it in piece.items]]
+            for piece in pieces]
+
+
+def _decomposition_rows(surf, v, cuts):
+    """The normalized surface of `surf` in direction v; appends the cut
+    and the single-cylinder recuts to `cuts`."""
+    dec = decompose(surf, Vec2(*v))
+    recuts = []
+    for cyl in dec.cylinders:
+        members = deform._member_components(dec, {cyl.cyl_id})
+        pieces, _sub_lookup, treat = deform._recut(dec, members)
+        recuts.append([_pieces_rows(pieces), sorted(treat.items())])
+    cuts.append([dec.status, _pieces_rows(dec.cut.pieces), recuts])
+    return [list(v), str(default_bound_sq(surf)), _surface_row(dec.normalized)]
+
+
+def test_normalized_surfaces(golden_l):
+    assert len(SL2Z_SMALL) == 52
+    cuts = []
+    generic = [_decomposition_rows(_generic_lshape(d), v, cuts)
+               for d in (2, 3, 5) for v in _primitive_directions()]
+    images = []
+    for m in SL2Z_SMALL + [(1, 2, 1, 1)]:
+        image = golden_l.apply_matrix(Mat2(*m))
+        images.append([list(m), _surface_row(image)]
+                      + [_decomposition_rows(image, v, cuts)
+                         for v in ((1, 0), (1, 1))])
+    assert len(cuts) == 48 + 2 * 53
+    digests = {"generic": _digest(generic), "golden_images": _digest(images),
+               "cuts": _digest(cuts)}
+    assert digests == {
+        "generic":
+            "a353ac741253304ebfc755af1a38df0b83167b9bc06c8622c5c0fc565c856515",
+        "golden_images":
+            "e9cb353ea8604101cc0055811d668065e522993b889361f7261684e7ec421404",
+        "cuts":
+            "06657493fffc78951576b0551b020152562c26613b1b9376a94c5eb3e1d91c95",
+    }

@@ -214,3 +214,29 @@ class TestTransportedValidation:
         gluing = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
         with pytest.raises(NonSimplePolygon):
             TranslationSurface(polys, gluing).apply_matrix(Mat2.shear(1))
+
+
+class TestForeignField:
+    """A matrix or direction over another quadratic field than the
+    surface's is rejected with the matrix's field named first."""
+
+    MESSAGE = "incompatible fields Q(sqrt(5)) and Q(sqrt(2))"
+
+    @staticmethod
+    def _sqrt2_l():
+        return l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen(), label="sqrt2-l")
+
+    @pytest.mark.parametrize("m", [(1, "r5", 0, 1), ("r5", 0, 0, 1),
+                                   (1, 0, "r5", 1), (0, 1, 1, "r5")])
+    def test_apply_matrix(self, m):
+        r5 = Q5.sqrt_gen()
+        g = Mat2(*(r5 if x == "r5" else x for x in m))
+        with pytest.raises(ValueError) as info:
+            self._sqrt2_l().apply_matrix(g)
+        assert str(info.value) == self.MESSAGE
+
+    def test_decompose(self):
+        from flatdef.cylinders import decompose
+        with pytest.raises(ValueError) as info:
+            decompose(self._sqrt2_l(), (1, Q5.sqrt_gen()))
+        assert str(info.value) == self.MESSAGE
