@@ -15,10 +15,14 @@ when other separatrices exceeded the trace bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from math import lcm
+
 from .errors import InternalInvariantError, NonPositiveLength
-from .field import FieldScalar, Mat2, Vec2
+from .field import FieldScalar, Mat2, Vec2, _new, _sign
 from .homology import HomologyFrame, homology_frame
-from .polygon import _EAST, sector_contains
+from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
+                      sector_contains, signed_area2)
 from .surface import TranslationSurface
 from .tracing import EAST, NORTH, east_ray_corners, trace_from_corner
 
@@ -149,14 +153,15 @@ class _Piece:
 
 
 class _Item:
-    """One directed boundary element of a piece (ccw, interior left)."""
+    """One directed boundary element of a piece (ccw, interior left).
+
+    Its coordinates are built only on request (`_point_coords`)."""
 
     __slots__ = ("kind", "edge", "t0", "t1", "chord_id", "direction",
-                 "start", "end", "start_coords", "end_coords", "piece",
-                 "index", "partner")
+                 "start", "end", "piece", "index", "partner")
 
-    def __init__(self, kind, start, end, start_coords, end_coords, *,
-                 edge=None, t0=None, t1=None, chord_id=None, direction=None):
+    def __init__(self, kind, start, end, *, edge=None, t0=None, t1=None,
+                 chord_id=None, direction=None):
         self.kind = kind          # "sub" or "chord"
         self.edge = edge
         self.t0 = t0
@@ -165,31 +170,12 @@ class _Item:
         self.direction = direction
         self.start = start        # PathPoint
         self.end = end
-        self.start_coords = start_coords
-        self.end_coords = end_coords
         self.piece = None
         self.index = None
         self.partner = None       # glued _Item or None for boundary items
 
-    @property
-    def vec(self) -> Vec2:
-        return self.end_coords - self.start_coords
 
-
-class _Chord:
-    __slots__ = ("chord_id", "polygon", "sc_id", "sc_index", "start", "end",
-                 "start_coords", "end_coords")
-
-    def __init__(self, chord_id, polygon, sc_id, sc_index, start, end,
-                 start_coords, end_coords):
-        self.chord_id = chord_id
-        self.polygon = polygon
-        self.sc_id = sc_id
-        self.sc_index = sc_index
-        self.start = start
-        self.end = end
-        self.start_coords = start_coords
-        self.end_coords = end_coords
+_Chord = namedtuple("_Chord", "chord_id polygon sc_id sc_index start end")
 
 
 class Decomposition:
@@ -231,115 +217,123 @@ def default_bound_sq(surface: TranslationSurface,
                      factor: int = 20) -> FieldScalar:
     """Squared default trace bound: (factor x longest input edge)^2.
 
-    Lengths are compared through their squares so the bound stays in the
-    field.
+    Lengths are compared through their squares, on the lattice form, so
+    the bound stays in the field.
     """
+    lat = surface.lattice()
+    d = lat.d
     best = None
-    for poly in surface.polygons:
-        for e in poly:
-            n = e.norm_sq()
-            if best is None or (n - best).sign() > 0:
+    for edges in lat.edges:
+        for e in edges:
+            n = _norm(e, d)
+            if best is None or _sign(n[0] - best[0], n[1] - best[1], d) > 0:
                 best = n
-    return best * (factor * factor)
+    return _new(*best, lat.D * lat.D, lat.ctx) * (factor * factor)
+
+
+def _lattice_point(lat, p, point):
+    """(P, q): PathPoint `point` of polygon p is the lattice point P
+    over D*q."""
+    if point[0] == "vertex":
+        return lat.verts[p][point[1]], 1
+    _, e, t = point
+    xa, xb, ya, yb = lat.verts[p][e]
+    exa, exb, eya, eyb = lat.edges[p][e]
+    A, B, q, d = t._A, t._B, t._D, lat.d
+    return (xa * q + A * exa + d * B * exb, xb * q + A * exb + B * exa,
+            ya * q + A * eya + d * B * eyb, yb * q + A * eyb + B * eya), q
 
 
 def _point_coords(surface, p, point) -> Vec2:
-    if point[0] == "vertex":
-        return surface.vertices(p)[point[1]]
-    e, t = point[1], point[2]
-    a = surface.vertices(p)[e]
-    d = surface.polygons[p][e]
-    return Vec2(a.x + d.x * t, a.y + d.y * t)
+    lat = surface.lattice()
+    return lat.vec2(*_lattice_point(lat, p, point))
 
 
 def _is_edge_run(surface, chord) -> bool:
     p, start, end = chord
-    if start[0] != "vertex" or end[0] != "vertex":
-        return False
-    n = len(surface.polygons[p])
-    return end[1] == (start[1] + 1) % n
+    return (start[0] == end[0] == "vertex"
+            and end[1] == (start[1] + 1) % len(surface.polygons[p]))
 
 
-def _pick_first_cw(ref: Vec2, candidates):
-    """The candidate direction first encountered rotating CW from -ref.
+_WEST = (-1, 0, 0, 0)
 
-    candidates is a list of (direction, payload); a direction equal to
-    -ref itself (a U-turn) is chosen only when it is the sole option.
+
+def _pick_first_cw(back, candidates, d):
+    """The candidate direction first met rotating CW from `back`, the
+    reversed incoming direction.
+
+    candidates is a list of (direction, payload), directions being
+    lattice vectors; a direction along `back` itself (a U-turn) is
+    chosen only when it is the sole option.
     """
-    back = -ref
-
-    def angle_class(d: Vec2):
-        cr = back.cross(d).sign()
+    def angle_class(v):
+        cr = cross_sign(back, v, d)
         if cr == 0:
-            if back.dot(d).sign() > 0:
+            if _sign(*_dot(back, v, d), d) > 0:
                 return 3  # same ray as back: full turn
             return 1      # opposite: angle pi
         return 0 if cr < 0 else 2
 
     best = None
-    for d, payload in candidates:
-        cls = angle_class(d)
-        if best is None:
-            best = (cls, d, payload)
-            continue
-        bcls, bd, _ = best
-        if cls < bcls:
-            best = (cls, d, payload)
-        elif cls == bcls and cls in (0, 2):
-            if d.cross(bd).sign() < 0:
-                # d strictly before bd going CW
-                best = (cls, d, payload)
+    for v, payload in candidates:
+        cls = angle_class(v)
+        # within a class, v strictly before best going CW; two
+        # directions of class 1 or 3 would be one ray, so never tie
+        if best is None or cls < best[0] or (
+                cls == best[0] and cross_sign(v, best[1], d) < 0):
+            best = (cls, v, payload)
     return best[2]
 
 
 def _build_cut_pieces(surface, chords_by_polygon):
-    """Cut each polygon along its chords; return pieces and glueable items.
+    """Cut each polygon along its chords; return the pieces and, per
+    polygon edge (p, e), its sub-edges in order along the edge.
 
     Pieces are the faces of the chord arrangement, walked with interior
-    on the left, so their boundary item lists run counterclockwise.
+    on the left, so their boundary item lists run counterclockwise.  The
+    surface is normalized, so a sub-edge points along its lattice edge
+    and a chord east (west when reversed): each turn of the walk is a
+    few sign tests on those lattice vectors.
     """
+    lat = surface.lattice()
+    d = lat.d
+    zero = _new(0, 0, 1, surface.ctx)
+    one = _new(1, 0, 1, surface.ctx)
     pieces = []
-    sub_lookup = {}    # (p, e, t0) -> _Item  (boundary sub-edges)
+    subs = {}
 
-    for p, poly in enumerate(surface.polygons):
-        n = len(poly)
-        verts = surface.vertices(p)
-        split: dict[int, set] = {e: set() for e in range(n)}
-        for ch in chords_by_polygon.get(p, []):
+    for p, edges in enumerate(lat.edges):
+        n = len(edges)
+        chords = chords_by_polygon.get(p, [])
+        split = [set() for _ in range(n)]
+        for ch in chords:
             for pt in (ch.start, ch.end):
                 if pt[0] == "edge":
                     split[pt[1]].add(pt[2])
-        # directed edges of the arrangement
-        directed = []   # (_Item-like record before piecing)
+        # directed edges of the arrangement, with their reversed direction
+        directed = []
         outgoing = {}   # PathPoint -> list[(direction, idx)]
 
-        def add_directed(item):
-            idx = len(directed)
-            directed.append(item)
-            outgoing.setdefault(item.start, []).append((item.vec, idx))
-            return idx
+        def add_directed(item, direction, back):
+            outgoing.setdefault(item.start, []).append((direction, len(directed)))
+            directed.append((item, back))
 
-        zero = FieldScalar(0, 0, surface.ctx)
-        one = FieldScalar(1, 0, surface.ctx)
         for e in range(n):
             params = sorted(split[e])  # exact field order
             pts = ([("vertex", e)] + [("edge", e, t) for t in params]
                    + [("vertex", (e + 1) % n)])
             bounds = [zero] + params + [one]
-            for k in range(len(pts) - 1):
-                item = _Item(
-                    "sub", pts[k], pts[k + 1],
-                    _point_coords(surface, p, pts[k]),
-                    _point_coords(surface, p, pts[k + 1]),
-                    edge=e, t0=bounds[k], t1=bounds[k + 1])
-                add_directed(item)
-        for ch in chords_by_polygon.get(p, []):
-            fwd = _Item("chord", ch.start, ch.end, ch.start_coords,
-                        ch.end_coords, chord_id=ch.chord_id, direction=1)
-            rev = _Item("chord", ch.end, ch.start, ch.end_coords,
-                        ch.start_coords, chord_id=ch.chord_id, direction=-1)
-            add_directed(fwd)
-            add_directed(rev)
+            back = _sub(_ORIGIN, edges[e])
+            subs[(p, e)] = items = [
+                _Item("sub", pts[k], pts[k + 1], edge=e, t0=bounds[k],
+                      t1=bounds[k + 1]) for k in range(len(pts) - 1)]
+            for item in items:
+                add_directed(item, edges[e], back)
+        for ch in chords:
+            add_directed(_Item("chord", ch.start, ch.end, chord_id=ch.chord_id,
+                               direction=1), _EAST, _WEST)
+            add_directed(_Item("chord", ch.end, ch.start, chord_id=ch.chord_id,
+                               direction=-1), _WEST, _EAST)
 
         used = [False] * len(directed)
         for start_idx in range(len(directed)):
@@ -354,48 +348,56 @@ def _build_cut_pieces(surface, chords_by_polygon):
                     raise InternalInvariantError("face walk did not close")
                 used[idx] = True
                 loop.append(idx)
-                cur = directed[idx]
+                cur, back = directed[idx]
                 cands = outgoing.get(cur.end, [])
                 if not cands:
                     raise InternalInvariantError(
                         f"face walk stuck at {cur.end} in polygon {p}")
-                nxt = _pick_first_cw(cur.vec, cands)
+                nxt = _pick_first_cw(back, cands, d)
                 if nxt == start_idx:
                     break
                 if used[nxt]:
                     raise InternalInvariantError(
                         f"face walk revisited an edge in polygon {p}")
                 idx = nxt
-            piece = _Piece(len(pieces), p, [directed[i] for i in loop])
-            for pos, i in enumerate(loop):
-                directed[i].piece = piece
-                directed[i].index = pos
+            piece = _Piece(len(pieces), p, [directed[i][0] for i in loop])
+            for pos, item in enumerate(piece.items):
+                item.piece = piece
+                item.index = pos
             pieces.append(piece)
-            for i in loop:
-                it = directed[i]
-                if it.kind == "sub":
-                    sub_lookup[(p, it.edge, it.t0)] = it
 
-    return pieces, sub_lookup
+    return pieces, subs
 
 
-def _glue_items(surface, pieces, sub_lookup):
+def _mates(surface, subs, p, e):
+    """Each sub-edge of edge e of polygon p with the one glued to it.
+
+    Glued edges run opposite ways, so the sub-edge at [t0, t1] meets the
+    one at [1 - t1, 1 - t0] of the partner edge, in reverse order.
+    """
+    items = subs[(p, e)]
+    mates = subs[surface.gluing[(p, e)]][::-1]
+    if len(items) != len(mates) or not all(
+            _sum_is_one(item.t0, mate.t1) and _sum_is_one(item.t1, mate.t0)
+            for item, mate in zip(items, mates)):
+        raise InternalInvariantError(
+            f"sub-edge split mismatch across gluing {(p, e)}")
+    return zip(items, mates)
+
+
+def _sum_is_one(s, t) -> bool:
+    return (s._A * t._D + t._A * s._D == s._D * t._D
+            and s._B * t._D + t._B * s._D == 0)
+
+
+def _glue_items(surface, subs):
     """Glue sub-edge items across non-horizontal cells; mark the rest
     as boundary (cuts)."""
-    one = FieldScalar(1, 0, surface.ctx)
-    for (p, e, t0), item in sub_lookup.items():
-        if item.partner is not None:
-            continue
-        vec = surface.polygons[p][e]
-        if vec.y.sign() == 0:
-            continue  # horizontal cell: stays a boundary item
-        q, f = surface.gluing[(p, e)]
-        mate = sub_lookup.get((q, f, one - item.t1))
-        if mate is None or (mate.t1 - (one - item.t0)).sign() != 0:
-            raise InternalInvariantError(
-                f"sub-edge split mismatch across gluing {(p, e)}")
-        item.partner = mate
-        mate.partner = item
+    edges = surface.lattice().edges
+    for p, e in subs:
+        if edges[p][e][2:] != (0, 0) and subs[(p, e)][0].partner is None:
+            for item, mate in _mates(surface, subs, p, e):
+                item.partner, mate.partner = mate, item
 
 
 class _UnionFind:
@@ -468,7 +470,6 @@ def _boundary_circles(comp_pieces):
     by_piece = {piece.pid: piece for piece in comp_pieces}
     boundary = [(piece.pid, k) for piece in comp_pieces
                 for k, item in enumerate(piece.items) if item.partner is None]
-    bset = set(boundary)
     seen = set()
     circles = []
     for start in boundary:
@@ -501,34 +502,33 @@ def _boundary_circles(comp_pieces):
     return circles
 
 
-def _piece_area2(piece) -> FieldScalar:
-    pts = [item.start_coords for item in piece.items]
-    n = len(pts)
-    total = pts[0].x - pts[0].x
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        total = total + (a.x * b.y - b.x * a.y)
-    return total
+def _corner_points(lat, comp_pieces):
+    """(corners, Q): every piece's corners as lattice points over D*Q,
+    one Q for the component; corner k of a piece starts its item k."""
+    raw = {piece.pid: [_lattice_point(lat, piece.polygon, item.start)
+                       for item in piece.items] for piece in comp_pieces}
+    Q = lcm(*(q for pts in raw.values() for _, q in pts))
+    return {pid: [P if q == Q else tuple(x * (Q // q) for x in P)
+                  for P, q in pts] for pid, pts in raw.items()}, Q
 
 
 class _ComponentCheck:
-    __slots__ = ("ok", "reason", "bottom", "top", "circumference", "area",
-                 "pieces")
+    """A certified component's boundary circles, its circumference and
+    area, and, for `_core_from_pieces`, its corners over D*Q
+    (`_corner_points`) and its circumference as a pair over D*Q."""
 
-    def __init__(self, ok, reason="", bottom=None, top=None,
-                 circumference=None, area=None, pieces=None):
+    __slots__ = ("ok", "reason", "bottom", "top", "circumference", "area",
+                 "pieces", "corners", "length")
+
+    def __init__(self, ok, reason="", **fields):
         self.ok = ok
         self.reason = reason
-        self.bottom = bottom
-        self.top = top
-        self.circumference = circumference
-        self.area = area
-        self.pieces = pieces
+        for name in self.__slots__[2:]:
+            setattr(self, name, fields.get(name))
 
 
 def _check_component(surface, comp_pieces):
     """Certify one component of the cut surface as a cylinder."""
-    by_piece = {piece.pid: piece for piece in comp_pieces}
     class_of = _corner_classes(comp_pieces)
     n_vertices = len(set(class_of.values()))
     n_faces = len(comp_pieces)
@@ -566,38 +566,47 @@ def _check_component(surface, comp_pieces):
     circles = _boundary_circles(comp_pieces)
     if len(circles) != 2:
         return _ComponentCheck(False, f"{len(circles)} boundary circles")
-    zero = FieldScalar(0, 0, surface.ctx)
+    # lengths and areas as pairs over D*Q
+    lat = surface.lattice()
+    d = lat.d
+    corners, Q = _corner_points(lat, comp_pieces)
     lengths = []
     signs = []
     for circle in circles:
-        total = zero
+        A = B = 0
         csign = None
         for pid, k in circle:
-            item = by_piece[pid].items[k]
-            v = item.vec
-            if v.y.sign() != 0:
+            pts = corners[pid]
+            (xa, xb, ya, yb), (ua, ub, va, vb) = pts[k], pts[(k + 1) % len(pts)]
+            if va != ya or vb != yb:
                 raise InternalInvariantError("non-horizontal boundary item")
-            s = v.x.sign()
+            s = _sign(ua - xa, ub - xb, d)
             if csign is None:
                 csign = s
             elif csign != s:
                 return _ComponentCheck(False, "mixed boundary orientation")
-            total = total + v.x
-        lengths.append(total if csign > 0 else -total)
+            A += ua - xa
+            B += ub - xb
+        lengths.append((A, B) if csign > 0 else (-A, -B))
         signs.append(csign)
     if set(signs) != {1, -1}:
         return _ComponentCheck(False, "boundary circles of equal orientation")
     bottom = circles[signs.index(1)]
     top = circles[signs.index(-1)]
-    if (lengths[0] - lengths[1]).sign() != 0:
+    if lengths[0] != lengths[1]:
         return _ComponentCheck(False, "boundary circles of different length")
 
-    area2 = zero
-    for piece in comp_pieces:
-        area2 = area2 + _piece_area2(piece)
+    A = B = 0
+    for pts in corners.values():
+        a, b = signed_area2(pts, d)
+        A += a
+        B += b
+    DQ = lat.D * Q
     return _ComponentCheck(True, "", bottom=bottom, top=top,
-                           circumference=lengths[0], area=area2 / 2,
-                           pieces=comp_pieces)
+                           circumference=_new(*lengths[0], DQ, lat.ctx),
+                           area=_new(A, B, 2 * DQ * DQ, lat.ctx),
+                           pieces=comp_pieces, corners=corners,
+                           length=lengths[0])
 
 
 def _bottom_germ_corner(surface, by_piece, chords, saddle_connections, bottom):
@@ -637,12 +646,13 @@ def _find_vertical_corner(surface, germ_corner):
     raise InternalInvariantError("no corner contains the vertical germ")
 
 
-def _locate_chord_through(chords_by_polygon, p, coords):
+def _locate_chord_through(surface, chords_by_polygon, p, coords):
     for ch in chords_by_polygon.get(p, []):
-        if (ch.start_coords.y - coords.y).sign() != 0:
+        start = _point_coords(surface, p, ch.start)
+        if (start.y - coords.y).sign() != 0:
             continue
-        if (ch.start_coords.x - coords.x).sign() < 0 and \
-           (coords.x - ch.end_coords.x).sign() < 0:
+        if (start.x - coords.x).sign() < 0 and \
+           (coords.x - _point_coords(surface, p, ch.end).x).sign() < 0:
             return ch
     return None
 
@@ -660,7 +670,7 @@ def _cross_path(surface, chords_by_polygon, saddle_connections, corner,
 
     Traces (0,1) from the corner for exactly `height`; if the endpoint is
     not itself a singular point, slides east along the boundary leaf to
-    the next one.  Returns (chords, rise_check_passed).
+    the next one, and follows its saddle connection.  Returns the chords.
     """
     north = NORTH(surface.ctx)
     res = trace_from_corner(surface, corner, north, stop_at_advance=height)
@@ -674,53 +684,39 @@ def _cross_path(surface, chords_by_polygon, saddle_connections, corner,
     chords = list(res.chords)
     if res.pending_start is not None:
         # stopped strictly inside a polygon, on a cut chord of the top
-        # boundary; slide east to the chord's right end and follow the
-        # saddle connection to its terminal zero
+        # boundary; slide east to the chord's right end
         p, start_point = res.pending_start
-        coords = res.end_position[1]
-        ch = _locate_chord_through(chords_by_polygon, p, coords)
+        ch = _locate_chord_through(surface, chords_by_polygon, p,
+                                   res.end_position[1])
         if ch is None:
             raise InternalInvariantError(
                 "cross path stopped off the cut system")
         chords.append((p, start_point, ch.end))
-        chords.extend(_sc_tail(surface, saddle_connections[ch.sc_id],
-                               ch.sc_index + 1))
-        return chords
-    # stopped exactly on a boundary point of some polygon
-    q, point = res.end_pathpoint
-    f, s = point[1], point[2]
-    vec = surface.polygons[q][f]
-    if vec.y.sign() == 0:
-        # landed on a horizontal cell: slide east along it
-        if vec.x.sign() > 0:
-            chords.append((q, point,
-                           ("vertex", (f + 1) % len(surface.polygons[q]))))
-        else:
-            chords.append((q, point, ("vertex", f)))
-        return chords
-    # a cut-chord endpoint: the continuing chord starts here on one of
-    # the two sides of the edge
-    ch = _chord_by_start(chords_by_polygon, q, point)
-    if ch is not None:
-        chords.append((q, point, ch.end))
     else:
-        q2, f2 = surface.gluing[(q, f)]
-        point2 = ("edge", f2, FieldScalar(1, 0, surface.ctx) - s)
-        ch = _chord_by_start(chords_by_polygon, q2, point2)
+        # stopped exactly on a boundary point of some polygon
+        q, point = res.end_pathpoint
+        f, s = point[1], point[2]
+        vec = surface.polygons[q][f]
+        if vec.y.sign() == 0:
+            # landed on a horizontal cell: slide east along it
+            end = (f + 1) % len(surface.polygons[q]) if vec.x.sign() > 0 else f
+            return chords + [(q, point, ("vertex", end))]
+        # a cut-chord endpoint: the continuing chord starts here on one
+        # of the two sides of the edge
+        ch = _chord_by_start(chords_by_polygon, q, point)
         if ch is None:
-            raise InternalInvariantError(
-                "cross path stopped at an untracked chord endpoint")
-        chords.append((q2, point2, ch.end))
-    chords.extend(_sc_tail(surface, saddle_connections[ch.sc_id],
-                           ch.sc_index + 1))
-    return chords
+            q2, f2 = surface.gluing[(q, f)]
+            q, point = q2, ("edge", f2, FieldScalar(1, 0, surface.ctx) - s)
+            ch = _chord_by_start(chords_by_polygon, q, point)
+            if ch is None:
+                raise InternalInvariantError(
+                    "cross path stopped at an untracked chord endpoint")
+        chords.append((q, point, ch.end))
+    # follow the chord's saddle connection to its terminal zero
+    return chords + saddle_connections[ch.sc_id].chords[ch.sc_index + 1:]
 
 
-def _sc_tail(surface, sc, from_index):
-    return [sc.chords[i] for i in range(from_index, len(sc.chords))]
-
-
-def _core_from_pieces(surface, comp_pieces, circumference):
+def _core_from_pieces(surface, check):
     """The core leaf of a certified component, read from its pieces.
 
     Every polygon vertex is a singular or marked point and the component
@@ -732,12 +728,13 @@ def _core_from_pieces(surface, comp_pieces, circumference):
     starts at the component's first piece and follows the gluing across
     each exit.  Returns the chords; each one's end is a crossing.
     """
+    lat = surface.lattice()
     ends = {}
-    for piece in comp_pieces:
+    for piece in check.pieces:
         down, up = [], []
         for item in piece.items:
             if item.kind == "sub":
-                rise = surface.polygons[piece.polygon][item.edge].y.sign()
+                rise = _sign(*lat.edges[piece.polygon][item.edge][2:], lat.d)
                 if rise < 0:
                     down.append(item)
                 elif rise > 0:
@@ -748,14 +745,17 @@ def _core_from_pieces(surface, comp_pieces, circumference):
                 f"{len(up)} exits")
         ends[piece.pid] = down[0], up[0]
     chords = []
-    run2 = FieldScalar(0, 0, surface.ctx)  # twice the x-length walked
-    first = comp_pieces[0]
+    run2 = [0, 0]  # twice the x-length walked, over D*Q
+    first = check.pieces[0]
     piece = first
     while True:
         entry, exit_ = ends.pop(piece.pid)
         chords.append((piece.polygon, _midpoint(entry), _midpoint(exit_)))
-        run2 = (run2 + exit_.start_coords.x + exit_.end_coords.x
-                - entry.start_coords.x - entry.end_coords.x)
+        pts = check.corners[piece.pid]
+        for item, sign in ((exit_, 1), (entry, -1)):
+            a, b = pts[item.index], pts[(item.index + 1) % len(pts)]
+            run2[0] += sign * (a[0] + b[0])
+            run2[1] += sign * (a[1] + b[1])
         piece = exit_.partner.piece
         if piece is first:
             break
@@ -764,7 +764,7 @@ def _core_from_pieces(surface, comp_pieces, circumference):
     if ends:
         raise InternalInvariantError(
             f"core walk missed {len(ends)} pieces of the component")
-    if (run2 - circumference * 2).sign() != 0:
+    if run2 != [2 * x for x in check.length]:
         raise InternalInvariantError("core leaf does not close up")
     return chords
 
@@ -907,16 +907,13 @@ def decompose(surface: TranslationSurface, direction,
         if sc.is_edge_run:
             continue
         for idx, (p, start, end) in enumerate(sc.chords):
-            ch = _Chord(len(chord_table), p, sc.sc_id, idx, start, end,
-                        _point_coords(normalized, p, start),
-                        _point_coords(normalized, p, end))
+            ch = _Chord(len(chord_table), p, sc.sc_id, idx, start, end)
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 
-    pieces, sub_lookup = _build_cut_pieces(normalized, chords_by_polygon)
-    _glue_items(normalized, pieces, sub_lookup)
+    pieces, subs = _build_cut_pieces(normalized, chords_by_polygon)
+    _glue_items(normalized, subs)
     components = _components(pieces)
-    by_piece = {piece.pid: piece for piece in pieces}
 
     cylinders = []
     failed_components = 0
@@ -927,13 +924,13 @@ def decompose(surface: TranslationSurface, direction,
             continue
         c = check.circumference
         h = check.area / c
-        germ = _bottom_germ_corner(normalized, by_piece, chord_table,
+        germ = _bottom_germ_corner(normalized, pieces, chord_table,
                                    saddle_connections, check.bottom)
         corner = _find_vertical_corner(normalized, germ)
         cross_chords = _cross_path(normalized, chords_by_polygon,
                                    saddle_connections, corner, h)
         cross_coords = frame.coords_of_path(cross_chords)
-        core_chords = _core_from_pieces(normalized, comp, c)
+        core_chords = _core_from_pieces(normalized, check)
         core_coords = frame.coords_of_path(core_chords)
         nv = len(frame.boundary_matrix[0]) if frame.boundary_matrix else 0
         bnd = [0] * nv
@@ -952,11 +949,11 @@ def decompose(surface: TranslationSurface, direction,
             crossings_per_cell[cidx] += normalized.polygons[rp][re].y.sign()
         boundary_ids = set()
         for pid, k in check.bottom + check.top:
-            item = by_piece[pid].items[k]
+            item = pieces[pid].items[k]
             if item.kind == "chord":
                 boundary_ids.add(chord_table[item.chord_id].sc_id)
             else:
-                sc_id = edge_run_sc.get((by_piece[pid].polygon, item.edge))
+                sc_id = edge_run_sc.get((pieces[pid].polygon, item.edge))
                 if sc_id is not None:
                     boundary_ids.add(sc_id)
         cyl = Cylinder(
@@ -970,8 +967,7 @@ def decompose(surface: TranslationSurface, direction,
         )
         cylinders.append(cyl)
 
-    all_closed = not unresolved
-    if all_closed:
+    if not unresolved:
         if failed_components:
             # every separatrix closed, so every leaf is closed or singular
             # and every component must certify; a failure is a bug
@@ -979,11 +975,9 @@ def decompose(surface: TranslationSurface, direction,
                 f"{failed_components} components failed certification in a "
                 f"fully resolved direction")
         status = PERIODIC
-        total = normalized.area()
-        acc = FieldScalar(0, 0, normalized.ctx)
-        for cyl in cylinders:
-            acc = acc + cyl.area
-        if (acc - total).sign() != 0:
+        acc = sum((cyl.area for cyl in cylinders),
+                  FieldScalar(0, 0, normalized.ctx))
+        if (acc - normalized.area()).sign() != 0:
             raise InternalInvariantError(
                 "cylinder areas do not sum to the surface area")
     elif cylinders:
@@ -991,17 +985,10 @@ def decompose(surface: TranslationSurface, direction,
     else:
         status = NO_CYLINDER
 
-    cut = _CutData(pieces, sub_lookup, chord_table, chords_by_polygon)
     return Decomposition(surface, frame, direction, g, normalized, status,
                          tuple(cylinders), tuple(saddle_connections),
-                         bound_sq, tuple(unresolved), cut)
+                         bound_sq, tuple(unresolved),
+                         _CutData(pieces, subs, chord_table, chords_by_polygon))
 
 
-class _CutData:
-    __slots__ = ("pieces", "sub_lookup", "chords", "chords_by_polygon")
-
-    def __init__(self, pieces, sub_lookup, chords, chords_by_polygon):
-        self.pieces = pieces
-        self.sub_lookup = sub_lookup
-        self.chords = chords
-        self.chords_by_polygon = chords_by_polygon
+_CutData = namedtuple("_CutData", "pieces subs chords chords_by_polygon")

@@ -13,7 +13,8 @@ coordinates is checked exactly.
 
 from __future__ import annotations
 
-from .cylinders import Decomposition, _build_cut_pieces, _Chord, decompose
+from .cylinders import (Decomposition, _build_cut_pieces, _mates,
+                        _point_coords, decompose)
 from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
 from .field import FieldScalar, Mat2, Vec2
@@ -245,8 +246,8 @@ def _recut(decomposition: Decomposition, members):
     """Recut the normalized surface along the boundaries separating the
     member components from the rest.
 
-    Returns (pieces, sub_lookup, treat), `treat` telling for each piece
-    id whether the deformation acts on it.
+    Returns (pieces, subs, treat), `treat` telling for each piece id
+    whether the deformation acts on it.
     """
     normalized = decomposition.normalized
     cut = decomposition.cut
@@ -268,10 +269,9 @@ def _recut(decomposition: Decomposition, members):
 
     reduced_by_polygon: dict[int, list] = {}
     for new_id, ch in enumerate(needed):
-        copy = _Chord(new_id, ch.polygon, ch.sc_id, ch.sc_index, ch.start,
-                      ch.end, ch.start_coords, ch.end_coords)
-        reduced_by_polygon.setdefault(ch.polygon, []).append(copy)
-    pieces, sub_lookup = _build_cut_pieces(normalized, reduced_by_polygon)
+        reduced_by_polygon.setdefault(ch.polygon, []).append(
+            ch._replace(chord_id=new_id))
+    pieces, subs = _build_cut_pieces(normalized, reduced_by_polygon)
 
     # treatment per reduced piece: each reduced sub-edge starts at a fine
     # subdivision point, so the fine sub item there names the component
@@ -282,12 +282,12 @@ def _recut(decomposition: Decomposition, members):
             vec = normalized.polygons[piece.polygon][item.edge]
             if vec.y.sign() == 0:
                 continue
-            fine = cut.sub_lookup.get((piece.polygon, item.edge, item.t0))
-            if fine is not None:
-                return fine.piece.component in members
+            for fine in cut.subs[(piece.polygon, item.edge)]:
+                if fine.t0 == item.t0:
+                    return fine.piece.component in members
         raise InternalInvariantError("piece treatment undetermined")
 
-    return pieces, sub_lookup, {piece.pid: treatment(piece)
+    return pieces, subs, {piece.pid: treatment(piece)
                                 for piece in pieces}
 
 
@@ -297,56 +297,29 @@ def _recut_surface(decomposition: Decomposition, recut,
     applied to the treated ones."""
     normalized = decomposition.normalized
     g_inv = decomposition.matrix.inverse()
-    pieces, sub_lookup, treat = recut
+    pieces, subs, treat = recut
 
-    # polygons of the deformed surface
+    # polygons of the deformed surface; piece ids are their positions
     new_polys = []
     for piece in pieces:
         poly = []
         for item in piece.items:
-            vec = item.vec
+            vec = (_point_coords(normalized, piece.polygon, item.end)
+                   - _point_coords(normalized, piece.polygon, item.start))
             mapped = inner.apply(vec) if treat[piece.pid] else vec
             poly.append(g_inv.apply(mapped))
         new_polys.append(poly)
 
-    chord_side = {(item.chord_id, item.direction): (piece.pid, k)
-                  for piece in pieces
-                  for k, item in enumerate(piece.items)
-                  if item.kind == "chord"}
-    gluing = []
-    seen = set()
-    one = FieldScalar(1, 0, normalized.ctx)
+    # sub-edges pair with their mates across every cell, horizontal or
+    # not, and each chord's two sides pair up
+    gluing = [((item.piece.pid, item.index), (mate.piece.pid, mate.index))
+              for p, e in subs for item, mate in _mates(normalized, subs, p, e)]
+    sides = {}
     for piece in pieces:
         for k, item in enumerate(piece.items):
-            key = (piece.pid, k)
-            if key in seen:
-                continue
-            if item.kind == "sub":
-                p, e = piece.polygon, item.edge
-                vec = normalized.polygons[p][e]
-                if vec.y.sign() != 0:
-                    mate = sub_lookup[(normalized.gluing[(p, e)][0],
-                                       normalized.gluing[(p, e)][1],
-                                       one - item.t1)]
-                else:
-                    # horizontal cell: partner sub is the full partner edge
-                    q, f = normalized.gluing[(p, e)]
-                    mate = sub_lookup[(q, f, one - item.t1)]
-                mk = (mate.piece.pid, mate.index)
-                gluing.append((key, mk))
-                seen.add(key)
-                seen.add(mk)
-            else:
-                # chords pair their two directed sides
-                mk = chord_side[(item.chord_id, -item.direction)]
-                gluing.append((key, mk))
-                seen.add(key)
-                seen.add(mk)
-    index_map = {}
-    for new_p, piece in enumerate(pieces):
-        for k in range(len(piece.items)):
-            index_map[(piece.pid, k)] = (new_p, k)
-    gluing = [(index_map[a], index_map[b]) for a, b in gluing]
+            if item.kind == "chord":
+                sides.setdefault(item.chord_id, []).append((piece.pid, k))
+    gluing.extend(sides.values())
     result = TranslationSurface(new_polys, gluing, decomposition.surface.label)
     result.singularities()
     return result
@@ -358,29 +331,17 @@ def _recut_holonomies(decomposition: Decomposition, recut,
     sub-edges, `inner` applied to those of treated pieces."""
     normalized = decomposition.normalized
     g_inv = decomposition.matrix.inverse()
-    _pieces, sub_lookup, treat = recut
-    subs_of_edge: dict[tuple, list] = {}
-    for (p, e, _t0), item in sub_lookup.items():
-        subs_of_edge.setdefault((p, e), []).append(item)
+    _pieces, subs, treat = recut
+    zero = FieldScalar(0, 0, normalized.ctx)
     cell_hol = []
     for cell in decomposition.frame.cells:
-        p, e = cell
-        vec = normalized.polygons[p][e]
-        if vec.y.sign() == 0:
-            cell_hol.append(g_inv.apply(vec))
-            continue
-        subs = subs_of_edge.get(cell)
-        if not subs:
-            raise InternalInvariantError(f"cell {cell} lost its sub-edges")
-        total_x = FieldScalar(0, 0, normalized.ctx)
-        total_y = FieldScalar(0, 0, normalized.ctx)
-        for item in subs:
-            sub_vec = item.vec
-            mapped = (inner.apply(sub_vec) if treat[item.piece.pid]
-                      else sub_vec)
-            total_x = total_x + mapped.x
-            total_y = total_y + mapped.y
-        cell_hol.append(g_inv.apply(Vec2(total_x, total_y)))
+        # `inner` is linear and the sub-edges split the cell's vector, so
+        # it acts on the treated share s of that vector
+        vec = normalized.polygons[cell[0]][cell[1]]
+        s = sum((item.t1 - item.t0 for item in subs[cell]
+                 if treat[item.piece.pid]), zero)
+        cell_hol.append(g_inv.apply(inner.apply(vec.scale(s))
+                                    + vec.scale(1 - s)))
     return cell_hol
 
 

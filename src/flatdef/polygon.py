@@ -21,10 +21,10 @@ homogeneous in the coordinates, so the scale D > 0 changes no sign.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2, _new, _sign, unify_ctx
+from .field import QQ, FieldScalar, Vec2, _new, _sign, unify_ctx
 
 __all__ = [
     "Lattice",
@@ -83,21 +83,72 @@ class Lattice:
     """The integer form of a list of polygons over one denominator D.
 
     `edges[p]` and `verts[p]` hold polygon p's edge vectors and its
-    vertices, vertex i at the sum of edges 0..i-1.  `point` converts
-    any vector whose coordinate denominators divide D, as those of
-    every sum and difference of vertices do.
+    vertices, vertex i at the sum of edges 0..i-1.  D is the lcm of the
+    reduced denominators of the edge coordinates, and `ctx` is QQ when
+    every coordinate is rational.  `point` converts any vector whose
+    coordinate denominators divide D, as those of every sum and
+    difference of vertices do.  A surface builds its form from its
+    polygons, or takes it from the surface it is the `image` of.
     """
 
     __slots__ = ("ctx", "d", "D", "edges", "verts")
 
     def __init__(self, polygons):
         scalars = [s for poly in polygons for v in poly for s in (v.x, v.y)]
-        self.ctx = ctx = unify_ctx(*scalars)
-        self.d = ctx.d
         self.D = lcm(*(s._D for s in scalars))
-        self.edges = [[self.point(e) for e in poly] for poly in polygons]
-        self.verts = [list(accumulate(edges[:-1], _add, initial=_ORIGIN))
-                      for edges in self.edges]
+        self._fill(unify_ctx(*scalars),
+                   [[self.point(e) for e in poly] for poly in polygons])
+
+    def _fill(self, ctx, edges):
+        self.ctx = ctx
+        self.d = ctx.d
+        self.edges = edges
+        self.verts = [list(accumulate(poly[:-1], _add, initial=_ORIGIN))
+                      for poly in edges]
+
+    def image(self, g, reverse: bool = False) -> "Lattice":
+        """The form of the polygons mapped by the matrix g (a `Mat2`);
+        with `reverse`, each polygon's edges are reversed and negated.
+
+        g's entries are pairs over their common denominator Dg, so the
+        image coordinates are pairs over D*Dg.  Dividing them and D*Dg
+        by G, the gcd of D*Dg and every image integer, leaves the lcm of
+        the coordinates' reduced denominators, D*Dg/G: the D of the
+        image's own form.  An irrational g over another field than the
+        polygons' raises ValueError, naming g's field first.
+        """
+        entries = (g.a, g.b, g.c, g.d)
+        gctx = unify_ctx(*entries)
+        if gctx.d and self.d and gctx.d != self.d:
+            raise ValueError(f"incompatible fields Q(sqrt({gctx.d})) "
+                             f"and Q(sqrt({self.d}))")
+        ctx = gctx if gctx.d else self.ctx
+        d = ctx.d
+        Dg = lcm(*(s._D for s in entries))
+        (aA, aB), (bA, bB), (cA, cB), (dA, dB) = (
+            (s._A * (Dg // s._D), s._B * (Dg // s._D)) for s in entries)
+        G = self.D * Dg
+        edges = []
+        for poly in self.edges:
+            if reverse:
+                poly = [_sub(_ORIGIN, e) for e in reversed(poly)]
+            out = []
+            for xa, xb, ya, yb in poly:
+                e = (aA * xa + bA * ya + d * (aB * xb + bB * yb),
+                     aA * xb + aB * xa + bA * yb + bB * ya,
+                     cA * xa + dA * ya + d * (cB * xb + dB * yb),
+                     cA * xb + cB * xa + dA * yb + dB * ya)
+                G = gcd(G, *e)
+                out.append(e)
+            edges.append(out)
+        edges = [[(xa // G, xb // G, ya // G, yb // G)
+                  for xa, xb, ya, yb in poly] for poly in edges]
+        if not any(e[1] or e[3] for poly in edges for e in poly):
+            ctx = QQ
+        lat = Lattice.__new__(Lattice)
+        lat.D = self.D * Dg // G
+        lat._fill(ctx, edges)
+        return lat
 
     def point(self, v: Vec2):
         D = self.D
@@ -105,9 +156,10 @@ class Lattice:
         kx, ky = D // x._D, D // y._D
         return x._A * kx, x._B * kx, y._A * ky, y._B * ky
 
-    def vec2(self, p) -> Vec2:
+    def vec2(self, p, scale: int = 1) -> Vec2:
+        """The vector of the point p over D*scale."""
         xa, xb, ya, yb = p
-        D, ctx = self.D, self.ctx
+        D, ctx = self.D * scale, self.ctx
         return Vec2(_new(xa, xb, D, ctx), _new(ya, yb, D, ctx))
 
     def corner_rays(self, corner):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .cylinders import Decomposition, NO_CYLINDER
+from .cylinders import Decomposition, NO_CYLINDER, _point_coords
 from .surface import TranslationSurface
 
 __all__ = ["render_surface"]
@@ -64,7 +64,8 @@ def render_surface(surface: TranslationSurface,
             pts = []
             off = offsets[piece.polygon]
             for item in piece.items:
-                w = g_inv.apply(item.start_coords)
+                w = g_inv.apply(_point_coords(decomposition.normalized,
+                                              piece.polygon, item.start))
                 pts.append((float(w.x) + off[0], float(w.y) + off[1]))
             body.append(
                 f'<polygon class="cylinder" points="{_fmt_pts(pts)}" '
@@ -76,7 +77,6 @@ def render_surface(surface: TranslationSurface,
             f'<polygon class="polygon" points="{_fmt_pts(pts)}" '
             f'fill="none" stroke="#222222" stroke-width="0.02"/>')
     if fills:
-        from .cylinders import _point_coords
         norm = decomposition.normalized
         g_inv = decomposition.matrix.inverse()
         for cyl in decomposition.cylinders:

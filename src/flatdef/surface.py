@@ -259,8 +259,10 @@ class TranslationSurface:
     def apply_matrix(self, g: Mat2, label: str | None = None) -> "TranslationSurface":
         """The linear action on every edge vector.
 
-        Orientation-reversing matrices flip each polygon's boundary
-        order so the result is again positively oriented.
+        The image is computed on the lattice form (`Lattice.image`),
+        which the image keeps.  Orientation-reversing matrices flip each
+        polygon's boundary order so the result is again positively
+        oriented.
 
         With det > 0 the image carries this surface's singularity data,
         validating this surface first if it has not been.  A linear map
@@ -276,23 +278,20 @@ class TranslationSurface:
             raise SingularMatrix("matrix has determinant zero")
         if label is None:
             label = self.label
-        if det_sign > 0:
-            data = self.singularities()
-            polys = [[g.apply(e) for e in poly] for poly in self.polygons]
-            gl = {a: b for a, b in self.gluing.items() if a < b}
-            image = TranslationSurface(polys, gl.items(), label)
+        data = self.singularities() if det_sign > 0 else None
+        lat = self.lattice().image(g, reverse=det_sign < 0)
+        gl = self.gluing
+        if det_sign < 0:
+            n = [len(poly) for poly in self.polygons]
+            gl = {(p, n[p] - 1 - e): (q, n[q] - 1 - f)
+                  for (p, e), (q, f) in gl.items()}
+        image = TranslationSurface(
+            [[lat.vec2(e) for e in edges] for edges in lat.edges],
+            [(a, b) for a, b in gl.items() if a < b], label)
+        image._cache["lattice"] = lat
+        if data is not None:
             image._cache["sing"] = data
-            return image
-        polys = []
-        for poly in self.polygons:
-            n = len(poly)
-            polys.append([-g.apply(poly[n - 1 - i]) for i in range(n)])
-        remap = {}
-        for (p, e), (q, f) in self.gluing.items():
-            np_, nq = len(self.polygons[p]), len(self.polygons[q])
-            remap[(p, np_ - 1 - e)] = (q, nq - 1 - f)
-        gl = {a: b for a, b in remap.items() if a < b}
-        return TranslationSurface(polys, gl.items(), label)
+        return image
 
 
 def validate(surface: TranslationSurface) -> SingularityData:
