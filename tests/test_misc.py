@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
 from flatdef.field import FieldCtx, FieldScalar, Vec2, scalar_sign
@@ -21,3 +24,42 @@ class TestProjectedEta:
         p = f.project_absolute(eta(l_origami, f, d))
         assert any(not v.is_zero() for v in p)
 
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, leaving out those it
+    re-exports in `__all__` and `from __future__` imports."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # a name left imported after the code that read it is deleted; the
+    # package's __init__ imports to re-export
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    assert len(found) >= 16
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom a import b, c as d, e\n"
+              "__all__ = ['e']\nprint(b)\n")
+    assert _unused_imports(source) == ["d (line 3)", "os (line 2)"]

@@ -9,6 +9,7 @@ a digest only when the JSON format is changed on purpose, and say so in
 CHANGES.md.
 """
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -29,6 +30,9 @@ from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import EAST, east_ray_corners, trace_from_corner
+
+from test_origami_oracle import (BENCH_ORIGAMI, DIRECTIONS as ORACLE_DIRECTIONS,
+                                 SHEARS, origami, random_origamis)
 
 Q2 = FieldCtx.get(2)
 
@@ -390,3 +394,55 @@ def test_normalized_surfaces(golden_l):
         "cuts":
             "06657493fffc78951576b0551b020152562c26613b1b9376a94c5eb3e1d91c95",
     }
+
+
+# -- cross classes ------------------------------------------------------------
+#
+# Each certified cylinder's cross class: a curve from a zero on its bottom
+# circle to a zero on its top.  Recorded while `decompose` still traced
+# north from the bottom zero and slid east along the top circle; the
+# inputs reach all four places that trace could stop: on a zero, inside
+# a polygon on a top chord, on a horizontal edge, and at a chord's end on
+# an edge.  `cross_pin_cases` is shared with tests/test_cross_curve.py.
+
+@functools.cache
+def cross_pin_cases():
+    """(input, direction, decomposition) for the golden L's SL(2,Z)
+    images, the oracle's seeded origamis and their integer shears, the
+    generic L-shapes, and the sqrt(2) L-shape's partial directions."""
+    cases = []
+    phi = FieldScalar(Fraction(1, 2), Fraction(1, 2), FieldCtx.get(5))
+    golden = l_shape(phi, 1, 1, phi - 1, label="golden-l")
+    for m in SL2Z_SMALL:
+        image = golden.apply_matrix(Mat2(*m))
+        cases += [(["golden", list(m)], v, decompose(image, Vec2(*v)))
+                  for v in ((1, 0), (1, 1))]
+    for r, u in random_origamis():
+        surface = origami(r, u)
+        cases += [(["origami", r, u], v, decompose(surface, Vec2(*v)))
+                  for v in ORACLE_DIRECTIONS]
+    for index, (r, u) in enumerate(([BENCH_ORIGAMI] + random_origamis())[:12]):
+        surface = origami(r, u)
+        dec = decompose(surface, Vec2(1, 0))
+        for t in SHEARS if index else (2,):
+            sheared = shear(surface, dec, t)
+            cases += [(["shear", r, u, t], v, decompose(sheared, Vec2(*v)))
+                      for v in ORACLE_DIRECTIONS]
+    for d in (2, 3, 5):
+        surface = _generic_lshape(d)
+        cases += [(["l", d], v, decompose(surface, Vec2(*v)))
+                  for v in _primitive_directions()]
+    surface = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+    cases += [(["sqrt2-l"], v, decompose(surface, Vec2(*v)))
+              for v in ((2, 1), (2, -1))]
+    return tuple(cases)
+
+
+def test_cross_classes():
+    cases = cross_pin_cases()
+    assert [dec.status for _, _, dec in cases[-2:]] == [PARTIAL, PARTIAL]
+    rows = [[name, list(v), cyl.cyl_id, list(cyl.cross_coords)]
+            for name, v, dec in cases for cyl in dec.cylinders]
+    assert len(rows) == 1012
+    assert _digest(rows) == \
+        "a85798718ae7464c2bed1fde96bf044078af66e0d1b64646a940addd4854a1da"
