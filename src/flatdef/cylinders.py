@@ -22,9 +22,9 @@ from .errors import InternalInvariantError, NonPositiveLength
 from .field import FieldScalar, Mat2, Vec2, _new, _sign
 from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
-                      sector_contains, signed_area2)
+                      signed_area2)
 from .surface import TranslationSurface
-from .tracing import EAST, NORTH, east_ray_corners, trace_from_corner
+from .tracing import EAST, east_ray_corners, trace_from_corner
 
 __all__ = ["Direction", "SaddleConnection", "Cylinder", "Decomposition",
            "decompose", "default_bound_sq", "PERIODIC", "PARTIAL",
@@ -514,8 +514,8 @@ def _corner_points(lat, comp_pieces):
 
 class _ComponentCheck:
     """A certified component's boundary circles, its circumference and
-    area, and, for `_core_from_pieces`, its corners over D*Q
-    (`_corner_points`) and its circumference as a pair over D*Q."""
+    area, and, for the core walk and the cross curve, its corners over
+    D*Q (`_corner_points`) and its circumference as a pair over D*Q."""
 
     __slots__ = ("ok", "reason", "bottom", "top", "circumference", "area",
                  "pieces", "corners", "length")
@@ -609,115 +609,9 @@ def _check_component(surface, comp_pieces):
                            length=lengths[0])
 
 
-def _bottom_germ_corner(surface, by_piece, chords, saddle_connections, bottom):
-    """A corner emitting an eastward boundary germ of the bottom circle."""
-    for pid, k in bottom:
-        item = by_piece[pid].items[k]
-        if item.start[0] != "vertex":
-            continue
-        if item.kind == "sub":
-            return (by_piece[pid].polygon, item.edge)
-        ch = chords[item.chord_id]
-        if item.direction == 1 and ch.sc_index == 0:
-            sc = saddle_connections[ch.sc_id]
-            return sc.start_corner
-    raise InternalInvariantError("bottom circle has no vertex germ")
-
-
-def _find_vertical_corner(surface, germ_corner):
-    """Rotate ccw from the eastward germ to the corner containing (0,1).
-
-    The first corner only counts on the arc strictly past the eastward
-    germ ray, so the germ found is the one on the cylinder's side.
-    """
-    lat = surface.lattice()
-    north = (0, 0, 1, 0)  # in the integer form
-    _, end = lat.corner_rays(germ_corner)
-    if sector_contains(_EAST, end, north, lat.d, include_start=False,
-                       include_end=False):
-        return germ_corner
-    corner = surface.next_corner(germ_corner)
-    for _ in range(10 * len(surface.gluing) + 8):
-        start, end = lat.corner_rays(corner)
-        if sector_contains(start, end, north, lat.d, include_start=True,
-                           include_end=False):
-            return corner
-        corner = surface.next_corner(corner)
-    raise InternalInvariantError("no corner contains the vertical germ")
-
-
-def _locate_chord_through(surface, chords_by_polygon, p, coords):
-    for ch in chords_by_polygon.get(p, []):
-        start = _point_coords(surface, p, ch.start)
-        if (start.y - coords.y).sign() != 0:
-            continue
-        if (start.x - coords.x).sign() < 0 and \
-           (coords.x - _point_coords(surface, p, ch.end).x).sign() < 0:
-            return ch
-    return None
-
-
-def _chord_by_start(chords_by_polygon, p, point):
-    for ch in chords_by_polygon.get(p, []):
-        if ch.start == point:
-            return ch
-    return None
-
-
-def _cross_path(surface, chords_by_polygon, saddle_connections, corner,
-                height):
-    """Vertical cross-cut of a cylinder, from a bottom zero to a top zero.
-
-    Traces (0,1) from the corner for exactly `height`; if the endpoint is
-    not itself a singular point, slides east along the boundary leaf to
-    the next one, and follows its saddle connection.  Returns the chords.
-    """
-    north = NORTH(surface.ctx)
-    res = trace_from_corner(surface, corner, north, stop_at_advance=height)
-    if res.kind == "vertex":
-        if (res.advance - height).sign() != 0:
-            raise InternalInvariantError(
-                "cross path hit a singularity below the top boundary")
-        return list(res.chords)
-    if res.kind != "target":
-        raise InternalInvariantError(f"cross path ended with {res.kind}")
-    chords = list(res.chords)
-    if res.pending_start is not None:
-        # stopped strictly inside a polygon, on a cut chord of the top
-        # boundary; slide east to the chord's right end
-        p, start_point = res.pending_start
-        ch = _locate_chord_through(surface, chords_by_polygon, p,
-                                   res.end_position[1])
-        if ch is None:
-            raise InternalInvariantError(
-                "cross path stopped off the cut system")
-        chords.append((p, start_point, ch.end))
-    else:
-        # stopped exactly on a boundary point of some polygon
-        q, point = res.end_pathpoint
-        f, s = point[1], point[2]
-        vec = surface.polygons[q][f]
-        if vec.y.sign() == 0:
-            # landed on a horizontal cell: slide east along it
-            end = (f + 1) % len(surface.polygons[q]) if vec.x.sign() > 0 else f
-            return chords + [(q, point, ("vertex", end))]
-        # a cut-chord endpoint: the continuing chord starts here on one
-        # of the two sides of the edge
-        ch = _chord_by_start(chords_by_polygon, q, point)
-        if ch is None:
-            q2, f2 = surface.gluing[(q, f)]
-            q, point = q2, ("edge", f2, FieldScalar(1, 0, surface.ctx) - s)
-            ch = _chord_by_start(chords_by_polygon, q, point)
-            if ch is None:
-                raise InternalInvariantError(
-                    "cross path stopped at an untracked chord endpoint")
-        chords.append((q, point, ch.end))
-    # follow the chord's saddle connection to its terminal zero
-    return chords + saddle_connections[ch.sc_id].chords[ch.sc_index + 1:]
-
-
-def _core_from_pieces(surface, check):
-    """The core leaf of a certified component, read from its pieces.
+def _core_walk(surface, check):
+    """The pieces of a certified component in the order its core leaf
+    crosses them, each as (piece, entry, exit).
 
     Every polygon vertex is a singular or marked point and the component
     is bounded by traced saddle connections, so each non-horizontal
@@ -726,7 +620,7 @@ def _core_from_pieces(surface, check):
     the eastward leaf enters a piece through its one sub-edge running
     down and leaves through its one sub-edge running up.  The walk
     starts at the component's first piece and follows the gluing across
-    each exit.  Returns the chords; each one's end is a crossing.
+    each exit.
     """
     lat = surface.lattice()
     ends = {}
@@ -744,18 +638,12 @@ def _core_from_pieces(surface, check):
                 f"piece {piece.pid} has {len(down)} core entries and "
                 f"{len(up)} exits")
         ends[piece.pid] = down[0], up[0]
-    chords = []
-    run2 = [0, 0]  # twice the x-length walked, over D*Q
+    walk = []
     first = check.pieces[0]
     piece = first
     while True:
         entry, exit_ = ends.pop(piece.pid)
-        chords.append((piece.polygon, _midpoint(entry), _midpoint(exit_)))
-        pts = check.corners[piece.pid]
-        for item, sign in ((exit_, 1), (entry, -1)):
-            a, b = pts[item.index], pts[(item.index + 1) % len(pts)]
-            run2[0] += sign * (a[0] + b[0])
-            run2[1] += sign * (a[1] + b[1])
+        walk.append((piece, entry, exit_))
         piece = exit_.partner.piece
         if piece is first:
             break
@@ -764,9 +652,95 @@ def _core_from_pieces(surface, check):
     if ends:
         raise InternalInvariantError(
             f"core walk missed {len(ends)} pieces of the component")
-    if run2 != [2 * x for x in check.length]:
+    if _offsets(check, walk)[1] != tuple(2 * x for x in check.length):
         raise InternalInvariantError("core leaf does not close up")
-    return chords
+    return walk
+
+
+def _offsets(check, walk):
+    """(offsets, lap) of a core walk, as pairs over D*Q.
+
+    Laid out along the walk, the pieces tile the developed cylinder: a
+    point at x in a piece's polygon frame lies at (2x + the piece's
+    offset) / 2 in the frame of the walk's first piece.  lap is twice
+    the x-run of one lap of the walk, the circumference.
+    """
+    corners = check.corners
+
+    def mid2(piece, item):
+        # twice the x-coordinate of the item's midpoint
+        pts = corners[piece.pid]
+        a, b = pts[item.index], pts[(item.index + 1) % len(pts)]
+        return a[0] + b[0], a[1] + b[1]
+
+    off = {}
+    x = (0, 0)
+    for (piece, _, exit_), (after, entry, _) in zip(walk, walk[1:] + walk[:1]):
+        off[piece.pid] = x
+        e, f = mid2(piece, exit_), mid2(after, entry)
+        x = x[0] + e[0] - f[0], x[1] + e[1] - f[1]
+    return off, x
+
+
+def _cross_from_pieces(surface, check, walk):
+    """The cross curve of a certified component, read from its pieces.
+
+    It runs from z0, the start of the first item of the bottom circle
+    at a polygon vertex, to z1, the first polygon vertex on the top
+    circle at or east of the point straight above z0.  Inside the closed
+    cylinder a path from z0 to z1 is fixed up to homotopy by its x-run,
+    and this one's is the offset of z1 from z0, in [0, c) for c the
+    circumference.  The path built here runs from z0 to the exit of its
+    piece, along the core walk, and from the entry of z1's piece to z1.
+    Returns its chords and the number of core laps to add to its class
+    so that its x-run lands in [0, c).
+    """
+    d = surface.lattice().d
+    corners = check.corners
+    pieces = {piece.pid: piece for piece in check.pieces}
+    z0 = next(((pid, k) for pid, k in check.bottom
+               if pieces[pid].items[k].start[0] == "vertex"), None)
+    if z0 is None:
+        raise InternalInvariantError("bottom circle has no vertex")
+    i = next(i for i, step in enumerate(walk) if step[0].pid == z0[0])
+    walk = walk[i:] + walk[:i]
+    off, lap = _offsets(check, walk)
+    x0 = corners[z0[0]][z0[1]]
+    best = None
+    for pid, k in check.top:
+        if pieces[pid].items[k].start[0] != "vertex":
+            continue
+        x1, o = corners[pid][k], off[pid]
+        run = 2 * (x1[0] - x0[0]) + o[0], 2 * (x1[1] - x0[1]) + o[1]
+        laps = _laps(run, lap, d)
+        shifted = run[0] + laps * lap[0], run[1] + laps * lap[1]
+        if best is None or _sign(shifted[0] - best[0][0],
+                                 shifted[1] - best[0][1], d) < 0:
+            best = shifted, laps, (pid, k)
+    if best is None:
+        raise InternalInvariantError("top circle has no vertex")
+    _, laps, z1 = best
+    point = pieces[z0[0]].items[z0[1]].start
+    chords = []
+    for piece, entry, exit_ in walk:
+        if chords:
+            point = _midpoint(entry)
+        if piece.pid == z1[0]:
+            chords.append((piece.polygon, point, piece.items[z1[1]].start))
+            return chords, laps
+        chords.append((piece.polygon, point, _midpoint(exit_)))
+    raise InternalInvariantError("top vertex off the core walk")
+
+
+def _laps(run, lap, d) -> int:
+    """The k with 0 <= run + k*lap < lap, for pairs of Z[sqrt d] and
+    lap > 0."""
+    k = 0
+    while _sign(run[0] + k * lap[0], run[1] + k * lap[1], d) < 0:
+        k += 1
+    while _sign(run[0] + (k - 1) * lap[0], run[1] + (k - 1) * lap[1], d) >= 0:
+        k -= 1
+    return k
 
 
 def _midpoint(item):
@@ -924,14 +898,13 @@ def decompose(surface: TranslationSurface, direction,
             continue
         c = check.circumference
         h = check.area / c
-        germ = _bottom_germ_corner(normalized, pieces, chord_table,
-                                   saddle_connections, check.bottom)
-        corner = _find_vertical_corner(normalized, germ)
-        cross_chords = _cross_path(normalized, chords_by_polygon,
-                                   saddle_connections, corner, h)
-        cross_coords = frame.coords_of_path(cross_chords)
-        core_chords = _core_from_pieces(normalized, check)
+        walk = _core_walk(normalized, check)
+        core_chords = [(piece.polygon, _midpoint(entry), _midpoint(exit_))
+                       for piece, entry, exit_ in walk]
         core_coords = frame.coords_of_path(core_chords)
+        cross_chords, laps = _cross_from_pieces(normalized, check, walk)
+        cross_coords = [x + laps * y for x, y in
+                        zip(frame.coords_of_path(cross_chords), core_coords)]
         nv = len(frame.boundary_matrix[0]) if frame.boundary_matrix else 0
         bnd = [0] * nv
         for k, coeff in enumerate(core_coords):

@@ -1,29 +1,28 @@
 """Exact straight-line tracing through glued polygons, on the lattice form.
 
-All tracing here happens on a direction-normalized surface, in one of
-two directions: `EAST` (separatrices) or `NORTH` (cylinder cross
-sections).  Positions carry exact coordinates in the current polygon's
-frame together with the boundary parameterization needed for homology
-bookkeeping.
+All tracing here happens on a direction-normalized surface, and only
+`EAST`: the separatrices of the horizontal foliation.  Positions carry
+exact coordinates in the current polygon's frame together with the
+boundary parameterization needed for homology bookkeeping.
 
-A ray along an axis keeps its height (y for `EAST`, x for `NORTH`)
-inside a polygon, so where it leaves depends only on that height and
-on how far along the ray it starts.  `_SlabTable` indexes one polygon
-by height once, and each crossing is then a table lookup.
+An eastward ray keeps its height y inside a polygon, so where it leaves
+depends only on that height and on how far east it starts.
+`_SlabTable` indexes one polygon by height once, and each crossing is
+then a table lookup.
 
 The arithmetic runs on the surface's `polygon.Lattice`: a coordinate
 is a pair (A, B) of integers meaning (A + B*sqrt(d))/D.  Gluing
 translations are lattice vectors, so a ray keeps its height on the
 lattice from polygon to polygon, and so does `base`, its start's
-along-coordinate plus the along-parts of the translations it has
-crossed: the advance to a point of along-coordinate x in the current
-polygon's frame is x - base.  An exit through an edge lies at the
-quotient x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0,
-so the bound and stop tests are one cross-multiplied sign each.  A
-start off the lattice (an interior point) is held over k*D for the
-least integer k that holds it; k = 1 at a corner.  `FieldScalar`s are
-built only for what a trace returns: its advance, its end position,
-and, on first access, its chords' and crossings' edge parameters.
+x-coordinate plus the x-parts of the translations it has crossed: the
+advance to a point of x-coordinate x in the current polygon's frame is
+x - base.  An exit through an edge lies at the quotient
+x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0, so the
+bound test is one cross-multiplied sign.  A start off the lattice (an
+interior point) is held over k*D for the least integer k that holds
+it; k = 1 at a corner.  `FieldScalar`s are built only for what a trace
+returns: its advance and, on first access, its chords' and crossings'
+edge parameters.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .field import FieldScalar, Vec2, _new, _sign
 from .polygon import _EAST, _mul, _sub, sector_contains
 from .surface import TranslationSurface
 
-__all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST", "NORTH"]
+__all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST"]
 
 MAX_STEPS = 1_000_000
 
@@ -46,33 +45,23 @@ def EAST(ctx) -> Vec2:
     return Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
 
 
-def NORTH(ctx) -> Vec2:
-    return Vec2(FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx))
-
-
 class TraceResult:
     """Outcome of a straight-line trace.
 
-    kind is "vertex" (hit a cone/marked point), "bound" (advance budget
-    exhausted mid-flight) or "target" (stopped exactly at the requested
-    advance).  chords is the list of polygon runs
+    kind is "vertex" (hit a cone/marked point) or "bound" (advance
+    budget exhausted mid-flight).  chords is the list of polygon runs
     (polygon, start PathPoint, end PathPoint); crossings records every
     glued-edge transition as (polygon, edge, parameter s on the edge).
     """
 
-    __slots__ = ("kind", "chords", "crossings", "advance", "end_corner",
-                 "end_position", "pending_start", "end_pathpoint")
+    __slots__ = ("kind", "chords", "crossings", "advance", "end_corner")
 
-    def __init__(self, kind, chords, crossings, advance, end_corner=None,
-                 end_position=None, pending_start=None, end_pathpoint=None):
+    def __init__(self, kind, chords, crossings, advance, end_corner=None):
         self.kind = kind
         self.chords = chords
         self.crossings = crossings
         self.advance = advance
         self.end_corner = end_corner
-        self.end_position = end_position
-        self.pending_start = pending_start
-        self.end_pathpoint = end_pathpoint
 
 
 def east_ray_corners(surface: TranslationSurface):
@@ -93,31 +82,15 @@ def east_ray_corners(surface: TranslationSurface):
     return out
 
 
-def _axis(direction: Vec2) -> int:
-    """0 for `EAST`, 1 for `NORTH`; ValueError for any other direction."""
-    x, y = direction.x, direction.y
-    if not y and x == 1:
-        return 0
-    if not x and y == 1:
-        return 1
-    raise ValueError(f"tracing runs east (1, 0) or north (0, 1), "
-                     f"not {direction}")
+def _check_east(direction: Vec2) -> None:
+    """ValueError unless `direction` is `EAST`."""
+    if direction.y or direction.x != 1:
+        raise ValueError(f"tracing runs east (1, 0), not {direction}")
 
 
-def _split(v: Vec2, axis: int):
-    """(height, along) coordinates of v for rays along `axis`."""
-    return (v.y, v.x) if axis == 0 else (v.x, v.y)
-
-
-def _join(h, a, axis: int) -> Vec2:
-    """The point at height h and along-coordinate a; undoes `_split`."""
-    return Vec2(a, h) if axis == 0 else Vec2(h, a)
-
-
-def _lattice_split(pt, axis: int):
-    """(height, along) pairs of a lattice point (xa, xb, ya, yb)."""
-    xa, xb, ya, yb = pt
-    return ((ya, yb), (xa, xb)) if axis == 0 else ((xa, xb), (ya, yb))
+def _lattice_split(pt):
+    """(y, x) pairs of a lattice point (xa, xb, ya, yb)."""
+    return pt[2:], pt[:2]
 
 
 def _quotient(N, R, scale, d, ctx) -> FieldScalar:
@@ -136,24 +109,24 @@ def _pair(s: FieldScalar, scale: int):
     return s._A * m, s._B * m
 
 
-def _start(lat, origin: Vec2, axis: int):
-    """(k, height, along) of a point: the least k >= 1 such that both
+def _start(lat, origin: Vec2):
+    """(k, y, x) of a point: the least k >= 1 such that both
     coordinates are pairs over k*D, and those pairs."""
     D = lat.D
     k = lcm(D, origin.x._D, origin.y._D) // D
-    h, a = _split(origin, axis)
-    return k, _pair(h, k * D), _pair(a, k * D)
+    return k, _pair(origin.y, k * D), _pair(origin.x, k * D)
 
 
-def _escaped(p, h, a, axis):
+def _escaped(p, y, x):
     return InternalInvariantError(
-        f"ray from {_join(h, a, axis)} in polygon {p} escaped the boundary")
+        f"ray from {Vec2(x, y)} in polygon {p} escaped the boundary")
 
 
 class _SlabTable:
-    """Where a ray along one axis leaves one polygon, indexed by height.
+    """Where an eastward ray leaves one polygon, indexed by height.
 
-    Points are `polygon.Lattice` points over D.  `heights` holds the
+    Points are `polygon.Lattice` points over D, split into a height y
+    and an along-coordinate x.  `heights` holds the
     distinct vertex heights in ascending order (the breakpoints), and
     `line_of` maps each to its index.  Open slab i lies between
     heights[i-1] and heights[i]; slabs 0 and len(heights) are unbounded
@@ -183,9 +156,9 @@ class _SlabTable:
     __slots__ = ("heights", "line_of", "order", "succ", "events",
                  "line_pos", "lines", "exits", "span")
 
-    def __init__(self, verts, edges, axis, d):
+    def __init__(self, verts, edges, d):
         n = len(edges)
-        pts = [_lattice_split(v, axis) for v in verts]
+        pts = [_lattice_split(v) for v in verts]
         heights = sorted({h for h, _ in pts}, key=cmp_to_key(
             lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
         line_of = {h: j for j, h in enumerate(heights)}
@@ -207,7 +180,7 @@ class _SlabTable:
             ra, rb = rank[e], rank[f]
             if ra == rb:
                 continue  # horizontal
-            dh, da = _lattice_split(vec, axis)
+            dh, da = _lattice_split(vec)
             h0, a0 = pts[e]
             lines[e] = (h0, a0, dh, da)
             # along at height h: a0 + (h - h0) da/dh = (C + h M) / R
@@ -342,66 +315,62 @@ def _ahead(event, H, A, k, d) -> bool:
                  k * C[1] + HA * MB + HB * MA - A[0] * RB - A[1] * RA, d) > 0
 
 
-def _polygon_table(surface, p, axis):
+def _polygon_table(surface, p):
     """(slab table, per-edge gluing) of polygon p, cached on the surface.
 
     The gluing entry of edge e is (q, f, dh, da): its partner edge and
     the translation taking a point of e to the same point of f, as
     pairs over D.
     """
-    tables = surface._cache.get(("slabs", axis))
+    tables = surface._cache.get("slabs")
     if tables is None:
-        tables = surface._cache[("slabs", axis)] = [None] * len(surface.polygons)
+        tables = surface._cache["slabs"] = [None] * len(surface.polygons)
     entry = tables[p]
     if entry is None:
         lat = surface.lattice()
         verts = lat.verts[p]
-        table = _SlabTable(verts, lat.edges[p], axis, lat.d)
+        table = _SlabTable(verts, lat.edges[p], lat.d)
         glue = []
         for e in range(len(verts)):
             q, f = surface.gluing[(p, e)]
             # the point at s on (p, e) is the point at 1 - s on (q, f),
             # which runs the other way: both differ by end(f) - start(e)
             end_f = lat.verts[q][(f + 1) % len(lat.verts[q])]
-            glue.append((q, f) + _lattice_split(_sub(end_f, verts[e]), axis))
+            glue.append((q, f) + _lattice_split(_sub(end_f, verts[e])))
         entry = tables[p] = (table, glue)
     return entry
 
 
 def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
-                      max_advance_sq: FieldScalar | None = None,
-                      stop_at_advance: FieldScalar | None = None):
-    """Trace the leaf leaving `corner` in `direction`, `EAST` or `NORTH`.
+                      max_advance_sq: FieldScalar | None = None):
+    """Trace the leaf leaving `corner` in `direction`, which must be `EAST`.
 
-    The advance of the trace is the plain x- or y-progress.  Stops at
-    the first vertex hit; with max_advance_sq set, returns kind "bound"
-    once the squared advance would exceed it; with stop_at_advance set,
-    stops exactly there (kind "target", possibly mid-polygon).  Any
-    other direction raises ValueError.
+    The advance of the trace is the plain x-progress.  Stops at the
+    first vertex hit; with max_advance_sq set, returns kind "bound" once
+    the squared advance would exceed it.  Any other direction raises
+    ValueError.
     """
-    axis = _axis(direction)
+    _check_east(direction)
     p, i = corner
     lat = surface.lattice()
     start_ray, end_ray = lat.corner_rays(corner)
-    if not sector_contains(start_ray, end_ray, lat.point(direction), lat.d,
+    if not sector_contains(start_ray, end_ray, _EAST, lat.d,
                            include_start=True, include_end=False):
         raise ValueError(f"direction {direction} does not leave corner {corner}")
-    h, a = _lattice_split(lat.verts[p][i], axis)
-    return _trace(surface, axis, p, 1, h, a, ("vertex", i), surface.ctx,
-                  max_advance_sq, stop_at_advance)
+    h, a = _lattice_split(lat.verts[p][i])
+    return _trace(surface, p, 1, h, a, ("vertex", i), surface.ctx,
+                  max_advance_sq)
 
 
 def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
                      direction: Vec2,
-                     max_advance_sq: FieldScalar | None = None,
-                     stop_at_advance: FieldScalar | None = None):
-    """Trace the leaf through an interior point of polygon p, `EAST` or
-    `NORTH`; any other direction raises ValueError."""
-    axis = _axis(direction)
-    k, h, a = _start(surface.lattice(), origin, axis)
-    return _trace(surface, axis, p, k, h, a, None,
-                  _field(surface.ctx, origin.x, origin.y),
-                  max_advance_sq, stop_at_advance)
+                     max_advance_sq: FieldScalar | None = None):
+    """Trace the leaf through an interior point of polygon p `EAST`; any
+    other direction raises ValueError."""
+    _check_east(direction)
+    k, h, a = _start(surface.lattice(), origin)
+    return _trace(surface, p, k, h, a, None,
+                  _field(surface.ctx, origin.x, origin.y), max_advance_sq)
 
 
 def _field(ctx, *scalars):
@@ -444,16 +413,15 @@ class _Path:
 
     `steps` holds (polygon, crossed edge, height over k*D) per crossing;
     `end` is the last chord's (polygon, end PathPoint), or None when the
-    trace stopped with no chord left open.  `build` turns them into
-    PathPoints with `FieldScalar` edge parameters, once.
+    trace ran to the bound.  `build` turns them into PathPoints with
+    `FieldScalar` edge parameters, once.
     """
 
-    __slots__ = ("surface", "axis", "k", "d", "ctx", "start", "steps",
-                 "end", "_built")
+    __slots__ = ("surface", "k", "d", "ctx", "start", "steps", "end",
+                 "_built")
 
-    def __init__(self, surface, axis, k, d, ctx, start):
+    def __init__(self, surface, k, d, ctx, start):
         self.surface = surface
-        self.axis = axis
         self.k = k
         self.d = d
         self.ctx = ctx
@@ -463,14 +431,14 @@ class _Path:
         self._built = None
 
     def build(self):
-        """(chords, crossings, the PathPoint the trace stands on)."""
+        """(chords, crossings)."""
         if self._built is None:
             k, d, ctx = self.k, self.d, self.ctx
             one = _new(1, 0, 1, ctx)
             chords, crossings = [], []
             point = self.start
             for p, e, H in self.steps:
-                table, glue = _polygon_table(self.surface, p, self.axis)
+                table, glue = _polygon_table(self.surface, p)
                 s = table.param(e, H, k, d, ctx)
                 chords.append((p, point, ("edge", e, s)))
                 crossings.append((p, e, s))
@@ -478,13 +446,13 @@ class _Path:
             if self.end is not None:
                 q, end = self.end
                 chords.append((q, point, end))
-            self._built = chords, crossings, point
+            self._built = chords, crossings
         return self._built
 
-    def result(self, kind, advance, **fields):
+    def result(self, kind, advance, end_corner=None):
         n = len(self.steps)
         return TraceResult(kind, _Built(self, 0, n + (self.end is not None)),
-                           _Built(self, 1, n), advance, **fields)
+                           _Built(self, 1, n), advance, end_corner)
 
 
 def _beyond_foreign(XA, XB, RA, RB, BA, BB, BD, d, bd) -> bool:
@@ -504,18 +472,12 @@ def _as_scalar(x) -> FieldScalar:
     return x if isinstance(x, FieldScalar) else FieldScalar(x)
 
 
-def _trace(surface, axis, p, k, H, base, key, ctx, max_advance_sq,
-           stop_at_advance):
-    """Trace from the point at height H and along-coordinate `base`
+def _trace(surface, p, k, H, base, key, ctx, max_advance_sq):
+    """Trace east from the point at height H and x-coordinate `base`
     (pairs over k*D) of polygon p, standing on `key` (a corner's
     ("vertex", i)) or inside the polygon (None)."""
     lat = surface.lattice()
     kD = k * lat.D
-    if stop_at_advance is not None:
-        stop_at_advance = _as_scalar(stop_at_advance)
-        SA, SB, SD = stop_at_advance._A, stop_at_advance._B, stop_at_advance._D
-        SA, SB = SA * kD, SB * kD
-        ctx = _field(ctx, stop_at_advance)
     d = ctx.d
     if max_advance_sq is not None:
         max_advance_sq = _as_scalar(max_advance_sq)
@@ -525,60 +487,34 @@ def _trace(surface, axis, p, k, H, base, key, ctx, max_advance_sq,
         # the bound's
         bd = max_advance_sq.ctx.d if BB else d
         d = d or bd
-    path = _Path(surface, axis, k, d, ctx, key)
+    path = _Path(surface, k, d, ctx, key)
     steps = path.steps
 
-    def scalar(pair):
-        return _new(pair[0], pair[1], kD, ctx)
-
-    def at_stop(q):
-        # the point at the requested advance, in polygon q's frame
-        return q, _join(scalar(H), scalar(base) + stop_at_advance, axis)
-
-    run = None  # the along-edge run's edge; only possible at a vertex
+    event = None
     if key is not None:
-        edges = lat.edges[p]
-        rise, step = _lattice_split(edges[key[1]], axis)
+        rise, step = _lattice_split(lat.edges[p][key[1]])
         if rise == (0, 0) and _sign(*step, d) > 0:
-            # its one event ends the trace, so it needs no table
-            run = key[1]
-            v = (run + 1) % len(edges)
-            event = ("vertex", v, _lattice_split(lat.verts[p][v], axis)[1],
-                     (0, 0), (1, 0), (1, 0))
-    if run is None:
-        table, glue = _polygon_table(surface, p, axis)
+            # a run along a horizontal edge: its one event ends the
+            # trace, so it needs no table
+            v = (key[1] + 1) % len(lat.edges[p])
+            event = ("vertex", v, lat.verts[p][v][:2], (0, 0), (1, 0), (1, 0))
+    if event is None:
+        table, glue = _polygon_table(surface, p)
         event = table.exit(H, base, k, d, key)
-    tables = surface._cache.get(("slabs", axis))
+    tables = surface._cache.get("slabs")
     prev = None  # the advance so far, as (N, R): N / (R * k * D)
     for _ in range(MAX_STEPS):
         if event is None:
-            along = scalar(base)
+            x = _new(*base, kD, ctx)
             if prev is not None:
-                along = along + _quotient(*prev, kD, d, ctx)
-            raise _escaped(p, scalar(H), along, axis)
+                x = x + _quotient(*prev, kD, d, ctx)
+            raise _escaped(p, _new(*H, kD, ctx), x)
         kind, data, (CA, CB), (MA, MB), (RA, RB), (R2A, R2B) = event
         HA, HB = H
         bA, bB = base
         # the advance to the exit is N / (R * k * D)
         NA = k * CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
         NB = k * CB + HA * MB + HB * MA - bA * RB - bB * RA
-        if stop_at_advance is not None:
-            c = _sign(NA * SD - SA * RA - d * SB * RB,
-                      NB * SD - SA * RB - SB * RA, d)
-            if c > 0 and run is not None:
-                step = _new(NA, NB, kD, ctx)
-                end = ("edge", run, stop_at_advance / step)
-                return TraceResult("target", [(p, key, end)], [],
-                                   stop_at_advance, end_position=at_stop(p),
-                                   end_pathpoint=(p, end))
-            if c > 0:
-                # stop mid-chord at the exact requested advance; the
-                # unfinished chord from the current point is left to
-                # the caller
-                _, _, point = path.build()
-                return path.result("target", stop_at_advance,
-                                   end_position=at_stop(p),
-                                   pending_start=(p, point))
         if max_advance_sq is not None:
             XA, XB = NA * NA + d * NB * NB, 2 * NA * NB
             if (_sign(XA * BD - BA * R2A - d * BB * R2B,
@@ -596,12 +532,7 @@ def _trace(surface, axis, p, k, H, base, key, ctx, max_advance_sq,
         H = (HA + k * gA, HB + k * gB)
         base = (bA + k * tA, bB + k * tB)
         prev = (NA, NB), (RA, RB)
-        if stop_at_advance is not None and c == 0:
-            _, _, point = path.build()
-            return path.result("target", _quotient(*prev, kD, d, ctx),
-                               end_position=at_stop(q),
-                               end_pathpoint=(q, point))
         p = q
-        table, glue = tables[p] or _polygon_table(surface, p, axis)
+        table, glue = tables[p] or _polygon_table(surface, p)
         event = table.exit(H, None, k, d, ("edge", f))
     raise InternalInvariantError("trace exceeded the step safety cap")

@@ -1,8 +1,8 @@
 """Differential tests of the slab ray-exit lookup, the window predicate,
 the incircle test and the polygon predicates.
 
-`tracing._SlabTable.exit` finds where a ray along an axis leaves a
-polygon by a search on its height, and `search._window_within` decides
+`tracing._SlabTable.exit` finds where an eastward ray leaves a polygon
+by a search on its height, and `search._window_within` decides
 a window, both by cross-multiplication alone on the integer lattice
 form of their points: each Vec2 case is converted by `polygon.Lattice`,
 and an exit ray's origin is held over k*D as a trace's interior start
@@ -38,7 +38,7 @@ from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import (_SlabTable, _axis, _escaped, _quotient, _start,
+from flatdef.tracing import (_SlabTable, _escaped, _quotient, _start,
                              trace_from_corner)
 
 FIELDS = (0, 2, 5)
@@ -91,17 +91,16 @@ def slab_exit(surface, p, origin, direction, entry=None):
     `polygon.Lattice`, the origin over k*D as an interior start of a
     trace holds it, the entry hint as the key ("edge", entry).
     """
-    axis = _axis(direction)
     verts, edges = surface.vertices(p), surface.polygons[p]
     lat = Lattice([edges])
-    k, H, A = _start(lat, origin, axis)
+    k, H, A = _start(lat, origin)
     # scalars come back in the field of the polygon's edges, as the
     # surface's field is that of its edges
     kD, d, ctx = k * lat.D, lat.d, edges[0].ctx
-    table = _SlabTable(lat.verts[0], lat.edges[0], axis, d)
+    table = _SlabTable(lat.verts[0], lat.edges[0], d)
     event = table.exit(H, A, k, d, None if entry is None else ("edge", entry))
     if event is None:
-        raise _escaped(p, _new(*H, kD, ctx), _new(*A, kD, ctx), axis)
+        raise _escaped(p, _new(*H, kD, ctx), _new(*A, kD, ctx))
     kind, data, C, M, R, _ = event
     along = _quotient((k * C[0] + H[0] * M[0] + d * H[1] * M[1],
                        k * C[1] + H[0] * M[1] + H[1] * M[0]), R, kD, d, ctx)
@@ -455,7 +454,7 @@ def star_polygons(draw):
 
 @st.composite
 def ray_casts(draw):
-    """A star polygon, an axis direction, an origin and its entry edge.
+    """A star polygon, the east direction, an origin and its entry edge.
 
     The origin sits at a vertex, at a vertex's height (so on a
     breakpoint line, inside or outside the polygon), inside an edge
@@ -467,7 +466,7 @@ def ray_casts(draw):
     edges = surf.polygons[0]
     n = len(edges)
     zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
-    direction = draw(st.sampled_from([Vec2(one, zero), Vec2(zero, one)]))
+    direction = Vec2(one, zero)
     where = draw(st.sampled_from(
         ["vertex", "vertex height", "edge", "interior", "center"]))
     i = draw(st.integers(0, n - 1))
@@ -482,8 +481,7 @@ def ray_casts(draw):
         origin = verts[i]
     elif where == "vertex height":
         pt = inside(draw(st.integers(0, n - 1)))
-        origin = (Vec2(pt.x, verts[i].y) if direction.x else
-                  Vec2(verts[i].x, pt.y))
+        origin = Vec2(pt.x, verts[i].y)
     elif where == "edge":
         s = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
                  .filter(lambda x: 0 < x < 1))
@@ -619,13 +617,9 @@ class TestExitRay:
         # corner (2, 0), which edges 1 and 2 both report as vertex 2
         ([(1, -1), (1, 1), (-1, 1), (-1, -1)], (0, 0), (1, 0),
          ("vertex", 2)),
-        ([(1, 1), (-1, 1), (-1, -1), (1, -1)], (0, 0), (0, 1),
-         ("vertex", 2)),
         # vertex 3 touches the middle of edge 0: the edge hit found first
         # gives way to the vertex label at the same advance
         ([(0, 2), (-2, 0), (2, -1), (-2, -1), (2, 0)], (-1, 1), (1, 0),
-         ("vertex", 3)),
-        ([(-2, 0), (0, -2), (1, 2), (1, -2), (0, 2)], (-1, -1), (0, 1),
          ("vertex", 3)),
     ])
     def test_ties(self, edges, origin, direction, expected):
@@ -642,8 +636,6 @@ class TestExitRay:
         for origin, direction, entry in [
             ((1, Fraction(1, 2)), (1, 0), None),
             ((1, Fraction(1, 2)), (1, 0), 1),
-            ((Fraction(1, 3), 1), (0, 1), None),
-            ((Fraction(1, 3), 1), (0, 1), 2),
             ((0, 2), (1, 0), None),
         ]:
             args = (square, 0, Vec2(*origin), Vec2(*direction))
@@ -651,10 +643,11 @@ class TestExitRay:
             assert outcome(slab_exit, *args, entry) == \
                 outcome(ref_exit_ray, *args)
 
-    @pytest.mark.parametrize("direction", [(1, 1), (2, 0), (-1, 0), (0, -1)])
+    @pytest.mark.parametrize("direction", [(1, 1), (2, 0), (-1, 0), (0, -1),
+                                           (0, 1)])
     def test_trace_rejects_other_directions(self, direction):
         torus = square_tiled([1], [1])
-        with pytest.raises(ValueError, match="east .* or north"):
+        with pytest.raises(ValueError, match=r"runs east \(1, 0\), not"):
             trace_from_corner(torus, (0, 0), Vec2(*direction))
 
 

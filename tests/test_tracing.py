@@ -1,18 +1,17 @@
 """Differential tests of the trace on its integer lattice form.
 
-`tracing.trace_from_corner` and `trace_from_point` keep a ray's height
-and the sum of its along-translations as Z[sqrt d] pairs over the
-lattice denominator D (over k*D for an interior start), and decide the
-bound and stop tests by cross-multiplying.  The reference below is a
-copy of the trace they replaced, on `FieldScalar`s: `RefSlabTable`
+`tracing.trace_from_corner` and `trace_from_point` keep an eastward
+ray's height and the sum of its x-translations as Z[sqrt d] pairs over
+the lattice denominator D (over k*D for an interior start), and decide
+the bound test by cross-multiplying.  The reference is the trace they
+replaced, on `FieldScalar`s (tests/reference_trace.py): `RefSlabTable`
 inverted each edge's height step and kept slopes, and `ref_trace`
 summed the advance chord by chord and tested the bound with
 `ref_beyond`.  Both must agree on every `TraceResult` field -- kind,
-advance, end corner, end position, pending start, end PathPoint, and
-the chords and crossings, of bound results too -- or raise the same
-error.  The cases run east and north, from corners and from interior
-points with mixed denominators, over Q, Q(sqrt 2) and Q(sqrt 5), with
-bounds and stops drawn at random and exactly at an advance the
+advance, end corner, and the chords and crossings, of bound results
+too -- or raise the same error.  The cases run from corners and from
+interior points with mixed denominators, over Q, Q(sqrt 2) and
+Q(sqrt 5), with bounds drawn at random and exactly at an advance the
 reference reached at a crossing, and with a bound from another field.
 """
 
@@ -26,7 +25,7 @@ from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import (EAST, NORTH, east_ray_corners, trace_from_corner,
+from flatdef.tracing import (EAST, east_ray_corners, trace_from_corner,
                              trace_from_point)
 
 from reference_trace import ref_trace_from_corner, ref_trace_from_point
@@ -52,9 +51,8 @@ def record(res):
     lengths = (len(res.chords), len(res.crossings))
     chords, crossings = list(res.chords), list(res.crossings)
     assert lengths == (len(chords), len(crossings))
-    return (res.kind, _exact(res.advance), res.end_corner,
-            _exact(res.end_position), _exact(res.pending_start),
-            _exact(res.end_pathpoint), _exact(chords), _exact(crossings))
+    return (res.kind, _exact(res.advance), res.end_corner, _exact(chords),
+            _exact(crossings))
 
 
 def outcome(fn, *args, **kwargs):
@@ -133,21 +131,18 @@ def run(trace_corner, trace_point, surface, start, direction, **kw):
 def cases(draw):
     """(surface, start, direction, keyword arguments of the trace).
 
-    The bound or stop is drawn at random, or exactly at an advance the
-    reference reaches at a crossing or at its end (a bound as its
-    square), or halfway between two such advances.
+    The bound is drawn at random, or as the square of an advance the
+    reference reaches at a crossing or at its end, or of the advance
+    halfway between two such advances.
     """
     surface = draw(surfaces())
     ctx = surface.ctx
-    direction = draw(st.sampled_from([EAST(ctx), NORTH(ctx)]))
+    direction = EAST(ctx)
     start = draw(starts(surface))
     limit = _scalar(draw, ctx, 1, 12)
-    mode = draw(st.sampled_from(["bound", "stop", "exact bound", "exact stop",
-                                 "mid stop"]))
+    mode = draw(st.sampled_from(["bound", "exact bound", "mid bound"]))
     if mode == "bound":
         return surface, start, direction, {"max_advance_sq": limit * limit}
-    if mode == "stop":
-        return surface, start, direction, {"stop_at_advance": limit}
     advances = []
     try:
         run(ref_trace_from_corner, ref_trace_from_point, surface, start,
@@ -159,11 +154,11 @@ def cases(draw):
         return surface, start, direction, {"max_advance_sq": limit * limit}
     i = draw(st.integers(0, len(advances) - 1))
     if mode == "exact bound":
-        return surface, start, direction, {"max_advance_sq": advances[i] * advances[i]}
-    if mode == "exact stop":
-        return surface, start, direction, {"stop_at_advance": advances[i]}
-    before = advances[i - 1] if i else FieldScalar(0, 0, ctx)
-    return surface, start, direction, {"stop_at_advance": (before + advances[i]) / 2}
+        bound = advances[i]
+    else:
+        bound = ((advances[i - 1] if i else FieldScalar(0, 0, ctx))
+                 + advances[i]) / 2
+    return surface, start, direction, {"max_advance_sq": bound * bound}
 
 
 # -- the tests -----------------------------------------------------------------
@@ -206,20 +201,6 @@ class TestTrace:
             assert record(res) == record(ref_trace_from_corner(
                 surface, corner, EAST(surface.ctx), max_advance_sq=a * a))
 
-    def test_stop_at_and_between_crossings(self):
-        surface = slanted_lshape()
-        corner = (0, 6)
-        advances = self.crossing_advances(surface, corner, 100)
-        for a, b in zip(advances, advances[1:]):
-            for stop, pending in ((a, False), ((a + b) / 2, True)):
-                res = trace_from_corner(surface, corner, EAST(surface.ctx),
-                                        stop_at_advance=stop)
-                assert res.kind == "target" and res.advance == stop
-                assert (res.pending_start is not None) == pending
-                assert (res.end_pathpoint is not None) != pending
-                assert record(res) == record(ref_trace_from_corner(
-                    surface, corner, EAST(surface.ctx), stop_at_advance=stop))
-
     @pytest.mark.parametrize("v", [(1, 0), (2, 1), (3, 1), (1, 1)])
     def test_bound_of_another_field(self, v):
         # a bound over Q(sqrt 5) for a surface over Q(sqrt 2) is compared
@@ -239,7 +220,7 @@ class TestTrace:
 
     @pytest.mark.parametrize("origin, direction", [
         ((2, Fraction(1, 2)), EAST),
-        ((Fraction(1, 3), -1), NORTH),
+        ((Fraction(1, 2), -1), EAST),
         ((Fraction(1, 2), 2), EAST),
         ((1, Fraction(2, 3)), EAST),
     ])
