@@ -682,7 +682,7 @@ def _offsets(check, walk):
     return off, x
 
 
-def _cross_from_pieces(surface, check, walk):
+def _cross_from_pieces(surface, check, walk, core_chords):
     """The cross curve of a certified component, read from its pieces.
 
     It runs from z0, the start of the first item of the bottom circle
@@ -691,9 +691,9 @@ def _cross_from_pieces(surface, check, walk):
     cylinder a path from z0 to z1 is fixed up to homotopy by its x-run,
     and this one's is the offset of z1 from z0, in [0, c) for c the
     circumference.  The path built here runs from z0 to the exit of its
-    piece, along the core walk, and from the entry of z1's piece to z1.
-    Returns its chords and the number of core laps to add to its class
-    so that its x-run lands in [0, c).
+    piece, along the core's chords (one per piece of `walk`), and from
+    the entry of z1's piece to z1.  Returns its chords and the number of
+    core laps to add to its class so that its x-run lands in [0, c).
     """
     d = surface.lattice().d
     corners = check.corners
@@ -703,7 +703,7 @@ def _cross_from_pieces(surface, check, walk):
     if z0 is None:
         raise InternalInvariantError("bottom circle has no vertex")
     i = next(i for i, step in enumerate(walk) if step[0].pid == z0[0])
-    walk = walk[i:] + walk[:i]
+    walk, core = walk[i:] + walk[:i], core_chords[i:] + core_chords[:i]
     off, lap = _offsets(check, walk)
     x0 = corners[z0[0]][z0[1]]
     best = None
@@ -719,17 +719,13 @@ def _cross_from_pieces(surface, check, walk):
             best = shifted, laps, (pid, k)
     if best is None:
         raise InternalInvariantError("top circle has no vertex")
-    _, laps, z1 = best
-    point = pieces[z0[0]].items[z0[1]].start
-    chords = []
-    for piece, entry, exit_ in walk:
-        if chords:
-            point = _midpoint(entry)
-        if piece.pid == z1[0]:
-            chords.append((piece.polygon, point, piece.items[z1[1]].start))
-            return chords, laps
-        chords.append((piece.polygon, point, _midpoint(exit_)))
-    raise InternalInvariantError("top vertex off the core walk")
+    _, laps, (pid, k) = best
+    j = next(j for j, step in enumerate(walk) if step[0].pid == pid)
+    start, end = pieces[z0[0]].items[z0[1]].start, pieces[pid].items[k].start
+    if j == 0:
+        return [(core[0][0], start, end)], laps
+    return ([(core[0][0], start, core[0][2])] + core[1:j]
+            + [(core[j][0], core[j][1], end)]), laps
 
 
 def _laps(run, lap, d) -> int:
@@ -902,7 +898,8 @@ def decompose(surface: TranslationSurface, direction,
         core_chords = [(piece.polygon, _midpoint(entry), _midpoint(exit_))
                        for piece, entry, exit_ in walk]
         core_coords = frame.coords_of_path(core_chords)
-        cross_chords, laps = _cross_from_pieces(normalized, check, walk)
+        cross_chords, laps = _cross_from_pieces(normalized, check, walk,
+                                                core_chords)
         cross_coords = [x + laps * y for x, y in
                         zip(frame.coords_of_path(cross_chords), core_coords)]
         nv = len(frame.boundary_matrix[0]) if frame.boundary_matrix else 0
