@@ -89,7 +89,9 @@ def slab_exit(surface, p, origin, direction, entry=None):
 
     Each case is converted to its lattice form: the polygon through
     `polygon.Lattice`, the origin over k*D as an interior start of a
-    trace holds it, the entry hint as the key ("edge", entry).
+    trace holds it, the entry hint as the key ("edge", entry).  The
+    tables serve east rays only, so `direction`, taken to share
+    `ref_exit_ray`'s arguments, is (1, 0).
     """
     verts, edges = surface.vertices(p), surface.polygons[p]
     lat = Lattice([edges])
