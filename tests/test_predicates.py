@@ -619,10 +619,18 @@ class TestExitRay:
         # corner (2, 0), which edges 1 and 2 both report as vertex 2
         ([(1, -1), (1, 1), (-1, 1), (-1, -1)], (0, 0), (1, 0),
          ("vertex", 2)),
+        # the same diamond labelled from its bottom corner, the ray
+        # starting at vertex 3 and leaving through the opposite vertex 1
+        ([(1, 1), (-1, 1), (-1, -1), (1, -1)], (-1, 1), (1, 0),
+         ("vertex", 1)),
         # vertex 3 touches the middle of edge 0: the edge hit found first
         # gives way to the vertex label at the same advance
         ([(0, 2), (-2, 0), (2, -1), (-2, -1), (2, 0)], (-1, 1), (1, 0),
          ("vertex", 3)),
+        # the same polygon labelled from its next corner: vertex 2 now
+        # touches the middle of the last edge, scanned after it
+        ([(-2, 0), (2, -1), (-2, -1), (2, 0), (0, 2)], (-1, -1), (1, 0),
+         ("vertex", 2)),
     ])
     def test_ties(self, edges, origin, direction, expected):
         poly = OnePolygon([Vec2(*e) for e in edges])
