@@ -19,7 +19,7 @@ from collections import namedtuple
 from math import lcm
 
 from .errors import InternalInvariantError, NonPositiveLength
-from .field import FieldScalar, Mat2, Vec2, _new, _sign
+from .field import FieldScalar, Mat2, Vec2, _new, _sign, _sum_is_one
 from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
                       signed_area2)
@@ -383,11 +383,6 @@ def _mates(surface, subs, p, e):
         raise InternalInvariantError(
             f"sub-edge split mismatch across gluing {(p, e)}")
     return zip(items, mates)
-
-
-def _sum_is_one(s, t) -> bool:
-    return (s._A * t._D + t._A * s._D == s._D * t._D
-            and s._B * t._D + t._B * s._D == 0)
 
 
 def _glue_items(surface, subs):

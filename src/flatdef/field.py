@@ -410,6 +410,12 @@ def _sign(A: int, B: int, d: int) -> int:
     return 1 if B > 0 else -1
 
 
+def _sum_is_one(s: FieldScalar, t: FieldScalar) -> bool:
+    """s + t == 1, read off the integer triples without building a sum."""
+    return (s._A * t._D + t._A * s._D == s._D * t._D
+            and s._B * t._D + t._B * s._D == 0)
+
+
 _SCALAR_RE = re.compile(
     r"""^\s*
     (?P<a>[+-]?\d+(?:/\d+)?)?

@@ -1,6 +1,7 @@
 """Homology frames: integer bases of H_1(X, Sigma; Z) and everything
 hanging off them (periods, absolute subspace, intersection pairing,
-cocycles, and turning explicit paths into classes).
+cocycles, and the integer class of a path of polygon chords, counted
+in whole edges).
 
 Cell structure: one 1-cell per glued edge pair, oriented along the
 lexicographically smaller (polygon, edge) of the pair; 2-cells are the
@@ -16,7 +17,7 @@ import hashlib
 import json
 
 from .errors import InternalInvariantError, StaleCocycle
-from .field import FieldScalar, Vec2
+from .field import FieldScalar, Vec2, _sum_is_one
 from .intmat import integer_kernel, smith_form
 from .linalg import ComplexScalar, row_reduce
 from .surface import TranslationSurface
@@ -241,10 +242,6 @@ class HomologyFrame:
                 prefix += sign * a[cell]
         return total
 
-    def intersection_of_coords(self, ca, cb) -> int:
-        return self.intersection_of_chains(self.chain_of_coords(ca),
-                                           self.chain_of_coords(cb))
-
     def j_inverse(self):
         """Inverse of the intersection matrix; integral by unimodularity.
 
@@ -288,7 +285,6 @@ class HomologyFrame:
                     term = phi[i] * psi[j] * c
                     total = term if total is None else total + term
         if total is None:
-            from .linalg import ComplexScalar
             return ComplexScalar(FieldScalar(0, 0, self.surface.ctx))
         return total
 
@@ -326,50 +322,35 @@ class HomologyFrame:
 
     # -- paths to classes -----------------------------------------------------
 
-    def _prefix_chain(self, p: int, point: PathPoint, acc, weight):
-        """Add the boundary path from polygon p's vertex 0 to `point`.
-
-        The path runs forward along the polygon boundary; fractional
-        traversal of the final edge is recorded with an exact scalar
-        weight, which must cancel to integers over a full path.
-        """
-        if point[0] == "vertex":
-            upto = point[1]
-            t = None
-        else:
-            upto = point[1]
-            t = point[2]
-        for e in range(upto):
-            c, s = self.cell_of[(p, e)]
-            acc[c] = acc[c] + weight * s
-        if t is not None and not t.is_zero():
-            c, s = self.cell_of[(p, upto)]
-            acc[c] = acc[c] + weight * t * s
-
     def chain_of_path(self, chords) -> list[int]:
         """The 1-chain in Z^E of a path given as polygon chords.
 
-        Each chord is (polygon, start, end); inside a polygon the chord
-        is homotoped rel endpoints onto the boundary through vertex 0.
-        Consecutive chords must continue through gluings (or touch at a
-        shared vertex class); the fractional boundary parts then cancel
-        exactly, and a non-integer result raises.
+        Each chord (polygon, start, end), homotoped rel endpoints onto
+        its polygon's boundary, counts the edges from its entry edge (or
+        start vertex) up to and including its exit edge (or up to its
+        end vertex), negatively when that run goes backwards.  Where the
+        path crosses a gluing, the chords on either side run along parts
+        t and 1 - t of the glued edge, which make up the one edge counted.
+        So each chord must start on the partner of the edge the one
+        before it (cyclically) exits, at 1 - t, or at a vertex after one
+        that ends at a vertex; any other join raises.
         """
-        ctx = self.surface.ctx
-        zero = FieldScalar(0, 0, ctx)
-        acc = [zero] * len(self.cells)
-        minus_one = FieldScalar(-1, 0, ctx)
-        one = FieldScalar(1, 0, ctx)
-        for p, start, end in chords:
-            self._prefix_chain(p, start, acc, minus_one)
-            self._prefix_chain(p, end, acc, one)
-        out = []
-        for x in acc:
-            if not x.is_rational() or x.a.denominator != 1:
+        cell_of, gluing = self.cell_of, self.surface.gluing
+        acc = [0] * len(self.cells)
+        for i, (p, start, end) in enumerate(chords):
+            q, _, last = chords[i - 1]
+            joined = start[0] == last[0] == "vertex" or (
+                start[0] == last[0] == "edge"
+                and gluing[(q, last[1])] == (p, start[1])
+                and _sum_is_one(last[2], start[2]))
+            if not joined:
                 raise InternalInvariantError(
-                    f"path chain has non-integer coefficient {x}")
-            out.append(int(x.a))
-        return out
+                    f"path breaks between chords {i - 1} and {i}")
+            lo, hi = start[1], end[1] + (end[0] == "edge")
+            for e in range(min(lo, hi), max(lo, hi)):
+                c, s = cell_of[(p, e)]
+                acc[c] += s if lo < hi else -s
+        return acc
 
     def coords_of_path(self, chords) -> list[int]:
         return self.coords_of_chain(self.chain_of_path(chords))

@@ -108,9 +108,6 @@ class TranslationSurface:
     def edge_vector(self, ref: EdgeRef) -> Vec2:
         return self.polygons[ref[0]][ref[1]]
 
-    def num_polygons(self) -> int:
-        return len(self.polygons)
-
     def edge_refs(self):
         for p, poly in enumerate(self.polygons):
             for e in range(len(poly)):

@@ -171,6 +171,22 @@ class TestPaths:
         total = ComplexScalar(2) * per[0] + per[1]
         assert (total.re, total.im) == (FieldScalar(2), FieldScalar(1))
 
+    # a path must continue through each gluing it crosses: the unit
+    # torus glues its right edge 1 to its left edge 3
+    @pytest.mark.parametrize("entry", [
+        ("edge", 2, FieldScalar(Fraction(1, 2))),  # not the partner edge
+        ("edge", 3, FieldScalar(Fraction(1, 3))),  # partner, t_in != 1 - t_out
+        ("vertex", 3),                             # edge exit, vertex start
+    ])
+    def test_broken_path_raises(self, entry):
+        from flatdef.errors import InternalInvariantError
+        f = homology_frame(torus())
+        half = FieldScalar(Fraction(1, 2))
+        chords = [(0, ("vertex", 0), ("edge", 1, half)),
+                  (0, entry, ("vertex", 2))]
+        with pytest.raises(InternalInvariantError):
+            f.chain_of_path(chords)
+
     def test_stale_cocycle_rejected(self):
         from flatdef.errors import StaleCocycle
         f1 = homology_frame(torus())

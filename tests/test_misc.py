@@ -63,3 +63,44 @@ def test_unused_imports_are_found():
               "import os.path\nfrom a import b, c as d, e\n"
               "__all__ = ['e']\nprint(b)\n")
     assert _unused_imports(source) == ["d (line 3)", "os (line 2)"]
+
+
+def _unread_private_defs(sources: dict) -> list[str]:
+    """Private (`_`-prefixed) top-level functions and classes that no
+    other top-level statement of any of the modules reads.
+
+    `sources` maps module names to their text; a definition read only
+    from inside its own body (a recursion) counts as unread.
+    """
+    statements = [(name, node) for name, text in sources.items()
+                  for node in ast.parse(text).body]
+    reads = {id(node): {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+             for _, node in statements}
+    return sorted(f"{name}: {node.name} (line {node.lineno})"
+                  for name, node in statements
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not any(node.name in reads[id(other)]
+                              for _, other in statements if other is not node))
+
+
+def test_no_unread_private_defs():
+    # a private helper left behind after its last caller is deleted
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _unread_private_defs(sources) == []
+
+
+def test_unread_private_defs_are_found():
+    sources = {
+        "a.py": ("def _used():\n    pass\n\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                 "class _Dead:\n    pass\n\n"
+                 "def _read_elsewhere():\n    pass\n\n"
+                 "def public():\n    return _used()\n"),
+        "b.py": "import a\nx = a._read_elsewhere\n",
+    }
+    assert _unread_private_defs(sources) == [
+        "a.py: _Dead (line 7)", "a.py: _recursive (line 4)"]
