@@ -194,7 +194,21 @@ class Decomposition:
         self.saddle_connections = saddle_connections
         self.bound_sq = bound_sq
         self.unresolved_rays = unresolved_rays
-        self.cut = cut
+        self._cut = cut
+
+    @property
+    def cut(self):
+        """The normalized surface cut along the saddle connections found:
+        its pieces, sub-edges per polygon edge, chords and chords per
+        polygon, each piece marked with its component.
+
+        `decompose` passes None when no separatrix closed, since nothing
+        then needs the cut; it is built here, without chords, on first
+        access, with the contents `decompose` would have built.
+        """
+        if self._cut is None:
+            self._cut = _cut(self.normalized, [], {})[0]
+        return self._cut
 
     @property
     def is_periodic(self) -> bool:
@@ -831,6 +845,11 @@ def decompose(surface: TranslationSurface, direction,
     as a cylinder, in which case the cylinder areas sum to the area of
     the normalized surface exactly.  A trace_factor or trace_length that
     is not positive raises NonPositiveLength.
+
+    A cylinder is bounded by saddle connections of its direction, so
+    when no separatrix closes within the bound the status is
+    NoCylinderFound without cutting the surface: the returned
+    decomposition builds its `cut` only when it is read.
     """
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
@@ -876,9 +895,14 @@ def decompose(surface: TranslationSurface, direction,
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 
-    pieces, subs = _build_cut_pieces(normalized, chords_by_polygon)
-    _glue_items(normalized, subs)
-    components = _components(pieces)
+    # with no saddle connection there is no horizontal edge (it or its
+    # partner would point east, an edge-run connection), so the cut
+    # would be the closed surface, one component that is no cylinder:
+    # skip it, and let the Decomposition build it if asked
+    cut, components = None, []
+    if saddle_connections:
+        cut, components = _cut(normalized, chord_table, chords_by_polygon)
+        pieces = cut.pieces
 
     cylinders = []
     failed_components = 0
@@ -952,8 +976,17 @@ def decompose(surface: TranslationSurface, direction,
 
     return Decomposition(surface, frame, direction, g, normalized, status,
                          tuple(cylinders), tuple(saddle_connections),
-                         bound_sq, tuple(unresolved),
-                         _CutData(pieces, subs, chord_table, chords_by_polygon))
+                         bound_sq, tuple(unresolved), cut)
 
 
 _CutData = namedtuple("_CutData", "pieces subs chords chords_by_polygon")
+
+
+def _cut(normalized, chord_table, chords_by_polygon):
+    """(cut, components): the normalized surface cut along the chords,
+    its pieces glued across non-horizontal sub-edges and each marked
+    with its component, and the components' piece lists."""
+    pieces, subs = _build_cut_pieces(normalized, chords_by_polygon)
+    _glue_items(normalized, subs)
+    components = _components(pieces)
+    return _CutData(pieces, subs, chord_table, chords_by_polygon), components

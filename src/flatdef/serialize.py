@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cylinders import Decomposition
 from .errors import FlatdefError
-from .field import FieldCtx, FieldScalar, QQ
+from .field import FieldCtx, FieldScalar, QQ, _rat_str
 from .surface import TranslationSurface
 
 __all__ = ["scalar_to_json", "scalar_from_json", "surface_to_json",
@@ -25,13 +26,66 @@ FORMAT_VERSION = 1
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    The tree may hold dicts with str keys, lists, tuples, strs, ints,
+    bools and None; anything else raises TypeError.  One recursive pass
+    writes it, with strings escaped by the C escaper `json` uses, where
+    `json.dumps` with an indent runs its pure-Python encoder.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out, nl):
+    """Append the JSON text of `obj` to `out`; `nl` is the newline and
+    indent of the line `obj` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = comma
+        out.append(nl + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def scalar_to_json(x: FieldScalar):
-    if x.b == 0:
-        return str(x.a)
-    return [str(x.a), str(x.b)]
+    a = _rat_str(x._A, x._D)
+    if not x._B:
+        return a
+    return [a, _rat_str(x._B, x._D)]
 
 
 # the text str(Fraction) writes; Fraction itself would also read "1.5",

@@ -233,3 +233,15 @@ class TestTrace:
         assert found[0] == "InternalInvariantError"
         assert "escaped the boundary" in found[1]
         assert found == outcome(ref_trace_from_point, *args, max_advance_sq=4)
+
+    def test_corner_east_does_not_leave_raises(self):
+        # east leaves a corner of the unit square only at its origin;
+        # the public trace still checks the corner it is given
+        torus = square_tiled([1], [1])
+        assert east_ray_corners(torus) == [(0, 0)]
+        for i in (1, 2, 3):
+            with pytest.raises(ValueError, match="does not leave corner"):
+                trace_from_corner(torus, (0, i), EAST(torus.ctx))
+            assert outcome(trace_from_corner, torus, (0, i), EAST(torus.ctx)) \
+                == outcome(ref_trace_from_corner, torus, (0, i),
+                           EAST(torus.ctx))
