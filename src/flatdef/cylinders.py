@@ -202,12 +202,13 @@ class Decomposition:
         its pieces, sub-edges per polygon edge, chords and chords per
         polygon, each piece marked with its component.
 
-        `decompose` passes None when no separatrix closed, since nothing
-        then needs the cut; it is built here, without chords, on first
-        access, with the contents `decompose` would have built.
+        `decompose` passes None when no separatrix closed and no polygon
+        edge is horizontal, since nothing then needs the cut; it is built
+        here, without chords, on first access, with the contents
+        `decompose` would have built.
         """
         if self._cut is None:
-            self._cut = _cut(self.normalized, [], {})[0]
+            self._cut = _build_cut(self.normalized, [], {})[0]
         return self._cut
 
     @property
@@ -846,10 +847,12 @@ def decompose(surface: TranslationSurface, direction,
     the normalized surface exactly.  A trace_factor or trace_length that
     is not positive raises NonPositiveLength.
 
-    A cylinder is bounded by saddle connections of its direction, so
-    when no separatrix closes within the bound the status is
-    NoCylinderFound without cutting the surface: the returned
-    decomposition builds its `cut` only when it is read.
+    A cylinder is bounded by saddle connections and polygon edges of
+    its direction, so when no separatrix closes within the bound and no
+    edge lies in the direction the status is NoCylinderFound without
+    cutting the surface: the returned decomposition builds its `cut`
+    only when it is read.  An edge is tested on its own because a bound
+    shorter than the edge stops its run before it closes.
     """
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
@@ -895,14 +898,17 @@ def decompose(surface: TranslationSurface, direction,
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 
-    # with no saddle connection there is no horizontal edge (it or its
-    # partner would point east, an edge-run connection), so the cut
-    # would be the closed surface, one component that is no cylinder:
-    # skip it, and let the Decomposition build it if asked
+    # with no saddle connection and no horizontal edge every sub-edge is
+    # glued, so the cut would be the closed surface, one component that
+    # is no cylinder: skip it, and let the Decomposition build it if
+    # asked.  A horizontal edge needs its own test: under a bound shorter
+    # than the edge its run yields no saddle connection, yet it bounds
+    # the cut.
     cut, components = None, []
-    if saddle_connections:
-        cut, components = _cut(normalized, chord_table, chords_by_polygon)
-        pieces = cut.pieces
+    if saddle_connections or any(e[2:] == (0, 0) for es in
+                                 normalized.lattice().edges for e in es):
+        cut, components = _build_cut(normalized, chord_table,
+                                     chords_by_polygon)
 
     cylinders = []
     failed_components = 0
@@ -938,11 +944,11 @@ def decompose(surface: TranslationSurface, direction,
             crossings_per_cell[cidx] += normalized.polygons[rp][re].y.sign()
         boundary_ids = set()
         for pid, k in check.bottom + check.top:
-            item = pieces[pid].items[k]
+            item = cut.pieces[pid].items[k]
             if item.kind == "chord":
                 boundary_ids.add(chord_table[item.chord_id].sc_id)
             else:
-                sc_id = edge_run_sc.get((pieces[pid].polygon, item.edge))
+                sc_id = edge_run_sc.get((cut.pieces[pid].polygon, item.edge))
                 if sc_id is not None:
                     boundary_ids.add(sc_id)
         cyl = Cylinder(
@@ -982,7 +988,7 @@ def decompose(surface: TranslationSurface, direction,
 _CutData = namedtuple("_CutData", "pieces subs chords chords_by_polygon")
 
 
-def _cut(normalized, chord_table, chords_by_polygon):
+def _build_cut(normalized, chord_table, chords_by_polygon):
     """(cut, components): the normalized surface cut along the chords,
     its pieces glued across non-horizontal sub-edges and each marked
     with its component, and the components' piece lists."""

@@ -32,7 +32,6 @@ __all__ = [
     "cross_sign",
     "same_ray",
     "sector_contains",
-    "east_in_corner",
     "corner_crosses_east",
     "check_simple",
     "segments_intersect_interior",
@@ -223,28 +222,6 @@ def sector_contains(start, end, w, d, *,
         return not (cross_sign(end, w, d) > 0 and cross_sign(w, start, d) > 0)
     # start and end anti-parallel: half-plane to the left of start
     return cross_sign(start, w, d) > 0
-
-
-def east_in_corner(out_ray, rev_in_ray, d) -> bool:
-    """Whether (1, 0) lies in the half-open sector [out_ray, rev_in_ray).
-
-    It is `sector_contains(out_ray, rev_in_ray, (1, 0), d,
-    include_start=True, include_end=False)`, read off the rays' signs:
-    the sweep from out_ray crosses east when rev_in_ray is not east and
-    lies at an angle in (0, 2*pi) no larger than out_ray's (equal angles
-    make a full turn).  That is a comparison of the half-planes [0, pi)
-    and [pi, 2*pi) the rays lie in, or one cross sign within one.
-    """
-    oy = _sign(out_ray[2], out_ray[3], d)
-    if oy == 0 and _sign(out_ray[0], out_ray[1], d) > 0:
-        return True
-    ry = _sign(rev_in_ray[2], rev_in_ray[3], d)
-    if ry == 0 and _sign(rev_in_ray[0], rev_in_ray[1], d) > 0:
-        return False
-    # neither is east, so a ray lies in [0, pi) exactly when it points up
-    if (oy > 0) != (ry > 0):
-        return ry > 0
-    return cross_sign(out_ray, rev_in_ray, d) <= 0
 
 
 def corner_crosses_east(out_ray, rev_in_ray, d) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .cylinders import Decomposition
 from .errors import FlatdefError
@@ -26,59 +25,7 @@ FORMAT_VERSION = 1
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte.
-
-    The tree may hold dicts with str keys, lists, tuples, strs, ints,
-    bools and None; anything else raises TypeError.  One recursive pass
-    writes it, with strings escaped by the C escaper `json` uses, where
-    `json.dumps` with an indent runs its pure-Python encoder.
-    """
-    out = []
-    _write(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(obj, out, nl):
-    """Append the JSON text of `obj` to `out`; `nl` is the newline and
-    indent of the line `obj` starts on."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep, comma = "[" + inner, "," + inner
-        for x in obj:
-            out.append(sep)
-            _write(x, out, inner)
-            sep = comma
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(obj[key], out, inner)
-            sep = comma
-        out.append(nl + "}")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    else:
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def scalar_to_json(x: FieldScalar):
@@ -133,6 +80,8 @@ def surface_from_json(data: dict) -> TranslationSurface:
         gluing = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
                   for a, b in data["gluing"]]
         label = data.get("label", "")
+        if not isinstance(label, str):
+            raise TypeError(f"label is {type(label).__name__}, not str")
     except (FlatdefError, KeyError, TypeError, ValueError, IndexError,
             ZeroDivisionError) as exc:
         raise FlatdefError(f"malformed surface file: {exc}") from None

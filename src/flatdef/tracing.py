@@ -33,7 +33,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2, _new, _sign
-from .polygon import _mul, _sub, east_in_corner
+from .polygon import _EAST, _mul, _sub, sector_contains
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST"]
@@ -72,10 +72,14 @@ def east_ray_corners(surface: TranslationSurface):
     decomposition.
     """
     lat = surface.lattice()
-    d = lat.d
-    return [(p, i) for p, edges in enumerate(lat.edges)
-            for i in range(len(edges))
-            if east_in_corner(*lat.corner_rays((p, i)), d)]
+    out = []
+    for p, edges in enumerate(lat.edges):
+        for i in range(len(edges)):
+            start, end = lat.corner_rays((p, i))
+            if sector_contains(start, end, _EAST, lat.d,
+                               include_start=True, include_end=False):
+                out.append((p, i))
+    return out
 
 
 def _check_east(direction: Vec2) -> None:
@@ -349,7 +353,9 @@ def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
     _check_east(direction)
     p, i = corner
     lat = surface.lattice()
-    if not east_in_corner(*lat.corner_rays(corner), lat.d):
+    start_ray, end_ray = lat.corner_rays(corner)
+    if not sector_contains(start_ray, end_ray, _EAST, lat.d,
+                           include_start=True, include_end=False):
         raise ValueError(f"direction {direction} does not leave corner {corner}")
     h, a = _lattice_split(lat.verts[p][i])
     return _trace(surface, p, 1, h, a, ("vertex", i), surface.ctx,

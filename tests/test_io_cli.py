@@ -285,6 +285,27 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(
             "FlatdefError: malformed surface file")
 
+    # render escaped the label as text and failed on a float (exit 2);
+    # shear and stretch carried any JSON value over into their output
+    @pytest.mark.parametrize("label", [2.5, [1], None])
+    @pytest.mark.parametrize("command", [
+        ["render", "{src}", "--direction", "1,0", "-o", "{tmp}/x.svg"],
+        ["shear", "{src}", "--direction", "1,0", "--t", "2",
+         "-o", "{tmp}/x.json"],
+    ])
+    def test_non_str_label_in_file_exit_1(self, cli_surfaces, capsys,
+                                          label, command):
+        tmp, lori, _ = cli_surfaces
+        data = json.loads(lori.read_text())
+        data["label"] = label
+        src = tmp / "bad-label.json"
+        src.write_text(json.dumps(data))
+        argv = [a.format(src=src, tmp=tmp) for a in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "FlatdefError: malformed surface file: label is")
+        assert not (tmp / "x.svg").exists() and not (tmp / "x.json").exists()
+
     # each text means 3/2, 1000, 10 or 3 to Fraction, so the square below
     # would close up if the text were read; only "p/q" text is a scalar
     @pytest.mark.parametrize("text, minus", [

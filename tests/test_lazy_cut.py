@@ -1,24 +1,27 @@
 """The cut that `decompose` skips where no separatrix closed.
 
-A cylinder is bounded by saddle connections of its direction, so with
-none there is nothing to certify: a horizontal polygon edge or its
-glued partner points east and would be an edge-run connection, so
-there is no horizontal edge, every sub-edge is glued, and the one
-component of the cut is the whole closed surface, which is no annulus.
-`decompose` then builds no cut, and `Decomposition.cut` builds the
-chordless cut on first access.  These tests hold the lazy cut to an
-eager build made here, and hold the skip to the case it is sound for.
+A cylinder is bounded by saddle connections and horizontal edges of its
+direction.  With no saddle connection and no horizontal polygon edge,
+every sub-edge is glued, and the one component of the cut is the whole
+closed surface, which is no annulus.  `decompose` then builds no cut,
+and `Decomposition.cut` builds the chordless cut on first access.  A
+horizontal edge is tested on its own: under the default bound it or its
+glued partner points east and gives an edge-run connection, but a bound
+shorter than the edge stops that run first.  These tests hold the lazy
+cut to an eager build made here, and hold the skip to the case it is
+sound for.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from flatdef.cylinders import (NO_CYLINDER, PARTIAL, _build_cut_pieces,
                                _check_component, _components, _glue_items,
                                decompose)
-from flatdef.field import FieldCtx, Vec2
-from flatdef.surface import l_shape
+from flatdef.field import FieldCtx, FieldScalar, Vec2
+from flatdef.surface import l_shape, square_tiled
 
 Q2 = FieldCtx.get(2)
 
@@ -110,3 +113,15 @@ def test_partial_direction_keeps_its_cylinder():
 def test_closed_directions_cut_at_once(v):
     dec = decompose(_sqrt2_l(), Vec2(*v))
     assert dec.saddle_connections and dec._cut is not None
+
+
+def test_short_bound_keeps_the_horizontal_edge_cylinder():
+    # the torus square's horizontal edges bound its cylinder, but a bound
+    # of 1/2 stops the edge run before it closes: no saddle connection,
+    # and the cut must still be made
+    dec = decompose(square_tiled([1], [1]), Vec2(1, 0),
+                    trace_length=FieldScalar(Fraction(1, 2)))
+    assert dec.saddle_connections == () and dec._cut is not None
+    assert dec.status == PARTIAL and len(dec.cylinders) == 1
+    cyl = dec.cylinders[0]
+    assert str(cyl.circumference) == "1" and str(cyl.height) == "1"

@@ -104,35 +104,3 @@ def test_unread_private_defs_are_found():
     }
     assert _unread_private_defs(sources) == [
         "a.py: _Dead (line 7)", "a.py: _recursive (line 4)"]
-
-
-def _indented_json_writes(source: str) -> list[str]:
-    """Calls of `json.dumps` or `json.dump` with an `indent`: each would
-    be a second writer of indented JSON beside `serialize.dumps`."""
-    return sorted(
-        f"json.{node.func.attr} (line {node.lineno})"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("dumps", "dump")
-        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
-        and any(kw.arg == "indent" for kw in node.keywords))
-
-
-def test_one_indented_json_writer():
-    # certificates are written by serialize.dumps alone, so their bytes
-    # have one source
-    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
-    found = {path.name: _indented_json_writes(path.read_text())
-             for path in sorted(src.glob("*.py"))}
-    assert len(found) >= 17
-    assert {name: calls for name, calls in found.items() if calls} == {}
-
-
-def test_indented_json_writes_are_found():
-    source = ("import json\n"
-              "a = json.dumps(x, sort_keys=True, indent=2)\n"
-              "b = json.dumps(x, separators=(',', ':'))\n"
-              "json.dump(x, fh, indent=None)\n"
-              "c = other.dumps(x, indent=2)\n")
-    assert _indented_json_writes(source) == ["json.dump (line 4)",
-                                             "json.dumps (line 2)"]

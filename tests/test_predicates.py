@@ -34,8 +34,8 @@ from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _new
 from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              check_simple, corner_crosses_east, cross_sign,
-                             ear_clip, east_in_corner, same_ray,
-                             sector_contains, segments_intersect_interior)
+                             ear_clip, same_ray, sector_contains,
+                             segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import (_SlabTable, _escaped, _quotient, _start,
@@ -877,29 +877,6 @@ class TestSectors:
                                 include_end=include_end)
         assert corner_crosses_east(s, e, d) == \
             ref_corner_crosses_east(start, end)
-
-    @pytest.mark.parametrize("d", FIELDS)
-    def test_east_in_corner_on_small_rays(self, d):
-        # every ordered pair of rays with small coordinates: axis rays,
-        # one ray twice, opposite rays, and one ray at two lengths
-        coords = ([(a, 0) for a in range(-3, 4)] if d == 0 else
-                  [(a, b) for a in range(-1, 2) for b in range(-1, 2)])
-        rays = [x + y for x in coords for y in coords if x + y != (0,) * 4]
-        east = (1, 0, 0, 0)
-        kinds = {"same": 0, "opposite": 0, "parallel": 0}
-        for u in rays:
-            for w in rays:
-                assert east_in_corner(u, w, d) == sector_contains(
-                    u, w, east, d, include_start=True, include_end=False)
-                if u == w:
-                    kinds["same"] += 1
-                elif tuple(-x for x in u) == w:
-                    kinds["opposite"] += 1
-                elif same_ray(u, w, d):
-                    kinds["parallel"] += 1
-        assert len(rays) == (48 if d == 0 else 80)
-        assert kinds["same"] == kinds["opposite"] == len(rays)
-        assert kinds["parallel"] > 0
 
 
 @st.composite
