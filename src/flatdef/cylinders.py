@@ -24,7 +24,7 @@ from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
                       signed_area2)
 from .surface import TranslationSurface
-from .tracing import EAST, east_ray_corners, trace_from_corner
+from .tracing import east_ray_corners, trace_from_corner
 
 __all__ = ["Direction", "SaddleConnection", "Cylinder", "Decomposition",
            "decompose", "default_bound_sq", "PERIODIC", "PARTIAL",
@@ -792,8 +792,7 @@ def _trace_east(normalized, g_inv, class_of, corner, max_advance_sq, sc_id):
     Returns (trace result, SaddleConnection), the connection being None
     when the trace ran past max_advance_sq.
     """
-    res = trace_from_corner(normalized, corner, EAST(normalized.ctx),
-                            max_advance_sq=max_advance_sq)
+    res = trace_from_corner(normalized, corner, max_advance_sq=max_advance_sq)
     if res.kind == "bound":
         return res, None
     hol_norm = Vec2(res.advance, FieldScalar(0, 0, normalized.ctx))

@@ -43,6 +43,7 @@ __all__ = [
     "parse_scalar",
     "scalar_sign",
     "unify_ctx",
+    "join_ctx",
 ]
 
 _Rat = int | Fraction
@@ -85,7 +86,11 @@ class FieldCtx:
 
     @staticmethod
     def get(d: int) -> "FieldCtx":
-        return _ctx(int(d))
+        d = int(d)
+        if d >= 2 ** 31:
+            # square-freeness is decided by trial division up to sqrt(d)
+            raise ValueError(f"d must be below 2**31, got {d}")
+        return _ctx(d)
 
     def __setattr__(self, *a):  # contexts are immutable
         raise AttributeError("FieldCtx is immutable")
@@ -189,9 +194,7 @@ class FieldScalar:
         if self.ctx is ctx:
             return self
         if self._B and self.ctx.d != ctx.d:
-            raise ValueError(
-                f"incompatible fields Q(sqrt({self.ctx.d})) and Q(sqrt({ctx.d}))"
-            )
+            raise _incompatible(self.ctx.d, ctx.d)
         return _new(self._A, self._B, self._D, ctx)
 
     # -- coercion -----------------------------------------------------
@@ -458,15 +461,30 @@ def scalar_sign(s: FieldScalar) -> int:
     return s.sign()
 
 
+def _incompatible(d1: int, d2: int) -> ValueError:
+    """The error for two scalars of Q(sqrt(d1)) and Q(sqrt(d2)), d1 != d2."""
+    return ValueError(f"incompatible fields Q(sqrt({d1})) and Q(sqrt({d2}))")
+
+
 def unify_ctx(*scalars: FieldScalar) -> FieldCtx:
     """The common field context; rational scalars are compatible with anything."""
     ctx = QQ
     for s in scalars:
         if s._B:
             if ctx.d not in (0, s.ctx.d):
-                raise ValueError(
-                    f"incompatible fields Q(sqrt({ctx.d})) and Q(sqrt({s.ctx.d}))"
-                )
+                raise _incompatible(ctx.d, s.ctx.d)
+            ctx = s.ctx
+    return ctx
+
+
+def join_ctx(ctx: FieldCtx, *scalars: FieldScalar) -> FieldCtx:
+    """The field of `ctx` and the scalars, each taken in turn: a rational
+    one takes the field of the others.  A scalar over another irrational
+    field raises ValueError naming its field first, as `with_ctx` does."""
+    for s in scalars:
+        if s._B and s.ctx.d != ctx.d:
+            if ctx.d:
+                raise _incompatible(s.ctx.d, ctx.d)
             ctx = s.ctx
     return ctx
 

@@ -24,7 +24,8 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import InternalInvariantError
-from .field import QQ, FieldScalar, Vec2, _new, _sign, unify_ctx
+from .field import (QQ, FieldCtx, FieldScalar, Vec2, _incompatible, _new,
+                    _sign, join_ctx, unify_ctx)
 
 __all__ = [
     "Lattice",
@@ -120,8 +121,7 @@ class Lattice:
         entries = (g.a, g.b, g.c, g.d)
         gctx = unify_ctx(*entries)
         if gctx.d and self.d and gctx.d != self.d:
-            raise ValueError(f"incompatible fields Q(sqrt({gctx.d})) "
-                             f"and Q(sqrt({self.d}))")
+            raise _incompatible(gctx.d, self.d)
         ctx = gctx if gctx.d else self.ctx
         d = ctx.d
         Dg = lcm(*(s._D for s in entries))
@@ -177,6 +177,41 @@ class Lattice:
             A += a
             B += b
         return _new(A, B, self.D * self.D, self.ctx)
+
+
+class _Bound:
+    """A bound R^2 = (RA + RB*sqrt(d))/Rd on squared lengths, against
+    the integer form `lat` of a surface: the one bound test of the
+    saddle-connection search and of the trace.
+
+    The test runs in the field of `ctx` (the surface's, `lat.ctx`, by
+    default) and the bound, by `field.join_ctx`: a rational bound takes
+    the field of `ctx`, a rational `ctx` the field of the bound, and two
+    different irrational fields raise ValueError.  `bound_sq` is an int,
+    a Fraction or a FieldScalar.
+    """
+
+    __slots__ = ("d", "Rd", "RA_D2", "RB_D2")
+
+    def __init__(self, lat: Lattice, bound_sq, ctx: FieldCtx | None = None):
+        if not isinstance(bound_sq, FieldScalar):
+            bound_sq = FieldScalar(bound_sq)
+        self.d = join_ctx(lat.ctx if ctx is None else ctx, bound_sq).d
+        # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
+        # scaled point DP, so the bound side carries D^2
+        D = lat.D
+        self.Rd = bound_sq._D
+        self.RA_D2 = bound_sq._A * D * D
+        self.RB_D2 = bound_sq._B * D * D
+
+    def within(self, num, den=(1, 0)) -> bool:
+        """Whether a scaled squared length num/den (D^2 times the true
+        one, den > 0) is within the bound:
+        Rd*num <= (RA + RB*sqrt(d))*D^2*den."""
+        RA, RB, Rd, d = self.RA_D2, self.RB_D2, self.Rd, self.d
+        dA, dB = den
+        return _sign(RA * dA + d * RB * dB - Rd * num[0],
+                     RA * dB + RB * dA - Rd * num[1], d) >= 0
 
 
 # -- predicates ------------------------------------------------------------

@@ -13,17 +13,17 @@ The search runs on the surface's integer lattice form (`polygon.py`,
 differences of surface vertices, so it stays in that form, and every
 predicate it takes is homogeneous in the coordinates, so the common
 scale D of the form changes no sign.  The bound is the one addition
-each call makes (`_Bound`): with R^2 = (RA + RB*sqrt(d))/Rd it carries
-the scale, |P|^2 <= R^2 becoming Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2.
+each call makes (`polygon._Bound`, which the trace shares): with
+R^2 = (RA + RB*sqrt(d))/Rd it carries the scale, |P|^2 <= R^2 becoming
+Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2.
 Only a connection that is found is built back into field scalars.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, _sign
-from .polygon import (Lattice, _add, _cross, _dot, _mul, _norm, _sub,
-                      ear_clip)
+from .field import _sign
+from .polygon import _Bound, _add, _cross, _dot, _mul, _norm, _sub, ear_clip
 from .surface import TranslationSurface
 
 __all__ = ["enumerate_saddle_connections", "enumerate_directions",
@@ -68,40 +68,6 @@ class Triangulated:
             mate = edge_sides[(q, f)]
             self.gluing[side] = mate
             self.gluing[mate] = side
-
-
-class _Bound:
-    """The bound R^2 = (RA + RB*sqrt(d))/Rd of one search, against the
-    integer form `lat` of the surface.
-
-    The bound's field and the surface's must agree (ValueError
-    otherwise, as in arithmetic); a bound over Q(sqrt(d)) on a surface
-    over Q sets the d of the search.
-    """
-
-    __slots__ = ("d", "Rd", "RA_D2", "RB_D2")
-
-    def __init__(self, lat: Lattice, bound_sq: FieldScalar):
-        self.d = lat.d
-        if lat.d:
-            bound_sq = bound_sq.with_ctx(lat.ctx)  # ValueError for another field
-        elif bound_sq._B:
-            self.d = bound_sq.ctx.d
-        # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
-        # scaled point DP, so the bound side carries D^2
-        D = lat.D
-        self.Rd = bound_sq._D
-        self.RA_D2 = bound_sq._A * D * D
-        self.RB_D2 = bound_sq._B * D * D
-
-    def within(self, num, den=(1, 0)) -> bool:
-        """Whether a scaled squared length num/den (D^2 times the true
-        one, den > 0) is within the bound:
-        Rd*num <= (RA + RB*sqrt(d))*D^2*den."""
-        RA, RB, Rd, d = self.RA_D2, self.RB_D2, self.Rd, self.d
-        dA, dB = den
-        return _sign(RA * dA + d * RB * dB - Rd * num[0],
-                     RA * dB + RB * dA - Rd * num[1], d) >= 0
 
 
 def _window_within(w1, w2, a, b, bound: _Bound) -> bool:
@@ -195,8 +161,6 @@ def enumerate_saddle_connections(surface: TranslationSurface,
     holonomies); callers deduplicate as needed.  `bound_sq` is an int,
     a Fraction or a FieldScalar of the surface's field (or rational).
     """
-    if not isinstance(bound_sq, FieldScalar):
-        bound_sq = FieldScalar(bound_sq)
     surface.singularities()
     tri = Triangulated(surface)
     lat = surface.lattice()

@@ -68,17 +68,27 @@ def surface_to_json(surface: TranslationSurface) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a bool, float, string or anything else is a
+    TypeError, so no value is truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _edge_ref(ref) -> tuple[int, int]:
+    return _json_int(ref[0], "gluing index"), _json_int(ref[1], "gluing index")
+
+
 def surface_from_json(data: dict) -> TranslationSurface:
     try:
-        d = int(data["field"]["d"])
-        ctx = FieldCtx.get(d)
+        ctx = FieldCtx.get(_json_int(data["field"]["d"], "field d"))
         polys = [
             [(scalar_from_json(sx, ctx), scalar_from_json(sy, ctx))
              for sx, sy in poly]
             for poly in data["polygons"]
         ]
-        gluing = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-                  for a, b in data["gluing"]]
+        gluing = [(_edge_ref(a), _edge_ref(b)) for a, b in data["gluing"]]
         label = data.get("label", "")
         if not isinstance(label, str):
             raise TypeError(f"label is {type(label).__name__}, not str")

@@ -332,7 +332,7 @@ def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurf
     """The origami with n unit squares, right neighbor h, top neighbor v.
 
     h and v may be mapping lists like [2, 1, 3] or cycle tuples like
-    [(1, 2)]; squares are numbered from 1.
+    [(1, 2)]; squares are numbered from 1.  n < 1 raises ValueError.
     """
     if n is None:
         flat = []
@@ -344,6 +344,8 @@ def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurf
             else:
                 flat.extend(perm)
         n = max(flat) if flat else 1
+    if n < 1:
+        raise ValueError(f"an origami has at least one square, not {n}")
     ht = _parse_perm(h, n)
     vt = _parse_perm(v, n)
 

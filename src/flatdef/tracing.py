@@ -1,7 +1,7 @@
 """Exact straight-line tracing through glued polygons, on the lattice form.
 
 All tracing here happens on a direction-normalized surface, and only
-`EAST`: the separatrices of the horizontal foliation.  Positions carry
+east: the separatrices of the horizontal foliation.  Positions carry
 exact coordinates in the current polygon's frame together with the
 boundary parameterization needed for homology bookkeeping.
 
@@ -17,10 +17,15 @@ lattice from polygon to polygon, and so does `base`, its start's
 x-coordinate plus the x-parts of the translations it has crossed: the
 advance to a point of x-coordinate x in the current polygon's frame is
 x - base.  An exit through an edge lies at the quotient
-x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0, so the
-bound test is one cross-multiplied sign.  A start off the lattice (an
-interior point) is held over k*D for the least integer k that holds
-it; k = 1 at a corner.  `FieldScalar`s are built only for what a trace
+x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0.  A start off
+the lattice (an interior point) is held over k*D for the least integer
+k that holds it; k = 1 at a corner.
+
+The bound test is the saddle-connection search's `polygon._Bound`, one
+cross-multiplied sign.  A trace runs in the field of its surface, its
+start and its bound (`field.join_ctx`), decided before the first step,
+so a bound over another irrational field raises ValueError whichever
+way the ray runs.  `FieldScalar`s are built only for what a trace
 returns: its advance and, on first access, its chords' and crossings'
 edge parameters.
 """
@@ -32,17 +37,13 @@ from functools import cmp_to_key
 from math import lcm
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2, _new, _sign
-from .polygon import _EAST, _mul, _sub, sector_contains
+from .field import FieldScalar, Vec2, _new, _sign, join_ctx
+from .polygon import _EAST, _Bound, _mul, _sub, sector_contains
 from .surface import TranslationSurface
 
-__all__ = ["TraceResult", "trace_from_corner", "east_ray_corners", "EAST"]
+__all__ = ["TraceResult", "trace_from_corner", "east_ray_corners"]
 
 MAX_STEPS = 1_000_000
-
-
-def EAST(ctx) -> Vec2:
-    return Vec2(FieldScalar(1, 0, ctx), FieldScalar(0, 0, ctx))
 
 
 class TraceResult:
@@ -69,23 +70,18 @@ def east_ray_corners(surface: TranslationSurface):
 
     Each eastward separatrix germ of the horizontal foliation appears at
     exactly one corner, so these are the rays to trace for a horizontal
-    decomposition.
+    decomposition.  The list is cached on the surface: callers read it
+    and must not change it.
     """
-    lat = surface.lattice()
-    out = []
-    for p, edges in enumerate(lat.edges):
-        for i in range(len(edges)):
-            start, end = lat.corner_rays((p, i))
-            if sector_contains(start, end, _EAST, lat.d,
-                               include_start=True, include_end=False):
-                out.append((p, i))
-    return out
-
-
-def _check_east(direction: Vec2) -> None:
-    """ValueError unless `direction` is `EAST`."""
-    if direction.y or direction.x != 1:
-        raise ValueError(f"tracing runs east (1, 0), not {direction}")
+    corners = surface._cache.get("east")
+    if corners is None:
+        lat = surface.lattice()
+        corners = surface._cache["east"] = [
+            (p, i) for p, edges in enumerate(lat.edges)
+            for i in range(len(edges))
+            if sector_contains(*lat.corner_rays((p, i)), _EAST, lat.d,
+                               include_start=True, include_end=False)]
+    return corners
 
 
 def _lattice_split(pt):
@@ -341,47 +337,29 @@ def _polygon_table(surface, p):
     return entry
 
 
-def trace_from_corner(surface: TranslationSurface, corner, direction: Vec2,
+def trace_from_corner(surface: TranslationSurface, corner,
                       max_advance_sq: FieldScalar | None = None):
-    """Trace the leaf leaving `corner` in `direction`, which must be `EAST`.
+    """Trace the leaf leaving `corner` east.
 
     The advance of the trace is the plain x-progress.  Stops at the
     first vertex hit; with max_advance_sq set, returns kind "bound" once
-    the squared advance would exceed it.  Any other direction raises
-    ValueError.
+    the squared advance would exceed it.  A corner that east does not
+    leave, one not in `east_ray_corners`, raises ValueError.
     """
-    _check_east(direction)
     p, i = corner
-    lat = surface.lattice()
-    start_ray, end_ray = lat.corner_rays(corner)
-    if not sector_contains(start_ray, end_ray, _EAST, lat.d,
-                           include_start=True, include_end=False):
-        raise ValueError(f"direction {direction} does not leave corner {corner}")
-    h, a = _lattice_split(lat.verts[p][i])
+    if (p, i) not in east_ray_corners(surface):
+        raise ValueError(f"direction Vec2(1, 0) does not leave corner {corner}")
+    h, a = _lattice_split(surface.lattice().verts[p][i])
     return _trace(surface, p, 1, h, a, ("vertex", i), surface.ctx,
                   max_advance_sq)
 
 
 def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
-                     direction: Vec2,
                      max_advance_sq: FieldScalar | None = None):
-    """Trace the leaf through an interior point of polygon p `EAST`; any
-    other direction raises ValueError."""
-    _check_east(direction)
+    """Trace the leaf through an interior point of polygon p east."""
+    ctx = join_ctx(surface.ctx, origin.x, origin.y)
     k, h, a = _start(surface.lattice(), origin)
-    return _trace(surface, p, k, h, a, None,
-                  _field(surface.ctx, origin.x, origin.y), max_advance_sq)
-
-
-def _field(ctx, *scalars):
-    """The field of `ctx` and the scalars; ValueError if two differ."""
-    for s in scalars:
-        if s._B and s.ctx.d != ctx.d:
-            if ctx.d:
-                raise ValueError(f"incompatible fields Q(sqrt({ctx.d})) "
-                                 f"and Q(sqrt({s.ctx.d}))")
-            ctx = s.ctx
-    return ctx
+    return _trace(surface, p, k, h, a, None, ctx, max_advance_sq)
 
 
 class _Built(Sequence):
@@ -455,38 +433,21 @@ class _Path:
                            _Built(self, 1, n), advance, end_corner)
 
 
-def _beyond_foreign(XA, XB, RA, RB, BA, BB, BD, d, bd) -> bool:
-    """advance^2 > bound, for a bound over Q(sqrt(bd)) and a surface
-    over another Q(sqrt(d)): advance^2 = X / R (pairs of Z[sqrt d],
-    over (k*D)^2) is compared in the bound's field when it is rational,
-    and else raises the ValueError that `FieldScalar` arithmetic raises
-    for two fields."""
-    if XB * RA - XA * RB:
-        raise ValueError(f"incompatible fields Q(sqrt({d})) and Q(sqrt({bd}))")
-    # X / R = num / den, den = N(R) > 0 since R is a square
-    num, den = XA * RA - d * XB * RB, RA * RA - d * RB * RB
-    return _sign(num * BD - BA * den, -BB * den, bd) > 0
-
-
-def _as_scalar(x) -> FieldScalar:
-    return x if isinstance(x, FieldScalar) else FieldScalar(x)
-
-
 def _trace(surface, p, k, H, base, key, ctx, max_advance_sq):
     """Trace east from the point at height H and x-coordinate `base`
     (pairs over k*D) of polygon p, standing on `key` (a corner's
-    ("vertex", i)) or inside the polygon (None)."""
+    ("vertex", i)) or inside the polygon (None).
+
+    `ctx` is the field of the surface and the start, which the returned
+    scalars live in; the arithmetic runs in the field of `ctx` and the
+    bound, decided here once, before any step.
+    """
     lat = surface.lattice()
     kD = k * lat.D
-    d = ctx.d
-    if max_advance_sq is not None:
-        max_advance_sq = _as_scalar(max_advance_sq)
-        BA, BB, BD = max_advance_sq._A, max_advance_sq._B, max_advance_sq._D
-        BA, BB = BA * kD * kD, BB * kD * kD
-        # the field the bound test runs in; a rational surface takes
-        # the bound's
-        bd = max_advance_sq.ctx.d if BB else d
-        d = d or bd
+    bound = (None if max_advance_sq is None
+             else _Bound(lat, max_advance_sq, ctx))
+    d = ctx.d if bound is None else bound.d
+    kk = k * k
     path = _Path(surface, k, d, ctx, key)
     steps = path.steps
 
@@ -515,13 +476,10 @@ def _trace(surface, p, k, H, base, key, ctx, max_advance_sq):
         # the advance to the exit is N / (R * k * D)
         NA = k * CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
         NB = k * CB + HA * MB + HB * MA - bA * RB - bB * RA
-        if max_advance_sq is not None:
-            XA, XB = NA * NA + d * NB * NB, 2 * NA * NB
-            if (_sign(XA * BD - BA * R2A - d * BB * R2B,
-                      XB * BD - BA * R2B - BB * R2A, d) > 0 if bd == d
-                    else _beyond_foreign(XA, XB, R2A, R2B, BA, BB, BD, d, bd)):
-                return path.result("bound", _new(0, 0, 1, ctx) if prev is None
-                                   else _quotient(*prev, kD, d, ctx))
+        if bound is not None and not bound.within(
+                (NA * NA + d * NB * NB, 2 * NA * NB), (kk * R2A, kk * R2B)):
+            return path.result("bound", _new(0, 0, 1, ctx) if prev is None
+                               else _quotient(*prev, kD, d, ctx))
         if kind == "vertex":
             path.end = (p, ("vertex", data))
             return path.result("vertex",

@@ -295,6 +295,19 @@ class TestParse:
         with pytest.raises(ValueError):
             FieldCtx.get(12)
 
+    # square-freeness is trial division up to sqrt(d): this d ran for
+    # longer than 5 s before d was bounded
+    HUGE = "1*sqrt(100000000000000000000000000000000000000000037)"
+
+    def test_rejects_huge_d(self):
+        with pytest.raises(ValueError, match=r"^d must be below 2\*\*31, got "):
+            parse_scalar(self.HUGE)
+        for d in (2 ** 31, 10 ** 44 + 37):
+            with pytest.raises(ValueError, match=r"below 2\*\*31"):
+                FieldCtx.get(d)
+        # 2**31 - 1 is prime, so square-free: the largest field there is
+        assert FieldCtx.get(2 ** 31 - 1).d == 2 ** 31 - 1
+
 
 class TestCtx:
     def test_ctx_identity_cached(self):

@@ -416,6 +416,60 @@ class TestCLI:
             "InputError: incompatible fields Q(sqrt(5)) and Q(sqrt(2))\n"
         assert not out.exists()
 
+    # make-lshape --h2 with a huge d, and its surface file, ran for
+    # longer than 5 s deciding whether d is square-free
+    def test_huge_d_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["make-lshape", "--w1", "2", "--h1", "1", "--w2", "1",
+                     "--h2", "1*sqrt(100000000000000000000000000000000000000000037)",
+                     str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "InputError: d must be below 2**31")
+        assert not out.exists()
+
+    # a bound over Q(sqrt 5) on a surface over Q(sqrt 2): (1, 0), (2, 1)
+    # and (3, 1) exited 0 while every squared advance stayed rational
+    @pytest.mark.parametrize("direction", ["1,0", "2,1", "3,1", "1,1", "1,2"])
+    def test_bound_of_another_field_exit_1(self, tmp_path, capsys, direction):
+        surf = tmp_path / "sqrt2-l.json"
+        assert main(["make-lshape", "--w1", "2", "--h1", "1", "--w2", "1",
+                     "--h2", "1*sqrt(2)", str(surf)]) == 0
+        capsys.readouterr()
+        assert main(["decompose", str(surf), "--direction", direction,
+                     "--bound", "3+1*sqrt(5)"]) == 1
+        assert capsys.readouterr() == (
+            "", "InputError: incompatible fields Q(sqrt(5)) and Q(sqrt(2))\n")
+
+    @pytest.mark.parametrize("squares", ["0", "-1"])
+    def test_make_origami_without_squares_exit_1(self, tmp_path, capsys,
+                                                 squares):
+        # 0 squares failed with an IndexError (exit 2)
+        out = tmp_path / "x.json"
+        assert main(["make-origami", f"--squares={squares}", "--right", "()",
+                     "--up", "()", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"InputError: an origami has at least one square, not {squares}\n")
+        assert not out.exists()
+
+    # int() read "d": 2.7 as Q(sqrt 2), "5" as Q(sqrt 5) and false as Q,
+    # truncated the gluing indices 2.9 and 3.5 to the valid 2 and 3, and
+    # overflowed on 1e400 (exit 2)
+    @pytest.mark.parametrize("d, i, j", [
+        ("2.7", "2", "3"), ('"5"', "2", "3"), ("false", "2", "3"),
+        ("1e400", "2", "3"), ("0", "2.9", "3"), ("0", "2", "3.5"),
+    ])
+    def test_non_integer_in_surface_file_exit_1(self, tmp_path, capsys,
+                                                d, i, j):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format": 1, "field": {"d": %s}, "polygons": '
+            '[[["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]], '
+            '"gluing": [[[0, 0], [0, %s]], [[0, 1], [0, %s]]]}' % (d, i, j))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FlatdefError: malformed surface file: ")
+        assert "is not an integer" in err
+
     def test_make_origami_not_connected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["make-origami", "--squares", "2", "--right", "()",

@@ -104,3 +104,33 @@ def test_unread_private_defs_are_found():
     }
     assert _unread_private_defs(sources) == [
         "a.py: _Dead (line 7)", "a.py: _recursive (line 4)"]
+
+
+_FIELD_MISMATCH = "incompatible fields"
+
+
+def _field_mismatch_outside_field(sources: dict) -> list[str]:
+    """Lines that spell the field-mismatch error outside field.py, which
+    builds it in one place (`field._incompatible`)."""
+    return [f"{name}: line {i}" for name, text in sorted(sources.items())
+            if name != "field.py"
+            for i, line in enumerate(text.splitlines(), 1)
+            if _FIELD_MISMATCH in line]
+
+
+def test_one_place_builds_the_field_mismatch_error():
+    # a second copy of the message drifts from the first: its order of
+    # the two fields or its wording
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert _FIELD_MISMATCH in sources["field.py"]
+    assert _field_mismatch_outside_field(sources) == []
+
+
+def test_field_mismatch_outside_field_is_found():
+    sources = {
+        "field.py": 'raise ValueError(f"incompatible fields {a} and {b}")\n',
+        "tracing.py": ('x = 1\n'
+                       'raise ValueError(f"incompatible fields {a} and {b}")\n'),
+    }
+    assert _field_mismatch_outside_field(sources) == ["tracing.py: line 2"]

@@ -29,7 +29,7 @@ from flatdef.search import enumerate_saddle_connections
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import EAST, east_ray_corners, trace_from_corner
+from flatdef.tracing import east_ray_corners, trace_from_corner
 
 from test_origami_oracle import (BENCH_ORIGAMI, DIRECTIONS as ORACLE_DIRECTIONS,
                                  SHEARS, origami, random_origamis)
@@ -268,7 +268,6 @@ def test_generic_lshape_east_rays():
             max_advance_sq = bound_sq * direction.vector.norm_sq()
             for corner in east_ray_corners(normalized):
                 res = trace_from_corner(normalized, corner,
-                                        EAST(normalized.ctx),
                                         max_advance_sq=max_advance_sq)
                 rows.append([d, list(v), list(corner), res.kind,
                              str(res.advance),

@@ -38,8 +38,7 @@ from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import (_SlabTable, _escaped, _quotient, _start,
-                             trace_from_corner)
+from flatdef.tracing import _SlabTable, _escaped, _quotient, _start
 
 FIELDS = (0, 2, 5)
 
@@ -652,13 +651,6 @@ class TestExitRay:
             assert outcome(slab_exit, *args, entry)[0] == "error"
             assert outcome(slab_exit, *args, entry) == \
                 outcome(ref_exit_ray, *args)
-
-    @pytest.mark.parametrize("direction", [(1, 1), (2, 0), (-1, 0), (0, -1),
-                                           (0, 1)])
-    def test_trace_rejects_other_directions(self, direction):
-        torus = square_tiled([1], [1])
-        with pytest.raises(ValueError, match=r"runs east \(1, 0\), not"):
-            trace_from_corner(torus, (0, 0), Vec2(*direction))
 
 
 class TestWindow:

@@ -95,6 +95,12 @@ class TestConstructors:
         with pytest.raises(NotConnected):
             square_tiled([], [], n=2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_origami_without_squares(self, n):
+        # n = 0 failed with an IndexError inside the connectivity search
+        with pytest.raises(ValueError, match="at least one square"):
+            square_tiled([], [], n=n)
+
     @pytest.mark.parametrize("h", [
         [(1, 2), (2, 3)],        # 3 lies outside 1..2
         [(1, 2, 2)],             # 2 twice in one cycle

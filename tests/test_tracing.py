@@ -12,7 +12,11 @@ advance, end corner, and the chords and crossings, of bound results
 too -- or raise the same error.  The cases run from corners and from
 interior points with mixed denominators, over Q, Q(sqrt 2) and
 Q(sqrt 5), with bounds drawn at random and exactly at an advance the
-reference reached at a crossing, and with a bound from another field.
+reference reached at a crossing.  A bound or a start over another
+field than the surface follows the one field rule of `field.join_ctx`:
+a rational surface takes the field of an irrational start or bound, and
+a bound over another irrational field raises before the first step,
+whichever way the ray runs.
 """
 
 from fractions import Fraction
@@ -20,17 +24,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatdef.cylinders import _normalize
+from flatdef import tracing
+from flatdef.cylinders import _normalize, decompose, trace_separatrix
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import (EAST, east_ray_corners, trace_from_corner,
+from flatdef.tracing import (east_ray_corners, trace_from_corner,
                              trace_from_point)
 
-from reference_trace import ref_trace_from_corner, ref_trace_from_point
+import reference_trace
 
 FIELDS = (0, 2, 5)
+# the direction the reference traces take; the library traces only east
+EAST = Vec2(1, 0)
+
+
+def ref_trace_from_corner(surface, corner, **kw):
+    return reference_trace.ref_trace_from_corner(surface, corner, EAST, **kw)
+
+
+def ref_trace_from_point(surface, p, origin, **kw):
+    return reference_trace.ref_trace_from_point(surface, p, origin, EAST, **kw)
 
 
 # -- comparison ----------------------------------------------------------------
@@ -121,15 +136,15 @@ def starts(draw, surface):
     return ("point", p, origin)
 
 
-def run(trace_corner, trace_point, surface, start, direction, **kw):
+def run(trace_corner, trace_point, surface, start, **kw):
     if start[0] == "corner":
-        return trace_corner(surface, start[1], direction, **kw)
-    return trace_point(surface, start[1], start[2], direction, **kw)
+        return trace_corner(surface, start[1], **kw)
+    return trace_point(surface, start[1], start[2], **kw)
 
 
 @st.composite
 def cases(draw):
-    """(surface, start, direction, keyword arguments of the trace).
+    """(surface, start, keyword arguments of the trace).
 
     The bound is drawn at random, or as the square of an advance the
     reference reaches at a crossing or at its end, or of the advance
@@ -137,28 +152,27 @@ def cases(draw):
     """
     surface = draw(surfaces())
     ctx = surface.ctx
-    direction = EAST(ctx)
     start = draw(starts(surface))
     limit = _scalar(draw, ctx, 1, 12)
     mode = draw(st.sampled_from(["bound", "exact bound", "mid bound"]))
     if mode == "bound":
-        return surface, start, direction, {"max_advance_sq": limit * limit}
+        return surface, start, {"max_advance_sq": limit * limit}
     advances = []
     try:
         run(ref_trace_from_corner, ref_trace_from_point, surface, start,
-            direction, max_advance_sq=limit * limit, advances=advances)
+            max_advance_sq=limit * limit, advances=advances)
     except (InternalInvariantError, ValueError):
         pass
     advances = [a for a in advances if a.sign() > 0]
     if not advances:
-        return surface, start, direction, {"max_advance_sq": limit * limit}
+        return surface, start, {"max_advance_sq": limit * limit}
     i = draw(st.integers(0, len(advances) - 1))
     if mode == "exact bound":
         bound = advances[i]
     else:
         bound = ((advances[i - 1] if i else FieldScalar(0, 0, ctx))
                  + advances[i]) / 2
-    return surface, start, direction, {"max_advance_sq": bound * bound}
+    return surface, start, {"max_advance_sq": bound * bound}
 
 
 # -- the tests -----------------------------------------------------------------
@@ -175,16 +189,16 @@ class TestTrace:
     @settings(max_examples=300, deadline=None)
     @given(cases())
     def test_matches_reference(self, case):
-        surface, start, direction, kw = case
+        surface, start, kw = case
         assert outcome(run, trace_from_corner, trace_from_point, surface,
-                       start, direction, **kw) == \
+                       start, **kw) == \
             outcome(run, ref_trace_from_corner, ref_trace_from_point,
-                    surface, start, direction, **kw)
+                    surface, start, **kw)
 
     def crossing_advances(self, surface, corner, bound_sq):
         advances = []
-        ref_trace_from_corner(surface, corner, EAST(surface.ctx),
-                              max_advance_sq=bound_sq, advances=advances)
+        ref_trace_from_corner(surface, corner, max_advance_sq=bound_sq,
+                              advances=advances)
         return advances
 
     def test_bound_at_a_crossing(self):
@@ -195,40 +209,78 @@ class TestTrace:
         advances = self.crossing_advances(surface, corner, 100)
         assert len(advances) == 5
         for a in advances[:-1]:
-            res = trace_from_corner(surface, corner, EAST(surface.ctx),
-                                    max_advance_sq=a * a)
+            res = trace_from_corner(surface, corner, max_advance_sq=a * a)
             assert res.kind == "bound" and res.advance == a
             assert record(res) == record(ref_trace_from_corner(
-                surface, corner, EAST(surface.ctx), max_advance_sq=a * a))
+                surface, corner, max_advance_sq=a * a))
 
-    @pytest.mark.parametrize("v", [(1, 0), (2, 1), (3, 1), (1, 1)])
-    def test_bound_of_another_field(self, v):
-        # a bound over Q(sqrt 5) for a surface over Q(sqrt 2) is compared
-        # in its own field while the squared advance is rational, and
-        # raises ValueError once it is not: (1, 1) raises, the others
-        # trace to the end
+    @pytest.mark.parametrize("v", [(1, 0), (2, 1), (3, 1), (1, 1), (1, 2)])
+    def test_bound_of_another_field(self, v, monkeypatch):
+        # a bound over Q(sqrt 5) for a surface over Q(sqrt 2) raises one
+        # ValueError before the first step in every direction, also where
+        # every squared advance is rational, through the tracer, through
+        # decompose and through trace_separatrix
+        message = r"^incompatible fields Q\(sqrt\(5\)\) and Q\(sqrt\(2\)\)$"
         surface = l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen())
+        length = FieldScalar(3, 1, FieldCtx.get(5))
+        with pytest.raises(ValueError, match=message):
+            decompose(surface, v, trace_length=length)
         _, _, normalized = _normalize(surface, Vec2(*v))
-        bound = FieldScalar(3, 1, FieldCtx.get(5)) ** 2 * (v[0] ** 2 + v[1] ** 2)
-        found = []
-        for corner in east_ray_corners(normalized):
-            args = (normalized, corner, EAST(normalized.ctx))
-            found.append(outcome(trace_from_corner, *args, max_advance_sq=bound))
-            assert found[-1] == outcome(ref_trace_from_corner, *args,
-                                        max_advance_sq=bound)
-        assert any(f[0] == "ValueError" for f in found) == (v == (1, 1))
+        corners = east_ray_corners(normalized)
+        with pytest.raises(ValueError, match=message):
+            trace_separatrix(surface, corners[0], v, length)
 
-    @pytest.mark.parametrize("origin, direction", [
-        ((2, Fraction(1, 2)), EAST),
-        ((Fraction(1, 2), -1), EAST),
-        ((Fraction(1, 2), 2), EAST),
-        ((1, Fraction(2, 3)), EAST),
+        def no_step(*args):
+            raise AssertionError("the trace took a step")
+
+        monkeypatch.setattr(tracing, "_polygon_table", no_step)
+        bound = length ** 2 * (v[0] ** 2 + v[1] ** 2)
+        for corner in corners:
+            with pytest.raises(ValueError, match=message):
+                trace_from_corner(normalized, corner, max_advance_sq=bound)
+
+    @pytest.mark.parametrize("v, kind", [((1, 0), "vertex"), ((2, 1), "vertex"),
+                                         ((3, 1), "bound")])
+    def test_rational_surface_takes_an_irrational_bound(self, v, kind):
+        # the 3-square origami over Q, normalized in v, against the bound
+        # (3 + sqrt 5)|v|^2: compared in Q(sqrt 5), as the reference does;
+        # in (3, 1) every ray crosses twice and then passes the bound
+        surface = square_tiled([(1, 2)], [(1, 3)], n=3)
+        _, _, normalized = _normalize(surface, Vec2(*v))
+        bound = FieldScalar(3, 1, FieldCtx.get(5)) * (v[0] ** 2 + v[1] ** 2)
+        for corner in east_ray_corners(normalized):
+            found = outcome(trace_from_corner, normalized, corner,
+                            max_advance_sq=bound)
+            assert found[0] == "ok" and found[1][0] == kind
+            assert found == outcome(ref_trace_from_corner, normalized, corner,
+                                    max_advance_sq=bound)
+
+    @pytest.mark.parametrize("bound", [Fraction(1, 2), 3])
+    def test_irrational_start_on_a_rational_surface(self, bound):
+        # a start over Q(sqrt 2) inside the unit torus: the trace, and
+        # its rational bound, run in Q(sqrt 2).  The squared advances at
+        # the exits are (k + 1 - sqrt(2)/4)^2, about 0.42, 2.71 and 7.0;
+        # each bound lies above one of them and below the square of its
+        # rational part, (k + 1)^2, which a test over Q would compare
+        r = FieldCtx.get(2).sqrt_gen()
+        torus = square_tiled([1], [1])
+        args = (torus, 0, Vec2(r / 4, r / 3))
+        found = outcome(trace_from_point, *args, max_advance_sq=bound)
+        assert found[0] == "ok" and found[1][0] == "bound"
+        assert found == outcome(ref_trace_from_point, *args,
+                                max_advance_sq=bound)
+
+    @pytest.mark.parametrize("origin", [
+        (2, Fraction(1, 2)),
+        (Fraction(1, 2), -1),
+        (Fraction(1, 2), 2),
+        (1, Fraction(2, 3)),
     ])
-    def test_escape_raises_like_reference(self, origin, direction):
+    def test_escape_raises_like_reference(self, origin):
         # origins beside, below and above the unit torus's square, and
         # one on its exit edge
         torus = square_tiled([1], [1])
-        args = (torus, 0, Vec2(*origin), direction(torus.ctx))
+        args = (torus, 0, Vec2(*origin))
         found = outcome(trace_from_point, *args, max_advance_sq=4)
         assert found[0] == "InternalInvariantError"
         assert "escaped the boundary" in found[1]
@@ -236,12 +288,12 @@ class TestTrace:
 
     def test_corner_east_does_not_leave_raises(self):
         # east leaves a corner of the unit square only at its origin;
-        # the public trace still checks the corner it is given
+        # the public trace still checks the corner it is given, against
+        # the corners east_ray_corners found
         torus = square_tiled([1], [1])
         assert east_ray_corners(torus) == [(0, 0)]
         for i in (1, 2, 3):
             with pytest.raises(ValueError, match="does not leave corner"):
-                trace_from_corner(torus, (0, i), EAST(torus.ctx))
-            assert outcome(trace_from_corner, torus, (0, i), EAST(torus.ctx)) \
-                == outcome(ref_trace_from_corner, torus, (0, i),
-                           EAST(torus.ctx))
+                trace_from_corner(torus, (0, i))
+            assert outcome(trace_from_corner, torus, (0, i)) \
+                == outcome(ref_trace_from_corner, torus, (0, i))
