@@ -267,7 +267,7 @@ def _point_coords(surface, p, point) -> Vec2:
 def _is_edge_run(surface, chord) -> bool:
     p, start, end = chord
     return (start[0] == end[0] == "vertex"
-            and end[1] == (start[1] + 1) % len(surface.polygons[p]))
+            and end[1] == (start[1] + 1) % len(surface.lattice().edges[p]))
 
 
 _WEST = (-1, 0, 0, 0)
@@ -935,12 +935,13 @@ def decompose(surface: TranslationSurface, direction,
         if any(x != 0 for x in bnd):
             raise InternalInvariantError("core class is not absolute")
         crossings_per_cell = [0] * len(frame.cells)
+        lat = normalized.lattice()
         for p, _start, (_, e, _t) in core_chords:
-            cidx, _sign = frame.cell_of[(p, e)]
+            cidx, _side = frame.cell_of[(p, e)]
             rp, re = frame.cells[cidx]
             # crossing sign: + when the cell crosses the core going up,
             # measured on the normalized surface
-            crossings_per_cell[cidx] += normalized.polygons[rp][re].y.sign()
+            crossings_per_cell[cidx] += _sign(*lat.edges[rp][re][2:], lat.d)
         boundary_ids = set()
         for pid, k in check.bottom + check.top:
             item = cut.pieces[pid].items[k]

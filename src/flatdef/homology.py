@@ -75,15 +75,42 @@ class Cocycle:
         return f"Cocycle({[str(v) for v in self.values]})"
 
 
+# The names of the frame's integer data.  It depends only on polygon
+# sizes, edge indices, gluing and vertex classes, which an image of
+# positive determinant shares with its source, so the surface keeps it in
+# its cache and `TranslationSurface.apply_matrix` carries it to images.
+_FRAME_DATA = ("cells", "cell_of", "m", "_coord_cols", "basis_chains",
+               "vertex_class_of", "boundary_matrix", "absolute_basis",
+               "_ray_cycles", "intersection_matrix")
+
+
 class HomologyFrame:
-    """A chosen integer basis of H_1(X, Sigma; Z) with derived data."""
+    """A chosen integer basis of H_1(X, Sigma; Z) with derived data.
+
+    The integer data (`_FRAME_DATA`) is computed and self-checked once
+    and kept in the surface's cache; a frame of a surface that carries
+    it from its source computes only its own `hash`.
+    """
 
     def __init__(self, surface: TranslationSurface):
         self.surface = surface
         data = surface.singularities()
         self.singularity_data = data
         self.genus = data.genus
+        ints = surface._cache.get("frame_data")
+        if ints is None:
+            self._build(surface, data)
+            surface._cache["frame_data"] = {
+                name: vars(self)[name] for name in _FRAME_DATA}
+        else:
+            vars(self).update(ints)
+        self._j_inverse = None
 
+        self.hash = self._content_hash()
+
+    def _build(self, surface, data):
+        """Compute the integer data from the cell structure, with its
+        self-checks."""
         refs = sorted(surface.edge_refs())
         cells = []
         cell_of: dict = {}
@@ -98,12 +125,13 @@ class HomologyFrame:
         self.cells = tuple(cells)
         self.cell_of = cell_of
         ne = len(cells)
+        sizes = [len(edges) for edges in surface.lattice().edges]
 
         # face boundaries as integer vectors in Z^E
         faces = []
-        for p, poly in enumerate(surface.polygons):
+        for p, n in enumerate(sizes):
             row = [0] * ne
-            for e in range(len(poly)):
+            for e in range(n):
                 c, s = cell_of[(p, e)]
                 row[c] += s
             faces.append(row)
@@ -137,9 +165,8 @@ class HomologyFrame:
                 if coeff == 0:
                     continue
                 p, e = self.cells[c]
-                n = len(surface.polygons[p])
                 tail = self.vertex_class_of[(p, e)]
-                head = self.vertex_class_of[(p, (e + 1) % n)]
+                head = self.vertex_class_of[(p, (e + 1) % sizes[p])]
                 out[head] += coeff
                 out[tail] -= coeff
             bnd.append(out)
@@ -166,9 +193,6 @@ class HomologyFrame:
             for j in range(2 * self.genus):
                 if jmat[i][j] != -jmat[j][i]:
                     raise InternalInvariantError("intersection form not antisymmetric")
-        self._j_inverse = None
-
-        self.hash = self._content_hash()
 
     # -- coordinates -----------------------------------------------------
 

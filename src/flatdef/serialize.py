@@ -25,7 +25,87 @@ FORMAT_VERSION = 1
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte,
+    in one pass: with an indent, `json` encodes in pure Python through
+    nested generators, which this writer does without.  (A structure that
+    contains itself raises RecursionError, not json's ValueError.)"""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _write(o, newline: str, out) -> None:
+    """Append the text of `o` at the indent of `newline` ("\\n" and two
+    spaces per level), testing types in the order `json.encoder` does."""
+    if isinstance(o, str):
+        out(_quote(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, float):
+        out(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, value in sorted(o.items()):
+            out(sep + _quote(_key(k)) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def scalar_to_json(x: FieldScalar):

@@ -8,6 +8,8 @@ of the flat metric.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     BadConeAngle,
     GluingMismatch,
@@ -29,6 +31,14 @@ from .polygon import (
 __all__ = ["TranslationSurface", "SingularityData", "square_tiled", "l_shape"]
 
 EdgeRef = tuple[int, int]  # (polygon index, edge index)
+
+
+def _index(value) -> int:
+    """A gluing index: an int, not a bool; anything else, such as 2.9 or
+    "3", is a GluingMismatch, so no index is truncated or parsed."""
+    if type(value) is not int:
+        raise GluingMismatch(f"gluing index {value!r} is not an integer")
+    return value
 
 
 class SingularityData:
@@ -78,8 +88,8 @@ class TranslationSurface:
         ]
         gl: dict[EdgeRef, EdgeRef] = {}
         for a, b in dict(gluing).items() if isinstance(gluing, dict) else gluing:
-            a = (int(a[0]), int(a[1]))
-            b = (int(b[0]), int(b[1]))
+            a = (_index(a[0]), _index(a[1]))
+            b = (_index(b[0]), _index(b[1]))
             gl[a] = b
             gl[b] = a
         self.polygons = tuple(polys)
@@ -87,15 +97,22 @@ class TranslationSurface:
         self.ctx = ctx
         self.label = label
         self._cache: dict = {}
-        self._validate_structure()
+        self._validate_structure([len(poly) for poly in polys])
+
+    @cached_property
+    def polygons(self) -> tuple[tuple[Vec2, ...], ...]:
+        """The edge vectors of every polygon.
+
+        The constructor sets them; an `apply_matrix` image builds them
+        from its lattice form the first time they are read.
+        """
+        lat = self._cache["lattice"]
+        return tuple(tuple(lat.vec2(e) for e in edges) for edges in lat.edges)
 
     # -- structural checks run for every surface -----------------------
 
-    def _validate_structure(self):
-        all_refs = {
-            (p, e) for p in range(len(self.polygons))
-            for e in range(len(self.polygons[p]))
-        }
+    def _validate_structure(self, sizes):
+        all_refs = {(p, e) for p, n in enumerate(sizes) for e in range(n)}
         if set(self.gluing) != all_refs:
             missing = sorted(all_refs - set(self.gluing))
             extra = sorted(set(self.gluing) - all_refs)
@@ -109,8 +126,8 @@ class TranslationSurface:
         return self.polygons[ref[0]][ref[1]]
 
     def edge_refs(self):
-        for p, poly in enumerate(self.polygons):
-            for e in range(len(poly)):
+        for p, edges in enumerate(self.lattice().edges):
+            for e in range(len(edges)):
                 yield (p, e)
 
     def vertices(self, p: int) -> list[Vec2]:
@@ -143,7 +160,7 @@ class TranslationSurface:
         matching vertex.
         """
         p, i = corner
-        n = len(self.polygons[p])
+        n = len(self.lattice().edges[p])
         return self.gluing[(p, (i - 1) % n)]
 
     def vertex_class_map(self) -> dict[EdgeRef, int]:
@@ -175,8 +192,8 @@ class TranslationSurface:
                     f"glued edges {a} and {b} are not opposite vectors")
         self._check_connected()
 
-        corners = [(p, i) for p in range(len(self.polygons))
-                   for i in range(len(self.polygons[p]))]
+        corners = [(p, i) for p, edges in enumerate(lat.edges)
+                   for i in range(len(edges))]
         seen = set()
         classes = []
         for start in corners:
@@ -202,7 +219,7 @@ class TranslationSurface:
 
         v = len(classes)
         e = len(self.gluing) // 2
-        f = len(self.polygons)
+        f = len(lat.edges)
         chi = v - e + f
         if chi % 2 != 0 or chi > 0:
             raise BadConeAngle(f"Euler characteristic {chi} is not that of a "
@@ -217,14 +234,15 @@ class TranslationSurface:
         return data
 
     def _check_connected(self):
-        n = len(self.polygons)
+        sizes = [len(edges) for edges in self.lattice().edges]
+        n = len(sizes)
         if n == 0:
             raise NotConnected("surface has no polygons")
         seen = {0}
         stack = [0]
         while stack:
             p = stack.pop()
-            for e in range(len(self.polygons[p])):
+            for e in range(sizes[p]):
                 q = self.gluing[(p, e)][0]
                 if q not in seen:
                     seen.add(q)
@@ -261,6 +279,9 @@ class TranslationSurface:
         polygon's boundary order so the result is again positively
         oriented.
 
+        The image builds its `polygons` from that form when they are
+        first read, and its field is the form's.
+
         With det > 0 the image carries this surface's singularity data,
         validating this surface first if it has not been.  A linear map
         of positive determinant keeps every polygon closed, simple and
@@ -269,6 +290,10 @@ class TranslationSurface:
         from the identity to g in GL+(2,R), which is connected, every
         corner angle moves continuously within (0, 2*pi), so each
         vertex's total angle, always a multiple of 2*pi, cannot change.
+        It also carries the integer data of this surface's homology
+        frame, if built (`homology.HomologyFrame`), which depends only on
+        polygon sizes, edge indices, gluing and vertex classes.  With
+        det < 0 the corners are renumbered, so neither is carried.
         """
         det_sign = g.det().sign()
         if det_sign == 0:
@@ -277,17 +302,27 @@ class TranslationSurface:
             label = self.label
         data = self.singularities() if det_sign > 0 else None
         lat = self.lattice().image(g, reverse=det_sign < 0)
+        sizes = [len(edges) for edges in lat.edges]
         gl = self.gluing
         if det_sign < 0:
-            n = [len(poly) for poly in self.polygons]
-            gl = {(p, n[p] - 1 - e): (q, n[q] - 1 - f)
+            gl = {(p, sizes[p] - 1 - e): (q, sizes[q] - 1 - f)
                   for (p, e), (q, f) in gl.items()}
-        image = TranslationSurface(
-            [[lat.vec2(e) for e in edges] for edges in lat.edges],
-            [(a, b) for a, b in gl.items() if a < b], label)
-        image._cache["lattice"] = lat
+        # the order the constructor gives, from the pairs a < b
+        gluing: dict[EdgeRef, EdgeRef] = {}
+        for a, b in gl.items():
+            if a < b:
+                gluing[a] = b
+                gluing[b] = a
+        image = TranslationSurface.__new__(TranslationSurface)
+        image.gluing = gluing
+        image.ctx = lat.ctx
+        image.label = label
+        image._cache = {"lattice": lat}
+        image._validate_structure(sizes)
         if data is not None:
             image._cache["sing"] = data
+            if "frame_data" in self._cache:
+                image._cache["frame_data"] = self._cache["frame_data"]
         return image
 
 

@@ -320,7 +320,7 @@ def _polygon_table(surface, p):
     """
     tables = surface._cache.get("slabs")
     if tables is None:
-        tables = surface._cache["slabs"] = [None] * len(surface.polygons)
+        tables = surface._cache["slabs"] = [None] * len(surface.lattice().edges)
     entry = tables[p]
     if entry is None:
         lat = surface.lattice()

@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flatdef
+from flatdef import cli, serialize
 from flatdef.cli import main
 from flatdef.cylinders import decompose
 from flatdef.field import FieldCtx, FieldScalar, Vec2
@@ -17,6 +19,85 @@ from flatdef.serialize import (decomposition_to_json, dump_surface, dumps,
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
+
+
+def _json_dumps(obj) -> str:
+    """The reference for `serialize.dumps`."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def dumps_matches_json(monkeypatch):
+    """Every `dumps` a test here makes, the CLI's included, must give the
+    reference's text; the call returns the writer's own text."""
+    mismatches = []
+    writer = serialize.dumps
+
+    def checked(obj):
+        text = writer(obj)
+        if text != _json_dumps(obj):
+            mismatches.append(text)
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", checked)
+    monkeypatch.setattr(cli, "dumps", checked)
+    yield
+    assert mismatches == []
+
+
+_JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=12) | \
+    st.sampled_from(["", "\"", "\\", "é", " ", "\x00\x1f\x7f",
+                     "퟿\U0001f600", "a\"b\\c\n\t"])
+_JSON_LEAF = (st.none() | st.booleans() | _JSON_TEXT
+              | st.integers(-2**80, 2**80) | st.floats())
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+_KEYS = (st.sampled_from([None, True, False]) | st.integers(-99, 99)
+         | st.floats(allow_nan=False))
+
+
+class TestDumps:
+    """`serialize.dumps` against `json.dumps(obj, sort_keys=True,
+    indent=2) + "\n"`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON)
+    def test_differential(self, obj):
+        assert serialize.dumps(obj) == _json_dumps(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_KEYS, _JSON_LEAF, max_size=5))
+    def test_non_string_keys(self, obj):
+        # json sorts the keys before it converts them, so keys of mixed
+        # kinds may raise TypeError; the writer must raise the same
+        try:
+            want = _json_dumps(obj)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                serialize.dumps(obj)
+            assert str(got.value) == str(exc)
+            return
+        assert serialize.dumps(obj) == want
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}}, [[], {}], float("nan"), float("-inf"),
+        {"b": [1, 2.5, None], "a": (True, "x")}, 2**100, -(2**64),
+        {"é": "\U0001f600", "ctl": "\x01\x1f", "q": "\"\\"}])
+    def test_edges(self, obj):
+        assert serialize.dumps(obj) == _json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [{1: 2, "a": 3}, {(1, 2): 3}, {1},
+                                     Fraction(1, 2), [b"x"]])
+    def test_unserializable_is_a_type_error(self, obj):
+        with pytest.raises(TypeError) as want:
+            _json_dumps(obj)
+        with pytest.raises(TypeError) as got:
+            serialize.dumps(obj)
+        assert str(got.value) == str(want.value)
 
 
 class TestSurfaceIO:

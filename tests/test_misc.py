@@ -65,6 +65,78 @@ def test_unused_imports_are_found():
     assert _unused_imports(source) == ["d (line 3)", "os (line 2)"]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _shadowed_imports(source: str) -> list[str]:
+    """Names a function binds that a module-level import also binds.
+
+    Such a name is local to the whole function, so the function cannot
+    call the import anywhere in it: the call raises UnboundLocalError,
+    or reads the local where it was meant to read the import.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        bound = {a.arg: func.lineno for a in args.posonlyargs + args.args
+                 + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        # the function's own scope: nested functions and classes bind
+        # their names here and have their own scopes
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound.setdefault(alias.asname or alias.name.split(".")[0],
+                                     node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            if isinstance(node, _SCOPES):
+                if not isinstance(node, ast.Lambda):
+                    bound.setdefault(node.name, node.lineno)
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+        found.extend(f"{func.name}: {name} (line {line})"
+                     for name, line in bound.items() if name in imported)
+    return sorted(found)
+
+
+def test_no_import_is_shadowed():
+    # `cidx, _sign = ...` in a function of a module that imports `_sign`
+    # made every call of `_sign` in that function raise
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    found = {path.name: _shadowed_imports(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert len(found) >= 17
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_shadowed_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom m import sign as _sign, f, g\n"
+              "def a(x):\n    n, _sign = x\n    return f(n)\n"
+              "def b(os, *g):\n    return [f for f in os]\n"
+              "def c(y):\n    def f():\n        import m as g\n"
+              "    try:\n        pass\n"
+              "    except ValueError as annotations:\n        pass\n"
+              "    return y\n")
+    assert _shadowed_imports(source) == [
+        "a: _sign (line 5)", "b: f (line 8)", "b: g (line 7)",
+        "b: os (line 7)", "c: f (line 10)", "f: g (line 11)"]
+
+
 def _unread_private_defs(sources: dict) -> list[str]:
     """Private (`_`-prefixed) top-level functions and classes that no
     other top-level statement of any of the modules reads.

@@ -83,6 +83,19 @@ class TestValidate:
         with pytest.raises(GluingMismatch):
             TranslationSurface(polys, [((0, 0), (0, 2))])
 
+    @pytest.mark.parametrize("gluing", [
+        [((0, 0), (0, 2.9)), ((0, 1), (0, 3))],
+        [((0, 0), (0, 2)), ((0, 1), (0, "3"))],
+        [((0.5, 0), (0, 2)), ((0, 1), (0, 3))],
+        [((0, 0), (0, 2)), ((0, True), (0, 3))],
+    ])
+    def test_gluing_index_must_be_an_int(self, gluing):
+        # int() would truncate or parse each to the unit torus's own
+        # index and build a valid surface
+        polys = [[(1, 0), (0, 1), (-1, 0), (0, -1)]]
+        with pytest.raises(GluingMismatch, match="is not an integer"):
+            TranslationSurface(polys, gluing)
+
 
 class TestConstructors:
     def test_torus_area(self):
