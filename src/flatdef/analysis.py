@@ -53,6 +53,7 @@ class TangentSpan:
         self._p_span.add(self.frame.project_absolute(cocycle))
 
     def add_certified(self, surface, decomposition: Decomposition):
+        decomposition.check_frame(self.frame)
         if decomposition.status != PERIODIC:
             self.skipped.append(_provenance(decomposition, "NotCertified"))
             return False
@@ -113,6 +114,7 @@ def independence_check(surface: TranslationSurface, frame: HomologyFrame,
     the direction not periodic) that the orbit closure has rank > 1; the
     conditional is the caller's to report, not this function's.
     """
+    decomposition.check_frame(frame)
     if not decomposition.cylinders:
         raise ValueError("independence check needs at least one cylinder")
     e = eta(surface, frame, decomposition, ids)
@@ -265,6 +267,7 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
     directions for a certified decomposition with strictly more
     cylinders.  Existence is not guaranteed, only searched for.
     """
+    decomposition.check_frame(frame)
     if decomposition.status != PERIODIC:
         raise ValueError("search needs a Periodic decomposition")
     if not isinstance(eps, FieldScalar):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .errors import InternalInvariantError, NonPositiveLength
+from .errors import InternalInvariantError, NonPositiveLength, StaleCocycle
 from .field import FieldScalar, Mat2, Vec2, _new, _sign, _sum_is_one
 from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
@@ -175,7 +175,7 @@ class _Item:
         self.partner = None       # glued _Item or None for boundary items
 
 
-_Chord = namedtuple("_Chord", "chord_id polygon sc_id sc_index start end")
+_Chord = namedtuple("_Chord", "chord_id polygon sc_id start end")
 
 
 class Decomposition:
@@ -210,6 +210,11 @@ class Decomposition:
         if self._cut is None:
             self._cut = _build_cut(self.normalized, [], {})[0]
         return self._cut
+
+    def check_frame(self, frame: HomologyFrame) -> None:
+        """Raise StaleCocycle unless `frame` is this decomposition's."""
+        if frame.hash != self.frame.hash:
+            raise StaleCocycle("frame is not the decomposition's frame")
 
     @property
     def is_periodic(self) -> bool:
@@ -856,9 +861,9 @@ def decompose(surface: TranslationSurface, direction,
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
         trace_length = _positive("trace_length", trace_length)
-    direction, g, normalized = _normalize(surface, direction)
     if frame is None:
         frame = homology_frame(surface)
+    direction, g, normalized = _normalize(surface, direction)
     v = direction.vector
 
     if trace_length is None:
@@ -892,8 +897,8 @@ def decompose(surface: TranslationSurface, direction,
     for sc in saddle_connections:
         if sc.is_edge_run:
             continue
-        for idx, (p, start, end) in enumerate(sc.chords):
-            ch = _Chord(len(chord_table), p, sc.sc_id, idx, start, end)
+        for p, start, end in sc.chords:
+            ch = _Chord(len(chord_table), p, sc.sc_id, start, end)
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 

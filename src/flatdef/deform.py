@@ -3,12 +3,14 @@
 The twist cocycle of a cylinder takes, on each homology class, the
 signed count of crossings with the half-height core circle; scaled by
 the heights and summed over a cylinder set it is the derivative of the
-cylinder shear.  Shear and stretch of every cylinder are the GL(2,R)
-action of one matrix on the whole surface; on a proper subset they are
-geometric rebuilds: the surface is recut along exactly those cylinder
-boundaries where the deformed and undeformed regions meet, and the
-matrix acts piecewise.  Linearity of the deformation in period
-coordinates is checked exactly.
+cylinder shear.  Shear and stretch act by one matrix M on the chosen
+cylinders of the normalized surface: a frame cell whose member share in
+the decomposition's cut is s goes to g^-1 (M(s v) + (1 - s) v).  When
+the chosen cylinders fill the surface the deformation is the GL(2,R)
+image under g^-1 M; otherwise the surface is recut along exactly those
+cylinder boundaries where moved and fixed regions meet.  Linearity in
+period coordinates is checked exactly, against the decomposition's own
+frame (any other raises StaleCocycle).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
     this is checked against the boundary saddle connections of the
     decomposition.
     """
+    decomposition.check_frame(frame)
     cyl = _cylinder_subset(decomposition, [cyl_id])[0]
     cocycle = _crossing_cocycle(frame, [(1, cyl)], 0)
     for sc in decomposition.saddle_connections:
@@ -79,6 +82,7 @@ def eta_normalized(frame: HomologyFrame, decomposition: Decomposition,
     """Sum of height-weighted core-crossing cocycles, in normalized frame
     coordinates (real values; the shear derivative on the normalized
     surface)."""
+    decomposition.check_frame(frame)
     chosen = _cylinder_subset(decomposition, ids)
     return _crossing_cocycle(
         frame, [(cyl.height, cyl) for cyl in chosen],
@@ -105,6 +109,7 @@ def twist_space(surface: TranslationSurface, frame: HomologyFrame,
     Returns (basis, dim); the cocycles of distinct cylinders are
     independent (their cross classes are disjoint), which is verified.
     """
+    decomposition.check_frame(frame)
     if not decomposition.is_periodic:
         raise ValueError("twist space needs a Periodic decomposition")
     gens = [eta_normalized(frame, decomposition, [cyl.cyl_id])
@@ -125,6 +130,7 @@ def cylinder_preserving_space(surface: TranslationSurface,
     Computed relative to the stratum (the full dual); always contains
     the twist space, which is checked.
     """
+    decomposition.check_frame(frame)
     if not decomposition.is_periodic:
         raise ValueError("cylinder-preserving space needs a Periodic "
                          "decomposition")
@@ -183,6 +189,7 @@ def torus_closure(moduli, frame: HomologyFrame | None = None,
     if decomposition is not None:
         if frame is None:
             frame = decomposition.frame
+        decomposition.check_frame(frame)
         if len(moduli) != len(decomposition.cylinders):
             raise ValueError("moduli do not match the decomposition")
         cocycle = _crossing_cocycle(
@@ -203,43 +210,48 @@ def _member_components(decomposition: Decomposition, member_ids) -> set:
             for cyl in decomposition.cylinders if cyl.cyl_id in member_ids}
 
 
-def _full_set_map(decomposition: Decomposition, members,
-                  inner: Mat2) -> Mat2 | None:
-    """g^-1 @ inner when the members are every component of the cut.
-
-    Then the deformation moves the whole normalized surface by `inner`,
-    so it is the linear map g^-1 @ inner of that surface, no recut is
-    needed, and apply_matrix carries the validation over (det > 0: the
-    shear has det 1, the stretch 1 + s > 0).  Otherwise None: a proper
-    subset, or a Partial decomposition whose uncertified components stay.
-    """
-    if members != {piece.component for piece in decomposition.cut.pieces}:
-        return None
-    return decomposition.matrix.inverse() @ inner
-
-
 def _deformed_surface(decomposition: Decomposition, member_ids,
                       inner: Mat2) -> TranslationSurface:
+    """The deformed surface: with every cut component a member, the
+    image under g^-1 @ inner (det > 0, so apply_matrix carries the
+    validation over); otherwise the recut, which a proper subset or a
+    Partial decomposition's uncertified components need."""
     members = _member_components(decomposition, member_ids)
-    whole = _full_set_map(decomposition, members, inner)
-    if whole is not None:
+    if all(piece.component in members for piece in decomposition.cut.pieces):
         return decomposition.normalized.apply_matrix(
-            whole, label=decomposition.surface.label)
+            decomposition.matrix.inverse() @ inner,
+            label=decomposition.surface.label)
     return _recut_surface(decomposition, _recut(decomposition, members),
                           inner)
 
 
 def _deformed_holonomies(decomposition: Decomposition, member_ids,
                          inner: Mat2) -> list[Vec2]:
-    """The deformed holonomy of every frame cell."""
+    """The deformed holonomy of every frame cell.
+
+    The cell's sub-edges in the cut split its vector v, and `inner` is
+    linear, so it acts on the member share s of v: the cell goes to
+    g^-1 (inner(s v) + (1 - s) v), and to (g^-1 @ inner) v when every
+    sub-edge is a member's.
+    """
     members = _member_components(decomposition, member_ids)
-    whole = _full_set_map(decomposition, members, inner)
-    if whole is not None:
-        polygons = decomposition.normalized.polygons
-        return [whole.apply(polygons[p][e])
-                for p, e in decomposition.frame.cells]
-    return _recut_holonomies(decomposition, _recut(decomposition, members),
-                             inner)
+    lat = decomposition.normalized.lattice()
+    subs = decomposition.cut.subs
+    g_inv = decomposition.matrix.inverse()
+    whole = g_inv @ inner
+    zero = FieldScalar(0, 0, lat.ctx)
+    cell_hol = []
+    for p, e in decomposition.frame.cells:
+        vec = lat.vec2(lat.edges[p][e])
+        items = subs[(p, e)]
+        if all(item.piece.component in members for item in items):
+            cell_hol.append(whole.apply(vec))
+            continue
+        s = sum((item.t1 - item.t0 for item in items
+                 if item.piece.component in members), zero)
+        cell_hol.append(g_inv.apply(inner.apply(vec.scale(s))
+                                    + vec.scale(1 - s)))
+    return cell_hol
 
 
 def _recut(decomposition: Decomposition, members):
@@ -273,22 +285,23 @@ def _recut(decomposition: Decomposition, members):
             ch._replace(chord_id=new_id))
     pieces, subs = _build_cut_pieces(normalized, reduced_by_polygon)
 
-    # treatment per reduced piece: each reduced sub-edge starts at a fine
-    # subdivision point, so the fine sub item there names the component
-    def treatment(piece) -> bool:
+    # a reduced piece is a union of fine pieces of one membership, and
+    # each of its sub-edges starts at a fine subdivision point, so its
+    # first sub-edge off a horizontal edge names its treatment
+    edges = normalized.lattice().edges
+    member = {(p, e, fine.t0): fine.piece.component in members
+              for (p, e), fines in cut.subs.items()
+              if edges[p][e][2:] != (0, 0) for fine in fines}
+    treat = {}
+    for piece in pieces:
         for item in piece.items:
-            if item.kind != "sub":
-                continue
-            vec = normalized.polygons[piece.polygon][item.edge]
-            if vec.y.sign() == 0:
-                continue
-            for fine in cut.subs[(piece.polygon, item.edge)]:
-                if fine.t0 == item.t0:
-                    return fine.piece.component in members
-        raise InternalInvariantError("piece treatment undetermined")
-
-    return pieces, subs, {piece.pid: treatment(piece)
-                                for piece in pieces}
+            key = (piece.polygon, item.edge, item.t0)
+            if item.kind == "sub" and key in member:
+                treat[piece.pid] = member[key]
+                break
+        else:
+            raise InternalInvariantError("piece treatment undetermined")
+    return pieces, subs, treat
 
 
 def _recut_surface(decomposition: Decomposition, recut,
@@ -325,26 +338,6 @@ def _recut_surface(decomposition: Decomposition, recut,
     return result
 
 
-def _recut_holonomies(decomposition: Decomposition, recut,
-                      inner: Mat2) -> list[Vec2]:
-    """The deformed holonomy of every frame cell: the sum over its recut
-    sub-edges, `inner` applied to those of treated pieces."""
-    normalized = decomposition.normalized
-    g_inv = decomposition.matrix.inverse()
-    _pieces, subs, treat = recut
-    zero = FieldScalar(0, 0, normalized.ctx)
-    cell_hol = []
-    for cell in decomposition.frame.cells:
-        # `inner` is linear and the sub-edges split the cell's vector, so
-        # it acts on the treated share s of that vector
-        vec = normalized.polygons[cell[0]][cell[1]]
-        s = sum((item.t1 - item.t0 for item in subs[cell]
-                 if treat[item.piece.pid]), zero)
-        cell_hol.append(g_inv.apply(inner.apply(vec.scale(s))
-                                    + vec.scale(1 - s)))
-    return cell_hol
-
-
 def shear(surface: TranslationSurface, decomposition: Decomposition, t,
           ids=None):
     """The cylinder shear u_t applied to the chosen cylinders.
@@ -378,11 +371,12 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
                      decomposition: Decomposition, t, ids=None) -> bool:
     """Check Phi(shear) = Phi + t * eta exactly, both sides independently.
 
-    The left side is the deformed holonomy of each frame cell (the
-    matrix image for the full set, sub-edge holonomy sums of the recut
-    for a subset); the right side comes from the crossing-count cocycle.
+    The left side is the deformed holonomy of each frame cell, from its
+    member share in the cut; the right side comes from the
+    crossing-count cocycle.
     Exact disagreement returns False and means a bug.
     """
+    decomposition.check_frame(frame)
     if not isinstance(t, FieldScalar):
         t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}

@@ -106,12 +106,6 @@ class FieldCtx:
             return s
         return FieldScalar(a, b, self)
 
-    def zero(self) -> "FieldScalar":
-        return FieldScalar(0, 0, self)
-
-    def one(self) -> "FieldScalar":
-        return FieldScalar(1, 0, self)
-
     def sqrt_gen(self) -> "FieldScalar":
         """The generator sqrt(d); requires d > 0."""
         if self.d == 0:

@@ -38,6 +38,13 @@ from test_output_pin import cross_pin_cases
 
 # -- the reference: the north trace from the bottom zero -----------------------
 
+def ref_sc_index(saddle_connections, ch):
+    """The position of cut chord `ch` along its saddle connection, which
+    is embedded, so no chord of it repeats."""
+    return saddle_connections[ch.sc_id].chords.index(
+        (ch.polygon, ch.start, ch.end))
+
+
 def ref_bottom_germ_corner(pieces, chords, saddle_connections, bottom):
     """A corner emitting an eastward boundary germ of the bottom circle."""
     for pid, k in bottom:
@@ -47,7 +54,8 @@ def ref_bottom_germ_corner(pieces, chords, saddle_connections, bottom):
         if item.kind == "sub":
             return (pieces[pid].polygon, item.edge)
         ch = chords[item.chord_id]
-        if item.direction == 1 and ch.sc_index == 0:
+        if item.direction == 1 and \
+                ref_sc_index(saddle_connections, ch) == 0:
             return saddle_connections[ch.sc_id].start_corner
     raise InternalInvariantError("bottom circle has no vertex germ")
 
@@ -126,7 +134,8 @@ def ref_cross_path(surface, chords_by_polygon, saddle_connections, corner,
             ch = ref_chord_by_start(chords_by_polygon, q, point)
             assert ch is not None
         chords.append((q, point, ch.end))
-    return chords + saddle_connections[ch.sc_id].chords[ch.sc_index + 1:]
+    rest = saddle_connections[ch.sc_id].chords
+    return chords + rest[ref_sc_index(saddle_connections, ch) + 1:]
 
 
 def ref_cross_chords(dec, cyl):

@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from flatdef.cylinders import decompose
-from flatdef.deform import (_deformed_holonomies, _full_set_map,
-                            _member_components, _recut, _recut_holonomies,
+from flatdef import deform
+from flatdef.analysis import (TangentSpan, independence_check,
+                              more_cylinders_search)
+from flatdef.cylinders import _build_cut_pieces, decompose
+from flatdef.deform import (_deformed_holonomies, _member_components, _recut,
                             _recut_surface,
                             cylinder_preserving_space, deform_from_periods,
                             eta, eta_normalized, intersection_cocycle, shear,
                             stretch, torus_closure, twist_space,
                             verify_linearity)
 from flatdef.errors import (DeformationTooLarge, DegenerateCylinder,
-                            NotConnected)
+                            InternalInvariantError, NotConnected,
+                            StaleCocycle)
 from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
@@ -195,6 +198,19 @@ def _data(d):
     return (d.classes, d.cone_orders, d.genus)
 
 
+def _recut_count(monkeypatch, op, *args, **kwargs):
+    """(op(*args, **kwargs), how many times it recut the surface)."""
+    calls = []
+
+    def counted(decomposition, members):
+        calls.append(members)
+        return _recut(decomposition, members)
+
+    with monkeypatch.context() as m:
+        m.setattr(deform, "_recut", counted)
+        return op(*args, **kwargs), len(calls)
+
+
 class TestFullSetDeformation:
     """Shear and stretch of every cylinder are one matrix on the surface.
 
@@ -216,7 +232,8 @@ class TestFullSetDeformation:
                 assert _data(out.singularities()) == \
                     _data(_fresh(out).singularities())
 
-    def test_matches_general_recut(self, torus, l_origami, golden_l):
+    def test_matches_general_recut(self, monkeypatch, torus, l_origami,
+                                   golden_l):
         for surf, v in _full_set_cases(torus, l_origami, golden_l):
             d = decompose(surf, Vec2(*v))
             ids = {cyl.cyl_id for cyl in d.cylinders}
@@ -225,30 +242,31 @@ class TestFullSetDeformation:
                     (shear, Fraction(-3, 7), Mat2.shear(Fraction(-3, 7))),
                     (stretch, Fraction(3, 2),
                      Mat2.vertical_scale(Fraction(5, 2)))):
-                assert _full_set_map(d, members, inner) is not None
+                out, recuts = _recut_count(monkeypatch, op, surf, d, amount)
+                assert recuts == 0
                 recut = _recut(d, members)
-                assert op(surf, d, amount) == _recut_surface(d, recut, inner)
+                assert out == _recut_surface(d, recut, inner)
                 assert _deformed_holonomies(d, ids, inner) == \
-                    _recut_holonomies(d, recut, inner)
+                    ref_recut_holonomies(d, ref_recut(d, members), inner)
 
-    def test_proper_subset_recuts(self, l_origami):
+    def test_proper_subset_recuts(self, monkeypatch, l_origami):
         # the two horizontal cylinders meet along horizontal edges, so no
         # chord separates them, yet a one-cylinder shear must recut
         d = decompose(l_origami, Vec2(1, 0))
         inner = Mat2.shear(Fraction(1, 2))
         for cyl in d.cylinders:
-            members = _member_components(d, {cyl.cyl_id})
-            assert _full_set_map(d, members, inner) is None
-            out = shear(l_origami, d, Fraction(1, 2), ids=[cyl.cyl_id])
+            out, recuts = _recut_count(monkeypatch, shear, l_origami, d,
+                                       Fraction(1, 2), ids=[cyl.cyl_id])
+            assert recuts == 1
             assert out != l_origami.apply_matrix(inner)
 
-    def test_partial_full_set_recuts(self):
+    def test_partial_full_set_recuts(self, monkeypatch):
         surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
         d = decompose(surf, Vec2(2, 1))
         assert not d.is_periodic and d.cylinders
-        members = _member_components(d, {c.cyl_id for c in d.cylinders})
-        assert _full_set_map(d, members, Mat2.shear(1)) is None
-        out = shear(surf, d, Fraction(1, 2))
+        out, recuts = _recut_count(monkeypatch, shear, surf, d,
+                                   Fraction(1, 2))
+        assert recuts == 1
         assert len(out.polygons) > len(surf.polygons)
 
 
@@ -292,6 +310,41 @@ class TestVerifyLinearity:
         assert verify_linearity(golden_l, f, d, Fraction(2, 7), ids=[0])
         assert built == []
 
+    def test_no_second_cut(self, monkeypatch, l_origami, golden_l):
+        # the member shares come from the decomposition's own cut, so no
+        # subset, and no full set, cuts the surface again
+        def no_cut(*args):
+            raise AssertionError("verify_linearity recut the surface")
+
+        cases = [(surf, v) for surf in (l_origami, golden_l)
+                 for v in ((1, 0), (1, 1))]
+        decs = [(surf, decompose(surf, Vec2(*v))) for surf, v in cases]
+        monkeypatch.setattr(deform, "_build_cut_pieces", no_cut)
+        for surf, d in decs:
+            f = homology_frame(surf)
+            for subset in _nonempty_subsets([c.cyl_id for c in d.cylinders]):
+                assert verify_linearity(surf, f, d, Fraction(2, 7),
+                                        ids=subset)
+
+    def test_full_set_builds_no_normalized_polygons(self, l_origami,
+                                                    golden_l):
+        for surf in ORIGAMIS + [l_origami, golden_l]:
+            d = decompose(surf, Vec2(1, 1))
+            assert verify_linearity(surf, homology_frame(surf), d,
+                                    Fraction(-5, 3))
+            assert "polygons" not in vars(d.normalized)
+
+
+def _linearity_cases(l_origami, golden_l):
+    """(surface, frame, decomposition, cylinder ids) of the seeded
+    origamis and the fixtures in (1, 0), (0, 1) and (1, 1)."""
+    for surf in ORIGAMIS + [l_origami, golden_l]:
+        f = homology_frame(surf)
+        for v in ((1, 0), (0, 1), (1, 1)):
+            d = decompose(surf, Vec2(*v), frame=f)
+            assert d.is_periodic
+            yield surf, f, d, [cyl.cyl_id for cyl in d.cylinders]
+
 
 def _nonempty_subsets(ids):
     return [set(c) for k in range(1, len(ids) + 1)
@@ -304,19 +357,9 @@ class TestLinearityLaw:
     periods by exactly t * eta of that subset, and eta is additive over
     disjoint subsets."""
 
-    DIRECTIONS = ((1, 0), (0, 1), (1, 1))
-
-    def _cases(self, l_origami, golden_l):
-        for surf in ORIGAMIS + [l_origami, golden_l]:
-            f = homology_frame(surf)
-            for v in self.DIRECTIONS:
-                d = decompose(surf, Vec2(*v), frame=f)
-                assert d.is_periodic
-                yield surf, f, d, [cyl.cyl_id for cyl in d.cylinders]
-
     def test_every_subset(self, l_origami, golden_l):
         checked = 0
-        for surf, f, d, ids in self._cases(l_origami, golden_l):
+        for surf, f, d, ids in _linearity_cases(l_origami, golden_l):
             for subset in _nonempty_subsets(ids):
                 assert verify_linearity(surf, f, d, Fraction(-2, 7),
                                         ids=subset)
@@ -324,12 +367,134 @@ class TestLinearityLaw:
         assert checked == 88
 
     def test_eta_additive(self, l_origami, golden_l):
-        for surf, f, d, ids in self._cases(l_origami, golden_l):
+        for surf, f, d, ids in _linearity_cases(l_origami, golden_l):
             for union in _nonempty_subsets(ids):
                 for part in _nonempty_subsets(sorted(union))[:-1]:
                     rest = union - part
                     assert eta(surf, f, d, union) == \
                         eta(surf, f, d, part) + eta(surf, f, d, rest)
+
+
+# -- the reference: the two-cut rule the member shares replaced ----------------
+
+def ref_recut(decomposition, members):
+    """(pieces, subs, treat): the normalized surface recut along the
+    chords between member and non-member components, each recut piece
+    treated as the fine piece at the start of its first non-horizontal
+    sub-edge, found by scanning that edge's fine sub-edges."""
+    normalized = decomposition.normalized
+    cut = decomposition.cut
+    chord_sides = {}
+    for piece in cut.pieces:
+        for item in piece.items:
+            if item.kind == "chord":
+                side = chord_sides.setdefault(item.chord_id, {})
+                side[item.direction] = piece.component
+    needed = [ch for ch in cut.chords
+              if (chord_sides[ch.chord_id].get(1) in members)
+              != (chord_sides[ch.chord_id].get(-1) in members)]
+    reduced_by_polygon = {}
+    for new_id, ch in enumerate(needed):
+        reduced_by_polygon.setdefault(ch.polygon, []).append(
+            ch._replace(chord_id=new_id))
+    pieces, subs = _build_cut_pieces(normalized, reduced_by_polygon)
+
+    def treatment(piece):
+        for item in piece.items:
+            if item.kind != "sub":
+                continue
+            vec = normalized.polygons[piece.polygon][item.edge]
+            if vec.y.sign() == 0:
+                continue
+            for fine in cut.subs[(piece.polygon, item.edge)]:
+                if fine.t0 == item.t0:
+                    return fine.piece.component in members
+        raise InternalInvariantError("piece treatment undetermined")
+
+    return pieces, subs, {piece.pid: treatment(piece) for piece in pieces}
+
+
+def ref_recut_holonomies(decomposition, recut, inner):
+    """Each frame cell's deformed holonomy, summed over its recut
+    sub-edges, `inner` acting on those of treated pieces."""
+    normalized = decomposition.normalized
+    g_inv = decomposition.matrix.inverse()
+    _pieces, subs, treat = recut
+    zero = FieldScalar(0, 0, normalized.ctx)
+    out = []
+    for cell in decomposition.frame.cells:
+        vec = normalized.polygons[cell[0]][cell[1]]
+        s = sum((item.t1 - item.t0 for item in subs[cell]
+                 if treat[item.piece.pid]), zero)
+        out.append(g_inv.apply(inner.apply(vec.scale(s)) + vec.scale(1 - s)))
+    return out
+
+
+class TestOneRule:
+    """Each cell moves by its member share in the decomposition's cut:
+    on every cylinder subset the deformed holonomies and the recut's
+    treatment equal those of the recut reference, whose pieces each take
+    one fine piece's membership."""
+
+    INNERS = (Mat2.shear(Fraction(-2, 7)), Mat2.vertical_scale(Fraction(5, 3)))
+
+    def _check(self, d, subset):
+        members = _member_components(d, subset)
+        ref = ref_recut(d, members)
+        assert _recut(d, members)[2] == ref[2]
+        for inner in self.INNERS:
+            assert _deformed_holonomies(d, subset, inner) == \
+                ref_recut_holonomies(d, ref, inner)
+
+    def test_every_subset(self, l_origami, golden_l):
+        checked = 0
+        for _surf, _f, d, ids in _linearity_cases(l_origami, golden_l):
+            for subset in _nonempty_subsets(ids):
+                self._check(d, subset)
+                checked += 1
+        assert checked == 88
+
+    def test_partial(self):
+        surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+        d = decompose(surf, Vec2(2, 1))
+        assert not d.is_periodic
+        subsets = _nonempty_subsets([c.cyl_id for c in d.cylinders])
+        assert subsets
+        for subset in subsets:
+            self._check(d, subset)
+
+
+class TestForeignFrame:
+    """A frame that is not the decomposition's raises StaleCocycle at
+    every entry point that takes both; two 3-square origamis, and the
+    golden L with an origami's frame."""
+
+    CALLS = {
+        "eta": lambda s, f, d: eta(s, f, d),
+        "eta_normalized": lambda s, f, d: eta_normalized(f, d),
+        "intersection_cocycle":
+            lambda s, f, d: intersection_cocycle(s, f, d, 0),
+        "twist_space": lambda s, f, d: twist_space(s, f, d),
+        "cylinder_preserving_space":
+            lambda s, f, d: cylinder_preserving_space(s, f, d),
+        "torus_closure": lambda s, f, d: torus_closure(
+            [c.modulus for c in d.cylinders], f, d),
+        "verify_linearity":
+            lambda s, f, d: verify_linearity(s, f, d, Fraction(1, 3)),
+        "add_certified": lambda s, f, d: TangentSpan(f).add_certified(s, d),
+        "independence_check": lambda s, f, d: independence_check(s, f, d),
+        "more_cylinders_search": lambda s, f, d: more_cylinders_search(
+            s, f, d, Fraction(1, 10), [Vec2(1, 1)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises(self, name, l_origami, golden_l):
+        other = square_tiled([(1, 2, 3)], [(1, 2)], n=3, label="other")
+        for surf, foreign in ((l_origami, other), (golden_l, l_origami)):
+            d = decompose(surf, Vec2(1, 0))
+            assert d.is_periodic
+            with pytest.raises(StaleCocycle):
+                self.CALLS[name](surf, homology_frame(foreign), d)
 
 
 class TestSpaces:

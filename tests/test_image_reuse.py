@@ -20,7 +20,7 @@ from flatdef.cylinders import decompose
 from flatdef.deform import shear, stretch
 from flatdef.field import FieldCtx, Mat2, Vec2
 from flatdef.homology import _FRAME_DATA, HomologyFrame, homology_frame
-from flatdef.surface import TranslationSurface, l_shape
+from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
 from conftest import PHI
 
@@ -110,6 +110,15 @@ class TestCarriedFrame:
             for image in (shear(source, dec, Fraction(2, 7)),
                           stretch(source, dec, Fraction(3, 5))):
                 _check_carried(source, image, monkeypatch)
+
+    def test_decompose_builds_the_frame_first(self, monkeypatch):
+        # with no frame passed, decompose builds the surface's frame
+        # before normalizing, so the normalized image and its full-set
+        # shear carry it
+        source = square_tiled([2, 3, 1, 4], [3, 4, 2, 1])
+        dec = decompose(source, Vec2(1, 1))
+        assert "frame_data" in dec.normalized._cache
+        _check_carried(source, shear(source, dec, 2), monkeypatch)
 
     def test_image_of_an_image(self, monkeypatch):
         source = _golden()
