@@ -2,10 +2,10 @@
 for translation surfaces."""
 
 from .field import FieldCtx, FieldScalar, Mat2, QQ, Vec2, parse_scalar, scalar_sign
-from .linalg import (ComplexScalar, Echelon, ExactMatrix,
-                     rational_relation_lattice, row_reduce)
+from .linalg import (ComplexScalar, Echelon, rational_relation_lattice,
+                     row_reduce)
 from .surface import TranslationSurface, l_shape, square_tiled, validate
-from .homology import Cocycle, HomologyFrame, homology_frame, period_map
+from .homology import Cocycle, HomologyFrame, homology_frame
 from .cylinders import (BoundExceeded, Cylinder, Decomposition, Direction,
                         SaddleConnection, decompose, trace_separatrix)
 from .search import enumerate_directions, enumerate_saddle_connections

@@ -10,9 +10,11 @@ below.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .cylinders import Decomposition, NO_CYLINDER, PERIODIC, decompose
-from .deform import (cylinder_preserving_space, deform_from_periods, eta,
-                     twist_space)
+from .deform import (_crossing_cocycle, cylinder_preserving_space,
+                     deform_from_periods, eta)
 from .errors import DeformationTooLarge, InternalInvariantError
 from .field import FieldScalar
 from .homology import Cocycle, HomologyFrame, homology_frame
@@ -57,13 +59,9 @@ class TangentSpan:
         if decomposition.status != PERIODIC:
             self.skipped.append(_provenance(decomposition, "NotCertified"))
             return False
+        # eta reads the crossing table, which checks that every twist
+        # cocycle vanishes on the direction's saddle connections
         cocycle = eta(surface, self.frame, decomposition)
-        for sc in decomposition.saddle_connections:
-            coords = self.frame.coords_of_path(sc.chords)
-            if not self.frame.evaluate(cocycle, coords).is_zero():
-                raise InternalInvariantError(
-                    "certified shear cocycle nonzero on a direction "
-                    "saddle connection")
         self._add(cocycle, _provenance(decomposition, "CertifiedPeriodic"))
         return True
 
@@ -272,18 +270,18 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
         raise ValueError("search needs a Periodic decomposition")
     if not isinstance(eps, FieldScalar):
         eps = FieldScalar(eps)
-    tw_gens, tw_dim = twist_space(surface, frame, decomposition)
     cp_gens, cp_dim = cylinder_preserving_space(surface, frame,
                                                 decomposition)
-    if cp_dim <= tw_dim:
+    # the twist space has one dimension per cylinder, and a cocycle z lies
+    # in it exactly when z = sum_i z(cross_i) I_i (Decomposition.crossings)
+    if cp_dim <= len(decomposition.cylinders):
         return None
-    twists = Echelon(frame.m)
-    for gen in tw_gens:
-        twists.add([v.re for v in gen.values])
+    zero = FieldScalar(0, 0, decomposition.normalized.ctx)
     chosen = None
     for gen in cp_gens:
-        rest = twists.reduce([v.re for v in gen.values])
-        if any(not x.is_zero() for x in rest):
+        at_cross = [(frame.evaluate(gen, cyl.cross_coords).re, cyl)
+                    for cyl in decomposition.cylinders]
+        if _crossing_cocycle(decomposition, at_cross, zero) != gen:
             chosen = gen
             break
     if chosen is None:
@@ -313,15 +311,9 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
     new_frame = homology_frame(deformed)
     post = decompose(deformed, decomposition.direction.vector,
                      frame=new_frame)
-    old_circs = sorted(str(c.circumference) for c in decomposition.cylinders)
-    post_circs = sorted(str(c.circumference) for c in post.cylinders)
-    persisted = all(c in post_circs for c in old_circs)
-    for c in old_circs:
-        if c in post_circs:
-            post_circs.remove(c)
-        else:
-            persisted = False
-    if not persisted:
+    old_circs = Counter(str(c.circumference) for c in decomposition.cylinders)
+    post_circs = Counter(str(c.circumference) for c in post.cylinders)
+    if old_circs - post_circs:
         return {"found": False, "attempted_eps": attempts + [str(eps)],
                 "reason": "old cylinders not confirmed on the deformation",
                 "surface": deformed}

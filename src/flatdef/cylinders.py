@@ -195,6 +195,7 @@ class Decomposition:
         self.bound_sq = bound_sq
         self.unresolved_rays = unresolved_rays
         self._cut = cut
+        self._crossings = None
 
     @property
     def cut(self):
@@ -210,6 +211,46 @@ class Decomposition:
         if self._cut is None:
             self._cut = _build_cut(self.normalized, [], {})[0]
         return self._cut
+
+    @property
+    def crossings(self) -> tuple[tuple[int, ...], ...]:
+        """The crossing table: row i holds I_i, the signed count of
+        crossings with cylinder i's core, on the frame's basis chains.
+
+        Built on first read, with three integer checks that raise
+        InternalInvariantError: each I_i vanishes on every saddle
+        connection of the direction, which misses every cylinder
+        interior; it vanishes on every core class, the cores being
+        disjoint and parallel; and I_i(cross_j) is 1 when i = j and 0
+        otherwise, cylinder j's cross curve staying inside it and
+        crossing its core once, going up.  That duality makes the I_i
+        independent, and a cocycle z lies in their span exactly when
+        z = sum_i z(cross_i) I_i.
+        """
+        if self._crossings is None:
+            table = tuple(
+                tuple(sum(c * x for c, x in zip(chain, cyl.core_crossings))
+                      for chain in self.frame.basis_chains)
+                for cyl in self.cylinders)
+
+            def values(coords):
+                return [sum(c * x for c, x in zip(row, coords))
+                        for row in table]
+
+            for sc in self.saddle_connections if table else ():
+                if any(values(self.frame.coords_of_path(sc.chords))):
+                    raise InternalInvariantError("twist cocycle nonzero on "
+                                                 "a saddle connection")
+            for j, cyl in enumerate(self.cylinders):
+                if any(values(cyl.core_coords)):
+                    raise InternalInvariantError(
+                        "twist cocycle nonzero on a core class")
+                if values(cyl.cross_coords) != [int(i == j)
+                                                for i in range(len(table))]:
+                    raise InternalInvariantError(
+                        "twist cocycles are not dual to the cross classes")
+            self._crossings = table
+        return self._crossings
 
     def check_frame(self, frame: HomologyFrame) -> None:
         """Raise StaleCocycle unless `frame` is this decomposition's."""

@@ -1,16 +1,19 @@
 """Cylinder deformations in period coordinates.
 
-The twist cocycle of a cylinder takes, on each homology class, the
-signed count of crossings with the half-height core circle; scaled by
-the heights and summed over a cylinder set it is the derivative of the
-cylinder shear.  Shear and stretch act by one matrix M on the chosen
-cylinders of the normalized surface: a frame cell whose member share in
-the decomposition's cut is s goes to g^-1 (M(s v) + (1 - s) v).  When
-the chosen cylinders fill the surface the deformation is the GL(2,R)
-image under g^-1 M; otherwise the surface is recut along exactly those
-cylinder boundaries where moved and fixed regions meet.  Linearity in
-period coordinates is checked exactly, against the decomposition's own
-frame (any other raises StaleCocycle).
+The twist cocycle I_i of cylinder i takes, on each homology class, the
+signed count of crossings with its core circle; scaled by the heights
+and summed over a cylinder set it is the derivative of the cylinder
+shear.  Every cocycle built here reads I_i from the decomposition's
+crossing table (`Decomposition.crossings`), which checks once, on
+integers, that I_i vanishes on the direction's saddle connections and
+core classes and is dual to the cross classes.  Shear and stretch act by
+one matrix M on the chosen cylinders of the normalized surface: a frame
+cell whose member share in the decomposition's cut is s goes to g^-1
+(M(s v) + (1 - s) v).  When the chosen cylinders fill the surface the
+deformation is the GL(2,R) image under g^-1 M; otherwise the surface is
+recut along exactly those cylinder boundaries where moved and fixed
+regions meet.  Linearity in period coordinates is checked exactly,
+against the decomposition's own frame (any other raises StaleCocycle).
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
 from .field import FieldScalar, Mat2, Vec2
 from .homology import Cocycle, HomologyFrame
-from .linalg import (ComplexScalar, Echelon, rational_relation_lattice,
-                     row_reduce)
+from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
 from .surface import TranslationSurface
 
 __all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
@@ -34,28 +36,27 @@ __all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
 def _cylinder_subset(decomposition, ids):
     if ids is None:
         return list(decomposition.cylinders)
-    chosen = []
-    for cyl in decomposition.cylinders:
-        if cyl.cyl_id in ids:
-            chosen.append(cyl)
+    chosen = [cyl for cyl in decomposition.cylinders if cyl.cyl_id in ids]
     if len(chosen) != len(set(ids)):
         raise ValueError(f"unknown cylinder ids in {sorted(set(ids))}")
     return chosen
 
 
-def _crossing_cocycle(frame: HomologyFrame, weighted, zero) -> Cocycle:
-    """The cocycle sum_i w_i I_i over (w_i, cylinder_i) pairs, where I_i
-    counts the signed crossings of each basis chain with cylinder i's
-    core; `zero` starts every sum."""
+def _crossing_cocycle(decomposition: Decomposition, weighted,
+                      zero) -> Cocycle:
+    """The cocycle sum_i w_i I_i over (w_i, cylinder_i) pairs, with I_i
+    read from the decomposition's crossing table; `zero` starts every
+    sum."""
+    rows = [(weight, decomposition.crossings[cyl.cyl_id])
+            for weight, cyl in weighted]
     totals = []
-    for chain in frame.basis_chains:
+    for k in range(decomposition.frame.m):
         acc = zero
-        for weight, cyl in weighted:
-            count = sum(c * x for c, x in zip(chain, cyl.core_crossings))
-            if count:
-                acc = acc + weight * count
+        for weight, row in rows:
+            if row[k]:
+                acc = acc + weight * row[k]
         totals.append(acc)
-    return frame.cocycle([ComplexScalar(v) for v in totals])
+    return decomposition.frame.cocycle([ComplexScalar(v) for v in totals])
 
 
 def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
@@ -63,18 +64,12 @@ def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
     """The integer cocycle counting crossings with one core circle.
 
     Zero on every class realized disjointly from the cylinder's interior;
-    this is checked against the boundary saddle connections of the
-    decomposition.
+    the crossing table checks this on the direction's saddle connections
+    and core classes.
     """
     decomposition.check_frame(frame)
     cyl = _cylinder_subset(decomposition, [cyl_id])[0]
-    cocycle = _crossing_cocycle(frame, [(1, cyl)], 0)
-    for sc in decomposition.saddle_connections:
-        coords = frame.coords_of_path(sc.chords)
-        if not frame.evaluate(cocycle, coords).is_zero():
-            raise InternalInvariantError(
-                "twist cocycle does not vanish on a boundary saddle connection")
-    return cocycle
+    return _crossing_cocycle(decomposition, [(1, cyl)], 0)
 
 
 def eta_normalized(frame: HomologyFrame, decomposition: Decomposition,
@@ -85,7 +80,7 @@ def eta_normalized(frame: HomologyFrame, decomposition: Decomposition,
     decomposition.check_frame(frame)
     chosen = _cylinder_subset(decomposition, ids)
     return _crossing_cocycle(
-        frame, [(cyl.height, cyl) for cyl in chosen],
+        decomposition, [(cyl.height, cyl) for cyl in chosen],
         FieldScalar(0, 0, decomposition.normalized.ctx))
 
 
@@ -106,20 +101,17 @@ def twist_space(surface: TranslationSurface, frame: HomologyFrame,
                 decomposition: Decomposition):
     """Exact basis of the span of the per-cylinder shear cocycles.
 
-    Returns (basis, dim); the cocycles of distinct cylinders are
-    independent (their cross classes are disjoint), which is verified.
+    Returns (basis, dim).  Cylinder i's cocycle h_i I_i takes h_i on its
+    own cross class and 0 on every other, a duality the crossing table
+    checks, so the cocycles are independent and dim is the number of
+    cylinders.
     """
     decomposition.check_frame(frame)
     if not decomposition.is_periodic:
         raise ValueError("twist space needs a Periodic decomposition")
     gens = [eta_normalized(frame, decomposition, [cyl.cyl_id])
             for cyl in decomposition.cylinders]
-    span = Echelon(frame.m)
-    for gen in gens:
-        if not span.add([v.re for v in gen.values]):
-            raise InternalInvariantError(
-                "per-cylinder shear cocycles are not independent")
-    return gens, span.rank
+    return gens, len(gens)
 
 
 def cylinder_preserving_space(surface: TranslationSurface,
@@ -127,25 +119,19 @@ def cylinder_preserving_space(surface: TranslationSurface,
                               decomposition: Decomposition):
     """Real cocycles vanishing on every core class, as frame cocycles.
 
-    Computed relative to the stratum (the full dual); always contains
-    the twist space, which is checked.
+    Computed relative to the stratum (the full dual).  It contains the
+    twist space because every I_i vanishes on every core class, which
+    reading the crossing table checks.
     """
     decomposition.check_frame(frame)
     if not decomposition.is_periodic:
         raise ValueError("cylinder-preserving space needs a Periodic "
                          "decomposition")
-    ctx = surface.ctx
-    rows = [[FieldScalar(c, 0, ctx) for c in cyl.core_coords]
+    decomposition.crossings  # read for its checks
+    rows = [[FieldScalar(c, 0, surface.ctx) for c in cyl.core_coords]
             for cyl in decomposition.cylinders]
-    rank, _, null = row_reduce(rows, ncols=frame.m)
+    _, _, null = row_reduce(rows, ncols=frame.m)
     basis = [frame.cocycle([ComplexScalar(x) for x in vec]) for vec in null]
-    twist_gens, _ = twist_space(surface, frame, decomposition)
-    for cyl in decomposition.cylinders:
-        for gen in twist_gens:
-            val = frame.evaluate(gen, cyl.core_coords)
-            if not val.is_zero():
-                raise InternalInvariantError(
-                    "twist cocycle does not vanish on a core class")
     return basis, len(basis)
 
 
@@ -193,8 +179,8 @@ def torus_closure(moduli, frame: HomologyFrame | None = None,
         if len(moduli) != len(decomposition.cylinders):
             raise ValueError("moduli do not match the decomposition")
         cocycle = _crossing_cocycle(
-            frame, [(cyl.circumference * FieldScalar(ti), cyl)
-                    for ti, cyl in zip(t, decomposition.cylinders)],
+            decomposition, [(cyl.circumference * FieldScalar(ti), cyl)
+                            for ti, cyl in zip(t, decomposition.cylinders)],
             FieldScalar(0, 0, decomposition.normalized.ctx))
     return TorusClosure(len(allowed), [list(a) for a in allowed],
                         [list(r) for r in relations], t, cocycle)

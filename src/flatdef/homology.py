@@ -22,8 +22,8 @@ from .intmat import integer_kernel, smith_form
 from .linalg import ComplexScalar, row_reduce
 from .surface import TranslationSurface
 
-__all__ = ["HomologyFrame", "Cocycle", "homology_frame", "period_map",
-           "PathPoint", "Chord"]
+__all__ = ["HomologyFrame", "Cocycle", "homology_frame", "PathPoint",
+           "Chord"]
 
 
 # a point on a polygon boundary: ("vertex", i) or ("edge", e, t) with the
@@ -62,9 +62,6 @@ class Cocycle:
             raise StaleCocycle("cocycles live on different frames")
         return Cocycle([x + y for x, y in zip(self.values, other.values)],
                        self.frame_hash)
-
-    def __len__(self):
-        return len(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):
@@ -405,11 +402,3 @@ def homology_frame(surface: TranslationSurface) -> HomologyFrame:
         surface._cache["frame"] = HomologyFrame(surface)
     return surface._cache["frame"]
 
-
-def period_map(surface: TranslationSurface,
-               frame: HomologyFrame | None = None) -> tuple[ComplexScalar, ...]:
-    if frame is None:
-        frame = homology_frame(surface)
-    if frame.surface is not surface and frame.surface != surface:
-        raise ValueError("frame does not belong to this surface")
-    return frame.periods()

@@ -3,8 +3,8 @@
 Echelon is the one Gauss-Jordan elimination: an RREF basis grown one
 row at a time.  row_reduce adds every row to an Echelon and reads the
 nullspace off its pivots, and every span that grows (the tangent span,
-the twist space, independence checks) keeps an Echelon instead of
-re-reducing its generators.  Both work over anything with field
+independence checks) keeps an Echelon instead of re-reducing its
+generators.  Both work over anything with field
 arithmetic and an is_zero test (FieldScalar, ComplexScalar, plain
 Fraction via a shim), so real and complex spans share one code path.
 """
@@ -14,12 +14,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .field import QQ, FieldCtx, FieldScalar, unify_ctx
+from .field import FieldScalar, unify_ctx
 
 __all__ = [
     "ComplexScalar",
     "Echelon",
-    "ExactMatrix",
     "row_reduce",
     "rational_relation_lattice",
 ]
@@ -100,14 +99,8 @@ class ComplexScalar:
             return NotImplemented
         return o / self
 
-    def conjugate(self):
-        return ComplexScalar(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -197,14 +190,10 @@ class Echelon:
 def row_reduce(rows, ncols=None):
     """Exact reduced row echelon form.
 
-    Accepts a list of rows (lists of scalars) or an ExactMatrix; returns
-    (rank, rowspace_basis, nullspace_basis) where the rowspace basis is
-    the nonzero rows of the RREF and every nullspace vector multiplies
-    the matrix into zero exactly.
+    Returns (rank, rowspace_basis, nullspace_basis) of a list of rows:
+    the rowspace basis is the nonzero rows of the RREF, and every
+    nullspace vector multiplies the matrix into zero exactly.
     """
-    if isinstance(rows, ExactMatrix):
-        ncols = rows.ncols
-        rows = rows.rows
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -233,48 +222,6 @@ def row_reduce(rows, ncols=None):
             v[pc] = zero - row[free]
         null_basis.append(v)
     return echelon.rank, echelon.rows, null_basis
-
-
-class ExactMatrix:
-    """A rectangular matrix of FieldScalars sharing one field context."""
-
-    __slots__ = ("rows", "nrows", "ncols", "ctx")
-
-    def __init__(self, rows, ctx: FieldCtx | None = None):
-        mat = []
-        scalars = []
-        for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, FieldScalar):
-                    x = FieldScalar(x)
-                out.append(x)
-                scalars.append(x)
-            mat.append(out)
-        if ctx is None:
-            ctx = unify_ctx(*scalars) if scalars else QQ
-        mat = [
-            [x.with_ctx(ctx) for x in row]
-            for row in mat
-        ]
-        ncols = len(mat[0]) if mat else 0
-        for row in mat:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in mat))
-        object.__setattr__(self, "nrows", len(mat))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "ctx", ctx)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def rank(self) -> int:
-        return row_reduce(self)[0]
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"ExactMatrix[{body}]"
 
 
 def rational_relation_lattice(values):

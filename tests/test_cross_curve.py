@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from flatdef.cylinders import _check_component, _point_coords, decompose
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
-from flatdef.homology import period_map
 from flatdef.polygon import sector_contains
 from flatdef.surface import l_shape
 
@@ -160,7 +159,7 @@ def check_against_reference(dec):
 
 
 def check_holonomy(dec):
-    periods = period_map(dec.surface, dec.frame)
+    periods = dec.frame.periods()
     zero = FieldScalar(0, 0, dec.surface.ctx)
     for cyl in dec.cylinders:
         x = y = zero

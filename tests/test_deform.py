@@ -123,11 +123,10 @@ class TestShearStretch:
         assert translation_equivalent(two, direct)
 
     def test_stretch_torus(self, torus):
-        from flatdef.homology import period_map
         d = decompose(torus, Vec2(1, 0))
         st = stretch(torus, d, 1)
         assert st.area() == FieldScalar(2)
-        per = {(str(p.re), str(p.im)) for p in period_map(st)}
+        per = {(str(p.re), str(p.im)) for p in homology_frame(st).periods()}
         assert per == {("1", "0"), ("0", "2")}
 
     def test_stretch_composes_multiplicatively(self, torus):
@@ -586,12 +585,11 @@ class TestDeformFromPeriods:
         assert out == torus
 
     def test_vertical_dual_displacement(self, torus):
-        from flatdef.homology import period_map
         f = homology_frame(torus)
         # dual of the vertical class: real cocycle
         z = f.cocycle([ComplexScalar(0), ComplexScalar(1)])
         out = deform_from_periods(torus, f, z, Fraction(1, 10))
-        per = {(str(p.re), str(p.im)) for p in period_map(out)}
+        per = {(str(p.re), str(p.im)) for p in homology_frame(out).periods()}
         assert per == {("1", "0"), ("1/10", "1")}
 
     def test_exact_period_displacement(self, golden_l):

@@ -10,7 +10,6 @@ from flatdef.intmat import det_int, hermite_form, integer_kernel, smith_form
 from flatdef.linalg import (
     ComplexScalar,
     Echelon,
-    ExactMatrix,
     rational_relation_lattice,
     row_reduce,
 )
@@ -94,11 +93,6 @@ class TestRowReduce:
         rank, _, null = row_reduce([[one, i], [i, ComplexScalar(-1, 0)]])
         assert rank == 1
         assert len(null) == 1
-
-    def test_exact_matrix_wrapper(self):
-        m = ExactMatrix([[1, 2], [3, 4]])
-        assert m.rank() == 2
-        assert m.ctx.d == 0
 
 
 def _random_rows(rng, n, m):

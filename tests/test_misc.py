@@ -206,3 +206,59 @@ def test_field_mismatch_outside_field_is_found():
                        'raise ValueError(f"incompatible fields {a} and {b}")\n'),
     }
     assert _field_mismatch_outside_field(sources) == ["tracing.py: line 2"]
+
+
+def _core_crossings_readers(sources: dict) -> list[str]:
+    """The functions, as "module: Class.function", that read a
+    `core_crossings` attribute; reads outside any function are named
+    "module: <module>"."""
+    found = set()
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(name, child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr == "core_crossings"
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(f"{name}: {'.'.join(scope) or '<module>'}")
+            visit(name, child, scope)
+
+    for name, text in sources.items():
+        visit(name, ast.parse(text), [])
+    return sorted(found)
+
+
+def test_only_the_crossing_table_reads_core_crossings():
+    # a second route from the core crossings to the twist cocycles would
+    # skip the checks the table makes once: vanishing on the direction's
+    # saddle connections and cores, and duality with the cross classes
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _core_crossings_readers(sources) == [
+        "cylinders.py: Decomposition.crossings"]
+
+
+def test_core_crossings_readers_are_found():
+    sources = {
+        "cylinders.py": (
+            "class Cylinder:\n"
+            "    def __init__(self, core_crossings):\n"
+            "        self.core_crossings = core_crossings\n"
+            "class Decomposition:\n"
+            "    def crossings(self):\n"
+            "        return [c.core_crossings for c in self.cylinders]\n"),
+        "deform.py": (
+            "def _crossing_cocycle(cyl):\n"
+            "    def count(chain):\n"
+            "        return sum(c * x for c, x in\n"
+            "                   zip(chain, cyl.core_crossings))\n"
+            "    return count\n"
+            "x = cyl.core_crossings\n"),
+    }
+    assert _core_crossings_readers(sources) == [
+        "cylinders.py: Decomposition.crossings", "deform.py: <module>",
+        "deform.py: _crossing_cocycle.count"]
