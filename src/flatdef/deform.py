@@ -12,11 +12,15 @@ cell whose member share in the decomposition's cut is s goes to g^-1
 (M(s v) + (1 - s) v).  When the chosen cylinders fill the surface the
 deformation is the GL(2,R) image under g^-1 M; otherwise the surface is
 recut along exactly those cylinder boundaries where moved and fixed
-regions meet.  Linearity in period coordinates is checked exactly,
-against the decomposition's own frame (any other raises StaleCocycle).
+regions meet.  Linearity in period coordinates is checked exactly, on
+integers in normalized coordinates, against the decomposition's own
+frame (any other raises StaleCocycle).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .cylinders import (Decomposition, _build_cut_pieces, _mates,
                         _point_coords, decompose)
@@ -25,6 +29,7 @@ from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
 from .field import FieldScalar, Mat2, Vec2
 from .homology import Cocycle, HomologyFrame
 from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
+from .polygon import _mul
 from .surface import TranslationSurface
 
 __all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
@@ -128,7 +133,8 @@ def cylinder_preserving_space(surface: TranslationSurface,
         raise ValueError("cylinder-preserving space needs a Periodic "
                          "decomposition")
     decomposition.crossings  # read for its checks
-    rows = [[FieldScalar(c, 0, surface.ctx) for c in cyl.core_coords]
+    # integer rows: their RREF over Q is the one over the field
+    rows = [[Fraction(c) for c in cyl.core_coords]
             for cyl in decomposition.cylinders]
     _, _, null = row_reduce(rows, ncols=frame.m)
     basis = [frame.cocycle([ComplexScalar(x) for x in vec]) for vec in null]
@@ -211,33 +217,22 @@ def _deformed_surface(decomposition: Decomposition, member_ids,
                           inner)
 
 
-def _deformed_holonomies(decomposition: Decomposition, member_ids,
-                         inner: Mat2) -> list[Vec2]:
-    """The deformed holonomy of every frame cell.
-
-    The cell's sub-edges in the cut split its vector v, and `inner` is
-    linear, so it acts on the member share s of v: the cell goes to
-    g^-1 (inner(s v) + (1 - s) v), and to (g^-1 @ inner) v when every
-    sub-edge is a member's.
+def _member_shares(decomposition: Decomposition, member_ids) -> list:
+    """The member share s of each frame cell: the fraction of its vector
+    v that sub-edges of member components cover in the cut, 1 when all
+    do.  A linear `inner` moves the cell to g^-1 (inner(s v) + (1 - s) v).
     """
     members = _member_components(decomposition, member_ids)
-    lat = decomposition.normalized.lattice()
     subs = decomposition.cut.subs
-    g_inv = decomposition.matrix.inverse()
-    whole = g_inv @ inner
-    zero = FieldScalar(0, 0, lat.ctx)
-    cell_hol = []
-    for p, e in decomposition.frame.cells:
-        vec = lat.vec2(lat.edges[p][e])
-        items = subs[(p, e)]
-        if all(item.piece.component in members for item in items):
-            cell_hol.append(whole.apply(vec))
-            continue
-        s = sum((item.t1 - item.t0 for item in items
-                 if item.piece.component in members), zero)
-        cell_hol.append(g_inv.apply(inner.apply(vec.scale(s))
-                                    + vec.scale(1 - s)))
-    return cell_hol
+    ctx = decomposition.normalized.ctx
+    zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
+    shares = []
+    for cell in decomposition.frame.cells:
+        inside = [item for item in subs[cell]
+                  if item.piece.component in members]
+        shares.append(one if len(inside) == len(subs[cell]) else
+                      sum((item.t1 - item.t0 for item in inside), zero))
+    return shares
 
 
 def _recut(decomposition: Decomposition, members):
@@ -355,25 +350,42 @@ def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
 
 def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
                      decomposition: Decomposition, t, ids=None) -> bool:
-    """Check Phi(shear) = Phi + t * eta exactly, both sides independently.
+    """Check Phi(u_t M) = Phi(M) + t * eta exactly, both sides independently.
 
-    The left side is the deformed holonomy of each frame cell, from its
-    member share in the cut; the right side comes from the
-    crossing-count cocycle.
+    On the normalized surface u_t moves a frame cell of rise y_c and
+    member share s_c in the cut by (t s_c y_c, 0); g^-1 maps (1, 0) to
+    tau = transport_factor(), and eta = tau sum_i h_i I_i.  So the law on
+    each basis chain gamma_k is, checked on integers,
+
+        sum_c gamma_k[c] s_c y_c = sum_{i chosen} h_i I_i(gamma_k),
+
+    with g^-1 (1, 0) = tau checked once: the left side from the cut, the
+    right from the heights and the crossing table.  t is only validated.
     Exact disagreement returns False and means a bug.
     """
     decomposition.check_frame(frame)
     if not isinstance(t, FieldScalar):
-        t = FieldScalar(t)
-    chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
-    cell_hol = _deformed_holonomies(decomposition, chosen, Mat2.shear(t))
-    sheared = frame.periods_of(cell_hol)
-    base = frame.periods()
-    ec = eta(surface, frame, decomposition, ids)
-    tc = ComplexScalar(t)
-    for got, phi, ev in zip(sheared, base, ec.values):
-        want = phi + tc * ev
-        if not (got - want).is_zero():
+        FieldScalar(t)  # raises on inexact input
+    chosen = _cylinder_subset(decomposition, ids)
+    tau = decomposition.transport_factor()
+    if decomposition.matrix.apply(Vec2(tau.re, tau.im)) != Vec2(1, 0):
+        return False
+    lat = decomposition.normalized.lattice()
+    shares = _member_shares(decomposition, {cyl.cyl_id for cyl in chosen})
+    # pairs (A, B) meaning A + B sqrt(d): s_c y_c over S * D, h_i over H
+    S = lcm(*(s._D for s in shares))
+    H = lcm(*(cyl.height._D for cyl in chosen))
+    moved = [_mul((s._A * S // s._D, s._B * S // s._D), lat.edges[p][e][2:],
+                  lat.d) for s, (p, e) in zip(shares, frame.cells)]
+    heights = [((cyl.height._A * H // cyl.height._D,
+                 cyl.height._B * H // cyl.height._D),
+                decomposition.crossings[cyl.cyl_id]) for cyl in chosen]
+    for k, chain in enumerate(frame.basis_chains):
+        left = [H * sum(c * m[j] for c, m in zip(chain, moved) if c)
+                for j in (0, 1)]
+        right = [S * lat.D * sum(row[k] * h[j] for h, row in heights)
+                 for j in (0, 1)]
+        if left != right:
             return False
     return True
 

@@ -2,25 +2,26 @@
 
 Two surfaces are translation equivalent when a cut-and-paste respecting
 translations matches them.  Both are retriangulated to Delaunay by exact
-incircle flips; gluing co-circular neighbors yields the canonical
-Delaunay cell complex, which is then matched cell by cell over all
-anchors (exponential worst case, fine at desk scale).
+incircle flips; gluing co-circular neighbors yields the Delaunay cell
+complex, unique (Bobenko-Springborn 2007), which is matched cell by cell
+over all anchors (exponential worst case, fine at desk scale).
 
-Flipping runs on the surface's integer lattice form (`polygon.py`,
+Everything runs on the surface's integer lattice form (`polygon.py`,
 `TranslationSurface.lattice`): with D the lcm of the denominators of
 all vertex coordinates, every edge vector is four ints (xa, xb, ya, yb)
 meaning ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D).  A flip takes only
 differences of edge vectors, so the form is closed under flips, and the
 incircle determinant is homogeneous of degree 4, so the scale D changes
-no sign.  Only the edges of the cells returned are built back into
-field scalars.
+no sign.  The cells stay lattice tuples, cached on the surface, and two
+surfaces with one D are matched tuple for tuple, so the match builds no
+field scalar.  Only `delaunay_cells` builds its cells back into vectors.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .field import _sign
-from .polygon import _ORIGIN, _add, _cross, _mul, _norm, _sub
+from .polygon import _ORIGIN, _add, _sub
 from .search import Triangulated
 from .surface import TranslationSurface
 
@@ -112,13 +113,29 @@ def _incircle(p, q, r, s, d) -> int:
 
     With p' = p - s and so on, the determinant of the rows
     (x', y', |v'|^2) expanded along its third column is
-    |p'|^2 (q' x r') + |q'|^2 (r' x p') + |r'|^2 (p' x q').
+    |p'|^2 (q' x r') + |q'|^2 (r' x p') + |r'|^2 (p' x q'), each factor
+    a pair (A, B) meaning A + B*sqrt(d); over Q every B is zero.
     """
-    p, q, r = _sub(p, s), _sub(q, s), _sub(r, s)
-    a = _mul(_norm(p, d), _cross(q, r, d), d)
-    b = _mul(_norm(q, d), _cross(r, p, d), d)
-    c = _mul(_norm(r, d), _cross(p, q, d), d)
-    return _sign(a[0] + b[0] + c[0], a[1] + b[1] + c[1], d)
+    sxa, sxb, sya, syb = s
+    pxa, pya, qxa, qya = p[0] - sxa, p[2] - sya, q[0] - sxa, q[2] - sya
+    rxa, rya = r[0] - sxa, r[2] - sya
+    if not d:
+        det = ((pxa * pxa + pya * pya) * (qxa * rya - qya * rxa)
+               + (qxa * qxa + qya * qya) * (rxa * pya - rya * pxa)
+               + (rxa * rxa + rya * rya) * (pxa * qya - pya * qxa))
+        return (det > 0) - (det < 0)
+    P, Q, R = ((u[0] - sxa, u[1] - sxb, u[2] - sya, u[3] - syb)
+               for u in (p, q, r))
+    A = B = 0
+    for (axa, axb, aya, ayb), (bxa, bxb, bya, byb), (cxa, cxb, cya, cyb) in (
+            (P, Q, R), (Q, R, P), (R, P, Q)):
+        n0 = axa * axa + aya * aya + d * (axb * axb + ayb * ayb)
+        n1 = 2 * (axa * axb + aya * ayb)
+        c0 = bxa * cya - bya * cxa + d * (bxb * cyb - byb * cxb)
+        c1 = bxa * cyb + bxb * cya - bya * cxb - byb * cxa
+        A += n0 * c0 + d * n1 * c1
+        B += n0 * c1 + n1 * c0
+    return _sign(A, B, d)
 
 
 def _delaunay(tri: _Tri):
@@ -144,25 +161,24 @@ def _delaunay(tri: _Tri):
     return tri
 
 
-def delaunay_cells(surface: TranslationSurface):
-    """The canonical Delaunay cell complex as (cells, gluing).
-
-    Cells are polygons given by ccw edge-vector tuples; co-circular
-    triangles are merged, so the complex does not depend on flip order
-    or on the input presentation.  The gluing pairs (cell, edge) slots.
-    """
+def _cells(surface: TranslationSurface):
+    """`delaunay_cells` with each cell a tuple of lattice edge vectors,
+    built once and kept in the surface's cache."""
+    cached = surface._cache.get("delaunay")
+    if cached is not None:
+        return cached
     tri = _delaunay(_Tri(surface))
     n = len(tri.edges)
     # mark non-essential edges: hinge with all four points co-circular;
     # co-circularity is symmetric, so one test per glued pair
     essential = {}
-    lat = tri.lat
+    d = tri.lat.d
     for t1 in range(n):
         for k1 in range(3):
             side = (t1, k1)
             if side in essential:
                 continue
-            flag = _incircle(*tri.hinge(t1, k1), lat.d) != 0
+            flag = _incircle(*tri.hinge(t1, k1), d) != 0
             essential[side] = essential[tri.gluing[side]] = flag
     # merge triangles across non-essential edges into cells: walk each
     # cell boundary along essential sides
@@ -197,13 +213,26 @@ def delaunay_cells(surface: TranslationSurface):
                 if side == (t1, k1):
                     break
             cell_id = len(cells)
-            cells.append(tuple(lat.vec2(tri.edges[t][k]) for t, k in loop))
+            cells.append(tuple(tri.edges[t][k] for t, k in loop))
             for slot, s in enumerate(loop):
                 slot_of[s] = (cell_id, slot)
     for s, (cell_id, slot) in slot_of.items():
         mate = tri.gluing[s]
         cell_gluing[(cell_id, slot)] = slot_of[mate]
+    surface._cache["delaunay"] = cells, cell_gluing
     return cells, cell_gluing
+
+
+def delaunay_cells(surface: TranslationSurface):
+    """The canonical Delaunay cell complex as (cells, gluing).
+
+    Cells are polygons given by ccw `Vec2` edge-vector tuples; co-circular
+    triangles are merged, so the complex does not depend on flip order
+    or on the input presentation.  The gluing pairs (cell, edge) slots.
+    """
+    cells, gluing = _cells(surface)
+    lat = surface.lattice()
+    return [tuple(map(lat.vec2, cell)) for cell in cells], dict(gluing)
 
 
 def _match_from(cells1, gl1, cells2, gl2, c2, rot) -> bool:
@@ -242,8 +271,9 @@ def translation_equivalent(m1: TranslationSurface,
                            m2: TranslationSurface) -> bool:
     """Exact translation equivalence (cut-and-paste isomorphism).
 
-    Fast invariants first (area, genus, signature), then canonical
-    Delaunay cells and exhaustive anchored matching.
+    Fast invariants first (field, genus, signature, area, lattice
+    denominator), then canonical Delaunay cells and exhaustive anchored
+    matching of their lattice tuples.
     """
     # an edge of either surface is a saddle connection of the other, so
     # equivalent surfaces have their coordinates in one field
@@ -255,11 +285,13 @@ def translation_equivalent(m1: TranslationSurface,
         return False
     if not (m1.area2() - m2.area2()).is_zero():
         return False
-    cells1, gl1 = delaunay_cells(m1)
-    cells2, gl2 = delaunay_cells(m2)
-    if len(cells1) != len(cells2):
+    # D, the least n taking every edge into Z[sqrt(d)]^2, is fixed by the
+    # relative periods the edges generate: equivalent surfaces share it
+    if m1.lattice().D != m2.lattice().D:
         return False
-    if sorted(len(c) for c in cells1) != sorted(len(c) for c in cells2):
+    cells1, gl1 = _cells(m1)
+    cells2, gl2 = _cells(m2)
+    if sorted(map(len, cells1)) != sorted(map(len, cells2)):
         return False
     for c2 in range(len(cells2)):
         for rot in range(len(cells2[c2])):

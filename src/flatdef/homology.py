@@ -194,9 +194,10 @@ class HomologyFrame:
     # -- coordinates -----------------------------------------------------
 
     def coords_of_chain(self, chain) -> list[int]:
-        """Frame coordinates of an integer 1-chain given in Z^E."""
-        return [sum(chain[e] * self._coord_cols[e][k] for e in range(len(chain)))
-                for k in range(self.m)]
+        """Frame coordinates of an integer 1-chain given in Z^E, summed
+        over its nonzero entries."""
+        cols = [(c, col) for c, col in zip(chain, self._coord_cols) if c]
+        return [sum(c * col[k] for c, col in cols) for k in range(self.m)]
 
     def chain_of_coords(self, coords) -> list[int]:
         """A representative chain in Z^E for frame coordinates."""
@@ -220,12 +221,6 @@ class HomologyFrame:
 
     def periods(self) -> tuple[ComplexScalar, ...]:
         """Exact periods of the basis classes (the period map Phi)."""
-        return self.periods_of([self.cell_vector(c)
-                                for c in range(len(self.cells))])
-
-    def periods_of(self, cell_hol) -> tuple[ComplexScalar, ...]:
-        """Periods of the basis classes when cell c has holonomy
-        cell_hol[c], as after a deformation that keeps the cell structure."""
         ctx = self.surface.ctx
         out = []
         for chain in self.basis_chains:
@@ -233,7 +228,7 @@ class HomologyFrame:
             y = FieldScalar(0, 0, ctx)
             for c, coeff in enumerate(chain):
                 if coeff:
-                    v = cell_hol[c]
+                    v = self.cell_vector(c)
                     x = x + v.x * coeff
                     y = y + v.y * coeff
             out.append(ComplexScalar(x, y))

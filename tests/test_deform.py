@@ -7,8 +7,8 @@ import pytest
 from flatdef import deform
 from flatdef.analysis import (TangentSpan, independence_check,
                               more_cylinders_search)
-from flatdef.cylinders import _build_cut_pieces, decompose
-from flatdef.deform import (_deformed_holonomies, _member_components, _recut,
+from flatdef.cylinders import Decomposition, _build_cut_pieces, decompose
+from flatdef.deform import (_member_components, _member_shares, _recut,
                             _recut_surface,
                             cylinder_preserving_space, deform_from_periods,
                             eta, eta_normalized, intersection_cocycle, shear,
@@ -19,7 +19,7 @@ from flatdef.errors import (DeformationTooLarge, DegenerateCylinder,
                             StaleCocycle)
 from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
-from flatdef.homology import homology_frame
+from flatdef.homology import HomologyFrame, homology_frame
 from flatdef.linalg import ComplexScalar, row_reduce
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
@@ -245,7 +245,7 @@ class TestFullSetDeformation:
                 assert recuts == 0
                 recut = _recut(d, members)
                 assert out == _recut_surface(d, recut, inner)
-                assert _deformed_holonomies(d, ids, inner) == \
+                assert share_holonomies(d, ids, inner) == \
                     ref_recut_holonomies(d, ref_recut(d, members), inner)
 
     def test_proper_subset_recuts(self, monkeypatch, l_origami):
@@ -374,6 +374,126 @@ class TestLinearityLaw:
                         eta(surf, f, d, part) + eta(surf, f, d, rest)
 
 
+def ref_verify_linearity(surf, f, d, t, ids=None):
+    """The periods route the normalized-coordinate law replaced: the
+    periods of the sheared cells against periods + t * eta."""
+    chosen = ({c.cyl_id for c in d.cylinders} if ids is None
+              else set(ids))
+    hol = share_holonomies(d, chosen, Mat2.shear(t))
+    sheared = []
+    for chain in f.basis_chains:
+        x = y = 0
+        for c, k in enumerate(chain):
+            if k:
+                x, y = x + hol[c].x * k, y + hol[c].y * k
+        sheared.append(ComplexScalar(x, y))
+    tc = ComplexScalar(t)
+    return all((got - (phi + tc * ev)).is_zero() for got, phi, ev in
+               zip(sheared, f.periods(), eta(surf, f, d, ids).values))
+
+
+def _partial_sqrt2():
+    surf = l_shape(2, 1, 1, Q2.sqrt_gen(), label="sqrt2-l")
+    d = decompose(surf, Vec2(2, 1))
+    assert not d.is_periodic and d.cylinders
+    return surf, homology_frame(surf), d
+
+
+def _raised(d, cyl_id):
+    """A copy of d whose cylinder cyl_id is one unit taller."""
+    raised = decompose(d.surface, d.direction.vector, frame=d.frame)
+    cyl = raised.cylinders[cyl_id]
+    cyl.height = cyl.height + 1
+    return raised
+
+
+class TestLinearityFalse:
+    """verify_linearity answers False, and agrees with the periods route,
+    when either side of the law is wrong."""
+
+    T = Fraction(-2, 7)
+
+    def test_matches_periods_route(self, l_origami, golden_l):
+        checked = 0
+        for surf, f, d, ids in _linearity_cases(l_origami, golden_l):
+            for subset in _nonempty_subsets(ids):
+                assert verify_linearity(surf, f, d, self.T, ids=subset) \
+                    is ref_verify_linearity(surf, f, d, self.T, subset) \
+                    is True
+                checked += 1
+        assert checked == 88
+
+    def test_partial_matches_periods_route(self):
+        surf, f, d = _partial_sqrt2()
+        for subset in _nonempty_subsets([c.cyl_id for c in d.cylinders]):
+            assert verify_linearity(surf, f, d, self.T, ids=subset) \
+                is ref_verify_linearity(surf, f, d, self.T, subset) is True
+        assert verify_linearity(surf, f, d, self.T)
+
+    def test_raised_height(self, l_origami, golden_l):
+        cases = list(_linearity_cases(l_origami, golden_l))
+        cases.append((*_partial_sqrt2(), None))
+        for surf, f, d, _ids in cases:
+            for cyl in d.cylinders:
+                raised = _raised(d, cyl.cyl_id)
+                assert not verify_linearity(surf, f, raised, self.T)
+                assert not ref_verify_linearity(surf, f, raised, self.T)
+                assert not verify_linearity(surf, f, raised, self.T,
+                                            ids=[cyl.cyl_id])
+                others = [c.cyl_id for c in d.cylinders if c is not cyl]
+                if others:
+                    assert verify_linearity(surf, f, raised, self.T,
+                                            ids=others)
+
+    def test_changed_share(self, monkeypatch, l_origami, golden_l):
+        changed = 0
+        for surf, f, d, _ids in _linearity_cases(l_origami, golden_l):
+            lat = d.normalized.lattice()
+            # a cell with a rise that some basis chain counts
+            cell = next(c for c, (p, e) in enumerate(f.cells)
+                        if lat.edges[p][e][2:] != (0, 0)
+                        and any(chain[c] for chain in f.basis_chains))
+            shares = _member_shares
+
+            def bumped(decomposition, member_ids):
+                out = shares(decomposition, member_ids)
+                out[cell] = out[cell] - Fraction(1, 3)
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(deform, "_member_shares", bumped)
+                assert not verify_linearity(surf, f, d, self.T)
+            assert verify_linearity(surf, f, d, self.T)
+            changed += 1
+        assert changed == 24
+
+    def test_conjugate_transport(self, monkeypatch, l_origami, golden_l):
+        factor = Decomposition.transport_factor
+        cases = [(s, homology_frame(s), decompose(s, Vec2(*v)))
+                 for s in (l_origami, golden_l) for v in ((1, 1), (2, 1))]
+        monkeypatch.setattr(
+            Decomposition, "transport_factor",
+            lambda self: ComplexScalar(factor(self).re, -factor(self).im))
+        for surf, f, d in cases:
+            assert not verify_linearity(surf, f, d, self.T)
+            assert not ref_verify_linearity(surf, f, d, self.T)
+
+    def test_full_set_multiplies_no_complex(self, monkeypatch, l_origami,
+                                            golden_l):
+        cases = list(_linearity_cases(l_origami, golden_l))
+        for surf, f, d, _ids in cases:
+            verify_linearity(surf, f, d, self.T)  # fill the caches
+
+        def refused(*args):
+            raise AssertionError("verify_linearity multiplied ComplexScalars")
+
+        monkeypatch.setattr(ComplexScalar, "__mul__", refused)
+        monkeypatch.setattr(ComplexScalar, "__rmul__", refused)
+        monkeypatch.setattr(HomologyFrame, "periods", refused)
+        for surf, f, d, _ids in cases:
+            assert verify_linearity(surf, f, d, self.T)
+
+
 # -- the reference: the two-cut rule the member shares replaced ----------------
 
 def ref_recut(decomposition, members):
@@ -429,6 +549,19 @@ def ref_recut_holonomies(decomposition, recut, inner):
     return out
 
 
+def share_holonomies(decomposition, member_ids, inner):
+    """Each frame cell's deformed holonomy from its member share s:
+    g^-1 (inner(s v) + (1 - s) v), v its normalized vector."""
+    lat = decomposition.normalized.lattice()
+    g_inv = decomposition.matrix.inverse()
+    shares = _member_shares(decomposition, member_ids)
+    out = []
+    for s, (p, e) in zip(shares, decomposition.frame.cells):
+        vec = lat.vec2(lat.edges[p][e])
+        out.append(g_inv.apply(inner.apply(vec.scale(s)) + vec.scale(1 - s)))
+    return out
+
+
 class TestOneRule:
     """Each cell moves by its member share in the decomposition's cut:
     on every cylinder subset the deformed holonomies and the recut's
@@ -442,7 +575,7 @@ class TestOneRule:
         ref = ref_recut(d, members)
         assert _recut(d, members)[2] == ref[2]
         for inner in self.INNERS:
-            assert _deformed_holonomies(d, subset, inner) == \
+            assert share_holonomies(d, subset, inner) == \
                 ref_recut_holonomies(d, ref, inner)
 
     def test_every_subset(self, l_origami, golden_l):
@@ -539,6 +672,39 @@ class TestSpaces:
                 po = f.project_absolute(f.period_cocycle())
                 assert not f.symplectic_pairing(po,
                                                 projected[0]).is_zero()
+
+
+def ref_cylinder_preserving(surface, frame, decomposition):
+    """The null space of the core coordinates eliminated as FieldScalar
+    rows, the route the Fraction elimination replaced."""
+    rows = [[FieldScalar(c, 0, surface.ctx) for c in cyl.core_coords]
+            for cyl in decomposition.cylinders]
+    _, _, null = row_reduce(rows, ncols=frame.m)
+    return [frame.cocycle([ComplexScalar(x) for x in vec]) for vec in null]
+
+
+class TestCylinderPreservingOnRationals:
+    """Eliminating the integer core coordinates as Fractions gives the
+    basis the field route gives, value for value, text and field
+    included, since RREF is unique."""
+
+    def test_matches_field_route(self, torus, l_origami, golden_l,
+                                 marked_torus):
+        checked = 0
+        for surf in [torus, l_origami, golden_l, marked_torus] + ORIGAMIS:
+            f = homology_frame(surf)
+            for v in ((1, 0), (0, 1), (1, 1)):
+                d = decompose(surf, Vec2(*v), frame=f)
+                basis, dim = cylinder_preserving_space(surf, f, d)
+                ref = ref_cylinder_preserving(surf, f, d)
+                assert dim == len(ref)
+                assert basis == ref
+                assert [[(str(x.re), str(x.im), x.re.ctx, x.im.ctx)
+                         for x in gen.values] for gen in basis] == \
+                    [[(str(x.re), str(x.im), x.re.ctx, x.im.ctx)
+                      for x in gen.values] for gen in ref]
+                checked += 1
+        assert checked == 30
 
 
 class TestTorusClosure:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
@@ -34,6 +36,27 @@ def marked_torus(a=Fraction(1, 2)):
     gluing = [((0, 1), (1, 3)), ((1, 1), (0, 3)),
               ((0, 2), (0, 0)), ((1, 2), (1, 0))]
     return TranslationSurface(polys, gluing, "marked-torus")
+
+
+FRAMES = [homology_frame(make()) for make in
+          (torus, l_origami, golden_l, marked_torus)]
+
+
+class TestSparseCoords:
+    """`coords_of_chain` sums over the chain's nonzero entries only; it
+    must equal the dense product with the coordinate columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_dense_product(self, data):
+        frame = data.draw(st.sampled_from(FRAMES))
+        ne = len(frame.cells)
+        chain = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(-5, 5)),
+            min_size=ne, max_size=ne))
+        dense = [sum(chain[e] * frame._coord_cols[e][k] for e in range(ne))
+                 for k in range(frame.m)]
+        assert frame.coords_of_chain(chain) == dense
 
 
 class TestFrame:
