@@ -20,7 +20,6 @@ frame (any other raises StaleCocycle).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .cylinders import (Decomposition, _build_cut_pieces, _mates,
                         _point_coords, decompose)
@@ -29,7 +28,7 @@ from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
 from .field import FieldScalar, Mat2, Vec2
 from .homology import Cocycle, HomologyFrame
 from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
-from .polygon import _mul
+from .polygon import _mul, _pairs
 from .surface import TranslationSurface
 
 __all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
@@ -350,40 +349,45 @@ def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
 
 def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
                      decomposition: Decomposition, t, ids=None) -> bool:
-    """Check Phi(u_t M) = Phi(M) + t * eta exactly, both sides independently.
+    """Check Phi(u_t M) = Phi(M) + t * eta exactly, on integers.
 
+    Phi(M) holds when the normalized lattice is the g-image of the
+    surface's, so that g^-1 takes the normalized cells to the surface's.
     On the normalized surface u_t moves a frame cell of rise y_c and
     member share s_c in the cut by (t s_c y_c, 0); g^-1 maps (1, 0) to
-    tau = transport_factor(), and eta = tau sum_i h_i I_i.  So the law on
-    each basis chain gamma_k is, checked on integers,
+    tau = transport_factor(), and eta = tau sum_i h_i I_i.  So the t
+    term holds on each basis chain gamma_k when
 
         sum_c gamma_k[c] s_c y_c = sum_{i chosen} h_i I_i(gamma_k),
 
     with g^-1 (1, 0) = tau checked once: the left side from the cut, the
-    right from the heights and the crossing table.  t is only validated.
+    right from the heights and the crossing table.  Both sides are
+    linear in t, so t is only validated.
     Exact disagreement returns False and means a bug.
     """
     decomposition.check_frame(frame)
     if not isinstance(t, FieldScalar):
         FieldScalar(t)  # raises on inexact input
-    chosen = _cylinder_subset(decomposition, ids)
+    lat = decomposition.normalized.lattice()
+    image = surface.lattice().image(decomposition.matrix)
+    if (image.D, image.edges) != (lat.D, lat.edges):
+        return False
     tau = decomposition.transport_factor()
     if decomposition.matrix.apply(Vec2(tau.re, tau.im)) != Vec2(1, 0):
         return False
-    lat = decomposition.normalized.lattice()
-    shares = _member_shares(decomposition, {cyl.cyl_id for cyl in chosen})
+    chosen = _cylinder_subset(decomposition, ids)
     # pairs (A, B) meaning A + B sqrt(d): s_c y_c over S * D, h_i over H
-    S = lcm(*(s._D for s in shares))
-    H = lcm(*(cyl.height._D for cyl in chosen))
-    moved = [_mul((s._A * S // s._D, s._B * S // s._D), lat.edges[p][e][2:],
-                  lat.d) for s, (p, e) in zip(shares, frame.cells)]
-    heights = [((cyl.height._A * H // cyl.height._D,
-                 cyl.height._B * H // cyl.height._D),
-                decomposition.crossings[cyl.cyl_id]) for cyl in chosen]
+    shares, S = _pairs(_member_shares(decomposition,
+                                      {cyl.cyl_id for cyl in chosen}))
+    heights, H = _pairs([cyl.height for cyl in chosen])
+    moved = [_mul(s, lat.edges[p][e][2:], lat.d)
+             for s, (p, e) in zip(shares, frame.cells)]
+    rows = [(h, decomposition.crossings[cyl.cyl_id])
+            for h, cyl in zip(heights, chosen)]
     for k, chain in enumerate(frame.basis_chains):
         left = [H * sum(c * m[j] for c, m in zip(chain, moved) if c)
                 for j in (0, 1)]
-        right = [S * lat.D * sum(row[k] * h[j] for h, row in heights)
+        right = [S * lat.D * sum(row[k] * h[j] for h, row in rows)
                  for j in (0, 1)]
         if left != right:
             return False

@@ -12,16 +12,16 @@ all vertex coordinates, every edge vector is four ints (xa, xb, ya, yb)
 meaning ((xa + xb*sqrt(d))/D, (ya + yb*sqrt(d))/D).  A flip takes only
 differences of edge vectors, so the form is closed under flips, and the
 incircle determinant is homogeneous of degree 4, so the scale D changes
-no sign.  The cells stay lattice tuples, cached on the surface, and two
-surfaces with one D are matched tuple for tuple, so the match builds no
-field scalar.  Only `delaunay_cells` builds its cells back into vectors.
+no sign.  The cells stay lattice tuples, and two surfaces with one D
+are matched tuple for tuple, so the match builds no field scalar.  Only
+`delaunay_cells` builds its cells back into vectors.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .field import _sign
-from .polygon import _ORIGIN, _add, _sub
+from .polygon import _ORIGIN, _add, _cross, _mul, _norm, _sub
 from .search import Triangulated
 from .surface import TranslationSurface
 
@@ -114,28 +114,22 @@ def _incircle(p, q, r, s, d) -> int:
     With p' = p - s and so on, the determinant of the rows
     (x', y', |v'|^2) expanded along its third column is
     |p'|^2 (q' x r') + |q'|^2 (r' x p') + |r'|^2 (p' x q'), each factor
-    a pair (A, B) meaning A + B*sqrt(d); over Q every B is zero.
+    a pair (A, B) meaning A + B*sqrt(d); over Q every B is zero, and
+    the x and y parts alone give the determinant.
     """
-    sxa, sxb, sya, syb = s
-    pxa, pya, qxa, qya = p[0] - sxa, p[2] - sya, q[0] - sxa, q[2] - sya
-    rxa, rya = r[0] - sxa, r[2] - sya
     if not d:
-        det = ((pxa * pxa + pya * pya) * (qxa * rya - qya * rxa)
-               + (qxa * qxa + qya * qya) * (rxa * pya - rya * pxa)
-               + (rxa * rxa + rya * rya) * (pxa * qya - pya * qxa))
+        sx, sy = s[0], s[2]
+        px, py, qx, qy = p[0] - sx, p[2] - sy, q[0] - sx, q[2] - sy
+        rx, ry = r[0] - sx, r[2] - sy
+        det = ((px * px + py * py) * (qx * ry - qy * rx)
+               + (qx * qx + qy * qy) * (rx * py - ry * px)
+               + (rx * rx + ry * ry) * (px * qy - py * qx))
         return (det > 0) - (det < 0)
-    P, Q, R = ((u[0] - sxa, u[1] - sxb, u[2] - sya, u[3] - syb)
-               for u in (p, q, r))
-    A = B = 0
-    for (axa, axb, aya, ayb), (bxa, bxb, bya, byb), (cxa, cxb, cya, cyb) in (
-            (P, Q, R), (Q, R, P), (R, P, Q)):
-        n0 = axa * axa + aya * aya + d * (axb * axb + ayb * ayb)
-        n1 = 2 * (axa * axb + aya * ayb)
-        c0 = bxa * cya - bya * cxa + d * (bxb * cyb - byb * cxb)
-        c1 = bxa * cyb + bxb * cya - bya * cxb - byb * cxa
-        A += n0 * c0 + d * n1 * c1
-        B += n0 * c1 + n1 * c0
-    return _sign(A, B, d)
+    p, q, r = _sub(p, s), _sub(q, s), _sub(r, s)
+    a = _mul(_norm(p, d), _cross(q, r, d), d)
+    b = _mul(_norm(q, d), _cross(r, p, d), d)
+    c = _mul(_norm(r, d), _cross(p, q, d), d)
+    return _sign(a[0] + b[0] + c[0], a[1] + b[1] + c[1], d)
 
 
 def _delaunay(tri: _Tri):
@@ -162,11 +156,7 @@ def _delaunay(tri: _Tri):
 
 
 def _cells(surface: TranslationSurface):
-    """`delaunay_cells` with each cell a tuple of lattice edge vectors,
-    built once and kept in the surface's cache."""
-    cached = surface._cache.get("delaunay")
-    if cached is not None:
-        return cached
+    """`delaunay_cells` with each cell a tuple of lattice edge vectors."""
     tri = _delaunay(_Tri(surface))
     n = len(tri.edges)
     # mark non-essential edges: hinge with all four points co-circular;
@@ -219,7 +209,6 @@ def _cells(surface: TranslationSurface):
     for s, (cell_id, slot) in slot_of.items():
         mate = tri.gluing[s]
         cell_gluing[(cell_id, slot)] = slot_of[mate]
-    surface._cache["delaunay"] = cells, cell_gluing
     return cells, cell_gluing
 
 

@@ -72,6 +72,12 @@ def _mul(s, t, d):
     return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
 
 
+def _pairs(scalars):
+    """The field scalars as pairs over their common denominator, and it."""
+    D = lcm(*(s._D for s in scalars))
+    return [(s._A * (D // s._D), s._B * (D // s._D)) for s in scalars], D
+
+
 def _add(p, q):
     return p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3]
 
@@ -124,9 +130,7 @@ class Lattice:
             raise _incompatible(gctx.d, self.d)
         ctx = gctx if gctx.d else self.ctx
         d = ctx.d
-        Dg = lcm(*(s._D for s in entries))
-        (aA, aB), (bA, bB), (cA, cB), (dA, dB) = (
-            (s._A * (Dg // s._D), s._B * (Dg // s._D)) for s in entries)
+        ((aA, aB), (bA, bB), (cA, cB), (dA, dB)), Dg = _pairs(entries)
         G = self.D * Dg
         edges = []
         for poly in self.edges:

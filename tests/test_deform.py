@@ -478,6 +478,23 @@ class TestLinearityFalse:
             assert not verify_linearity(surf, f, d, self.T)
             assert not ref_verify_linearity(surf, f, d, self.T)
 
+    def test_normalized_not_the_image(self, monkeypatch, l_origami,
+                                      golden_l):
+        """The Phi(M) term: a normalized surface that is not the g-image
+        of the surface fails, though it keeps the cut, the rises and the
+        heights, so that the t term alone still holds."""
+        checked = 0
+        for surf, f, d, _ids in _linearity_cases(l_origami, golden_l):
+            d.cut  # built from the true normalized surface
+            sheared = d.normalized.apply_matrix(Mat2.shear(1))
+            with monkeypatch.context() as m:
+                m.setattr(d, "normalized", sheared)
+                assert not verify_linearity(surf, f, d, self.T)
+                assert not ref_verify_linearity(surf, f, d, self.T)
+            assert verify_linearity(surf, f, d, self.T)
+            checked += 1
+        assert checked == 24
+
     def test_full_set_multiplies_no_complex(self, monkeypatch, l_origami,
                                             golden_l):
         cases = list(_linearity_cases(l_origami, golden_l))

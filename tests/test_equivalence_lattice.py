@@ -8,13 +8,14 @@ match on `Vec2` cells, which compares values and needs no D.  Full
 twists (every cylinder, or one cylinder by the inverse of its modulus)
 must match, and keep D, since D is an invariant of the relative periods;
 shears by a fraction of a twist must not match, whether they change D or
-not.  Once the cells are cached, the match builds no field scalar.
+not.  Once the lattice forms are built, the match builds no field
+scalar.
 """
 
 import sys
 from fractions import Fraction
 
-from flatdef import equivalence, field
+from flatdef import field
 from flatdef.cylinders import decompose
 from flatdef.deform import shear
 from flatdef.equivalence import delaunay_cells, translation_equivalent
@@ -197,7 +198,7 @@ class TestWorkCount:
         dec = decompose(golden_l, Vec2(1, 0))
         pairs.append((golden_l, shear(golden_l, dec, PHI), True))
         for a, b, want in pairs:
-            assert translation_equivalent(a, b) is want  # fills the caches
+            assert translation_equivalent(a, b) is want  # builds the lattice forms
 
         def no_vec2(*args):
             raise AssertionError("translation_equivalent built a vector")
@@ -210,20 +211,3 @@ class TestWorkCount:
                 monkeypatch, lambda: translation_equivalent(a, b))
             assert same is want
             assert total == area_check
-
-    def test_cells_cached(self, monkeypatch, multi_twisted, seeded_origami):
-        surface = seeded_origami(6, 13)
-        twists = [multi_twisted(surface, v) for v in DIRECTIONS]
-        built = []
-        tri = equivalence._Tri
-
-        def counted(s):
-            built.append(s)
-            return tri(s)
-
-        monkeypatch.setattr(equivalence, "_Tri", counted)
-        for twisted in twists:
-            assert translation_equivalent(surface, twisted)
-        # the surface's complex is built once, each twist's once
-        assert len(built) == 1 + len(twists)
-        assert built.count(surface) == 1
