@@ -7,7 +7,8 @@ along the saddle connections found, glue the resulting pieces across
 non-horizontal sub-edges, and certify each connected component as a
 cylinder by combinatorial checks: Euler characteristic zero, exactly
 two consistently oriented horizontal boundary circles of equal length,
-and no interior singular points.  This certification is what makes the
+no interior singular points, and a saddle connection found along every
+horizontal edge of the boundary.  This certification is what makes the
 Periodic status rigorous, and it keeps partial decompositions sound:
 a component that passes is a complete cylinder of the direction even
 when other separatrices exceeded the trace bound.
@@ -203,10 +204,9 @@ class Decomposition:
         its pieces, sub-edges per polygon edge, chords and chords per
         polygon, each piece marked with its component.
 
-        `decompose` passes None when no separatrix closed and no polygon
-        edge is horizontal, since nothing then needs the cut; it is built
-        here, without chords, on first access, with the contents
-        `decompose` would have built.
+        `decompose` passes None when no separatrix closed, since nothing
+        then needs the cut; it is built here, without chords, on first
+        access, with the contents `decompose` would have built.
         """
         if self._cut is None:
             self._cut = _build_cut(self.normalized, [], {})[0]
@@ -583,8 +583,15 @@ class _ComponentCheck:
             setattr(self, name, fields.get(name))
 
 
-def _check_component(surface, comp_pieces):
-    """Certify one component of the cut surface as a cylinder."""
+def _check_component(surface, comp_pieces, edge_runs):
+    """Certify one component of the cut surface as a cylinder.
+
+    `edge_runs` maps each horizontal polygon edge whose run closed as a
+    saddle connection, named by either of its glued sides, to that
+    connection's id.  A component bounded by an edge whose run the
+    bound stopped is not certified: its certificate could not list that
+    boundary connection.
+    """
     class_of = _corner_classes(comp_pieces)
     n_vertices = len(set(class_of.values()))
     n_faces = len(comp_pieces)
@@ -651,6 +658,12 @@ def _check_component(surface, comp_pieces):
     top = circles[signs.index(-1)]
     if lengths[0] != lengths[1]:
         return _ComponentCheck(False, "boundary circles of different length")
+    by_pid = {piece.pid: piece for piece in comp_pieces}
+    for pid, k in bottom + top:
+        piece = by_pid[pid]
+        item = piece.items[k]
+        if item.kind != "chord" and (piece.polygon, item.edge) not in edge_runs:
+            return _ComponentCheck(False, "boundary edge run beyond the bound")
 
     A = B = 0
     for pts in corners.values():
@@ -892,12 +905,11 @@ def decompose(surface: TranslationSurface, direction,
     the normalized surface exactly.  A trace_factor or trace_length that
     is not positive raises NonPositiveLength.
 
-    A cylinder is bounded by saddle connections and polygon edges of
-    its direction, so when no separatrix closes within the bound and no
-    edge lies in the direction the status is NoCylinderFound without
-    cutting the surface: the returned decomposition builds its `cut`
-    only when it is read.  An edge is tested on its own because a bound
-    shorter than the edge stops its run before it closes.
+    A certified cylinder lists every saddle connection of its boundary,
+    so one bounded by a polygon edge whose run the bound stopped is not
+    certified.  Hence when no separatrix closes within the bound the
+    status is NoCylinderFound without cutting the surface: the returned
+    decomposition builds its `cut` only when it is read.
     """
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
@@ -925,12 +937,7 @@ def decompose(surface: TranslationSurface, direction,
             unresolved.append(corner)
         else:
             saddle_connections.append(sc)
-    edge_run_sc = {}
-    for sc in saddle_connections:
-        if sc.is_edge_run:
-            p0, start, _end = sc.chords[0]
-            edge_run_sc[(p0, start[1])] = sc.sc_id
-            edge_run_sc[normalized.gluing[(p0, start[1])]] = sc.sc_id
+    edge_run_sc = _edge_runs(normalized, saddle_connections)
 
     # collect interior cut chords per polygon
     chords_by_polygon: dict[int, list] = {}
@@ -943,22 +950,18 @@ def decompose(surface: TranslationSurface, direction,
             chord_table.append(ch)
             chords_by_polygon.setdefault(p, []).append(ch)
 
-    # with no saddle connection and no horizontal edge every sub-edge is
-    # glued, so the cut would be the closed surface, one component that
-    # is no cylinder: skip it, and let the Decomposition build it if
-    # asked.  A horizontal edge needs its own test: under a bound shorter
-    # than the edge its run yields no saddle connection, yet it bounds
-    # the cut.
+    # with no saddle connection no component certifies: every boundary
+    # item of the cut is a horizontal edge whose run found no connection.
+    # Skip the cut, and let the Decomposition build it if asked.
     cut, components = None, []
-    if saddle_connections or any(e[2:] == (0, 0) for es in
-                                 normalized.lattice().edges for e in es):
+    if saddle_connections:
         cut, components = _build_cut(normalized, chord_table,
                                      chords_by_polygon)
 
     cylinders = []
     failed_components = 0
     for comp in components:
-        check = _check_component(normalized, comp)
+        check = _check_component(normalized, comp, edge_run_sc)
         if not check.ok:
             failed_components += 1
             continue
@@ -994,9 +997,8 @@ def decompose(surface: TranslationSurface, direction,
             if item.kind == "chord":
                 boundary_ids.add(chord_table[item.chord_id].sc_id)
             else:
-                sc_id = edge_run_sc.get((cut.pieces[pid].polygon, item.edge))
-                if sc_id is not None:
-                    boundary_ids.add(sc_id)
+                boundary_ids.add(edge_run_sc[(cut.pieces[pid].polygon,
+                                              item.edge)])
         cyl = Cylinder(
             cyl_id=len(cylinders), height=h, circumference=c,
             area=check.area, core_coords=tuple(core_coords),
@@ -1029,6 +1031,18 @@ def decompose(surface: TranslationSurface, direction,
     return Decomposition(surface, frame, direction, g, normalized, status,
                          tuple(cylinders), tuple(saddle_connections),
                          bound_sq, tuple(unresolved), cut)
+
+
+def _edge_runs(normalized, saddle_connections):
+    """{(polygon, edge): sc_id} for each horizontal edge whose run is a
+    saddle connection, under both of its glued sides."""
+    runs = {}
+    for sc in saddle_connections:
+        if sc.is_edge_run:
+            p0, start, _end = sc.chords[0]
+            runs[(p0, start[1])] = sc.sc_id
+            runs[normalized.gluing[(p0, start[1])]] = sc.sc_id
+    return runs
 
 
 _CutData = namedtuple("_CutData", "pieces subs chords chords_by_polygon")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError
 from .field import _sign
 from .polygon import _ORIGIN, _add, _cross, _mul, _norm, _sub
-from .search import Triangulated
+from .search import triangulated
 from .surface import TranslationSurface
 
 __all__ = ["translation_equivalent", "delaunay_cells"]
@@ -33,13 +33,13 @@ MAX_FLIPS = 100_000
 class _Tri:
     """Triangulated surface with edge-vector triangles and gluings.
 
-    Built from the saddle-connection search's triangulation; the gluing
-    is a copy because flips rewrite it.  Edge vectors are in the
-    surface's integer form `lat`.
+    Built from the saddle-connection search's triangulation, which the
+    surface's family shares; the gluing is a copy because flips rewrite
+    it.  Edge vectors are in the surface's integer form `lat`.
     """
 
     def __init__(self, surface: TranslationSurface):
-        base = Triangulated(surface)
+        base = triangulated(surface)
         self.lat = surface.lattice()
         points = self.lat.verts
         self.edges = []    # edges[t] = [e0, e1, e2] summing to zero
@@ -133,17 +133,25 @@ def _incircle(p, q, r, s, d) -> int:
 
 
 def _delaunay(tri: _Tri):
-    """Flip until every hinge satisfies the incircle condition."""
+    """Flip until every hinge satisfies the incircle condition.
+
+    Returns the co-circular hinges of the last sweep, the one that
+    flipped nothing, as the set of both sides of each: one incircle test
+    per glued pair, co-circularity being symmetric.
+    """
     d = tri.lat.d
     flips = 0
     dirty = True
     while dirty:
         dirty = False
+        cocircular = set()
         for t1 in range(len(tri.edges)):
             for k1 in range(3):
-                if (t1, k1) > tri.gluing[(t1, k1)]:
+                mate = tri.gluing[(t1, k1)]
+                if (t1, k1) > mate:
                     continue
-                if _incircle(*tri.hinge(t1, k1), d) > 0:
+                s = _incircle(*tri.hinge(t1, k1), d)
+                if s > 0:
                     # flippability: the quad must be strictly convex,
                     # which incircle violation guarantees for a hinge
                     tri.flip(t1, k1)
@@ -152,24 +160,17 @@ def _delaunay(tri: _Tri):
                         raise InternalInvariantError(
                             "Delaunay flipping did not terminate")
                     dirty = True
-    return tri
+                elif s == 0:
+                    cocircular.update(((t1, k1), mate))
+    return cocircular
 
 
 def _cells(surface: TranslationSurface):
     """`delaunay_cells` with each cell a tuple of lattice edge vectors."""
-    tri = _delaunay(_Tri(surface))
+    tri = _Tri(surface)
+    # the non-essential edges: hinges with all four points co-circular
+    cocircular = _delaunay(tri)
     n = len(tri.edges)
-    # mark non-essential edges: hinge with all four points co-circular;
-    # co-circularity is symmetric, so one test per glued pair
-    essential = {}
-    d = tri.lat.d
-    for t1 in range(n):
-        for k1 in range(3):
-            side = (t1, k1)
-            if side in essential:
-                continue
-            flag = _incircle(*tri.hinge(t1, k1), d) != 0
-            essential[side] = essential[tri.gluing[side]] = flag
     # merge triangles across non-essential edges into cells: walk each
     # cell boundary along essential sides
     side_seen = set()
@@ -181,14 +182,14 @@ def _cells(surface: TranslationSurface):
         # rotate within the cell: step to the next boundary side ccw
         t, k = side
         nxt = (t, (k + 1) % 3)
-        while not essential[nxt]:
+        while nxt in cocircular:
             t2, k2 = tri.gluing[nxt]
             nxt = (t2, (k2 + 1) % 3)
         return nxt
 
     for t1 in range(n):
         for k1 in range(3):
-            if not essential[(t1, k1)] or (t1, k1) in side_seen:
+            if (t1, k1) in cocircular or (t1, k1) in side_seen:
                 continue
             loop = []
             side = (t1, k1)

@@ -75,7 +75,8 @@ class Cocycle:
 # The names of the frame's integer data.  It depends only on polygon
 # sizes, edge indices, gluing and vertex classes, which an image of
 # positive determinant shares with its source, so the surface keeps it in
-# its cache and `TranslationSurface.apply_matrix` carries it to images.
+# the family cache that `TranslationSurface.apply_matrix` shares with such
+# images.
 _FRAME_DATA = ("cells", "cell_of", "m", "_coord_cols", "basis_chains",
                "vertex_class_of", "boundary_matrix", "absolute_basis",
                "_ray_cycles", "intersection_matrix")
@@ -85,8 +86,9 @@ class HomologyFrame:
     """A chosen integer basis of H_1(X, Sigma; Z) with derived data.
 
     The integer data (`_FRAME_DATA`) is computed and self-checked once
-    and kept in the surface's cache; a frame of a surface that carries
-    it from its source computes only its own `hash`.
+    and kept in the surface's family cache (`TranslationSurface._family`);
+    a frame of a surface whose family already holds it computes only its
+    own `hash`.
     """
 
     def __init__(self, surface: TranslationSurface):
@@ -94,10 +96,10 @@ class HomologyFrame:
         data = surface.singularities()
         self.singularity_data = data
         self.genus = data.genus
-        ints = surface._cache.get("frame_data")
+        ints = surface._family.get("frame_data")
         if ints is None:
             self._build(surface, data)
-            surface._cache["frame_data"] = {
+            surface._family["frame_data"] = {
                 name: vars(self)[name] for name in _FRAME_DATA}
         else:
             vars(self).update(ints)

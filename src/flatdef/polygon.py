@@ -263,15 +263,42 @@ def sector_contains(start, end, w, d, *,
     return cross_sign(start, w, d) > 0
 
 
-def corner_crosses_east(out_ray, rev_in_ray, d) -> int:
-    """1 when the ccw sweep from out_ray to rev_in_ray crosses (1, 0).
+def corner_crosses_east(out_ray, rev_in_ray, d, closed: str = "end") -> bool:
+    """Whether (1, 0) lies in the half-open ccw sector of a corner, from
+    out_ray to rev_in_ray, closed at its `closed` end ("start" or "end").
 
-    Crossing is counted on the half-open sector (out_ray, rev_in_ray],
-    so summing over the corner cycle of a vertex class counts full turns
-    exactly once each.
+    Closed at the end, summing over the corner cycle of a vertex class
+    counts its full turns exactly once each; closed at the start, the
+    corners are those whose east separatrix germ leaves them.
+
+    The answer is `sector_contains`'s with w = (1, 0), for any rays.
+    There a ray v is on w exactly when its y-part is 0 and its x-part
+    positive, and the cross products with w are y-parts: with so, si
+    the signs of the y-parts of out_ray and rev_in_ray, w lies strictly
+    inside when s = out x rev_in > 0 exactly if so < 0 < si, when s < 0
+    unless si < 0 < so, and when s = 0 (anti-parallel rays, or a zero
+    one) exactly if so < 0; rays on one ray make a full turn.  So
+    so < 0 < si puts w inside and si < 0 < so outside whatever s is,
+    and otherwise the sign of s decides, with s = 0 left to the full
+    turn or so < 0.  A corner thus costs the signs of its two rises and
+    at most one cross sign; x-parts are read only for horizontal rays.
     """
-    return 1 if sector_contains(out_ray, rev_in_ray, _EAST, d,
-                                include_start=False, include_end=True) else 0
+    if closed not in ("start", "end"):
+        raise ValueError(f"closed must be 'start' or 'end', not {closed!r}")
+    so = _sign(out_ray[2], out_ray[3], d)
+    si = _sign(rev_in_ray[2], rev_in_ray[3], d)
+    if so == 0 and _sign(out_ray[0], out_ray[1], d) > 0:
+        return closed == "start"
+    if si == 0 and _sign(rev_in_ray[0], rev_in_ray[1], d) > 0:
+        return closed == "end"
+    if so < 0 < si:
+        return True
+    if si < 0 < so:
+        return False
+    s = cross_sign(out_ray, rev_in_ray, d)
+    if s:
+        return s < 0
+    return so < 0 or same_ray(out_ray, rev_in_ray, d)
 
 
 def _on_segment(x, a, b, d) -> bool:

@@ -27,7 +27,7 @@ from .polygon import _Bound, _add, _cross, _dot, _mul, _norm, _sub, ear_clip
 from .surface import TranslationSurface
 
 __all__ = ["enumerate_saddle_connections", "enumerate_directions",
-           "Triangulated"]
+           "Triangulated", "triangulated"]
 
 
 class Triangulated:
@@ -68,6 +68,21 @@ class Triangulated:
             mate = edge_sides[(q, f)]
             self.gluing[side] = mate
             self.gluing[mate] = side
+
+
+def triangulated(surface: TranslationSurface) -> Triangulated:
+    """The surface's `Triangulated`, built once per family.
+
+    An ear clip decides by orientation signs and by order along a line,
+    which a linear map of positive determinant keeps, so every such
+    image of a surface is clipped into the same triangles, and the
+    result is kept in the family cache they share
+    (`TranslationSurface._family`).  Callers must not change it.
+    """
+    tri = surface._family.get("triangulated")
+    if tri is None:
+        tri = surface._family["triangulated"] = Triangulated(surface)
+    return tri
 
 
 def _window_within(w1, w2, a, b, bound: _Bound) -> bool:
@@ -162,7 +177,7 @@ def enumerate_saddle_connections(surface: TranslationSurface,
     a Fraction or a FieldScalar of the surface's field (or rational).
     """
     surface.singularities()
-    tri = Triangulated(surface)
+    tri = triangulated(surface)
     lat = surface.lattice()
     bound = _Bound(lat, bound_sq)
     n = len(tri.triangles)

@@ -67,7 +67,15 @@ class SingularityData:
 
 
 class TranslationSurface:
-    """Immutable translation surface; validation happens on construction."""
+    """Immutable translation surface; validation happens on construction.
+
+    Computed data is cached in two dicts.  `_cache` holds what depends on
+    the surface's own coordinates: its lattice form, vertices, homology
+    frame, east corners and slab tables.  `_family` holds what every
+    image of positive determinant shares with it, and `apply_matrix`
+    hands such an image the same dict: the singularity data, the frame's
+    integer data and the triangulation (`search.triangulated`).
+    """
 
     def __init__(self, polygons, gluing, label: str = ""):
         polys = []
@@ -97,6 +105,7 @@ class TranslationSurface:
         self.ctx = ctx
         self.label = label
         self._cache: dict = {}
+        self._family: dict = {}
         self._validate_structure([len(poly) for poly in polys])
 
     @cached_property
@@ -131,11 +140,12 @@ class TranslationSurface:
                 yield (p, e)
 
     def vertices(self, p: int) -> list[Vec2]:
-        key = ("verts", p)
-        if key not in self._cache:
+        verts = self._cache.get(("verts", p))
+        if verts is None:
             lat = self.lattice()
-            self._cache[key] = [lat.vec2(v) for v in lat.verts[p]]
-        return self._cache[key]
+            verts = self._cache[("verts", p)] = [lat.vec2(v)
+                                                 for v in lat.verts[p]]
+        return verts
 
     def lattice(self) -> Lattice:
         """The integer form of every polygon (`polygon.Lattice`)."""
@@ -175,8 +185,8 @@ class TranslationSurface:
     # -- full validation -------------------------------------------------
 
     def singularities(self) -> SingularityData:
-        if "sing" in self._cache:
-            return self._cache["sing"]
+        if "sing" in self._family:
+            return self._family["sing"]
         lat = self.lattice()
         for p, (edges, verts) in enumerate(zip(lat.edges, lat.verts)):
             # no edges close up; check_simple then rejects the polygon
@@ -230,7 +240,7 @@ class TranslationSurface:
                 f"cone orders {cone_orders} violate the angle-count identity "
                 f"for genus {genus}")
         data = SingularityData(classes, cone_orders, genus)
-        self._cache["sing"] = data
+        self._family["sing"] = data
         return data
 
     def _check_connected(self):
@@ -282,25 +292,28 @@ class TranslationSurface:
         The image builds its `polygons` from that form when they are
         first read, and its field is the form's.
 
-        With det > 0 the image carries this surface's singularity data,
-        validating this surface first if it has not been.  A linear map
-        of positive determinant keeps every polygon closed, simple and
-        counterclockwise and keeps glued edges opposite; corners and
-        gluing, hence the vertex classes, are the same.  Along a path
-        from the identity to g in GL+(2,R), which is connected, every
-        corner angle moves continuously within (0, 2*pi), so each
-        vertex's total angle, always a multiple of 2*pi, cannot change.
-        It also carries the integer data of this surface's homology
-        frame, if built (`homology.HomologyFrame`), which depends only on
-        polygon sizes, edge indices, gluing and vertex classes.  With
-        det < 0 the corners are renumbered, so neither is carried.
+        With det > 0 the image shares this surface's family cache
+        (`_family`), validating this surface first if it has not been.
+        A linear map of positive determinant keeps every polygon closed,
+        simple and counterclockwise and keeps glued edges opposite;
+        corners and gluing, hence the vertex classes, are the same.
+        Along a path from the identity to g in GL+(2,R), which is
+        connected, every corner angle moves continuously within
+        (0, 2*pi), so each vertex's total angle, always a multiple of
+        2*pi, cannot change: the singularity data is the same.  So is
+        the integer data of the homology frame (`homology.HomologyFrame`),
+        which depends only on polygon sizes, edge indices, gluing and
+        vertex classes, and the triangulation, whose ear-clip choices
+        are orientation signs that such a map keeps.  With det < 0 the
+        corners are renumbered, so the image starts a family of its own.
         """
         det_sign = g.det().sign()
         if det_sign == 0:
             raise SingularMatrix("matrix has determinant zero")
         if label is None:
             label = self.label
-        data = self.singularities() if det_sign > 0 else None
+        if det_sign > 0:
+            self.singularities()
         lat = self.lattice().image(g, reverse=det_sign < 0)
         sizes = [len(edges) for edges in lat.edges]
         gl = self.gluing
@@ -318,11 +331,8 @@ class TranslationSurface:
         image.ctx = lat.ctx
         image.label = label
         image._cache = {"lattice": lat}
+        image._family = self._family if det_sign > 0 else {}
         image._validate_structure(sizes)
-        if data is not None:
-            image._cache["sing"] = data
-            if "frame_data" in self._cache:
-                image._cache["frame_data"] = self._cache["frame_data"]
         return image
 
 

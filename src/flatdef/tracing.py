@@ -8,7 +8,11 @@ boundary parameterization needed for homology bookkeeping.
 An eastward ray keeps its height y inside a polygon, so where it leaves
 depends only on that height and on how far east it starts.
 `_SlabTable` indexes one polygon by height once, and each crossing is
-then a table lookup.
+then a table lookup.  The set-up is built only as far as the rays read
+it: the corners east leaves are decided by the rises of their edges
+(`polygon.corner_crosses_east`), a polygon's table is built when a ray
+first enters it, and the exits along a vertex-height line when a ray
+first stands on that line; most rays cross the open slabs between.
 
 The arithmetic runs on the surface's `polygon.Lattice`: a coordinate
 is a pair (A, B) of integers meaning (A + B*sqrt(d))/D.  Gluing
@@ -38,7 +42,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2, _new, _sign, join_ctx
-from .polygon import _EAST, _Bound, _mul, _sub, sector_contains
+from .polygon import _Bound, _mul, _sub, corner_crosses_east
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners"]
@@ -70,8 +74,10 @@ def east_ray_corners(surface: TranslationSurface):
 
     Each eastward separatrix germ of the horizontal foliation appears at
     exactly one corner, so these are the rays to trace for a horizontal
-    decomposition.  The list is cached on the surface: callers read it
-    and must not change it.
+    decomposition.  Each corner is decided by the rises of its two
+    edges and at most one cross sign (`polygon.corner_crosses_east`).
+    The list is cached on the surface: callers read it and must not
+    change it.
     """
     corners = surface._cache.get("east")
     if corners is None:
@@ -79,8 +85,8 @@ def east_ray_corners(surface: TranslationSurface):
         corners = surface._cache["east"] = [
             (p, i) for p, edges in enumerate(lat.edges)
             for i in range(len(edges))
-            if sector_contains(*lat.corner_rays((p, i)), _EAST, lat.d,
-                               include_start=True, include_end=False)]
+            if corner_crosses_east(*lat.corner_rays((p, i)), lat.d,
+                                   closed="start")]
     return corners
 
 
@@ -137,6 +143,13 @@ class _SlabTable:
     (h0, a0, dh, da), `exits[e]` its exit event and `span[e]` the ranks
     of its lower and upper end.
 
+    The heights, spans, exits and slab orders are built with the table.
+    A line's `events[j]` and `line_pos[j]` are None until `line(j)`
+    builds them, which `exit` asks for the first time a ray stands on
+    that line: a trace from a corner stands on its start's line, and
+    most crossings leave through an open slab, so most lines of a
+    polygon are never read.
+
     An exit event is a tuple (kind, data, C, M, R, R2): kind "vertex"
     with the vertex index or "edge" with the edge index, and pairs such
     that the event's along-coordinate, for a ray at height H over k*D,
@@ -150,7 +163,8 @@ class _SlabTable:
     """
 
     __slots__ = ("heights", "line_of", "order", "succ", "events",
-                 "line_pos", "lines", "exits", "span")
+                 "line_pos", "lines", "exits", "span", "_d", "_rank",
+                 "_alongs")
 
     def __init__(self, verts, edges, d):
         n = len(edges)
@@ -165,11 +179,9 @@ class _SlabTable:
         exits = [None] * n
         span = [None] * n
         one = (1, 0)
-        # per line, in edge scan order: cands holds (P, R, key, event)
-        # for each exit at along-coordinate P/R, and above holds
-        # (P, R, M, R, edge) for each edge of slope M/R that crosses the
-        # open slab just above the line
-        cands = [[] for _ in heights]
+        # per line, in edge scan order: (P, R, M, R, edge) for each edge
+        # of slope M/R that crosses the open slab just above the line at
+        # along-coordinate P/R
         above = [[] for _ in heights]
         for e, vec in enumerate(edges):
             f = (e + 1) % n
@@ -185,51 +197,17 @@ class _SlabTable:
             M, R = da, dh
             if _sign(*R, d) < 0:
                 C, M, R = (-C[0], -C[1]), (-M[0], -M[1]), (-R[0], -R[1])
-            exits[e] = event = ("edge", e, C, M, R, _mul(R, R, d))
+            exits[e] = ("edge", e, C, M, R, _mul(R, R, d))
             lo, hi = span[e] = (ra, rb) if ra < rb else (rb, ra)
-            for v, j in ((e, ra), (f, rb)):
-                a = pts[v][1]
-                cands[j].append((a, one, ("vertex", v),
-                                 ("vertex", v, a, (0, 0), one, one)))
-                if j == lo:
-                    above[j].append((a, one, M, R, e))
+            above[lo].append((pts[e if ra == lo else f][1], one, M, R, e))
             for j in range(lo + 1, hi):
-                hM = _mul(heights[j], M, d)
-                P = C[0] + hM[0], C[1] + hM[1]
-                cands[j].append((P, R, ("edge", e), event))
-                above[j].append((P, R, M, R, e))
-
-        def cmp_quotients(u, v):
-            # P1/R1 against P2/R2, the quotients (P, R), R > 0, that
-            # lead the tuples u and v
-            (P1A, P1B), (R1A, R1B), (P2A, P2B), (R2A, R2B) = u[0], u[1], v[0], v[1]
-            return _sign(P1A * R2A + d * P1B * R2B - P2A * R1A - d * P2B * R1B,
-                         P1A * R2B + P1B * R2A - P2A * R1B - P2B * R1A, d)
-
-        self.events = []
-        self.line_pos = []
-        for line in cands:
-            # stable: scan order within a point
-            line.sort(key=cmp_to_key(cmp_quotients))
-            events = []
-            pos = {}
-            last = None
-            for cand in line:
-                if last is not None and cmp_quotients(last, cand) == 0:
-                    # one point: a vertex label found first stays, an
-                    # edge label gives way to a later candidate
-                    if events[-1][0] == "edge":
-                        events[-1] = cand[3]
-                else:
-                    events.append(cand[3])
-                pos[cand[2]] = len(events) - 1
-                last = cand
-            self.events.append(events)
-            self.line_pos.append(pos)
+                above[j].append((_along(C, M, heights[j], d), R, M, R, e))
 
         # the edges of a slab keep their order across it, so it is the
         # order where they leave its lower line; edges leaving one point
         # fan out by slope
+        cmp_quotients = _quotient_cmp(d)
+
         def cmp_spans(u, v):
             return (cmp_quotients(u, v) or cmp_quotients(u[2:], v[2:])
                     or (u[4] > v[4]) - (u[4] < v[4]))
@@ -243,6 +221,57 @@ class _SlabTable:
         self.lines = lines
         self.exits = exits
         self.span = span
+        self.events = [None] * len(heights)
+        self.line_pos = [None] * len(heights)
+        self._d = d
+        self._rank = rank
+        self._alongs = [a for _, a in pts]
+
+    def line(self, j):
+        """(events[j], line_pos[j]), built on the first call for line j.
+
+        The candidates are gathered in edge scan order, each vertex
+        through every non-horizontal edge it ends, and sorted stably.
+        """
+        events = self.events[j]
+        if events is not None:
+            return events, self.line_pos[j]
+        d, h, rank, alongs = self._d, self.heights[j], self._rank, self._alongs
+        n = len(self.exits)
+        one = (1, 0)
+        # (P, R, key, event) for each exit at along-coordinate P/R
+        cands = []
+        for e, event in enumerate(self.exits):
+            if event is None:
+                continue
+            lo, hi = self.span[e]
+            if lo < j < hi:
+                cands.append((_along(event[2], event[3], h, d), event[4],
+                              ("edge", e), event))
+            elif j == lo or j == hi:
+                v = e if rank[e] == j else (e + 1) % n
+                a = alongs[v]
+                cands.append((a, one, ("vertex", v),
+                              ("vertex", v, a, (0, 0), one, one)))
+        cmp_quotients = _quotient_cmp(d)
+        # stable: scan order within a point
+        cands.sort(key=cmp_to_key(cmp_quotients))
+        events = []
+        pos = {}
+        last = None
+        for cand in cands:
+            if last is not None and cmp_quotients(last, cand) == 0:
+                # one point: a vertex label found first stays, an edge
+                # label gives way to a later candidate
+                if events[-1][0] == "edge":
+                    events[-1] = cand[3]
+            else:
+                events.append(cand[3])
+            pos[cand[2]] = len(events) - 1
+            last = cand
+        self.events[j] = events
+        self.line_pos[j] = pos
+        return events, pos
 
     def exit(self, H, A, k, d, key=None):
         """The first exit event strictly ahead of a point, or None.
@@ -260,8 +289,8 @@ class _SlabTable:
         else:
             j = self.line_of.get((H[0] // k, H[1] // k))
         if j is not None:
-            events = self.events[j]
-            i = self.line_pos[j].get(key)
+            events, pos = self.line(j)
+            i = pos.get(key)
             if i is None:
                 i = 0
                 while i < len(events) and not _ahead(events[i], H, A, k, d):
@@ -298,6 +327,23 @@ class _SlabTable:
         on edge e."""
         h0, _, dh, _ = self.lines[e]
         return _quotient((H[0] - k * h0[0], H[1] - k * h0[1]), dh, k, d, ctx)
+
+
+def _along(C, M, h, d):
+    """C + h*M, the along-coordinate times R at height h of an edge
+    whose exit event holds C, M and R."""
+    hM = _mul(h, M, d)
+    return C[0] + hM[0], C[1] + hM[1]
+
+
+def _quotient_cmp(d):
+    """The comparison of the quotients P/R (pairs, R > 0) that lead two
+    tuples, by one cross-multiplied sign."""
+    def cmp(u, v):
+        (P1A, P1B), (R1A, R1B), (P2A, P2B), (R2A, R2B) = u[0], u[1], v[0], v[1]
+        return _sign(P1A * R2A + d * P1B * R2B - P2A * R1A - d * P2B * R1B,
+                     P1A * R2B + P1B * R2A - P2A * R1B - P2B * R1A, d)
+    return cmp
 
 
 def _ahead(event, H, A, k, d) -> bool:

@@ -25,7 +25,8 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from flatdef.cylinders import _check_component, _point_coords, decompose
+from flatdef.cylinders import (_check_component, _edge_runs, _point_coords,
+                               decompose)
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.polygon import sector_contains
@@ -141,7 +142,8 @@ def ref_cross_chords(dec, cyl):
     """The reference cross curve of a cylinder of `dec`, from its cut."""
     normalized, cut = dec.normalized, dec.cut
     check = _check_component(normalized,
-                             [cut.pieces[pid] for pid in cyl.piece_ids])
+                             [cut.pieces[pid] for pid in cyl.piece_ids],
+                             _edge_runs(normalized, dec.saddle_connections))
     assert check.ok
     germ = ref_bottom_germ_corner(cut.pieces, cut.chords,
                                   dec.saddle_connections, check.bottom)

@@ -227,7 +227,7 @@ class TestFullSetDeformation:
             assert d.is_periodic
             for op, amount in self.AMOUNTS:
                 out = op(surf, d, amount)
-                assert "sing" in out._cache  # carried over, not recomputed
+                assert "sing" in out._family  # carried over, not recomputed
                 assert _data(out.singularities()) == \
                     _data(_fresh(out).singularities())
 

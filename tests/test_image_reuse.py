@@ -1,26 +1,35 @@
 """An `apply_matrix` image keeps what a linear map cannot change.
 
-With det > 0 the image carries the integer data of its source's homology
-frame (`homology._FRAME_DATA`), and every image builds its polygons from
-its own lattice form when they are first read.  The expectation is an
-argument, not a fixture (README, "An image keeps its source's frame and
-builds its polygons when read"): the frame's integer data depends only on
-polygon sizes, edge indices, gluing and vertex classes, which det > 0
-keeps, so a carried frame must equal a fresh `HomologyFrame` of an equal
-surface built by the constructor, in every integer field and in `hash`.
+With det > 0 the image shares its source's family cache
+(`TranslationSurface._family`): the integer data of the homology frame
+(`homology._FRAME_DATA`) and the triangulation (`search.triangulated`).
+Every image builds its polygons from its own lattice form when they are
+first read.  The expectation is an argument, not a fixture (README, "An
+image keeps its source's frame and builds its polygons when read"): the
+frame's integer data depends only on polygon sizes, edge indices, gluing
+and vertex classes, which det > 0 keeps, so a carried frame must equal a
+fresh `HomologyFrame` of an equal surface built by the constructor, in
+every integer field and in `hash`; an ear clip decides by orientation
+signs, which det > 0 keeps, so a shared triangulation must equal a fresh
+`Triangulated` of the image.  Nothing read from the image's own
+coordinates is shared.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from flatdef import homology
+from flatdef import deform, homology
 from flatdef.cylinders import decompose
 from flatdef.deform import shear, stretch
+from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, Mat2, Vec2
 from flatdef.homology import _FRAME_DATA, HomologyFrame, homology_frame
+from flatdef.search import Triangulated, triangulated
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
+from flatdef.tracing import _polygon_table, east_ray_corners
 
 from conftest import PHI
 
@@ -59,12 +68,12 @@ def _no_smith_form(*args):
 
 def _check_carried(source, image, monkeypatch):
     assert "polygons" not in vars(image)
-    assert image._cache["frame_data"] is source._cache["frame_data"]
+    assert image._family["frame_data"] is source._family["frame_data"]
     with monkeypatch.context() as m:
         m.setattr(homology, "smith_form", _no_smith_form)
         frame = HomologyFrame(image)
     fresh = _fresh(image)
-    assert "frame_data" not in fresh._cache
+    assert "frame_data" not in fresh._family
     assert _fields(frame) == _fields(HomologyFrame(fresh))
 
 
@@ -117,7 +126,7 @@ class TestCarriedFrame:
         # shear carry it
         source = square_tiled([2, 3, 1, 4], [3, 4, 2, 1])
         dec = decompose(source, Vec2(1, 1))
-        assert "frame_data" in dec.normalized._cache
+        assert "frame_data" in dec.normalized._family
         _check_carried(source, shear(source, dec, 2), monkeypatch)
 
     def test_image_of_an_image(self, monkeypatch):
@@ -139,14 +148,14 @@ class TestCarriedFrame:
                   else request.getfixturevalue(name))
         homology_frame(source)
         image = source.apply_matrix(Mat2(*m))
-        assert "frame_data" not in image._cache
+        assert "frame_data" not in image._family
         assert _fields(HomologyFrame(image)) == \
             _fields(HomologyFrame(_fresh(image)))
 
     def test_source_without_frame_carries_nothing(self):
         source = l_shape(PHI, 1, 1, PHI - 1)
         image = source.apply_matrix(Mat2(1, 1, 0, 1))
-        assert "frame_data" not in image._cache
+        assert "frame_data" not in image._family
         assert _fields(HomologyFrame(image)) == \
             _fields(HomologyFrame(_fresh(image)))
 
@@ -190,3 +199,123 @@ class TestLazyPolygons:
             assert dec.is_periodic
             assert "polygons" not in vars(dec.normalized)
 
+
+
+# what a det > 0 image shares with its source; everything else it keeps
+# in its own `_cache`
+FAMILY_KEYS = {"sing", "frame_data", "triangulated"}
+
+
+def _triangles(tri):
+    return tri.triangles, sorted(tri.gluing.items())
+
+
+class TestFamilyCache:
+    @pytest.mark.parametrize("m", SL2Z_SMALL[::3])
+    def test_golden_images_share_the_fresh_triangulation(self, m):
+        source = _golden()
+        image = source.apply_matrix(Mat2(*m))
+        assert triangulated(image) is triangulated(source)
+        assert _triangles(triangulated(source)) == \
+            _triangles(Triangulated(image)) == \
+            _triangles(Triangulated(_fresh(image)))
+
+    @pytest.mark.parametrize("n, seed", ORIGAMIS)
+    def test_origami_images_share_the_fresh_triangulation(self, n, seed,
+                                                          seeded_origami):
+        source = seeded_origami(n, seed)
+        for v in [(1, 0), (1, 1), (2, -1)]:
+            dec = decompose(source, Vec2(*v))
+            for image in (dec.normalized, shear(source, dec, Fraction(2, 7)),
+                          stretch(source, dec, Fraction(3, 5))):
+                assert image._family is source._family
+                assert _triangles(triangulated(image)) == \
+                    _triangles(Triangulated(image))
+
+    def test_negative_det_triangulates_afresh(self):
+        source = square_tiled([(1, 2)], [(1, 3)], n=3)
+        triangulated(source)
+        image = source.apply_matrix(Mat2(0, 1, 1, 0))
+        assert image._family is not source._family
+        assert "triangulated" not in image._family
+        assert _triangles(triangulated(image)) == \
+            _triangles(Triangulated(image))
+
+    @pytest.mark.parametrize("m", [(1, 1, 0, 1), (2, 1, 1, 1), (0, -1, 1, 0)])
+    def test_frame_built_on_an_image_serves_its_source(self, m,
+                                                       monkeypatch):
+        # the family is shared both ways: frame data first built on an
+        # image is the source's too, as det > 0 has an inverse of det > 0
+        source = l_shape(PHI, 1, 1, PHI - 1, label="golden-l")
+        image = source.apply_matrix(Mat2(*m))
+        homology_frame(image)
+        assert source._family["frame_data"] is image._family["frame_data"]
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "smith_form", _no_smith_form)
+            frame = HomologyFrame(source)
+        assert _fields(frame) == _fields(HomologyFrame(_fresh(source)))
+
+    @pytest.mark.parametrize("n, seed", [(4, 1), (6, 3), (8, 5)])
+    @pytest.mark.parametrize("v", [(1, 0), (0, 1), (1, 1)])
+    def test_one_triangulation_per_origami_deform_cycle(
+            self, n, seed, v, seeded_origami, monkeypatch):
+        # the benchmark's write-path cycle: the multi-twist's Delaunay
+        # matching triangulates the surface and its twist, one family
+        built = []
+        init = Triangulated.__init__
+
+        def counted(self, surface):
+            built.append(surface)
+            init(self, surface)
+
+        monkeypatch.setattr(Triangulated, "__init__", counted)
+        s = seeded_origami(n, seed)
+        frame = homology_frame(s)
+        dec = decompose(s, Vec2(*v), frame=frame)
+        deform.twist_space(s, frame, dec)
+        deform.cylinder_preserving_space(s, frame, dec)
+        sheared = shear(s, dec, Fraction(2, 7))
+        stretch(s, dec, Fraction(3, 5))
+        assert deform.verify_linearity(s, frame, dec, Fraction(2, 7))
+        inv = [1 / cyl.modulus.as_fraction() for cyl in dec.cylinders]
+        t = Fraction(math.lcm(*(x.numerator for x in inv)),
+                     math.gcd(*(x.denominator for x in inv)))
+        twisted = shear(s, dec, t)
+        assert translation_equivalent(s, twisted)
+        decompose(sheared, Vec2(*v), frame=homology_frame(sheared))
+        assert built == [s]
+
+    @pytest.mark.parametrize("name", ["golden", "origami"])
+    def test_no_direction_dependent_entry_is_shared(self, name,
+                                                    seeded_origami):
+        source = _golden() if name == "golden" else seeded_origami(6, 3)
+        triangulated(source)
+        images = []
+        # directions whose normalizers move every edge, so no two of the
+        # surfaces have equal coordinates
+        for v in [(0, 1), (1, 1), (2, -1)]:
+            normalized = decompose(source, Vec2(*v)).normalized
+            # read everything a surface caches of its own coordinates
+            east_ray_corners(normalized)
+            for p in range(len(normalized.lattice().edges)):
+                _polygon_table(normalized, p)
+                normalized.vertices(p)
+            normalized.polygons
+            homology_frame(normalized)
+            assert normalized._family is source._family
+            images.append(normalized)
+        assert set(source._family) == FAMILY_KEYS
+        assert not {"east", "slabs"} & set(source._cache)
+        for a in [source] + images:
+            assert not set(a._cache) & FAMILY_KEYS
+            for b in [source] + images:
+                if a is b:
+                    continue
+                assert a.lattice() is not b.lattice()
+                assert a.lattice().edges != b.lattice().edges
+                assert a.vertices(0) is not b.vertices(0)
+                assert a.polygons != b.polygons
+                assert homology_frame(a) is not homology_frame(b)
+                for key in ("east", "slabs"):
+                    if key in a._cache and key in b._cache:
+                        assert a._cache[key] is not b._cache[key]

@@ -1,15 +1,17 @@
 """The cut that `decompose` skips where no separatrix closed.
 
 A cylinder is bounded by saddle connections and horizontal edges of its
-direction.  With no saddle connection and no horizontal polygon edge,
+direction, and a certified cylinder lists every saddle connection of
+its boundary.  With no saddle connection, every boundary item of the
+cut is a horizontal edge whose run the bound stopped, and a component
+bounded by one is not certified; with no horizontal polygon edge either,
 every sub-edge is glued, and the one component of the cut is the whole
 closed surface, which is no annulus.  `decompose` then builds no cut,
-and `Decomposition.cut` builds the chordless cut on first access.  A
-horizontal edge is tested on its own: under the default bound it or its
-glued partner points east and gives an edge-run connection, but a bound
-shorter than the edge stops that run first.  These tests hold the lazy
-cut to an eager build made here, and hold the skip to the case it is
-sound for.
+and `Decomposition.cut` builds the chordless cut on first access.
+These tests hold the lazy cut to an eager build made here, hold the
+skip to the case it is sound for, and hold every certified cylinder to
+its boundary connections, under bounds shorter and longer than the
+edges.
 """
 
 import math
@@ -96,7 +98,7 @@ def test_lazy_cut_is_the_eager_cut():
         assert {piece.component for piece in cut.pieces} == {0}
         assert all(item.partner is not None
                    for piece in cut.pieces for item in piece.items)
-        assert not _check_component(normalized, cut.pieces).ok
+        assert not _check_component(normalized, cut.pieces, {}).ok
 
 
 def test_partial_direction_keeps_its_cylinder():
@@ -115,13 +117,51 @@ def test_closed_directions_cut_at_once(v):
     assert dec.saddle_connections and dec._cut is not None
 
 
-def test_short_bound_keeps_the_horizontal_edge_cylinder():
+def test_short_bound_certifies_no_horizontal_edge_cylinder():
     # the torus square's horizontal edges bound its cylinder, but a bound
     # of 1/2 stops the edge run before it closes: no saddle connection,
-    # and the cut must still be made
+    # so the cylinder, whose boundary connection would go unlisted, is
+    # not certified, and no cut is made
     dec = decompose(square_tiled([1], [1]), Vec2(1, 0),
                     trace_length=FieldScalar(Fraction(1, 2)))
-    assert dec.saddle_connections == () and dec._cut is not None
-    assert dec.status == PARTIAL and len(dec.cylinders) == 1
-    cyl = dec.cylinders[0]
-    assert str(cyl.circumference) == "1" and str(cyl.height) == "1"
+    assert dec.saddle_connections == () and dec._cut is None
+    assert dec.status == NO_CYLINDER and dec.cylinders == ()
+    assert dec.unresolved_rays == ((0, 0),)
+    # the lazy cut is the annulus the edge bounds; only the edge run
+    # fails its check
+    cut = dec.cut
+    check = _check_component(dec.normalized, cut.pieces, {})
+    assert check.reason == "boundary edge run beyond the bound"
+    runs = {(0, 0): 0, (0, 2): 0}
+    assert _check_component(dec.normalized, cut.pieces, runs).ok
+
+
+# trace lengths below the shortest edge of every fixture (the marked
+# torus has edges of length 1/2), between its edge lengths, above the
+# longest (the golden L's, (1 + sqrt 5)/2), and the default
+BOUNDS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, 2, 5, None]
+
+
+@pytest.mark.parametrize("name", ["torus", "l_origami", "marked_torus",
+                                  "golden_l"])
+def test_certified_cylinders_list_their_boundary(name, request):
+    # each boundary circle of a cylinder is a chain of whole saddle
+    # connections, so the connections it lists are at least one circle
+    # long and at most both
+    surface = request.getfixturevalue(name)
+    found = 0
+    for bound in BOUNDS:
+        length = None if bound is None else FieldScalar(bound)
+        for v in DIRECTIONS:
+            dec = decompose(surface, Vec2(*v), trace_length=length)
+            for cyl in dec.cylinders:
+                found += 1
+                ids = cyl.boundary_sc_ids
+                assert ids and len(set(ids)) == len(ids)
+                # normalized advances and circumferences share one scale
+                total = sum((dec.saddle_connections[i].normalized_holonomy.x
+                             for i in ids), FieldScalar(0, 0, surface.ctx))
+                assert (total - cyl.circumference).sign() >= 0
+                assert (cyl.circumference * 2 - total).sign() >= 0
+    assert found
+

@@ -262,3 +262,109 @@ def test_core_crossings_readers_are_found():
     assert _core_crossings_readers(sources) == [
         "cylinders.py: Decomposition.crossings", "deform.py: <module>",
         "deform.py: _crossing_cocycle.count"]
+
+
+# Every key written to a surface's two caches, and whether an image of
+# positive determinant shares it with its source.  Shared keys live in
+# `_family`, the dict `apply_matrix` hands such an image; the rest live in
+# `_cache`, the surface's own.  What is read from the surface's own
+# coordinates (its lattice form and vertices, its frame, whose hash reads
+# its polygons, and what is built for its horizontal direction: east
+# corners and slab tables) must never be shared.
+_SHARED_WITH_IMAGES = {
+    "lattice": False,
+    "verts": False,
+    "frame": False,
+    "east": False,
+    "slabs": False,
+    "sing": True,
+    "frame_data": True,
+    "triangulated": True,
+}
+_CACHES = {"_cache": False, "_family": True}
+
+
+def _key_name(node):
+    """A cache key's name: a string constant, or the leading string of a
+    tuple key such as ("verts", p); anything else is "<computed>"."""
+    if isinstance(node, ast.Tuple) and node.elts:
+        node = node.elts[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return "<computed>"
+
+
+def _cache_writes(sources: dict) -> set:
+    """(module, cache, key) for every key written to a `_cache` or
+    `_family` attribute: by a subscript assignment, by `setdefault`, or
+    by assigning a dict display to the attribute itself."""
+    found = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Subscript)
+                            and isinstance(target.value, ast.Attribute)
+                            and target.value.attr in _CACHES):
+                        found.add((name, target.value.attr,
+                                   _key_name(target.slice)))
+                    elif (isinstance(target, ast.Attribute)
+                          and target.attr in _CACHES
+                          and isinstance(node.value, ast.Dict)):
+                        found.update((name, target.attr, _key_name(key))
+                                     for key in node.value.keys)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "setdefault"
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr in _CACHES and node.args):
+                found.add((name, node.func.value.attr,
+                           _key_name(node.args[0])))
+    return found
+
+
+def _misplaced_cache_keys(sources: dict) -> list[str]:
+    """The writes whose key is not in `_SHARED_WITH_IMAGES`, or that put
+    it in the other cache than the table says."""
+    out = []
+    for name, cache, key in sorted(_cache_writes(sources)):
+        if key not in _SHARED_WITH_IMAGES:
+            out.append(f"{name}: {cache}[{key!r}] is not in the table")
+        elif _SHARED_WITH_IMAGES[key] != _CACHES[cache]:
+            out.append(f"{name}: {cache}[{key!r}] is in the wrong cache")
+    return out
+
+
+def test_cache_keys_are_in_the_sharing_table():
+    # a det > 0 image shares its source's `_family`, so a key written
+    # there is carried to every image: data of one direction or of one
+    # surface's coordinates written there would be read on another
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _misplaced_cache_keys(sources) == []
+    assert {key for _, _, key in _cache_writes(sources)} == \
+        set(_SHARED_WITH_IMAGES)
+
+
+def test_misplaced_cache_keys_are_found():
+    sources = {
+        "a.py": ("def f(s, p):\n"
+                 "    s._cache[\"lattice\"] = 1\n"
+                 "    s._family[\"east\"] = 2\n"
+                 "    s._cache[(\"verts\", p)] = 3\n"
+                 "    x = s._cache[\"sing\"] = 4\n"
+                 "    s._cache[key] = 5\n"),
+        "b.py": ("def g(s, image):\n"
+                 "    image._cache = {\"lattice\": 1, \"slabs\": 2}\n"
+                 "    image._family = {\"polygons\": 3}\n"
+                 "    s._family.setdefault(\"frame\", {})\n"
+                 "    s._family.setdefault(\"triangulated\", {})\n"),
+    }
+    assert _misplaced_cache_keys(sources) == [
+        "a.py: _cache['<computed>'] is not in the table",
+        "a.py: _cache['sing'] is in the wrong cache",
+        "a.py: _family['east'] is in the wrong cache",
+        "b.py: _family['frame'] is in the wrong cache",
+        "b.py: _family['polygons'] is not in the table",
+    ]

@@ -42,7 +42,7 @@ def ref_apply_matrix(surface, g, label=None):
         polys = [[g.apply(e) for e in poly] for poly in surface.polygons]
         gl = {a: b for a, b in surface.gluing.items() if a < b}
         image = TranslationSurface(polys, gl.items(), label)
-        image._cache["sing"] = data
+        image._family["sing"] = data
         return image
     polys = []
     for poly in surface.polygons:
@@ -239,10 +239,10 @@ class TestApplyMatrix:
         assert got.label == want.label
         assert _lattice(got.lattice()) == _lattice(Lattice(got.polygons))
         if g.det().sign() > 0:
-            assert got._cache["sing"] is surface.singularities()
+            assert got._family["sing"] is surface.singularities()
             assert _data(got.singularities()) == _data(want.singularities())
         else:
-            assert "sing" not in got._cache
+            assert "sing" not in got._family
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

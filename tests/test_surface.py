@@ -216,7 +216,7 @@ class TestTransportedValidation:
     @staticmethod
     def _check(g):
         image = golden_l().apply_matrix(g)
-        assert "sing" in image._cache  # carried over, not recomputed
+        assert "sing" in image._family  # carried over, not recomputed
         assert _data(image.singularities()) == \
             _data(_fresh(image).singularities())
 
