@@ -5,13 +5,14 @@ rotation-scaling matrix [[vx, vy], [-vy, vx]] (field entries, conformal
 up to scale), trace every eastward separatrix germ, cut the polygons
 along the saddle connections found, glue the resulting pieces across
 non-horizontal sub-edges, and certify each connected component as a
-cylinder by combinatorial checks: Euler characteristic zero, exactly
-two consistently oriented horizontal boundary circles of equal length,
-no interior singular points, and a saddle connection found along every
-horizontal edge of the boundary.  This certification is what makes the
-Periodic status rigorous, and it keeps partial decompositions sound:
-a component that passes is a complete cylinder of the direction even
-when other separatrices exceeded the trace bound.
+cylinder by one rule: every piece has one sub-edge running down and one
+running up, so the component is a cycle of strips, and a saddle
+connection was found along every horizontal edge of its boundary.  The
+walk around that cycle gives the core, the boundary circles and the
+cross curve.  This certification is what makes the Periodic status
+rigorous, and it keeps partial decompositions sound: a component that
+passes is a complete cylinder of the direction even when other
+separatrices exceeded the trace bound.
 """
 
 from __future__ import annotations
@@ -179,12 +180,19 @@ class _Item:
 _Chord = namedtuple("_Chord", "chord_id polygon sc_id start end")
 
 
+FailedComponent = namedtuple("FailedComponent", "piece_ids reason")
+
+
 class Decomposition:
-    """The result of decompose(); immutable by convention."""
+    """The result of decompose(); immutable by convention.
+
+    `failed_components` holds a FailedComponent (the piece ids in `cut`
+    and the reason) for each component of the cut that did not certify.
+    """
 
     def __init__(self, surface, frame, direction, matrix, normalized, status,
                  cylinders, saddle_connections, bound_sq,
-                 unresolved_rays, cut):
+                 unresolved_rays, cut, failed_components):
         self.surface = surface
         self.frame = frame
         self.direction = direction
@@ -196,6 +204,7 @@ class Decomposition:
         self.bound_sq = bound_sq
         self.unresolved_rays = unresolved_rays
         self._cut = cut
+        self.failed_components = failed_components
         self._crossings = None
 
     @property
@@ -495,69 +504,6 @@ def _components(pieces):
     return [comps[k] for k in sorted(comps)]
 
 
-def _corner_classes(comp_pieces):
-    """Class id of every piece corner (pid, k), corners being identified
-    only through glued items."""
-    ids = {}
-    for piece in comp_pieces:
-        for k in range(len(piece.items)):
-            ids[(piece.pid, k)] = len(ids)
-    uf = _UnionFind(len(ids))
-    in_comp = {piece.pid for piece in comp_pieces}
-    for piece in comp_pieces:
-        n = len(piece.items)
-        for k, item in enumerate(piece.items):
-            if item.partner is None:
-                continue
-            mate = item.partner
-            if mate.piece.pid not in in_comp:
-                raise InternalInvariantError("gluing escapes the component")
-            mn = len(mate.piece.items)
-            # item runs a->b; mate runs b->a on the other side
-            uf.union(ids[(piece.pid, (k + 1) % n)],
-                     ids[(mate.piece.pid, mate.index)])
-            uf.union(ids[(piece.pid, k)],
-                     ids[(mate.piece.pid, (mate.index + 1) % mn)])
-    return {key: uf.find(idx) for key, idx in ids.items()}
-
-
-def _boundary_circles(comp_pieces):
-    """Walk the boundary items into circles, rotating through glued fans."""
-    by_piece = {piece.pid: piece for piece in comp_pieces}
-    boundary = [(piece.pid, k) for piece in comp_pieces
-                for k, item in enumerate(piece.items) if item.partner is None]
-    seen = set()
-    circles = []
-    for start in boundary:
-        if start in seen:
-            continue
-        circle = []
-        cur = start
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 4 * len(boundary) * max(len(p.items) for p in comp_pieces) + 8:
-                raise InternalInvariantError("boundary walk did not close")
-            seen.add(cur)
-            circle.append(cur)
-            pid, k = cur
-            piece = by_piece[pid]
-            n = len(piece.items)
-            nxt = (pid, (k + 1) % n)
-            hop = 0
-            while by_piece[nxt[0]].items[nxt[1]].partner is not None:
-                hop += 1
-                if hop > sum(len(p.items) for p in comp_pieces) + 8:
-                    raise InternalInvariantError("corner fan did not close")
-                mate = by_piece[nxt[0]].items[nxt[1]].partner
-                nxt = (mate.piece.pid, (mate.index + 1) % len(mate.piece.items))
-            if nxt == start:
-                break
-            cur = nxt
-        circles.append(circle)
-    return circles
-
-
 def _corner_points(lat, comp_pieces):
     """(corners, Q): every piece's corners as lattice points over D*Q,
     one Q for the component; corner k of a piece starts its item k."""
@@ -569,12 +515,14 @@ def _corner_points(lat, comp_pieces):
 
 
 class _ComponentCheck:
-    """A certified component's boundary circles, its circumference and
-    area, and, for the core walk and the cross curve, its corners over
-    D*Q (`_corner_points`) and its circumference as a pair over D*Q."""
+    """The verdict on one component of the cut, with its reason when it
+    fails.  A certified component keeps its walk, its boundary circles
+    as (pid, k) items, its circumference and area, and, for the cross
+    curve, its corners over D*Q (`_corner_points`) and its
+    circumference as a pair over D*Q."""
 
-    __slots__ = ("ok", "reason", "bottom", "top", "circumference", "area",
-                 "pieces", "corners", "length")
+    __slots__ = ("ok", "reason", "walk", "bottom", "top", "circumference",
+                 "area", "pieces", "corners", "length")
 
     def __init__(self, ok, reason="", **fields):
         self.ok = ok
@@ -583,8 +531,28 @@ class _ComponentCheck:
             setattr(self, name, fields.get(name))
 
 
+def _between(piece, a, b):
+    """(pid, k) of the items of `piece` after item a and before item b,
+    counterclockwise."""
+    n = len(piece.items)
+    stop = b.index if b.index > a.index else b.index + n
+    return [(piece.pid, k % n) for k in range(a.index + 1, stop)]
+
+
 def _check_component(surface, comp_pieces, edge_runs):
     """Certify one component of the cut surface as a cylinder.
+
+    Pieces are glued only across non-horizontal sub-edges, so chords and
+    horizontal sub-edges are its boundary.  The component is a cylinder
+    exactly when each piece has one sub-edge running down, its entry,
+    and one running up, its exit (README "A cylinder is a cycle of
+    strips").  Each piece is then a strip whose other items run east
+    along its bottom and west along its top, and following each exit to
+    the piece glued across it visits every piece once.  That walk lists
+    the pieces in the order the core leaf crosses them, as
+    (piece, entry, exit).  The items from each entry to its exit make
+    the bottom circle, started at its first item in piece order and then
+    item order; those from each exit to its entry make the top circle.
 
     `edge_runs` maps each horizontal polygon edge whose run closed as a
     saddle connection, named by either of its glued sides, to that
@@ -592,138 +560,71 @@ def _check_component(surface, comp_pieces, edge_runs):
     bound stopped is not certified: its certificate could not list that
     boundary connection.
     """
-    class_of = _corner_classes(comp_pieces)
-    n_vertices = len(set(class_of.values()))
-    n_faces = len(comp_pieces)
-    glued = 0
-    boundary_items = 0
-    for piece in comp_pieces:
-        for item in piece.items:
-            if item.partner is None:
-                boundary_items += 1
-            else:
-                glued += 1
-    if glued % 2 != 0:
-        raise InternalInvariantError("odd number of glued item sides")
-    n_edges = glued // 2 + boundary_items
-    chi = n_vertices - n_edges + n_faces
-    if chi != 0:
-        return _ComponentCheck(False, f"euler characteristic {chi}")
-
-    # interior singular points: a corner class with no boundary item
-    # incident whose geometric point is a polygon vertex
-    boundary_classes = set()
-    for piece in comp_pieces:
-        n = len(piece.items)
-        for k, item in enumerate(piece.items):
-            if item.partner is None:
-                boundary_classes.add(class_of[(piece.pid, k)])
-                boundary_classes.add(class_of[(piece.pid, (k + 1) % n)])
-    for piece in comp_pieces:
-        for k, item in enumerate(piece.items):
-            if item.start[0] == "vertex":
-                if class_of[(piece.pid, k)] not in boundary_classes:
-                    return _ComponentCheck(
-                        False, "singular point interior to the component")
-
-    circles = _boundary_circles(comp_pieces)
-    if len(circles) != 2:
-        return _ComponentCheck(False, f"{len(circles)} boundary circles")
-    # lengths and areas as pairs over D*Q
     lat = surface.lattice()
     d = lat.d
-    corners, Q = _corner_points(lat, comp_pieces)
-    lengths = []
-    signs = []
-    for circle in circles:
-        A = B = 0
-        csign = None
-        for pid, k in circle:
-            pts = corners[pid]
-            (xa, xb, ya, yb), (ua, ub, va, vb) = pts[k], pts[(k + 1) % len(pts)]
-            if va != ya or vb != yb:
-                raise InternalInvariantError("non-horizontal boundary item")
-            s = _sign(ua - xa, ub - xb, d)
-            if csign is None:
-                csign = s
-            elif csign != s:
-                return _ComponentCheck(False, "mixed boundary orientation")
-            A += ua - xa
-            B += ub - xb
-        lengths.append((A, B) if csign > 0 else (-A, -B))
-        signs.append(csign)
-    if set(signs) != {1, -1}:
-        return _ComponentCheck(False, "boundary circles of equal orientation")
-    bottom = circles[signs.index(1)]
-    top = circles[signs.index(-1)]
-    if lengths[0] != lengths[1]:
-        return _ComponentCheck(False, "boundary circles of different length")
-    by_pid = {piece.pid: piece for piece in comp_pieces}
-    for pid, k in bottom + top:
-        piece = by_pid[pid]
-        item = piece.items[k]
-        if item.kind != "chord" and (piece.polygon, item.edge) not in edge_runs:
-            return _ComponentCheck(False, "boundary edge run beyond the bound")
+    ends = {}
+    for piece in comp_pieces:
+        down, up = [], []
+        for item in piece.items:
+            if item.kind == "sub":
+                rise = _sign(*lat.edges[piece.polygon][item.edge][2:], d)
+                if rise < 0:
+                    down.append(item)
+                elif rise > 0:
+                    up.append(item)
+        if len(down) != 1 or len(up) != 1:
+            return _ComponentCheck(
+                False, f"piece {piece.pid} has {len(down)} entries and "
+                       f"{len(up)} exits")
+        ends[piece.pid] = down[0], up[0]
+    for piece in comp_pieces:
+        for item in piece.items:
+            if (item.partner is None and item.kind == "sub"
+                    and (piece.polygon, item.edge) not in edge_runs):
+                return _ComponentCheck(False,
+                                       "boundary edge run beyond the bound")
 
+    walk, bottom, top = [], [], []
+    first = piece = comp_pieces[0]
+    while True:
+        entry, exit_ = ends.pop(piece.pid)
+        walk.append((piece, entry, exit_))
+        bottom += _between(piece, entry, exit_)
+        top += _between(piece, exit_, entry)
+        piece = exit_.partner.piece
+        if piece is first:
+            break
+        if piece.pid not in ends:
+            raise InternalInvariantError("walk revisited a piece")
+    if ends:
+        raise InternalInvariantError(
+            f"walk missed {len(ends)} pieces of the component")
+
+    # lengths and areas as pairs over D*Q
+    corners, Q = _corner_points(lat, comp_pieces)
+    A = B = 0
+    for pid, k in bottom:
+        pts = corners[pid]
+        (xa, xb, _, _), (ua, ub, _, _) = pts[k], pts[(k + 1) % len(pts)]
+        A += ua - xa
+        B += ub - xb
+    length = A, B
     A = B = 0
     for pts in corners.values():
         a, b = signed_area2(pts, d)
         A += a
         B += b
     DQ = lat.D * Q
-    return _ComponentCheck(True, "", bottom=bottom, top=top,
-                           circumference=_new(*lengths[0], DQ, lat.ctx),
-                           area=_new(A, B, 2 * DQ * DQ, lat.ctx),
-                           pieces=comp_pieces, corners=corners,
-                           length=lengths[0])
-
-
-def _core_walk(surface, check):
-    """The pieces of a certified component in the order its core leaf
-    crosses them, each as (piece, entry, exit).
-
-    Every polygon vertex is a singular or marked point and the component
-    is bounded by traced saddle connections, so each non-horizontal
-    sub-edge runs from its bottom circle to its top circle, and the leaf
-    at half height crosses it once, at its midpoint.  Items run ccw, so
-    the eastward leaf enters a piece through its one sub-edge running
-    down and leaves through its one sub-edge running up.  The walk
-    starts at the component's first piece and follows the gluing across
-    each exit.
-    """
-    lat = surface.lattice()
-    ends = {}
-    for piece in check.pieces:
-        down, up = [], []
-        for item in piece.items:
-            if item.kind == "sub":
-                rise = _sign(*lat.edges[piece.polygon][item.edge][2:], lat.d)
-                if rise < 0:
-                    down.append(item)
-                elif rise > 0:
-                    up.append(item)
-        if len(down) != 1 or len(up) != 1:
-            raise InternalInvariantError(
-                f"piece {piece.pid} has {len(down)} core entries and "
-                f"{len(up)} exits")
-        ends[piece.pid] = down[0], up[0]
-    walk = []
-    first = check.pieces[0]
-    piece = first
-    while True:
-        entry, exit_ = ends.pop(piece.pid)
-        walk.append((piece, entry, exit_))
-        piece = exit_.partner.piece
-        if piece is first:
-            break
-        if piece.pid not in ends:
-            raise InternalInvariantError("core walk revisited a piece")
-    if ends:
-        raise InternalInvariantError(
-            f"core walk missed {len(ends)} pieces of the component")
-    if _offsets(check, walk)[1] != tuple(2 * x for x in check.length):
+    check = _ComponentCheck(True, walk=walk, top=top,
+                            circumference=_new(*length, DQ, lat.ctx),
+                            area=_new(A, B, 2 * DQ * DQ, lat.ctx),
+                            pieces=comp_pieces, corners=corners,
+                            length=length)
+    if _offsets(check, walk)[1] != tuple(2 * x for x in length):
         raise InternalInvariantError("core leaf does not close up")
-    return walk
+    i = bottom.index(min(bottom))
+    check.bottom = bottom[i:] + bottom[:i]
+    return check
 
 
 def _offsets(check, walk):
@@ -751,7 +652,7 @@ def _offsets(check, walk):
     return off, x
 
 
-def _cross_from_pieces(surface, check, walk, core_chords):
+def _cross_from_pieces(surface, check, core_chords):
     """The cross curve of a certified component, read from its pieces.
 
     It runs from z0, the start of the first item of the bottom circle
@@ -760,12 +661,12 @@ def _cross_from_pieces(surface, check, walk, core_chords):
     cylinder a path from z0 to z1 is fixed up to homotopy by its x-run,
     and this one's is the offset of z1 from z0, in [0, c) for c the
     circumference.  The path built here runs from z0 to the exit of its
-    piece, along the core's chords (one per piece of `walk`), and from
+    piece, along the core's chords (one per piece of the walk), and from
     the entry of z1's piece to z1.  Returns its chords and the number of
     core laps to add to its class so that its x-run lands in [0, c).
     """
     d = surface.lattice().d
-    corners = check.corners
+    corners, walk = check.corners, check.walk
     pieces = {piece.pid: piece for piece in check.pieces}
     z0 = next(((pid, k) for pid, k in check.bottom
                if pieces[pid].items[k].start[0] == "vertex"), None)
@@ -909,7 +810,9 @@ def decompose(surface: TranslationSurface, direction,
     so one bounded by a polygon edge whose run the bound stopped is not
     certified.  Hence when no separatrix closes within the bound the
     status is NoCylinderFound without cutting the surface: the returned
-    decomposition builds its `cut` only when it is read.
+    decomposition builds its `cut` only when it is read.  Each component
+    of a cut that fails certification is kept, with its reason, in
+    `failed_components`.
     """
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
@@ -959,19 +862,19 @@ def decompose(surface: TranslationSurface, direction,
                                      chords_by_polygon)
 
     cylinders = []
-    failed_components = 0
+    failed = []
     for comp in components:
         check = _check_component(normalized, comp, edge_run_sc)
         if not check.ok:
-            failed_components += 1
+            failed.append(FailedComponent(tuple(piece.pid for piece in comp),
+                                          check.reason))
             continue
         c = check.circumference
         h = check.area / c
-        walk = _core_walk(normalized, check)
         core_chords = [(piece.polygon, _midpoint(entry), _midpoint(exit_))
-                       for piece, entry, exit_ in walk]
+                       for piece, entry, exit_ in check.walk]
         core_coords = frame.coords_of_path(core_chords)
-        cross_chords, laps = _cross_from_pieces(normalized, check, walk,
+        cross_chords, laps = _cross_from_pieces(normalized, check,
                                                 core_chords)
         cross_coords = [x + laps * y for x, y in
                         zip(frame.coords_of_path(cross_chords), core_coords)]
@@ -1011,12 +914,13 @@ def decompose(surface: TranslationSurface, direction,
         cylinders.append(cyl)
 
     if not unresolved:
-        if failed_components:
+        if failed:
             # every separatrix closed, so every leaf is closed or singular
             # and every component must certify; a failure is a bug
             raise InternalInvariantError(
-                f"{failed_components} components failed certification in a "
-                f"fully resolved direction")
+                "components failed certification in a fully resolved "
+                "direction: " + "; ".join(f"pieces {list(f.piece_ids)}: "
+                                          f"{f.reason}" for f in failed))
         status = PERIODIC
         acc = sum((cyl.area for cyl in cylinders),
                   FieldScalar(0, 0, normalized.ctx))
@@ -1030,7 +934,7 @@ def decompose(surface: TranslationSurface, direction,
 
     return Decomposition(surface, frame, direction, g, normalized, status,
                          tuple(cylinders), tuple(saddle_connections),
-                         bound_sq, tuple(unresolved), cut)
+                         bound_sq, tuple(unresolved), cut, tuple(failed))
 
 
 def _edge_runs(normalized, saddle_connections):
