@@ -1,7 +1,7 @@
 """flatdef: exact cylinder decompositions and deformation certificates
 for translation surfaces."""
 
-from .field import FieldCtx, FieldScalar, Mat2, QQ, Vec2, parse_scalar, scalar_sign
+from .field import FieldCtx, FieldScalar, Mat2, QQ, Vec2, parse_scalar
 from .linalg import (ComplexScalar, Echelon, rational_relation_lattice,
                      row_reduce)
 from .surface import TranslationSurface, l_shape, square_tiled, validate

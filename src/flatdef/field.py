@@ -41,7 +41,6 @@ __all__ = [
     "Mat2",
     "QQ",
     "parse_scalar",
-    "scalar_sign",
     "unify_ctx",
     "join_ctx",
 ]
@@ -97,14 +96,6 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(d={self.d})"
-
-    def scalar(self, a: _Rat | str, b: _Rat = 0) -> "FieldScalar":
-        if isinstance(a, str):
-            s = parse_scalar(a, self)
-            if b:
-                raise ValueError("b must be omitted when parsing a string")
-            return s
-        return FieldScalar(a, b, self)
 
     def sqrt_gen(self) -> "FieldScalar":
         """The generator sqrt(d); requires d > 0."""
@@ -279,9 +270,6 @@ class FieldScalar:
             n >>= 1
         return out
 
-    def conjugate(self) -> "FieldScalar":
-        return _new(self._A, -self._B, self._D, self.ctx)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -448,13 +436,6 @@ def parse_scalar(text: str, ctx: FieldCtx | None = None) -> FieldScalar:
     return FieldScalar(a, b, parsed_ctx)
 
 
-def scalar_sign(s: FieldScalar) -> int:
-    """Exact sign in {-1, 0, +1} of a + b*sqrt(d)."""
-    if not isinstance(s, FieldScalar):
-        s = FieldScalar(s)
-    return s.sign()
-
-
 def _incompatible(d1: int, d2: int) -> ValueError:
     """The error for two scalars of Q(sqrt(d1)) and Q(sqrt(d2)), d1 != d2."""
     return ValueError(f"incompatible fields Q(sqrt({d1})) and Q(sqrt({d2}))")
@@ -564,10 +545,6 @@ class Mat2:
 
     def __setattr__(self, *a):
         raise AttributeError("Mat2 is immutable")
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
 
     @staticmethod
     def shear(t) -> "Mat2":

@@ -19,7 +19,7 @@ import json
 from .errors import InternalInvariantError, StaleCocycle
 from .field import FieldScalar, Vec2, _sum_is_one
 from .intmat import integer_kernel, smith_form
-from .linalg import ComplexScalar, row_reduce
+from .linalg import ComplexScalar
 from .surface import TranslationSurface
 
 __all__ = ["HomologyFrame", "Cocycle", "homology_frame", "PathPoint",
@@ -263,25 +263,21 @@ class HomologyFrame:
     def j_inverse(self):
         """Inverse of the intersection matrix; integral by unimodularity.
 
-        Row-reduces [J | I] once: J is invertible exactly when the left
-        block reduces to the identity, and the right block is then J^-1.
+        The Smith form gives unimodular U and V with U J V diagonal: J is
+        invertible exactly when the diagonal has 2g entries, unimodular
+        when each is 1, and then J^-1 = V U.
         """
         if self._j_inverse is None:
-            from fractions import Fraction
             n = 2 * self.genus
-            rows = [[Fraction(x) for x in row]
-                    + [Fraction(1 if i == k else 0) for k in range(n)]
-                    for i, row in enumerate(self.intersection_matrix)]
-            _, rref, _ = row_reduce(rows, ncols=2 * n)
-            if len(rref) < n or any(rref[i][i] != 1 for i in range(n)):
+            diag, U, V, _ = smith_form(self.intersection_matrix)
+            if len(diag) < n:
                 raise InternalInvariantError("intersection form singular")
-            inv = [row[n:] for row in rref]
-            for row in inv:
-                for x in row:
-                    if x.denominator != 1:
-                        raise InternalInvariantError(
-                            "intersection form is not unimodular")
-            self._j_inverse = tuple(tuple(int(x) for x in row) for row in inv)
+            if any(x != 1 for x in diag):
+                raise InternalInvariantError(
+                    "intersection form is not unimodular")
+            self._j_inverse = tuple(
+                tuple(sum(V[i][k] * U[k][j] for k in range(n))
+                      for j in range(n)) for i in range(n))
         return self._j_inverse
 
     def symplectic_pairing(self, phi, psi):

@@ -44,7 +44,8 @@ class ComplexScalar:
     def __setattr__(self, *a):
         raise AttributeError("ComplexScalar is immutable")
 
-    def _lift(self, other):
+    @staticmethod
+    def _lift(other):
         if isinstance(other, ComplexScalar):
             return other
         if isinstance(other, (int, Fraction, FieldScalar)):

@@ -95,7 +95,8 @@ class Lattice:
     every coordinate is rational.  `point` converts any vector whose
     coordinate denominators divide D, as those of every sum and
     difference of vertices do.  A surface builds its form from its
-    polygons, or takes it from the surface it is the `image` of.
+    polygons, or takes it from the surface it is the `image` of; a trace
+    from an interior point re-expresses it `over` a finer denominator.
     """
 
     __slots__ = ("ctx", "d", "D", "edges", "verts")
@@ -154,6 +155,20 @@ class Lattice:
         lat._fill(ctx, edges)
         return lat
 
+    def over(self, D: int, ctx: FieldCtx) -> "Lattice":
+        """This form over D, a multiple of this D, in the field `ctx`,
+        which holds this form's: every coordinate times D // self.D.
+
+        D is then no longer the least common denominator, so `point`
+        converts every vector whose denominators divide D.
+        """
+        m = D // self.D
+        lat = Lattice.__new__(Lattice)
+        lat.D = D
+        lat._fill(ctx, [[tuple(c * m for c in e) for e in poly]
+                        for poly in self.edges])
+        return lat
+
     def point(self, v: Vec2):
         D = self.D
         x, y = v.x, v.y
@@ -188,19 +203,19 @@ class _Bound:
     the integer form `lat` of a surface: the one bound test of the
     saddle-connection search and of the trace.
 
-    The test runs in the field of `ctx` (the surface's, `lat.ctx`, by
-    default) and the bound, by `field.join_ctx`: a rational bound takes
-    the field of `ctx`, a rational `ctx` the field of the bound, and two
-    different irrational fields raise ValueError.  `bound_sq` is an int,
-    a Fraction or a FieldScalar.
+    The test runs in the field of `lat.ctx` and the bound, by
+    `field.join_ctx`: a rational bound takes the field of `lat`, a
+    rational `lat` the field of the bound, and two different irrational
+    fields raise ValueError.  `bound_sq` is an int, a Fraction or a
+    FieldScalar.
     """
 
     __slots__ = ("d", "Rd", "RA_D2", "RB_D2")
 
-    def __init__(self, lat: Lattice, bound_sq, ctx: FieldCtx | None = None):
+    def __init__(self, lat: Lattice, bound_sq):
         if not isinstance(bound_sq, FieldScalar):
             bound_sq = FieldScalar(bound_sq)
-        self.d = join_ctx(lat.ctx if ctx is None else ctx, bound_sq).d
+        self.d = join_ctx(lat.ctx, bound_sq).d
         # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
         # scaled point DP, so the bound side carries D^2
         D = lat.D

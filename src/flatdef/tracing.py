@@ -21,17 +21,21 @@ lattice from polygon to polygon, and so does `base`, its start's
 x-coordinate plus the x-parts of the translations it has crossed: the
 advance to a point of x-coordinate x in the current polygon's frame is
 x - base.  An exit through an edge lies at the quotient
-x = (k*C + H*M)/R (over k*D) of lattice pairs, with R > 0.  A start off
-the lattice (an interior point) is held over k*D for the least integer
-k that holds it; k = 1 at a corner.
+x = (C + H*M)/R of lattice pairs, with R > 0.  A corner is a point of
+the surface's lattice.  An interior point need not be, so
+`trace_from_point` re-expresses the lattice once, over the least
+multiple of D that holds the point and in the field of the point
+(`polygon.Lattice.over`), and traces on that: the step loop knows one
+lattice and one scale.  The re-expressed lattice and its slab tables
+live on a `_Shell` of the surface, never in the surface's own cache.
 
-The bound test is the saddle-connection search's `polygon._Bound`, one
-cross-multiplied sign.  A trace runs in the field of its surface, its
-start and its bound (`field.join_ctx`), decided before the first step,
-so a bound over another irrational field raises ValueError whichever
-way the ray runs.  `FieldScalar`s are built only for what a trace
-returns: its advance and, on first access, its chords' and crossings'
-edge parameters.
+Every trace has a bound, tested by the saddle-connection search's
+`polygon._Bound`, one cross-multiplied sign.  A trace runs in the field
+of its lattice and its bound (`field.join_ctx`), decided before the
+first step, so a bound over another irrational field raises ValueError
+whichever way the ray runs.  `FieldScalar`s are built only for what a
+trace returns: its advance and, on first access, its chords' and
+crossings' edge parameters.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners"]
 
-MAX_STEPS = 1_000_000
-
 
 class TraceResult:
     """Outcome of a straight-line trace.
@@ -57,16 +59,98 @@ class TraceResult:
     budget exhausted mid-flight).  chords is the list of polygon runs
     (polygon, start PathPoint, end PathPoint); crossings records every
     glued-edge transition as (polygon, edge, parameter s on the edge).
+
+    The trace keeps its lattice steps, (polygon, crossed edge, height
+    over D) per crossing, and chords and crossings are `_Built` views of
+    them: their lengths are known at once, and their PathPoints, with
+    `FieldScalar` edge parameters, are built on first access, once.  The
+    first chord starts at `key`, a corner's ("vertex", i), or None for
+    an interior start.  A view is made per read, so that the result and
+    its views form no reference cycle, which would outlive the trace
+    until the garbage collector ran.
     """
 
-    __slots__ = ("kind", "chords", "crossings", "advance", "end_corner")
+    __slots__ = ("kind", "advance", "end_corner", "_surface", "_d", "_key",
+                 "_steps", "_built")
 
-    def __init__(self, kind, chords, crossings, advance, end_corner=None):
+    def __init__(self, kind, advance, surface, d, key, steps,
+                 end_corner=None):
         self.kind = kind
-        self.chords = chords
-        self.crossings = crossings
         self.advance = advance
         self.end_corner = end_corner
+        self._surface = surface
+        self._d = d
+        self._key = key
+        self._steps = steps
+        self._built = None
+
+    @property
+    def chords(self):
+        return _Built(self, 0,
+                      len(self._steps) + (self.end_corner is not None))
+
+    @property
+    def crossings(self):
+        return _Built(self, 1, len(self._steps))
+
+    def _build(self):
+        """(chords, crossings)."""
+        if self._built is None:
+            d, ctx = self._d, self._surface.lattice().ctx
+            one = _new(1, 0, 1, ctx)
+            chords, crossings = [], []
+            point = self._key
+            for p, e, H in self._steps:
+                table, glue = _polygon_table(self._surface, p)
+                s = table.param(e, H, d, ctx)
+                chords.append((p, point, ("edge", e, s)))
+                crossings.append((p, e, s))
+                point = ("edge", glue[e][1], one - s)
+            if self.end_corner is not None:
+                q, v = self.end_corner
+                chords.append((q, point, ("vertex", v)))
+            self._built = chords, crossings
+        return self._built
+
+
+class _Built(Sequence):
+    """One list of a `TraceResult`: its length is known at once, its
+    items are built on first access."""
+
+    __slots__ = ("_result", "_index", "_n")
+
+    def __init__(self, result, index, n):
+        self._result = result
+        self._index = index
+        self._n = n
+
+    def _items(self):
+        return self._result._build()[self._index]
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        return self._items()[i]
+
+    def __iter__(self):
+        return iter(self._items())
+
+
+class _Shell:
+    """A surface's gluing on another lattice form of its polygons, with
+    a cache of its own: what `_trace` and `_polygon_table` read of a
+    surface."""
+
+    __slots__ = ("gluing", "_lattice", "_cache")
+
+    def __init__(self, surface, lattice):
+        self.gluing = surface.gluing
+        self._lattice = lattice
+        self._cache = {}
+
+    def lattice(self):
+        return self._lattice
 
 
 def east_ray_corners(surface: TranslationSurface):
@@ -105,20 +189,6 @@ def _quotient(N, R, scale, d, ctx) -> FieldScalar:
                 (RA * RA - d * RB * RB) * scale, ctx)
 
 
-def _pair(s: FieldScalar, scale: int):
-    """s * scale as a pair; scale must be a multiple of s's denominator."""
-    m = scale // s._D
-    return s._A * m, s._B * m
-
-
-def _start(lat, origin: Vec2):
-    """(k, y, x) of a point: the least k >= 1 such that both
-    coordinates are pairs over k*D, and those pairs."""
-    D = lat.D
-    k = lcm(D, origin.x._D, origin.y._D) // D
-    return k, _pair(origin.y, k * D), _pair(origin.x, k * D)
-
-
 def _escaped(p, y, x):
     return InternalInvariantError(
         f"ray from {Vec2(x, y)} in polygon {p} escaped the boundary")
@@ -152,8 +222,8 @@ class _SlabTable:
 
     An exit event is a tuple (kind, data, C, M, R, R2): kind "vertex"
     with the vertex index or "edge" with the edge index, and pairs such
-    that the event's along-coordinate, for a ray at height H over k*D,
-    is (k*C + H*M) / R over k*D, with R > 0 and R2 = R*R.
+    that the event's along-coordinate, for a ray at height H, is
+    (C + H*M) / R over D, with R > 0 and R2 = R*R.
 
     `exit` reproduces the rule of a scan over all edges: the nearest
     hit strictly ahead of the origin; at one point a vertex label found
@@ -273,27 +343,22 @@ class _SlabTable:
         self.line_pos[j] = pos
         return events, pos
 
-    def exit(self, H, A, k, d, key=None):
+    def exit(self, H, A, d, key=None):
         """The first exit event strictly ahead of a point, or None.
 
         The point lies at height H and along-coordinate A, pairs over
-        k*D.  `key`, ("edge", e) or ("vertex", v), names the event the
+        D.  `key`, ("edge", e) or ("vertex", v), names the event the
         point stands on, when it is one: the edge it lies inside of or
         the vertex it is; then A is read only if that event is not an
         exit of the point's line.
         """
-        if k == 1:
-            j = self.line_of.get(H)
-        elif H[0] % k or H[1] % k:
-            j = None
-        else:
-            j = self.line_of.get((H[0] // k, H[1] // k))
+        j = self.line_of.get(H)
         if j is not None:
             events, pos = self.line(j)
             i = pos.get(key)
             if i is None:
                 i = 0
-                while i < len(events) and not _ahead(events[i], H, A, k, d):
+                while i < len(events) and not _ahead(events[i], H, A, d):
                     i += 1
             else:
                 i += 1
@@ -311,22 +376,21 @@ class _SlabTable:
         while lo < hi:
             mid = (lo + hi) // 2
             hA, hB = heights[mid]
-            if _sign(HA - k * hA, HB - k * hB, d) > 0:
+            if _sign(HA - hA, HB - hB, d) > 0:
                 lo = mid + 1
             else:
                 hi = mid
         if entry is not None:
             return self.succ[lo].get(entry)
         for e in self.order[lo]:
-            if _ahead(self.exits[e], H, A, k, d):
+            if _ahead(self.exits[e], H, A, d):
                 return self.exits[e]
         return None
 
-    def param(self, e, H, k, d, ctx) -> FieldScalar:
-        """The parameter in (0, 1) of the point at height H (over k*D)
-        on edge e."""
+    def param(self, e, H, d, ctx) -> FieldScalar:
+        """The parameter in (0, 1) of the point at height H on edge e."""
         h0, _, dh, _ = self.lines[e]
-        return _quotient((H[0] - k * h0[0], H[1] - k * h0[1]), dh, k, d, ctx)
+        return _quotient((H[0] - h0[0], H[1] - h0[1]), dh, 1, d, ctx)
 
 
 def _along(C, M, h, d):
@@ -346,15 +410,15 @@ def _quotient_cmp(d):
     return cmp
 
 
-def _ahead(event, H, A, k, d) -> bool:
+def _ahead(event, H, A, d) -> bool:
     """Whether `event` lies strictly ahead of along-coordinate A on the
-    ray at height H (all over k*D)."""
+    ray at height H."""
     _, _, C, M, R, _ = event
     HA, HB = H
     MA, MB = M
     RA, RB = R
-    return _sign(k * C[0] + HA * MA + d * HB * MB - A[0] * RA - d * A[1] * RB,
-                 k * C[1] + HA * MB + HB * MA - A[0] * RB - A[1] * RA, d) > 0
+    return _sign(C[0] + HA * MA + d * HB * MB - A[0] * RA - d * A[1] * RB,
+                 C[1] + HA * MB + HB * MA - A[0] * RB - A[1] * RA, d) > 0
 
 
 def _polygon_table(surface, p):
@@ -384,118 +448,47 @@ def _polygon_table(surface, p):
 
 
 def trace_from_corner(surface: TranslationSurface, corner,
-                      max_advance_sq: FieldScalar | None = None):
+                      max_advance_sq: FieldScalar):
     """Trace the leaf leaving `corner` east.
 
     The advance of the trace is the plain x-progress.  Stops at the
-    first vertex hit; with max_advance_sq set, returns kind "bound" once
-    the squared advance would exceed it.  A corner that east does not
-    leave, one not in `east_ray_corners`, raises ValueError.
+    first vertex hit, or returns kind "bound" once the squared advance
+    would exceed max_advance_sq.  A corner that east does not leave, one
+    not in `east_ray_corners`, raises ValueError.
     """
     p, i = corner
     if (p, i) not in east_ray_corners(surface):
         raise ValueError(f"direction Vec2(1, 0) does not leave corner {corner}")
     h, a = _lattice_split(surface.lattice().verts[p][i])
-    return _trace(surface, p, 1, h, a, ("vertex", i), surface.ctx,
-                  max_advance_sq)
+    return _trace(surface, p, h, a, ("vertex", i), max_advance_sq)
 
 
 def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
-                     max_advance_sq: FieldScalar | None = None):
-    """Trace the leaf through an interior point of polygon p east."""
+                     max_advance_sq: FieldScalar):
+    """Trace the leaf through an interior point of polygon p east, on
+    the surface's lattice re-expressed over a denominator and in a
+    field that hold the point."""
     ctx = join_ctx(surface.ctx, origin.x, origin.y)
-    k, h, a = _start(surface.lattice(), origin)
-    return _trace(surface, p, k, h, a, None, ctx, max_advance_sq)
+    lat = surface.lattice()
+    lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), ctx)
+    h, a = _lattice_split(lat.point(origin))
+    return _trace(_Shell(surface, lat), p, h, a, None, max_advance_sq)
 
 
-class _Built(Sequence):
-    """One list of a `_Path`: its length is known at once, its items are
-    built on first access."""
-
-    __slots__ = ("_path", "_index", "_n")
-
-    def __init__(self, path, index, n):
-        self._path = path
-        self._index = index
-        self._n = n
-
-    def _items(self):
-        return self._path.build()[self._index]
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, i):
-        return self._items()[i]
-
-    def __iter__(self):
-        return iter(self._items())
-
-
-class _Path:
-    """The chords and crossings of a trace, kept as its lattice steps.
-
-    `steps` holds (polygon, crossed edge, height over k*D) per crossing;
-    `end` is the last chord's (polygon, end PathPoint), or None when the
-    trace ran to the bound.  `build` turns them into PathPoints with
-    `FieldScalar` edge parameters, once.
-    """
-
-    __slots__ = ("surface", "k", "d", "ctx", "start", "steps", "end",
-                 "_built")
-
-    def __init__(self, surface, k, d, ctx, start):
-        self.surface = surface
-        self.k = k
-        self.d = d
-        self.ctx = ctx
-        self.start = start
-        self.steps = []
-        self.end = None
-        self._built = None
-
-    def build(self):
-        """(chords, crossings)."""
-        if self._built is None:
-            k, d, ctx = self.k, self.d, self.ctx
-            one = _new(1, 0, 1, ctx)
-            chords, crossings = [], []
-            point = self.start
-            for p, e, H in self.steps:
-                table, glue = _polygon_table(self.surface, p)
-                s = table.param(e, H, k, d, ctx)
-                chords.append((p, point, ("edge", e, s)))
-                crossings.append((p, e, s))
-                point = ("edge", glue[e][1], one - s)
-            if self.end is not None:
-                q, end = self.end
-                chords.append((q, point, end))
-            self._built = chords, crossings
-        return self._built
-
-    def result(self, kind, advance, end_corner=None):
-        n = len(self.steps)
-        return TraceResult(kind, _Built(self, 0, n + (self.end is not None)),
-                           _Built(self, 1, n), advance, end_corner)
-
-
-def _trace(surface, p, k, H, base, key, ctx, max_advance_sq):
+def _trace(surface, p, H, base, key, max_advance_sq):
     """Trace east from the point at height H and x-coordinate `base`
-    (pairs over k*D) of polygon p, standing on `key` (a corner's
-    ("vertex", i)) or inside the polygon (None).
+    (pairs over D) of polygon p of the surface's lattice, standing on
+    `key` (a corner's ("vertex", i)) or inside the polygon (None).
 
-    `ctx` is the field of the surface and the start, which the returned
-    scalars live in; the arithmetic runs in the field of `ctx` and the
-    bound, decided here once, before any step.
+    The returned scalars live in the lattice's field; the arithmetic
+    runs in the field of the lattice and the bound, decided here once,
+    before any step.
     """
     lat = surface.lattice()
-    kD = k * lat.D
-    bound = (None if max_advance_sq is None
-             else _Bound(lat, max_advance_sq, ctx))
-    d = ctx.d if bound is None else bound.d
-    kk = k * k
-    path = _Path(surface, k, d, ctx, key)
-    steps = path.steps
+    D, ctx = lat.D, lat.ctx
+    bound = _Bound(lat, max_advance_sq)
+    d = bound.d
+    steps = []
 
     event = None
     if key is not None:
@@ -507,36 +500,34 @@ def _trace(surface, p, k, H, base, key, ctx, max_advance_sq):
             event = ("vertex", v, lat.verts[p][v][:2], (0, 0), (1, 0), (1, 0))
     if event is None:
         table, glue = _polygon_table(surface, p)
-        event = table.exit(H, base, k, d, key)
+        event = table.exit(H, base, d, key)
     tables = surface._cache.get("slabs")
-    prev = None  # the advance so far, as (N, R): N / (R * k * D)
-    for _ in range(MAX_STEPS):
+    prev = None  # the advance so far, as (N, R): N / (R * D)
+    while True:
         if event is None:
-            x = _new(*base, kD, ctx)
+            x = _new(*base, D, ctx)
             if prev is not None:
-                x = x + _quotient(*prev, kD, d, ctx)
-            raise _escaped(p, _new(*H, kD, ctx), x)
-        kind, data, (CA, CB), (MA, MB), (RA, RB), (R2A, R2B) = event
+                x = x + _quotient(*prev, D, d, ctx)
+            raise _escaped(p, _new(*H, D, ctx), x)
+        kind, data, (CA, CB), (MA, MB), (RA, RB), R2 = event
         HA, HB = H
         bA, bB = base
-        # the advance to the exit is N / (R * k * D)
-        NA = k * CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
-        NB = k * CB + HA * MB + HB * MA - bA * RB - bB * RA
-        if bound is not None and not bound.within(
-                (NA * NA + d * NB * NB, 2 * NA * NB), (kk * R2A, kk * R2B)):
-            return path.result("bound", _new(0, 0, 1, ctx) if prev is None
-                               else _quotient(*prev, kD, d, ctx))
+        # the advance to the exit is N / (R * D)
+        NA = CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
+        NB = CB + HA * MB + HB * MA - bA * RB - bB * RA
+        if not bound.within((NA * NA + d * NB * NB, 2 * NA * NB), R2):
+            return TraceResult("bound", _new(0, 0, 1, ctx) if prev is None
+                               else _quotient(*prev, D, d, ctx),
+                               surface, d, key, steps)
         if kind == "vertex":
-            path.end = (p, ("vertex", data))
-            return path.result("vertex",
-                               _quotient((NA, NB), (RA, RB), kD, d, ctx),
-                               end_corner=(p, data))
+            return TraceResult("vertex",
+                               _quotient((NA, NB), (RA, RB), D, d, ctx),
+                               surface, d, key, steps, end_corner=(p, data))
         steps.append((p, data, H))
         q, f, (gA, gB), (tA, tB) = glue[data]
-        H = (HA + k * gA, HB + k * gB)
-        base = (bA + k * tA, bB + k * tB)
+        H = (HA + gA, HB + gB)
+        base = (bA + tA, bB + tB)
         prev = (NA, NB), (RA, RB)
         p = q
         table, glue = tables[p] or _polygon_table(surface, p)
-        event = table.exit(H, None, k, d, ("edge", f))
-    raise InternalInvariantError("trace exceeded the step safety cap")
+        event = table.exit(H, None, d, ("edge", f))

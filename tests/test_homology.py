@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import homology_frame
 from flatdef.intmat import det_int
@@ -88,6 +89,23 @@ class TestFrame:
         f = homology_frame(golden_l())
         assert f.m == 4
         assert det_int([list(r) for r in f.intersection_matrix]) == 1
+
+    def test_j_inverse(self):
+        # J^-1 from the Smith form inverts J; a singular form and one
+        # with a diagonal entry other than 1 raise
+        for surf in (torus(), l_origami(), golden_l()):
+            f = homology_frame(surf)
+            J, inv = f.intersection_matrix, f.j_inverse()
+            n = len(J)
+            assert [[sum(J[i][k] * inv[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)] == \
+                [[int(i == j) for j in range(n)] for i in range(n)]
+        f = homology_frame(torus())
+        for J, message in ((((0, 1), (0, 0)), "singular"),
+                           (((0, 2), (-2, 0)), "not unimodular")):
+            f.intersection_matrix, f._j_inverse = J, None
+            with pytest.raises(InternalInvariantError, match=message):
+                f.j_inverse()
 
     def test_deterministic(self):
         f1 = homology_frame(torus())
@@ -202,7 +220,6 @@ class TestPaths:
         ("vertex", 3),                             # edge exit, vertex start
     ])
     def test_broken_path_raises(self, entry):
-        from flatdef.errors import InternalInvariantError
         f = homology_frame(torus())
         half = FieldScalar(Fraction(1, 2))
         chords = [(0, ("vertex", 0), ("edge", 1, half)),

@@ -3,18 +3,8 @@ from pathlib import Path
 
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
-from flatdef.field import FieldCtx, FieldScalar, Vec2, scalar_sign
+from flatdef.field import Vec2
 from flatdef.homology import homology_frame
-
-Q5 = FieldCtx.get(5)
-Q2 = FieldCtx.get(2)
-
-
-class TestScalarSign:
-    def test_spec_examples(self):
-        assert scalar_sign(FieldScalar(0, 0, Q5)) == 0
-        assert scalar_sign(FieldScalar(1, -1, Q5)) == -1
-        assert scalar_sign(FieldScalar(-3, 2, Q2)) == -1
 
 
 class TestProjectedEta:
@@ -176,6 +166,58 @@ def test_unread_private_defs_are_found():
     }
     assert _unread_private_defs(sources) == [
         "a.py: _Dead (line 7)", "a.py: _recursive (line 4)"]
+
+
+def _unread_private_params(source: str) -> list[str]:
+    """Named parameters that a private function or method never reads.
+
+    Private is a name with a leading underscore, dunders left out, or a
+    method of a class so named.
+    """
+    tree = ast.parse(source)
+    of_private_class = {id(node) for cls in ast.walk(tree)
+                        if isinstance(cls, ast.ClassDef)
+                        and cls.name.startswith("_") for node in cls.body}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = func.name
+        if (name.startswith("__") and name.endswith("__")
+                or not (name.startswith("_") or id(func) in of_private_class)):
+            continue
+        args = func.args
+        read = {n.id for stmt in func.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend(f"{name}: {a.arg} (line {func.lineno})"
+                     for a in args.posonlyargs + args.args + args.kwonlyargs
+                     if a.arg not in read)
+    return sorted(found)
+
+
+def test_no_unread_private_params():
+    # a parameter left behind after the code that read it is deleted,
+    # such as a scale or a field that no caller varies any more
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    found = {path.name: _unread_private_params(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert len(found) >= 17
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unread_private_params_are_found():
+    source = ("def _f(a, b, *args, c, **kw):\n    return a\n"
+              "def _g(x, k, /, y=1):\n    def inner():\n        return x + y\n"
+              "    return inner\n"
+              "def public(unread):\n    pass\n"
+              "class C:\n    def __init__(self, unread):\n        pass\n"
+              "    def _m(self, s):\n        return s\n"
+              "    def __mangled(self):\n        return 0\n"
+              "class _P:\n    def __init__(self, unread):\n        pass\n"
+              "    def m(self, k):\n        return self\n")
+    assert _unread_private_params(source) == [
+        "__mangled: self (line 14)", "_f: b (line 1)", "_f: c (line 1)",
+        "_g: k (line 3)", "_m: self (line 12)", "m: k (line 19)"]
 
 
 _FIELD_MISMATCH = "incompatible fields"

@@ -5,8 +5,8 @@ the incircle test and the polygon predicates.
 by a search on its height, and `search._window_within` decides
 a window, both by cross-multiplication alone on the integer lattice
 form of their points: each Vec2 case is converted by `polygon.Lattice`,
-and an exit ray's origin is held over k*D as a trace's interior start
-holds it (`tracing._start`).  The references below are the versions
+re-expressed for an exit ray over a denominator that holds its origin,
+as a trace from an interior point does (`tracing.trace_from_point`).  The references below are the versions
 that divided for every candidate: `ref_exit_ray` computed t and s for
 each edge and kept the nearest hit, and the search clipped each window
 to exact intersection points
@@ -24,7 +24,7 @@ messages, valid and invalid polygons and straight vertices included.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +38,7 @@ from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import _SlabTable, _escaped, _quotient, _start
+from flatdef.tracing import _SlabTable, _escaped, _lattice_split, _quotient
 
 FIELDS = (0, 2, 5)
 
@@ -87,31 +87,33 @@ def slab_exit(surface, p, origin, direction, entry=None):
     """The slab lookup, in the shape `ref_exit_ray` returns.
 
     Each case is converted to its lattice form: the polygon through
-    `polygon.Lattice`, the origin over k*D as an interior start of a
-    trace holds it, the entry hint as the key ("edge", entry).  The
+    `polygon.Lattice` re-expressed over a denominator that holds the
+    origin, as an interior start of a trace is, the entry hint as the
+    key ("edge", entry).  The
     tables serve east rays only, so `direction`, taken to share
     `ref_exit_ray`'s arguments, is (1, 0).
     """
     verts, edges = surface.vertices(p), surface.polygons[p]
     lat = Lattice([edges])
-    k, H, A = _start(lat, origin)
+    lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), lat.ctx)
+    H, A = _lattice_split(lat.point(origin))
     # scalars come back in the field of the polygon's edges, as the
     # surface's field is that of its edges
-    kD, d, ctx = k * lat.D, lat.d, edges[0].ctx
+    D, d, ctx = lat.D, lat.d, edges[0].ctx
     table = _SlabTable(lat.verts[0], lat.edges[0], d)
-    event = table.exit(H, A, k, d, None if entry is None else ("edge", entry))
+    event = table.exit(H, A, d, None if entry is None else ("edge", entry))
     if event is None:
-        raise _escaped(p, _new(*H, kD, ctx), _new(*A, kD, ctx))
+        raise _escaped(p, _new(*H, D, ctx), _new(*A, D, ctx))
     kind, data, C, M, R, _ = event
-    along = _quotient((k * C[0] + H[0] * M[0] + d * H[1] * M[1],
-                       k * C[1] + H[0] * M[1] + H[1] * M[0]), R, kD, d, ctx)
+    along = _quotient((C[0] + H[0] * M[0] + d * H[1] * M[1],
+                       C[1] + H[0] * M[1] + H[1] * M[0]), R, D, d, ctx)
     if kind == "vertex":
         point = verts[data]
     else:
-        s = table.param(data, H, k, d, ctx)
+        s = table.param(data, H, d, ctx)
         point = verts[data] + edges[data].scale(s)
         data = (data, s)
-    return point, along - _new(*A, kD, ctx), kind, data
+    return point, along - _new(*A, D, ctx), kind, data
 
 
 def ref_beyond(a, b, bound_sq):

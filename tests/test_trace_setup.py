@@ -290,12 +290,11 @@ class TestLazyLines:
         stood = {}
         exit_ = _SlabTable.exit
 
-        def recording(self, H, A, k, d, key=None):
-            if not (H[0] % k or H[1] % k):
-                j = self.line_of.get((H[0] // k, H[1] // k))
-                if j is not None:
-                    stood.setdefault(id(self), set()).add(j)
-            return exit_(self, H, A, k, d, key)
+        def recording(self, H, A, d, key=None):
+            j = self.line_of.get(H)
+            if j is not None:
+                stood.setdefault(id(self), set()).add(j)
+            return exit_(self, H, A, d, key)
 
         monkeypatch.setattr(_SlabTable, "exit", recording)
         rng = random.Random(7)

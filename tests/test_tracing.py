@@ -2,8 +2,10 @@
 
 `tracing.trace_from_corner` and `trace_from_point` keep an eastward
 ray's height and the sum of its x-translations as Z[sqrt d] pairs over
-the lattice denominator D (over k*D for an interior start), and decide
-the bound test by cross-multiplying.  The reference is the trace they
+the lattice denominator D, and decide the bound test by
+cross-multiplying.  An interior start traces on the surface's lattice
+re-expressed over a multiple of D that holds it, which must leave the
+surface's own lattice and slab tables as they were.  The reference is the trace they
 replaced, on `FieldScalar`s (tests/reference_trace.py): `RefSlabTable`
 inverted each edge's height step and kept slopes, and `ref_trace`
 summed the advance chord by chord and tested the bound with
@@ -29,6 +31,7 @@ from flatdef.cylinders import _normalize, decompose, trace_separatrix
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
+from flatdef.serialize import decomposition_to_json
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import (east_ray_corners, trace_from_corner,
                              trace_from_point)
@@ -286,6 +289,28 @@ class TestTrace:
         assert "escaped the boundary" in found[1]
         assert found == outcome(ref_trace_from_point, *args, max_advance_sq=4)
 
+    def test_point_trace_leaves_the_surface_caches_alone(self):
+        # a start at denominator 7 needs a finer lattice than the
+        # surface's (D = 48); the trace re-expresses it on a shell, so
+        # afterwards the surface keeps its own lattice, and its corner
+        # traces and decompositions, which read its cached lattice and
+        # slab tables, are those of a fresh copy
+        surface, fresh = slanted_lshape(), slanted_lshape()
+        lat = surface.lattice()
+        D, cached = lat.D, set(surface._cache)
+        origin = Vec2(Fraction(8, 7), Fraction(15, 7))
+        res = trace_from_point(surface, 0, origin, max_advance_sq=400)
+        assert res.kind == "bound" and len(res.crossings) == 10
+        assert surface.lattice() is lat and lat.D == D == 48
+        assert set(surface._cache) == cached
+        for corner in east_ray_corners(fresh):
+            assert outcome(trace_from_corner, surface, corner,
+                           max_advance_sq=400) == \
+                outcome(trace_from_corner, fresh, corner, max_advance_sq=400)
+        for v in ((1, 0), (1, 1), (2, 1)):
+            assert decomposition_to_json(decompose(surface, v)) == \
+                decomposition_to_json(decompose(fresh, v))
+
     def test_corner_east_does_not_leave_raises(self):
         # east leaves a corner of the unit square only at its origin;
         # the public trace still checks the corner it is given, against
@@ -294,6 +319,7 @@ class TestTrace:
         assert east_ray_corners(torus) == [(0, 0)]
         for i in (1, 2, 3):
             with pytest.raises(ValueError, match="does not leave corner"):
-                trace_from_corner(torus, (0, i))
-            assert outcome(trace_from_corner, torus, (0, i)) \
-                == outcome(ref_trace_from_corner, torus, (0, i))
+                trace_from_corner(torus, (0, i), max_advance_sq=4)
+            assert outcome(trace_from_corner, torus, (0, i), max_advance_sq=4) \
+                == outcome(ref_trace_from_corner, torus, (0, i),
+                           max_advance_sq=4)
