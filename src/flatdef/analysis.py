@@ -17,7 +17,7 @@ from .deform import (_crossing_cocycle, cylinder_preserving_space,
                      deform_from_periods, eta)
 from .errors import DeformationTooLarge, InternalInvariantError
 from .field import FieldScalar
-from .homology import Cocycle, HomologyFrame, homology_frame
+from .homology import Cocycle, HomologyFrame
 from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
 from .surface import TranslationSurface
@@ -184,8 +184,6 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
     periodic surface shows no entries of the middle kind once the trace
     bound is large enough.
     """
-    if frame is None:
-        frame = homology_frame(surface)
     directions = enumerate_directions(surface, radius_sq)
     counts = {PERIODIC: 0, HAS_UNCERTIFIED: 0, NO_CYLINDER: 0}
     entries = []
@@ -308,9 +306,7 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
     # unchanged (the deformation vanishes on core classes), so their
     # circumferences reappear among the horizontal cylinders
     n_old = len(decomposition.cylinders)
-    new_frame = homology_frame(deformed)
-    post = decompose(deformed, decomposition.direction.vector,
-                     frame=new_frame)
+    post = decompose(deformed, decomposition.direction.vector)
     old_circs = Counter(str(c.circumference) for c in decomposition.cylinders)
     post_circs = Counter(str(c.circumference) for c in post.cylinders)
     if old_circs - post_circs:
@@ -318,7 +314,7 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
                 "reason": "old cylinders not confirmed on the deformation",
                 "surface": deformed}
     for d in candidate_directions:
-        dec = decompose(deformed, d, frame=new_frame)
+        dec = decompose(deformed, d)
         if dec.status == PERIODIC and len(dec.cylinders) > n_old:
             return {
                 "found": True,

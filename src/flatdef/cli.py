@@ -114,7 +114,7 @@ def _deform_common(args, op):
     surface = load_surface(args.surface)
     frame = homology_frame(surface)
     v = _direction(args.direction)
-    dec = decompose(surface, v, frame=frame, **_bound_kwargs(args))
+    dec = decompose(surface, v, **_bound_kwargs(args))
     ids = None
     if args.subset is not None:
         if not re.fullmatch(r"[0-9]+(,[0-9]+)*", args.subset):
@@ -179,9 +179,7 @@ def cmd_scan(args):
     elif args.mode == "parabolicity":
         rep = complete_parabolicity_check(surface, radius_sq, **kw)
     else:
-        frame = homology_frame(surface)
-        scan = complete_periodicity_scan(surface, radius_sq, frame=frame,
-                                         **kw)
+        scan = complete_periodicity_scan(surface, radius_sq, **kw)
         table = []
         for d, dec in scan["decompositions"].items():
             if not dec.cylinders:

@@ -25,7 +25,7 @@ from .field import FieldScalar, Mat2, Vec2, _new, _sign, _sum_is_one
 from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
                       signed_area2)
-from .surface import TranslationSurface
+from .surface import TranslationSurface, component_labels
 from .tracing import east_ray_corners, trace_from_corner
 
 __all__ = ["Direction", "SaddleConnection", "Cylinder", "Decomposition",
@@ -465,43 +465,17 @@ def _glue_items(surface, subs):
                 item.partner, mate.partner = mate, item
 
 
-class _UnionFind:
-    """Union-find on 0..n-1 with path halving.
-
-    The smaller root wins every union, so each class is named by its
-    least member and class ids do not depend on the union order.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _components(pieces):
-    uf = _UnionFind(len(pieces))
-    for piece in pieces:
-        for item in piece.items:
-            if item.partner is not None:
-                uf.union(piece.pid, item.partner.piece.pid)
+    """The pieces grouped by component, each marked with its least pid;
+    pieces meet across glued items."""
+    labels = component_labels(len(pieces), lambda pid: (
+        item.partner.piece.pid for item in pieces[pid].items
+        if item.partner is not None))
     comps = {}
-    for piece in pieces:
-        root = uf.find(piece.pid)
+    for piece, root in zip(pieces, labels):
         piece.component = root
         comps.setdefault(root, []).append(piece)
-    return [comps[k] for k in sorted(comps)]
+    return list(comps.values())
 
 
 def _corner_points(lat, comp_pieces):
@@ -813,12 +787,18 @@ def decompose(surface: TranslationSurface, direction,
     decomposition builds its `cut` only when it is read.  Each component
     of a cut that fails certification is kept, with its reason, in
     `failed_components`.
+
+    A `frame` that is neither the surface's own (`homology_frame`) nor
+    one with its hash raises StaleCocycle.
     """
     _positive("trace_factor", trace_factor)
     if trace_length is not None:
         trace_length = _positive("trace_length", trace_length)
+    own = homology_frame(surface)
     if frame is None:
-        frame = homology_frame(surface)
+        frame = own
+    elif frame is not own and frame.hash != own.hash:
+        raise StaleCocycle("frame is not the surface's frame")
     direction, g, normalized = _normalize(surface, direction)
     v = direction.vector
 

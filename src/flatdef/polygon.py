@@ -32,7 +32,6 @@ __all__ = [
     "signed_area2",
     "cross_sign",
     "same_ray",
-    "sector_contains",
     "corner_crosses_east",
     "check_simple",
     "segments_intersect_interior",
@@ -254,30 +253,6 @@ def same_ray(u, v, d) -> bool:
     return cross_sign(u, v, d) == 0 and _sign(*_dot(u, v, d), d) > 0
 
 
-def sector_contains(start, end, w, d, *,
-                    include_start: bool = True, include_end: bool = False) -> bool:
-    """Membership of direction w in the ccw sector from start to end.
-
-    The sweep angle is taken in (0, 2*pi); start == end (as rays) is a
-    full turn and contains everything.  Boundary membership follows the
-    include_* flags.
-    """
-    if same_ray(w, start, d):
-        return include_start
-    if same_ray(w, end, d):
-        return include_end
-    if same_ray(start, end, d):
-        return True  # full 2*pi sector
-    s = cross_sign(start, end, d)
-    if s > 0:
-        return cross_sign(start, w, d) > 0 and cross_sign(w, end, d) > 0
-    if s < 0:
-        # complement of the ccw sector from end to start (angle < pi)
-        return not (cross_sign(end, w, d) > 0 and cross_sign(w, start, d) > 0)
-    # start and end anti-parallel: half-plane to the left of start
-    return cross_sign(start, w, d) > 0
-
-
 def corner_crosses_east(out_ray, rev_in_ray, d, closed: str = "end") -> bool:
     """Whether (1, 0) lies in the half-open ccw sector of a corner, from
     out_ray to rev_in_ray, closed at its `closed` end ("start" or "end").
@@ -286,13 +261,15 @@ def corner_crosses_east(out_ray, rev_in_ray, d, closed: str = "end") -> bool:
     counts its full turns exactly once each; closed at the start, the
     corners are those whose east separatrix germ leaves them.
 
-    The answer is `sector_contains`'s with w = (1, 0), for any rays.
-    There a ray v is on w exactly when its y-part is 0 and its x-part
-    positive, and the cross products with w are y-parts: with so, si
-    the signs of the y-parts of out_ray and rev_in_ray, w lies strictly
-    inside when s = out x rev_in > 0 exactly if so < 0 < si, when s < 0
-    unless si < 0 < so, and when s = 0 (anti-parallel rays, or a zero
-    one) exactly if so < 0; rays on one ray make a full turn.  So
+    The sector sweeps an angle in (0, 2*pi), and rays on one ray make a
+    full turn, containing everything.  A ray v is on w = (1, 0) exactly
+    when its y-part is 0 and its x-part positive, and the cross products
+    of w with the rays are their y-parts: with so, si the signs of the
+    y-parts of out_ray and rev_in_ray, w lies strictly inside when
+    s = out x rev_in > 0 (a sweep below pi) exactly if so < 0 < si,
+    when s < 0 (above pi) unless si < 0 < so, and when s = 0
+    (anti-parallel rays, or a zero one: the half-plane left of out_ray)
+    exactly if so < 0.  So
     so < 0 < si puts w inside and si < 0 < so outside whatever s is,
     and otherwise the sign of s decides, with s = 0 left to the full
     turn or so < 0.  A corner thus costs the signs of its two rises and
@@ -391,11 +368,13 @@ def _point_in_closed_triangle(x, a, b, c, d) -> bool:
 
 
 def _diagonal_ok(pos, idx, k, d) -> bool:
-    """Is the diagonal skipping remaining-polygon vertex idx[k] valid?
+    """Is remaining-polygon vertex idx[k] an ear tip?
 
-    Checks the ear triangle is ccw and empty and that the new diagonal
-    leaves both endpoints strictly into the interior and crosses no
-    remaining edge.  Robust against straight vertices.
+    It is when it is strictly convex and no other remaining vertex lies
+    in the closed triangle it spans with its two neighbours.  For a
+    simple polygon, straight vertices included, these two tests make
+    the diagonal between the neighbours internal and leave the clipped
+    polygon simple (README, "Ears by the two-ears lemma").
     """
     m = len(idx)
     i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
@@ -407,21 +386,6 @@ def _diagonal_ok(pos, idx, k, d) -> bool:
             continue
         if _point_in_closed_triangle(pos[j], a, b, c, d):
             return False
-    # the diagonal a->c must enter the open interior sector at both ends
-    prev_a = pos[idx[(k - 2) % m]]
-    next_c = pos[idx[(k + 2) % m]]
-    if not sector_contains(_sub(b, a), _sub(prev_a, a), _sub(c, a), d,
-                           include_start=False, include_end=False):
-        return False
-    if not sector_contains(_sub(next_c, c), _sub(b, c), _sub(a, c), d,
-                           include_start=False, include_end=False):
-        return False
-    for t in range(m):
-        u, v = idx[t], idx[(t + 1) % m]
-        if u in (i0, i2) or v in (i0, i2):
-            continue
-        if segments_intersect_interior(a, c, pos[u], pos[v], d):
-            return False
     return True
 
 
@@ -429,7 +393,7 @@ def ear_clip(verts, d) -> list[tuple[int, int, int]]:
     """Triangulate a simple ccw polygon given by its vertices; returns
     vertex-index triples.
 
-    Straight vertices are tolerated.  O(n^4) worst case, fine at desk
+    Straight vertices are tolerated.  O(n^3) worst case, fine at desk
     scale.  The polygon has been validated, so finding no ear is an
     internal invariant failure.
     """

@@ -200,7 +200,12 @@ class TranslationSurface:
             if _add(lat.edges[a[0]][a[1]], lat.edges[b[0]][b[1]]) != _ORIGIN:
                 raise GluingMismatch(
                     f"glued edges {a} and {b} are not opposite vectors")
-        self._check_connected()
+        sizes = [len(edges) for edges in lat.edges]
+        if not sizes:
+            raise NotConnected("surface has no polygons")
+        if any(component_labels(len(sizes), lambda p: (
+                self.gluing[(p, e)][0] for e in range(sizes[p])))):
+            raise NotConnected("polygon gluing graph is disconnected")
 
         corners = [(p, i) for p, edges in enumerate(lat.edges)
                    for i in range(len(edges))]
@@ -242,23 +247,6 @@ class TranslationSurface:
         data = SingularityData(classes, cone_orders, genus)
         self._family["sing"] = data
         return data
-
-    def _check_connected(self):
-        sizes = [len(edges) for edges in self.lattice().edges]
-        n = len(sizes)
-        if n == 0:
-            raise NotConnected("surface has no polygons")
-        seen = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for e in range(sizes[p]):
-                q = self.gluing[(p, e)][0]
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        if len(seen) != n:
-            raise NotConnected("polygon gluing graph is disconnected")
 
     # -- value semantics ---------------------------------------------------
 
@@ -336,6 +324,27 @@ class TranslationSurface:
         return image
 
 
+def component_labels(n: int, neighbours) -> list[int]:
+    """Each of 0..n-1 labelled with the least member of its component.
+
+    `neighbours(i)` yields the indices one step from i; the steps must
+    reach each index's whole component from it, as those of a symmetric
+    relation or of permutations do.  Searching from each unlabelled
+    index in increasing order starts at each component's least member.
+    """
+    labels = [-1] * n
+    for root in range(n):
+        if labels[root] < 0:
+            labels[root] = root
+            stack = [root]
+            while stack:
+                for j in neighbours(stack.pop()):
+                    if labels[j] < 0:
+                        labels[j] = root
+                        stack.append(j)
+    return labels
+
+
 def validate(surface: TranslationSurface) -> SingularityData:
     """Full validation; returns cone orders, genus and stratum signature."""
     return surface.singularities()
@@ -393,6 +402,10 @@ def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurf
         raise ValueError(f"an origami has at least one square, not {n}")
     ht = _parse_perm(h, n)
     vt = _parse_perm(v, n)
+    # the squares a search reaches by h and v alone form an orbit of the
+    # group they generate, so forward steps find each component
+    if any(component_labels(n, lambda i: (ht[i], vt[i]))):
+        raise NotConnected("the two permutations do not act transitively")
 
     one = FieldScalar(1)
     zero = FieldScalar(0)
@@ -403,16 +416,6 @@ def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurf
     for i in range(n):
         gluing.append(((i, 1), (ht[i], 3)))
         gluing.append(((i, 2), (vt[i], 0)))
-    reach = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in (ht[i], vt[i], ht.index(i), vt.index(i)):
-            if j not in reach:
-                reach.add(j)
-                stack.append(j)
-    if len(reach) != n:
-        raise NotConnected("the two permutations do not act transitively")
     surf = TranslationSurface(polys, gluing, label or f"origami-{n}")
     surf.singularities()
     return surf

@@ -12,10 +12,35 @@ tests/test_certify.py checks the library's verdicts, circles,
 circumferences and areas against it.
 """
 
-from flatdef.cylinders import _corner_points, _UnionFind
+from flatdef.cylinders import _corner_points
 from flatdef.errors import InternalInvariantError
 from flatdef.field import _new, _sign
 from flatdef.polygon import signed_area2
+
+
+class _UnionFind:
+    """Union-find on 0..n-1 with path halving.
+
+    The smaller root wins every union, so each class is named by its
+    least member and class ids do not depend on the union order.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 class RefCheck:

@@ -17,7 +17,7 @@ from itertools import groupby
 
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldScalar, Vec2
-from flatdef.polygon import sector_contains
+from flatdef.polygon import cross_sign, same_ray
 
 # the fields of `tracing.TraceResult`, and where a "target" trace stopped:
 # end_position is (polygon, point); pending_start is the start of the
@@ -26,6 +26,33 @@ from flatdef.polygon import sector_contains
 RefTrace = namedtuple("RefTrace", "kind chords crossings advance end_corner "
                       "end_position pending_start end_pathpoint",
                       defaults=(None, None, None, None))
+
+
+def sector_contains(start, end, w, d, *,
+                    include_start: bool = True, include_end: bool = False) -> bool:
+    """Membership of direction w in the ccw sector from start to end, on
+    lattice-form rays: the general sector test the library ran before
+    `polygon.corner_crosses_east` decided corners and
+    `polygon._diagonal_ok` decided ears by two tests.
+
+    The sweep angle is taken in (0, 2*pi); start == end (as rays) is a
+    full turn and contains everything.  Boundary membership follows the
+    include_* flags.
+    """
+    if same_ray(w, start, d):
+        return include_start
+    if same_ray(w, end, d):
+        return include_end
+    if same_ray(start, end, d):
+        return True  # full 2*pi sector
+    s = cross_sign(start, end, d)
+    if s > 0:
+        return cross_sign(start, w, d) > 0 and cross_sign(w, end, d) > 0
+    if s < 0:
+        # complement of the ccw sector from end to start (angle < pi)
+        return not (cross_sign(end, w, d) > 0 and cross_sign(w, start, d) > 0)
+    # start and end anti-parallel: half-plane to the left of start
+    return cross_sign(start, w, d) > 0
 
 
 def _split(v, axis):

@@ -29,10 +29,9 @@ from flatdef.cylinders import (_check_component, _edge_runs, _point_coords,
                                decompose)
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
-from flatdef.polygon import sector_contains
 from flatdef.surface import l_shape
 
-from reference_trace import ref_trace_from_corner
+from reference_trace import ref_trace_from_corner, sector_contains
 from test_output_pin import cross_pin_cases
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from flatdef.cylinders import (BoundExceeded, Direction, PARTIAL, PERIODIC,
                                NO_CYLINDER, decompose, trace_separatrix)
-from flatdef.errors import NonPositiveLength
+from flatdef.analysis import accumulate_tangent
+from flatdef.errors import NonPositiveLength, StaleCocycle
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
+from flatdef.homology import HomologyFrame, homology_frame
 from flatdef.search import enumerate_directions
 
 Q5 = FieldCtx.get(5)
@@ -96,7 +98,6 @@ class TestDecompose:
                 assert (acc - dec.normalized.area()).is_zero()
 
     def test_core_class_is_absolute(self, l_origami, golden_l):
-        from flatdef.homology import homology_frame
         for surf in (l_origami, golden_l):
             frame = homology_frame(surf)
             dec = decompose(surf, Vec2(1, 1), frame=frame)
@@ -109,7 +110,6 @@ class TestDecompose:
 
     def test_cross_pairs_with_own_core(self, l_origami):
         from flatdef.deform import intersection_cocycle
-        from flatdef.homology import homology_frame
         frame = homology_frame(l_origami)
         dec = decompose(l_origami, Vec2(1, 0), frame=frame)
         for cyl in dec.cylinders:
@@ -120,6 +120,32 @@ class TestDecompose:
                 assert val.im.is_zero() and val.re == FieldScalar(want)
                 core_val = frame.evaluate(ic, other.core_coords)
                 assert core_val.is_zero()
+
+    @pytest.mark.parametrize("surface, foreign", [
+        ("torus", "l_origami"),
+        ("golden_l", "l_origami"),
+        ("golden_l", "golden_shear"),
+    ])
+    def test_foreign_frame_rejected(self, request, surface, foreign):
+        # on a foreign frame the core paths break or miss its cells, or
+        # the certificate carries the other surface's frame hash
+        surf = request.getfixturevalue(surface)
+        if foreign == "golden_shear":
+            other = surf.apply_matrix(Mat2(1, 1, 0, 1))
+        else:
+            other = request.getfixturevalue(foreign)
+        with pytest.raises(StaleCocycle):
+            decompose(surf, Vec2(1, 1), frame=homology_frame(other))
+        with pytest.raises(StaleCocycle):
+            accumulate_tangent(surf, homology_frame(other), [Vec2(1, 1)])
+
+    def test_frame_with_own_hash_accepted(self, golden_l):
+        frame = HomologyFrame(golden_l)
+        assert frame is not homology_frame(golden_l)
+        dec = decompose(golden_l, Vec2(1, 1), frame=frame)
+        assert dec.status == PERIODIC
+        assert dec.frame is frame
+        assert dec.frame.hash == homology_frame(golden_l).hash
 
     def test_partial_with_tiny_bound(self, torus):
         dec = decompose(torus, Vec2(5, 1),

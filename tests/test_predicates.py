@@ -34,11 +34,12 @@ from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _new
 from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              check_simple, corner_crosses_east, cross_sign,
-                             ear_clip, same_ray, sector_contains,
-                             segments_intersect_interior)
+                             ear_clip, same_ray, segments_intersect_interior)
 from flatdef.search import _Bound, _window_within
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import _SlabTable, _escaped, _lattice_split, _quotient
+
+from reference_trace import sector_contains
 
 FIELDS = (0, 2, 5)
 
@@ -435,14 +436,15 @@ class OnePolygon:
 
 
 @st.composite
-def star_polygons(draw):
+def star_polygons(draw, fields=FIELDS):
     """A polygon star-shaped around an interior point, and that point.
 
     One vertex sits on each chosen ray from the center, at a random
-    distance (a quadratic irrational in Q(sqrt d)); collinear runs,
-    reflex corners and edges parallel to the axes all occur.
+    distance (a quadratic irrational in Q(sqrt d), d drawn from
+    `fields`); collinear runs, reflex corners and edges parallel to the
+    axes all occur.
     """
-    ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
+    ctx = FieldCtx.get(draw(st.sampled_from(fields)))
     extra = draw(st.sets(st.integers(0, len(RAYS) - 1), max_size=5))
     idx = sorted(set(draw(st.sampled_from(BASE_RAYS))) | extra)
     pts = []
@@ -813,13 +815,67 @@ DEFECTS = ("clockwise", "fold-back", "zero edge", "open", "loop", "swap",
            "two edges")
 
 
+def polyomino_boundary(cells):
+    """The ccw boundary of a set of unit cells as one cycle of lattice
+    points, every lattice point on it a vertex; None when the boundary
+    is not one simple cycle (a hole, or cells meeting at a corner only).
+    """
+    sides = {side for x, y in cells for side in (
+        ((x, y), (x + 1, y)), ((x + 1, y), (x + 1, y + 1)),
+        ((x + 1, y + 1), (x, y + 1)), ((x, y + 1), (x, y)))}
+    step = {}
+    for a, b in sides:
+        if (b, a) not in sides:
+            if a in step:
+                return None
+            step[a] = b
+    loop = [min(step)]
+    while step[loop[-1]] != loop[0]:
+        loop.append(step[loop[-1]])
+    return loop if len(loop) == len(step) else None
+
+
+@st.composite
+def polyomino_polygons(draw):
+    """The boundary edges of a polyomino grown cell by cell from one
+    square, each new cell drawn among those that keep the boundary one
+    simple cycle: long runs of straight vertices and reflex corners."""
+    cells = {(0, 0)}
+    for _ in range(draw(st.integers(1, 11))):
+        frontier = sorted({(x + dx, y + dy) for x, y in cells
+                           for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+                          - cells)
+        cells.add(draw(st.sampled_from(
+            [c for c in frontier if polyomino_boundary(cells | {c})])))
+    loop = polyomino_boundary(cells)
+    return [Vec2(b[0] - a[0], b[1] - a[1])
+            for a, b in zip(loop, loop[1:] + loop[:1])]
+
+
 @st.composite
 def polygon_cases(draw, valid=None):
-    """Edge lists of star polygons, some edges cut in two (a straight
-    vertex), started at any vertex; unless `valid`, possibly with one of
-    `DEFECTS`.  Returns (edges, defect or None)."""
-    surf, _, ctx = draw(star_polygons())
-    edges = list(surf.polygons[0])
+    """Edge lists of star polygons, of star polygons over Q with every
+    edge cut at its midpoint, or of polyomino boundaries; the last two
+    over Q or sheared into Q(sqrt 2).  Some edges are cut in two (a
+    straight vertex), and the list starts at any vertex; unless `valid`,
+    it possibly carries one of `DEFECTS`.  Returns (edges, defect or
+    None)."""
+    family = draw(st.sampled_from(["star", "midpoints", "polyomino"]))
+    if family == "polyomino":
+        edges, ctx = draw(polyomino_polygons()), FieldCtx.get(0)
+    else:
+        surf, _, ctx = draw(star_polygons((0,) if family == "midpoints"
+                                          else FIELDS))
+        edges = list(surf.polygons[0])
+    if family == "midpoints":
+        half = FieldScalar(Fraction(1, 2), 0, ctx)
+        edges = [e.scale(half) for e in edges for _ in (0, 1)]
+    if family != "star" and draw(st.booleans()):
+        ctx = FieldCtx.get(2)
+        t = FieldScalar(draw(st.integers(-2, 2)),
+                        draw(st.sampled_from([-1, 1])), ctx)
+        g = draw(st.sampled_from([Mat2(1, t, 0, 1), Mat2(1, 0, t, 1)]))
+        edges = [g.apply(e) for e in edges]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(edges) - 1))
         t = FieldScalar(Fraction(draw(st.integers(1, 4)), 5), 0, ctx)

@@ -6,8 +6,8 @@ replaced, kept here:
 * `tracing.east_ray_corners` decides each corner by the rises of its two
   edges and at most one cross sign (`polygon.corner_crosses_east`, closed
   at the start).  `ref_east_corners` asks the general sector test,
-  `polygon.sector_contains`, as the tracer did before; the end-closed
-  form, which counts cone angles, is held to it too.
+  `reference_trace.sector_contains`, as the tracer did before; the
+  end-closed form, which counts cone angles, is held to it too.
 * `tracing._SlabTable` builds a line's `events` and `line_pos` the first
   time a ray stands on that line.  `ref_lines` builds every line at
   once, by the loop the table ran before.
@@ -31,10 +31,11 @@ from hypothesis import given, settings, strategies as st
 
 from flatdef.cylinders import decompose
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _sign
-from flatdef.polygon import (_EAST, _mul, corner_crosses_east,
-                             sector_contains)
+from flatdef.polygon import _EAST, _mul, corner_crosses_east
 from flatdef.surface import l_shape
 from flatdef.tracing import _lattice_split, _SlabTable, east_ray_corners
+
+from reference_trace import sector_contains
 
 DIRECTIONS = [(p, q) for p in range(0, 4) for q in range(-3, 4)
               if (p, q) != (0, 0) and not (p == 0 and q < 0)
