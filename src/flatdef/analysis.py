@@ -5,7 +5,9 @@ direction enters the tangent span; partial directions are recorded but
 never contribute.  The resulting span is an exact lower bound for the
 orbit-closure tangent space, and half the dimension of its projection
 to absolute cohomology (rounded up) bounds the cylinder rank from
-below.
+below.  A direction's certificate takes only its decomposition, which
+carries the surface and frame; a `TangentSpan` takes only decompositions
+in its own frame.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .deform import (_crossing_cocycle, cylinder_preserving_space,
                      deform_from_periods, eta)
 from .errors import DeformationTooLarge, InternalInvariantError
 from .field import FieldScalar
-from .homology import Cocycle, HomologyFrame
+from .homology import Cocycle, HomologyFrame, homology_frame
 from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
 from .surface import TranslationSurface
@@ -40,7 +42,6 @@ class TangentSpan:
 
     def __init__(self, frame: HomologyFrame):
         self.frame = frame
-        self.frame_hash = frame.hash
         self.generators = []   # (Cocycle, provenance dict)
         self.skipped = []      # provenance of non-certified directions
         self._span = Echelon(frame.m)
@@ -54,14 +55,14 @@ class TangentSpan:
         self._span.add(cocycle.values)
         self._p_span.add(self.frame.project_absolute(cocycle))
 
-    def add_certified(self, surface, decomposition: Decomposition):
-        decomposition.check_frame(self.frame)
+    def add_certified(self, decomposition: Decomposition):
+        decomposition.check_own(frame=self.frame)
         if decomposition.status != PERIODIC:
             self.skipped.append(_provenance(decomposition, "NotCertified"))
             return False
         # eta reads the crossing table, which checks that every twist
         # cocycle vanishes on the direction's saddle connections
-        cocycle = eta(surface, self.frame, decomposition)
+        cocycle = eta(decomposition)
         self._add(cocycle, _provenance(decomposition, "CertifiedPeriodic"))
         return True
 
@@ -86,15 +87,14 @@ def _provenance(decomposition: Decomposition, rule: str):
     }
 
 
-def accumulate_tangent(surface: TranslationSurface, frame: HomologyFrame,
-                       directions, trace_factor: int = 20,
+def accumulate_tangent(surface: TranslationSurface, directions,
+                       trace_factor: int = 20,
                        trace_length=None) -> TangentSpan:
     """Span of the period class and all certified direction cocycles."""
-    span = TangentSpan(frame)
+    span = TangentSpan(homology_frame(surface))
     for d in directions:
-        span.add_certified(surface, decompose(
-            surface, d, trace_factor=trace_factor, trace_length=trace_length,
-            frame=frame))
+        span.add_certified(decompose(
+            surface, d, trace_factor=trace_factor, trace_length=trace_length))
     return span
 
 
@@ -104,18 +104,17 @@ def rank_lower_bound(span: TangentSpan) -> int:
     return (p + 1) // 2
 
 
-def independence_check(surface: TranslationSurface, frame: HomologyFrame,
-                       decomposition: Decomposition, ids=None) -> bool:
+def independence_check(decomposition: Decomposition, ids=None) -> bool:
     """Is p(eta) outside the span of Re p(omega) and Im p(omega)?
 
     True supports (conditionally on the cylinder set being complete and
     the direction not periodic) that the orbit closure has rank > 1; the
     conditional is the caller's to report, not this function's.
     """
-    decomposition.check_frame(frame)
     if not decomposition.cylinders:
         raise ValueError("independence check needs at least one cylinder")
-    e = eta(surface, frame, decomposition, ids)
+    frame = decomposition.frame
+    e = eta(decomposition, ids)
     omega = frame.period_cocycle()
     p_omega = frame.project_absolute(omega)
     re_row = [ComplexScalar(v.re) for v in p_omega]
@@ -175,8 +174,7 @@ HAS_UNCERTIFIED = "HasCylinderNotCertifiedPeriodic"
 
 
 def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
-                              trace_factor: int = 20, trace_length=None,
-                              frame: HomologyFrame | None = None):
+                              trace_factor: int = 20, trace_length=None):
     """Classify every enumerated direction of the surface.
 
     Returns a report dict with per-direction entries Periodic /
@@ -191,7 +189,7 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
     decompositions = {}
     for d in directions:
         dec = decompose(surface, d, trace_factor=trace_factor,
-                        trace_length=trace_length, frame=frame)
+                        trace_length=trace_length)
         decompositions[d] = dec
         if dec.status == PERIODIC:
             kind = PERIODIC
@@ -219,13 +217,12 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
 
 
 def complete_parabolicity_check(surface: TranslationSurface, radius_sq,
-                                trace_factor: int = 20, trace_length=None,
-                                frame: HomologyFrame | None = None):
+                                trace_factor: int = 20, trace_length=None):
     """For each certified periodic direction, check pairwise rational
     moduli; reports the first failure or a full pass up to the bound."""
     scan = complete_periodicity_scan(surface, radius_sq,
                                      trace_factor=trace_factor,
-                                     trace_length=trace_length, frame=frame)
+                                     trace_length=trace_length)
     failures = []
     checked = 0
     for d, dec in scan["decompositions"].items():
@@ -250,10 +247,8 @@ def complete_parabolicity_check(surface: TranslationSurface, radius_sq,
     }
 
 
-def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
-                          decomposition: Decomposition, eps,
-                          candidate_directions,
-                          max_halvings: int = 12):
+def more_cylinders_search(decomposition: Decomposition, eps,
+                          candidate_directions, max_halvings: int = 12):
     """Best-effort search for a nearby surface with more cylinders.
 
     Requires the cylinder-preserving space to strictly contain the twist
@@ -263,11 +258,11 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
     directions for a certified decomposition with strictly more
     cylinders.  Existence is not guaranteed, only searched for.
     """
-    decomposition.check_frame(frame)
     if decomposition.status != PERIODIC:
         raise ValueError("search needs a Periodic decomposition")
     if not isinstance(eps, FieldScalar):
         eps = FieldScalar(eps)
+    surface, frame = decomposition.surface, decomposition.frame
     cp_gens, cp_dim = cylinder_preserving_space(surface, frame,
                                                 decomposition)
     # the twist space has one dimension per cylinder, and a cocycle z lies
@@ -293,7 +288,7 @@ def more_cylinders_search(surface: TranslationSurface, frame: HomologyFrame,
     deformed = None
     for _ in range(max_halvings):
         try:
-            deformed = deform_from_periods(surface, frame, imaginary, eps)
+            deformed = deform_from_periods(surface, imaginary, eps)
             break
         except DeformationTooLarge as exc:
             attempts.append(str(eps))

@@ -25,7 +25,6 @@ from .deform import shear, stretch, verify_linearity
 from .equivalence import translation_equivalent
 from .errors import FlatdefError, InternalInvariantError
 from .field import FieldScalar, Vec2, parse_scalar
-from .homology import homology_frame
 from .render import render_surface
 from .search import enumerate_directions
 from .serialize import (decomposition_to_json, dump_surface, dumps,
@@ -112,7 +111,6 @@ def cmd_decompose(args):
 
 def _deform_common(args, op):
     surface = load_surface(args.surface)
-    frame = homology_frame(surface)
     v = _direction(args.direction)
     dec = decompose(surface, v, **_bound_kwargs(args))
     ids = None
@@ -133,7 +131,7 @@ def _deform_common(args, op):
     amount = _scalar(args.amount)
     if op == "shear":
         result = shear(surface, dec, amount, ids)
-        linear = verify_linearity(surface, frame, dec, amount, ids)
+        linear = verify_linearity(surface, dec.frame, dec, amount, ids)
         print(f"linearity check: {str(linear).lower()}")
         if args.check_equivalent:
             print(f"translation equivalent to input: "
@@ -155,10 +153,8 @@ def cmd_stretch(args):
 def cmd_rank(args):
     surface = load_surface(args.surface)
     radius_sq = _max_len_sq(args)
-    frame = homology_frame(surface)
     directions = enumerate_directions(surface, radius_sq)
-    span = accumulate_tangent(surface, frame,
-                              [d.vector for d in directions],
+    span = accumulate_tangent(surface, [d.vector for d in directions],
                               **_bound_kwargs(args))
     k_lb = rank_lower_bound(span)
     payload = span_to_json(span, k_lb)

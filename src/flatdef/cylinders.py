@@ -261,9 +261,16 @@ class Decomposition:
             self._crossings = table
         return self._crossings
 
-    def check_frame(self, frame: HomologyFrame) -> None:
-        """Raise StaleCocycle unless `frame` is this decomposition's."""
-        if frame.hash != self.frame.hash:
+    def check_own(self, surface: TranslationSurface | None = None,
+                  frame: HomologyFrame | None = None) -> None:
+        """Raise StaleCocycle unless `surface`, when given, is this
+        decomposition's own (the same object, or one whose frame has this
+        frame's hash) and `frame`, when given, has this frame's hash."""
+        if (surface is not None and surface is not self.surface
+                and homology_frame(surface).hash != self.frame.hash):
+            raise StaleCocycle("surface is not the decomposition's surface")
+        if (frame is not None and frame is not self.frame
+                and frame.hash != self.frame.hash):
             raise StaleCocycle("frame is not the decomposition's frame")
 
     @property

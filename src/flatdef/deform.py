@@ -13,8 +13,10 @@ cell whose member share in the decomposition's cut is s goes to g^-1
 deformation is the GL(2,R) image under g^-1 M; otherwise the surface is
 recut along exactly those cylinder boundaries where moved and fixed
 regions meet.  Linearity in period coordinates is checked exactly, on
-integers in normalized coordinates, against the decomposition's own
-frame (any other raises StaleCocycle).
+integers in normalized coordinates.  A decomposition carries its
+surface and frame; a surface or frame handed beside it (to `shear`,
+`stretch`, `twist_space`, `cylinder_preserving_space`,
+`verify_linearity`) goes through `Decomposition.check_own`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .cylinders import (Decomposition, _build_cut_pieces, _mates,
 from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
 from .field import FieldScalar, Mat2, Vec2
-from .homology import Cocycle, HomologyFrame
+from .homology import Cocycle, HomologyFrame, homology_frame
 from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
 from .polygon import _mul, _pairs
 from .surface import TranslationSurface
@@ -63,42 +65,36 @@ def _crossing_cocycle(decomposition: Decomposition, weighted,
     return decomposition.frame.cocycle([ComplexScalar(v) for v in totals])
 
 
-def intersection_cocycle(surface: TranslationSurface, frame: HomologyFrame,
-                         decomposition: Decomposition, cyl_id: int) -> Cocycle:
+def intersection_cocycle(decomposition: Decomposition, cyl_id: int) -> Cocycle:
     """The integer cocycle counting crossings with one core circle.
 
     Zero on every class realized disjointly from the cylinder's interior;
     the crossing table checks this on the direction's saddle connections
     and core classes.
     """
-    decomposition.check_frame(frame)
     cyl = _cylinder_subset(decomposition, [cyl_id])[0]
     return _crossing_cocycle(decomposition, [(1, cyl)], 0)
 
 
-def eta_normalized(frame: HomologyFrame, decomposition: Decomposition,
-                   ids=None) -> Cocycle:
+def eta_normalized(decomposition: Decomposition, ids=None) -> Cocycle:
     """Sum of height-weighted core-crossing cocycles, in normalized frame
     coordinates (real values; the shear derivative on the normalized
     surface)."""
-    decomposition.check_frame(frame)
     chosen = _cylinder_subset(decomposition, ids)
     return _crossing_cocycle(
         decomposition, [(cyl.height, cyl) for cyl in chosen],
         FieldScalar(0, 0, decomposition.normalized.ctx))
 
 
-def eta(surface: TranslationSurface, frame: HomologyFrame,
-        decomposition: Decomposition, ids=None) -> Cocycle:
+def eta(decomposition: Decomposition, ids=None) -> Cocycle:
     """The shear derivative for the decomposition's own direction.
 
     Transported through the inverse normalizing matrix, so adding
     t * eta to the periods of the original surface is exactly the
     direction-v cylinder shear by t.
     """
-    base = eta_normalized(frame, decomposition, ids)
-    factor = decomposition.transport_factor()
-    return base.scale(factor)
+    return eta_normalized(decomposition, ids).scale(
+        decomposition.transport_factor())
 
 
 def twist_space(surface: TranslationSurface, frame: HomologyFrame,
@@ -110,10 +106,10 @@ def twist_space(surface: TranslationSurface, frame: HomologyFrame,
     checks, so the cocycles are independent and dim is the number of
     cylinders.
     """
-    decomposition.check_frame(frame)
+    decomposition.check_own(surface, frame)
     if not decomposition.is_periodic:
         raise ValueError("twist space needs a Periodic decomposition")
-    gens = [eta_normalized(frame, decomposition, [cyl.cyl_id])
+    gens = [eta_normalized(decomposition, [cyl.cyl_id])
             for cyl in decomposition.cylinders]
     return gens, len(gens)
 
@@ -127,7 +123,7 @@ def cylinder_preserving_space(surface: TranslationSurface,
     twist space because every I_i vanishes on every core class, which
     reading the crossing table checks.
     """
-    decomposition.check_frame(frame)
+    decomposition.check_own(surface, frame)
     if not decomposition.is_periodic:
         raise ValueError("cylinder-preserving space needs a Periodic "
                          "decomposition")
@@ -155,7 +151,7 @@ class TorusClosure:
         self.cocycle = cocycle
 
 
-def torus_closure(moduli, frame: HomologyFrame | None = None,
+def torus_closure(moduli,
                   decomposition: Decomposition | None = None) -> TorusClosure:
     """Closure of the twist flow with the given cylinder moduli.
 
@@ -165,22 +161,16 @@ def torus_closure(moduli, frame: HomologyFrame | None = None,
     when a decomposition is supplied, so is the induced rational tangent
     cocycle sum_i t_i c_i I_i.
     """
-    vals = []
-    for m in moduli:
-        if not isinstance(m, FieldScalar):
-            m = FieldScalar(m)
-        if m.sign() <= 0:
-            raise ValueError("moduli must be positive")
-        vals.append(m)
+    vals = [m if isinstance(m, FieldScalar) else FieldScalar(m)
+            for m in moduli]
+    if any(m.sign() <= 0 for m in vals):
+        raise ValueError("moduli must be positive")
     relations, allowed = rational_relation_lattice(vals)
     if not allowed:
         raise InternalInvariantError("positive moduli admit no twist at all")
     t = list(allowed[0])
     cocycle = None
     if decomposition is not None:
-        if frame is None:
-            frame = decomposition.frame
-        decomposition.check_frame(frame)
         if len(moduli) != len(decomposition.cylinders):
             raise ValueError("moduli do not match the decomposition")
         cocycle = _crossing_cocycle(
@@ -328,6 +318,7 @@ def shear(surface: TranslationSurface, decomposition: Decomposition, t,
     is rebuilt geometrically.  Its periods satisfy the exact linearity
     law, which verify_linearity re-checks independently.
     """
+    decomposition.check_own(surface)
     if not isinstance(t, FieldScalar):
         t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
@@ -337,6 +328,7 @@ def shear(surface: TranslationSurface, decomposition: Decomposition, t,
 def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
             ids=None):
     """The cylinder stretch with vertical scale 1+s on the chosen set."""
+    decomposition.check_own(surface)
     if not isinstance(s, FieldScalar):
         s = FieldScalar(s)
     one_plus = FieldScalar(1) + s
@@ -363,9 +355,10 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
     with g^-1 (1, 0) = tau checked once: the left side from the cut, the
     right from the heights and the crossing table.  Both sides are
     linear in t, so t is only validated.
-    Exact disagreement returns False and means a bug.
+    Exact disagreement returns False and means a bug; a surface or frame
+    that is not the decomposition's raises StaleCocycle.
     """
-    decomposition.check_frame(frame)
+    decomposition.check_own(surface, frame)
     if not isinstance(t, FieldScalar):
         FieldScalar(t)  # raises on inexact input
     lat = decomposition.normalized.lattice()
@@ -394,9 +387,12 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
     return True
 
 
-def deform_from_periods(surface: TranslationSurface, frame: HomologyFrame,
-                        zeta: Cocycle, eps) -> TranslationSurface:
+def deform_from_periods(surface: TranslationSurface, zeta: Cocycle,
+                        eps) -> TranslationSurface:
     """Displace every edge holonomy by eps * zeta and rebuild.
+
+    zeta must be a cocycle of the surface's own frame (`homology_frame`,
+    or one with its hash); any other raises StaleCocycle.
 
     Raises DeformationTooLarge when any polygon stops being simple (or
     the stratum changes, or a real deformation fails to preserve the
@@ -404,32 +400,28 @@ def deform_from_periods(surface: TranslationSurface, frame: HomologyFrame,
     (FlatdefError) of the rebuilt surface become DeformationTooLarge; an
     InternalInvariantError propagates unchanged.
     """
+    frame = homology_frame(surface)
     frame.check(zeta)
     if not isinstance(eps, FieldScalar):
         eps = FieldScalar(eps)
     if eps.sign() < 0:
         raise ValueError("eps must be nonnegative; rescale zeta instead")
-    displacement = []
-    for c in range(len(frame.cells)):
-        coords = frame.cell_coords(frame.cells[c])
-        val = frame.evaluate(zeta, coords)
-        displacement.append(Vec2(val.re * eps, val.im * eps))
-    new_polys = []
-    for p, poly in enumerate(surface.polygons):
-        new_poly = []
-        for e, vec in enumerate(poly):
-            cidx, sign = frame.cell_of[(p, e)]
-            d = displacement[cidx]
-            if sign > 0:
-                new_poly.append(Vec2(vec.x + d.x, vec.y + d.y))
-            else:
-                new_poly.append(Vec2(vec.x - d.x, vec.y - d.y))
-        new_polys.append(new_poly)
+    shift = []
+    for cell in frame.cells:
+        val = frame.evaluate(zeta, frame.cell_coords(cell))
+        shift.append(Vec2(val.re * eps, val.im * eps))
+
+    def moved(p, e, vec):
+        c, sign = frame.cell_of[(p, e)]
+        return vec + shift[c] if sign > 0 else vec - shift[c]
+
+    new_polys = [[moved(p, e, vec) for e, vec in enumerate(poly)]
+                 for p, poly in enumerate(surface.polygons)]
     gl = [(a, b) for a, b in surface.gluing.items() if a < b]
     pre_data = surface.singularities()
     pre_horizontal = None
     if zeta.is_real() and eps.sign() > 0:
-        pre_horizontal = decompose(surface, Vec2(1, 0), frame=frame)
+        pre_horizontal = decompose(surface, Vec2(1, 0))
     try:
         result = TranslationSurface(new_polys, gl, surface.label)
         post_data = result.singularities()

@@ -47,7 +47,10 @@ def _fmt_pts(pts):
 def render_surface(surface: TranslationSurface,
                    decomposition: Decomposition | None = None) -> str:
     """Well-formed standalone SVG: one polygon element per input polygon,
-    cylinder fills when a certified or partial decomposition is given."""
+    cylinder fills when a certified or partial decomposition is given;
+    it must be the surface's own (`Decomposition.check_own`)."""
+    if decomposition is not None:
+        decomposition.check_own(surface)
     offsets = _layout(surface)
     body = []
     fills = decomposition is not None and decomposition.status != NO_CYLINDER

@@ -238,7 +238,7 @@ def span_to_json(span, k_lb: int) -> dict:
     """Certificate JSON for a tangent span accumulation."""
     return {
         "format": FORMAT_VERSION,
-        "frame_hash": span.frame_hash,
+        "frame_hash": span.frame.hash,
         "generators": [
             {"values": [_complex(v) for v in gen.values],
              "provenance": prov}

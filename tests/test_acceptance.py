@@ -133,9 +133,8 @@ def _gl2_span_rank(span):
 def _rank_certificate(surf):
     """(dim_C, p-dim, k_lb, GL(2,R)-span rank, every direction certified)
     of the span accumulated over all directions up to radius 10."""
-    frame = homology_frame(surf)
     dirs = [d.vector for d in enumerate_directions(surf, 10)]
-    span = accumulate_tangent(surf, frame, dirs)
+    span = accumulate_tangent(surf, dirs)
     certified = sum(1 for _, prov in span.generators
                     if prov["rule"] == "CertifiedPeriodic")
     complete = not span.skipped and certified == len(dirs)
@@ -348,11 +347,10 @@ def test_criterion_09_order_invariance():
     t0 = time.time()
     ok = True
     for name, surf in fixtures():
-        frame = homology_frame(surf)
         dirs = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(2, 1)]
         seen = set()
         for perm in itertools.permutations(dirs):
-            span = accumulate_tangent(surf, frame, list(perm))
+            span = accumulate_tangent(surf, list(perm))
             seen.add((span.dim(), span.p_dim()))
         if len(seen) != 1:
             ok = False
@@ -375,11 +373,9 @@ def test_criterion_10_round_trip_determinism():
         dec_b = dumps(decomposition_to_json(decompose(fresh, Vec2(1, 1))))
         if dec_a != dec_b:
             ok = False
-        frame = homology_frame(surf)
-        span1 = accumulate_tangent(surf, frame, [Vec2(1, 0), Vec2(0, 1)])
+        span1 = accumulate_tangent(surf, [Vec2(1, 0), Vec2(0, 1)])
         cert1 = dumps(span_to_json(span1, rank_lower_bound(span1)))
-        frame2 = homology_frame(fresh)
-        span2 = accumulate_tangent(fresh, frame2, [Vec2(1, 0), Vec2(0, 1)])
+        span2 = accumulate_tangent(fresh, [Vec2(1, 0), Vec2(0, 1)])
         cert2 = dumps(span_to_json(span2, rank_lower_bound(span2)))
         if cert1 != cert2:
             ok = False

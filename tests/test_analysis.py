@@ -24,15 +24,13 @@ SQRT5 = FieldScalar(0, 1, Q5)
 
 class TestTangentSpan:
     def test_torus_saturates(self, torus):
-        f = homology_frame(torus)
-        span = accumulate_tangent(torus, f, [Vec2(1, 0)])
+        span = accumulate_tangent(torus, [Vec2(1, 0)])
         assert span.dim() == 2
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
 
     def test_empty_direction_list(self, torus):
-        f = homology_frame(torus)
-        span = accumulate_tangent(torus, f, [])
+        span = accumulate_tangent(torus, [])
         assert span.dim() == 1
         assert rank_lower_bound(span) == 1  # p(omega) never vanishes
 
@@ -41,28 +39,25 @@ class TestTangentSpan:
         # conjugated global horocycle, so the certified span never grows
         # past the 2-dimensional GL(2,R) span; see "Decisions ledger" in
         # the README
-        f = homology_frame(l_origami)
-        span = accumulate_tangent(l_origami, f,
+        span = accumulate_tangent(l_origami,
                                   [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)])
         assert span.dim() == 2
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
 
     def test_golden_l_rank_one(self, golden_l):
-        f = homology_frame(golden_l)
         dirs = [d.vector for d in enumerate_directions(golden_l, 4)]
-        span = accumulate_tangent(golden_l, f, dirs, trace_factor=50)
+        span = accumulate_tangent(golden_l, dirs, trace_factor=50)
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
 
     def test_order_invariance(self, l_origami, golden_l):
         for surf in (l_origami, golden_l):
-            f = homology_frame(surf)
             dirs = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(1, -1)]
             dims = set()
             pdims = set()
             for perm in itertools.permutations(dirs):
-                span = accumulate_tangent(surf, f, list(perm))
+                span = accumulate_tangent(surf, list(perm))
                 dims.add(span.dim())
                 pdims.add(span.p_dim())
             assert len(dims) == 1 and len(pdims) == 1
@@ -73,9 +68,9 @@ class TestTangentSpan:
         dirs = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(2, 1), Vec2(1, -2)]
         for surf in (l_origami, golden_l):
             f = homology_frame(surf)
-            span = accumulate_tangent(surf, f, [])
+            span = accumulate_tangent(surf, [])
             for d in dirs:
-                span.add_certified(surf, decompose(surf, d, frame=f))
+                span.add_certified(decompose(surf, d, frame=f))
                 full = [list(gen.values) for gen, _ in span.generators]
                 proj = [list(f.project_absolute(gen))
                         for gen, _ in span.generators]
@@ -87,9 +82,8 @@ class TestTangentSpan:
             assert len(span.generators) == 1 + len(dirs)
 
     def test_partial_directions_quarantined(self, golden_l):
-        f = homology_frame(golden_l)
         # absurdly small bound: nothing certifies
-        span = accumulate_tangent(golden_l, f, [Vec2(13, 8)],
+        span = accumulate_tangent(golden_l, [Vec2(13, 8)],
                                   trace_length=FieldScalar(Fraction(1, 100)))
         assert span.dim() == 1
         assert len(span.skipped) == 1
@@ -100,19 +94,19 @@ class TestIndependence:
     def test_torus_periodic_dependent(self, torus):
         f = homology_frame(torus)
         d = decompose(torus, Vec2(1, 0), frame=f)
-        assert independence_check(torus, f, d) is False
+        assert independence_check(d) is False
 
     def test_l_subsets_independent(self, l_origami):
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
         for cyl in d.cylinders:
-            assert independence_check(l_origami, f, d, ids=[cyl.cyl_id])
+            assert independence_check(d, ids=[cyl.cyl_id])
 
     def test_golden_full_set_recorded(self, golden_l):
         f = homology_frame(golden_l)
         d = decompose(golden_l, Vec2(1, 0), frame=f)
         # full certified set lies in the GL2 span: recorded value False
-        assert independence_check(golden_l, f, d) is False
+        assert independence_check(d) is False
 
     def test_needs_cylinders(self, golden_l):
         f = homology_frame(golden_l)
@@ -120,7 +114,7 @@ class TestIndependence:
                       trace_length=FieldScalar(Fraction(1, 100)), frame=f)
         if not d.cylinders:
             with pytest.raises(ValueError):
-                independence_check(golden_l, f, d)
+                independence_check(d)
 
 
 class TestFieldBound:
@@ -191,16 +185,14 @@ class TestMoreCylinders:
         f = homology_frame(marked_torus)
         d = decompose(marked_torus, Vec2(1, 0), frame=f)
         assert len(d.cylinders) == 1
-        res = more_cylinders_search(marked_torus, f, d, Fraction(1, 8),
-                                    [Vec2(1, 0)])
+        res = more_cylinders_search(d, Fraction(1, 8), [Vec2(1, 0)])
         assert res is not None and res["found"]
         assert res["new_cylinders"] == 2
 
     def test_l_origami_hypothesis_fails(self, l_origami):
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
-        res = more_cylinders_search(l_origami, f, d, Fraction(1, 8),
-                                    [Vec2(1, 0)])
+        res = more_cylinders_search(d, Fraction(1, 8), [Vec2(1, 0)])
         assert res is None  # CP = Tw: nothing to gain
 
     def test_eps_ladder_exhaustion(self, marked_torus, monkeypatch):
@@ -214,8 +206,7 @@ class TestMoreCylinders:
                             always_too_large)
         f = homology_frame(marked_torus)
         d = decompose(marked_torus, Vec2(1, 0), frame=f)
-        res = more_cylinders_search(marked_torus, f, d, 1, [Vec2(1, 0)],
-                                    max_halvings=3)
+        res = more_cylinders_search(d, 1, [Vec2(1, 0)], max_halvings=3)
         assert res is not None and not res["found"]
         assert len(res["attempted_eps"]) == 3
 
@@ -235,7 +226,6 @@ class TestMoreCylinders:
         monkeypatch.setattr(TranslationSurface, "singularities", broken)
         zeta = f.cocycle([ComplexScalar(0, Fraction(1, 100))] * f.m)
         with pytest.raises(InternalInvariantError, match="forced"):
-            deform_from_periods(marked_torus, f, zeta, Fraction(1, 8))
+            deform_from_periods(marked_torus, zeta, Fraction(1, 8))
         with pytest.raises(InternalInvariantError, match="forced"):
-            more_cylinders_search(marked_torus, f, d, Fraction(1, 8),
-                                  [Vec2(1, 0)])
+            more_cylinders_search(d, Fraction(1, 8), [Vec2(1, 0)])

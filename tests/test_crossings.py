@@ -104,13 +104,13 @@ def check_against_reference(dec):
     s, f = dec.surface, dec.frame
     ics = ref_checked_cocycles(dec)
     for cyl, ic in zip(dec.cylinders, ics):
-        assert intersection_cocycle(s, f, dec, cyl.cyl_id) == ic
+        assert intersection_cocycle(dec, cyl.cyl_id) == ic
     if not dec.cylinders:
         assert dec.crossings == ()
         return
-    assert eta(s, f, dec) == ref_eta_normalized(
+    assert eta(dec) == ref_eta_normalized(
         dec, dec.cylinders).scale(dec.transport_factor())
-    tc = torus_closure([c.modulus for c in dec.cylinders], f, dec)
+    tc = torus_closure([c.modulus for c in dec.cylinders], dec)
     assert tc.cocycle == ref_crossing_cocycle(
         f, [(c.circumference * FieldScalar(t), c)
             for t, c in zip(tc.rational_solution, dec.cylinders)],
@@ -240,8 +240,8 @@ READERS = {
     "twist_space": lambda s, f, d: twist_space(s, f, d),
     "cylinder_preserving_space":
         lambda s, f, d: cylinder_preserving_space(s, f, d),
-    "intersection_cocycle": lambda s, f, d: intersection_cocycle(s, f, d, 0),
-    "add_certified": lambda s, f, d: TangentSpan(f).add_certified(s, d),
+    "intersection_cocycle": lambda s, f, d: intersection_cocycle(d, 0),
+    "add_certified": lambda s, f, d: TangentSpan(f).add_certified(d),
 }
 
 

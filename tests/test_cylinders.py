@@ -4,7 +4,6 @@ import pytest
 
 from flatdef.cylinders import (BoundExceeded, Direction, PARTIAL, PERIODIC,
                                NO_CYLINDER, decompose, trace_separatrix)
-from flatdef.analysis import accumulate_tangent
 from flatdef.errors import NonPositiveLength, StaleCocycle
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import HomologyFrame, homology_frame
@@ -113,7 +112,7 @@ class TestDecompose:
         frame = homology_frame(l_origami)
         dec = decompose(l_origami, Vec2(1, 0), frame=frame)
         for cyl in dec.cylinders:
-            ic = intersection_cocycle(l_origami, frame, dec, cyl.cyl_id)
+            ic = intersection_cocycle(dec, cyl.cyl_id)
             for other in dec.cylinders:
                 val = frame.evaluate(ic, other.cross_coords)
                 want = 1 if other.cyl_id == cyl.cyl_id else 0
@@ -136,8 +135,6 @@ class TestDecompose:
             other = request.getfixturevalue(foreign)
         with pytest.raises(StaleCocycle):
             decompose(surf, Vec2(1, 1), frame=homology_frame(other))
-        with pytest.raises(StaleCocycle):
-            accumulate_tangent(surf, homology_frame(other), [Vec2(1, 1)])
 
     def test_frame_with_own_hash_accepted(self, golden_l):
         frame = HomologyFrame(golden_l)

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatdef import deform
-from flatdef.analysis import (TangentSpan, independence_check,
-                              more_cylinders_search)
+from flatdef.analysis import TangentSpan
 from flatdef.cylinders import Decomposition, _build_cut_pieces, decompose
 from flatdef.deform import (_member_components, _member_shares, _recut,
                             _recut_surface,
@@ -21,6 +20,7 @@ from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import HomologyFrame, homology_frame
 from flatdef.linalg import ComplexScalar, row_reduce
+from flatdef.render import render_surface
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
 Q2 = FieldCtx.get(2)
@@ -32,7 +32,7 @@ class TestIntersectionCocycle:
     def test_torus_values(self, torus):
         f = homology_frame(torus)
         d = decompose(torus, Vec2(1, 0), frame=f)
-        ic = intersection_cocycle(torus, f, d, 0)
+        ic = intersection_cocycle(d, 0)
         # frame basis: horizontal cell then vertical cell
         assert [str(v.re) for v in ic.values] == ["0", "1"]
 
@@ -40,7 +40,7 @@ class TestIntersectionCocycle:
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
         bottom = min(d.cylinders, key=lambda c: str(c.circumference) == "1")
-        ic = intersection_cocycle(l_origami, f, d, bottom.cyl_id)
+        ic = intersection_cocycle(d, bottom.cyl_id)
         # integer cocycle, value 1 on its own cross class
         assert all(v.im.is_zero() and v.re.is_rational() for v in ic.values)
         assert frameval(f, ic, bottom.cross_coords) == 1
@@ -49,7 +49,7 @@ class TestIntersectionCocycle:
         f = homology_frame(golden_l)
         d = decompose(golden_l, Vec2(0, 1), frame=f)
         for cyl in d.cylinders:
-            ic = intersection_cocycle(golden_l, f, d, cyl.cyl_id)
+            ic = intersection_cocycle(d, cyl.cyl_id)
             assert f.evaluate(ic, cyl.core_coords).is_zero()
 
 
@@ -63,14 +63,14 @@ class TestEta:
     def test_torus(self, torus):
         f = homology_frame(torus)
         d = decompose(torus, Vec2(1, 0), frame=f)
-        e = eta(torus, f, d)
+        e = eta(d)
         assert [(str(v.re), str(v.im)) for v in e.values] == \
             [("0", "0"), ("1", "0")]
 
     def test_l_origami_cross_values_are_heights(self, l_origami):
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
-        e = eta_normalized(f, d)
+        e = eta_normalized(d)
         for cyl in d.cylinders:
             assert frameval(f, e, cyl.cross_coords) == 1  # heights are 1
         for sc in d.saddle_connections:
@@ -79,8 +79,8 @@ class TestEta:
     def test_subset_additivity(self, l_origami):
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
-        full = eta_normalized(f, d)
-        parts = [eta_normalized(f, d, [c.cyl_id]) for c in d.cylinders]
+        full = eta_normalized(d)
+        parts = [eta_normalized(d, [c.cyl_id]) for c in d.cylinders]
         acc = parts[0]
         for p in parts[1:]:
             acc = acc + p
@@ -93,7 +93,7 @@ class TestEta:
         f = homology_frame(golden_l)
         for v in ((1, 0), (1, 1)):
             d = decompose(golden_l, Vec2(*v), frame=f)
-            e = eta_normalized(f, d)
+            e = eta_normalized(d)
             g = d.matrix
             for val, per in zip(e.values, f.periods()):
                 rotated = g.apply(Vec2(per.re, per.im))
@@ -366,12 +366,11 @@ class TestLinearityLaw:
         assert checked == 88
 
     def test_eta_additive(self, l_origami, golden_l):
-        for surf, f, d, ids in _linearity_cases(l_origami, golden_l):
+        for _, _, d, ids in _linearity_cases(l_origami, golden_l):
             for union in _nonempty_subsets(ids):
                 for part in _nonempty_subsets(sorted(union))[:-1]:
                     rest = union - part
-                    assert eta(surf, f, d, union) == \
-                        eta(surf, f, d, part) + eta(surf, f, d, rest)
+                    assert eta(d, union) == eta(d, part) + eta(d, rest)
 
 
 def ref_verify_linearity(surf, f, d, t, ids=None):
@@ -389,7 +388,7 @@ def ref_verify_linearity(surf, f, d, t, ids=None):
         sheared.append(ComplexScalar(x, y))
     tc = ComplexScalar(t)
     return all((got - (phi + tc * ev)).is_zero() for got, phi, ev in
-               zip(sheared, f.periods(), eta(surf, f, d, ids).values))
+               zip(sheared, f.periods(), eta(d, ids).values))
 
 
 def _partial_sqrt2():
@@ -615,25 +614,17 @@ class TestOneRule:
 
 class TestForeignFrame:
     """A frame that is not the decomposition's raises StaleCocycle at
-    every entry point that takes both; two 3-square origamis, and the
-    golden L with an origami's frame."""
+    every entry point that still takes one beside it, a span's own frame
+    included; two 3-square origamis, and the golden L with an origami's
+    frame."""
 
     CALLS = {
-        "eta": lambda s, f, d: eta(s, f, d),
-        "eta_normalized": lambda s, f, d: eta_normalized(f, d),
-        "intersection_cocycle":
-            lambda s, f, d: intersection_cocycle(s, f, d, 0),
         "twist_space": lambda s, f, d: twist_space(s, f, d),
         "cylinder_preserving_space":
             lambda s, f, d: cylinder_preserving_space(s, f, d),
-        "torus_closure": lambda s, f, d: torus_closure(
-            [c.modulus for c in d.cylinders], f, d),
         "verify_linearity":
             lambda s, f, d: verify_linearity(s, f, d, Fraction(1, 3)),
-        "add_certified": lambda s, f, d: TangentSpan(f).add_certified(s, d),
-        "independence_check": lambda s, f, d: independence_check(s, f, d),
-        "more_cylinders_search": lambda s, f, d: more_cylinders_search(
-            s, f, d, Fraction(1, 10), [Vec2(1, 1)]),
+        "add_certified": lambda s, f, d: TangentSpan(f).add_certified(d),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -644,6 +635,43 @@ class TestForeignFrame:
             assert d.is_periodic
             with pytest.raises(StaleCocycle):
                 self.CALLS[name](surf, homology_frame(foreign), d)
+
+
+class TestForeignSurface:
+    """A surface that is not the decomposition's raises StaleCocycle at
+    each entry point that takes one beside it, even with the
+    decomposition's own frame: the golden L with an origami's
+    decomposition, and the reverse.  Unchecked, they return the origami's
+    deformation, False from verify_linearity, or the origami's cylinders
+    drawn on the golden L's polygons (or a bare KeyError)."""
+
+    CALLS = {
+        "twist_space": lambda s, d: twist_space(s, d.frame, d),
+        "cylinder_preserving_space":
+            lambda s, d: cylinder_preserving_space(s, d.frame, d),
+        "verify_linearity":
+            lambda s, d: verify_linearity(s, d.frame, d, Fraction(1, 3)),
+        "shear": lambda s, d: shear(s, d, 1),
+        "stretch": lambda s, d: stretch(s, d, Fraction(1, 2)),
+        "render_surface": lambda s, d: render_surface(s, d),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises(self, name, l_origami, golden_l):
+        for surf, other in ((golden_l, l_origami), (l_origami, golden_l)):
+            d = decompose(other, Vec2(1, 0))
+            assert d.is_periodic
+            with pytest.raises(StaleCocycle):
+                self.CALLS[name](surf, d)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_copy_accepted(self, name, l_origami):
+        # a surface built again from the same data is the decomposition's
+        # own: its frame has the same hash
+        copy = square_tiled([(1, 2)], [(1, 3)], n=3, label="l-origami")
+        assert copy is not l_origami
+        d = decompose(l_origami, Vec2(1, 0))
+        assert self.CALLS[name](copy, d) == self.CALLS[name](l_origami, d)
 
 
 class TestSpaces:
@@ -748,8 +776,7 @@ class TestTorusClosure:
     def test_induced_cocycle(self, golden_l):
         f = homology_frame(golden_l)
         d = decompose(golden_l, Vec2(1, 0), frame=f)
-        tc = torus_closure([c.modulus for c in d.cylinders],
-                           frame=f, decomposition=d)
+        tc = torus_closure([c.modulus for c in d.cylinders], decomposition=d)
         assert tc.cocycle is not None
         # defined over Q[c2/c1]: values lie in the ratio field
         for v in tc.cocycle.values:
@@ -764,14 +791,14 @@ class TestDeformFromPeriods:
     def test_zero_deformation(self, torus):
         f = homology_frame(torus)
         z = f.cocycle([ComplexScalar(0), ComplexScalar(0)])
-        out = deform_from_periods(torus, f, z, 1)
+        out = deform_from_periods(torus, z, 1)
         assert out == torus
 
     def test_vertical_dual_displacement(self, torus):
         f = homology_frame(torus)
         # dual of the vertical class: real cocycle
         z = f.cocycle([ComplexScalar(0), ComplexScalar(1)])
-        out = deform_from_periods(torus, f, z, Fraction(1, 10))
+        out = deform_from_periods(torus, z, Fraction(1, 10))
         per = {(str(p.re), str(p.im)) for p in homology_frame(out).periods()}
         assert per == {("1", "0"), ("1/10", "1")}
 
@@ -782,23 +809,31 @@ class TestDeformFromPeriods:
                 ComplexScalar(0, Fraction(1, 13))]
         z = f.cocycle(vals)
         eps = FieldScalar(Fraction(1, 50))
-        out = deform_from_periods(golden_l, f, z, eps)
+        out = deform_from_periods(golden_l, z, eps)
         f2 = homology_frame(out)
         assert f2.basis_chains == f.basis_chains
         for new, old, dv in zip(f2.periods(), f.periods(), vals):
             want = old + dv * eps
             assert (new - want).is_zero()
 
+    def test_foreign_cocycle(self, torus, l_origami, golden_l):
+        # read through the origami's cells, the torus comes back scaled
+        # by 11/10 and the golden L raises a bare KeyError
+        zeta = homology_frame(l_origami).period_cocycle()
+        for surf in (torus, golden_l):
+            with pytest.raises(StaleCocycle):
+                deform_from_periods(surf, zeta, Fraction(1, 10))
+
     def test_too_large(self, l_origami, golden_l):
         # collapsing all periods to zero breaks every polygon
         f = homology_frame(l_origami)
         z = f.cocycle([-p for p in f.periods()])
         with pytest.raises(DeformationTooLarge):
-            deform_from_periods(l_origami, f, z, 1)
+            deform_from_periods(l_origami, z, 1)
         # collapsing one edge class of the golden L's octagon
         fg = homology_frame(golden_l)
         vals = [ComplexScalar(0)] * fg.m
         vals[2] = ComplexScalar(0, -1)  # kills the right vertical edge
         zg = fg.cocycle(vals)
         with pytest.raises(DeformationTooLarge):
-            deform_from_periods(golden_l, fg, zg, 1)
+            deform_from_periods(golden_l, zg, 1)

@@ -11,7 +11,7 @@ class TestProjectedEta:
     def test_l_origami_horizontal_eta_projects_nonzero(self, l_origami):
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
-        p = f.project_absolute(eta(l_origami, f, d))
+        p = f.project_absolute(eta(d))
         assert any(not v.is_zero() for v in p)
 
 
@@ -169,22 +169,15 @@ def test_unread_private_defs_are_found():
 
 
 def _unread_private_params(source: str) -> list[str]:
-    """Named parameters that a private function or method never reads.
-
-    Private is a name with a leading underscore, dunders left out, or a
-    method of a class so named.
-    """
+    """Named parameters that a function or method never reads, public or
+    private, dunders left out."""
     tree = ast.parse(source)
-    of_private_class = {id(node) for cls in ast.walk(tree)
-                        if isinstance(cls, ast.ClassDef)
-                        and cls.name.startswith("_") for node in cls.body}
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         name = func.name
-        if (name.startswith("__") and name.endswith("__")
-                or not (name.startswith("_") or id(func) in of_private_class)):
+        if name.startswith("__") and name.endswith("__"):
             continue
         args = func.args
         read = {n.id for stmt in func.body for n in ast.walk(stmt)
@@ -197,7 +190,8 @@ def _unread_private_params(source: str) -> list[str]:
 
 def test_no_unread_private_params():
     # a parameter left behind after the code that read it is deleted,
-    # such as a scale or a field that no caller varies any more
+    # such as a scale or a field that no caller varies any more, or a
+    # surface that the decomposition handed beside it already carries
     src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
     found = {path.name: _unread_private_params(path.read_text())
              for path in sorted(src.glob("*.py"))}
@@ -217,7 +211,8 @@ def test_unread_private_params_are_found():
               "    def m(self, k):\n        return self\n")
     assert _unread_private_params(source) == [
         "__mangled: self (line 14)", "_f: b (line 1)", "_f: c (line 1)",
-        "_g: k (line 3)", "_m: self (line 12)", "m: k (line 19)"]
+        "_g: k (line 3)", "_m: self (line 12)", "m: k (line 19)",
+        "public: unread (line 7)"]
 
 
 _FIELD_MISMATCH = "incompatible fields"
