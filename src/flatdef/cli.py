@@ -102,10 +102,12 @@ def cmd_decompose(args):
     surface = load_surface(args.surface)
     v = _direction(args.direction)
     dec = decompose(surface, v, **_bound_kwargs(args))
+    # the picture is drawn before any file opens, so a failure writes none
+    svg = render_surface(surface, dec) if args.svg else None
     _emit(args, decomposition_to_json(dec))
-    if args.svg:
+    if svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_surface(surface, dec))
+            fh.write(svg)
     return 0
 
 
@@ -204,8 +206,9 @@ def cmd_render(args):
     if args.direction:
         dec = decompose(surface, _direction(args.direction),
                         **_bound_kwargs(args))
+    svg = render_surface(surface, dec)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(render_surface(surface, dec))
+        fh.write(svg)
     return 0
 
 

@@ -8,9 +8,12 @@ un-normalized coordinates) and core leaves are drawn on top.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import math
+import re
+import sys
 
 from .cylinders import Decomposition, NO_CYLINDER, _point_coords
+from .errors import FlatdefError
 from .surface import TranslationSurface
 
 __all__ = ["render_surface"]
@@ -19,6 +22,16 @@ PALETTE = ["#7eb26d", "#eab839", "#6ed0e0", "#ef843c", "#e24d42",
            "#1f78c1", "#ba43a9", "#705da0"]
 MARGIN = 0.5
 SCALE = 60.0
+# every code point outside XML 1.0's Char production
+_NOT_XML_CHAR = re.compile(
+    r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_text(text):
+    """`text` as XML character data: each code point XML 1.0 forbids
+    becomes U+FFFD, then `&`, `>` and `<` are escaped, in that order."""
+    text = _NOT_XML_CHAR.sub("\ufffd", text)
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _poly_points(surface, p, offset):
@@ -48,9 +61,21 @@ def render_surface(surface: TranslationSurface,
                    decomposition: Decomposition | None = None) -> str:
     """Well-formed standalone SVG: one polygon element per input polygon,
     cylinder fills when a certified or partial decomposition is given;
-    it must be the surface's own (`Decomposition.check_own`)."""
+    it must be the surface's own (`Decomposition.check_own`).  Raises
+    `FlatdefError` when a coordinate or the picture's size is beyond
+    the range of a float."""
     if decomposition is not None:
         decomposition.check_own(surface)
+    try:
+        return _svg(surface, decomposition)
+    except OverflowError:
+        raise FlatdefError(
+            f"cannot render: every coordinate, and the picture's width and "
+            f"height at {SCALE:g} per unit, must lie within the float range "
+            f"(absolute value at most {sys.float_info.max:.4g})") from None
+
+
+def _svg(surface, decomposition):
     offsets = _layout(surface)
     body = []
     fills = decomposition is not None and decomposition.status != NO_CYLINDER
@@ -94,7 +119,7 @@ def render_surface(surface: TranslationSurface,
                     f'y2="{float(b.y) + off[1]:.6f}" '
                     f'stroke="#000000" stroke-width="0.03" '
                     f'stroke-dasharray="0.08,0.05"/>')
-    label = escape(surface.label or "surface")
+    label = _xml_text(surface.label or "surface")
     all_x = []
     all_y = []
     for p in range(len(surface.polygons)):
@@ -105,6 +130,9 @@ def render_surface(surface: TranslationSurface,
     min_y, max_y = min(all_y) - MARGIN, max(all_y) + MARGIN
     w = (max_x - min_x) * SCALE
     h = (max_y - min_y) * SCALE
+    if not (math.isfinite(w) and math.isfinite(h)):
+        # float sums past the range give inf, not OverflowError
+        raise OverflowError("picture beyond the float range")
     return (
         f'<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,10 +13,13 @@ import flatdef
 from flatdef import cli, serialize
 from flatdef.cli import main
 from flatdef.cylinders import decompose
+from flatdef.errors import FlatdefError
 from flatdef.field import FieldCtx, FieldScalar, Vec2
+from flatdef.render import render_surface
 from flatdef.serialize import (decomposition_to_json, dump_surface, dumps,
                                load_surface, surface_from_json,
                                surface_to_json)
+from flatdef.surface import l_shape, square_tiled
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
@@ -556,3 +560,78 @@ class TestCLI:
         assert main(["make-origami", "--squares", "2", "--right", "()",
                      "--up", "()", str(out)]) == 1
         assert "NotConnected" in capsys.readouterr().err
+
+
+def _xml_char(c: str) -> bool:
+    """XML 1.0's Char production."""
+    o = ord(c)
+    return (o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF
+            or 0xE000 <= o <= 0xFFFD or o >= 0x10000)
+
+
+def _svg_title(label: str) -> tuple[str, str]:
+    """The `<title>` of a rendered torus labelled `label`: as written, and
+    as an XML parser reads it back from the UTF-8 bytes."""
+    svg = render_surface(square_tiled([], [], n=1, label=label))
+    written = re.search(r"<title>(.*)</title>", svg, re.S).group(1)
+    tree = ET.fromstring(svg.encode("utf-8"))
+    return written, tree.find("{http://www.w3.org/2000/svg}title").text
+
+
+class TestRenderLabel:
+    # the markup characters and "]]>" come often, any XML character can
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["&", "<", ">", "]]>", '"', "'", "&amp;", "\r\n"]),
+        st.characters().filter(_xml_char)), min_size=1).map("".join))
+    def test_matches_saxutils_escape(self, label):
+        from xml.sax.saxutils import escape  # the escape render once used
+        written, read = _svg_title(label)
+        assert written == escape(label)
+        # a parser turns every line end into "\n"
+        assert read == label.replace("\r\n", "\n").replace("\r", "\n")
+
+    @pytest.mark.parametrize("label, shown", [
+        ("bell\u0007", "bell\ufffd"),   # C0 control
+        ("a\ud800b", "a\ufffdb"),       # lone surrogate
+        ("x\ufffey", "x\ufffdy"),       # a noncharacter XML forbids
+    ])
+    def test_forbidden_characters_become_replacement(self, label, shown):
+        assert _svg_title(label)[1] == shown
+
+    @pytest.mark.parametrize("label", ["bell\u0007", "a\ud800b"])
+    def test_forbidden_label_in_file_renders(self, cli_surfaces, label):
+        tmp, lori, _ = cli_surfaces
+        data = json.loads(lori.read_text())
+        data["label"] = label
+        src = tmp / "odd-label.json"
+        src.write_text(json.dumps(data))
+        out = tmp / "x.svg"
+        assert main(["render", str(src), "--direction", "1,0",
+                     "-o", str(out)]) == 0
+        ET.parse(out)
+
+
+class TestRenderRange:
+    def test_beyond_float_range_raises(self):
+        big = l_shape(2 * 10**400, 10**400, 10**400, 10**400)
+        with pytest.raises(FlatdefError, match="float range"):
+            render_surface(big)
+        # each coordinate a float, the picture's width not
+        with pytest.raises(FlatdefError, match="float range"):
+            render_surface(l_shape(2 * 10**307, 10**307, 10**307, 10**307))
+
+    # the picture is drawn before any output opens, so nothing is written
+    @pytest.mark.parametrize("command", [
+        ["render", "{src}", "-o", "{tmp}/x.svg"],
+        ["decompose", "{src}", "--direction", "1,0", "-o", "{tmp}/x.json",
+         "--svg", "{tmp}/x.svg"],
+    ])
+    def test_beyond_float_range_exit_1(self, tmp_path, capsys, command):
+        src = tmp_path / "big.json"
+        dump_surface(l_shape(2 * 10**400, 10**400, 10**400, 10**400), src)
+        argv = [a.format(src=src, tmp=tmp_path) for a in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "FlatdefError: cannot render")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]

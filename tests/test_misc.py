@@ -1,6 +1,10 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import flatdef
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
 from flatdef.field import Vec2
@@ -405,3 +409,42 @@ def test_misplaced_cache_keys_are_found():
         "b.py: _family['frame'] is in the wrong cache",
         "b.py: _family['polygons'] is not in the table",
     ]
+
+
+# Prints the modules that `import flatdef.cli` adds to those a fresh
+# interpreter starts with.  It needs only flatdef on the path, so any
+# interpreter can run it alone with `python -c`.
+_CLI_IMPORTS = """
+import sys
+bare = set(sys.modules)
+import flatdef.cli
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+# no certificate reads or writes a network, a URL, mail or markup
+NETWORK_STACK = {"xml", "urllib", "http", "email", "ssl", "socket", "html"}
+
+
+def _network_modules(names) -> list[str]:
+    """The names under a package of `NETWORK_STACK`, or its C module."""
+    return sorted(n for n in names
+                  if n.split(".")[0].lstrip("_") in NETWORK_STACK)
+
+
+def test_cli_imports_no_network_stack():
+    # xml.sax.saxutils, imported for one escape, brought in 30 of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(flatdef.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", _CLI_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    assert "flatdef.cli" in out.split()
+    assert _network_modules(out.split()) == []
+
+
+def test_network_modules_are_found():
+    assert _network_modules(
+        ["xml.sax.saxutils", "_socket", "ssl", "json", "emails",
+         "flatdef.render", "html"]) == ["_socket", "html", "ssl",
+                                        "xml.sax.saxutils"]
