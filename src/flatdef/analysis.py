@@ -128,13 +128,11 @@ def independence_check(decomposition: Decomposition, ids=None) -> bool:
 class FieldReport:
     """Circumference-ratio field data of one direction."""
 
-    __slots__ = ("direction", "circumferences", "ratios", "rational",
-                 "single_cylinder", "field_d")
+    __slots__ = ("direction", "ratios", "rational", "single_cylinder",
+                 "field_d")
 
-    def __init__(self, direction, circumferences, ratios, rational,
-                 single_cylinder, field_d):
+    def __init__(self, direction, ratios, rational, single_cylinder, field_d):
         self.direction = direction
-        self.circumferences = circumferences
         self.ratios = ratios
         self.rational = rational
         self.single_cylinder = single_cylinder
@@ -162,7 +160,6 @@ def field_bound(decomposition: Decomposition) -> FieldReport:
     rational = all(r.is_rational() for r in ratios)
     return FieldReport(
         direction=decomposition.direction,
-        circumferences=[cyl.circumference for cyl in cyls],
         ratios=ratios,
         rational=rational,
         single_cylinder=(len(cyls) == 1),

@@ -21,18 +21,22 @@ public constructor takes int and Fraction only and raises TypeError for
 anything else (a float, a str, a Decimal), so no inexact or unparsed
 value becomes a scalar silently; text goes through `parse_scalar`.  The
 Fraction views `.a` and `.b` exist for the public API (serialization,
-rational relations, tests).  Text
-form and hash are those of the pair (a, b) in lowest terms, so they do
-not depend on the representation.
+rational relations, tests).  The text form is that of the pair (a, b) in
+lowest terms; the hash is that of the triple with d (0 for a rational),
+so equal scalars hash equal, a rational one alike in every field.
+
+Which field: `join_ctx` is the one rule.  A rational scalar fits any
+field; an irrational one brought into another irrational field raises
+ValueError naming its own field first (`join_ctx` and `with_ctx` are
+the only places that raise it).
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 __all__ = [
     "FieldCtx",
@@ -41,14 +45,10 @@ __all__ = [
     "Mat2",
     "QQ",
     "parse_scalar",
-    "unify_ctx",
     "join_ctx",
 ]
 
 _Rat = int | Fraction
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 
 def _is_square_free(n: int) -> bool:
@@ -116,28 +116,10 @@ def _rat_str(n: int, den: int) -> str:
     return str(n) if den == 1 else f"{n}/{den}"
 
 
-def _rat_hash(n: int, den: int) -> int:
-    """hash(Fraction(n, den)) for den > 0, by the numeric hash rule."""
-    g = gcd(n, den)
-    if g != 1:
-        n //= g
-        den //= g
-    if den == 1:
-        return hash(n)
-    try:
-        dinv = pow(den, -1, _HASH_MODULUS)
-    except ValueError:
-        h = _HASH_INF
-    else:
-        h = hash(hash(abs(n)) * dinv)
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 class FieldScalar:
     """An exact element (A + B*sqrt(d))/D of Q(sqrt(d)), in lowest terms."""
 
-    __slots__ = ("_A", "_B", "_D", "ctx", "_hash")
+    __slots__ = ("_A", "_B", "_D", "ctx")
 
     def __init__(self, a: _Rat, b: _Rat = 0, ctx: FieldCtx = QQ):
         if type(a) is int and type(b) is int:
@@ -323,14 +305,8 @@ class FieldScalar:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        A, B, D = self._A, self._B, self._D
-        h = hash((_rat_hash(A, D), _rat_hash(B, D), self.ctx.d if B else 0))
-        _set_hash(self, h)
-        return h
+        B = self._B
+        return hash((self._A, B, self._D, self.ctx.d if B else 0))
 
     def __bool__(self):
         return bool(self._A or self._B)
@@ -348,15 +324,29 @@ class FieldScalar:
         return f"FieldScalar({self})"
 
     def __float__(self) -> float:
-        # display/rendering only; never used in predicates
-        return self._A / self._D + self._B / self._D * (self.ctx.d ** 0.5)
+        """The value as the nearest float, for display and rendering only;
+        never used in predicates.  Scaled by 2**k, the value lies strictly
+        between two consecutive integers, `lo` and `lo + 1` (the integer
+        root is within 1 of the irrational part), and one int division
+        rounds each correctly; when the two disagree, k doubles.  So parts
+        that cancel lose nothing, however large A and B are."""
+        A, B, D = self._A, self._B, self._D
+        if not B:
+            return A / D
+        k = A.bit_length() + B.bit_length() + 64
+        while True:
+            r = isqrt(self.ctx.d * B * B << 2 * k)
+            lo = (A << k) + (r if B > 0 else -r - 1)
+            f = lo / (D << k)
+            if f == (lo + 1) / (D << k):
+                return f
+            k *= 2
 
 
 _set_A = FieldScalar._A.__set__
 _set_B = FieldScalar._B.__set__
 _set_D = FieldScalar._D.__set__
 _set_ctx = FieldScalar.ctx.__set__
-_set_hash = FieldScalar._hash.__set__
 _alloc = object.__new__
 
 
@@ -411,7 +401,7 @@ _SCALAR_RE = re.compile(
 )
 
 
-def parse_scalar(text: str, ctx: FieldCtx | None = None) -> FieldScalar:
+def parse_scalar(text: str) -> FieldScalar:
     """Parse "p/q" or "p/q+r/s*sqrt(d)" back into a FieldScalar.
 
     parse_scalar(str(x)) == x for every scalar x.
@@ -426,30 +416,15 @@ def parse_scalar(text: str, ctx: FieldCtx | None = None) -> FieldScalar:
         raise ValueError(
             f"cannot parse scalar {text!r}: zero denominator") from None
     if m.group("b") is None:
-        return FieldScalar(a, 0, ctx if ctx is not None else QQ)
+        return FieldScalar(a)
     if m.group("sign") == "-":
         b = -b
-    d = int(m.group("d"))
-    parsed_ctx = FieldCtx.get(d)
-    if ctx is not None and ctx.d != d:
-        raise ValueError(f"scalar {text!r} lives in Q(sqrt({d})), expected d={ctx.d}")
-    return FieldScalar(a, b, parsed_ctx)
+    return FieldScalar(a, b, FieldCtx.get(int(m.group("d"))))
 
 
 def _incompatible(d1: int, d2: int) -> ValueError:
     """The error for two scalars of Q(sqrt(d1)) and Q(sqrt(d2)), d1 != d2."""
     return ValueError(f"incompatible fields Q(sqrt({d1})) and Q(sqrt({d2}))")
-
-
-def unify_ctx(*scalars: FieldScalar) -> FieldCtx:
-    """The common field context; rational scalars are compatible with anything."""
-    ctx = QQ
-    for s in scalars:
-        if s._B:
-            if ctx.d not in (0, s.ctx.d):
-                raise _incompatible(ctx.d, s.ctx.d)
-            ctx = s.ctx
-    return ctx
 
 
 def join_ctx(ctx: FieldCtx, *scalars: FieldScalar) -> FieldCtx:
@@ -476,7 +451,7 @@ class Vec2:
                 x = FieldScalar(x)
             if not isinstance(y, FieldScalar):
                 y = FieldScalar(y)
-            ctx = unify_ctx(x, y)
+            ctx = join_ctx(QQ, x, y)
             x = x.with_ctx(ctx)
             y = y.with_ctx(ctx)
         _set_x(self, x)

@@ -94,7 +94,6 @@ class HomologyFrame:
     def __init__(self, surface: TranslationSurface):
         self.surface = surface
         data = surface.singularities()
-        self.singularity_data = data
         self.genus = data.genus
         ints = surface._family.get("frame_data")
         if ints is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .field import FieldScalar, unify_ctx
+from .field import QQ, FieldScalar, join_ctx
 
 __all__ = [
     "ComplexScalar",
@@ -35,7 +35,7 @@ class ComplexScalar:
         if not isinstance(im, FieldScalar):
             im = FieldScalar(im)
         if re.ctx is not im.ctx:
-            ctx = unify_ctx(re, im)
+            ctx = join_ctx(QQ, re, im)
             re = re.with_ctx(ctx)
             im = im.with_ctx(ctx)
         object.__setattr__(self, "re", re)

@@ -24,8 +24,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import InternalInvariantError
-from .field import (QQ, FieldCtx, FieldScalar, Vec2, _incompatible, _new,
-                    _sign, join_ctx, unify_ctx)
+from .field import QQ, FieldCtx, FieldScalar, Vec2, _new, _sign, join_ctx
 
 __all__ = [
     "Lattice",
@@ -103,7 +102,7 @@ class Lattice:
     def __init__(self, polygons):
         scalars = [s for poly in polygons for v in poly for s in (v.x, v.y)]
         self.D = lcm(*(s._D for s in scalars))
-        self._fill(unify_ctx(*scalars),
+        self._fill(join_ctx(QQ, *scalars),
                    [[self.point(e) for e in poly] for poly in polygons])
 
     def _fill(self, ctx, edges):
@@ -125,10 +124,7 @@ class Lattice:
         polygons' raises ValueError, naming g's field first.
         """
         entries = (g.a, g.b, g.c, g.d)
-        gctx = unify_ctx(*entries)
-        if gctx.d and self.d and gctx.d != self.d:
-            raise _incompatible(gctx.d, self.d)
-        ctx = gctx if gctx.d else self.ctx
+        ctx = join_ctx(self.ctx, *entries)
         d = ctx.d
         ((aA, aB), (bA, bB), (cA, cB), (dA, dB)), Dg = _pairs(entries)
         G = self.D * Dg

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cylinders import Decomposition
 from .errors import FlatdefError
-from .field import FieldCtx, FieldScalar, QQ, _rat_str
+from .field import FieldCtx, FieldScalar, _rat_str
 from .surface import TranslationSurface
 
 __all__ = ["scalar_to_json", "scalar_from_json", "surface_to_json",
@@ -128,7 +128,7 @@ def _rational(text) -> Fraction:
 
 def scalar_from_json(v, ctx: FieldCtx) -> FieldScalar:
     if isinstance(v, str):
-        return FieldScalar(_rational(v), 0, ctx if ctx.d else QQ)
+        return FieldScalar(_rational(v), 0, ctx)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return FieldScalar(_rational(v[0]), _rational(v[1]), ctx)
     raise FlatdefError(f"malformed scalar {v!r}")

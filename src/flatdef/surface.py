@@ -19,7 +19,7 @@ from .errors import (
     NotConnected,
     SingularMatrix,
 )
-from .field import FieldScalar, Mat2, QQ, Vec2, unify_ctx
+from .field import FieldScalar, Mat2, QQ, Vec2, join_ctx
 from .polygon import (
     Lattice,
     _ORIGIN,
@@ -88,7 +88,7 @@ class TranslationSurface:
                 edges.append(v)
                 scalars.extend((v.x, v.y))
             polys.append(tuple(edges))
-        ctx = unify_ctx(*scalars) if scalars else QQ
+        ctx = join_ctx(QQ, *scalars)
         polys = [
             tuple(e if e.ctx is ctx else Vec2(e.x.with_ctx(ctx), e.y.with_ctx(ctx))
                   for e in poly)

@@ -1,6 +1,6 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,8 +134,10 @@ def ref_sign(p):
 
 
 def ref_hash(p):
+    # the canonical triple: D is the lcm of the reduced denominators
     a, b, d = p
-    return hash((a, b, d if b else 0))
+    D = lcm(a.denominator, b.denominator)
+    return hash((int(a * D), int(b * D), D, d if b else 0))
 
 
 def ref_str(p):
@@ -356,6 +358,47 @@ class TestExactInput:
         assert FieldScalar(Fraction(1, 10)) == parse_scalar("1/10")
         assert FieldScalar(True) == FieldScalar(1)
         assert FieldScalar(3, Fraction(1, 2), Q5) == s5(3, Fraction(1, 2))
+
+
+def ref_float(x):
+    """float(x) by way of a Decimal.  The value is at least
+    1/(D*(|A| + |B|*sqrt(d))) (its norm is a non-zero integer), so twice
+    the digits of its text plus 40 leave 40 correct digits however far
+    its parts cancel, and float(Decimal) rounds correctly."""
+    a, b, d = ref(x)
+    with localcontext() as c:
+        c.prec = 2 * len(str(x)) + 40
+        v = (Decimal(a.numerator) / a.denominator
+             + Decimal(b.numerator) / b.denominator * Decimal(d).sqrt())
+        return float(v)
+
+
+@st.composite
+def powers_of_units(draw):
+    # (1 +- sqrt d)**n: parts that grow with n and cancel for the sign -
+    d = draw(st.sampled_from([2, 3, 5, 7, 31, 1009]))
+    unit = FieldScalar(1, draw(st.sampled_from([1, -1])), FieldCtx.get(d))
+    return unit ** draw(st.integers(0, 150)) * draw(small_rationals)
+
+
+class TestFloat:
+    def test_cancelling_power(self):
+        # 0.125 too small, with the wrong sign, when a and b*sqrt(2) were
+        # rounded apart
+        x = FieldScalar(1, -1, Q2) ** 40
+        assert float(x) == ref_float(x) == pytest.approx(4.886215156265627e-16)
+
+    def test_huge_cancelling_parts(self):
+        # a - b*sqrt(2) for a + b*sqrt(2) = (1 + sqrt 2)**1100: a has 422
+        # digits, so a / D alone overflowed
+        p = FieldScalar(1, 1, Q2) ** 1100
+        x = FieldScalar(p.a, -p.b, Q2)
+        assert float(x) == 0.0
+        assert float(x * 10 ** 421) == ref_float(x * 10 ** 421)
+
+    @given(st.one_of(field_scalars(), powers_of_units()))
+    def test_correctly_rounded(self, x):
+        assert float(x) == ref_float(x)
 
 
 class TestVecMat:

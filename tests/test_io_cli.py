@@ -621,6 +621,17 @@ class TestRenderRange:
         with pytest.raises(FlatdefError, match="float range"):
             render_surface(l_shape(2 * 10**307, 10**307, 10**307, 10**307))
 
+    # coordinates within 1e-15 of 1 and 2 whose parts cancel: the top
+    # vertex was drawn at y = 1.875, and the second surface was refused
+    # as beyond the float range
+    @pytest.mark.parametrize("h1, h2", [
+        (1, 1 + FieldScalar(1, -1, FieldCtx.get(2)) ** 40),
+        (1 - FieldScalar(1, -1, FieldCtx.get(2)) ** 1100, 1),
+    ])
+    def test_cancelling_coordinates_draw_in_place(self, h1, h2):
+        assert render_surface(l_shape(2, h1, 1, h2)) == render_surface(
+            l_shape(2, 1, 1, 1))
+
     # the picture is drawn before any output opens, so nothing is written
     @pytest.mark.parametrize("command", [
         ["render", "{src}", "-o", "{tmp}/x.svg"],

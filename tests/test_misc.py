@@ -4,11 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flatdef
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
-from flatdef.field import Vec2
+from flatdef.field import FieldCtx, Mat2, Vec2
 from flatdef.homology import homology_frame
+from flatdef.linalg import ComplexScalar
+from flatdef.surface import TranslationSurface, l_shape
 
 
 class TestProjectedEta:
@@ -219,6 +223,96 @@ def test_unread_private_params_are_found():
         "public: unread (line 7)"]
 
 
+def _is_slots(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+
+
+def _write_only_attributes(sources: dict, readers: dict) -> list[str]:
+    """Attributes, as "module: name (line n)", that `sources` assign on
+    `self` or list in `__slots__` and that no module of `sources` or
+    `readers` reads, as an attribute or as a string (`getattr`, `vars`)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read, slots = set(), set()
+    for tree in [*trees.values(), *map(ast.parse, readers.values())]:
+        for node in ast.walk(tree):
+            if _is_slots(node):
+                slots.update(map(id, ast.walk(node.value)))
+            elif isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in slots):
+                read.add(node.value)
+    found = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if _is_slots(node):
+                written = ast.literal_eval(node.value)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                written = [node.attr]
+            else:
+                continue
+            found.update(f"{name}: {attr} (line {node.lineno})"
+                         for attr in written if attr not in read)
+    return sorted(found)
+
+
+def test_no_write_only_attributes():
+    # an attribute kept after its last reader went is state that every
+    # constructor still computes and every reader of the code must follow
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: path.read_text()
+               for path in sorted((root / "src" / "flatdef").glob("*.py"))}
+    tests = {path.name: path.read_text()
+             for path in sorted((root / "tests").glob("*.py"))}
+    assert len(sources) >= 17
+    assert _write_only_attributes(sources, tests) == []
+
+
+def test_write_only_attributes_are_found():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    __slots__ = ('kept', 'by_name', 'dead_slot')\n"
+                 "    def __init__(self, data):\n"
+                 "        self.kept = data\n"
+                 "        self.by_name = data\n"
+                 "        self.dead = data\n"
+                 "        self.count = 0\n"
+                 "        self.count += 1\n"
+                 "    def get(self):\n"
+                 "        return self.kept\n"),
+    }
+    readers = {"test_a.py": "assert getattr(a, 'by_name') is not None\n"}
+    assert _write_only_attributes(sources, readers) == [
+        "a.py: count (line 7)", "a.py: count (line 8)",
+        "a.py: dead (line 6)", "a.py: dead_slot (line 2)"]
+
+
+def _scopes_using(sources: dict, matches) -> list[str]:
+    """The functions, as "module: Class.function", that hold a node for
+    which `matches` is true; nodes outside any function are named
+    "module: <module>"."""
+    found = set()
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(name, child, scope + [child.name])
+                continue
+            if matches(child):
+                found.add(f"{name}: {'.'.join(scope) or '<module>'}")
+            visit(name, child, scope)
+
+    for name, text in sources.items():
+        visit(name, ast.parse(text), [])
+    return sorted(found)
+
+
 _FIELD_MISMATCH = "incompatible fields"
 
 
@@ -231,13 +325,57 @@ def _field_mismatch_outside_field(sources: dict) -> list[str]:
             if _FIELD_MISMATCH in line]
 
 
+def _calls_incompatible(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "_incompatible"
+            or isinstance(func, ast.Attribute) and func.attr == "_incompatible")
+
+
 def test_one_place_builds_the_field_mismatch_error():
     # a second copy of the message drifts from the first: its order of
-    # the two fields or its wording
+    # the two fields or its wording; a second rule that joins two fields
+    # names them in its own order
     src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
     sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert _FIELD_MISMATCH in sources["field.py"]
     assert _field_mismatch_outside_field(sources) == []
+    assert _scopes_using(sources, _calls_incompatible) == [
+        "field.py: FieldScalar.with_ctx", "field.py: join_ctx"]
+
+
+def test_stray_field_mismatch_call_is_found():
+    sources = {
+        "field.py": ("def join_ctx(ctx, *scalars):\n"
+                     "    raise _incompatible(2, ctx.d)\n"),
+        "polygon.py": ("from . import field\n"
+                       "class Lattice:\n"
+                       "    def image(self, g):\n"
+                       "        raise field._incompatible(g.d, self.d)\n"),
+    }
+    assert _scopes_using(sources, _calls_incompatible) == [
+        "field.py: join_ctx", "polygon.py: Lattice.image"]
+
+
+def _two_square_surface():
+    squares = [[(r, 0), (0, 1), (-r, 0), (0, -1)]
+               for r in (FieldCtx.get(5).sqrt_gen(), FieldCtx.get(2).sqrt_gen())]
+    gluing = [((p, 0), (p, 2)) for p in (0, 1)] + [((p, 1), (p, 3)) for p in (0, 1)]
+    return TranslationSurface(squares, gluing)
+
+
+# a value brought into another field names its own field first: here
+# sqrt(2) meets the field of sqrt(5), which came before it
+@pytest.mark.parametrize("build", [
+    lambda r5, r2: Vec2(r5, r2),
+    lambda r5, r2: ComplexScalar(r5, r2),
+    lambda r5, r2: _two_square_surface(),
+    lambda r5, r2: l_shape(2, 1, 1, 1).apply_matrix(Mat2(r5, r2, 0, 1)),
+], ids=["Vec2", "ComplexScalar", "surface", "apply_matrix"])
+def test_a_value_from_another_field_is_named_first(build):
+    r5, r2 = FieldCtx.get(5).sqrt_gen(), FieldCtx.get(2).sqrt_gen()
+    with pytest.raises(ValueError) as info:
+        build(r5, r2)
+    assert str(info.value) == "incompatible fields Q(sqrt(2)) and Q(sqrt(5))"
 
 
 def test_field_mismatch_outside_field_is_found():
@@ -250,26 +388,10 @@ def test_field_mismatch_outside_field_is_found():
 
 
 def _core_crossings_readers(sources: dict) -> list[str]:
-    """The functions, as "module: Class.function", that read a
-    `core_crossings` attribute; reads outside any function are named
-    "module: <module>"."""
-    found = set()
-
-    def visit(name, node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(name, child, scope + [child.name])
-                continue
-            if (isinstance(child, ast.Attribute)
-                    and child.attr == "core_crossings"
-                    and isinstance(child.ctx, ast.Load)):
-                found.add(f"{name}: {'.'.join(scope) or '<module>'}")
-            visit(name, child, scope)
-
-    for name, text in sources.items():
-        visit(name, ast.parse(text), [])
-    return sorted(found)
+    """The functions that read a `core_crossings` attribute."""
+    return _scopes_using(sources, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "core_crossings"
+        and isinstance(node.ctx, ast.Load)))
 
 
 def test_only_the_crossing_table_reads_core_crossings():
