@@ -7,7 +7,9 @@ orbit-closure tangent space, and half the dimension of its projection
 to absolute cohomology (rounded up) bounds the cylinder rank from
 below.  A direction's certificate takes only its decomposition, which
 carries the surface and frame; a `TangentSpan` takes only decompositions
-in its own frame.
+in its own frame.  The span eliminates its generators and their
+absolute projections as integer quadruples (`linalg.Echelon`), so no
+ComplexScalar is built until a basis or a value is read.
 """
 
 from __future__ import annotations
@@ -36,24 +38,27 @@ class TangentSpan:
     Generators start from the period class itself and grow by the shear
     cocycles of fully certified periodic directions; the span is complex,
     so i*eta comes for free.  Each generator goes into one echelon basis
-    as a full cocycle and into another as its absolute projection, so
-    the dimensions and the basis are read off, never recomputed.
+    as a full cocycle and into another as its absolute projection, both
+    on integers, so the dimensions and the basis are read off, never
+    recomputed.
     """
 
     def __init__(self, frame: HomologyFrame):
         self.frame = frame
         self.generators = []   # (Cocycle, provenance dict)
         self.skipped = []      # provenance of non-certified directions
-        self._span = Echelon(frame.m)
-        self._p_span = Echelon(2 * frame.genus)
+        ctx = frame.surface.ctx
+        self._span = Echelon(frame.m, complex_over=ctx)
+        self._p_span = Echelon(2 * frame.genus, complex_over=ctx)
         omega = frame.period_cocycle()
         self._add(omega, {"rule": "PeriodClass", "direction": None})
 
     def _add(self, cocycle: Cocycle, provenance):
-        self.frame.check(cocycle)
+        # frame.check runs in _absolute_quads
+        p = self.frame._absolute_quads(cocycle)
         self.generators.append((cocycle, provenance))
-        self._span.add(cocycle.values)
-        self._p_span.add(self.frame.project_absolute(cocycle))
+        self._span._add(list(cocycle.quads))
+        self._p_span._add(p)
 
     def add_certified(self, decomposition: Decomposition):
         decomposition.check_own(frame=self.frame)
@@ -74,7 +79,11 @@ class TangentSpan:
 
     def basis(self):
         """The RREF rows of the span."""
-        return [list(row) for row in self._span.rows]
+        return self._span.rows
+
+    def _basis_quads(self):
+        """The RREF rows as (integer quadruples, denominator) pairs."""
+        return [(row, row[col][0]) for col, row in self._span._reduced()]
 
 
 def _provenance(decomposition: Decomposition, rule: str):
@@ -115,14 +124,11 @@ def independence_check(decomposition: Decomposition, ids=None) -> bool:
         raise ValueError("independence check needs at least one cylinder")
     frame = decomposition.frame
     e = eta(decomposition, ids)
-    omega = frame.period_cocycle()
-    p_omega = frame.project_absolute(omega)
-    re_row = [ComplexScalar(v.re) for v in p_omega]
-    im_row = [ComplexScalar(v.im) for v in p_omega]
-    span = Echelon(2 * frame.genus)
-    span.add(re_row)
-    span.add(im_row)
-    return span.add(frame.project_absolute(e))
+    p_omega = frame._absolute_quads(frame.period_cocycle())
+    span = Echelon(2 * frame.genus, complex_over=frame.surface.ctx)
+    span._add([(ra, rb, 0, 0) for ra, rb, _, _ in p_omega])
+    span._add([(ia, ib, 0, 0) for _, _, ia, ib in p_omega])
+    return span._add(frame._absolute_quads(e))
 
 
 class FieldReport:
@@ -266,12 +272,11 @@ def more_cylinders_search(decomposition: Decomposition, eps,
     # in it exactly when z = sum_i z(cross_i) I_i (Decomposition.crossings)
     if cp_dim <= len(decomposition.cylinders):
         return None
-    zero = FieldScalar(0, 0, decomposition.normalized.ctx)
     chosen = None
     for gen in cp_gens:
         at_cross = [(frame.evaluate(gen, cyl.cross_coords).re, cyl)
                     for cyl in decomposition.cylinders]
-        if _crossing_cocycle(decomposition, at_cross, zero) != gen:
+        if _crossing_cocycle(decomposition, at_cross) != gen:
             chosen = gen
             break
     if chosen is None:

@@ -21,15 +21,13 @@ surface and frame; a surface or frame handed beside it (to `shear`,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cylinders import (Decomposition, _build_cut_pieces, _mates,
                         _point_coords, decompose)
 from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
-from .field import FieldScalar, Mat2, Vec2
+from .field import FieldScalar, Mat2, Vec2, join_ctx
 from .homology import Cocycle, HomologyFrame, homology_frame
-from .linalg import ComplexScalar, rational_relation_lattice, row_reduce
+from .linalg import _quads, rational_relation_lattice, row_reduce
 from .polygon import _mul, _pairs
 from .surface import TranslationSurface
 
@@ -49,20 +47,29 @@ def _cylinder_subset(decomposition, ids):
 
 
 def _crossing_cocycle(decomposition: Decomposition, weighted,
-                      zero) -> Cocycle:
+                      factor=1) -> Cocycle:
     """The cocycle sum_i w_i I_i over (w_i, cylinder_i) pairs, with I_i
-    read from the decomposition's crossing table; `zero` starts every
-    sum."""
-    rows = [(weight, decomposition.crossings[cyl.cyl_id])
-            for weight, cyl in weighted]
-    totals = []
+    read from the decomposition's crossing table, times `factor`; on
+    integers: the field scalars w_i are pairs over one denominator W,
+    and each value a pair over W times the factor's quadruple."""
+    scalars = [w for w, _ in weighted]
+    weights, W = _pairs(scalars)
+    (f,), F, ctx, _ = _quads(
+        [factor], join_ctx(decomposition.normalized.ctx, *scalars))
+    fa, fb, fc, fe = f
+    d = ctx.d
+    rows = [(w, decomposition.crossings[cyl.cyl_id])
+            for w, (_, cyl) in zip(weights, weighted)]
+    quads = []
     for k in range(decomposition.frame.m):
-        acc = zero
-        for weight, row in rows:
+        a = b = 0
+        for (wa, wb), row in rows:
             if row[k]:
-                acc = acc + weight * row[k]
-        totals.append(acc)
-    return decomposition.frame.cocycle([ComplexScalar(v) for v in totals])
+                a += wa * row[k]
+                b += wb * row[k]
+        quads.append((a * fa + d * b * fb, a * fb + b * fa,
+                      a * fc + d * b * fe, a * fe + b * fc))
+    return Cocycle._of(quads, W * F, ctx, decomposition.frame.hash)
 
 
 def intersection_cocycle(decomposition: Decomposition, cyl_id: int) -> Cocycle:
@@ -73,7 +80,7 @@ def intersection_cocycle(decomposition: Decomposition, cyl_id: int) -> Cocycle:
     and core classes.
     """
     cyl = _cylinder_subset(decomposition, [cyl_id])[0]
-    return _crossing_cocycle(decomposition, [(1, cyl)], 0)
+    return _crossing_cocycle(decomposition, [(FieldScalar(1), cyl)])
 
 
 def eta_normalized(decomposition: Decomposition, ids=None) -> Cocycle:
@@ -81,9 +88,8 @@ def eta_normalized(decomposition: Decomposition, ids=None) -> Cocycle:
     coordinates (real values; the shear derivative on the normalized
     surface)."""
     chosen = _cylinder_subset(decomposition, ids)
-    return _crossing_cocycle(
-        decomposition, [(cyl.height, cyl) for cyl in chosen],
-        FieldScalar(0, 0, decomposition.normalized.ctx))
+    return _crossing_cocycle(decomposition,
+                             [(cyl.height, cyl) for cyl in chosen])
 
 
 def eta(decomposition: Decomposition, ids=None) -> Cocycle:
@@ -93,8 +99,10 @@ def eta(decomposition: Decomposition, ids=None) -> Cocycle:
     t * eta to the periods of the original surface is exactly the
     direction-v cylinder shear by t.
     """
-    return eta_normalized(decomposition, ids).scale(
-        decomposition.transport_factor())
+    chosen = _cylinder_subset(decomposition, ids)
+    return _crossing_cocycle(decomposition,
+                             [(cyl.height, cyl) for cyl in chosen],
+                             decomposition.transport_factor())
 
 
 def twist_space(surface: TranslationSurface, frame: HomologyFrame,
@@ -129,10 +137,9 @@ def cylinder_preserving_space(surface: TranslationSurface,
                          "decomposition")
     decomposition.crossings  # read for its checks
     # integer rows: their RREF over Q is the one over the field
-    rows = [[Fraction(c) for c in cyl.core_coords]
-            for cyl in decomposition.cylinders]
+    rows = [list(cyl.core_coords) for cyl in decomposition.cylinders]
     _, _, null = row_reduce(rows, ncols=frame.m)
-    basis = [frame.cocycle([ComplexScalar(x) for x in vec]) for vec in null]
+    basis = [frame.cocycle(vec) for vec in null]
     return basis, len(basis)
 
 
@@ -175,8 +182,7 @@ def torus_closure(moduli,
             raise ValueError("moduli do not match the decomposition")
         cocycle = _crossing_cocycle(
             decomposition, [(cyl.circumference * FieldScalar(ti), cyl)
-                            for ti, cyl in zip(t, decomposition.cylinders)],
-            FieldScalar(0, 0, decomposition.normalized.ctx))
+                            for ti, cyl in zip(t, decomposition.cylinders)])
     return TorusClosure(len(allowed), [list(a) for a in allowed],
                         [list(r) for r in relations], t, cocycle)
 

@@ -116,6 +116,15 @@ def _rat_str(n: int, den: int) -> str:
     return str(n) if den == 1 else f"{n}/{den}"
 
 
+def _text(A: int, B: int, D: int, d: int) -> str:
+    """The text form of (A + B*sqrt(d))/D for D > 0, in lowest terms or
+    not: each part is reduced on its own."""
+    if not B:
+        return _rat_str(A, D)
+    sign = "-" if B < 0 else "+"
+    return f"{_rat_str(A, D)}{sign}{_rat_str(abs(B), D)}*sqrt({d})"
+
+
 class FieldScalar:
     """An exact element (A + B*sqrt(d))/D of Q(sqrt(d)), in lowest terms."""
 
@@ -314,11 +323,7 @@ class FieldScalar:
     # -- text form -------------------------------------------------------
 
     def __str__(self) -> str:
-        A, B, D = self._A, self._B, self._D
-        if not B:
-            return _rat_str(A, D)
-        sign = "-" if B < 0 else "+"
-        return f"{_rat_str(A, D)}{sign}{_rat_str(abs(B), D)}*sqrt({self.ctx.d})"
+        return _text(self._A, self._B, self._D, self.ctx.d)
 
     def __repr__(self) -> str:
         return f"FieldScalar({self})"
@@ -513,10 +518,11 @@ class Mat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        for name, v in zip("abcd", (a, b, c, d)):
-            if not isinstance(v, FieldScalar):
-                v = FieldScalar(v)
-            object.__setattr__(self, name, v)
+        entries = [v if isinstance(v, FieldScalar) else FieldScalar(v)
+                   for v in (a, b, c, d)]
+        ctx = join_ctx(QQ, *entries)
+        for name, v in zip("abcd", entries):
+            object.__setattr__(self, name, v.with_ctx(ctx))
 
     def __setattr__(self, *a):
         raise AttributeError("Mat2 is immutable")

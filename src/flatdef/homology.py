@@ -9,17 +9,24 @@ polygons; 0-cells the vertex classes.  Since every 0-cell is a marked
 point or cone point, H_1(X, Sigma; Z) is the cokernel of the face
 boundary map on 1-chains, and a basis is read off from a Smith normal
 form with deterministic pivoting.
+
+A cocycle holds its values as integer quadruples over one denominator,
+in the layout of `polygon.Lattice` points.  The period cocycle is summed
+from the lattice form's edges over the basis chains, and the absolute
+projection and `evaluate` are integer dot products; ComplexScalars are
+built only where values are read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from math import gcd
 
 from .errors import InternalInvariantError, StaleCocycle
-from .field import FieldScalar, Vec2, _sum_is_one
+from .field import QQ, FieldScalar, _new, _sum_is_one, join_ctx
 from .intmat import integer_kernel, smith_form
-from .linalg import ComplexScalar
+from .linalg import ComplexScalar, _content, _qmul, _quads
 from .surface import TranslationSurface
 
 __all__ = ["HomologyFrame", "Cocycle", "homology_frame", "PathPoint",
@@ -34,39 +41,95 @@ PathPoint = tuple
 Chord = tuple  # (polygon_index, PathPoint, PathPoint)
 
 
-class Cocycle:
-    """An element of H^1(M, Sigma; C): complex values on the frame basis."""
+def _combine(coeffs, quads) -> tuple:
+    """sum_k coeffs[k] * quads[k] for integer coefficients: a cocycle's
+    value on a class, or a period from edge vectors."""
+    a = b = c = e = 0
+    for k, q in zip(coeffs, quads):
+        if k:
+            a += k * q[0]
+            b += k * q[1]
+            c += k * q[2]
+            e += k * q[3]
+    return a, b, c, e
 
-    __slots__ = ("values", "frame_hash")
+
+class Cocycle:
+    """An element of H^1(M, Sigma; C): complex values on the frame basis.
+
+    Held on integers, as `linalg.Echelon` eliminates it: value k is
+    (ra + rb*sqrt(d) + i*(ia + ib*sqrt(d)))/D with `quads[k]` =
+    (ra, rb, ia, ib), D > 0 and the gcd of D and every entry 1, so equal
+    cocycles hold equal integers; `ctx` is QQ when every value is
+    rational.  `values`, the ComplexScalars, are built when first read.
+    """
+
+    __slots__ = ("quads", "D", "ctx", "frame_hash", "_values")
 
     def __init__(self, values, frame_hash: str):
-        vals = []
-        for v in values:
-            if not isinstance(v, ComplexScalar):
-                v = ComplexScalar(v)
-            vals.append(v)
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "frame_hash", frame_hash)
+        quads, D, ctx, _ = _quads(values)
+        self._set(quads, D, ctx, frame_hash)
+
+    @classmethod
+    def _of(cls, quads, D, ctx, frame_hash: str) -> "Cocycle":
+        """The cocycle of integer quadruples over D (non-zero) in `ctx`."""
+        out = object.__new__(cls)
+        out._set(quads, D, ctx, frame_hash)
+        return out
+
+    def _set(self, quads, D, ctx, frame_hash):
+        g = gcd(D, _content(quads))
+        if D < 0:
+            g = -g
+        if g != 1:
+            quads = [(a // g, b // g, c // g, e // g) for a, b, c, e in quads]
+        if not any(q[1] or q[3] for q in quads):
+            ctx = QQ
+        for name, value in (("quads", tuple(quads)), ("D", D // g),
+                            ("ctx", ctx), ("frame_hash", frame_hash),
+                            ("_values", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Cocycle is immutable")
 
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(
+                self._complex(q) for q in self.quads))
+        return self._values
+
+    def _complex(self, q) -> ComplexScalar:
+        """The quadruple q over this D as a ComplexScalar."""
+        return ComplexScalar(_new(q[0], q[1], self.D, self.ctx),
+                             _new(q[2], q[3], self.D, self.ctx))
+
     def is_real(self) -> bool:
-        return all(v.im.is_zero() for v in self.values)
+        return not any(q[2] or q[3] for q in self.quads)
 
     def scale(self, c) -> "Cocycle":
-        return Cocycle([v * c for v in self.values], self.frame_hash)
+        (w,), Dc, ctx, _ = _quads([c], self.ctx)
+        d = ctx.d
+        return Cocycle._of([_qmul(w, q, d) for q in self.quads], self.D * Dc,
+                           ctx, self.frame_hash)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if self.frame_hash != other.frame_hash:
             raise StaleCocycle("cocycles live on different frames")
-        return Cocycle([x + y for x, y in zip(self.values, other.values)],
-                       self.frame_hash)
+        s, t = other.D, self.D
+        ctx = join_ctx(QQ, *(c.sqrt_gen() for c in (self.ctx, other.ctx)
+                             if c.d))
+        return Cocycle._of(
+            [tuple(x * s + y * t for x, y in zip(p, q))
+             for p, q in zip(self.quads, other.quads)],
+            s * t, ctx, self.frame_hash)
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return self.frame_hash == other.frame_hash and self.values == other.values
+        return (self.frame_hash == other.frame_hash and self.D == other.D
+                and self.quads == other.quads and self.ctx.d == other.ctx.d)
 
     def __repr__(self):
         return f"Cocycle({[str(v) for v in self.values]})"
@@ -217,27 +280,17 @@ class HomologyFrame:
 
     # -- geometry of cells -------------------------------------------------
 
-    def cell_vector(self, c: int) -> Vec2:
-        return self.surface.edge_vector(self.cells[c])
-
     def periods(self) -> tuple[ComplexScalar, ...]:
         """Exact periods of the basis classes (the period map Phi)."""
-        ctx = self.surface.ctx
-        out = []
-        for chain in self.basis_chains:
-            x = FieldScalar(0, 0, ctx)
-            y = FieldScalar(0, 0, ctx)
-            for c, coeff in enumerate(chain):
-                if coeff:
-                    v = self.cell_vector(c)
-                    x = x + v.x * coeff
-                    y = y + v.y * coeff
-            out.append(ComplexScalar(x, y))
-        return tuple(out)
+        return self.period_cocycle().values
 
     def period_cocycle(self) -> Cocycle:
-        """[omega] as a cocycle: the tautological period class."""
-        return Cocycle(self.periods(), self.hash)
+        """[omega] as a cocycle: the tautological period class, summed
+        over the basis chains from the lattice form's edges."""
+        lat = self.surface.lattice()
+        vectors = [lat.edges[p][e] for p, e in self.cells]
+        quads = [_combine(chain, vectors) for chain in self.basis_chains]
+        return Cocycle._of(quads, lat.D, lat.ctx, self.hash)
 
     # -- intersection pairing ----------------------------------------------
 
@@ -303,26 +356,21 @@ class HomologyFrame:
 
     # -- absolute projection -------------------------------------------------
 
+    def _absolute_quads(self, cocycle: Cocycle) -> list[tuple]:
+        """The restriction to the absolute subspace basis (length 2g) as
+        integer quadruples over the cocycle's D."""
+        self.check(cocycle)
+        return [_combine(vec, cocycle.quads) for vec in self.absolute_basis]
+
     def project_absolute(self, cocycle: Cocycle) -> tuple[ComplexScalar, ...]:
         """Restriction of a cocycle to the absolute subspace basis (length 2g)."""
-        self.check(cocycle)
-        out = []
-        for vec in self.absolute_basis:
-            acc = ComplexScalar(FieldScalar(0, 0, self.surface.ctx))
-            for k, coeff in enumerate(vec):
-                if coeff:
-                    acc = acc + cocycle.values[k] * coeff
-            out.append(acc)
-        return tuple(out)
+        return tuple(cocycle._complex(q)
+                     for q in self._absolute_quads(cocycle))
 
     def evaluate(self, cocycle: Cocycle, coords) -> ComplexScalar:
         """Value of a cocycle on a class given in frame coordinates."""
         self.check(cocycle)
-        acc = ComplexScalar(FieldScalar(0, 0, self.surface.ctx))
-        for k, c in enumerate(coords):
-            if c:
-                acc = acc + cocycle.values[k] * c
-        return acc
+        return cocycle._complex(_combine(coords, cocycle.quads))
 
     def cocycle(self, values) -> Cocycle:
         if len(values) != self.m:

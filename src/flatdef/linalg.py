@@ -1,20 +1,26 @@
 """Exact linear algebra over Q(sqrt(d)) and its complexification.
 
-Echelon is the one Gauss-Jordan elimination: an RREF basis grown one
-row at a time.  row_reduce adds every row to an Echelon and reads the
-nullspace off its pivots, and every span that grows (the tangent span,
+Echelon is the one elimination: a basis grown one row at a time, on
+integers.  A row of ints, Fractions, FieldScalars or ComplexScalars is
+lifted to integer quadruples over one denominator (Re and Im, each a
+Z[sqrt(d)] pair, laid out like `polygon.Lattice` points), and `_clear`
+eliminates fraction-free in Z[sqrt(d)][i], each basis row primitive
+with a positive integer at its pivot.  The RREF is built, in the widest
+kind of scalar given, only when read.  row_reduce adds every row to an
+Echelon and reads the nullspace off the RREF, and every span that grows
+(the tangent span of cocycles, which are held as such quadruples,
 independence checks) keeps an Echelon instead of re-reducing its
-generators.  Both work over anything with field
-arithmetic and an is_zero test (FieldScalar, ComplexScalar, plain
-Fraction via a shim), so real and complex spans share one code path.
+generators.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-from .field import QQ, FieldScalar, join_ctx
+from .field import QQ, FieldScalar, _new, join_ctx
 
 __all__ = [
     "ComplexScalar",
@@ -119,72 +125,213 @@ class ComplexScalar:
         return f"ComplexScalar({self.re}, {self.im})"
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
+# -- rows on integers -------------------------------------------------------
+#
+# A row over Q(sqrt(d))(i) is held as integer quadruples over one
+# denominator D: the entry (ra + rb*sqrt(d) + i*(ia + ib*sqrt(d)))/D is
+# (ra, rb, ia, ib), laid out like a `polygon.Lattice` point (Re as x, Im
+# as y).  Entries then lie in the ring Z[sqrt(d)][i], and elimination
+# needs no division: only products in that ring and integer gcds.
+
+# what a row was given in, and so what its RREF is read back in; the
+# widest kind of any row added wins
+_RATIONAL, _REAL, _COMPLEX = 0, 1, 2
+_ZERO = (0, 0, 0, 0)
 
 
-def _zero_one_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(0), Fraction(1)
-    if isinstance(x, ComplexScalar):
-        return ComplexScalar(0, 0), ComplexScalar(1, 0)
-    if isinstance(x, FieldScalar):
-        return FieldScalar(0, 0, x.ctx), FieldScalar(1, 0, x.ctx)
-    raise TypeError(f"unsupported scalar type {type(x)!r}")
+def _qmul(p, q, d):
+    """The product of two quadruples in Z[sqrt(d)][i]."""
+    a, b, c, e = p
+    f, g, h, k = q
+    return (a * f - c * h + d * (b * g - e * k),
+            a * g + b * f - c * k - e * h,
+            a * h + c * f + d * (b * k + e * g),
+            a * k + b * h + c * g + e * f)
+
+
+def _quads(row, ctx=QQ):
+    """A row of ints, Fractions, FieldScalars or ComplexScalars as
+    (quadruples over D, D, field, kind); the field is `ctx` joined with
+    the row's (`join_ctx`)."""
+    raw, scalars, kind = [], [], _RATIONAL
+    for x in row:
+        if x.__class__ is ComplexScalar:
+            re, im = x.re, x.im
+            D = lcm(re._D, im._D)
+            s, t = D // re._D, D // im._D
+            raw.append(((re._A * s, re._B * s, im._A * t, im._B * t), D))
+            scalars += (re, im)
+            kind = _COMPLEX
+        elif x.__class__ is FieldScalar:
+            raw.append(((x._A, x._B, 0, 0), x._D))
+            scalars.append(x)
+            kind = max(kind, _REAL)
+        elif isinstance(x, (int, Fraction)):
+            raw.append(((x.numerator, 0, 0, 0), x.denominator))
+        else:
+            raise TypeError(f"unsupported scalar type {type(x)!r}")
+    D = lcm(*(den for _, den in raw))
+    quads = [q if den == D else tuple(c * (D // den) for c in q)
+             for q, den in raw]
+    return quads, D, join_ctx(ctx, *scalars), kind
+
+
+def _scalar(kind, q, D, ctx):
+    """The quadruple q over the integer D (non-zero) as a scalar of `kind`."""
+    if kind == _COMPLEX:
+        return ComplexScalar(_new(q[0], q[1], D, ctx), _new(q[2], q[3], D, ctx))
+    if kind == _REAL:
+        return _new(q[0], q[1], D, ctx)
+    return Fraction(q[0], D)
+
+
+def _content(v) -> int:
+    """The gcd of all the integers of a row of quadruples."""
+    return gcd(*chain.from_iterable(v))
+
+
+def _primitive(v):
+    """v divided by the gcd of all its integers."""
+    g = _content(v)
+    if g > 1:
+        return [(a // g, b // g, c // g, e // g) for a, b, c, e in v]
+    return v
+
+
+def _integral(v, col, d):
+    """v times a w that makes its entry at `col` a positive integer: w is
+    the conjugate of that entry p, times the sqrt(d)-conjugate of |p|^2
+    when |p|^2 is irrational, so p*w is the norm of p down to Z.  Then
+    primitive."""
+    a, b, c, e = v[col]
+    if c or e:
+        w = (a, b, -c, -e)
+        n0, n1 = a * a + c * c + d * (b * b + e * e), 2 * (a * b + c * e)
+    else:
+        w = (1, 0, 0, 0)
+        n0, n1 = a, b
+    if n1:
+        w = _qmul(w, (n0, -n1, 0, 0), d)
+    if w != (1, 0, 0, 0):
+        v = [_qmul(w, x, d) for x in v]
+    v = _primitive(v)
+    if v[col][0] < 0:
+        v = [(-a, -b, -c, -e) for a, b, c, e in v]
+    return v
+
+
+def _clear(v, basis, d):
+    """The one elimination loop: v with every pivot column of `basis`
+    cleared, and the integer it was scaled by.
+
+    `basis` holds (pivot column, row) pairs in pivot order, each row
+    zero before its pivot, where it holds a positive integer n.  Each
+    step is v <- n*v - v[col]*row, fraction-free; a row that is zero at
+    every later pivot (a reduced basis) leaves the pivots already
+    cleared as they are, and an echelon one clears them in order.  So
+    the result is scale*(v - its part in the span).
+    """
+    scale = 1
+    for col, row in basis:
+        f = v[col]
+        if f == _ZERO:
+            continue
+        n = row[col][0]
+        scale *= n
+        if f[1] or f[2] or f[3]:
+            v = [(x[0] * n - y[0], x[1] * n - y[1], x[2] * n - y[2],
+                  x[3] * n - y[3])
+                 for x, y in zip(v, (_qmul(f, y, d) for y in row))]
+        else:
+            m = f[0]
+            v = [(x[0] * n - m * y[0], x[1] * n - m * y[1],
+                  x[2] * n - m * y[2], x[3] * n - m * y[3])
+                 for x, y in zip(v, row)]
+    return v, scale
 
 
 class Echelon:
-    """A reduced row echelon basis that grows one row at a time.
+    """A row echelon basis that grows one row at a time, on integers.
 
-    `rows` holds the nonzero RREF rows sorted by pivot column, each with
-    a one at its pivot and zeros at every other pivot; `pivots` holds
-    those columns.  RREF is unique, so the rows depend only on the span
-    of what was added, not on the order.  Read `rows` and `pivots`;
-    change them only through `add`.
+    Rows of ints, Fractions, FieldScalars or ComplexScalars are lifted to
+    integer quadruples (`_quads`) and eliminated fraction-free by `_clear`
+    in Z[sqrt(d)][i], each basis row primitive with a positive integer
+    at its pivot.  Elimination over that ring decides membership as it
+    would over its fraction field Q(sqrt(d))(i), since a non-zero
+    integer factor changes no span.  `rows`, the reduced row echelon
+    form (one at each pivot, zero at every other), is built in the
+    widest kind of scalar added only when read; RREF is unique, so it
+    depends only on the span of what was added, not on the order.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("ncols", "ctx", "_kind", "_basis", "_rref")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, complex_over=None):
         self.ncols = ncols
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
+        # an echelon of cocycles is complex over its frame's field from
+        # the start, and takes rows through `_add`
+        self.ctx = complex_over or QQ
+        self._kind = _RATIONAL if complex_over is None else _COMPLEX
+        self._basis: list[tuple] = []   # (pivot column, integer row)
+        self._rref = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
+
+    @property
+    def pivots(self) -> list[int]:
+        return [col for col, _ in self._basis]
+
+    @property
+    def rows(self) -> list[list]:
+        """The RREF rows, sorted by pivot column."""
+        return [[_scalar(self._kind, q, row[col][0], self.ctx) for q in row]
+                for col, row in self._reduced()]
+
+    def _reduced(self):
+        """The basis rows, each cleared at every other pivot: bottom up,
+        against the rows below it, which are cleared already."""
+        if self._rref is None:
+            d = self.ctx.d
+            out = []
+            for col, row in reversed(self._basis):
+                out.insert(0, (col, _primitive(_clear(row, out, d)[0])))
+            self._rref = out
+        return self._rref
+
+    def _take(self, row):
+        """A row given in scalars as quadruples over D, and D."""
+        if len(row) != self.ncols:
+            raise ValueError("ragged matrix")
+        quads, D, self.ctx, kind = _quads(row, self.ctx)
+        self._kind = max(self._kind, kind)
+        return quads, D
 
     def reduce(self, row) -> list:
         """The row minus its part in the span: zero in every pivot column,
         and all zero exactly when the row lies in the span."""
-        v = list(row)
-        if len(v) != self.ncols:
-            raise ValueError("ragged matrix")
-        for col, basis_row in zip(self.pivots, self.rows):
-            f = v[col]
-            if not _is_zero(f):
-                v = [x - f * y for x, y in zip(v, basis_row)]
-        return v
+        quads, D = self._take(list(row))
+        v, scale = _clear(quads, self._basis, self.ctx.d)
+        return [_scalar(self._kind, q, D * scale, self.ctx) for q in v]
 
     def add(self, row) -> bool:
         """Add a row to the span; False when it already lay in it."""
-        v = self.reduce(row)
-        for col, lead in enumerate(v):
-            if not _is_zero(lead):
+        return self._add(self._take(list(row))[0])
+
+    def _add(self, v) -> bool:
+        """Add a row of integer quadruples in this echelon's field, over
+        any denominator."""
+        v, _ = _clear(v, self._basis, self.ctx.d)
+        for col, x in enumerate(v):
+            if x != _ZERO:
                 break
         else:
             return False
-        inv = 1 / lead
-        v = [x * inv for x in v]
-        for i, basis_row in enumerate(self.rows):
-            f = basis_row[col]
-            if not _is_zero(f):
-                self.rows[i] = [x - f * y for x, y in zip(basis_row, v)]
-        k = bisect_left(self.pivots, col)
-        self.pivots.insert(k, col)
-        self.rows.insert(k, v)
+        v = _integral(v, col, self.ctx.d)
+        k = bisect_left(self._basis, col, key=lambda item: item[0])
+        self._basis.insert(k, (col, v))
+        self._rref = None
         return True
 
 
@@ -193,7 +340,9 @@ def row_reduce(rows, ncols=None):
 
     Returns (rank, rowspace_basis, nullspace_basis) of a list of rows:
     the rowspace basis is the nonzero rows of the RREF, and every
-    nullspace vector multiplies the matrix into zero exactly.
+    nullspace vector multiplies the matrix into zero exactly.  Entries
+    may be ints, Fractions, FieldScalars or ComplexScalars; both bases
+    come back in the widest kind given, ints as Fractions.
     """
     rows = list(rows)
     if ncols is None:
@@ -211,17 +360,22 @@ def row_reduce(rows, ncols=None):
         echelon.add(r)
         if echelon.rank == ncols:
             break
-    zero, one = _zero_one_like(rows[0][0])
+    kind, ctx = echelon._kind, echelon.ctx
+    reduced = echelon._reduced()
+    pivot_set = {col for col, _ in reduced}
     null_basis = []
-    pivot_set = set(echelon.pivots)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * ncols
-        v[free] = one
-        for row, pc in zip(echelon.rows, echelon.pivots):
-            v[pc] = zero - row[free]
-        null_basis.append(v)
+        v = [_ZERO] * ncols
+        v[free] = (1, 0, 0, 0)
+        dens = [1] * ncols
+        for col, row in reduced:
+            a, b, c, e = row[free]
+            v[col] = (-a, -b, -c, -e)
+            dens[col] = row[col][0]
+        null_basis.append([_scalar(kind, q, den, ctx)
+                           for q, den in zip(v, dens)])
     return echelon.rank, echelon.rows, null_basis
 
 

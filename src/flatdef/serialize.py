@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cylinders import Decomposition
 from .errors import FlatdefError
-from .field import FieldCtx, FieldScalar, _rat_str
+from .field import FieldCtx, FieldScalar, _rat_str, _text
 from .surface import TranslationSurface
 
 __all__ = ["scalar_to_json", "scalar_from_json", "surface_to_json",
@@ -230,22 +230,25 @@ def decomposition_to_json(dec: Decomposition) -> dict:
     }
 
 
-def _complex(v):
-    return [str(v.re), str(v.im)]
-
-
 def span_to_json(span, k_lb: int) -> dict:
-    """Certificate JSON for a tangent span accumulation."""
+    """Certificate JSON for a tangent span accumulation, written from the
+    integers of each generator and of the span's RREF, as the text of
+    the ComplexScalars they hold."""
+    d = span.frame.surface.ctx.d
+
+    def texts(quads, D):
+        return [[_text(a, b, D, d), _text(c, e, D, d)]
+                for a, b, c, e in quads]
+
     return {
         "format": FORMAT_VERSION,
         "frame_hash": span.frame.hash,
         "generators": [
-            {"values": [_complex(v) for v in gen.values],
-             "provenance": prov}
+            {"values": texts(gen.quads, gen.D), "provenance": prov}
             for gen, prov in span.generators
         ],
         "non_certified": list(span.skipped),
-        "basis": [[_complex(v) for v in row] for row in span.basis()],
+        "basis": [texts(row, n) for row, n in span._basis_quads()],
         "dim_C": span.dim(),
         "p_dim": span.p_dim(),
         "rank_lower_bound": k_lb,

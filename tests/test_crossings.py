@@ -93,10 +93,9 @@ def ref_cylinder_preserving_space(dec):
 
 
 def in_twist_span_by_duality(dec, z):
-    zero = FieldScalar(0, 0, dec.normalized.ctx)
     at_cross = [(dec.frame.evaluate(z, cyl.cross_coords).re, cyl)
                 for cyl in dec.cylinders]
-    return _crossing_cocycle(dec, at_cross, zero) == z
+    return _crossing_cocycle(dec, at_cross) == z
 
 
 def check_against_reference(dec):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from flatdef.linalg import (
     rational_relation_lattice,
     row_reduce,
 )
+from reference_linalg import RefEchelon, ref_row_reduce
 
 Q5 = FieldCtx.get(5)
 
@@ -86,6 +88,20 @@ class TestRowReduce:
                 for x, y in zip(row, v):
                     acc = acc + x * y
                 assert acc.is_zero()
+
+    def test_int_entries(self):
+        # ints are native to the integer elimination; both bases come
+        # back as Fractions
+        rank, rows, null = row_reduce([[1, 2], [2, 4]])
+        assert rank == 1
+        assert rows == [[Fraction(1), Fraction(2)]]
+        assert null == [[Fraction(-2), Fraction(1)]]
+        assert all(type(x) is Fraction for x in rows[0] + null[0])
+        ech = Echelon(3)
+        assert ech.add([2, 4, 6]) and ech.add((0, 3, 1))
+        assert not ech.add([2, 7, 7])
+        assert ech.rows == [fr(1, 0, Fraction(7, 3)), fr(0, 1, Fraction(1, 3))]
+        assert ech.reduce([0, 0, 3]) == fr(0, 0, 3)
 
     def test_complex_scalars(self):
         i = ComplexScalar(0, 1)
@@ -162,6 +178,77 @@ class TestEchelon:
     def test_ragged_row(self):
         with pytest.raises(ValueError):
             Echelon(2).add(fr(1, 2, 3))
+
+
+# -- the integer elimination against the scalar one it replaced -------------
+
+def _entry(draw, ctx, is_complex):
+    """A small scalar of Q(sqrt(d)), or of Q(sqrt(d))(i); often zero."""
+    def real():
+        if draw(st.integers(0, 3)) == 0:
+            return FieldScalar(0, 0, ctx)
+        a = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        b = (draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+             if ctx.d else 0)
+        return FieldScalar(a, b, ctx)
+    return ComplexScalar(real(), real()) if is_complex else real()
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols) over Q, Q(sqrt 2) or Q(sqrt 5), real or complex; some
+    rows are combinations of earlier ones with coefficients in the
+    field, so the rank often falls short."""
+    ctx = FieldCtx.get(draw(st.sampled_from([0, 2, 5])))
+    is_complex = draw(st.booleans())
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 2)) == 0:
+            p, q = (draw(st.sampled_from(rows)) for _ in range(2))
+            s, t = (_entry(draw, ctx, is_complex) for _ in range(2))
+            rows.append([s * x + t * y for x, y in zip(p, q)])
+        else:
+            rows.append([_entry(draw, ctx, is_complex) for _ in range(m)])
+    return rows, m
+
+
+class TestAgainstScalarElimination:
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_echelon(self, case):
+        rows, m = case
+        ech, ref = Echelon(m), RefEchelon(m)
+        for row in rows:
+            assert ech.add(row) == ref.add(row)
+            assert ech.rank == ref.rank
+            assert ech.pivots == ref.pivots
+        assert ech.rows == ref.rows
+        for row in rows:
+            assert ech.reduce(row) == ref.reduce(row)
+        probe = rows[-1][::-1] if len(rows[-1]) == m else rows[-1]
+        assert ech.reduce(probe) == ref.reduce(probe)
+
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_row_reduce(self, case):
+        rows, m = case
+        assert row_reduce(rows, ncols=m) == ref_row_reduce(rows, ncols=m)
+
+    @given(matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_basis_rows_stay_primitive(self, case):
+        # each integer basis row is divided by its content and has a
+        # positive integer at its pivot, so entries stay small
+        rows, m = case
+        ech = Echelon(m)
+        for row in rows:
+            ech.add(row)
+            for basis in (ech._basis, ech._reduced()):
+                for col, row_ints in basis:
+                    assert row_ints[col][1:] == (0, 0, 0)
+                    assert row_ints[col][0] > 0
+                    assert gcd(*(x for q in row_ints for x in q)) == 1
 
 
 class TestRelationLattice:

@@ -368,9 +368,10 @@ def _two_square_surface():
 @pytest.mark.parametrize("build", [
     lambda r5, r2: Vec2(r5, r2),
     lambda r5, r2: ComplexScalar(r5, r2),
+    lambda r5, r2: Mat2(r5, r2, 0, 1),
     lambda r5, r2: _two_square_surface(),
-    lambda r5, r2: l_shape(2, 1, 1, 1).apply_matrix(Mat2(r5, r2, 0, 1)),
-], ids=["Vec2", "ComplexScalar", "surface", "apply_matrix"])
+    lambda r5, r2: l_shape(r5, 1, 1, 1).apply_matrix(Mat2(r2, 0, 0, 1)),
+], ids=["Vec2", "ComplexScalar", "Mat2", "surface", "apply_matrix"])
 def test_a_value_from_another_field_is_named_first(build):
     r5, r2 = FieldCtx.get(5).sqrt_gen(), FieldCtx.get(2).sqrt_gen()
     with pytest.raises(ValueError) as info:
@@ -425,6 +426,77 @@ def test_core_crossings_readers_are_found():
     assert _core_crossings_readers(sources) == [
         "cylinders.py: Decomposition.crossings", "deform.py: <module>",
         "deform.py: _crossing_cocycle.count"]
+
+
+# The modules whose cocycles live on integers, and the calls that hand
+# out ComplexScalars.  `transport_factor` builds one that `eta` only
+# takes apart into integers, so it is not among them.
+_COCYCLE_MODULES = ("analysis.py", "deform.py", "homology.py")
+_COMPLEX_CALLS = {"_complex", "evaluate", "periods", "project_absolute",
+                  "symplectic_pairing"}
+
+
+def _complex_scalar_scopes(sources: dict) -> list[str]:
+    """The functions of the cocycle modules that do ComplexScalar
+    arithmetic: they name the class (to build one, or in an annotation),
+    read a `.re` or `.im` part, or call a method that returns
+    ComplexScalars."""
+    def matches(node):
+        if isinstance(node, ast.Name):
+            return node.id == "ComplexScalar"
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("re", "im") and isinstance(node.ctx, ast.Load)
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _COMPLEX_CALLS)
+    return _scopes_using({name: text for name, text in sources.items()
+                          if name in _COCYCLE_MODULES}, matches)
+
+
+def test_the_certificate_path_does_no_complex_scalar_arithmetic():
+    # the tangent span, eta and the crossing cocycles work on integer
+    # quadruples; ComplexScalars are built only where values are read,
+    # for output and for the public API
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert _complex_scalar_scopes(sources) == [
+        "analysis.py: more_cylinders_search",
+        "deform.py: deform_from_periods",
+        "deform.py: verify_linearity",
+        "homology.py: Cocycle._complex",
+        "homology.py: Cocycle.values",
+        "homology.py: HomologyFrame.evaluate",
+        "homology.py: HomologyFrame.periods",
+        "homology.py: HomologyFrame.project_absolute",
+        "homology.py: HomologyFrame.symplectic_pairing",
+    ]
+    found = set(_complex_scalar_scopes(sources))
+    for scope in ("analysis.py: TangentSpan._add",
+                  "analysis.py: TangentSpan.add_certified",
+                  "deform.py: eta", "deform.py: _crossing_cocycle",
+                  "homology.py: HomologyFrame._absolute_quads"):
+        assert scope not in found
+
+
+def test_complex_scalar_scopes_are_found():
+    sources = {
+        "analysis.py": ("class TangentSpan:\n"
+                        "    def _add(self, c) -> ComplexScalar:\n"
+                        "        return c\n"),
+        "deform.py": ("def eta(dec):\n"
+                      "    tau = dec.transport_factor()\n"
+                      "    return tau.re\n"
+                      "def _crossing_cocycle(dec):\n"
+                      "    tau = dec.transport_factor()\n"
+                      "    tau.re = 0\n"),
+        "homology.py": ("def project(frame, c):\n"
+                        "    return frame.project_absolute(c)\n"
+                        "x = ComplexScalar(1)\n"),
+        "serialize.py": "def f(v):\n    return ComplexScalar(v.re)\n",
+    }
+    assert _complex_scalar_scopes(sources) == [
+        "analysis.py: TangentSpan._add", "deform.py: eta",
+        "homology.py: <module>", "homology.py: project"]
 
 
 # Every key written to a surface's two caches, and whether an image of
