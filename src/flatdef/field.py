@@ -85,7 +85,9 @@ class FieldCtx:
 
     @staticmethod
     def get(d: int) -> "FieldCtx":
-        d = int(d)
+        """Q(sqrt(d)) for an int d; a bool, 5.7 or "5" is a TypeError."""
+        if type(d) is not int:
+            raise TypeError(f"field d {d!r} is not an integer")
         if d >= 2 ** 31:
             # square-freeness is decided by trial division up to sqrt(d)
             raise ValueError(f"d must be below 2**31, got {d}")
@@ -412,19 +414,28 @@ def parse_scalar(text: str) -> FieldScalar:
     parse_scalar(str(x)) == x for every scalar x.
     """
     m = _SCALAR_RE.match(text)
-    if not m or (m.group("a") is None and m.group("b") is None):
+    if not m or (m["a"] is None and m["b"] is None):
         raise ValueError(f"cannot parse scalar {text!r}")
+    ctx = QQ if m["b"] is None else FieldCtx.get(int(m["d"]))
     try:
-        a = Fraction(m.group("a") or 0)
-        b = Fraction(m.group("b") or 0)
+        return _read(m["a"] or "0", (m["sign"] or "") + (m["b"] or "0"), ctx)
     except ZeroDivisionError:
         raise ValueError(
             f"cannot parse scalar {text!r}: zero denominator") from None
-    if m.group("b") is None:
-        return FieldScalar(a)
-    if m.group("sign") == "-":
-        b = -b
-    return FieldScalar(a, b, FieldCtx.get(int(m.group("d"))))
+
+
+def _read(a: str, b: str, ctx: FieldCtx) -> FieldScalar:
+    """The scalar a + b*sqrt(d) of `ctx` from the matched texts "p/q" or
+    "p" (q = 1) of a and b.  A zero q is a ZeroDivisionError, and an
+    irrational part in Q the ValueError that `FieldScalar` gives."""
+    pa, _, qa = a.partition("/")
+    pb, _, qb = b.partition("/")
+    qa, qb, pb = int(qa or 1), int(qb or 1), int(pb)
+    if not qa or not qb:
+        raise ZeroDivisionError(f"zero denominator in {a!r} or {b!r}")
+    if pb and not ctx.d:
+        raise ValueError("irrational part requires d > 0")
+    return _new(int(pa) * qb, pb * qa, qa * qb, ctx)
 
 
 def _incompatible(d1: int, d2: int) -> ValueError:

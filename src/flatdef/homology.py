@@ -24,7 +24,7 @@ import json
 from math import gcd
 
 from .errors import InternalInvariantError, StaleCocycle
-from .field import QQ, FieldScalar, _new, _sum_is_one, join_ctx
+from .field import QQ, FieldScalar, _new, _sum_is_one, _text, join_ctx
 from .intmat import integer_kernel, smith_form
 from .linalg import ComplexScalar, _content, _qmul, _quads
 from .surface import TranslationSurface
@@ -419,10 +419,12 @@ class HomologyFrame:
     # -- hashing -----------------------------------------------------------
 
     def _content_hash(self) -> str:
+        lat = self.surface.lattice()
+        D, d = lat.D, lat.d
         payload = {
-            "d": self.surface.ctx.d,
-            "polygons": [[[str(e.x), str(e.y)] for e in poly]
-                         for poly in self.surface.polygons],
+            "d": d,
+            "polygons": [[[_text(xa, xb, D, d), _text(ya, yb, D, d)]
+                          for xa, xb, ya, yb in edges] for edges in lat.edges],
             "gluing": sorted([list(a), list(b)]
                              for a, b in self.surface.gluing.items() if a < b),
             "cells": [list(c) for c in self.cells],

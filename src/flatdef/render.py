@@ -45,7 +45,7 @@ def _layout(surface):
     """Horizontal offsets placing the polygons side by side."""
     offsets = {}
     cursor = 0.0
-    for p in range(len(surface.polygons)):
+    for p in range(len(surface.lattice().edges)):
         xs = [float(v.x) for v in surface.vertices(p)]
         ys = [float(v.y) for v in surface.vertices(p)]
         offsets[p] = (cursor - min(xs), -min(ys))
@@ -99,7 +99,7 @@ def _svg(surface, decomposition):
                 f'<polygon class="cylinder" points="{_fmt_pts(pts)}" '
                 f'fill="{PALETTE[cid % len(PALETTE)]}" fill-opacity="0.55" '
                 f'stroke="none"/>')
-    for p in range(len(surface.polygons)):
+    for p in range(len(surface.lattice().edges)):
         pts = _poly_points(surface, p, offsets)
         body.append(
             f'<polygon class="polygon" points="{_fmt_pts(pts)}" '
@@ -122,7 +122,7 @@ def _svg(surface, decomposition):
     label = _xml_text(surface.label or "surface")
     all_x = []
     all_y = []
-    for p in range(len(surface.polygons)):
+    for p in range(len(surface.lattice().edges)):
         for x, y in _poly_points(surface, p, offsets):
             all_x.append(x)
             all_y.append(y)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .cylinders import Decomposition
 from .errors import FlatdefError
-from .field import FieldCtx, FieldScalar, _rat_str, _text
+from .field import FieldCtx, FieldScalar, _rat_str, _read, _text
 from .surface import TranslationSurface
 
 __all__ = ["scalar_to_json", "scalar_from_json", "surface_to_json",
@@ -109,10 +108,12 @@ def _write(o, newline: str, out) -> None:
 
 
 def scalar_to_json(x: FieldScalar):
-    a = _rat_str(x._A, x._D)
-    if not x._B:
-        return a
-    return [a, _rat_str(x._B, x._D)]
+    return _json_text(x._A, x._B, x._D)
+
+
+def _json_text(A: int, B: int, D: int):
+    """The JSON of (A + B*sqrt(d))/D, D > 0, each part reduced on its own."""
+    return [_rat_str(A, D), _rat_str(B, D)] if B else _rat_str(A, D)
 
 
 # the text str(Fraction) writes; Fraction itself would also read "1.5",
@@ -120,28 +121,32 @@ def scalar_to_json(x: FieldScalar):
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _rational(text) -> Fraction:
+def _rational(text) -> str:
+    """`text`, checked to be "p/q" text, for `field._read`."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise FlatdefError(f"malformed scalar {text!r}; expected p/q")
-    return Fraction(text)
+    return text
 
 
 def scalar_from_json(v, ctx: FieldCtx) -> FieldScalar:
     if isinstance(v, str):
-        return FieldScalar(_rational(v), 0, ctx)
+        return _read(_rational(v), "0", ctx)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return FieldScalar(_rational(v[0]), _rational(v[1]), ctx)
+        return _read(_rational(v[0]), _rational(v[1]), ctx)
     raise FlatdefError(f"malformed scalar {v!r}")
 
 
 def surface_to_json(surface: TranslationSurface) -> dict:
+    lat = surface.lattice()
+    D = lat.D
     gl = sorted([list(a), list(b)] for a, b in surface.gluing.items() if a < b)
     return {
         "format": FORMAT_VERSION,
         "field": {"d": surface.ctx.d},
         "polygons": [
-            [[scalar_to_json(e.x), scalar_to_json(e.y)] for e in poly]
-            for poly in surface.polygons
+            [[_json_text(xa, xb, D), _json_text(ya, yb, D)]
+             for xa, xb, ya, yb in edges]
+            for edges in lat.edges
         ],
         "gluing": gl,
         "label": surface.label,

@@ -19,7 +19,7 @@ from .errors import (
     NotConnected,
     SingularMatrix,
 )
-from .field import FieldScalar, Mat2, QQ, Vec2, join_ctx
+from .field import FieldScalar, Mat2, Vec2
 from .polygon import (
     Lattice,
     _ORIGIN,
@@ -69,6 +69,10 @@ class SingularityData:
 class TranslationSurface:
     """Immutable translation surface; validation happens on construction.
 
+    Its coordinates are held once, in its lattice form (`lattice()`),
+    which the constructor and `apply_matrix` both store by `_set`;
+    `polygons` is built from that form the first time it is read.
+
     Computed data is cached in two dicts.  `_cache` holds what depends on
     the surface's own coordinates: its lattice form, vertices, homology
     frame, east corners and slab tables.  `_family` holds what every
@@ -78,58 +82,42 @@ class TranslationSurface:
     """
 
     def __init__(self, polygons, gluing, label: str = ""):
-        polys = []
-        scalars = []
-        for poly in polygons:
-            edges = []
-            for v in poly:
-                if not isinstance(v, Vec2):
-                    v = Vec2(*v)
-                edges.append(v)
-                scalars.extend((v.x, v.y))
-            polys.append(tuple(edges))
-        ctx = join_ctx(QQ, *scalars)
-        polys = [
-            tuple(e if e.ctx is ctx else Vec2(e.x.with_ctx(ctx), e.y.with_ctx(ctx))
-                  for e in poly)
-            for poly in polys
-        ]
-        gl: dict[EdgeRef, EdgeRef] = {}
-        for a, b in dict(gluing).items() if isinstance(gluing, dict) else gluing:
-            a = (_index(a[0]), _index(a[1]))
-            b = (_index(b[0]), _index(b[1]))
-            gl[a] = b
-            gl[b] = a
-        self.polygons = tuple(polys)
-        self.gluing = gl
-        self.ctx = ctx
+        polys = [[v if isinstance(v, Vec2) else Vec2(*v) for v in poly]
+                 for poly in polygons]
+        pairs = gluing.items() if isinstance(gluing, dict) else gluing
+        self._set(Lattice(polys),
+                  [((_index(a[0]), _index(a[1])), (_index(b[0]), _index(b[1])))
+                   for a, b in pairs], label)
+
+    def _set(self, lat: Lattice, pairs, label: str) -> None:
+        """Store the lattice form, the gluing of the (a, b) pairs in
+        their order and the label, and check that the gluing is a
+        perfect matching of the edges."""
+        gluing: dict[EdgeRef, EdgeRef] = {}
+        for a, b in pairs:
+            gluing[a] = b
+            gluing[b] = a
+        self.gluing = gluing
+        self.ctx = lat.ctx
         self.label = label
-        self._cache: dict = {}
-        self._family: dict = {}
-        self._validate_structure([len(poly) for poly in polys])
+        self._cache = {"lattice": lat}
+        self._family = {}
+        all_refs = set(self.edge_refs())
+        if set(gluing) != all_refs:
+            missing = sorted(all_refs - set(gluing))
+            extra = sorted(set(gluing) - all_refs)
+            raise GluingMismatch(f"gluing is not a perfect matching "
+                                 f"(missing={missing}, unknown={extra})")
+        for a, b in gluing.items():
+            if gluing[b] != a or a == b:
+                raise GluingMismatch(f"gluing is not an involution at {a}")
 
     @cached_property
     def polygons(self) -> tuple[tuple[Vec2, ...], ...]:
-        """The edge vectors of every polygon.
-
-        The constructor sets them; an `apply_matrix` image builds them
-        from its lattice form the first time they are read.
-        """
-        lat = self._cache["lattice"]
+        """The edge vectors of every polygon, built from the lattice
+        form the first time they are read."""
+        lat = self.lattice()
         return tuple(tuple(lat.vec2(e) for e in edges) for edges in lat.edges)
-
-    # -- structural checks run for every surface -----------------------
-
-    def _validate_structure(self, sizes):
-        all_refs = {(p, e) for p, n in enumerate(sizes) for e in range(n)}
-        if set(self.gluing) != all_refs:
-            missing = sorted(all_refs - set(self.gluing))
-            extra = sorted(set(self.gluing) - all_refs)
-            raise GluingMismatch(f"gluing is not a perfect matching "
-                                 f"(missing={missing}, unknown={extra})")
-        for a, b in self.gluing.items():
-            if self.gluing[b] != a or a == b:
-                raise GluingMismatch(f"gluing is not an involution at {a}")
 
     def edge_vector(self, ref: EdgeRef) -> Vec2:
         return self.polygons[ref[0]][ref[1]]
@@ -149,8 +137,6 @@ class TranslationSurface:
 
     def lattice(self) -> Lattice:
         """The integer form of every polygon (`polygon.Lattice`)."""
-        if "lattice" not in self._cache:
-            self._cache["lattice"] = Lattice(self.polygons)
         return self._cache["lattice"]
 
     def area2(self) -> FieldScalar:
@@ -251,8 +237,11 @@ class TranslationSurface:
     # -- value semantics ---------------------------------------------------
 
     def _key(self):
+        # a surface's form is over the lcm of its coordinates' reduced
+        # denominators, so equal surfaces have equal integers
+        lat = self.lattice()
         gl = tuple(sorted((a, b) for a, b in self.gluing.items() if a < b))
-        return (self.ctx.d, self.polygons, gl, self.label)
+        return (lat.d, lat.D, tuple(map(tuple, lat.edges)), gl, self.label)
 
     def __eq__(self, other):
         if not isinstance(other, TranslationSurface):
@@ -272,13 +261,12 @@ class TranslationSurface:
     def apply_matrix(self, g: Mat2, label: str | None = None) -> "TranslationSurface":
         """The linear action on every edge vector.
 
-        The image is computed on the lattice form (`Lattice.image`),
-        which the image keeps.  Orientation-reversing matrices flip each
-        polygon's boundary order so the result is again positively
-        oriented.
-
-        The image builds its `polygons` from that form when they are
-        first read, and its field is the form's.
+        The image is computed on the lattice form (`Lattice.image`) and
+        stored by `_set`, as the constructor stores its surface, with the
+        gluing pairs in the order the constructor would be given them.
+        Orientation-reversing matrices flip each polygon's boundary order
+        so the result is again positively oriented.  The image's field
+        is the form's.
 
         With det > 0 the image shares this surface's family cache
         (`_family`), validating this surface first if it has not been.
@@ -303,24 +291,16 @@ class TranslationSurface:
         if det_sign > 0:
             self.singularities()
         lat = self.lattice().image(g, reverse=det_sign < 0)
-        sizes = [len(edges) for edges in lat.edges]
-        gl = self.gluing
+        pairs = self.gluing.items()
         if det_sign < 0:
-            gl = {(p, sizes[p] - 1 - e): (q, sizes[q] - 1 - f)
-                  for (p, e), (q, f) in gl.items()}
-        # the order the constructor gives, from the pairs a < b
-        gluing: dict[EdgeRef, EdgeRef] = {}
-        for a, b in gl.items():
-            if a < b:
-                gluing[a] = b
-                gluing[b] = a
+            sizes = [len(edges) for edges in lat.edges]
+            pairs = [((p, sizes[p] - 1 - e), (q, sizes[q] - 1 - f))
+                     for (p, e), (q, f) in pairs]
         image = TranslationSurface.__new__(TranslationSurface)
-        image.gluing = gluing
-        image.ctx = lat.ctx
-        image.label = label
-        image._cache = {"lattice": lat}
-        image._family = self._family if det_sign > 0 else {}
-        image._validate_structure(sizes)
+        # the pairs a < b, in the order the constructor is given them
+        image._set(lat, [(a, b) for a, b in pairs if a < b], label)
+        if det_sign > 0:
+            image._family = self._family
         return image
 
 

@@ -327,6 +327,13 @@ class TestCtx:
         with pytest.raises(ValueError):
             FieldScalar(1, 1, QQ)
 
+    # int(d) read 5.7 and "5" as Q(sqrt 5) and False as Q
+    @pytest.mark.parametrize("d", [5.7, 5.0, "5", False, True, None,
+                                   Fraction(5), Decimal(5)])
+    def test_get_takes_only_an_int(self, d):
+        with pytest.raises(TypeError, match="is not an integer"):
+            FieldCtx.get(d)
+
 
 # values Fraction() would take but that are not exact rationals here: a
 # float would silently become its binary expansion (0.1 is

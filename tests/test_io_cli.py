@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,13 +15,15 @@ import flatdef
 from flatdef import cli, serialize
 from flatdef.cli import main
 from flatdef.cylinders import decompose
+from flatdef.deform import shear, stretch
 from flatdef.errors import FlatdefError
-from flatdef.field import FieldCtx, FieldScalar, Vec2
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
+from flatdef.homology import homology_frame
 from flatdef.render import render_surface
 from flatdef.serialize import (decomposition_to_json, dump_surface, dumps,
                                load_surface, surface_from_json,
                                surface_to_json)
-from flatdef.surface import l_shape, square_tiled
+from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
@@ -131,6 +135,110 @@ class TestSurfaceIO:
         a = dumps(decomposition_to_json(decompose(golden_l, Vec2(1, 1))))
         b = dumps(decomposition_to_json(decompose(golden_l, Vec2(1, 1))))
         assert a == b
+
+
+# The writers of a surface's text, its file and its frame hash, write
+# from the integers of its lattice form; the references below write each
+# coordinate from `surface.polygons`, by str(Fraction) for the file and
+# str(FieldScalar) for the hash.
+def _reference_scalar(x):
+    return [str(x.a), str(x.b)] if x.b else str(x.a)
+
+
+def _reference_json(surface):
+    return {
+        "format": 1,
+        "field": {"d": surface.ctx.d},
+        "polygons": [[[_reference_scalar(e.x), _reference_scalar(e.y)]
+                      for e in poly] for poly in surface.polygons],
+        "gluing": sorted([list(a), list(b)]
+                         for a, b in surface.gluing.items() if a < b),
+        "label": surface.label,
+    }
+
+
+def _reference_hash(surface, frame):
+    payload = {
+        "d": surface.ctx.d,
+        "polygons": [[[str(e.x), str(e.y)] for e in poly]
+                     for poly in surface.polygons],
+        "gluing": sorted([list(a), list(b)]
+                         for a, b in surface.gluing.items() if a < b),
+        "cells": [list(c) for c in frame.cells],
+        "basis": [list(c) for c in frame.basis_chains],
+        "absolute": [list(v) for v in frame.absolute_basis],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _seeded_lshape(d, seed):
+    """An L-shape over Q(sqrt d) whose lengths, drawn from
+    random.Random(seed), all have an irrational part or a denominator."""
+    rng = random.Random(seed)
+    r = FieldCtx.get(d).sqrt_gen()
+
+    def length():
+        return (Fraction(rng.randint(1, 9), rng.randint(2, 5))
+                + Fraction(rng.randint(1, 4), rng.randint(1, 6)) * r)
+
+    w2 = length()
+    return l_shape(w2 + length(), length(), w2, length(),
+                   label=f"l-{d}-{seed}")
+
+
+# the 52 matrices of SL(2,Z) with entries in [-2, 2]
+_SL2Z_SMALL = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3)
+               for c in range(-2, 3) for d in range(-2, 3)
+               if a * d - b * c == 1]
+
+
+def _writer_corpus(group, request):
+    if group == "fixtures":
+        twisted = request.getfixturevalue("multi_twisted")
+        return [request.getfixturevalue(name) for name in
+                ("torus", "l_origami", "golden_l", "marked_torus")] + [
+            twisted(request.getfixturevalue("l_origami"), (1, 1))]
+    if group == "golden-images":
+        golden = request.getfixturevalue("golden_l")
+        flip = Mat2(-1, 0, 0, 1)
+        return [golden.apply_matrix(g) for m in _SL2Z_SMALL
+                for g in (Mat2(*m), Mat2(*m) @ flip)]
+    if group == "lshapes":
+        return [_seeded_lshape(d, seed) for d in (2, 3, 5)
+                for seed in range(4)]
+    if group == "origamis":
+        origami = request.getfixturevalue("seeded_origami")
+        return [origami(n, seed) for n, seed in
+                [(4, 1), (5, 2), (6, 3), (7, 4), (8, 5)]]
+    # the three surfaces of test_output_pin.py's test_subset_rebuild
+    out = []
+    for name, v, op, amount, ids in [
+            ("golden_l", (1, 1), shear, Fraction(1, 3), [0]),
+            ("golden_l", (2, 1), stretch, Fraction(1, 2), [1]),
+            ("l_origami", (1, 0), shear, Fraction(1, 2), [0])]:
+        surf = request.getfixturevalue(name)
+        out.append(op(surf, decompose(surf, Vec2(*v)), amount, ids=ids))
+    return out
+
+
+class TestIntegerWriters:
+    @pytest.mark.parametrize("group", [
+        "fixtures", "golden-images", "lshapes", "origamis", "subset-rebuilds"])
+    def test_writers_match_the_scalar_references(self, group, request,
+                                                 tmp_path):
+        for i, s in enumerate(_writer_corpus(group, request)):
+            text = serialize.dumps(surface_to_json(s))
+            frame = homology_frame(s)
+            assert text == _json_dumps(_reference_json(s))
+            assert frame.hash == _reference_hash(s, frame)
+            pairs = [(a, b) for a, b in s.gluing.items() if a < b]
+            fresh = TranslationSurface(s.polygons, pairs, s.label)
+            assert s == fresh and hash(s) == hash(fresh)
+            path = tmp_path / f"s{i}.json"
+            dump_surface(s, path)
+            assert path.read_text() == text
+            assert load_surface(path) == s
 
 
 @pytest.fixture()
@@ -392,10 +500,11 @@ class TestCLI:
         assert not (tmp / "x.svg").exists() and not (tmp / "x.json").exists()
 
     # each text means 3/2, 1000, 10 or 3 to Fraction, so the square below
-    # would close up if the text were read; only "p/q" text is a scalar
+    # would close up if the text were read; only "p/q" text is a scalar.
+    # 1 + 1*sqrt(d) has an irrational part, which Q ("d": 0) cannot hold
     @pytest.mark.parametrize("text, minus", [
         ("1.5", "-3/2"), ("1e3", "-1000"), ("1_0", "-10"), (" 3", "-3"),
-        ("+3", "-3"),
+        ("+3", "-3"), (["1", "1"], ["-1", "-1"]),
     ])
     def test_non_canonical_scalar_in_file_exit_1(self, tmp_path, capsys,
                                                  text, minus):

@@ -428,6 +428,45 @@ def test_core_crossings_readers_are_found():
         "deform.py: _crossing_cocycle.count"]
 
 
+def _polygons_scopes(sources: dict) -> list[str]:
+    """The functions that read or assign a `.polygons` attribute."""
+    return _scopes_using(sources, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "polygons"))
+
+
+def test_only_the_vec2_readers_touch_polygons():
+    # a surface's coordinates live in its lattice form, and `polygons` is
+    # the cached Vec2 view of it: writers, hashes and comparisons work on
+    # the form's integers, and no code assigns the view
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert _polygons_scopes(sources) == [
+        "deform.py: deform_from_periods",
+        "surface.py: TranslationSurface.__repr__",
+        "surface.py: TranslationSurface.edge_vector",
+    ]
+
+
+def test_polygons_scopes_are_found():
+    sources = {
+        "homology.py": ("class HomologyFrame:\n"
+                        "    def _content_hash(self):\n"
+                        "        return [str(e.x) for poly in "
+                        "self.surface.polygons for e in poly]\n"),
+        "serialize.py": "x = surface.polygons[0]\n",
+        "surface.py": ("class TranslationSurface:\n"
+                       "    def _set(self, polys):\n"
+                       "        self.polygons = polys\n"
+                       "    def polygons(self):\n"
+                       "        return self.lattice().edges\n"),
+    }
+    assert _polygons_scopes(sources) == [
+        "homology.py: HomologyFrame._content_hash",
+        "serialize.py: <module>",
+        "surface.py: TranslationSurface._set",
+    ]
+
+
 # The modules whose cocycles live on integers, and the calls that hand
 # out ComplexScalars.  `transport_factor` builds one that `eta` only
 # takes apart into integers, so it is not among them.
