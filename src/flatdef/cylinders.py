@@ -727,11 +727,13 @@ def _normalize(surface, direction):
     return direction, g, normalized
 
 
-def _trace_east(normalized, g_inv, class_of, corner, max_advance_sq, sc_id):
+def _trace_east(normalized, east, class_of, corner, max_advance_sq, sc_id):
     """Follow the eastward separatrix from `corner` of a normalized surface.
 
     Returns (trace result, SaddleConnection), the connection being None
-    when the trace ran past max_advance_sq.
+    when the trace ran past max_advance_sq.  `east` is v / |v|^2 for the
+    direction vector v, which the normalizing map sends to (1, 0), so a
+    connection advancing by a has holonomy a * east on the surface.
     """
     res = trace_from_corner(normalized, corner, max_advance_sq=max_advance_sq)
     if res.kind == "bound":
@@ -739,7 +741,7 @@ def _trace_east(normalized, g_inv, class_of, corner, max_advance_sq, sc_id):
     hol_norm = Vec2(res.advance, FieldScalar(0, 0, normalized.ctx))
     return res, SaddleConnection(
         sc_id=sc_id,
-        holonomy=g_inv.apply(hol_norm),
+        holonomy=east.scale(res.advance),
         normalized_holonomy=hol_norm,
         start_corner=corner,
         end_corner=res.end_corner,
@@ -763,9 +765,9 @@ def trace_separatrix(surface: TranslationSurface, corner, direction,
     positive raises NonPositiveLength.
     """
     trace_length = _positive("trace_length", trace_length)
-    direction, g, normalized = _normalize(surface, direction)
+    direction, _, normalized = _normalize(surface, direction)
     n = direction.vector.norm_sq()
-    res, sc = _trace_east(normalized, g.inverse(),
+    res, sc = _trace_east(normalized, direction.vector.scale(n.inverse()),
                           normalized.vertex_class_map(), corner,
                           trace_length * trace_length * n, 0)
     if sc is None:
@@ -814,14 +816,15 @@ def decompose(surface: TranslationSurface, direction,
     else:
         bound_sq = trace_length * trace_length
     # advance on the normalized surface is x-progress = |v| * length on M
-    max_advance_sq = bound_sq * v.norm_sq()
+    n = v.norm_sq()
+    max_advance_sq = bound_sq * n
 
     saddle_connections = []
     unresolved = []
-    g_inv = g.inverse()
+    east = v.scale(n.inverse())
     class_of = normalized.vertex_class_map()
     for corner in east_ray_corners(normalized):
-        _, sc = _trace_east(normalized, g_inv, class_of, corner,
+        _, sc = _trace_east(normalized, east, class_of, corner,
                             max_advance_sq, len(saddle_connections))
         if sc is None:
             unresolved.append(corner)

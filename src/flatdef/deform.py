@@ -10,13 +10,14 @@ core classes and is dual to the cross classes.  Shear and stretch act by
 one matrix M on the chosen cylinders of the normalized surface: a frame
 cell whose member share in the decomposition's cut is s goes to g^-1
 (M(s v) + (1 - s) v).  When the chosen cylinders fill the surface the
-deformation is the GL(2,R) image under g^-1 M; otherwise the surface is
-recut along exactly those cylinder boundaries where moved and fixed
-regions meet.  Linearity in period coordinates is checked exactly, on
-integers in normalized coordinates.  A decomposition carries its
-surface and frame; a surface or frame handed beside it (to `shear`,
-`stretch`, `twist_space`, `cylinder_preserving_space`,
-`verify_linearity`) goes through `Decomposition.check_own`.
+deformation is the input surface's GL(2,R) image under g^-1 M g;
+otherwise the surface is recut along exactly those cylinder boundaries
+where moved and fixed regions meet.  Linearity in period coordinates
+is checked exactly, on integers in normalized coordinates.  A
+decomposition carries its surface and frame; a surface or frame handed
+beside it (to `shear`, `stretch`, `twist_space`,
+`cylinder_preserving_space`, `verify_linearity`) goes through
+`Decomposition.check_own`.
 """
 
 from __future__ import annotations
@@ -199,17 +200,17 @@ def _member_components(decomposition: Decomposition, member_ids) -> set:
 
 def _deformed_surface(decomposition: Decomposition, member_ids,
                       inner: Mat2) -> TranslationSurface:
-    """The deformed surface: with every cut component a member, the
-    image under g^-1 @ inner (det > 0, so apply_matrix carries the
-    validation over); otherwise the recut, which a proper subset or a
+    """The deformed surface: with every cut component a member, its
+    image under conj = g^-1 @ inner @ g (det > 0, so the validation
+    carries over); otherwise the recut, which a proper subset or a
     Partial decomposition's uncertified components need."""
+    g = decomposition.matrix
+    conj = g.inverse() @ inner @ g
     members = _member_components(decomposition, member_ids)
     if all(piece.component in members for piece in decomposition.cut.pieces):
-        return decomposition.normalized.apply_matrix(
-            decomposition.matrix.inverse() @ inner,
-            label=decomposition.surface.label)
+        return decomposition.surface.apply_matrix(conj)
     return _recut_surface(decomposition, _recut(decomposition, members),
-                          inner)
+                          conj)
 
 
 def _member_shares(decomposition: Decomposition, member_ids) -> list:
@@ -281,11 +282,12 @@ def _recut(decomposition: Decomposition, members):
 
 
 def _recut_surface(decomposition: Decomposition, recut,
-                   inner: Mat2) -> TranslationSurface:
-    """The recut pieces as a surface, `inner` (in normalized coordinates)
-    applied to the treated ones."""
+                   conj: Mat2) -> TranslationSurface:
+    """The recut pieces as a surface, read on the surface itself (a
+    vertex or edge parameter is the same on it and its normalized
+    image), with `conj` applied to the treated ones."""
     normalized = decomposition.normalized
-    g_inv = decomposition.matrix.inverse()
+    surface = decomposition.surface
     pieces, subs, treat = recut
 
     # polygons of the deformed surface; piece ids are their positions
@@ -293,10 +295,9 @@ def _recut_surface(decomposition: Decomposition, recut,
     for piece in pieces:
         poly = []
         for item in piece.items:
-            vec = (_point_coords(normalized, piece.polygon, item.end)
-                   - _point_coords(normalized, piece.polygon, item.start))
-            mapped = inner.apply(vec) if treat[piece.pid] else vec
-            poly.append(g_inv.apply(mapped))
+            vec = (_point_coords(surface, piece.polygon, item.end)
+                   - _point_coords(surface, piece.polygon, item.start))
+            poly.append(conj.apply(vec) if treat[piece.pid] else vec)
         new_polys.append(poly)
 
     # sub-edges pair with their mates across every cell, horizontal or
@@ -309,9 +310,7 @@ def _recut_surface(decomposition: Decomposition, recut,
             if item.kind == "chord":
                 sides.setdefault(item.chord_id, []).append((piece.pid, k))
     gluing.extend(sides.values())
-    result = TranslationSurface(new_polys, gluing, decomposition.surface.label)
-    result.singularities()
-    return result
+    return TranslationSurface(new_polys, gluing, surface.label)
 
 
 def shear(surface: TranslationSurface, decomposition: Decomposition, t,

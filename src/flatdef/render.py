@@ -2,8 +2,8 @@
 
 Float conversion happens only here, for display; nothing feeds back
 into any computation.  Polygons are laid out side by side; with a
-decomposition, its pieces are filled per cylinder (in the original,
-un-normalized coordinates) and core leaves are drawn on top.
+decomposition, its pieces are filled per cylinder and core leaves drawn
+on top, at their vertices and edge parameters on the surface itself.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def _svg(surface, decomposition):
     body = []
     fills = decomposition is not None and decomposition.status != NO_CYLINDER
     if fills:
-        g_inv = decomposition.matrix.inverse()
         cyl_of_piece = {}
         for cyl in decomposition.cylinders:
             for pid in cyl.piece_ids:
@@ -92,8 +91,7 @@ def _svg(surface, decomposition):
             pts = []
             off = offsets[piece.polygon]
             for item in piece.items:
-                w = g_inv.apply(_point_coords(decomposition.normalized,
-                                              piece.polygon, item.start))
+                w = _point_coords(surface, piece.polygon, item.start)
                 pts.append((float(w.x) + off[0], float(w.y) + off[1]))
             body.append(
                 f'<polygon class="cylinder" points="{_fmt_pts(pts)}" '
@@ -105,12 +103,10 @@ def _svg(surface, decomposition):
             f'<polygon class="polygon" points="{_fmt_pts(pts)}" '
             f'fill="none" stroke="#222222" stroke-width="0.02"/>')
     if fills:
-        norm = decomposition.normalized
-        g_inv = decomposition.matrix.inverse()
         for cyl in decomposition.cylinders:
             for p, start, end in cyl.core_chords:
-                a = g_inv.apply(_point_coords(norm, p, start))
-                b = g_inv.apply(_point_coords(norm, p, end))
+                a = _point_coords(surface, p, start)
+                b = _point_coords(surface, p, end)
                 off = offsets[p]
                 body.append(
                     f'<line class="core" x1="{float(a.x) + off[0]:.6f}" '

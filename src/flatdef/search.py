@@ -176,7 +176,6 @@ def enumerate_saddle_connections(surface: TranslationSurface,
     holonomies); callers deduplicate as needed.  `bound_sq` is an int,
     a Fraction or a FieldScalar of the surface's field (or rational).
     """
-    surface.singularities()
     tri = triangulated(surface)
     lat = surface.lattice()
     bound = _Bound(lat, bound_sq)

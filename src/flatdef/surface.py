@@ -67,11 +67,12 @@ class SingularityData:
 
 
 class TranslationSurface:
-    """Immutable translation surface; validation happens on construction.
+    """Immutable translation surface, valid from construction.
 
     Its coordinates are held once, in its lattice form (`lattice()`),
     which the constructor and `apply_matrix` both store by `_set`;
     `polygons` is built from that form the first time it is read.
+    `_set` ends by validating the surface, so no invalid one exists.
 
     Computed data is cached in two dicts.  `_cache` holds what depends on
     the surface's own coordinates: its lattice form, vertices, homology
@@ -85,14 +86,16 @@ class TranslationSurface:
         polys = [[v if isinstance(v, Vec2) else Vec2(*v) for v in poly]
                  for poly in polygons]
         pairs = gluing.items() if isinstance(gluing, dict) else gluing
+        self._family = {}
         self._set(Lattice(polys),
                   [((_index(a[0]), _index(a[1])), (_index(b[0]), _index(b[1])))
                    for a, b in pairs], label)
 
     def _set(self, lat: Lattice, pairs, label: str) -> None:
         """Store the lattice form, the gluing of the (a, b) pairs in
-        their order and the label, and check that the gluing is a
-        perfect matching of the edges."""
+        their order and the label, check that the gluing is a perfect
+        matching of the edges, and validate the surface.  The caller
+        sets `_family` first; a det > 0 image's holds its source's data."""
         gluing: dict[EdgeRef, EdgeRef] = {}
         for a, b in pairs:
             gluing[a] = b
@@ -101,7 +104,6 @@ class TranslationSurface:
         self.ctx = lat.ctx
         self.label = label
         self._cache = {"lattice": lat}
-        self._family = {}
         all_refs = set(self.edge_refs())
         if set(gluing) != all_refs:
             missing = sorted(all_refs - set(gluing))
@@ -111,6 +113,7 @@ class TranslationSurface:
         for a, b in gluing.items():
             if gluing[b] != a or a == b:
                 raise GluingMismatch(f"gluing is not an involution at {a}")
+        self.singularities()
 
     @cached_property
     def polygons(self) -> tuple[tuple[Vec2, ...], ...]:
@@ -118,9 +121,6 @@ class TranslationSurface:
         form the first time they are read."""
         lat = self.lattice()
         return tuple(tuple(lat.vec2(e) for e in edges) for edges in lat.edges)
-
-    def edge_vector(self, ref: EdgeRef) -> Vec2:
-        return self.polygons[ref[0]][ref[1]]
 
     def edge_refs(self):
         for p, edges in enumerate(self.lattice().edges):
@@ -253,8 +253,8 @@ class TranslationSurface:
 
     def __repr__(self):
         name = self.label or "surface"
-        return (f"TranslationSurface({name}: {len(self.polygons)} polygons, "
-                f"d={self.ctx.d})")
+        return (f"TranslationSurface({name}: "
+                f"{len(self.lattice().edges)} polygons, d={self.ctx.d})")
 
     # -- GL(2, R) action ---------------------------------------------------
 
@@ -269,7 +269,7 @@ class TranslationSurface:
         is the form's.
 
         With det > 0 the image shares this surface's family cache
-        (`_family`), validating this surface first if it has not been.
+        (`_family`), so it is valid by this surface's validation.
         A linear map of positive determinant keeps every polygon closed,
         simple and counterclockwise and keeps glued edges opposite;
         corners and gluing, hence the vertex classes, are the same.
@@ -281,15 +281,13 @@ class TranslationSurface:
         which depends only on polygon sizes, edge indices, gluing and
         vertex classes, and the triangulation, whose ear-clip choices
         are orientation signs that such a map keeps.  With det < 0 the
-        corners are renumbered, so the image starts a family of its own.
+        corners are renumbered: a family of its own, validated afresh.
         """
         det_sign = g.det().sign()
         if det_sign == 0:
             raise SingularMatrix("matrix has determinant zero")
         if label is None:
             label = self.label
-        if det_sign > 0:
-            self.singularities()
         lat = self.lattice().image(g, reverse=det_sign < 0)
         pairs = self.gluing.items()
         if det_sign < 0:
@@ -297,10 +295,9 @@ class TranslationSurface:
             pairs = [((p, sizes[p] - 1 - e), (q, sizes[q] - 1 - f))
                      for (p, e), (q, f) in pairs]
         image = TranslationSurface.__new__(TranslationSurface)
+        image._family = self._family if det_sign > 0 else {}
         # the pairs a < b, in the order the constructor is given them
         image._set(lat, [(a, b) for a, b in pairs if a < b], label)
-        if det_sign > 0:
-            image._family = self._family
         return image
 
 
@@ -326,7 +323,7 @@ def component_labels(n: int, neighbours) -> list[int]:
 
 
 def validate(surface: TranslationSurface) -> SingularityData:
-    """Full validation; returns cone orders, genus and stratum signature."""
+    """The singularity data validation found at construction."""
     return surface.singularities()
 
 
@@ -396,9 +393,7 @@ def square_tiled(h, v, n: int | None = None, label: str = "") -> TranslationSurf
     for i in range(n):
         gluing.append(((i, 1), (ht[i], 3)))
         gluing.append(((i, 2), (vt[i], 0)))
-    surf = TranslationSurface(polys, gluing, label or f"origami-{n}")
-    surf.singularities()
-    return surf
+    return TranslationSurface(polys, gluing, label or f"origami-{n}")
 
 
 def l_shape(w1, h1, w2, h2, label: str = "") -> TranslationSurface:
@@ -430,6 +425,4 @@ def l_shape(w1, h1, w2, h2, label: str = "") -> TranslationSurface:
         Vec2(zero, -h1),       # 7 lower left side
     ]
     gluing = [((0, 0), (0, 5)), ((0, 1), (0, 3)), ((0, 2), (0, 7)), ((0, 4), (0, 6))]
-    surf = TranslationSurface([edges], gluing, label or "l-shape")
-    surf.singularities()
-    return surf
+    return TranslationSurface([edges], gluing, label or "l-shape")

@@ -244,7 +244,8 @@ class TestFullSetDeformation:
                 out, recuts = _recut_count(monkeypatch, op, surf, d, amount)
                 assert recuts == 0
                 recut = _recut(d, members)
-                assert out == _recut_surface(d, recut, inner)
+                assert out == _recut_surface(
+                    d, recut, d.matrix.inverse() @ inner @ d.matrix)
                 assert share_holonomies(d, ids, inner) == \
                     ref_recut_holonomies(d, ref_recut(d, members), inner)
 

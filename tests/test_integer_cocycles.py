@@ -36,7 +36,7 @@ def ref_periods(frame):
         acc = _zero(frame)
         for cell, coeff in zip(frame.cells, chain):
             if coeff:
-                v = frame.surface.edge_vector(cell)
+                v = frame.surface.polygons[cell[0]][cell[1]]
                 acc = acc + ComplexScalar(v.x, v.y) * coeff
         out.append(acc)
     return out
@@ -75,7 +75,7 @@ def check_frame(frame):
         assert frame.evaluate(omega, coords) == ref_dot(
             ref_periods(frame), coords, frame)
         # the period on a cell is its edge vector
-        v = frame.surface.edge_vector(cell)
+        v = frame.surface.polygons[cell[0]][cell[1]]
         assert frame.evaluate(omega, coords) == ComplexScalar(v.x, v.y)
 
 

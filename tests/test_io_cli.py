@@ -241,6 +241,69 @@ class TestIntegerWriters:
             assert load_surface(path) == s
 
 
+# surface files that are not translation surfaces, by the error that
+# rejects each: a polygon that does not close up, and a bow-tie whose
+# edges 1 and 3 cross (it closes, and its signed area is 0)
+BAD_FILES = {
+    "NonClosedPolygon: polygon 0 does not close up": {
+        "format": 1, "field": {"d": 0},
+        "polygons": [[["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-2"]]],
+        "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+        "label": "broken",
+    },
+    "NonSimplePolygon: polygon 0: edges 1 and 3 intersect": {
+        "format": 1, "field": {"d": 0},
+        "polygons": [[["1", "0"], ["-1", "1"], ["1", "0"], ["-1", "-1"]]],
+        "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+        "label": "bow-tie",
+    },
+}
+
+
+@pytest.fixture(params=sorted(BAD_FILES), ids=lambda line: line.split(":")[0])
+def bad_file(request, tmp_path):
+    """(path of a bad surface file, the error line rejecting it)."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_FILES[request.param]))
+    return path, request.param
+
+
+class TestBadFiles:
+    # a surface is valid from construction, so no entry point meets an
+    # invalid one: each rejects the file with its own error, never with
+    # InternalInvariantError
+    def test_construction_raises(self, bad_file):
+        path, line = bad_file
+        name, message = line.split(": ", 1)
+        data = json.loads(path.read_text())
+        polys = [[tuple(Fraction(c) for c in v) for v in poly]
+                 for poly in data["polygons"]]
+        gluing = [(tuple(a), tuple(b)) for a, b in data["gluing"]]
+        for build in (lambda: TranslationSurface(polys, gluing),
+                      lambda: surface_from_json(data),
+                      lambda: load_surface(path)):
+            with pytest.raises(FlatdefError) as info:
+                build()
+            assert (info.value.name, str(info.value)) == (name, message)
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "{src}"],
+        ["render", "{src}", "-o", "{tmp}/x.svg"],
+        ["decompose", "{src}", "--direction", "1,0", "-o", "{tmp}/x.json",
+         "--svg", "{tmp}/x.svg"],
+        ["scan", "{src}", "--max-len", "2"],
+        ["rank", "{src}", "--max-len", "2"],
+        ["shear", "{src}", "--direction", "1,0", "--t", "1",
+         "-o", "{tmp}/x.json"],
+    ], ids=lambda command: command[0])
+    def test_commands_exit_1(self, bad_file, capsys, command):
+        path, line = bad_file
+        argv = [a.format(src=path, tmp=path.parent) for a in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["bad.json"]
+
+
 @pytest.fixture()
 def cli_surfaces(tmp_path):
     lori = tmp_path / "lori.json"

@@ -440,10 +440,42 @@ def test_only_the_vec2_readers_touch_polygons():
     # the form's integers, and no code assigns the view
     src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
     sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
-    assert _polygons_scopes(sources) == [
-        "deform.py: deform_from_periods",
-        "surface.py: TranslationSurface.__repr__",
-        "surface.py: TranslationSurface.edge_vector",
+    assert _polygons_scopes(sources) == ["deform.py: deform_from_periods"]
+
+
+def _validation_for_effect(sources: dict) -> list[str]:
+    """The functions that call `.singularities()` as a statement of its
+    own, its result discarded: they call it to validate."""
+    return _scopes_using(sources, lambda node: (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "singularities"))
+
+
+def test_only_construction_validates():
+    # a surface is validated once, when `_set` stores it, so no other
+    # code calls `singularities()` for its side effect
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _validation_for_effect(sources) == [
+        "surface.py: TranslationSurface._set"]
+
+
+def test_validation_for_effect_is_found():
+    sources = {
+        "surface.py": ("class TranslationSurface:\n"
+                       "    def _set(self):\n"
+                       "        self.singularities()\n"
+                       "    def classes(self):\n"
+                       "        return self.singularities().classes\n"),
+        "search.py": ("def enumerate_saddle_connections(surface):\n"
+                      "    surface.singularities()\n"
+                      "    data = surface.singularities()\n"),
+    }
+    assert _validation_for_effect(sources) == [
+        "search.py: enumerate_saddle_connections",
+        "surface.py: TranslationSurface._set",
     ]
 
 

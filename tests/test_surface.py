@@ -228,11 +228,18 @@ class TestTransportedValidation:
     def test_golden_direction_normalizers(self, v):
         self._check(Mat2.direction_normalizer(Vec2(*v)))
 
-    def test_unvalidated_source_is_validated_first(self):
+    def test_no_unvalidated_source_exists(self):
+        # the source an image would share its family with is rejected
+        # when it is built
         polys = [[Vec2(2, 0), Vec2(-1, 1), Vec2(0, -2), Vec2(-1, 1)]]
         gluing = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
         with pytest.raises(NonSimplePolygon):
-            TranslationSurface(polys, gluing).apply_matrix(Mat2.shear(1))
+            TranslationSurface(polys, gluing)
+
+    def test_repr_leaves_polygons_unbuilt(self):
+        image = golden_l().apply_matrix(Mat2.shear(1))
+        assert repr(image) == "TranslationSurface(golden-l: 1 polygons, d=5)"
+        assert "polygons" not in vars(image)
 
 
 class TestForeignField:
