@@ -43,6 +43,20 @@ def marked_torus():
 
 
 @pytest.fixture(scope="session")
+def two_point_torus():
+    """A factory: the unit square torus with a second marked point
+    p = (x, y), 0 < y < 1, as two parallelograms: O, (1, 0), (1, 0) + p,
+    p, and p, (1, 0) + p, (1, 1), (0, 1)."""
+    def torus(x, y):
+        polys = [[Vec2(1, 0), Vec2(x, y), Vec2(-1, 0), Vec2(-x, -y)],
+                 [Vec2(1, 0), Vec2(-x, 1 - y), Vec2(-1, 0), Vec2(x, y - 1)]]
+        gluing = [((0, 0), (1, 2)), ((0, 2), (1, 0)),
+                  ((0, 1), (0, 3)), ((1, 1), (1, 3))]
+        return TranslationSurface(polys, gluing, "two-point-torus")
+    return torus
+
+
+@pytest.fixture(scope="session")
 def multi_twisted():
     """A factory: the shear of every cylinder of a surface in direction v
     by the least t > 0 that twists each one a whole number of times

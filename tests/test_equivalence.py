@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatdef import equivalence
+from flatdef import search
 from flatdef.cylinders import decompose
 from flatdef.equivalence import delaunay_cells, translation_equivalent
 from flatdef.errors import InternalInvariantError
@@ -104,7 +104,7 @@ class TestGuards:
     def test_flip_limit_raises(self, monkeypatch, multi_twisted,
                                seeded_origami):
         twisted = multi_twisted(seeded_origami(6, 6), (1, 1))
-        monkeypatch.setattr(equivalence, "MAX_FLIPS", 0)
+        monkeypatch.setattr(search, "MAX_FLIPS", 0)
         with pytest.raises(InternalInvariantError, match="did not terminate"):
             delaunay_cells(twisted)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import flatdef
+from flatdef import search
 from flatdef.cylinders import decompose
 from flatdef.deform import eta
 from flatdef.field import FieldCtx, Mat2, Vec2
@@ -713,3 +714,61 @@ def test_network_modules_are_found():
         ["xml.sax.saxutils", "_socket", "ssl", "json", "emails",
          "flatdef.render", "html"]) == ["_socket", "html", "ssl",
                                         "xml.sax.saxutils"]
+
+
+# the Delaunay flip and its predicates: one triangulation module holds them
+_TRIANGULATION_DEFS = ("flip", "_incircle", "_delaunay")
+
+
+def _definitions(sources: dict, names) -> dict:
+    """For each of `names`, the places ("module: line") that define a
+    function or method of that name."""
+    found = {name: [] for name in names}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in found):
+                found[node.name].append(f"{module}: {node.lineno}")
+    return found
+
+
+def test_one_flip_implementation():
+    # the saddle-connection search and translation equivalence share the
+    # Delaunay flips of `search.py`
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    found = _definitions(sources, _TRIANGULATION_DEFS)
+    assert {name: [place.split(":")[0] for place in places]
+            for name, places in found.items()} == {
+        name: ["search.py"] for name in _TRIANGULATION_DEFS}
+
+
+def test_duplicate_definitions_are_found():
+    sources = {
+        "search.py": ("class _Tri:\n    def flip(self):\n        pass\n\n"
+                      "def _incircle():\n    pass\n"),
+        "equivalence.py": ("def _delaunay():\n    def flip():\n"
+                           "        pass\n"),
+    }
+    assert _definitions(sources, _TRIANGULATION_DEFS) == {
+        "flip": ["search.py: 2", "equivalence.py: 2"],
+        "_incircle": ["search.py: 5"],
+        "_delaunay": ["equivalence.py: 1"],
+    }
+
+
+def test_directions_search_through_the_module_binding(monkeypatch, golden_l):
+    # the traced benchmark times the search by wrapping
+    # `search.enumerate_saddle_connections`, so `enumerate_directions`
+    # must reach it through that binding to be seen
+    calls = []
+    enumerate_ = search.enumerate_saddle_connections
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_(*args)
+
+    monkeypatch.setattr(search, "enumerate_saddle_connections", counted)
+    assert search.enumerate_directions(golden_l, 4)
+    assert len(calls) == 1

@@ -13,9 +13,13 @@ from fractions import Fraction
 
 import pytest
 
+import reference_search
+from flatdef import search
 from flatdef.field import FieldCtx, FieldScalar, Mat2
-from flatdef.search import enumerate_saddle_connections
+from flatdef.search import (_Tri, _delaunay, _incircle,
+                            enumerate_saddle_connections)
 from flatdef.surface import l_shape, square_tiled
+from reference_search import GOLDEN_KNOWN_DEFECT, GOLDEN_MATRICES
 
 Q2 = FieldCtx.get(2)
 Q5 = FieldCtx.get(5)
@@ -106,3 +110,69 @@ class TestWorkCount:
         (small, n_small), (large, n_large) = counts
         assert n_large > n_small
         assert small == large == 0
+
+    def test_delaunay_half_plane_halves_the_windows(self, monkeypatch):
+        # the 48 golden images of the golden-certify workload at R^2 = 1:
+        # the Delaunay triangulation has fewer thin triangles to split
+        # windows, and the half-plane searches each connection from one
+        # end; the ear-clip search from both ends opens 6,608 windows
+        calls = []
+        window_within = search._window_within
+
+        def counting(*args):
+            calls.append(1)
+            return window_within(*args)
+
+        monkeypatch.setattr(search, "_window_within", counting)
+        monkeypatch.setattr(reference_search, "_window_within", counting)
+        images = [golden().apply_matrix(Mat2(*m)) for m in GOLDEN_MATRICES
+                  if m not in GOLDEN_KNOWN_DEFECT]
+        assert len(images) == 48
+        counts = []
+        for enumerate_ in (enumerate_saddle_connections,
+                           reference_search.ref_enumerate_saddle_connections):
+            calls.clear()
+            n_found = sum(len(enumerate_(image, 1)) for image in images)
+            counts.append((len(calls), n_found))
+        (windows, n_found), (ref_windows, ref_found) = counts
+        assert n_found == ref_found > 0
+        assert 2 * windows <= ref_windows
+
+
+class TestFlipInvariants:
+    """After `_delaunay`, every glued side pair joins corners of the same
+    classes and every hinge passes the incircle test."""
+
+    def _check(self, surface):
+        tri = _Tri(surface)
+        _delaunay(tri)
+        for (t, k), (t2, k2) in tri.gluing.items():
+            # side (t, k) runs from corner k to k+1, its mate the other way
+            assert tri.classes[t][k] == tri.classes[t2][(k2 + 1) % 3]
+            assert tri.classes[t][(k + 1) % 3] == tri.classes[t2][k2]
+            assert _incircle(*tri.hinge(t, k), tri.lat.d) <= 0
+        return tri
+
+    @pytest.mark.parametrize("name", ["torus", "l_origami", "golden_l",
+                                      "marked_torus"])
+    def test_fixture(self, request, name):
+        self._check(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (5, 3), (7, 5), (9, 7)])
+    def test_seeded_origami(self, seeded_origami, n, seed):
+        self._check(seeded_origami(n, seed))
+
+    @pytest.mark.parametrize("n, seed, v", [(6, 6, (1, 1)), (8, 8, (1, 0))])
+    def test_flipped_origami(self, multi_twisted, seeded_origami, n, seed,
+                             v):
+        # multi-twisted origamis take dozens of flips, so the class
+        # bookkeeping of `flip` is exercised, not only the ear clip's
+        surface = multi_twisted(seeded_origami(n, seed), v)
+        assert self._check(surface).edges != _Tri(surface).edges
+
+    def test_two_point_torus(self, two_point_torus):
+        # two vertex classes, and flips that join them
+        surface = two_point_torus(Fraction(1, 2), Fraction(1, 3))
+        assert len(surface.singularities().classes) == 2
+        assert self._check(surface).edges != _Tri(surface).edges
+
