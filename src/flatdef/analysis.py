@@ -20,7 +20,7 @@ from .cylinders import Decomposition, NO_CYLINDER, PERIODIC, decompose
 from .deform import (_crossing_cocycle, cylinder_preserving_space,
                      deform_from_periods, eta)
 from .errors import DeformationTooLarge, InternalInvariantError
-from .field import FieldScalar
+from .field import _as_scalar
 from .homology import Cocycle, HomologyFrame, homology_frame
 from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
@@ -263,8 +263,7 @@ def more_cylinders_search(decomposition: Decomposition, eps,
     """
     if decomposition.status != PERIODIC:
         raise ValueError("search needs a Periodic decomposition")
-    if not isinstance(eps, FieldScalar):
-        eps = FieldScalar(eps)
+    eps = _as_scalar(eps)
     surface, frame = decomposition.surface, decomposition.frame
     cp_gens, cp_dim = cylinder_preserving_space(surface, frame,
                                                 decomposition)

@@ -6,7 +6,9 @@ precision is lost at the boundary.  Exit codes: 0 ok, 1 input error
 (including a --bound, --factor or --max-len that is not positive),
 2 internal error: an internal invariant violation or any other
 unexpected exception, reported as one "InternalError: ..." line on
-stderr.
+stderr.  A usage error (an unknown command or option, or a missing
+required one) also exits 2: argparse reports it before any command
+runs.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from functools import cache
 from .analysis import (accumulate_tangent, complete_parabolicity_check,
                        complete_periodicity_scan, field_bound,
                        rank_lower_bound)
-from .cylinders import _positive, decompose
+from .cylinders import decompose
 from .deform import shear, stretch, verify_linearity
 from .equivalence import translation_equivalent
 from .errors import FlatdefError, InternalInvariantError
-from .field import FieldScalar, Vec2, parse_scalar
+from .field import FieldScalar, Vec2, _positive, parse_scalar
 from .render import render_surface
 from .search import enumerate_directions
-from .serialize import (decomposition_to_json, dump_surface, dumps,
-                        load_surface, span_to_json)
+from .serialize import (FORMAT_VERSION, decomposition_to_json, dump_surface,
+                        dumps, load_surface, span_to_json)
 from .surface import l_shape, square_tiled, validate
 
 
@@ -126,7 +128,7 @@ def _deform_common(args, op):
                 "full-set deformation rule; pass --uncertified to proceed")
         ids = [int(x) for x in args.subset.split(",")]
     else:
-        if dec.status != "Periodic":
+        if not dec.is_periodic:
             raise FlatdefError(
                 f"direction is {dec.status}, not certified Periodic; "
                 f"use --subset with --uncertified for partial sets")
@@ -156,8 +158,7 @@ def cmd_rank(args):
     surface = load_surface(args.surface)
     radius_sq = _max_len_sq(args)
     directions = enumerate_directions(surface, radius_sq)
-    span = accumulate_tangent(surface, [d.vector for d in directions],
-                              **_bound_kwargs(args))
+    span = accumulate_tangent(surface, directions, **_bound_kwargs(args))
     k_lb = rank_lower_bound(span)
     payload = span_to_json(span, k_lb)
     payload["directions_scanned"] = len(directions)
@@ -193,9 +194,9 @@ def cmd_scan(args):
                     "field equals Q[ratios] only if these cylinders form "
                     "one parallelism class of the orbit closure"),
             })
-        rep = {"format": 1, "mode": "field", "entries": table,
+        rep = {"mode": "field", "entries": table,
                "directions": scan["directions"]}
-    rep["format"] = 1
+    rep["format"] = FORMAT_VERSION
     _emit(args, rep)
     return 0
 
@@ -260,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--subset", help="comma-separated cylinder ids")
         p.add_argument("--uncertified", action="store_true",
                        help="allow proper subsets (not orbit-certified)")
-        p.add_argument("--check-equivalent", action="store_true")
+        if name == "shear":
+            p.add_argument("--check-equivalent", action="store_true")
         add_bounds(p)
         p.add_argument("-o", "--output", required=True)
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .errors import InternalInvariantError, NonPositiveLength, StaleCocycle
-from .field import FieldScalar, Mat2, Vec2, _new, _sign, _sum_is_one
+from .errors import InternalInvariantError, StaleCocycle
+from .field import (FieldScalar, Mat2, Vec2, _new, _positive, _sign,
+                    _sum_is_one)
 from .homology import HomologyFrame, homology_frame
-from .polygon import (_EAST, _ORIGIN, _dot, _norm, _sub, cross_sign,
+from .polygon import (_EAST, _ORIGIN, _WEST, _dot, _norm, _sub, cross_sign,
                       signed_area2)
 from .surface import TranslationSurface, component_labels
 from .tracing import east_ray_corners, trace_from_corner
@@ -332,9 +333,6 @@ def _is_edge_run(surface, chord) -> bool:
             and end[1] == (start[1] + 1) % len(surface.lattice().edges[p]))
 
 
-_WEST = (-1, 0, 0, 0)
-
-
 def _pick_first_cw(back, candidates, d):
     """The candidate direction first met rotating CW from `back`, the
     reversed incoming direction.
@@ -499,11 +497,10 @@ class _ComponentCheck:
     """The verdict on one component of the cut, with its reason when it
     fails.  A certified component keeps its walk, its boundary circles
     as (pid, k) items, its circumference and area, and, for the cross
-    curve, its corners over D*Q (`_corner_points`) and its
-    circumference as a pair over D*Q."""
+    curve, its corners over D*Q (`_corner_points`)."""
 
     __slots__ = ("ok", "reason", "walk", "bottom", "top", "circumference",
-                 "area", "pieces", "corners", "length")
+                 "area", "pieces", "corners")
 
     def __init__(self, ok, reason="", **fields):
         self.ok = ok
@@ -599,8 +596,7 @@ def _check_component(surface, comp_pieces, edge_runs):
     check = _ComponentCheck(True, walk=walk, top=top,
                             circumference=_new(*length, DQ, lat.ctx),
                             area=_new(A, B, 2 * DQ * DQ, lat.ctx),
-                            pieces=comp_pieces, corners=corners,
-                            length=length)
+                            pieces=comp_pieces, corners=corners)
     if _offsets(check, walk)[1] != tuple(2 * x for x in length):
         raise InternalInvariantError("core leaf does not close up")
     i = bottom.index(min(bottom))
@@ -704,15 +700,6 @@ class BoundExceeded:
 
     def __repr__(self):
         return f"BoundExceeded(advance_sq={self.advance_sq})"
-
-
-def _positive(name, value):
-    """`value` as a FieldScalar; NonPositiveLength unless it is positive."""
-    if not isinstance(value, FieldScalar):
-        value = FieldScalar(value)
-    if value.sign() <= 0:
-        raise NonPositiveLength(f"{name} must be positive, got {value}")
-    return value
 
 
 def _normalize(surface, direction):

@@ -26,7 +26,7 @@ from .cylinders import (Decomposition, _build_cut_pieces, _mates,
                         _point_coords, decompose)
 from .errors import (DeformationTooLarge, DegenerateCylinder, FlatdefError,
                      InternalInvariantError)
-from .field import FieldScalar, Mat2, Vec2, join_ctx
+from .field import FieldScalar, Mat2, Vec2, _as_scalar, join_ctx
 from .homology import Cocycle, HomologyFrame, homology_frame
 from .linalg import _quads, rational_relation_lattice, row_reduce
 from .polygon import _mul, _pairs
@@ -169,8 +169,7 @@ def torus_closure(moduli,
     when a decomposition is supplied, so is the induced rational tangent
     cocycle sum_i t_i c_i I_i.
     """
-    vals = [m if isinstance(m, FieldScalar) else FieldScalar(m)
-            for m in moduli]
+    vals = [_as_scalar(m) for m in moduli]
     if any(m.sign() <= 0 for m in vals):
         raise ValueError("moduli must be positive")
     relations, allowed = rational_relation_lattice(vals)
@@ -324,8 +323,6 @@ def shear(surface: TranslationSurface, decomposition: Decomposition, t,
     law, which verify_linearity re-checks independently.
     """
     decomposition.check_own(surface)
-    if not isinstance(t, FieldScalar):
-        t = FieldScalar(t)
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
     return _deformed_surface(decomposition, chosen, Mat2.shear(t))
 
@@ -334,9 +331,7 @@ def stretch(surface: TranslationSurface, decomposition: Decomposition, s,
             ids=None):
     """The cylinder stretch with vertical scale 1+s on the chosen set."""
     decomposition.check_own(surface)
-    if not isinstance(s, FieldScalar):
-        s = FieldScalar(s)
-    one_plus = FieldScalar(1) + s
+    one_plus = FieldScalar(1) + _as_scalar(s)
     if one_plus.sign() <= 0:
         raise DegenerateCylinder("stretch needs 1 + s > 0")
     chosen = {cyl.cyl_id for cyl in _cylinder_subset(decomposition, ids)}
@@ -364,8 +359,7 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
     that is not the decomposition's raises StaleCocycle.
     """
     decomposition.check_own(surface, frame)
-    if not isinstance(t, FieldScalar):
-        FieldScalar(t)  # raises on inexact input
+    _as_scalar(t)  # raises on inexact input
     lat = decomposition.normalized.lattice()
     image = surface.lattice().image(decomposition.matrix)
     if (image.D, image.edges) != (lat.D, lat.edges):
@@ -407,8 +401,7 @@ def deform_from_periods(surface: TranslationSurface, zeta: Cocycle,
     """
     frame = homology_frame(surface)
     frame.check(zeta)
-    if not isinstance(eps, FieldScalar):
-        eps = FieldScalar(eps)
+    eps = _as_scalar(eps)
     if eps.sign() < 0:
         raise ValueError("eps must be nonnegative; rescale zeta instead")
     shift = []

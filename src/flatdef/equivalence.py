@@ -20,11 +20,10 @@ builds its cells back into vectors.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .search import _Tri, _delaunay, _incircle
+from .search import _Tri, _delaunay
 from .surface import TranslationSurface
 
-# `_incircle` is re-exported: the incircle predicate is named here too
-__all__ = ["translation_equivalent", "delaunay_cells", "_incircle"]
+__all__ = ["translation_equivalent", "delaunay_cells"]
 
 def _cells(surface: TranslationSurface):
     """`delaunay_cells` with each cell a tuple of lattice edge vectors."""

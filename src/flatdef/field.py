@@ -19,7 +19,9 @@ d.  All arithmetic results come from the private constructor `_new`,
 which restores these invariants with integer operations only.  The
 public constructor takes int and Fraction only and raises TypeError for
 anything else (a float, a str, a Decimal), so no inexact or unparsed
-value becomes a scalar silently; text goes through `parse_scalar`.  The
+value becomes a scalar silently; text goes through `parse_scalar`.
+Every number handed to the library enters through one door, `_as_scalar`,
+and every length that must be positive through `_positive`.  The
 Fraction views `.a` and `.b` exist for the public API (serialization,
 rational relations, tests).  The text form is that of the pair (a, b) in
 lowest terms; the hash is that of the triple with d (0 for a rational),
@@ -37,6 +39,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+from .errors import NonPositiveLength
 
 __all__ = [
     "FieldCtx",
@@ -438,6 +442,22 @@ def _read(a: str, b: str, ctx: FieldCtx) -> FieldScalar:
     return _new(int(pa) * qb, pb * qa, qa * qb, ctx)
 
 
+def _as_scalar(x) -> FieldScalar:
+    """`x` as a FieldScalar: the one door for numbers handed to the
+    library.  A FieldScalar passes unchanged; an int or a Fraction is
+    lifted, anything else raises the constructor's TypeError."""
+    return x if isinstance(x, FieldScalar) else FieldScalar(x)
+
+
+def _positive(name: str, x) -> FieldScalar:
+    """`x` as a FieldScalar (`_as_scalar`); NonPositiveLength unless it
+    is positive."""
+    x = _as_scalar(x)
+    if x.sign() <= 0:
+        raise NonPositiveLength(f"{name} must be positive, got {x}")
+    return x
+
+
 def _incompatible(d1: int, d2: int) -> ValueError:
     """The error for two scalars of Q(sqrt(d1)) and Q(sqrt(d2)), d1 != d2."""
     return ValueError(f"incompatible fields Q(sqrt({d1})) and Q(sqrt({d2}))")
@@ -463,10 +483,7 @@ class Vec2:
     def __init__(self, x: FieldScalar | _Rat, y: FieldScalar | _Rat):
         if not (x.__class__ is FieldScalar and y.__class__ is FieldScalar
                 and x.ctx is y.ctx):
-            if not isinstance(x, FieldScalar):
-                x = FieldScalar(x)
-            if not isinstance(y, FieldScalar):
-                y = FieldScalar(y)
+            x, y = _as_scalar(x), _as_scalar(y)
             ctx = join_ctx(QQ, x, y)
             x = x.with_ctx(ctx)
             y = y.with_ctx(ctx)
@@ -529,8 +546,7 @@ class Mat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        entries = [v if isinstance(v, FieldScalar) else FieldScalar(v)
-                   for v in (a, b, c, d)]
+        entries = [_as_scalar(v) for v in (a, b, c, d)]
         ctx = join_ctx(QQ, *entries)
         for name, v in zip("abcd", entries):
             object.__setattr__(self, name, v.with_ctx(ctx))

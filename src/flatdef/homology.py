@@ -141,8 +141,8 @@ class Cocycle:
 # the family cache that `TranslationSurface.apply_matrix` shares with such
 # images.
 _FRAME_DATA = ("cells", "cell_of", "m", "_coord_cols", "basis_chains",
-               "vertex_class_of", "boundary_matrix", "absolute_basis",
-               "_ray_cycles", "intersection_matrix")
+               "boundary_matrix", "absolute_basis", "_ray_cycles",
+               "intersection_matrix")
 
 
 class HomologyFrame:
@@ -217,7 +217,7 @@ class HomologyFrame:
                 raise InternalInvariantError("face boundary has nonzero coordinates")
 
         # vertex classes and the boundary map on basis classes
-        self.vertex_class_of = surface.vertex_class_map()
+        vertex_class_of = surface.vertex_class_map()
         nv = data.num_points
         bnd = []
         for chain in self.basis_chains:
@@ -226,8 +226,8 @@ class HomologyFrame:
                 if coeff == 0:
                     continue
                 p, e = self.cells[c]
-                tail = self.vertex_class_of[(p, e)]
-                head = self.vertex_class_of[(p, (e + 1) % sizes[p])]
+                tail = vertex_class_of[(p, e)]
+                head = vertex_class_of[(p, (e + 1) % sizes[p])]
                 out[head] += coeff
                 out[tail] -= coeff
             bnd.append(out)

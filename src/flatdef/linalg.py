@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .field import QQ, FieldScalar, _new, join_ctx
+from .field import QQ, FieldScalar, _as_scalar, _new, join_ctx
 
 __all__ = [
     "ComplexScalar",
@@ -36,10 +36,7 @@ class ComplexScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        if not isinstance(re, FieldScalar):
-            re = FieldScalar(re)
-        if not isinstance(im, FieldScalar):
-            im = FieldScalar(im)
+        re, im = _as_scalar(re), _as_scalar(im)
         if re.ctx is not im.ctx:
             ctx = join_ctx(QQ, re, im)
             re = re.with_ctx(ctx)
@@ -387,7 +384,7 @@ def rational_relation_lattice(values):
     the 2 x r rational matrix with rows (a_i) and (b_i).  Both bases are
     exact rational vectors.
     """
-    vals = [v if isinstance(v, FieldScalar) else FieldScalar(v) for v in values]
+    vals = [_as_scalar(v) for v in values]
     r = len(vals)
     if r == 0:
         raise ValueError("need at least one value")

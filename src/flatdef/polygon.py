@@ -24,7 +24,8 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import InternalInvariantError
-from .field import QQ, FieldCtx, FieldScalar, Vec2, _new, _sign, join_ctx
+from .field import (QQ, FieldCtx, FieldScalar, Vec2, _as_scalar, _new, _sign,
+                    join_ctx)
 
 __all__ = [
     "Lattice",
@@ -39,6 +40,7 @@ __all__ = [
 
 _ORIGIN = (0, 0, 0, 0)
 _EAST = (1, 0, 0, 0)
+_WEST = (-1, 0, 0, 0)
 
 
 # -- arithmetic in the lattice form ----------------------------------------
@@ -208,8 +210,7 @@ class _Bound:
     __slots__ = ("d", "Rd", "RA_D2", "RB_D2")
 
     def __init__(self, lat: Lattice, bound_sq):
-        if not isinstance(bound_sq, FieldScalar):
-            bound_sq = FieldScalar(bound_sq)
+        bound_sq = _as_scalar(bound_sq)
         self.d = join_ctx(lat.ctx, bound_sq).d
         # |P|^2 <= R^2 reads Rd*|DP|^2 <= (RA + RB*sqrt(d))*D^2 on the
         # scaled point DP, so the bound side carries D^2

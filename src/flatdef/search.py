@@ -33,9 +33,9 @@ Only a connection that is found is built back into field scalars.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .field import _sign
-from .polygon import (_ORIGIN, _Bound, _add, _cross, _dot, _mul, _norm, _sub,
-                      ear_clip)
+from .field import _positive, _sign
+from .polygon import (_ORIGIN, _WEST, _Bound, _add, _cross, _dot, _mul, _norm,
+                      _sub, ear_clip)
 from .surface import TranslationSurface
 
 __all__ = ["enumerate_saddle_connections", "enumerate_directions",
@@ -320,10 +320,6 @@ class FoundConnection:
         self.end_class = end_class
 
 
-# the far ray of a corner cone that runs past west is clipped to it
-_WEST = (-1, 0, 0, 0)
-
-
 def enumerate_saddle_connections(surface: TranslationSurface,
                                  bound_sq) -> list[FoundConnection]:
     """All saddle connections with |holonomy|^2 <= bound_sq.
@@ -333,10 +329,11 @@ def enumerate_saddle_connections(surface: TranslationSurface,
     the connections whose holonomy lies in the half-plane H = {y > 0}
     or {y = 0, x > 0}, in search order, then the reverse of each in the
     same order.  `bound_sq` is an int, a Fraction or a FieldScalar of
-    the surface's field (or rational).
+    the surface's field (or rational); one that is not positive raises
+    NonPositiveLength.
     """
     lat = surface.lattice()
-    bound = _Bound(lat, bound_sq)
+    bound = _Bound(lat, _positive("bound_sq", bound_sq))
     tri = _Tri(surface)
     _delaunay(tri)
     n = len(tri.edges)

@@ -19,7 +19,7 @@ from .errors import (
     NotConnected,
     SingularMatrix,
 )
-from .field import FieldScalar, Mat2, Vec2
+from .field import FieldScalar, Mat2, Vec2, _positive
 from .polygon import (
     Lattice,
     _ORIGIN,
@@ -402,15 +402,8 @@ def l_shape(w1, h1, w2, h2, label: str = "") -> TranslationSurface:
     Opposite parallel sides are glued; requires 0 < w2 < w1 and all
     lengths positive.  Genus 2 with a single cone point of order 2.
     """
-    vals = []
-    for x in (w1, h1, w2, h2):
-        if not isinstance(x, FieldScalar):
-            x = FieldScalar(x)
-        vals.append(x)
-    w1, h1, w2, h2 = vals
-    for name, x in zip(("w1", "h1", "w2", "h2"), vals):
-        if x.sign() <= 0:
-            raise NonPositiveLength(f"{name} must be positive")
+    w1, h1, w2, h2 = (_positive(name, x) for name, x in
+                      zip(("w1", "h1", "w2", "h2"), (w1, h1, w2, h2)))
     if (w1 - w2).sign() <= 0:
         raise NonPositiveLength("w1 - w2 must be positive (w2 < w1)")
     zero = FieldScalar(0)

@@ -415,6 +415,18 @@ class TestCLI:
         assert "linearity check: true" in printed
         assert "translation equivalent to input: true" in printed
 
+    def test_stretch_has_no_check_equivalent(self, cli_surfaces, tmp_path,
+                                             capsys):
+        # only shear compares its result with its input; argparse
+        # refuses the flag for stretch, which would ignore it
+        _, lori, _ = cli_surfaces
+        with pytest.raises(SystemExit) as info:
+            main(["stretch", str(lori), "--direction", "1,0", "--s", "1",
+                  "-o", str(tmp_path / "st.json"), "--check-equivalent"])
+        assert info.value.code == 2
+        assert "--check-equivalent" in capsys.readouterr().err
+        assert not (tmp_path / "st.json").exists()
+
     def test_shear_subset_requires_flag(self, cli_surfaces, capsys):
         tmp, lori, _ = cli_surfaces
         out = tmp / "x.json"

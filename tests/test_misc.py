@@ -389,6 +389,75 @@ def test_field_mismatch_outside_field_is_found():
     assert _field_mismatch_outside_field(sources) == ["tracing.py: line 2"]
 
 
+def _called(node, name) -> bool:
+    """Whether `node` calls `name`, bare or as a module attribute."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
+def _is_bare_scalar_check(node) -> bool:
+    """`isinstance(x, FieldScalar)` with the class alone as its second
+    argument: the test half of a conditional coercion."""
+    if not (_called(node, "isinstance") and len(node.args) == 2):
+        return False
+    cls = node.args[1]
+    return (isinstance(cls, ast.Name) and cls.id == "FieldScalar"
+            or isinstance(cls, ast.Attribute) and cls.attr == "FieldScalar")
+
+
+def test_one_door_for_numbers():
+    # every number handed to the library is lifted by `field._as_scalar`;
+    # a type dispatch over a tuple of classes is not a coercion
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _scopes_using(sources, _is_bare_scalar_check) == [
+        "field.py: _as_scalar"]
+
+
+def test_bare_scalar_checks_are_found():
+    sources = {
+        "deform.py": ("def shear(t):\n"
+                      "    if not isinstance(t, FieldScalar):\n"
+                      "        t = FieldScalar(t)\n"),
+        "linalg.py": ("class ComplexScalar:\n"
+                      "    def _lift(other):\n"
+                      "        if isinstance(other, (int, FieldScalar)):\n"
+                      "            return other\n"),
+        "polygon.py": ("from . import field\n"
+                       "ok = isinstance(b, field.FieldScalar)\n"),
+    }
+    assert _scopes_using(sources, _is_bare_scalar_check) == [
+        "deform.py: shear", "polygon.py: <module>"]
+
+
+def test_one_positive_length_rule():
+    # a length must be positive: one rule, one message, in
+    # `field._positive`; only l_shape's w2 < w1 says more
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _scopes_using(
+        sources, lambda node: _called(node, "NonPositiveLength")) == [
+        "field.py: _positive", "surface.py: l_shape"]
+
+
+def test_stray_positive_length_rules_are_found():
+    sources = {
+        "field.py": ("def _positive(name, x):\n"
+                     "    raise NonPositiveLength(name)\n"),
+        "cylinders.py": ("from . import errors\n"
+                         "def decompose(s, t):\n"
+                         "    if t <= 0:\n"
+                         "        raise errors.NonPositiveLength('t')\n"
+                         "    return NonPositiveLength\n"),
+    }
+    assert _scopes_using(
+        sources, lambda node: _called(node, "NonPositiveLength")) == [
+        "cylinders.py: decompose", "field.py: _positive"]
+
+
 def _core_crossings_readers(sources: dict) -> list[str]:
     """The functions that read a `core_crossings` attribute."""
     return _scopes_using(sources, lambda node: (

@@ -13,7 +13,7 @@ to exact intersection points
 (`ref_clip_window`) and then measured the clipped segment's distance
 from the origin (`ref_beyond`).  Both sides
 must agree exactly: the same values, labels and tie-breaks, or the same
-`InternalInvariantError`.  `equivalence._incircle` is checked the same
+`InternalInvariantError`.  `search._incircle` is checked the same
 way against the 3x3 determinant on FieldScalar coordinates
 (`ref_incircle`) that Delaunay flipping used before the lattice form.
 The predicates of `polygon` (validation, ear clipping, sectors, segment
@@ -29,13 +29,13 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatdef.equivalence import _incircle, delaunay_cells
+from flatdef.equivalence import delaunay_cells
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _new
 from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              check_simple, corner_crosses_east, cross_sign,
                              ear_clip, same_ray, segments_intersect_interior)
-from flatdef.search import _Bound, _window_within
+from flatdef.search import _Bound, _incircle, _window_within
 from flatdef.surface import l_shape, square_tiled
 from flatdef.tracing import _SlabTable, _escaped, _lattice_split, _quotient
 

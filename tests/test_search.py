@@ -15,9 +15,11 @@ import pytest
 
 import reference_search
 from flatdef import search
+from flatdef.analysis import complete_periodicity_scan
+from flatdef.errors import NonPositiveLength
 from flatdef.field import FieldCtx, FieldScalar, Mat2
 from flatdef.search import (_Tri, _delaunay, _incircle,
-                            enumerate_saddle_connections)
+                            enumerate_directions, enumerate_saddle_connections)
 from flatdef.surface import l_shape, square_tiled
 from reference_search import GOLDEN_KNOWN_DEFECT, GOLDEN_MATRICES
 
@@ -85,6 +87,17 @@ class TestBoundary:
     def test_inexact_bound_rejected(self, bound_sq):
         with pytest.raises(TypeError):
             enumerate_saddle_connections(golden(), bound_sq)
+
+    @pytest.mark.parametrize("bound_sq", [-1, 0, Fraction(-1, 2)])
+    def test_non_positive_bound_rejected(self, bound_sq):
+        # such a bound holds no connection, and a scan over it would
+        # report no direction at all instead of refusing the input
+        surface = square_tiled([2, 1, 3], [1, 3, 2])
+        message = f"bound_sq must be positive, got {bound_sq}"
+        for search_ in (enumerate_saddle_connections, enumerate_directions,
+                        complete_periodicity_scan):
+            with pytest.raises(NonPositiveLength, match=message):
+                search_(surface, bound_sq)
 
 
 class TestWorkCount:
