@@ -20,7 +20,7 @@ from .cylinders import Decomposition, NO_CYLINDER, PERIODIC, decompose
 from .deform import (_crossing_cocycle, cylinder_preserving_space,
                      deform_from_periods, eta)
 from .errors import DeformationTooLarge, InternalInvariantError
-from .field import _as_scalar
+from .field import _positive
 from .homology import Cocycle, HomologyFrame, homology_frame
 from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
@@ -259,11 +259,16 @@ def more_cylinders_search(decomposition: Decomposition, eps,
     in the difference, shrinking eps while the deformation is too large;
     confirms the old cylinders persisted; then scans the candidate
     directions for a certified decomposition with strictly more
-    cylinders.  Existence is not guaranteed, only searched for.
+    cylinders.  Existence is not guaranteed, only searched for.  An eps
+    that is not positive raises NonPositiveLength, and a max_halvings
+    below 1 ValueError.
     """
+    eps = _positive("eps", eps)
+    if max_halvings < 1:
+        raise ValueError(f"max_halvings must be at least 1, got "
+                         f"{max_halvings}")
     if decomposition.status != PERIODIC:
         raise ValueError("search needs a Periodic decomposition")
-    eps = _as_scalar(eps)
     surface, frame = decomposition.surface, decomposition.frame
     cp_gens, cp_dim = cylinder_preserving_space(surface, frame,
                                                 decomposition)

@@ -165,7 +165,6 @@ class HomologyFrame:
                 name: vars(self)[name] for name in _FRAME_DATA}
         else:
             vars(self).update(ints)
-        self._j_inverse = None
 
         self.hash = self._content_hash()
 
@@ -319,18 +318,14 @@ class HomologyFrame:
         invertible exactly when the diagonal has 2g entries, unimodular
         when each is 1, and then J^-1 = V U.
         """
-        if self._j_inverse is None:
-            n = 2 * self.genus
-            diag, U, V, _ = smith_form(self.intersection_matrix)
-            if len(diag) < n:
-                raise InternalInvariantError("intersection form singular")
-            if any(x != 1 for x in diag):
-                raise InternalInvariantError(
-                    "intersection form is not unimodular")
-            self._j_inverse = tuple(
-                tuple(sum(V[i][k] * U[k][j] for k in range(n))
-                      for j in range(n)) for i in range(n))
-        return self._j_inverse
+        n = 2 * self.genus
+        diag, U, V, _ = smith_form(self.intersection_matrix)
+        if len(diag) < n:
+            raise InternalInvariantError("intersection form singular")
+        if any(x != 1 for x in diag):
+            raise InternalInvariantError("intersection form is not unimodular")
+        return tuple(tuple(sum(V[i][k] * U[k][j] for k in range(n))
+                           for j in range(n)) for i in range(n))
 
     def symplectic_pairing(self, phi, psi):
         """Cup-product pairing of two absolute cocycle value vectors.

@@ -14,15 +14,16 @@ def _clone(m):
 
 
 def hermite_form(mat):
-    """Row-style Hermite normal form.
+    """Row-style Hermite normal form H of `mat`.
 
-    Returns (H, U) with U unimodular and U @ mat = H, H in row echelon
-    form with positive pivots and entries above each pivot reduced.
+    H is in row echelon form with positive pivots and entries above each
+    pivot reduced, and U @ mat = H for a unimodular U.  U is not returned:
+    it is the tail of `hermite_form([mat | I])`, whose row operations
+    act on I as they act on mat.
     """
     h = _clone(mat)
     n = len(h)
     m = len(h[0]) if n else 0
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     row = 0
     for col in range(m):
         # find a nonzero entry at/below `row` and reduce the column by gcds
@@ -34,7 +35,6 @@ def hermite_form(mat):
         if piv is None:
             continue
         h[row], h[piv] = h[piv], h[row]
-        u[row], u[piv] = u[piv], u[row]
         while True:
             nz = [i for i in range(row + 1, n) if h[i][col] != 0]
             if not nz:
@@ -43,22 +43,18 @@ def hermite_form(mat):
                 q = h[i][col] // h[row][col]
                 if q:
                     h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[row])]
                 if h[i][col] != 0:
                     h[row], h[i] = h[i], h[row]
-                    u[row], u[i] = u[i], u[row]
         if h[row][col] < 0:
             h[row] = [-a for a in h[row]]
-            u[row] = [-a for a in u[row]]
         for i in range(row):
             q = h[i][col] // h[row][col]
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
         row += 1
         if row == n:
             break
-    return h, u
+    return h
 
 
 def smith_form(mat):
@@ -147,7 +143,7 @@ def integer_kernel(mat):
         return []
     m = len(mat[0])
     aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    h, _ = hermite_form(aug)
+    h = hermite_form(aug)
     out = []
     for row in h:
         if all(x == 0 for x in row[:m]):

@@ -261,7 +261,7 @@ class Echelon:
     depends only on the span of what was added, not on the order.
     """
 
-    __slots__ = ("ncols", "ctx", "_kind", "_basis", "_rref")
+    __slots__ = ("ncols", "ctx", "_kind", "_basis")
 
     def __init__(self, ncols: int, complex_over=None):
         self.ncols = ncols
@@ -270,7 +270,6 @@ class Echelon:
         self.ctx = complex_over or QQ
         self._kind = _RATIONAL if complex_over is None else _COMPLEX
         self._basis: list[tuple] = []   # (pivot column, integer row)
-        self._rref = None
 
     @property
     def rank(self) -> int:
@@ -289,13 +288,11 @@ class Echelon:
     def _reduced(self):
         """The basis rows, each cleared at every other pivot: bottom up,
         against the rows below it, which are cleared already."""
-        if self._rref is None:
-            d = self.ctx.d
-            out = []
-            for col, row in reversed(self._basis):
-                out.insert(0, (col, _primitive(_clear(row, out, d)[0])))
-            self._rref = out
-        return self._rref
+        d = self.ctx.d
+        out = []
+        for col, row in reversed(self._basis):
+            out.insert(0, (col, _primitive(_clear(row, out, d)[0])))
+        return out
 
     def _take(self, row):
         """A row given in scalars as quadruples over D, and D."""
@@ -328,7 +325,6 @@ class Echelon:
         v = _integral(v, col, self.ctx.d)
         k = bisect_left(self._basis, col, key=lambda item: item[0])
         self._basis.insert(k, (col, v))
-        self._rref = None
         return True
 
 
@@ -357,23 +353,21 @@ def row_reduce(rows, ncols=None):
         echelon.add(r)
         if echelon.rank == ncols:
             break
-    kind, ctx = echelon._kind, echelon.ctx
-    reduced = echelon._reduced()
-    pivot_set = {col for col, _ in reduced}
+    rref, pivots = echelon.rows, echelon.pivots
+    # each RREF row is 1 at its pivot, so a free column's null vector is
+    # 1 there and minus that column's entry at each pivot
+    zero, one = (_scalar(echelon._kind, q, 1, echelon.ctx)
+                 for q in (_ZERO, (1, 0, 0, 0)))
     null_basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [_ZERO] * ncols
-        v[free] = (1, 0, 0, 0)
-        dens = [1] * ncols
-        for col, row in reduced:
-            a, b, c, e = row[free]
-            v[col] = (-a, -b, -c, -e)
-            dens[col] = row[col][0]
-        null_basis.append([_scalar(kind, q, den, ctx)
-                           for q, den in zip(v, dens)])
-    return echelon.rank, echelon.rows, null_basis
+        v = [zero] * ncols
+        v[free] = one
+        for col, row in zip(pivots, rref):
+            v[col] = -row[free]
+        null_basis.append(v)
+    return echelon.rank, rref, null_basis
 
 
 def rational_relation_lattice(values):

@@ -46,8 +46,9 @@ def _layout(surface):
     offsets = {}
     cursor = 0.0
     for p in range(len(surface.lattice().edges)):
-        xs = [float(v.x) for v in surface.vertices(p)]
-        ys = [float(v.y) for v in surface.vertices(p)]
+        verts = surface.vertices(p)
+        xs = [float(v.x) for v in verts]
+        ys = [float(v.y) for v in verts]
         offsets[p] = (cursor - min(xs), -min(ys))
         cursor += (max(xs) - min(xs)) + MARGIN
     return offsets
@@ -97,8 +98,9 @@ def _svg(surface, decomposition):
                 f'<polygon class="cylinder" points="{_fmt_pts(pts)}" '
                 f'fill="{PALETTE[cid % len(PALETTE)]}" fill-opacity="0.55" '
                 f'stroke="none"/>')
-    for p in range(len(surface.lattice().edges)):
-        pts = _poly_points(surface, p, offsets)
+    points = [_poly_points(surface, p, offsets)
+              for p in range(len(surface.lattice().edges))]
+    for pts in points:
         body.append(
             f'<polygon class="polygon" points="{_fmt_pts(pts)}" '
             f'fill="none" stroke="#222222" stroke-width="0.02"/>')
@@ -116,12 +118,8 @@ def _svg(surface, decomposition):
                     f'stroke="#000000" stroke-width="0.03" '
                     f'stroke-dasharray="0.08,0.05"/>')
     label = _xml_text(surface.label or "surface")
-    all_x = []
-    all_y = []
-    for p in range(len(surface.lattice().edges)):
-        for x, y in _poly_points(surface, p, offsets):
-            all_x.append(x)
-            all_y.append(y)
+    all_x = [x for pts in points for x, _ in pts]
+    all_y = [y for pts in points for _, y in pts]
     min_x, max_x = min(all_x) - MARGIN, max(all_x) + MARGIN
     min_y, max_y = min(all_y) - MARGIN, max(all_y) + MARGIN
     w = (max_x - min_x) * SCALE

@@ -162,11 +162,20 @@ def _json_int(value, what: str) -> int:
 
 
 def _edge_ref(ref) -> tuple[int, int]:
+    """A JSON list of exactly two integers, as a (polygon, edge) pair."""
+    if not isinstance(ref, list) or len(ref) != 2:
+        raise TypeError(f"edge reference {ref!r} is not a pair")
     return _json_int(ref[0], "gluing index"), _json_int(ref[1], "gluing index")
 
 
 def surface_from_json(data: dict) -> TranslationSurface:
+    """The surface of a file's JSON data.  A `format` key, when present,
+    must be FORMAT_VERSION; a file without one is read as that format."""
     try:
+        if "format" in data:
+            fmt = _json_int(data["format"], "format")
+            if fmt != FORMAT_VERSION:
+                raise ValueError(f"format {fmt} is not {FORMAT_VERSION}")
         ctx = FieldCtx.get(_json_int(data["field"]["d"], "field d"))
         polys = [
             [(scalar_from_json(sx, ctx), scalar_from_json(sy, ctx))

@@ -75,8 +75,8 @@ class TranslationSurface:
     `_set` ends by validating the surface, so no invalid one exists.
 
     Computed data is cached in two dicts.  `_cache` holds what depends on
-    the surface's own coordinates: its lattice form, vertices, homology
-    frame, east corners and slab tables.  `_family` holds what every
+    the surface's own coordinates: its lattice form, homology frame,
+    east corners and slab tables.  `_family` holds what every
     image of positive determinant shares with it, and `apply_matrix`
     hands such an image the same dict: the singularity data, the frame's
     integer data and the triangulation (`search.triangulated`).
@@ -128,12 +128,10 @@ class TranslationSurface:
                 yield (p, e)
 
     def vertices(self, p: int) -> list[Vec2]:
-        verts = self._cache.get(("verts", p))
-        if verts is None:
-            lat = self.lattice()
-            verts = self._cache[("verts", p)] = [lat.vec2(v)
-                                                 for v in lat.verts[p]]
-        return verts
+        """The vertices of polygon p, built from the lattice form on each
+        call."""
+        lat = self.lattice()
+        return [lat.vec2(v) for v in lat.verts[p]]
 
     def lattice(self) -> Lattice:
         """The integer form of every polygon (`polygon.Lattice`)."""

@@ -10,11 +10,11 @@ from flatdef.analysis import (HAS_UNCERTIFIED, accumulate_tangent,
                               rank_lower_bound)
 from flatdef.cylinders import PERIODIC, decompose
 from flatdef.deform import deform_from_periods
-from flatdef.errors import InternalInvariantError
+from flatdef.errors import InternalInvariantError, NonPositiveLength
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.homology import homology_frame
 from flatdef.linalg import ComplexScalar, row_reduce
-from flatdef.surface import l_shape
+from flatdef.surface import l_shape, square_tiled
 from flatdef.search import enumerate_directions
 
 Q5 = FieldCtx.get(5)
@@ -209,6 +209,24 @@ class TestMoreCylinders:
         res = more_cylinders_search(d, 1, [Vec2(1, 0)], max_halvings=3)
         assert res is not None and not res["found"]
         assert len(res["attempted_eps"]) == 3
+
+    # settings under which no deformation size is tried are refused at
+    # entry: eps = 0 is a zero deformation, a negative eps is no size,
+    # and max_halvings < 1 tries none
+    @pytest.mark.parametrize("eps, max_halvings, error, message", [
+        (0, 12, NonPositiveLength, "eps must be positive, got 0"),
+        (Fraction(-1, 8), 12, NonPositiveLength,
+         "eps must be positive, got -1/8"),
+        (Fraction(1, 8), 0, ValueError, "max_halvings must be at least 1"),
+        (Fraction(1, 8), -1, ValueError, "max_halvings must be at least 1"),
+    ])
+    def test_search_settings_that_search_nothing(self, eps, max_halvings,
+                                                 error, message):
+        d = decompose(square_tiled([2, 3, 1], [1, 2, 3]), Vec2(1, 0))
+        assert d.status == PERIODIC
+        with pytest.raises(error, match=message):
+            more_cylinders_search(d, eps, [Vec2(1, 0)],
+                                  max_halvings=max_halvings)
 
     def test_invariant_failure_propagates(self, marked_torus, monkeypatch):
         # a bug while validating the deformed surface must surface as

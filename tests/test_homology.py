@@ -103,7 +103,7 @@ class TestFrame:
         f = homology_frame(torus())
         for J, message in ((((0, 1), (0, 0)), "singular"),
                            (((0, 2), (-2, 0)), "not unimodular")):
-            f.intersection_matrix, f._j_inverse = J, None
+            f.intersection_matrix = J
             with pytest.raises(InternalInvariantError, match=message):
                 f.j_inverse()
 

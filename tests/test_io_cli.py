@@ -739,6 +739,36 @@ class TestCLI:
         assert err.startswith("FlatdefError: malformed surface file: ")
         assert "is not an integer" in err
 
+    # each file is the unit square but for one entry: a reader that took
+    # an edge reference's first two entries, or skipped "format", would
+    # load it; without a "format" key the square loads
+    @pytest.mark.parametrize("change, message", [
+        ({"gluing": [[[0, 0, 9], [0, 2]], [[0, 1], [0, 3]]]},
+         "edge reference [0, 0, 9] is not a pair"),
+        ({"gluing": [[[0, 0], [0, 2, 0, 1]], [[0, 1], [0, 3]]]},
+         "edge reference [0, 2, 0, 1] is not a pair"),
+        ({"format": 2}, "format 2 is not 1"),
+        ({"format": 0}, "format 0 is not 1"),
+        ({"format": "x"}, "format 'x' is not an integer"),
+        ({"format": "1"}, "format '1' is not an integer"),
+        ({"format": 1.0}, "format 1.0 is not an integer"),
+        ({"format": True}, "format True is not an integer"),
+    ])
+    def test_malformed_gluing_or_format_exit_1(self, tmp_path, capsys,
+                                               change, message):
+        data = {"format": 1, "field": {"d": 0},
+                "polygons": [[["1", "0"], ["0", "1"], ["-1", "0"],
+                              ["0", "-1"]]],
+                "gluing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**data, **change}))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            f"FlatdefError: malformed surface file: {message}\n"
+        del data["format"]
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 0
+
     def test_make_origami_not_connected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["make-origami", "--squares", "2", "--right", "()",

@@ -110,6 +110,26 @@ class TestRowReduce:
         assert rank == 1
         assert len(null) == 1
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3], [2, 4, 7]],
+        [fr(1, 2), fr(2, 4)],
+        [[FieldScalar(1, 1, Q5), FieldScalar(2, 2, Q5), FieldScalar(3, 0, Q5)]],
+        [[ComplexScalar(1, 0), ComplexScalar(0, 1)]],
+    ])
+    def test_reduces_once(self, rows, monkeypatch):
+        # the null space is read off the RREF rows row_reduce returns,
+        # so each call reduces its basis once
+        calls = []
+        original = Echelon._reduced
+
+        def counted(echelon):
+            calls.append(echelon)
+            return original(echelon)
+
+        monkeypatch.setattr(Echelon, "_reduced", counted)
+        row_reduce(rows)
+        assert len(calls) == 1
+
 
 def _random_rows(rng, n, m):
     """Small Q(sqrt5) rows, often dependent: zeros, repeats and sums."""
@@ -295,7 +315,10 @@ class TestIntegerForms:
     def test_hermite(self, n, m, seed):
         rng = random.Random(seed)
         mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        h, u = hermite_form(mat)
+        # U is the tail of the Hermite form of [mat | I]
+        hu = hermite_form([row + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(mat)])
+        h, u = [r[:m] for r in hu], [r[m:] for r in hu]
         assert abs(det_int(u)) == 1
         for i in range(n):
             got = [sum(u[i][k] * mat[k][j] for k in range(n)) for j in range(m)]

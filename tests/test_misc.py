@@ -644,12 +644,11 @@ def test_complex_scalar_scopes_are_found():
 # positive determinant shares it with its source.  Shared keys live in
 # `_family`, the dict `apply_matrix` hands such an image; the rest live in
 # `_cache`, the surface's own.  What is read from the surface's own
-# coordinates (its lattice form and vertices, its frame, whose hash reads
+# coordinates (its lattice form, its frame, whose hash reads
 # its polygons, and what is built for its horizontal direction: east
 # corners and slab tables) must never be shared.
 _SHARED_WITH_IMAGES = {
     "lattice": False,
-    "verts": False,
     "frame": False,
     "east": False,
     "slabs": False,
@@ -662,7 +661,7 @@ _CACHES = {"_cache": False, "_family": True}
 
 def _key_name(node):
     """A cache key's name: a string constant, or the leading string of a
-    tuple key such as ("verts", p); anything else is "<computed>"."""
+    tuple key such as ("slabs", p); anything else is "<computed>"."""
     if isinstance(node, ast.Tuple) and node.elts:
         node = node.elts[0]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -728,7 +727,7 @@ def test_misplaced_cache_keys_are_found():
         "a.py": ("def f(s, p):\n"
                  "    s._cache[\"lattice\"] = 1\n"
                  "    s._family[\"east\"] = 2\n"
-                 "    s._cache[(\"verts\", p)] = 3\n"
+                 "    s._family[(\"slabs\", p)] = 3\n"
                  "    x = s._cache[\"sing\"] = 4\n"
                  "    s._cache[key] = 5\n"),
         "b.py": ("def g(s, image):\n"
@@ -741,6 +740,7 @@ def test_misplaced_cache_keys_are_found():
         "a.py: _cache['<computed>'] is not in the table",
         "a.py: _cache['sing'] is in the wrong cache",
         "a.py: _family['east'] is in the wrong cache",
+        "a.py: _family['slabs'] is in the wrong cache",
         "b.py: _family['frame'] is in the wrong cache",
         "b.py: _family['polygons'] is not in the table",
     ]

@@ -22,12 +22,14 @@ whichever way the ray runs.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdef import tracing
-from flatdef.cylinders import _normalize, decompose, trace_separatrix
+from flatdef.cylinders import (NO_CYLINDER, _normalize, decompose,
+                               trace_separatrix)
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
@@ -323,3 +325,56 @@ class TestTrace:
             assert outcome(trace_from_corner, torus, (0, i), max_advance_sq=4) \
                 == outcome(ref_trace_from_corner, torus, (0, i),
                            max_advance_sq=4)
+
+
+class TestBuiltWhenRead:
+    # A TraceResult builds its chords and crossings, with their FieldScalar
+    # edge parameters, only when an item is read (`tracing._Built`); their
+    # lengths come from the lattice steps.  `decompose` reads the items of
+    # the rays that closed, while the traced benchmark reads the length of
+    # every ray, bound ones included, so a build per ray would be paid
+    # there on every ray that ran to the bound.
+
+    def builds(self, monkeypatch):
+        """The results each `_build` call is made on, and whether it built."""
+        calls = []
+        original = tracing.TraceResult._build
+
+        def counted(res):
+            calls.append((res, res._built is None))
+            return original(res)
+
+        monkeypatch.setattr(tracing.TraceResult, "_build", counted)
+        return calls
+
+    def test_lengths_build_nothing(self, monkeypatch):
+        calls = self.builds(monkeypatch)
+        res = trace_from_corner(slanted_lshape(), (0, 6), max_advance_sq=100)
+        assert res.kind == "bound"
+        assert (len(res.chords), len(res.crossings)) == (5, 5)
+        assert calls == []
+        assert len(list(res.chords)) == len(list(res.crossings)) == 5
+        assert [built for _, built in calls] == [True, False]
+
+    def test_decompose_builds_only_the_rays_that_closed(self, monkeypatch):
+        # l_shape(2, 1, 1, sqrt 2) in every direction (p, q) with
+        # p^2 + q^2 <= 16, q > 0, is NoCylinderFound in 12 of them.  In
+        # (2, 3) and (-2, 3) no separatrix closes and nothing is built; in
+        # the other ten one result is built per saddle connection
+        surface = l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen())
+        calls = self.builds(monkeypatch)
+        seen = set()
+        for p in range(-3, 4):
+            for q in range(1, 4):
+                if gcd(p, q) != 1 or p * p + q * q > 16:
+                    continue
+                calls.clear()
+                dec = decompose(surface, (p, q))
+                if dec.status != NO_CYLINDER:
+                    continue
+                built = [res for res, first in calls if first]
+                assert len(built) == len(dec.saddle_connections)
+                assert all(res.kind == "vertex" for res in built)
+                seen.add((p, q, len(built)))
+        assert {(p, q) for p, q, n in seen if n == 0} == {(2, 3), (-2, 3)}
+        assert len(seen) == 12
