@@ -27,7 +27,6 @@ from .deform import shear, stretch, verify_linearity
 from .equivalence import translation_equivalent
 from .errors import FlatdefError, InternalInvariantError
 from .field import FieldScalar, Vec2, _positive, parse_scalar
-from .render import render_surface
 from .search import enumerate_directions
 from .serialize import (FORMAT_VERSION, decomposition_to_json, dump_surface,
                         dumps, load_surface, span_to_json)
@@ -104,8 +103,10 @@ def cmd_decompose(args):
     surface = load_surface(args.surface)
     v = _direction(args.direction)
     dec = decompose(surface, v, **_bound_kwargs(args))
-    # the picture is drawn before any file opens, so a failure writes none
-    svg = render_surface(surface, dec) if args.svg else None
+    svg = None
+    if args.svg:  # drawn before any file opens, so a failure writes none
+        from .render import render_surface  # imported only to draw
+        svg = render_surface(surface, dec)
     _emit(args, decomposition_to_json(dec))
     if svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -207,6 +208,7 @@ def cmd_render(args):
     if args.direction:
         dec = decompose(surface, _direction(args.direction),
                         **_bound_kwargs(args))
+    from .render import render_surface
     svg = render_surface(surface, dec)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

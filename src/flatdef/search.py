@@ -45,16 +45,20 @@ __all__ = ["enumerate_saddle_connections", "enumerate_directions",
 class Triangulated:
     """A triangulated copy of a surface sharing its vertex set.
 
-    Triangles are (polygon, (i0, i1, i2)) vertex-index triples; edges are
-    glued pairwise: original polygon edges through the surface gluing,
-    ear-clip diagonals within each polygon.
+    Triangles are (polygon, (i0, i1, i2)) vertex-index triples, ccw;
+    side k of a triangle runs from its vertex k to its vertex k + 1.
+    Sides are glued pairwise: original polygon edges through the surface
+    gluing, ear-clip diagonals within each polygon.  `links[t]` holds,
+    flat, the three entries (mate triangle, mate side, polygon edge or
+    -1) of triangle t's sides; `sides[p][e]` is 3t + k for the side k
+    of triangle t that is polygon p's edge e.
     """
 
     def __init__(self, surface: TranslationSurface):
         self.triangles = []   # list of (polygon, (i0, i1, i2))
-        self.gluing = {}      # (tri, k) -> (tri, k)
+        mates = {}            # (tri, k) -> (tri, k)
+        sides = {}            # (polygon, edge) -> (tri, k)
         diag_sides = {}
-        edge_sides = {}
         lat = surface.lattice()
         for p, verts in enumerate(lat.verts):
             n = len(verts)
@@ -64,22 +68,32 @@ class Triangulated:
                 for k in range(3):
                     a, b = tri[k], tri[(k + 1) % 3]
                     if b == (a + 1) % n:
-                        edge_sides[(p, a)] = (t_id, k)
+                        sides[(p, a)] = (t_id, k)
                     else:
                         key = (p, min(a, b), max(a, b))
                         if key in diag_sides:
                             other = diag_sides.pop(key)
-                            self.gluing[(t_id, k)] = other
-                            self.gluing[other] = (t_id, k)
+                            mates[(t_id, k)] = other
+                            mates[other] = (t_id, k)
                         else:
                             diag_sides[key] = (t_id, k)
         if diag_sides:
             raise InternalInvariantError("unmatched triangulation diagonals")
-        for (p, e), side in edge_sides.items():
-            q, f = surface.gluing[(p, e)]
-            mate = edge_sides[(q, f)]
-            self.gluing[side] = mate
-            self.gluing[mate] = side
+        edge_of = {side: e for (_, e), side in sides.items()}
+        mates.update((side, sides[surface.gluing[edge]])
+                     for edge, side in sides.items())
+        self.links = [tuple(x for k in range(3) for x in
+                            mates[(t, k)] + (edge_of.get((t, k), -1),))
+                      for t in range(len(self.triangles))]
+        self.sides = [tuple(3 * t + k for t, k in
+                            (sides[(p, e)] for e in range(len(verts))))
+                      for p, verts in enumerate(lat.verts)]
+
+    @property
+    def gluing(self):
+        """The mate of each side, (t, k) -> (t, k), as a new dict."""
+        return {(t, k): (lk[3 * k], lk[3 * k + 1])
+                for t, lk in enumerate(self.links) for k in range(3)}
 
 
 def triangulated(surface: TranslationSurface) -> Triangulated:
@@ -179,9 +193,9 @@ class _Tri:
     """Triangulated surface with edge-vector triangles, gluings and
     corner classes, which flips rewrite.
 
-    Built from the family's ear clip (`triangulated`); the gluing is a
-    copy because flips rewrite it.  Edge vectors are in the surface's
-    integer form `lat`: triangle t has edges[t] = [e0, e1, e2], summing
+    Built from the family's ear clip (`triangulated`), with a gluing
+    dict of its own.  Edge vectors are in the surface's integer form
+    `lat`: triangle t has edges[t] = [e0, e1, e2], summing
     to zero, and its vertices sit at O, e0 and e0 + e1 when it is
     developed with corner 0 at the origin.  classes[t][k] is the vertex
     class of corner k, the tail of edge k.
@@ -201,7 +215,7 @@ class _Tri:
                                _sub(pts[i0], pts[i2])])
             self.classes.append([class_of[(p, i0)], class_of[(p, i1)],
                                  class_of[(p, i2)]])
-        self.gluing = dict(base.gluing)
+        self.gluing = base.gluing
 
     def hinge(self, t1, k1):
         """Develop the two triangles sharing edge (t1, k1) into the plane.

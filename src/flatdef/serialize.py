@@ -16,9 +16,9 @@ from .errors import FlatdefError
 from .field import FieldCtx, FieldScalar, _rat_str, _read, _text
 from .surface import TranslationSurface
 
-__all__ = ["scalar_to_json", "scalar_from_json", "surface_to_json",
-           "surface_from_json", "dump_surface", "load_surface",
-           "decomposition_to_json", "span_to_json", "dumps"]
+__all__ = ["scalar_from_json", "surface_to_json", "surface_from_json",
+           "dump_surface", "load_surface", "decomposition_to_json",
+           "span_to_json", "dumps"]
 
 FORMAT_VERSION = 1
 
@@ -105,10 +105,6 @@ def _write(o, newline: str, out) -> None:
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         f"is not JSON serializable")
-
-
-def scalar_to_json(x: FieldScalar):
-    return _json_text(x._A, x._B, x._D)
 
 
 def _json_text(A: int, B: int, D: int):

@@ -76,7 +76,7 @@ class TranslationSurface:
 
     Computed data is cached in two dicts.  `_cache` holds what depends on
     the surface's own coordinates: its lattice form, homology frame,
-    east corners and slab tables.  `_family` holds what every
+    east corners and exit lines.  `_family` holds what every
     image of positive determinant shares with it, and `apply_matrix`
     hands such an image the same dict: the singularity data, the frame's
     integer data and the triangulation (`search.triangulated`).

@@ -5,14 +5,18 @@ east: the separatrices of the horizontal foliation.  Positions carry
 exact coordinates in the current polygon's frame together with the
 boundary parameterization needed for homology bookkeeping.
 
-An eastward ray keeps its height y inside a polygon, so where it leaves
-depends only on that height and on how far east it starts.
-`_SlabTable` indexes one polygon by height once, and each crossing is
-then a table lookup.  The set-up is built only as far as the rays read
-it: the corners east leaves are decided by the rises of their edges
-(`polygon.corner_crosses_east`), a polygon's table is built when a ray
-first enters it, and the exits along a vertex-height line when a ray
-first stands on that line; most rays cross the open slabs between.
+A ray walks through the family's ear-clip triangles
+(`search.triangulated`, shared by every image of positive determinant,
+so one set serves all of a surface's directions).  It keeps its height
+H and enters each triangle strictly inside a side, so only the opposite
+vertex can lie at height H: one sign ends the ray there or names the
+side it leaves by; a diagonal leads to the next triangle of the polygon
+and a polygon edge is a crossing.  A straight run meets each triangle
+of a polygon at most once, so a walk that visits more raises
+InternalInvariantError.  A ray from a corner starts in the triangle of
+the corner's fan whose sector holds east (`polygon.corner_crosses_east`,
+the rule that picks the corners).  An edge's exit line and gluing
+translation are built the first time a ray leaves through it.
 
 The arithmetic runs on the surface's `polygon.Lattice`: a coordinate
 is a pair (A, B) of integers meaning (A + B*sqrt(d))/D.  Gluing
@@ -20,33 +24,29 @@ translations are lattice vectors, so a ray keeps its height on the
 lattice from polygon to polygon, and so does `base`, its start's
 x-coordinate plus the x-parts of the translations it has crossed: the
 advance to a point of x-coordinate x in the current polygon's frame is
-x - base.  An exit through an edge lies at the quotient
-x = (C + H*M)/R of lattice pairs, with R > 0.  A corner is a point of
-the surface's lattice.  An interior point need not be, so
-`trace_from_point` re-expresses the lattice once, over the least
-multiple of D that holds the point and in the field of the point
-(`polygon.Lattice.over`), and traces on that: the step loop knows one
-lattice and one scale.  The re-expressed lattice and its slab tables
-live on a `_Shell` of the surface, never in the surface's own cache.
+x - base, and an exit lies at x = (C + H*M)/R of lattice pairs, R > 0.
+An interior point need not be a lattice point, so `trace_from_point`
+re-expresses the lattice over a multiple of D and in a field that hold
+it (`polygon.Lattice.over`), on a `_Shell` of the surface, and finds
+its first exit by one scan of its polygon's edges (`_first_exit`).
 
-Every trace has a bound, tested by the saddle-connection search's
-`polygon._Bound`, one cross-multiplied sign.  A trace runs in the field
-of its lattice and its bound (`field.join_ctx`), decided before the
-first step, so a bound over another irrational field raises ValueError
-whichever way the ray runs.  `FieldScalar`s are built only for what a
-trace returns: its advance and, on first access, its chords' and
-crossings' edge parameters.
+Every trace has a bound, tested by `polygon._Bound`, one
+cross-multiplied sign, in the field of the lattice and the bound
+(`field.join_ctx`), decided before the first step: a bound over
+another irrational field raises ValueError whichever way the ray runs.
+`FieldScalar`s are built only for what a trace returns: its advance
+and, on first access, its chords' and crossings' edge parameters.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cmp_to_key
 from math import lcm
 
 from .errors import InternalInvariantError
 from .field import FieldScalar, Vec2, _new, _sign, join_ctx
 from .polygon import _Bound, _mul, _sub, corner_crosses_east
+from .search import triangulated
 from .surface import TranslationSurface
 
 __all__ = ["TraceResult", "trace_from_corner", "east_ray_corners"]
@@ -96,16 +96,20 @@ class TraceResult:
     def _build(self):
         """(chords, crossings)."""
         if self._built is None:
-            d, ctx = self._d, self._surface.lattice().ctx
+            surface, d = self._surface, self._d
+            lat = surface.lattice()
+            ctx = lat.ctx
             one = _new(1, 0, 1, ctx)
             chords, crossings = [], []
             point = self._key
-            for p, e, H in self._steps:
-                table, glue = _polygon_table(self._surface, p)
-                s = table.param(e, H, d, ctx)
+            for p, e, (HA, HB) in self._steps:
+                # the edge's parameter at height H: (H - h0) / rise
+                _, _, h0A, h0B = lat.verts[p][e]
+                s = _quotient((HA - h0A, HB - h0B), lat.edges[p][e][2:], 1,
+                              d, ctx)
                 chords.append((p, point, ("edge", e, s)))
                 crossings.append((p, e, s))
-                point = ("edge", glue[e][1], one - s)
+                point = ("edge", surface.gluing[(p, e)][1], one - s)
             if self.end_corner is not None:
                 q, v = self.end_corner
                 chords.append((q, point, ("vertex", v)))
@@ -138,14 +142,15 @@ class _Built(Sequence):
 
 
 class _Shell:
-    """A surface's gluing on another lattice form of its polygons, with
-    a cache of its own: what `_trace` and `_polygon_table` read of a
+    """A surface's gluing and family triangles on another lattice form
+    of its polygons, with a cache of its own: what `_trace` reads of a
     surface."""
 
-    __slots__ = ("gluing", "_lattice", "_cache")
+    __slots__ = ("gluing", "_family", "_lattice", "_cache")
 
     def __init__(self, surface, lattice):
         self.gluing = surface.gluing
+        self._family = surface._family
         self._lattice = lattice
         self._cache = {}
 
@@ -174,11 +179,6 @@ def east_ray_corners(surface: TranslationSurface):
     return corners
 
 
-def _lattice_split(pt):
-    """(y, x) pairs of a lattice point (xa, xb, ya, yb)."""
-    return pt[2:], pt[:2]
-
-
 def _quotient(N, R, scale, d, ctx) -> FieldScalar:
     """The scalar N / (R * scale) of pairs N, R != 0 and an integer scale."""
     RA, RB = R
@@ -189,262 +189,72 @@ def _quotient(N, R, scale, d, ctx) -> FieldScalar:
                 (RA * RA - d * RB * RB) * scale, ctx)
 
 
-def _escaped(p, y, x):
-    return InternalInvariantError(
-        f"ray from {Vec2(x, y)} in polygon {p} escaped the boundary")
+def _exit_line(start, vec, d):
+    """(C, M, R) of the edge from lattice point `start` along `vec`, in
+    pairs over D: a ray at height H meets its line at x = (C + H*M)/R,
+    with R > 0."""
+    M, R = vec[:2], vec[2:]
+    adh, hda = _mul(start[:2], R, d), _mul(start[2:], M, d)
+    C = adh[0] - hda[0], adh[1] - hda[1]
+    if _sign(*R, d) < 0:
+        return (-C[0], -C[1]), (-M[0], -M[1]), (-R[0], -R[1])
+    return C, M, R
 
 
-class _SlabTable:
-    """Where an eastward ray leaves one polygon, indexed by height.
-
-    Points are `polygon.Lattice` points over D, split into a height y
-    and an along-coordinate x.  `heights` holds the
-    distinct vertex heights in ascending order (the breakpoints), and
-    `line_of` maps each to its index.  Open slab i lies between
-    heights[i-1] and heights[i]; slabs 0 and len(heights) are unbounded
-    and empty.  For each slab, `order[i]` lists the edges crossing it
-    in along-ray order and `succ[i]` maps each to the exit event of the
-    next one.  On the line at heights[j], `events[j]` lists the exits
-    of a ray on that line in ascending along-coordinate, one per point:
-    a crossed edge, or a vertex with a non-horizontal incident edge;
-    `line_pos[j]` maps each ("edge", e) and ("vertex", v) standing at
-    one of those points to its index.  `lines[e]` holds, for a
-    non-horizontal edge e, its start and direction as pairs
-    (h0, a0, dh, da), `exits[e]` its exit event and `span[e]` the ranks
-    of its lower and upper end.
-
-    The heights, spans, exits and slab orders are built with the table.
-    A line's `events[j]` and `line_pos[j]` are None until `line(j)`
-    builds them, which `exit` asks for the first time a ray stands on
-    that line: a trace from a corner stands on its start's line, and
-    most crossings leave through an open slab, so most lines of a
-    polygon are never read.
-
-    An exit event is a tuple (kind, data, C, M, R, R2): kind "vertex"
-    with the vertex index or "edge" with the edge index, and pairs such
-    that the event's along-coordinate, for a ray at height H, is
-    (C + H*M) / R over D, with R > 0 and R2 = R*R.
-
-    `exit` reproduces the rule of a scan over all edges: the nearest
-    hit strictly ahead of the origin; at one point a vertex label found
-    first stays, and an edge label gives way to a later candidate.
-    Which of two points comes first is decided by cross-multiplying,
-    never by dividing.
-    """
-
-    __slots__ = ("heights", "line_of", "order", "succ", "events",
-                 "line_pos", "lines", "exits", "span", "_d", "_rank",
-                 "_alongs")
-
-    def __init__(self, verts, edges, d):
-        n = len(edges)
-        pts = [_lattice_split(v) for v in verts]
-        heights = sorted({h for h, _ in pts}, key=cmp_to_key(
-            lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
-        line_of = {h: j for j, h in enumerate(heights)}
-        # rank[v]: the index of vertex v's height in `heights`, so that
-        # which side of a line a vertex lies on is an integer comparison
-        rank = [line_of[h] for h, _ in pts]
-        lines = [None] * n
-        exits = [None] * n
-        span = [None] * n
-        one = (1, 0)
-        # per line, in edge scan order: (P, R, M, R, edge) for each edge
-        # of slope M/R that crosses the open slab just above the line at
-        # along-coordinate P/R
-        above = [[] for _ in heights]
-        for e, vec in enumerate(edges):
-            f = (e + 1) % n
-            ra, rb = rank[e], rank[f]
-            if ra == rb:
-                continue  # horizontal
-            dh, da = _lattice_split(vec)
-            h0, a0 = pts[e]
-            lines[e] = (h0, a0, dh, da)
-            # along at height h: a0 + (h - h0) da/dh = (C + h M) / R
-            adh, hda = _mul(a0, dh, d), _mul(h0, da, d)
-            C = adh[0] - hda[0], adh[1] - hda[1]
-            M, R = da, dh
-            if _sign(*R, d) < 0:
-                C, M, R = (-C[0], -C[1]), (-M[0], -M[1]), (-R[0], -R[1])
-            exits[e] = ("edge", e, C, M, R, _mul(R, R, d))
-            lo, hi = span[e] = (ra, rb) if ra < rb else (rb, ra)
-            above[lo].append((pts[e if ra == lo else f][1], one, M, R, e))
-            for j in range(lo + 1, hi):
-                above[j].append((_along(C, M, heights[j], d), R, M, R, e))
-
-        # the edges of a slab keep their order across it, so it is the
-        # order where they leave its lower line; edges leaving one point
-        # fan out by slope
-        cmp_quotients = _quotient_cmp(d)
-
-        def cmp_spans(u, v):
-            return (cmp_quotients(u, v) or cmp_quotients(u[2:], v[2:])
-                    or (u[4] > v[4]) - (u[4] < v[4]))
-
-        order = [[]] + [[span[4] for span in sorted(spans, key=cmp_to_key(cmp_spans))]
-                        for spans in above]
-        self.order = order
-        self.succ = [{e: exits[g] for e, g in zip(o, o[1:])} for o in order]
-        self.heights = heights
-        self.line_of = line_of
-        self.lines = lines
-        self.exits = exits
-        self.span = span
-        self.events = [None] * len(heights)
-        self.line_pos = [None] * len(heights)
-        self._d = d
-        self._rank = rank
-        self._alongs = [a for _, a in pts]
-
-    def line(self, j):
-        """(events[j], line_pos[j]), built on the first call for line j.
-
-        The candidates are gathered in edge scan order, each vertex
-        through every non-horizontal edge it ends, and sorted stably.
-        """
-        events = self.events[j]
-        if events is not None:
-            return events, self.line_pos[j]
-        d, h, rank, alongs = self._d, self.heights[j], self._rank, self._alongs
-        n = len(self.exits)
-        one = (1, 0)
-        # (P, R, key, event) for each exit at along-coordinate P/R
-        cands = []
-        for e, event in enumerate(self.exits):
-            if event is None:
-                continue
-            lo, hi = self.span[e]
-            if lo < j < hi:
-                cands.append((_along(event[2], event[3], h, d), event[4],
-                              ("edge", e), event))
-            elif j == lo or j == hi:
-                v = e if rank[e] == j else (e + 1) % n
-                a = alongs[v]
-                cands.append((a, one, ("vertex", v),
-                              ("vertex", v, a, (0, 0), one, one)))
-        cmp_quotients = _quotient_cmp(d)
-        # stable: scan order within a point
-        cands.sort(key=cmp_to_key(cmp_quotients))
-        events = []
-        pos = {}
-        last = None
-        for cand in cands:
-            if last is not None and cmp_quotients(last, cand) == 0:
-                # one point: a vertex label found first stays, an edge
-                # label gives way to a later candidate
-                if events[-1][0] == "edge":
-                    events[-1] = cand[3]
-            else:
-                events.append(cand[3])
-            pos[cand[2]] = len(events) - 1
-            last = cand
-        self.events[j] = events
-        self.line_pos[j] = pos
-        return events, pos
-
-    def exit(self, H, A, d, key=None):
-        """The first exit event strictly ahead of a point, or None.
-
-        The point lies at height H and along-coordinate A, pairs over
-        D.  `key`, ("edge", e) or ("vertex", v), names the event the
-        point stands on, when it is one: the edge it lies inside of or
-        the vertex it is; then A is read only if that event is not an
-        exit of the point's line.
-        """
-        j = self.line_of.get(H)
-        if j is not None:
-            events, pos = self.line(j)
-            i = pos.get(key)
-            if i is None:
-                i = 0
-                while i < len(events) and not _ahead(events[i], H, A, d):
-                    i += 1
-            else:
-                i += 1
-            return events[i] if i < len(events) else None
-        # the open slab: the first breakpoint above H, searched among
-        # those the entry edge spans
-        heights = self.heights
-        entry = key[1] if key is not None and key[0] == "edge" else None
-        if entry is not None:
-            lo, hi = self.span[entry]
-            lo += 1
-        else:
-            lo, hi = 0, len(heights)
-        HA, HB = H
-        while lo < hi:
-            mid = (lo + hi) // 2
-            hA, hB = heights[mid]
-            if _sign(HA - hA, HB - hB, d) > 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if entry is not None:
-            return self.succ[lo].get(entry)
-        for e in self.order[lo]:
-            if _ahead(self.exits[e], H, A, d):
-                return self.exits[e]
-        return None
-
-    def param(self, e, H, d, ctx) -> FieldScalar:
-        """The parameter in (0, 1) of the point at height H on edge e."""
-        h0, _, dh, _ = self.lines[e]
-        return _quotient((H[0] - h0[0], H[1] - h0[1]), dh, 1, d, ctx)
-
-
-def _along(C, M, h, d):
-    """C + h*M, the along-coordinate times R at height h of an edge
-    whose exit event holds C, M and R."""
-    hM = _mul(h, M, d)
-    return C[0] + hM[0], C[1] + hM[1]
-
-
-def _quotient_cmp(d):
-    """The comparison of the quotients P/R (pairs, R > 0) that lead two
-    tuples, by one cross-multiplied sign."""
-    def cmp(u, v):
-        (P1A, P1B), (R1A, R1B), (P2A, P2B), (R2A, R2B) = u[0], u[1], v[0], v[1]
-        return _sign(P1A * R2A + d * P1B * R2B - P2A * R1A - d * P2B * R1B,
-                     P1A * R2B + P1B * R2A - P2A * R1B - P2B * R1A, d)
-    return cmp
-
-
-def _ahead(event, H, A, d) -> bool:
-    """Whether `event` lies strictly ahead of along-coordinate A on the
-    ray at height H."""
-    _, _, C, M, R, _ = event
-    HA, HB = H
-    MA, MB = M
-    RA, RB = R
-    return _sign(C[0] + HA * MA + d * HB * MB - A[0] * RA - d * A[1] * RB,
-                 C[1] + HA * MB + HB * MA - A[0] * RB - A[1] * RA, d) > 0
-
-
-def _polygon_table(surface, p):
-    """(slab table, per-edge gluing) of polygon p, cached on the surface.
-
-    The gluing entry of edge e is (q, f, dh, da): its partner edge and
-    the translation taking a point of e to the same point of f, as
-    pairs over D.
-    """
-    tables = surface._cache.get("slabs")
-    if tables is None:
-        tables = surface._cache["slabs"] = [None] * len(surface.lattice().edges)
-    entry = tables[p]
-    if entry is None:
-        lat = surface.lattice()
-        verts = lat.verts[p]
-        table = _SlabTable(verts, lat.edges[p], lat.d)
-        glue = []
-        for e in range(len(verts)):
-            q, f = surface.gluing[(p, e)]
-            # the point at s on (p, e) is the point at 1 - s on (q, f),
-            # which runs the other way: both differ by end(f) - start(e)
-            end_f = lat.verts[q][(f + 1) % len(lat.verts[q])]
-            glue.append((q, f) + _lattice_split(_sub(end_f, verts[e])))
-        entry = tables[p] = (table, glue)
+def _edge_exit(surface, exits, p, e):
+    """The exit through polygon edge (p, e), kept in the surface's
+    `_cache["exits"]` from the first time a ray leaves through it:
+    (C, M, R, R*R, q, f, dh, da), the edge's `_exit_line`, its partner
+    (q, f), and the translation taking a point of e to the same point of
+    f, which runs the other way: end(f) - start(e)."""
+    lat = surface.lattice()
+    start = lat.verts[p][e]
+    C, M, R = _exit_line(start, lat.edges[p][e], lat.d)
+    q, f = surface.gluing[(p, e)]
+    g = _sub(lat.verts[q][(f + 1) % len(lat.verts[q])], start)
+    exits[p][e] = entry = (C, M, R, _mul(R, R, lat.d), q, f, g[2:], g[:2])
     return entry
+
+
+def _cmp(X, Y, P, Q, d) -> int:
+    """The sign of X/Y - P/Q, for pairs with Y, Q > 0, cross-multiplied."""
+    XQ, PY = _mul(X, Q, d), _mul(P, Y, d)
+    return _sign(XQ[0] - PY[0], XQ[1] - PY[1], d)
+
+
+def _first_exit(lat, p, H, ref, d):
+    """The first exit of polygon p of the lattice form `lat` strictly
+    ahead of the point at height H and x-coordinate P/Q, ref = (P, Q)
+    pairs over D with Q > 0: a vertex (v, None), an edge (None, e), or
+    None when nothing is ahead.
+
+    The candidates are, in edge order, each end at height H of a
+    non-horizontal edge and each edge crossing H inside.  The nearest
+    wins; at one point, a vertex found first stays and an edge gives
+    way to a later candidate."""
+    verts, edges = lat.verts[p], lat.edges[p]
+    best = None
+    for e, vec in enumerate(edges):
+        if not (vec[2] or vec[3]):
+            continue  # horizontal
+        f = (e + 1) % len(edges)
+        s0 = _sign(verts[e][2] - H[0], verts[e][3] - H[1], d)
+        s1 = _sign(verts[f][2] - H[0], verts[f][3] - H[1], d)
+        if not (s0 and s1):
+            found = e if not s0 else f, None
+            at = verts[found[0]][:2], (1, 0)
+        elif s0 != s1:
+            C, M, R = _exit_line(verts[e], vec, d)
+            hM = _mul(H, M, d)
+            found, at = (None, e), ((C[0] + hM[0], C[1] + hM[1]), R)
+        else:
+            continue
+        if _cmp(*at, *ref, d) <= 0:
+            continue  # not ahead
+        c = 1 if best is None else _cmp(*best_at, *at, d)
+        if c > 0 or c == 0 and best[0] is None:
+            best, best_at = found, at
+    return best
 
 
 def trace_from_corner(surface: TranslationSurface, corner,
@@ -459,8 +269,9 @@ def trace_from_corner(surface: TranslationSurface, corner,
     p, i = corner
     if (p, i) not in east_ray_corners(surface):
         raise ValueError(f"direction Vec2(1, 0) does not leave corner {corner}")
-    h, a = _lattice_split(surface.lattice().verts[p][i])
-    return _trace(surface, p, h, a, ("vertex", i), max_advance_sq)
+    pt = surface.lattice().verts[p][i]
+    return _trace(surface, p, pt[2:], pt[:2], ("vertex", i),
+                  max_advance_sq)
 
 
 def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
@@ -471,8 +282,9 @@ def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
     ctx = join_ctx(surface.ctx, origin.x, origin.y)
     lat = surface.lattice()
     lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), ctx)
-    h, a = _lattice_split(lat.point(origin))
-    return _trace(_Shell(surface, lat), p, h, a, None, max_advance_sq)
+    pt = lat.point(origin)
+    return _trace(_Shell(surface, lat), p, pt[2:], pt[:2], None,
+                  max_advance_sq)
 
 
 def _trace(surface, p, H, base, key, max_advance_sq):
@@ -480,54 +292,110 @@ def _trace(surface, p, H, base, key, max_advance_sq):
     (pairs over D) of polygon p of the surface's lattice, standing on
     `key` (a corner's ("vertex", i)) or inside the polygon (None).
 
-    The returned scalars live in the lattice's field; the arithmetic
-    runs in the field of the lattice and the bound, decided here once,
-    before any step.
+    The ray walks through the family's triangles to a polygon edge,
+    which it crosses, or to a vertex, where it ends.  A start inside a
+    polygon finds its next stop by `_first_exit`, for as long as it
+    stands outside the polygon it is in.  The returned scalars live in
+    the lattice's field; the arithmetic runs in the field of the
+    lattice and the bound, decided here once, before any step.
     """
     lat = surface.lattice()
     D, ctx = lat.D, lat.ctx
     bound = _Bound(lat, max_advance_sq)
     d = bound.d
+    tri = triangulated(surface)
+    triangles, links = tri.triangles, tri.links
+    exits = surface._cache.get("exits")
+    if exits is None:
+        exits = surface._cache["exits"] = [[None] * len(v) for v in lat.verts]
+    verts = lat.verts[p]
+    # the triangles of polygon p the walk may still enter
+    left = len(verts) - 3
     steps = []
-
-    event = None
-    if key is not None:
-        rise, step = _lattice_split(lat.edges[p][key[1]])
-        if rise == (0, 0) and _sign(*step, d) > 0:
-            # a run along a horizontal edge: its one event ends the
-            # trace, so it needs no table
-            v = (key[1] + 1) % len(lat.edges[p])
-            event = ("vertex", v, lat.verts[p][v][:2], (0, 0), (1, 0), (1, 0))
-    if event is None:
-        table, glue = _polygon_table(surface, p)
-        event = table.exit(H, base, d, key)
-    tables = surface._cache.get("slabs")
     prev = None  # the advance so far, as (N, R): N / (R * D)
+    t = None  # the triangle the ray is in, entered through its side k
+    if key is None:
+        ref = base, (1, 0)  # the x-coordinate P / Q the ray stands at
+    else:
+        # the triangle of the corner's fan whose sector [out, rev-in)
+        # holds east, turning from the corner's outgoing edge
+        i = key[1]
+        t, k = divmod(tri.sides[p][i], 3)
+        while True:
+            ends = triangles[t][1]
+            out = _sub(verts[ends[(k + 1) % 3]], verts[i])
+            rev_in = _sub(verts[ends[(k + 2) % 3]], verts[i])
+            if corner_crosses_east(out, rev_in, d, closed="start"):
+                break
+            lk, j = links[t], 3 * ((k + 2) % 3)
+            if lk[j + 2] >= 0:
+                raise InternalInvariantError(
+                    f"east leaves no triangle at corner {(p, i)}")
+            t, k = lk[j], lk[j + 1]
+        # as if entered by the side that ends at the corner: the ray runs
+        # along the other side to its far end, or out by the opposite one
+        k = (k + 2) % 3
+    HA, HB = H
+    bA, bB = base
     while True:
-        if event is None:
-            x = _new(*base, D, ctx)
-            if prev is not None:
-                x = x + _quotient(*prev, D, d, ctx)
-            raise _escaped(p, _new(*H, D, ctx), x)
-        kind, data, (CA, CB), (MA, MB), (RA, RB), R2 = event
-        HA, HB = H
-        bA, bB = base
+        # the next stop: a vertex v, where the ray ends, or an edge e
+        if t is None:
+            found = _first_exit(lat, p, (HA, HB), ref, d)
+            if found is None:
+                x = _new(bA, bB, D, ctx)
+                if prev is not None:
+                    x = x + _quotient(*prev, D, d, ctx)
+                raise InternalInvariantError(
+                    f"ray from {Vec2(x, _new(HA, HB, D, ctx))} in polygon "
+                    f"{p} escaped the boundary")
+            v, e = found
+        else:
+            # in triangle t, entered through side k strictly between its
+            # ends' heights: only the opposite vertex can lie at height
+            # H, and above or below it names the side out
+            while True:
+                v = triangles[t][1][(k + 2) % 3]
+                apex = verts[v]
+                s = _sign(apex[2] - HA, apex[3] - HB, d)
+                if not s:
+                    break
+                lk = links[t]
+                j = 3 * ((k + 1) % 3 if s > 0 else (k + 2) % 3)
+                t, k = lk[j], lk[j + 1]
+                if lk[j + 2] >= 0:
+                    v, e = None, lk[j + 2]
+                    break
+                if not left:
+                    raise InternalInvariantError(
+                        f"the walk visited more triangles of polygon {p} "
+                        f"than it has")
+                left -= 1
+        if v is not None:
+            NA, NB = verts[v][0] - bA, verts[v][1] - bB
+            if not bound.within((NA * NA + d * NB * NB, 2 * NA * NB)):
+                break
+            return TraceResult("vertex", _new(NA, NB, D, ctx), surface, d,
+                               key, steps, end_corner=(p, v))
+        (CA, CB), (MA, MB), (RA, RB), R2, q, f, (gA, gB), (tA, tB) = \
+            exits[p][e] or _edge_exit(surface, exits, p, e)
         # the advance to the exit is N / (R * D)
         NA = CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
         NB = CB + HA * MB + HB * MA - bA * RB - bB * RA
         if not bound.within((NA * NA + d * NB * NB, 2 * NA * NB), R2):
-            return TraceResult("bound", _new(0, 0, 1, ctx) if prev is None
-                               else _quotient(*prev, D, d, ctx),
-                               surface, d, key, steps)
-        if kind == "vertex":
-            return TraceResult("vertex",
-                               _quotient((NA, NB), (RA, RB), D, d, ctx),
-                               surface, d, key, steps, end_corner=(p, data))
-        steps.append((p, data, H))
-        q, f, (gA, gB), (tA, tB) = glue[data]
-        H = (HA + gA, HB + gB)
-        base = (bA + tA, bB + tB)
+            break
+        steps.append((p, e, (HA, HB)))
+        HA, HB = HA + gA, HB + gB
+        bA, bB = bA + tA, bB + tB
         prev = (NA, NB), (RA, RB)
-        p = q
-        table, glue = tables[p] or _polygon_table(surface, p)
-        event = table.exit(H, None, d, ("edge", f))
+        if t is None:
+            if _sign(*lat.edges[p][e][2:], d) > 0:
+                # left p upwards, so it enters q: on to the walk
+                t, k = divmod(tri.sides[q][f], 3)
+            else:
+                # the point stood outside p, and stands outside q
+                bR = _mul((bA, bB), (RA, RB), d)
+                ref = (bR[0] + NA, bR[1] + NB), (RA, RB)
+        p, verts, left = q, lat.verts[q], len(lat.verts[q]) - 3
+    return TraceResult("bound", _new(0, 0, 1, ctx) if prev is None
+                       else _quotient(*prev, D, d, ctx),
+                       surface, d, key, steps)

@@ -64,7 +64,7 @@ def test_sl2z_on_surface_and_direction(request, name):
 # image, lengths times lam: status, the counts and the moduli stay, and
 # circumferences scale by lam.  Rebuilding the surface from its canonical
 # Delaunay cells changes the polygons (so the tracer sees other edges and
-# other slab tables) but not the flat surface, so nothing may change.
+# walks other triangles) but not the flat surface, so nothing may change.
 
 TRACE_LENGTH = 12
 META_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (-1, 2),

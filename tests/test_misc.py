@@ -646,12 +646,12 @@ def test_complex_scalar_scopes_are_found():
 # `_cache`, the surface's own.  What is read from the surface's own
 # coordinates (its lattice form, its frame, whose hash reads
 # its polygons, and what is built for its horizontal direction: east
-# corners and slab tables) must never be shared.
+# corners and exit lines) must never be shared.
 _SHARED_WITH_IMAGES = {
     "lattice": False,
     "frame": False,
     "east": False,
-    "slabs": False,
+    "exits": False,
     "sing": True,
     "frame_data": True,
     "triangulated": True,
@@ -661,7 +661,7 @@ _CACHES = {"_cache": False, "_family": True}
 
 def _key_name(node):
     """A cache key's name: a string constant, or the leading string of a
-    tuple key such as ("slabs", p); anything else is "<computed>"."""
+    tuple key such as ("exits", p); anything else is "<computed>"."""
     if isinstance(node, ast.Tuple) and node.elts:
         node = node.elts[0]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -727,11 +727,11 @@ def test_misplaced_cache_keys_are_found():
         "a.py": ("def f(s, p):\n"
                  "    s._cache[\"lattice\"] = 1\n"
                  "    s._family[\"east\"] = 2\n"
-                 "    s._family[(\"slabs\", p)] = 3\n"
+                 "    s._family[(\"exits\", p)] = 3\n"
                  "    x = s._cache[\"sing\"] = 4\n"
                  "    s._cache[key] = 5\n"),
         "b.py": ("def g(s, image):\n"
-                 "    image._cache = {\"lattice\": 1, \"slabs\": 2}\n"
+                 "    image._cache = {\"lattice\": 1, \"exits\": 2}\n"
                  "    image._family = {\"polygons\": 3}\n"
                  "    s._family.setdefault(\"frame\", {})\n"
                  "    s._family.setdefault(\"triangulated\", {})\n"),
@@ -740,7 +740,7 @@ def test_misplaced_cache_keys_are_found():
         "a.py: _cache['<computed>'] is not in the table",
         "a.py: _cache['sing'] is in the wrong cache",
         "a.py: _family['east'] is in the wrong cache",
-        "a.py: _family['slabs'] is in the wrong cache",
+        "a.py: _family['exits'] is in the wrong cache",
         "b.py: _family['frame'] is in the wrong cache",
         "b.py: _family['polygons'] is not in the table",
     ]
@@ -776,6 +776,8 @@ def test_cli_imports_no_network_stack():
                          check=True).stdout
     assert "flatdef.cli" in out.split()
     assert _network_modules(out.split()) == []
+    # only `decompose --svg` and `render` draw, and they import render
+    assert "flatdef.render" not in out.split()
 
 
 def test_network_modules_are_found():
@@ -825,6 +827,57 @@ def test_duplicate_definitions_are_found():
         "_incircle": ["search.py: 5"],
         "_delaunay": ["equivalence.py: 1"],
     }
+
+
+def _calls(sources: dict, name: str) -> list[str]:
+    """The places ("module: scope") that call `name`, by its bare name
+    or as an attribute; a scope is the dotted path of the enclosing
+    classes and functions, or <module>."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = (child.name if scope == "<module>"
+                         else f"{scope}.{child.name}")
+                visit(child, module, inner)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == name
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == name):
+                    found.append(f"{module}: {scope}")
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, "<module>")
+    return sorted(found)
+
+
+def test_one_triangulation_builder():
+    # the saddle-connection search, translation equivalence and the
+    # trace read one triangulation per family: `Triangulated` is built
+    # only by `search.triangulated`, which keeps it in the family cache
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _calls(sources, "Triangulated") == ["search.py: triangulated"]
+
+
+def test_second_triangulation_builders_are_found():
+    sources = {
+        "search.py": ("def triangulated(s):\n"
+                      "    return Triangulated(s)\n"),
+        "tracing.py": ("from . import search\n"
+                       "class _Walk:\n"
+                       "    def start(self, s):\n"
+                       "        return [search.Triangulated(s)]\n"
+                       "FAN = Triangulated\n"),
+    }
+    assert _calls(sources, "Triangulated") == [
+        "search.py: triangulated", "tracing.py: _Walk.start"]
 
 
 def test_directions_search_through_the_module_binding(monkeypatch, golden_l):

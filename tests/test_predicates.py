@@ -1,12 +1,16 @@
-"""Differential tests of the slab ray-exit lookup, the window predicate,
-the incircle test and the polygon predicates.
+"""Differential tests of the interior-start exit scan, the window
+predicate, the incircle test and the polygon predicates.
 
-`tracing._SlabTable.exit` finds where an eastward ray leaves a polygon
-by a search on its height, and `search._window_within` decides
+`tracing._first_exit` finds where an eastward ray from a point leaves
+a polygon by one scan of its edges, and `search._window_within` decides
 a window, both by cross-multiplication alone on the integer lattice
 form of their points: each Vec2 case is converted by `polygon.Lattice`,
 re-expressed for an exit ray over a denominator that holds its origin,
-as a trace from an interior point does (`tracing.trace_from_point`).  The references below are the versions
+as a trace from an interior point does (`tracing.trace_from_point`).
+The scan looks ahead of a point given as a quotient, so a case with an
+entry edge is scanned again from that edge's point at the origin's
+height, as a trace standing outside a polygon is after a crossing.  The
+references below are the versions
 that divided for every candidate: `ref_exit_ray` computed t and s for
 each edge and kept the nearest hit, and the search clipped each window
 to exact intersection points
@@ -37,7 +41,7 @@ from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              ear_clip, same_ray, segments_intersect_interior)
 from flatdef.search import _Bound, _incircle, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import _SlabTable, _escaped, _lattice_split, _quotient
+from flatdef.tracing import _exit_line, _first_exit, _quotient
 
 from reference_trace import sector_contains
 
@@ -84,37 +88,45 @@ def ref_exit_ray(surface, p, origin, direction):
     return point, t, kind, data
 
 
-def slab_exit(surface, p, origin, direction, entry=None):
-    """The slab lookup, in the shape `ref_exit_ray` returns.
+def scan_exit(surface, p, origin, direction, entry=None):
+    """The exit scan, in the shape `ref_exit_ray` returns.
 
     Each case is converted to its lattice form: the polygon through
     `polygon.Lattice` re-expressed over a denominator that holds the
-    origin, as an interior start of a trace is, the entry hint as the
-    key ("edge", entry).  The
-    tables serve east rays only, so `direction`, taken to share
+    origin, as an interior start of a trace is.  With an entry edge the
+    scan looks ahead of that edge's point at the origin's height, a
+    quotient (C + H*M)/R, instead of the origin's x-coordinate.  The
+    scan serves east rays only, so `direction`, taken to share
     `ref_exit_ray`'s arguments, is (1, 0).
     """
     verts, edges = surface.vertices(p), surface.polygons[p]
     lat = Lattice([edges])
     lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), lat.ctx)
-    H, A = _lattice_split(lat.point(origin))
+    pt = lat.point(origin)
+    H, A = pt[2:], pt[:2]
     # scalars come back in the field of the polygon's edges, as the
     # surface's field is that of its edges
     D, d, ctx = lat.D, lat.d, edges[0].ctx
-    table = _SlabTable(lat.verts[0], lat.edges[0], d)
-    event = table.exit(H, A, d, None if entry is None else ("edge", entry))
-    if event is None:
-        raise _escaped(p, _new(*H, D, ctx), _new(*A, D, ctx))
-    kind, data, C, M, R, _ = event
-    along = _quotient((C[0] + H[0] * M[0] + d * H[1] * M[1],
-                       C[1] + H[0] * M[1] + H[1] * M[0]), R, D, d, ctx)
-    if kind == "vertex":
-        point = verts[data]
-    else:
-        s = table.param(data, H, d, ctx)
-        point = verts[data] + edges[data].scale(s)
-        data = (data, s)
-    return point, along - _new(*A, D, ctx), kind, data
+
+    def at(e):
+        """Edge e's point at height H, as (P, Q)."""
+        C, M, R = _exit_line(lat.verts[0][e], lat.edges[0][e], d)
+        return (C[0] + H[0] * M[0] + d * H[1] * M[1],
+                C[1] + H[0] * M[1] + H[1] * M[0]), R
+
+    found = _first_exit(lat, 0, H, (A, (1, 0)) if entry is None
+                        else at(entry), d)
+    if found is None:
+        raise InternalInvariantError(
+            f"ray from {origin} in polygon {p} escaped the boundary")
+    v, e = found
+    if v is not None:
+        along = _new(*lat.verts[0][v][:2], D, ctx)
+        return verts[v], along - _new(*A, D, ctx), "vertex", v
+    h0, rise = lat.verts[0][e][2:], lat.edges[0][e][2:]
+    s = _quotient((H[0] - h0[0], H[1] - h0[1]), rise, 1, d, ctx)
+    return (verts[e] + edges[e].scale(s),
+            _quotient(*at(e), D, d, ctx) - _new(*A, D, ctx), "edge", (e, s))
 
 
 def ref_beyond(a, b, bound_sq):
@@ -612,10 +624,10 @@ class TestExitRay:
     def test_matches_reference(self, case):
         surf, origin, direction, entry = case
         args = (surf, 0, origin, direction)
-        found = outcome(slab_exit, *args)
+        found = outcome(scan_exit, *args)
         assert found == outcome(ref_exit_ray, *args)
         if entry is not None:
-            assert outcome(slab_exit, *args, entry) == found
+            assert outcome(scan_exit, *args, entry) == found
 
     @pytest.mark.parametrize("edges, origin, direction, expected", [
         # a diamond whose diagonal is the ray: it leaves through the
@@ -638,13 +650,14 @@ class TestExitRay:
     def test_ties(self, edges, origin, direction, expected):
         poly = OnePolygon([Vec2(*e) for e in edges])
         args = (poly, 0, Vec2(*origin), Vec2(*direction))
-        out = slab_exit(*args)
+        out = scan_exit(*args)
         assert _exact(out) == _exact(ref_exit_ray(*args))
         assert out[2:] == expected
 
     def test_escape_raises_like_reference(self):
         # rays leaving the unit square through the edge they start on,
-        # with and without that edge as the entry hint, and a ray above it
+        # scanned from the origin and from that edge's point, and a ray
+        # above it
         square = OnePolygon([Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)])
         for origin, direction, entry in [
             ((1, Fraction(1, 2)), (1, 0), None),
@@ -652,8 +665,8 @@ class TestExitRay:
             ((0, 2), (1, 0), None),
         ]:
             args = (square, 0, Vec2(*origin), Vec2(*direction))
-            assert outcome(slab_exit, *args, entry)[0] == "error"
-            assert outcome(slab_exit, *args, entry) == \
+            assert outcome(scan_exit, *args, entry)[0] == "error"
+            assert outcome(scan_exit, *args, entry) == \
                 outcome(ref_exit_ray, *args)
 
 

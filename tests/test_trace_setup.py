@@ -1,16 +1,10 @@
-"""The trace's set-up, built only as far as the rays read it.
+"""The trace's east rule, checked against the rule it replaced.
 
-Two parts of the east-ray set-up are checked against the rules they
-replaced, kept here:
-
-* `tracing.east_ray_corners` decides each corner by the rises of its two
-  edges and at most one cross sign (`polygon.corner_crosses_east`, closed
-  at the start).  `ref_east_corners` asks the general sector test,
-  `reference_trace.sector_contains`, as the tracer did before; the
-  end-closed form, which counts cone angles, is held to it too.
-* `tracing._SlabTable` builds a line's `events` and `line_pos` the first
-  time a ray stands on that line.  `ref_lines` builds every line at
-  once, by the loop the table ran before.
+`tracing.east_ray_corners` decides each corner by the rises of its two
+edges and at most one cross sign (`polygon.corner_crosses_east`, closed
+at the start).  `ref_east_corners` asks the general sector test,
+`reference_trace.sector_contains`, as the tracer did before; the
+end-closed form, which counts cone angles, is held to it too.
 
 The surfaces: the conftest fixtures normalized in every primitive
 direction with |p|, |q| <= 3, seeded generic L-shapes over Q(sqrt 2),
@@ -22,18 +16,16 @@ either determinant sign.
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatdef.cylinders import decompose
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _sign
-from flatdef.polygon import _EAST, _mul, corner_crosses_east
+from flatdef.polygon import _EAST, corner_crosses_east
 from flatdef.surface import l_shape
-from flatdef.tracing import _lattice_split, _SlabTable, east_ray_corners
+from flatdef.tracing import east_ray_corners
 
 from reference_trace import sector_contains
 
@@ -61,60 +53,6 @@ def ref_east_corners(surface):
             for i in range(len(edges))
             if sector_contains(*lat.corner_rays((p, i)), _EAST, lat.d,
                                include_start=True, include_end=False)]
-
-
-def ref_lines(verts, edges, d):
-    """(events, line_pos) of every line of a polygon, all built at once."""
-    n = len(edges)
-    pts = [_lattice_split(v) for v in verts]
-    heights = sorted({h for h, _ in pts}, key=cmp_to_key(
-        lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
-    line_of = {h: j for j, h in enumerate(heights)}
-    rank = [line_of[h] for h, _ in pts]
-    one = (1, 0)
-    cands = [[] for _ in heights]
-    for e, vec in enumerate(edges):
-        f = (e + 1) % n
-        ra, rb = rank[e], rank[f]
-        if ra == rb:
-            continue
-        dh, da = _lattice_split(vec)
-        h0, a0 = pts[e]
-        adh, hda = _mul(a0, dh, d), _mul(h0, da, d)
-        C = adh[0] - hda[0], adh[1] - hda[1]
-        M, R = da, dh
-        if _sign(*R, d) < 0:
-            C, M, R = (-C[0], -C[1]), (-M[0], -M[1]), (-R[0], -R[1])
-        event = ("edge", e, C, M, R, _mul(R, R, d))
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        for v, j in ((e, ra), (f, rb)):
-            a = pts[v][1]
-            cands[j].append((a, one, ("vertex", v),
-                             ("vertex", v, a, (0, 0), one, one)))
-        for j in range(lo + 1, hi):
-            hM = _mul(heights[j], M, d)
-            cands[j].append(((C[0] + hM[0], C[1] + hM[1]), R, ("edge", e),
-                             event))
-
-    def cmp_quotients(u, v):
-        (P1A, P1B), (R1A, R1B), (P2A, P2B), (R2A, R2B) = u[0], u[1], v[0], v[1]
-        return _sign(P1A * R2A + d * P1B * R2B - P2A * R1A - d * P2B * R1B,
-                     P1A * R2B + P1B * R2A - P2A * R1B - P2B * R1A, d)
-
-    out = []
-    for line in cands:
-        line.sort(key=cmp_to_key(cmp_quotients))
-        events, pos, last = [], {}, None
-        for cand in line:
-            if last is not None and cmp_quotients(last, cand) == 0:
-                if events[-1][0] == "edge":
-                    events[-1] = cand[3]
-            else:
-                events.append(cand[3])
-            pos[cand[2]] = len(events) - 1
-            last = cand
-        out.append((events, pos))
-    return out
 
 
 # -- surfaces -----------------------------------------------------------------
@@ -257,65 +195,3 @@ class TestEastRule:
     @given(drawn_surfaces())
     def test_drawn_surfaces(self, surface):
         _check_east(surface)
-
-
-# -- lines built on first read --------------------------------------------------
-
-def _check_lines(surface):
-    lat = surface.lattice()
-    for verts, edges in zip(lat.verts, lat.edges):
-        table = _SlabTable(verts, edges, lat.d)
-        assert table.events == [None] * len(table.heights)
-        assert table.line_pos == [None] * len(table.heights)
-        for j, (events, pos) in enumerate(ref_lines(verts, edges, lat.d)):
-            got = table.line(j)
-            assert got == (events, pos)
-            assert table.line(j)[0] is got[0]
-            assert table.events[j] is got[0] and table.line_pos[j] is got[1]
-
-
-class TestLazyLines:
-    def test_every_line_matches_the_eager_build(self, surfaces):
-        for surface in surfaces:
-            _check_lines(surface)
-
-    @settings(max_examples=100, deadline=None)
-    @given(drawn_surfaces())
-    def test_drawn_surfaces(self, surface):
-        _check_lines(surface)
-
-    def test_decompose_builds_only_the_lines_rays_stand_on(self, monkeypatch):
-        # the lshape benchmark's inputs: generic L-shapes over three
-        # fields in every direction; a ray stands on a line when its
-        # height is the line's
-        stood = {}
-        exit_ = _SlabTable.exit
-
-        def recording(self, H, A, d, key=None):
-            j = self.line_of.get(H)
-            if j is not None:
-                stood.setdefault(id(self), set()).add(j)
-            return exit_(self, H, A, d, key)
-
-        monkeypatch.setattr(_SlabTable, "exit", recording)
-        rng = random.Random(7)
-        built = lines = tables = 0
-        for d in (2, 3, 5):
-            surface = _generic_lshape(rng, d)
-            for v in DIRECTIONS:
-                stood.clear()
-                normalized = decompose(surface, Vec2(*v)).normalized
-                for entry in normalized._cache.get("slabs") or ():
-                    if entry is None:
-                        continue
-                    table = entry[0]
-                    read = {j for j, events in enumerate(table.events)
-                            if events is not None}
-                    assert read == stood.get(id(table), set())
-                    tables += 1
-                    built += len(read)
-                    lines += len(table.heights)
-        assert tables == 3 * len(DIRECTIONS)
-        # each L-shape polygon has up to 8 lines; rays from corners stand
-        # on a few of them and crossings rarely meet a vertex height
-        assert built * 2 < lines

@@ -5,8 +5,8 @@ ray's height and the sum of its x-translations as Z[sqrt d] pairs over
 the lattice denominator D, and decide the bound test by
 cross-multiplying.  An interior start traces on the surface's lattice
 re-expressed over a multiple of D that holds it, which must leave the
-surface's own lattice and slab tables as they were.  The reference is the trace they
-replaced, on `FieldScalar`s (tests/reference_trace.py): `RefSlabTable`
+surface's own lattice and exit lines as they were.  The reference is
+the trace they replaced, on `FieldScalar`s (tests/reference_trace.py): `RefSlabTable`
 inverted each edge's height step and kept slopes, and `ref_trace`
 summed the advance chord by chord and tested the bound with
 `ref_beyond`.  Both must agree on every `TraceResult` field -- kind,
@@ -14,7 +14,9 @@ advance, end corner, and the chords and crossings, of bound results
 too -- or raise the same error.  The cases run from corners and from
 interior points with mixed denominators, over Q, Q(sqrt 2) and
 Q(sqrt 5), with bounds drawn at random and exactly at an advance the
-reference reached at a crossing.  A bound or a start over another
+reference reached at a crossing.  Among the surfaces, sheared strips
+of 4 or 5 squares have one polygon of 10 or 12 vertices, so a ray
+crosses several diagonals of its triangles inside one polygon.  A bound or a start over another
 field than the surface follows the one field rule of `field.join_ctx`:
 a rational surface takes the field of an irrational start or bound, and
 a bound over another irrational field raises before the first step,
@@ -34,7 +36,8 @@ from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
 from flatdef.serialize import decomposition_to_json
-from flatdef.surface import l_shape, square_tiled
+from flatdef.search import triangulated
+from flatdef.surface import TranslationSurface, l_shape, square_tiled
 from flatdef.tracing import (east_ray_corners, trace_from_corner,
                              trace_from_point)
 
@@ -92,17 +95,32 @@ def _scalar(draw, ctx, lo, hi):
     return FieldScalar(a, b, ctx)
 
 
+def strip(tops):
+    """len(tops) unit squares in a row as one polygon: its right side
+    glued to its left, and the top of square j to the bottom of square
+    tops[j].  Each long side has a straight vertex between squares."""
+    k = len(tops)
+    edges = [(1, 0)] * k + [(0, 1)] + [(-1, 0)] * k + [(0, -1)]
+    gluing = [((0, k), (0, 2 * k + 1))]
+    gluing += [((0, 2 * k - j), (0, tops[j])) for j in range(k)]
+    return TranslationSurface([edges], gluing, "strip")
+
+
 @st.composite
 def surfaces(draw):
-    """An L-shape or a 3-square L origami, sheared in x, in y, or both,
-    so that its edges are axis-parallel or slanted."""
+    """An L-shape, a 3-square L origami or a strip of 4 or 5 squares,
+    sheared in x, in y, or both, so that its edges are axis-parallel or
+    slanted."""
     ctx = FieldCtx.get(draw(st.sampled_from(FIELDS)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["l-shape", "origami", "strip"]))
+    if kind == "l-shape":
         w2 = _scalar(draw, ctx, 1, 2)
         surface = l_shape(w2 + _scalar(draw, ctx, 1, 2), _scalar(draw, ctx, 1, 2),
                           w2, _scalar(draw, ctx, 1, 2))
-    else:
+    elif kind == "origami":
         surface = square_tiled([(1, 2)], [(1, 3)], n=3)
+    else:
+        surface = strip(draw(st.permutations(range(draw(st.sampled_from([4, 5]))))))
     shear = draw(st.sampled_from(["none", "x", "y", "both"]))
     zero = FieldScalar(0, 0, ctx)
     t = _scalar(draw, ctx, -2, 2) if shear in ("x", "both") else zero
@@ -238,7 +256,7 @@ class TestTrace:
         def no_step(*args):
             raise AssertionError("the trace took a step")
 
-        monkeypatch.setattr(tracing, "_polygon_table", no_step)
+        monkeypatch.setattr(tracing, "_edge_exit", no_step)
         bound = length ** 2 * (v[0] ** 2 + v[1] ** 2)
         for corner in corners:
             with pytest.raises(ValueError, match=message):
@@ -291,12 +309,34 @@ class TestTrace:
         assert "escaped the boundary" in found[1]
         assert found == outcome(ref_trace_from_point, *args, max_advance_sq=4)
 
+    @pytest.mark.parametrize("origin, kind", [
+        ((Fraction(3, 2), Fraction(3, 2)), "ok"),
+        ((-1, Fraction(1, 2)), "InternalInvariantError"),
+    ])
+    def test_start_outside_its_polygon(self, origin, kind):
+        # a U of five unit squares, as one polygon.  From its notch the
+        # ray crosses the notch's right side down, lands on the glued
+        # left side of the notch, still outside, and keeps crossing the
+        # notch to the bound; from the left of the U it crosses the left
+        # side down, lands outside on the right side, and escapes
+        edges = [(1, 0), (1, 0), (1, 0), (0, 2), (-1, 0), (0, -1), (-1, 0),
+                 (0, 1), (-1, 0), (0, -2)]
+        gluing = [((0, 3), (0, 9)), ((0, 5), (0, 7)), ((0, 0), (0, 8)),
+                  ((0, 1), (0, 6)), ((0, 2), (0, 4))]
+        args = (TranslationSurface([edges], gluing, "u"), 0, Vec2(*origin))
+        found = outcome(trace_from_point, *args, max_advance_sq=30)
+        assert found[0] == kind
+        assert found == outcome(ref_trace_from_point, *args,
+                                max_advance_sq=30)
+        if kind == "ok":
+            assert found[1][0] == "bound" and len(found[1][4]) == 5
+
     def test_point_trace_leaves_the_surface_caches_alone(self):
         # a start at denominator 7 needs a finer lattice than the
         # surface's (D = 48); the trace re-expresses it on a shell, so
         # afterwards the surface keeps its own lattice, and its corner
         # traces and decompositions, which read its cached lattice and
-        # slab tables, are those of a fresh copy
+        # exit lines, are those of a fresh copy
         surface, fresh = slanted_lshape(), slanted_lshape()
         lat = surface.lattice()
         D, cached = lat.D, set(surface._cache)
@@ -312,6 +352,30 @@ class TestTrace:
         for v in ((1, 0), (1, 1), (2, 1)):
             assert decomposition_to_json(decompose(surface, v)) == \
                 decomposition_to_json(decompose(fresh, v))
+
+    def test_a_walk_that_stays_in_a_polygon_raises(self):
+        # a straight run meets each triangle of a polygon at most once.
+        # With every polygon edge of the family's triangles planted as a
+        # diagonal back into its own triangle, each ray re-enters the
+        # triangle it leaves until it has visited more triangles of the
+        # polygon than it has
+        surface = slanted_lshape()
+        corners = east_ray_corners(surface)
+        assert [trace_from_corner(surface, c, max_advance_sq=100).kind
+                for c in corners] == ["bound"] * 3
+        tri = triangulated(surface)
+        planted = []
+        for t, lk in enumerate(tri.links):
+            diagonal = next(k for k in range(3) if lk[3 * k + 2] < 0)
+            planted.append(tuple(
+                x for k in range(3) for x in
+                (lk[3 * k:3 * k + 3] if lk[3 * k + 2] < 0
+                 else (t, diagonal, -1))))
+        tri.links = planted
+        for corner in corners:
+            with pytest.raises(InternalInvariantError,
+                               match="visited more triangles of polygon 0"):
+                trace_from_corner(surface, corner, max_advance_sq=100)
 
     def test_corner_east_does_not_leave_raises(self):
         # east leaves a corner of the unit square only at its origin;
