@@ -93,9 +93,9 @@ def scan_exit(surface, p, origin, direction, entry=None):
 
     Each case is converted to its lattice form: the polygon through
     `polygon.Lattice` re-expressed over a denominator that holds the
-    origin, as an interior start of a trace is.  With an entry edge the
-    scan looks ahead of that edge's point at the origin's height, a
-    quotient (C + H*M)/R, instead of the origin's x-coordinate.  The
+    origin, as an interior start of a trace is.  With a non-horizontal
+    entry edge the scan looks ahead of that edge's point at the origin's
+    height, a quotient (C + H*M)/R, instead of the origin's x-coordinate.  The
     scan serves east rays only, so `direction`, taken to share
     `ref_exit_ray`'s arguments, is (1, 0).
     """
@@ -114,8 +114,10 @@ def scan_exit(surface, p, origin, direction, entry=None):
         return (C[0] + H[0] * M[0] + d * H[1] * M[1],
                 C[1] + H[0] * M[1] + H[1] * M[0]), R
 
-    found = _first_exit(lat, 0, H, (A, (1, 0)) if entry is None
-                        else at(entry), d)
+    # a horizontal entry edge holds the whole ray's height, so its point
+    # at the origin is the origin itself; a trace never enters by one
+    flat = entry is None or not any(lat.edges[0][entry][2:])
+    found = _first_exit(lat, 0, H, (A, (1, 0)) if flat else at(entry), d)
     if found is None:
         raise InternalInvariantError(
             f"ray from {origin} in polygon {p} escaped the boundary")
