@@ -296,8 +296,15 @@ def default_bound_sq(surface: TranslationSurface,
     """Squared default trace bound: (factor x longest input edge)^2.
 
     Lengths are compared through their squares, on the lattice form, so
-    the bound stays in the field.
+    the bound stays in the field.  The bound is kept in the surface's
+    `_cache` per factor, as `decompose` reads it in every direction; the
+    key holds the factor's type, so that a factor equal to another of
+    another type, such as 20.0 and 20, fails or passes as it would
+    without the memo.
     """
+    bound = surface._cache.get(("default_bound_sq", type(factor), factor))
+    if bound is not None:
+        return bound
     lat = surface.lattice()
     d = lat.d
     best = None
@@ -306,7 +313,9 @@ def default_bound_sq(surface: TranslationSurface,
             n = _norm(e, d)
             if best is None or _sign(n[0] - best[0], n[1] - best[1], d) > 0:
                 best = n
-    return _new(*best, lat.D * lat.D, lat.ctx) * (factor * factor)
+    bound = surface._cache[("default_bound_sq", type(factor), factor)] = \
+        _new(*best, lat.D * lat.D, lat.ctx) * (factor * factor)
+    return bound
 
 
 def _lattice_point(lat, p, point):
@@ -714,22 +723,20 @@ def _normalize(surface, direction):
     return direction, g, normalized
 
 
-def _trace_east(normalized, east, class_of, corner, max_advance_sq, sc_id):
-    """Follow the eastward separatrix from `corner` of a normalized surface.
+def _connection(normalized, res, east, class_of, corner, sc_id):
+    """The SaddleConnection of a trace `res` from `corner` of a normalized
+    surface that ended at a vertex.
 
-    Returns (trace result, SaddleConnection), the connection being None
-    when the trace ran past max_advance_sq.  `east` is v / |v|^2 for the
-    direction vector v, which the normalizing map sends to (1, 0), so a
-    connection advancing by a has holonomy a * east on the surface.
+    `east` is v / |v|^2 for the direction vector v, which the
+    normalizing map sends to (1, 0), so a connection advancing by a has
+    holonomy a * east on the surface; `class_of` is the surface's
+    `vertex_class_map`.
     """
-    res = trace_from_corner(normalized, corner, max_advance_sq=max_advance_sq)
-    if res.kind == "bound":
-        return res, None
-    hol_norm = Vec2(res.advance, FieldScalar(0, 0, normalized.ctx))
-    return res, SaddleConnection(
+    return SaddleConnection(
         sc_id=sc_id,
         holonomy=east.scale(res.advance),
-        normalized_holonomy=hol_norm,
+        normalized_holonomy=Vec2(res.advance,
+                                 FieldScalar(0, 0, normalized.ctx)),
         start_corner=corner,
         end_corner=res.end_corner,
         start_class=class_of[corner],
@@ -754,12 +761,12 @@ def trace_separatrix(surface: TranslationSurface, corner, direction,
     trace_length = _positive("trace_length", trace_length)
     direction, _, normalized = _normalize(surface, direction)
     n = direction.vector.norm_sq()
-    res, sc = _trace_east(normalized, direction.vector.scale(n.inverse()),
-                          normalized.vertex_class_map(), corner,
-                          trace_length * trace_length * n, 0)
-    if sc is None:
+    res = trace_from_corner(normalized, corner,
+                            max_advance_sq=trace_length * trace_length * n)
+    if res.kind == "bound":
         return BoundExceeded(res.advance * res.advance / n)
-    return sc
+    return _connection(normalized, res, direction.vector.scale(n.inverse()),
+                       normalized.vertex_class_map(), corner, 0)
 
 
 def decompose(surface: TranslationSurface, direction,
@@ -808,15 +815,20 @@ def decompose(surface: TranslationSurface, direction,
 
     saddle_connections = []
     unresolved = []
-    east = v.scale(n.inverse())
-    class_of = normalized.vertex_class_map()
+    # built when the first ray closes: a direction in which none does
+    # needs neither
+    east = class_of = None
     for corner in east_ray_corners(normalized):
-        _, sc = _trace_east(normalized, east, class_of, corner,
-                            max_advance_sq, len(saddle_connections))
-        if sc is None:
+        res = trace_from_corner(normalized, corner,
+                                max_advance_sq=max_advance_sq)
+        if res.kind == "bound":
             unresolved.append(corner)
-        else:
-            saddle_connections.append(sc)
+            continue
+        if east is None:
+            east = v.scale(n.inverse())
+            class_of = normalized.vertex_class_map()
+        saddle_connections.append(_connection(
+            normalized, res, east, class_of, corner, len(saddle_connections)))
     edge_run_sc = _edge_runs(normalized, saddle_connections)
 
     # collect interior cut chords per polygon

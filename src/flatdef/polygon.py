@@ -219,14 +219,20 @@ class _Bound:
         self.RA_D2 = bound_sq._A * D * D
         self.RB_D2 = bound_sq._B * D * D
 
+    def scaled(self, den):
+        """The bound's side of the test for a denominator den > 0, as a
+        pair: (RA + RB*sqrt(d))*D^2*den.  A trace keeps it for each edge
+        it crosses, with den that edge's R^2."""
+        RA, RB = self.RA_D2, self.RB_D2
+        dA, dB = den
+        return RA * dA + self.d * RB * dB, RA * dB + RB * dA
+
     def within(self, num, den=(1, 0)) -> bool:
         """Whether a scaled squared length num/den (D^2 times the true
-        one, den > 0) is within the bound:
-        Rd*num <= (RA + RB*sqrt(d))*D^2*den."""
-        RA, RB, Rd, d = self.RA_D2, self.RB_D2, self.Rd, self.d
-        dA, dB = den
-        return _sign(RA * dA + d * RB * dB - Rd * num[0],
-                     RA * dB + RB * dA - Rd * num[1], d) >= 0
+        one, den > 0) is within the bound: Rd*num <= `scaled(den)`."""
+        A, B = self.scaled(den)
+        Rd = self.Rd
+        return _sign(A - Rd * num[0], B - Rd * num[1], self.d) >= 0
 
 
 # -- predicates ------------------------------------------------------------

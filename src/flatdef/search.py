@@ -48,10 +48,18 @@ class Triangulated:
     Triangles are (polygon, (i0, i1, i2)) vertex-index triples, ccw;
     side k of a triangle runs from its vertex k to its vertex k + 1.
     Sides are glued pairwise: original polygon edges through the surface
-    gluing, ear-clip diagonals within each polygon.  `links[t]` holds,
-    flat, the three entries (mate triangle, mate side, polygon edge or
-    -1) of triangle t's sides; `sides[p][e]` is 3t + k for the side k
-    of triangle t that is polygon p's edge e.
+    gluing, ear-clip diagonals within each polygon.
+
+    The gluing is stored as the trace walks it.  A state s = 3t + k
+    means "in triangle t, entered through side k", and `walk[s]` is
+    (apex, above, below): the polygon vertex index of the triangle's
+    vertex k + 2, opposite side k, then the states entered across side
+    k + 1, which a ray leaves by when the apex lies above it, and across
+    side k + 2, which it leaves by when the apex lies below.  A side
+    that is a polygon edge gives ~m, negative, for the state m of its
+    glued side: leaving by it crosses into another polygon.
+    `sides[p][e]` is the state 3t + k whose side k is polygon p's edge
+    e: the state a ray crossing into p by e enters.
     """
 
     def __init__(self, surface: TranslationSurface):
@@ -79,21 +87,26 @@ class Triangulated:
                             diag_sides[key] = (t_id, k)
         if diag_sides:
             raise InternalInvariantError("unmatched triangulation diagonals")
-        edge_of = {side: e for (_, e), side in sides.items()}
-        mates.update((side, sides[surface.gluing[edge]])
-                     for edge, side in sides.items())
-        self.links = [tuple(x for k in range(3) for x in
-                            mates[(t, k)] + (edge_of.get((t, k), -1),))
-                      for t in range(len(self.triangles))]
+        # (tri, k) -> the state entered across side k, coded
+        across = {side: 3 * t + k for side, (t, k) in mates.items()}
+        for edge, side in sides.items():
+            t, k = sides[surface.gluing[edge]]
+            across[side] = ~(3 * t + k)
+        self.walk = [(ends[(k + 2) % 3], across[(t, (k + 1) % 3)],
+                      across[(t, (k + 2) % 3)])
+                     for t, (_, ends) in enumerate(self.triangles)
+                     for k in range(3)]
         self.sides = [tuple(3 * t + k for t, k in
                             (sides[(p, e)] for e in range(len(verts))))
                       for p, verts in enumerate(lat.verts)]
 
     @property
     def gluing(self):
-        """The mate of each side, (t, k) -> (t, k), as a new dict."""
-        return {(t, k): (lk[3 * k], lk[3 * k + 1])
-                for t, lk in enumerate(self.links) for k in range(3)}
+        """The mate of each side, (t, k) -> (t, k), as a new dict: side k
+        of triangle t is the one that state 3t + (k - 1) mod 3 leaves by
+        when its apex lies above."""
+        return {(s // 3, (s + 1) % 3): divmod(m if m >= 0 else ~m, 3)
+                for s, (_, m, _) in enumerate(self.walk)}
 
 
 def triangulated(surface: TranslationSurface) -> Triangulated:

@@ -11,12 +11,17 @@ so one set serves all of a surface's directions).  It keeps its height
 H and enters each triangle strictly inside a side, so only the opposite
 vertex can lie at height H: one sign ends the ray there or names the
 side it leaves by; a diagonal leads to the next triangle of the polygon
-and a polygon edge is a crossing.  A straight run meets each triangle
-of a polygon at most once, so a walk that visits more raises
-InternalInvariantError.  A ray from a corner starts in the triangle of
-the corner's fan whose sector holds east (`polygon.corner_crosses_east`,
-the rule that picks the corners).  An edge's exit line and gluing
-translation are built the first time a ray leaves through it.
+and a polygon edge is a crossing.  The walk reads this from a flat
+table of states (`Triangulated.walk`): per triangle one list index, one
+height difference and one sign, taken inline.  A straight run meets
+each triangle of a polygon at most once, so a walk that visits more
+raises InternalInvariantError.  A ray from a corner starts in the
+triangle of the corner's fan whose sector holds east, the rule that
+picks the corners (`polygon.corner_crosses_east`), read on a triangle's
+sector as two heights.  A crossing reads one flat row of the image's
+`_cache["exits"]`, built the first time a ray crosses that edge: the
+edge's exit line, the bound's side of the test there, and the gluing
+translation.
 
 The arithmetic runs on the surface's `polygon.Lattice`: a coordinate
 is a pair (A, B) of integers meaning (A + B*sqrt(d))/D.  Gluing
@@ -34,6 +39,8 @@ Every trace has a bound, tested by `polygon._Bound`, one
 cross-multiplied sign, in the field of the lattice and the bound
 (`field.join_ctx`), decided before the first step: a bound over
 another irrational field raises ValueError whichever way the ray runs.
+At a crossing the sign is taken inline on the row's side of the test,
+`_Bound.scaled`, so the rows serve the bound they were built for.
 `FieldScalar`s are built only for what a trace returns: its advance
 and, on first access, its chords' and crossings' edge parameters.
 """
@@ -60,11 +67,11 @@ class TraceResult:
     (polygon, start PathPoint, end PathPoint); crossings records every
     glued-edge transition as (polygon, edge, parameter s on the edge).
 
-    The trace keeps its lattice steps, (polygon, crossed edge, height
-    over D) per crossing, and chords and crossings are `_Built` views of
-    them: their lengths are known at once, and their PathPoints, with
-    `FieldScalar` edge parameters, are built on first access, once.  The
-    first chord starts at `key`, a corner's ("vertex", i), or None for
+    The trace keeps its lattice steps, (polygon, crossed edge, HA, HB)
+    per crossing, with the height H = (HA, HB) over D, and chords and
+    crossings are `_Built` views of them: their lengths are known at
+    once, and their PathPoints, with `FieldScalar` edge parameters, are
+    built on first access, once.  The first chord starts at `key`, a corner's ("vertex", i), or None for
     an interior start.  A view is made per read, so that the result and
     its views form no reference cycle, which would outlive the trace
     until the garbage collector ran.
@@ -102,7 +109,7 @@ class TraceResult:
             one = _new(1, 0, 1, ctx)
             chords, crossings = [], []
             point = self._key
-            for p, e, (HA, HB) in self._steps:
+            for p, e, HA, HB in self._steps:
                 # the edge's parameter at height H: (H - h0) / rise
                 _, _, h0A, h0B = lat.verts[p][e]
                 s = _quotient((HA - h0A, HB - h0B), lat.edges[p][e][2:], 1,
@@ -201,19 +208,27 @@ def _exit_line(start, vec, d):
     return C, M, R
 
 
-def _edge_exit(surface, exits, p, e):
-    """The exit through polygon edge (p, e), kept in the surface's
-    `_cache["exits"]` from the first time a ray leaves through it:
-    (C, M, R, R*R, q, f, dh, da), the edge's `_exit_line`, its partner
-    (q, f), and the translation taking a point of e to the same point of
-    f, which runs the other way: end(f) - start(e)."""
+def _exit_row(surface, rows, m, bound):
+    """The row of the crossing into walk state m (`search.Triangulated`),
+    kept in `rows` from the first time a ray crosses there: (e, CA, CB,
+    MA, MB, RA, RB, SA, SB, q, gA, gB, tA, tB, tris) for the polygon edge
+    (p, e) glued to m's side, edge f of polygon q.  These are e's
+    `_exit_line` (C, M, R), the bound's side S of its test at the exit,
+    `bound.scaled(R*R)`, then q, the translation g = end(f) - start(e)
+    taking a point of e to the same point of f, which runs the other
+    way, as its y-part then x-part, and tris, a range as long as q has
+    triangles, which bounds the walk in q."""
     lat = surface.lattice()
-    start = lat.verts[p][e]
+    t, k = divmod(m, 3)
+    q, ends = triangulated(surface).triangles[t]
+    f = ends[k]
+    p, e = surface.gluing[(q, f)]
+    start, end = lat.verts[p][e], lat.verts[q][(f + 1) % len(lat.verts[q])]
     C, M, R = _exit_line(start, lat.edges[p][e], lat.d)
-    q, f = surface.gluing[(p, e)]
-    g = _sub(lat.verts[q][(f + 1) % len(lat.verts[q])], start)
-    exits[p][e] = entry = (C, M, R, _mul(R, R, lat.d), q, f, g[2:], g[:2])
-    return entry
+    gxA, gxB, gyA, gyB = _sub(end, start)
+    rows[m] = row = (e, *C, *M, *R, *bound.scaled(_mul(R, R, lat.d)), q,
+                     gyA, gyB, gxA, gxB, range(len(lat.verts[q]) - 2))
+    return row
 
 
 def _cmp(X, Y, P, Q, d) -> int:
@@ -287,115 +302,152 @@ def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
                   max_advance_sq)
 
 
+def _corner_state(tri, verts, p, i, d):
+    """The walk state of the ray leaving corner i of polygon p east.
+
+    The fan of triangles at the corner is turned from the triangle on
+    the corner's outgoing edge, in the state entered by that edge
+    (`Triangulated.sides`), to the one whose sector [out, rev-in) holds
+    east.  In such a state the corner is the tail of the entry side,
+    rev-in runs to the apex, and the next triangle of the fan lies
+    across the side from the apex back to the corner, the state's
+    `below` side.  A triangle's sector is below pi, so it holds east
+    exactly when out ends at or below the corner's height and rev-in
+    above it, as `polygon.corner_crosses_east` decides for such a
+    sector; out is the previous rev-in.  The ray is then as if entered
+    by the side from the apex: it runs along the out side to its far
+    end, the new apex, or leaves by the opposite side."""
+    walk = tri.walk
+    _, _, HA, HB = verts[i]
+    _, _, yA, yB = verts[(i + 1) % len(verts)]
+    state, out_down = tri.sides[p][i], _sign(yA - HA, yB - HB, d) <= 0
+    while True:
+        apex, _, below = walk[state]
+        _, _, yA, yB = verts[apex]
+        rev_in_up = _sign(yA - HA, yB - HB, d) > 0
+        if out_down and rev_in_up:
+            return state - state % 3 + (state + 2) % 3
+        if below < 0:
+            raise InternalInvariantError(
+                f"east leaves no triangle at corner {(p, i)}")
+        state, out_down = below, not rev_in_up
+
+
 def _trace(surface, p, H, base, key, max_advance_sq):
     """Trace east from the point at height H and x-coordinate `base`
     (pairs over D) of polygon p of the surface's lattice, standing on
     `key` (a corner's ("vertex", i)) or inside the polygon (None).
 
-    The ray walks through the family's triangles to a polygon edge,
-    which it crosses, or to a vertex, where it ends.  A start inside a
+    The ray walks the family's triangles (`Triangulated.walk`) to a
+    polygon edge, which it crosses by the edge's row of
+    `_cache["exits"]`, or to a vertex, where it ends.  A start inside a
     polygon finds its next stop by `_first_exit`, for as long as it
-    stands outside the polygon it is in.  The returned scalars live in
+    stands outside the polygon it is in, and enters the walk at the
+    state of the side it crosses into.  The returned scalars live in
     the lattice's field; the arithmetic runs in the field of the
     lattice and the bound, decided here once, before any step.
     """
     lat = surface.lattice()
-    D, ctx = lat.D, lat.ctx
+    D, ctx, all_verts = lat.D, lat.ctx, lat.verts
     bound = _Bound(lat, max_advance_sq)
     d = bound.d
+    Rd = bound.Rd
     tri = triangulated(surface)
-    triangles, links = tri.triangles, tri.links
+    walk = tri.walk
+    # the rows hold the bound's side of each crossing's test, so they
+    # serve the bound they were built for, as every ray of `decompose`
+    # on one image has the same bound
+    held = bound.RA_D2, bound.RB_D2, d
     exits = surface._cache.get("exits")
-    if exits is None:
-        exits = surface._cache["exits"] = [[None] * len(v) for v in lat.verts]
-    verts = lat.verts[p]
-    # the triangles of polygon p the walk may still enter
-    left = len(verts) - 3
+    if exits is None or exits[0] != held:
+        exits = surface._cache["exits"] = held, [None] * len(walk)
+    rows = exits[1]
+    verts = all_verts[p]
+    tris = range(len(verts) - 2)  # a step per triangle of polygon p
     steps = []
-    prev = None  # the advance so far, as (N, R): N / (R * D)
-    t = None  # the triangle the ray is in, entered through its side k
-    if key is None:
-        ref = base, (1, 0)  # the x-coordinate P / Q the ray stands at
-    else:
-        # the triangle of the corner's fan whose sector [out, rev-in)
-        # holds east, turning from the corner's outgoing edge
-        i = key[1]
-        t, k = divmod(tri.sides[p][i], 3)
-        while True:
-            ends = triangles[t][1]
-            out = _sub(verts[ends[(k + 1) % 3]], verts[i])
-            rev_in = _sub(verts[ends[(k + 2) % 3]], verts[i])
-            if corner_crosses_east(out, rev_in, d, closed="start"):
-                break
-            lk, j = links[t], 3 * ((k + 2) % 3)
-            if lk[j + 2] >= 0:
-                raise InternalInvariantError(
-                    f"east leaves no triangle at corner {(p, i)}")
-            t, k = lk[j], lk[j + 1]
-        # as if entered by the side that ends at the corner: the ray runs
-        # along the other side to its far end, or out by the opposite one
-        k = (k + 2) % 3
+    # the advance at the last crossing: N / (R * D), R from its row
+    NA = NB = 0
+    last = None
     HA, HB = H
     bA, bB = base
+    if key is None:
+        s = None
+        ref = base, (1, 0)  # the x-coordinate P / Q the ray stands at
+    else:
+        s = _corner_state(tri, verts, p, key[1], d)
     while True:
-        # the next stop: a vertex v, where the ray ends, or an edge e
-        if t is None:
+        # the next stop: a vertex v, where the ray ends, or the walk
+        # state m across the polygon edge it crosses
+        if s is None:
             found = _first_exit(lat, p, (HA, HB), ref, d)
             if found is None:
                 x = _new(bA, bB, D, ctx)
-                if prev is not None:
-                    x = x + _quotient(*prev, D, d, ctx)
+                if last is not None:
+                    x = x + _quotient((NA, NB), last[5:7], D, d, ctx)
                 raise InternalInvariantError(
                     f"ray from {Vec2(x, _new(HA, HB, D, ctx))} in polygon "
                     f"{p} escaped the boundary")
             v, e = found
+            if v is None:
+                q, f = surface.gluing[(p, e)]
+                m = tri.sides[q][f]
         else:
-            # in triangle t, entered through side k strictly between its
-            # ends' heights: only the opposite vertex can lie at height
-            # H, and above or below it names the side out
-            while True:
-                v = triangles[t][1][(k + 2) % 3]
+            # in the triangle of state s, entered strictly between the
+            # ends of a side: only the apex can lie at height H, and
+            # above or below it names the side out.  The sign of the
+            # height difference A + B*sqrt(d) is `field._sign`, inline
+            for _ in tris:
+                v, above, below = walk[s]
                 apex = verts[v]
-                s = _sign(apex[2] - HA, apex[3] - HB, d)
-                if not s:
+                A = apex[2] - HA
+                B = apex[3] - HB
+                if B and (not A or (A > 0) != (B > 0) and A * A < d * B * B):
+                    A = B
+                if not A:
                     break
-                lk = links[t]
-                j = 3 * ((k + 1) % 3 if s > 0 else (k + 2) % 3)
-                t, k = lk[j], lk[j + 1]
-                if lk[j + 2] >= 0:
-                    v, e = None, lk[j + 2]
+                s = above if A > 0 else below
+                if s < 0:
+                    v, m = None, ~s
                     break
-                if not left:
-                    raise InternalInvariantError(
-                        f"the walk visited more triangles of polygon {p} "
-                        f"than it has")
-                left -= 1
-        if v is not None:
-            NA, NB = verts[v][0] - bA, verts[v][1] - bB
-            if not bound.within((NA * NA + d * NB * NB, 2 * NA * NB)):
-                break
-            return TraceResult("vertex", _new(NA, NB, D, ctx), surface, d,
-                               key, steps, end_corner=(p, v))
-        (CA, CB), (MA, MB), (RA, RB), R2, q, f, (gA, gB), (tA, tB) = \
-            exits[p][e] or _edge_exit(surface, exits, p, e)
-        # the advance to the exit is N / (R * D)
-        NA = CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
-        NB = CB + HA * MB + HB * MA - bA * RB - bB * RA
-        if not bound.within((NA * NA + d * NB * NB, 2 * NA * NB), R2):
-            break
-        steps.append((p, e, (HA, HB)))
-        HA, HB = HA + gA, HB + gB
-        bA, bB = bA + tA, bB + tB
-        prev = (NA, NB), (RA, RB)
-        if t is None:
-            if _sign(*lat.edges[p][e][2:], d) > 0:
-                # left p upwards, so it enters q: on to the walk
-                t, k = divmod(tri.sides[q][f], 3)
             else:
-                # the point stood outside p, and stands outside q
-                bR = _mul((bA, bB), (RA, RB), d)
-                ref = (bR[0] + NA, bR[1] + NB), (RA, RB)
-        p, verts, left = q, lat.verts[q], len(lat.verts[q]) - 3
-    return TraceResult("bound", _new(0, 0, 1, ctx) if prev is None
-                       else _quotient(*prev, D, d, ctx),
+                raise InternalInvariantError(
+                    f"the walk visited more triangles of polygon {p} "
+                    f"than it has")
+        if v is not None:
+            XA, XB = verts[v][0] - bA, verts[v][1] - bB
+            if not bound.within((XA * XA + d * XB * XB, 2 * XA * XB)):
+                break
+            return TraceResult("vertex", _new(XA, XB, D, ctx), surface, d,
+                               key, steps, end_corner=(p, v))
+        row = rows[m] or _exit_row(surface, rows, m, bound)
+        e, CA, CB, MA, MB, RA, RB, SA, SB, q, gA, gB, tA, tB, tris = row
+        # the advance to the exit is X / (R * D), within the bound when
+        # S - Rd*X^2 is not negative (`_Bound.within` on num X^2 and
+        # den R^2), its sign taken inline
+        XA = CA + HA * MA + d * HB * MB - bA * RA - d * bB * RB
+        XB = CB + HA * MB + HB * MA - bA * RB - bB * RA
+        SA -= Rd * (XA * XA + d * XB * XB)
+        SB -= 2 * Rd * XA * XB
+        if SB and (not SA or (SA > 0) != (SB > 0)
+                   and SA * SA < d * SB * SB):
+            SA = SB
+        if SA < 0:
+            break
+        steps.append((p, e, HA, HB))
+        HA += gA
+        HB += gB
+        bA += tA
+        bB += tB
+        NA, NB, last = XA, XB, row
+        if s is not None or _sign(*lat.edges[p][e][2:], d) > 0:
+            # from the walk, or from a point that left p upwards, so it
+            # enters q: on to the walk
+            s = m
+        else:
+            # the point stood outside p, and stands outside q
+            bR = _mul((bA, bB), (RA, RB), d)
+            ref = (bR[0] + XA, bR[1] + XB), (RA, RB)
+        p, verts = q, all_verts[q]
+    return TraceResult("bound", _new(0, 0, 1, ctx) if last is None
+                       else _quotient((NA, NB), last[5:7], D, d, ctx),
                        surface, d, key, steps)

@@ -3,12 +3,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import settings
 
 from flatdef.cylinders import decompose
 from flatdef.deform import shear
 from flatdef.errors import NotConnected
 from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
+
+# `--hypothesis-profile=fresh` draws new examples on every run, also
+# where CI=true loads Hypothesis's "ci" profile, which replays the same
+# ones, and prints the blob that reproduces a failing example
+settings.register_profile("fresh", derandomize=False, database=None,
+                          print_blob=True)
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)

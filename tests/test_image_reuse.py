@@ -27,9 +27,10 @@ from flatdef.deform import shear, stretch
 from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, Mat2, Vec2
 from flatdef.homology import _FRAME_DATA, HomologyFrame, homology_frame
+from flatdef.polygon import _Bound
 from flatdef.search import Triangulated, triangulated
 from flatdef.surface import TranslationSurface, l_shape, square_tiled
-from flatdef.tracing import _edge_exit, east_ray_corners
+from flatdef.tracing import _exit_row, east_ray_corners
 
 from conftest import PHI
 
@@ -297,16 +298,23 @@ class TestFamilyCache:
         # directions whose normalizers move every edge, so no two of the
         # surfaces have equal coordinates
         for v in [(0, 1), (1, 1), (2, -1)]:
-            normalized = decompose(source, Vec2(*v)).normalized
+            dec = decompose(source, Vec2(*v))
+            normalized = dec.normalized
             # read everything a surface caches of its own coordinates:
-            # the trace made its exit list, and every edge a ray can
-            # leave by gets its exit line
+            # the trace made its exit rows for its bound, and every edge
+            # a ray can leave by gets its row, under the walk state
+            # across it
             east_ray_corners(normalized)
-            exits = normalized._cache["exits"]
+            bound = _Bound(normalized.lattice(),
+                           dec.bound_sq * dec.direction.vector.norm_sq())
+            key, rows = normalized._cache["exits"]
+            assert key == (bound.RA_D2, bound.RB_D2, bound.d)
+            sides = triangulated(normalized).sides
             for p, edges in enumerate(normalized.lattice().edges):
                 for e, vec in enumerate(edges):
                     if vec[2:] != (0, 0):
-                        _edge_exit(normalized, exits, p, e)
+                        q, f = normalized.gluing[(p, e)]
+                        _exit_row(normalized, rows, sides[q][f], bound)
                 normalized.vertices(p)
             normalized.polygons
             homology_frame(normalized)

@@ -652,6 +652,7 @@ _SHARED_WITH_IMAGES = {
     "frame": False,
     "east": False,
     "exits": False,
+    "default_bound_sq": False,
     "sing": True,
     "frame_data": True,
     "triangulated": True,

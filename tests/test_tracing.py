@@ -237,6 +237,34 @@ class TestTrace:
             assert record(res) == record(ref_trace_from_corner(
                 surface, corner, max_advance_sq=a * a))
 
+    def test_bound_whose_rational_part_cancels(self):
+        # the 3-square origami over Q normalized in (3, 1): each ray
+        # crosses at advances 10/3 and 20/3 and ends at a vertex at 10.
+        # Against a bound a^2 -+ sqrt(5)/100 the test at advance a has a
+        # zero rational part, so only the sign of the sqrt(5) part
+        # decides: below, the ray stops before that crossing or reports
+        # "bound" at that vertex; above, it passes
+        surface = square_tiled([(1, 2)], [(1, 3)], n=3)
+        _, _, normalized = _normalize(surface, Vec2(3, 1))
+        eps = FieldCtx.get(5).sqrt_gen() / 100
+        for corner in east_ray_corners(normalized):
+            advances = self.crossing_advances(normalized, corner, 1000)
+            assert [str(a) for a in advances] == ["10/3", "20/3", "10"]
+            for i, a in enumerate(advances):
+                vertex = i == len(advances) - 1
+                for sign in (-1, 1):
+                    bound = a * a + sign * eps
+                    res = trace_from_corner(normalized, corner,
+                                            max_advance_sq=bound)
+                    assert record(res) == record(ref_trace_from_corner(
+                        normalized, corner, max_advance_sq=bound))
+                    if sign < 0:
+                        assert res.kind == "bound"
+                        assert len(res.crossings) == i
+                    else:
+                        assert res.kind == ("vertex" if vertex else "bound")
+                        assert len(res.crossings) == min(i + 1, 2)
+
     @pytest.mark.parametrize("v", [(1, 0), (2, 1), (3, 1), (1, 1), (1, 2)])
     def test_bound_of_another_field(self, v, monkeypatch):
         # a bound over Q(sqrt 5) for a surface over Q(sqrt 2) raises one
@@ -256,7 +284,7 @@ class TestTrace:
         def no_step(*args):
             raise AssertionError("the trace took a step")
 
-        monkeypatch.setattr(tracing, "_edge_exit", no_step)
+        monkeypatch.setattr(tracing, "_exit_row", no_step)
         bound = length ** 2 * (v[0] ** 2 + v[1] ** 2)
         for corner in corners:
             with pytest.raises(ValueError, match=message):
@@ -364,14 +392,16 @@ class TestTrace:
         assert [trace_from_corner(surface, c, max_advance_sq=100).kind
                 for c in corners] == ["bound"] * 3
         tri = triangulated(surface)
-        planted = []
-        for t, lk in enumerate(tri.links):
-            diagonal = next(k for k in range(3) if lk[3 * k + 2] < 0)
-            planted.append(tuple(
-                x for k in range(3) for x in
-                (lk[3 * k:3 * k + 3] if lk[3 * k + 2] < 0
-                 else (t, diagonal, -1))))
-        tri.links = planted
+        walk, planted = tri.walk, []
+        for s, (apex, up, down) in enumerate(walk):
+            # the state entering triangle t by a diagonal: side k is
+            # the one state 3t + k - 1 leaves by below its apex
+            t = s // 3
+            back = next(3 * t + k for k in range(3)
+                        if walk[3 * t + (k + 2) % 3][1] >= 0)
+            planted.append((apex, up if up >= 0 else back,
+                            down if down >= 0 else back))
+        tri.walk = planted
         for corner in corners:
             with pytest.raises(InternalInvariantError,
                                match="visited more triangles of polygon 0"):
