@@ -27,7 +27,7 @@ from .search import enumerate_directions
 from .surface import TranslationSurface
 
 __all__ = ["TangentSpan", "FieldReport", "accumulate_tangent",
-           "rank_lower_bound", "independence_check", "field_bound",
+           "rank_lower_bound", "field_bound",
            "complete_periodicity_scan", "complete_parabolicity_check",
            "more_cylinders_search"]
 
@@ -78,7 +78,8 @@ class TangentSpan:
         return self._p_span.rank
 
     def basis(self):
-        """The RREF rows of the span."""
+        """The RREF rows of the span; a test oracle of
+        tests/test_analysis.py and test_integer_cocycles.py."""
         return self._span.rows
 
     def _basis_quads(self):
@@ -111,24 +112,6 @@ def rank_lower_bound(span: TangentSpan) -> int:
     """ceil(p-dim / 2): sound because the true projection is symplectic."""
     p = span.p_dim()
     return (p + 1) // 2
-
-
-def independence_check(decomposition: Decomposition, ids=None) -> bool:
-    """Is p(eta) outside the span of Re p(omega) and Im p(omega)?
-
-    True supports (conditionally on the cylinder set being complete and
-    the direction not periodic) that the orbit closure has rank > 1; the
-    conditional is the caller's to report, not this function's.
-    """
-    if not decomposition.cylinders:
-        raise ValueError("independence check needs at least one cylinder")
-    frame = decomposition.frame
-    e = eta(decomposition, ids)
-    p_omega = frame._absolute_quads(frame.period_cocycle())
-    span = Echelon(2 * frame.genus, complex_over=frame.surface.ctx)
-    span._add([(ra, rb, 0, 0) for ra, rb, _, _ in p_omega])
-    span._add([(ia, ib, 0, 0) for _, _, ia, ib in p_omega])
-    return span._add(frame._absolute_quads(e))
 
 
 class FieldReport:

@@ -30,7 +30,7 @@ from .field import FieldScalar, Vec2, _positive, parse_scalar
 from .search import enumerate_directions
 from .serialize import (FORMAT_VERSION, decomposition_to_json, dump_surface,
                         dumps, load_surface, span_to_json)
-from .surface import l_shape, square_tiled, validate
+from .surface import l_shape, square_tiled
 
 
 def _scalar(text: str) -> FieldScalar:
@@ -76,7 +76,7 @@ def _emit(args, payload: dict):
 
 def cmd_validate(args):
     surface = load_surface(args.surface)
-    data = validate(surface)
+    data = surface.singularities()
     m = 2 * data.genus + data.num_points - 1
     sig = ",".join(str(k) for k in data.signature)
     print(f"genus {data.genus}, signature ({sig}), m={m}, "

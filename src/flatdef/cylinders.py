@@ -699,18 +699,6 @@ def _midpoint(item):
     return ("edge", item.edge, (item.t0 + item.t1) / 2)
 
 
-class BoundExceeded:
-    """Sentinel value: the separatrix stayed open within the length bound."""
-
-    __slots__ = ("advance_sq",)
-
-    def __init__(self, advance_sq):
-        self.advance_sq = advance_sq
-
-    def __repr__(self):
-        return f"BoundExceeded(advance_sq={self.advance_sq})"
-
-
 def _normalize(surface, direction):
     """(Direction, normalizing matrix g, g-image of the surface); g has
     det |v|^2 > 0, so the image carries the surface's validated vertex
@@ -746,27 +734,6 @@ def _connection(normalized, res, east, class_of, corner, sc_id):
         is_edge_run=(len(res.chords) == 1
                      and _is_edge_run(normalized, res.chords[0])),
     )
-
-
-def trace_separatrix(surface: TranslationSurface, corner, direction,
-                     trace_length):
-    """Follow the separatrix leaving `corner` in `direction`.
-
-    Returns a SaddleConnection when a singular point is hit within the
-    length bound (measured on this surface), else a BoundExceeded value.
-    The corner must emit the direction: it is the (polygon, vertex)
-    whose half-open sector contains it.  A trace_length that is not
-    positive raises NonPositiveLength.
-    """
-    trace_length = _positive("trace_length", trace_length)
-    direction, _, normalized = _normalize(surface, direction)
-    n = direction.vector.norm_sq()
-    res = trace_from_corner(normalized, corner,
-                            max_advance_sq=trace_length * trace_length * n)
-    if res.kind == "bound":
-        return BoundExceeded(res.advance * res.advance / n)
-    return _connection(normalized, res, direction.vector.scale(n.inverse()),
-                       normalized.vertex_class_map(), corner, 0)
 
 
 def decompose(surface: TranslationSurface, direction,

@@ -32,10 +32,9 @@ from .linalg import _quads, rational_relation_lattice, row_reduce
 from .polygon import _mul, _pairs
 from .surface import TranslationSurface
 
-__all__ = ["intersection_cocycle", "eta", "eta_normalized", "shear",
-           "stretch", "twist_space", "cylinder_preserving_space",
-           "torus_closure", "verify_linearity", "deform_from_periods",
-           "TorusClosure"]
+__all__ = ["eta", "eta_normalized", "shear", "stretch", "twist_space",
+           "cylinder_preserving_space", "torus_closure", "verify_linearity",
+           "deform_from_periods", "TorusClosure"]
 
 
 def _cylinder_subset(decomposition, ids):
@@ -71,17 +70,6 @@ def _crossing_cocycle(decomposition: Decomposition, weighted,
         quads.append((a * fa + d * b * fb, a * fb + b * fa,
                       a * fc + d * b * fe, a * fe + b * fc))
     return Cocycle._of(quads, W * F, ctx, decomposition.frame.hash)
-
-
-def intersection_cocycle(decomposition: Decomposition, cyl_id: int) -> Cocycle:
-    """The integer cocycle counting crossings with one core circle.
-
-    Zero on every class realized disjointly from the cylinder's interior;
-    the crossing table checks this on the direction's saddle connections
-    and core classes.
-    """
-    cyl = _cylinder_subset(decomposition, [cyl_id])[0]
-    return _crossing_cocycle(decomposition, [(FieldScalar(1), cyl)])
 
 
 def eta_normalized(decomposition: Decomposition, ids=None) -> Cocycle:

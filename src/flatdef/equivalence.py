@@ -79,6 +79,7 @@ def delaunay_cells(surface: TranslationSurface):
     Cells are polygons given by ccw `Vec2` edge-vector tuples; co-circular
     triangles are merged, so the complex does not depend on flip order
     or on the input presentation.  The gluing pairs (cell, edge) slots.
+    A test oracle of the Delaunay-cell pins (tests/test_output_pin.py).
     """
     cells, gluing = _cells(surface)
     lat = surface.lattice()

@@ -320,8 +320,11 @@ class FieldScalar:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        B = self._B
-        return hash((self._A, B, self._D, self.ctx.d if B else 0))
+        # a rational hashes as the int or Fraction A/D that it equals
+        A, B, D = self._A, self._B, self._D
+        if not B:
+            return hash(A if D == 1 else Fraction(A, D))
+        return hash((A, B, D, self.ctx.d))
 
     def __bool__(self):
         return bool(self._A or self._B)
@@ -510,9 +513,11 @@ class Vec2:
         return Vec2(self.x * s, self.y * s)
 
     def cross(self, other: "Vec2") -> FieldScalar:
+        """A test oracle of tests/test_predicates.py."""
         return self.x * other.y - self.y * other.x
 
     def dot(self, other: "Vec2") -> FieldScalar:
+        """A test oracle of tests/test_predicates.py."""
         return self.x * other.x + self.y * other.y
 
     def norm_sq(self) -> FieldScalar:

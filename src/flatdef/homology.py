@@ -280,7 +280,8 @@ class HomologyFrame:
     # -- geometry of cells -------------------------------------------------
 
     def periods(self) -> tuple[ComplexScalar, ...]:
-        """Exact periods of the basis classes (the period map Phi)."""
+        """Exact periods of the basis classes (the period map Phi); a
+        test oracle of tests/test_homology.py and test_deform.py."""
         return self.period_cocycle().values
 
     def period_cocycle(self) -> Cocycle:
@@ -334,7 +335,8 @@ class HomologyFrame:
         project_absolute, real or complex).  Cocycle vectors are J-images
         of homology classes, so the pairing pulls back through J^{-1}:
         <phi, psi> = phi^T J^{-T} psi, which vanishes exactly when the
-        Poincare-dual classes have zero intersection.
+        Poincare-dual classes have zero intersection.  A test oracle of
+        tests/test_acceptance.py and test_deform.py.
         """
         jinv = self.j_inverse()
         n = 2 * self.genus
@@ -358,7 +360,8 @@ class HomologyFrame:
         return [_combine(vec, cocycle.quads) for vec in self.absolute_basis]
 
     def project_absolute(self, cocycle: Cocycle) -> tuple[ComplexScalar, ...]:
-        """Restriction of a cocycle to the absolute subspace basis (length 2g)."""
+        """Restriction of a cocycle to the absolute subspace basis (length
+        2g); a test oracle of tests/test_acceptance.py and test_deform.py."""
         return tuple(cocycle._complex(q)
                      for q in self._absolute_quads(cocycle))
 

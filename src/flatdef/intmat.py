@@ -154,7 +154,8 @@ def integer_kernel(mat):
 
 
 def det_int(mat):
-    """Determinant of a square integer matrix (fraction-free Gauss-Bareiss)."""
+    """Determinant of a square integer matrix (fraction-free Gauss-Bareiss);
+    a test oracle of tests/test_homology.py and test_linalg.py."""
     a = _clone(mat)
     n = len(a)
     if n == 0:

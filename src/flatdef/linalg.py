@@ -304,7 +304,8 @@ class Echelon:
 
     def reduce(self, row) -> list:
         """The row minus its part in the span: zero in every pivot column,
-        and all zero exactly when the row lies in the span."""
+        and all zero exactly when the row lies in the span.  A test oracle
+        of tests/test_linalg.py and test_crossings.py."""
         quads, D = self._take(list(row))
         v, scale = _clear(quads, self._basis, self.ctx.d)
         return [_scalar(self._kind, q, D * scale, self.ctx) for q in v]

@@ -320,11 +320,6 @@ def component_labels(n: int, neighbours) -> list[int]:
     return labels
 
 
-def validate(surface: TranslationSurface) -> SingularityData:
-    """The singularity data validation found at construction."""
-    return surface.singularities()
-
-
 def _parse_perm(perm, n: int) -> list[int]:
     """Permutations of 1..n as mapping lists (1-based values), dicts or
     cycle tuples.

@@ -6,7 +6,7 @@ import pytest
 from flatdef.analysis import (HAS_UNCERTIFIED, accumulate_tangent,
                               complete_parabolicity_check,
                               complete_periodicity_scan, field_bound,
-                              independence_check, more_cylinders_search,
+                              more_cylinders_search,
                               rank_lower_bound)
 from flatdef.cylinders import PERIODIC, decompose
 from flatdef.deform import deform_from_periods
@@ -88,33 +88,6 @@ class TestTangentSpan:
         assert span.dim() == 1
         assert len(span.skipped) == 1
         assert span.skipped[0]["rule"] == "NotCertified"
-
-
-class TestIndependence:
-    def test_torus_periodic_dependent(self, torus):
-        f = homology_frame(torus)
-        d = decompose(torus, Vec2(1, 0), frame=f)
-        assert independence_check(d) is False
-
-    def test_l_subsets_independent(self, l_origami):
-        f = homology_frame(l_origami)
-        d = decompose(l_origami, Vec2(1, 0), frame=f)
-        for cyl in d.cylinders:
-            assert independence_check(d, ids=[cyl.cyl_id])
-
-    def test_golden_full_set_recorded(self, golden_l):
-        f = homology_frame(golden_l)
-        d = decompose(golden_l, Vec2(1, 0), frame=f)
-        # full certified set lies in the GL2 span: recorded value False
-        assert independence_check(d) is False
-
-    def test_needs_cylinders(self, golden_l):
-        f = homology_frame(golden_l)
-        d = decompose(golden_l, Vec2(13, 8),
-                      trace_length=FieldScalar(Fraction(1, 100)), frame=f)
-        if not d.cylinders:
-            with pytest.raises(ValueError):
-                independence_check(d)
 
 
 class TestFieldBound:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from flatdef.cylinders import (BoundExceeded, Direction, PARTIAL, PERIODIC,
-                               NO_CYLINDER, decompose, trace_separatrix)
+from flatdef.cylinders import (Direction, PARTIAL, PERIODIC, NO_CYLINDER,
+                               decompose)
 from flatdef.errors import NonPositiveLength, StaleCocycle
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.homology import HomologyFrame, homology_frame
@@ -40,25 +40,32 @@ class TestDirection:
             Direction(Vec2(0, 0))
 
 
+def connection_from(surface, corner, v, length):
+    """The saddle connection that decompose traces from `corner`."""
+    dec = decompose(surface, v, trace_length=length)
+    (sc,) = [sc for sc in dec.saddle_connections if sc.start_corner == corner]
+    return sc
+
+
 class TestTrace:
     def test_torus_horizontal(self, torus):
-        sc = trace_separatrix(torus, (0, 0), Vec2(1, 0), 10)
+        sc = connection_from(torus, (0, 0), Vec2(1, 0), 10)
         assert sc.holonomy == Vec2(1, 0)
 
     def test_torus_slope_two(self, torus):
-        sc = trace_separatrix(torus, (0, 0), Vec2(1, 2), 10)
+        sc = connection_from(torus, (0, 0), Vec2(1, 2), 10)
         assert sc.holonomy == Vec2(1, 2)
 
     def test_golden_top_boundary(self, golden_l):
         # the eastward ray from the corner at height 1 runs along the top
         # cylinder's bottom boundary, a unit saddle connection
-        sc = trace_separatrix(golden_l, (0, 7), Vec2(1, 0), 10)
+        sc = connection_from(golden_l, (0, 7), Vec2(1, 0), 10)
         assert sc.holonomy == Vec2(1, 0)
 
     def test_bound_exceeded(self, torus):
-        out = trace_separatrix(torus, (0, 0), Vec2(1, 2),
-                               FieldScalar(Fraction(1, 2)))
-        assert isinstance(out, BoundExceeded)
+        dec = decompose(torus, Vec2(1, 2),
+                        trace_length=FieldScalar(Fraction(1, 2)))
+        assert not dec.saddle_connections and dec.unresolved_rays
 
 
 class TestDecompose:
@@ -108,15 +115,16 @@ class TestDecompose:
                 assert all(x == 0 for x in bnd)
 
     def test_cross_pairs_with_own_core(self, l_origami):
-        from flatdef.deform import intersection_cocycle
+        from flatdef.deform import eta_normalized
         frame = homology_frame(l_origami)
         dec = decompose(l_origami, Vec2(1, 0), frame=frame)
         for cyl in dec.cylinders:
-            ic = intersection_cocycle(dec, cyl.cyl_id)
+            # cylinder i's shear cocycle is h_i I_i
+            ic = eta_normalized(dec, [cyl.cyl_id])
             for other in dec.cylinders:
                 val = frame.evaluate(ic, other.cross_coords)
-                want = 1 if other.cyl_id == cyl.cyl_id else 0
-                assert val.im.is_zero() and val.re == FieldScalar(want)
+                want = cyl.height if other.cyl_id == cyl.cyl_id else 0
+                assert val.im.is_zero() and val.re == want
                 core_val = frame.evaluate(ic, other.core_coords)
                 assert core_val.is_zero()
 
@@ -160,14 +168,6 @@ class TestDecompose:
     def test_nonpositive_bound_rejected(self, torus, kw):
         with pytest.raises(NonPositiveLength):
             decompose(torus, Vec2(1, 0), **kw)
-
-    @pytest.mark.parametrize("length", [-10, 0, Fraction(-1, 2)])
-    def test_trace_separatrix_nonpositive_length_rejected(self, torus,
-                                                          length):
-        # the length enters the advance bound squared, so its sign must
-        # be checked before squaring
-        with pytest.raises(NonPositiveLength):
-            trace_separatrix(torus, (0, 0), Vec2(1, 0), length)
 
     def test_square_tiled_rational_always_periodic(self, l_origami):
         for v in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, -1),

@@ -10,9 +10,8 @@ from flatdef.cylinders import Decomposition, _build_cut_pieces, decompose
 from flatdef.deform import (_member_components, _member_shares, _recut,
                             _recut_surface,
                             cylinder_preserving_space, deform_from_periods,
-                            eta, eta_normalized, intersection_cocycle, shear,
-                            stretch, torus_closure, twist_space,
-                            verify_linearity)
+                            eta, eta_normalized, shear, stretch,
+                            torus_closure, twist_space, verify_linearity)
 from flatdef.errors import (DeformationTooLarge, DegenerateCylinder,
                             InternalInvariantError, NotConnected,
                             StaleCocycle)
@@ -28,11 +27,17 @@ Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
 
 
+def intersection_cocycle(d, cyl):
+    """I_i, the cocycle counting crossings with cylinder i's core: its
+    shear cocycle h_i I_i divided by its height."""
+    return eta_normalized(d, [cyl.cyl_id]).scale(cyl.height.inverse())
+
+
 class TestIntersectionCocycle:
     def test_torus_values(self, torus):
         f = homology_frame(torus)
         d = decompose(torus, Vec2(1, 0), frame=f)
-        ic = intersection_cocycle(d, 0)
+        ic = intersection_cocycle(d, d.cylinders[0])
         # frame basis: horizontal cell then vertical cell
         assert [str(v.re) for v in ic.values] == ["0", "1"]
 
@@ -40,7 +45,7 @@ class TestIntersectionCocycle:
         f = homology_frame(l_origami)
         d = decompose(l_origami, Vec2(1, 0), frame=f)
         bottom = min(d.cylinders, key=lambda c: str(c.circumference) == "1")
-        ic = intersection_cocycle(d, bottom.cyl_id)
+        ic = intersection_cocycle(d, bottom)
         # integer cocycle, value 1 on its own cross class
         assert all(v.im.is_zero() and v.re.is_rational() for v in ic.values)
         assert frameval(f, ic, bottom.cross_coords) == 1
@@ -49,7 +54,7 @@ class TestIntersectionCocycle:
         f = homology_frame(golden_l)
         d = decompose(golden_l, Vec2(0, 1), frame=f)
         for cyl in d.cylinders:
-            ic = intersection_cocycle(d, cyl.cyl_id)
+            ic = intersection_cocycle(d, cyl)
             assert f.evaluate(ic, cyl.core_coords).is_zero()
 
 

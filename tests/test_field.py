@@ -134,10 +134,13 @@ def ref_sign(p):
 
 
 def ref_hash(p):
-    # the canonical triple: D is the lcm of the reduced denominators
+    # a rational hashes as the Fraction it equals; any other scalar as
+    # the canonical triple, D the lcm of the reduced denominators
     a, b, d = p
+    if not b:
+        return hash(a)
     D = lcm(a.denominator, b.denominator)
-    return hash((int(a * D), int(b * D), D, d if b else 0))
+    return hash((int(a * D), int(b * D), D, d))
 
 
 def ref_str(p):
@@ -214,6 +217,17 @@ class TestDifferential:
             back = parse_scalar(str(x))
             check_lowest_terms(back)
             assert back == x and hash(back) == hash(x)
+
+    @pytest.mark.parametrize("q", [20, -3, 0, Fraction(1, 2),
+                                   Fraction(-7, 3)])
+    def test_rational_hashes_as_the_number_it_equals(self, q):
+        # equal values are one set member and one dict key, whatever
+        # their type or field
+        for x in (FieldScalar(q), FieldScalar(q, 0, Q5)):
+            assert x == q and hash(x) == hash(q)
+            assert x in {q} and q in {x}
+            assert {q: "q"}.get(x) == "q" and {x: "x"}.get(q) == "x"
+        assert len({q, FieldScalar(q), FieldScalar(q, 0, Q5)}) == 1
 
     @given(small_rationals, same_field_pairs())
     def test_plain_rational_operands(self, q, pair):

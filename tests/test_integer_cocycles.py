@@ -12,7 +12,7 @@ scalar elimination (tests/reference_linalg.py) gives on those values.
 
 import pytest
 
-from flatdef.analysis import TangentSpan, independence_check
+from flatdef.analysis import TangentSpan
 from flatdef.cylinders import PERIODIC, decompose
 from flatdef.deform import eta, eta_normalized
 from flatdef.field import FieldScalar, Mat2, Vec2
@@ -101,13 +101,6 @@ def check_decomposition(dec, span, ref_full, ref_proj):
         ref_proj.add(list(projected))
     assert (span.dim(), span.p_dim()) == (ref_full.rank, ref_proj.rank)
     assert span.basis() == ref_full.rows
-    # independence of p(eta) from Re p(omega), Im p(omega), by scalars
-    if dec.cylinders:
-        p_omega = frame.project_absolute(frame.period_cocycle())
-        ref = RefEchelon(2 * frame.genus)
-        ref.add([ComplexScalar(v.re) for v in p_omega])
-        ref.add([ComplexScalar(v.im) for v in p_omega])
-        assert independence_check(dec) == ref.add(list(projected))
 
 
 def check_surface(surface, directions):

@@ -2,6 +2,8 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -136,45 +138,153 @@ def test_shadowed_imports_are_found():
         "b: os (line 7)", "c: f (line 10)", "f: g (line 11)"]
 
 
-def _unread_private_defs(sources: dict) -> list[str]:
-    """Private (`_`-prefixed) top-level functions and classes that no
-    other top-level statement of any of the modules reads.
+def _reads(tree) -> Counter:
+    """The names, attributes and string constants that a tree reads,
+    with their counts; the strings of `__all__` and `__slots__` declare
+    names and are not reads."""
+    declared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("__all__", "__slots__")
+                for t in node.targets):
+            declared.update(map(id, ast.walk(node.value)))
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Store)):
+            found[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in declared):
+            found[node.value] += 1
+    return found
 
-    `sources` maps module names to their text; a definition read only
-    from inside its own body (a recursion) counts as unread.
+
+def _unread_defs(sources: dict, readers: dict, named: dict) -> list[str]:
+    """Definitions, as "module: name (line n)", that nothing reads, and
+    the `named` entries that match no definition.
+
+    The definitions are the top-level functions and classes of `sources`
+    and the public methods of those classes, a method named
+    "Class.method".  A private (`_`-prefixed) name needs a reader in
+    `sources`.  A public name needs a reader in `sources` or `readers`,
+    or an entry in `named`, which maps "module: name" patterns
+    (`fnmatch`) to the reason the name stays.  Reads are counted as in
+    `_write_only_attributes`: names, attributes and string constants.
+    Reads inside the definition's own body do not count, and an import
+    is not a read.  Reads are matched by name alone, so a method that
+    shares its name with an attribute read elsewhere passes unseen.
     """
-    statements = [(name, node) for name, text in sources.items()
-                  for node in ast.parse(text).body]
-    reads = {id(node): {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-             for _, node in statements}
-    return sorted(f"{name}: {node.name} (line {node.lineno})"
-                  for name, node in statements
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name.startswith("_")
-                  and not any(node.name in reads[id(other)]
-                              for _, other in statements if other is not node))
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = Counter()
+    for tree in trees.values():
+        read.update(_reads(tree))
+    outside = Counter()
+    for text in readers.values():
+        outside.update(_reads(ast.parse(text)))
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}: {node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((f"{module}: {node.name}.{item.name}", item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+    found = [f"{key} (NAMED, defines nothing)" for key in named
+             if not any(fnmatchcase(name, key) for name, _ in defs)]
+    for name, node in defs:
+        if read[node.name] > _reads(node)[node.name]:
+            continue
+        if not node.name.startswith("_") and (
+                outside[node.name]
+                or any(fnmatchcase(name, key) for key in named)):
+            continue
+        found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
 
 
-def test_no_unread_private_defs():
-    # a private helper left behind after its last caller is deleted
-    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
-    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
-    assert len(sources) >= 17
-    assert _unread_private_defs(sources) == []
+# Public names that stay with no reader in src/flatdef or perfbench/,
+# each with its reason: a test oracle, a function awaiting the ROADMAP
+# item that gives it a caller, or a CLI command.
+NAMED = {
+    "analysis.py: TangentSpan.basis":
+        "oracle: tests/test_analysis.py, tests/test_integer_cocycles.py",
+    "analysis.py: more_cylinders_search":
+        "awaiting ROADMAP item 16 (the paper's other two applications)",
+    "cli.py: cmd_*": "CLI command: main looks it up by command name",
+    "deform.py: torus_closure":
+        "awaiting ROADMAP item 2 (horocycle-closure twists)",
+    "equivalence.py: delaunay_cells":
+        "oracle: the Delaunay-cell pins of tests/test_output_pin.py",
+    "field.py: Vec2.cross": "oracle: tests/test_predicates.py",
+    "field.py: Vec2.dot": "oracle: tests/test_predicates.py",
+    "homology.py: HomologyFrame.periods":
+        "oracle: tests/test_homology.py, tests/test_deform.py",
+    "homology.py: HomologyFrame.project_absolute":
+        "oracle: tests/test_acceptance.py, tests/test_deform.py",
+    "homology.py: HomologyFrame.symplectic_pairing":
+        "oracle: tests/test_acceptance.py, tests/test_deform.py",
+    "intmat.py: det_int":
+        "oracle: tests/test_homology.py, tests/test_linalg.py",
+    "linalg.py: Echelon.reduce":
+        "oracle: tests/test_linalg.py, tests/test_crossings.py",
+}
 
 
-def test_unread_private_defs_are_found():
+def test_no_unread_defs():
+    # a name left behind after its last caller is deleted, or one that
+    # only its own tests reach
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: path.read_text()
+               for path in sorted((root / "src" / "flatdef").glob("*.py"))
+               if path.name != "__init__.py"}
+    perfbench = {str(path): path.read_text()
+                 for path in sorted((root / "perfbench").rglob("*.py"))}
+    assert len(sources) >= 16 and perfbench
+    assert all(reason.startswith(("oracle: ", "awaiting ROADMAP item ",
+                                  "CLI command: "))
+               for reason in NAMED.values())
+    found = _unread_defs(sources, perfbench, NAMED)
+    assert found == [], (
+        "unread definitions; delete each, or give a public one a NAMED "
+        "entry as the README entry \"Every public name has a reader\" "
+        "says:\n" + "\n".join(found))
+
+
+def test_unread_defs_are_found():
     sources = {
-        "a.py": ("def _used():\n    pass\n\n"
-                 "def _recursive(n):\n    return _recursive(n - 1)\n\n"
-                 "class _Dead:\n    pass\n\n"
-                 "def _read_elsewhere():\n    pass\n\n"
-                 "def public():\n    return _used()\n"),
-        "b.py": "import a\nx = a._read_elsewhere\n",
+        "a.py": ("__all__ = ['unread', 'cmd_run']\n"
+                 "def _used():\n    pass\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Dead:\n    pass\n"
+                 "def _read_elsewhere():\n    pass\n"
+                 "def _perfbench_only():\n    pass\n"
+                 "def unread():\n    return _used()\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def timed():\n    pass\n"
+                 "def cmd_run(args):\n    pass\n"
+                 "class Span:\n"
+                 "    def dim(self):\n        return self.rank()\n"
+                 "    def rank(self):\n        return 0\n"
+                 "    def oracle(self):\n        return 1\n"
+                 "    def dead(self):\n        return 2\n"
+                 "    def _private(self):\n        return 3\n"),
+        "b.py": ("from a import Span, unread\n"
+                 "x = a._read_elsewhere\n"
+                 "print(Span().dim())\n"),
     }
-    assert _unread_private_defs(sources) == [
-        "a.py: _Dead (line 7)", "a.py: _recursive (line 4)"]
+    perfbench = {"tracer.py": ("SPANS = [('a', None, 'timed'),\n"
+                               "         ('a', None, '_perfbench_only')]\n")}
+    named = {"a.py: cmd_*": "CLI command: run", "a.py: Span.oracle": "oracle",
+             "a.py: gone": "awaiting ROADMAP item 2"}
+    assert _unread_defs(sources, perfbench, named) == [
+        "a.py: Span.dead (line 27)", "a.py: _Dead (line 6)",
+        "a.py: _perfbench_only (line 10)", "a.py: _recursive (line 4)",
+        "a.py: gone (NAMED, defines nothing)", "a.py: recursive (line 14)",
+        "a.py: unread (line 12)"]
 
 
 def _unread_private_params(source: str) -> list[str]:

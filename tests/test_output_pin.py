@@ -17,8 +17,7 @@ from fractions import Fraction
 import pytest
 
 from flatdef.analysis import accumulate_tangent, rank_lower_bound
-from flatdef.cylinders import (PARTIAL, BoundExceeded, _normalize, decompose,
-                               default_bound_sq, trace_separatrix)
+from flatdef.cylinders import PARTIAL, _normalize, decompose, default_bound_sq
 from flatdef.deform import shear, stretch
 from flatdef import deform, equivalence
 from flatdef.equivalence import delaunay_cells
@@ -72,10 +71,12 @@ def test_golden_span_certificate(golden_l):
 # -- pins for the triangulation, chord pairing and separatrix tracing ------
 #
 # The decomposition digests above never reach the saddle-connection
-# search, the Delaunay cells, the shear/stretch rebuilds or
-# trace_separatrix, so each gets its own digest of a canonical JSON form.
+# search, the Delaunay cells, the shear/stretch rebuilds or a single
+# separatrix, so each gets its own digest of a canonical JSON form.
 # These were recorded from the integer-triple scalar core while search
-# and equivalence still built their triangulations separately.
+# and equivalence still built their triangulations separately, and the
+# separatrix pins through a single-separatrix tracer since folded into
+# decompose and trace_from_corner.
 
 
 def _vec(v):
@@ -159,7 +160,8 @@ def test_sqrt2_lshape_partial_rebuild(op, amount, digest):
 
 
 def test_golden_trace_separatrix(golden_l):
-    sc = trace_separatrix(golden_l, (0, 7), (1, 0), 10)
+    dec = decompose(golden_l, (1, 0), trace_length=10)
+    (sc,) = [sc for sc in dec.saddle_connections if sc.start_corner == (0, 7)]
     payload = {
         "holonomy": _vec(sc.holonomy),
         "normalized_holonomy": _vec(sc.normalized_holonomy),
@@ -281,9 +283,11 @@ def test_generic_lshape_east_rays():
 
 
 def test_trace_separatrix_bound_advance():
-    res = trace_separatrix(_generic_lshape(2), (0, 0), (2, 1), 5)
-    assert isinstance(res, BoundExceeded)
-    assert str(res.advance_sq) == "10245/512+5/8*sqrt(2)"
+    direction, _, normalized = _normalize(_generic_lshape(2), (2, 1))
+    n = direction.vector.norm_sq()
+    res = trace_from_corner(normalized, (0, 0), max_advance_sq=25 * n)
+    assert res.kind == "bound"
+    assert str(res.advance * res.advance / n) == "10245/512+5/8*sqrt(2)"
 
 
 # -- rendered decompositions ------------------------------------------------

@@ -13,7 +13,7 @@ from flatdef.errors import (
     SingularMatrix,
 )
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
-from flatdef.surface import TranslationSurface, l_shape, square_tiled, validate
+from flatdef.surface import TranslationSurface, l_shape, square_tiled
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
@@ -33,27 +33,27 @@ def golden_l():
 
 class TestValidate:
     def test_torus(self):
-        data = validate(torus())
+        data = torus().singularities()
         assert data.genus == 1
         assert data.signature == (0,)
         assert data.num_points == 1
 
     def test_l_origami(self):
-        data = validate(l_origami())
+        data = l_origami().singularities()
         assert data.genus == 2
         assert data.signature == (2,)
         assert data.num_points == 1
 
     def test_golden_l(self):
         surf = golden_l()
-        data = validate(surf)
+        data = surf.singularities()
         assert data.genus == 2
         assert data.signature == (2,)
         # area = phi + (phi - 1) = sqrt(5)
         assert surf.area() == FieldScalar(0, 1, Q5)
 
     def test_unit_l_shape_matches_origami_stratum(self):
-        data = validate(l_shape(2, 1, 1, 1))
+        data = l_shape(2, 1, 1, 1).singularities()
         assert data.genus == 2
         assert data.signature == (2,)
 
@@ -64,19 +64,19 @@ class TestValidate:
         # glue bottom to right: vectors not opposite
         gluing = [((0, 0), (0, 1)), ((0, 2), (0, 3))]
         with pytest.raises(GluingMismatch):
-            validate(TranslationSurface(polys, gluing))
+            TranslationSurface(polys, gluing).singularities()
 
     def test_non_closed_polygon(self):
         polys = [[Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -2)]]
         gluing = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
         with pytest.raises(NonClosedPolygon):
-            validate(TranslationSurface(polys, gluing))
+            TranslationSurface(polys, gluing).singularities()
 
     def test_self_intersecting_polygon(self):
         polys = [[Vec2(2, 0), Vec2(-1, 1), Vec2(0, -2), Vec2(-1, 1)]]
         gluing = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
         with pytest.raises((NonSimplePolygon, NonClosedPolygon)):
-            validate(TranslationSurface(polys, gluing))
+            TranslationSurface(polys, gluing).singularities()
 
     def test_incomplete_gluing(self):
         polys = [[Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)]]
@@ -159,7 +159,7 @@ class TestGL2:
         m = torus().apply_matrix(Mat2.shear(1))
         assert m.polygons[0][0] == Vec2(1, 0)
         assert m.polygons[0][1] == Vec2(1, 1)
-        validate(m)
+        m.singularities()
 
     def test_direction_mapping(self):
         g = Mat2(1, 2, -2, 1)
@@ -171,7 +171,7 @@ class TestGL2:
 
     def test_orientation_reversing(self):
         m = torus().apply_matrix(Mat2(1, 0, 0, -1))
-        data = validate(m)
+        data = m.singularities()
         assert data.genus == 1
         assert m.area() == FieldScalar(1)
 
@@ -179,7 +179,7 @@ class TestGL2:
         g = Mat2(1, 2, -2, 1)
         m = l_origami().apply_matrix(g)
         assert m.area() == FieldScalar(15)
-        data = validate(m)
+        data = m.singularities()
         assert data.signature == (2,)
 
 

@@ -30,8 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdef import tracing
-from flatdef.cylinders import (NO_CYLINDER, _normalize, decompose,
-                               trace_separatrix)
+from flatdef.cylinders import NO_CYLINDER, _normalize, decompose
 from flatdef.errors import InternalInvariantError
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
@@ -269,8 +268,8 @@ class TestTrace:
     def test_bound_of_another_field(self, v, monkeypatch):
         # a bound over Q(sqrt 5) for a surface over Q(sqrt 2) raises one
         # ValueError before the first step in every direction, also where
-        # every squared advance is rational, through the tracer, through
-        # decompose and through trace_separatrix
+        # every squared advance is rational, through the tracer and
+        # through decompose
         message = r"^incompatible fields Q\(sqrt\(5\)\) and Q\(sqrt\(2\)\)$"
         surface = l_shape(2, 1, 1, FieldCtx.get(2).sqrt_gen())
         length = FieldScalar(3, 1, FieldCtx.get(5))
@@ -278,8 +277,6 @@ class TestTrace:
             decompose(surface, v, trace_length=length)
         _, _, normalized = _normalize(surface, Vec2(*v))
         corners = east_ray_corners(normalized)
-        with pytest.raises(ValueError, match=message):
-            trace_separatrix(surface, corners[0], v, length)
 
         def no_step(*args):
             raise AssertionError("the trace took a step")
