@@ -532,7 +532,7 @@ def _check_component(surface, comp_pieces, edge_runs):
     Pieces are glued only across non-horizontal sub-edges, so chords and
     horizontal sub-edges are its boundary.  The component is a cylinder
     exactly when each piece has one sub-edge running down, its entry,
-    and one running up, its exit (README "A cylinder is a cycle of
+    and one running up, its exit (README, "A cylinder is a cycle of
     strips").  Each piece is then a strip whose other items run east
     along its bottom and west along its top, and following each exit to
     the piece glued across it visits every piece once.  That walk lists

@@ -24,8 +24,9 @@ Every number handed to the library enters through one door, `_as_scalar`,
 and every length that must be positive through `_positive`.  The
 Fraction views `.a` and `.b` exist for the public API (serialization,
 rational relations, tests).  The text form is that of the pair (a, b) in
-lowest terms; the hash is that of the triple with d (0 for a rational),
-so equal scalars hash equal, a rational one alike in every field.
+lowest terms.  A rational scalar hashes as the int or Fraction it
+equals, and an irrational one as (A, B, D, d), so equal scalars hash
+equal, a rational one alike in every field and as the number it equals.
 
 Which field: `join_ctx` is the one rule.  A rational scalar fits any
 field; an irrational one brought into another irrational field raises

@@ -3,8 +3,9 @@
 Run with `pytest -s tests/test_acceptance.py` to see one line per
 criterion.  All ten criteria are expected to pass.  Criterion 4 checks
 the true rank-1 certificate of the torus and the 3-square origami, both
-lattice surfaces; see "Decisions ledger" in the README for why that is
-the most any sound certificate can give.
+lattice surfaces; README, "Criterion 4: the rank certificate of a
+square-tiled surface is rank 1" says why that is the most any sound
+certificate can give.
 """
 
 import itertools
@@ -148,7 +149,8 @@ def test_criterion_04_rank_certificate():
     # has dim_C = p-dim = 2 and cylinder rank 1, and every saddle
     # connection direction is completely periodic.  Full-set shears are
     # horocycle derivatives, so the certified span must equal that
-    # tangent space.  See "Decisions ledger" in the README.
+    # tangent space.  See README, "Criterion 4: the rank certificate of a
+    # square-tiled surface is rank 1".
     expected = (2, 2, 1, 2, True)  # the fields of _rank_certificate
     t0 = time.time()
     torus = square_tiled([], [], n=1, label="torus")
@@ -159,8 +161,8 @@ def test_criterion_04_rank_certificate():
     report(4, cert_t == expected and cert_l == expected and elapsed < 30,
            f"rank certificate (dim_C, p-dim, k_lb, GL(2,R)-span rank, all "
            f"directions certified): torus {cert_t}, 3-square origami "
-           f"{cert_l}, both rank-1 lattice surfaces expect {expected} "
-           f"(see \"Decisions ledger\" in the README)", elapsed)
+           f"{cert_l}, both rank-1 lattice surfaces expect {expected}",
+           elapsed)
     assert elapsed < 30
     assert cert_t == expected
     assert cert_l == expected

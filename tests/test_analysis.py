@@ -37,8 +37,8 @@ class TestTangentSpan:
     def test_full_set_generators_stay_in_gl2_span(self, l_origami):
         # shearing every cylinder of a certified periodic direction is the
         # conjugated global horocycle, so the certified span never grows
-        # past the 2-dimensional GL(2,R) span; see "Decisions ledger" in
-        # the README
+        # past the 2-dimensional GL(2,R) span; see README, "Criterion 4:
+        # the rank certificate of a square-tiled surface is rank 1"
         span = accumulate_tangent(l_origami,
                                   [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)])
         assert span.dim() == 2

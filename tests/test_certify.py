@@ -3,7 +3,7 @@
 `cylinders._check_component` certifies a component of the cut as a
 cylinder when each of its pieces has one sub-edge running down and one
 running up, and a connection was found along every horizontal edge of
-its boundary; its walk gives the boundary circles (README "A cylinder
+its boundary; its walk gives the boundary circles (README, "A cylinder
 is a cycle of strips").  tests/reference_certify.py keeps the rule it
 replaced: corner classes, Euler characteristic zero, no interior
 vertex, two boundary circles of opposite orientation and equal length.

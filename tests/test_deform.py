@@ -219,8 +219,9 @@ class TestFullSetDeformation:
     """Shear and stretch of every cylinder are one matrix on the surface.
 
     The image carries the source's singularity data through apply_matrix
-    (README, "Decisions ledger"); each expectation below is a fresh
-    validation or the general recut of the same deformation.
+    (README, "An image shares its source's family"); each expectation
+    below is a fresh validation or the general recut of the same
+    deformation.
     """
 
     AMOUNTS = [(shear, Fraction(-3, 7)), (shear, Fraction(5, 2)),

@@ -5,11 +5,11 @@ With det > 0 the image shares its source's family cache
 (`homology._FRAME_DATA`) and the triangulation (`search.triangulated`).
 Every image builds its polygons from its own lattice form when they are
 first read.  The expectation is an argument, not a fixture (README, "An
-image keeps its source's frame and builds its polygons when read"): the
-frame's integer data depends only on polygon sizes, edge indices, gluing
-and vertex classes, which det > 0 keeps, so a carried frame must equal a
-fresh `HomologyFrame` of an equal surface built by the constructor, in
-every integer field and in `hash`; an ear clip decides by orientation
+image shares its source's family"): the frame's integer data depends
+only on polygon sizes, edge indices, gluing and vertex classes, which
+det > 0 keeps, so a carried frame must equal a fresh `HomologyFrame` of
+an equal surface built by the constructor, in every integer field and
+in `hash`; an ear clip decides by orientation
 signs, which det > 0 keeps, so a shared triangulation must equal a fresh
 `Triangulated` of the image.  Nothing read from the image's own
 coordinates is shared.

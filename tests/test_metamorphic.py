@@ -10,7 +10,8 @@ cylinders agree, and so does each cylinder's area and its circumference
 as a multiple of the direction vector (g maps c = lam * v to lam * g.v).
 A modulus is area / |c|^2 = area / (lam^2 |v|^2), so the moduli
 themselves scale by |v|^2 / |g.v|^2; the invariant multiset is that of
-modulus * |v|^2 (README, "Decisions ledger").
+modulus * |v|^2 (README, "SL(2,Z) metamorphic test: moduli scale by
+|v|² / |g·v|²").
 
 Every pair must decompose.  Among them are 24, each in a direction that
 the matrix sends to an axis, on which a core traced from a half-height

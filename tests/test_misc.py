@@ -250,8 +250,8 @@ def test_no_unread_defs():
     found = _unread_defs(sources, perfbench, NAMED)
     assert found == [], (
         "unread definitions; delete each, or give a public one a NAMED "
-        "entry as the README entry \"Every public name has a reader\" "
-        "says:\n" + "\n".join(found))
+        'entry as README, "Every public name has a reader" says:\n'
+        + "\n".join(found))
 
 
 def test_unread_defs_are_found():

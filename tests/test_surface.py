@@ -206,11 +206,11 @@ PRIMITIVE_3 = [(p, q) for p in range(0, 4) for q in range(-3, 4)
 class TestTransportedValidation:
     """apply_matrix with det > 0 hands its singularity data to the image.
 
-    The expectation is an argument, not a fixture (README, "Decisions
-    ledger"): a linear map of positive determinant keeps the polygons
-    simple, closed and counterclockwise, keeps glued edges opposite and
-    keeps every cone angle, so the transported data must equal what a
-    full validation of the image finds.
+    The expectation is an argument, not a fixture (README, "An image
+    shares its source's family"): a linear map of positive determinant
+    keeps the polygons simple, closed and counterclockwise, keeps glued
+    edges opposite and keeps every cone angle, so the transported data
+    must equal what a full validation of the image finds.
     """
 
     @staticmethod
