@@ -13,7 +13,7 @@ from .deform import (eta, eta_normalized, shear, stretch, twist_space,
                      cylinder_preserving_space, torus_closure,
                      verify_linearity, deform_from_periods)
 from .equivalence import translation_equivalent, delaunay_cells
-from .analysis import (TangentSpan, FieldReport, accumulate_tangent,
+from .analysis import (TangentSpan, sweep, accumulate_tangent,
                        rank_lower_bound, field_bound,
                        complete_periodicity_scan, complete_parabolicity_check,
                        more_cylinders_search)

@@ -10,6 +10,10 @@ carries the surface and frame; a `TangentSpan` takes only decompositions
 in its own frame.  The span eliminates its generators and their
 absolute projections as integer quadruples (`linalg.Echelon`), so no
 ComplexScalar is built until a basis or a value is read.
+
+Every certificate and scan folds over the decompositions of one
+`sweep`, the only place that enumerates directions and the only
+function here that takes trace bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .linalg import ComplexScalar, Echelon
 from .search import enumerate_directions
 from .surface import TranslationSurface
 
-__all__ = ["TangentSpan", "FieldReport", "accumulate_tangent",
+__all__ = ["TangentSpan", "sweep", "accumulate_tangent",
            "rank_lower_bound", "field_bound",
            "complete_periodicity_scan", "complete_parabolicity_check",
            "more_cylinders_search"]
@@ -97,14 +101,25 @@ def _provenance(decomposition: Decomposition, rule: str):
     }
 
 
-def accumulate_tangent(surface: TranslationSurface, directions,
-                       trace_factor: int = 20,
-                       trace_length=None) -> TangentSpan:
+def sweep(surface: TranslationSurface, radius_sq, trace_factor: int = 20,
+          trace_length=None) -> list[Decomposition]:
+    """The decomposition of each direction `enumerate_directions` yields
+    within `radius_sq`, in its order; a trace bound that is not positive
+    raises NonPositiveLength before any direction is enumerated."""
+    _positive("trace_factor", trace_factor)
+    if trace_length is not None:
+        _positive("trace_length", trace_length)
+    return [decompose(surface, d, trace_factor=trace_factor,
+                      trace_length=trace_length)
+            for d in enumerate_directions(surface, radius_sq)]
+
+
+def accumulate_tangent(surface: TranslationSurface,
+                       decompositions) -> TangentSpan:
     """Span of the period class and all certified direction cocycles."""
     span = TangentSpan(homology_frame(surface))
-    for d in directions:
-        span.add_certified(decompose(
-            surface, d, trace_factor=trace_factor, trace_length=trace_length))
+    for dec in decompositions:
+        span.add_certified(dec)
     return span
 
 
@@ -114,26 +129,9 @@ def rank_lower_bound(span: TangentSpan) -> int:
     return (p + 1) // 2
 
 
-class FieldReport:
-    """Circumference-ratio field data of one direction."""
-
-    __slots__ = ("direction", "ratios", "rational", "single_cylinder",
-                 "field_d")
-
-    def __init__(self, direction, ratios, rational, single_cylinder, field_d):
-        self.direction = direction
-        self.ratios = ratios
-        self.rational = rational
-        self.single_cylinder = single_cylinder
-        self.field_d = field_d
-
-    @property
-    def field_name(self) -> str:
-        return "Q" if self.rational else f"Q(sqrt({self.field_d}))"
-
-
-def field_bound(decomposition: Decomposition) -> FieldReport:
-    """Exact circumference ratios and the field they generate.
+def field_bound(decomposition: Decomposition) -> dict:
+    """The field-scan entry of one direction: exact circumference ratios
+    and the field they generate.
 
     With a single cylinder the orbit-closure field of definition is Q
     outright; otherwise the ratios bound it inside Q or Q(sqrt(d)).
@@ -147,36 +145,34 @@ def field_bound(decomposition: Decomposition) -> FieldReport:
     c1 = cyls[0].circumference
     ratios = [cyl.circumference / c1 for cyl in cyls]
     rational = all(r.is_rational() for r in ratios)
-    return FieldReport(
-        direction=decomposition.direction,
-        ratios=ratios,
-        rational=rational,
-        single_cylinder=(len(cyls) == 1),
-        field_d=decomposition.surface.ctx.d,
-    )
+    v = decomposition.direction.vector
+    return {
+        "direction": [str(v.x), str(v.y)],
+        "status": decomposition.status,
+        "field": ("Q" if rational
+                  else f"Q(sqrt({decomposition.surface.ctx.d}))"),
+        "single_cylinder": len(cyls) == 1,
+        "circumference_ratios": [str(r) for r in ratios],
+        "equality_hypothesis": (
+            "field equals Q[ratios] only if these cylinders form "
+            "one parallelism class of the orbit closure"),
+    }
 
 
 HAS_UNCERTIFIED = "HasCylinderNotCertifiedPeriodic"
 
 
-def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
-                              trace_factor: int = 20, trace_length=None):
-    """Classify every enumerated direction of the surface.
+def complete_periodicity_scan(decompositions):
+    """Classify the direction of every decomposition of a sweep.
 
     Returns a report dict with per-direction entries Periodic /
     HasCylinderNotCertifiedPeriodic / NoCylinderFound.  A completely
     periodic surface shows no entries of the middle kind once the trace
     bound is large enough.
     """
-    directions = enumerate_directions(surface, radius_sq)
     counts = {PERIODIC: 0, HAS_UNCERTIFIED: 0, NO_CYLINDER: 0}
     entries = []
-    offenders = []
-    decompositions = {}
-    for d in directions:
-        dec = decompose(surface, d, trace_factor=trace_factor,
-                        trace_length=trace_length)
-        decompositions[d] = dec
+    for dec in decompositions:
         if dec.status == PERIODIC:
             kind = PERIODIC
         elif dec.cylinders:
@@ -184,52 +180,48 @@ def complete_periodicity_scan(surface: TranslationSurface, radius_sq,
         else:
             kind = NO_CYLINDER
         counts[kind] += 1
+        v = dec.direction.vector
         entries.append({
-            "direction": [str(d.vector.x), str(d.vector.y)],
+            "direction": [str(v.x), str(v.y)],
             "classification": kind,
             "cylinders": len(dec.cylinders),
             "unresolved_rays": len(dec.unresolved_rays),
         })
-        if kind == HAS_UNCERTIFIED:
-            offenders.append(d)
     return {
-        "directions": len(directions),
+        "directions": len(decompositions),
         "counts": counts,
         "entries": entries,
-        "offending_directions": [[str(d.vector.x), str(d.vector.y)]
-                                 for d in offenders],
-        "decompositions": decompositions,
+        "offending_directions": [
+            e["direction"] for e in entries
+            if e["classification"] == HAS_UNCERTIFIED],
     }
 
 
-def complete_parabolicity_check(surface: TranslationSurface, radius_sq,
-                                trace_factor: int = 20, trace_length=None):
-    """For each certified periodic direction, check pairwise rational
-    moduli; reports the first failure or a full pass up to the bound."""
-    scan = complete_periodicity_scan(surface, radius_sq,
-                                     trace_factor=trace_factor,
-                                     trace_length=trace_length)
+def complete_parabolicity_check(decompositions):
+    """For each certified periodic decomposition of a sweep, check
+    pairwise rational moduli; reports every failing direction, with
+    its moduli, or a full pass up to the bound."""
     failures = []
     checked = 0
-    for d, dec in scan["decompositions"].items():
+    for dec in decompositions:
         if dec.status != PERIODIC or not dec.cylinders:
             continue
         checked += 1
         m1 = dec.cylinders[0].modulus
-        for cyl in dec.cylinders[1:]:
-            ratio = cyl.modulus / m1
-            if not ratio.is_rational():
-                failures.append({
-                    "direction": [str(d.vector.x), str(d.vector.y)],
-                    "moduli": [str(c.modulus) for c in dec.cylinders],
-                })
-                break
+        if not all((cyl.modulus / m1).is_rational()
+                   for cyl in dec.cylinders[1:]):
+            v = dec.direction.vector
+            failures.append({
+                "direction": [str(v.x), str(v.y)],
+                "moduli": [str(c.modulus) for c in dec.cylinders],
+            })
     return {
-        "directions": scan["directions"],
+        "directions": len(decompositions),
         "periodic_directions_checked": checked,
         "parabolic": not failures,
         "failures": failures,
-        "periodicity_counts": scan["counts"],
+        "periodicity_counts": complete_periodicity_scan(
+            decompositions)["counts"],
     }
 
 

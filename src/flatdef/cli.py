@@ -21,13 +21,12 @@ from functools import cache
 
 from .analysis import (accumulate_tangent, complete_parabolicity_check,
                        complete_periodicity_scan, field_bound,
-                       rank_lower_bound)
+                       rank_lower_bound, sweep)
 from .cylinders import decompose
 from .deform import shear, stretch, verify_linearity
 from .equivalence import translation_equivalent
 from .errors import FlatdefError, InternalInvariantError
 from .field import FieldScalar, Vec2, _positive, parse_scalar
-from .search import enumerate_directions
 from .serialize import (FORMAT_VERSION, decomposition_to_json, dump_surface,
                         dumps, load_surface, span_to_json)
 from .surface import l_shape, square_tiled
@@ -91,10 +90,12 @@ def _max_len_sq(args) -> FieldScalar:
 
 
 def _bound_kwargs(args):
+    """--bound and --factor as trace keywords, each refused unless positive."""
     kw = {}
-    if getattr(args, "bound", None) is not None:
-        kw["trace_length"] = _scalar(args.bound)
-    if getattr(args, "factor", None) is not None:
+    if args.bound is not None:
+        kw["trace_length"] = _positive("bound", _scalar(args.bound))
+    if args.factor is not None:
+        _positive("factor", args.factor)
         kw["trace_factor"] = args.factor
     return kw
 
@@ -157,12 +158,11 @@ def cmd_stretch(args):
 
 def cmd_rank(args):
     surface = load_surface(args.surface)
-    radius_sq = _max_len_sq(args)
-    directions = enumerate_directions(surface, radius_sq)
-    span = accumulate_tangent(surface, directions, **_bound_kwargs(args))
+    decompositions = sweep(surface, _max_len_sq(args), **_bound_kwargs(args))
+    span = accumulate_tangent(surface, decompositions)
     k_lb = rank_lower_bound(span)
     payload = span_to_json(span, k_lb)
-    payload["directions_scanned"] = len(directions)
+    payload["directions_scanned"] = len(decompositions)
     _emit(args, payload)
     print(f"dim_C {span.dim()}, p-dim {span.p_dim()}, "
           f"rank lower bound {k_lb}", file=sys.stderr)
@@ -171,32 +171,15 @@ def cmd_rank(args):
 
 def cmd_scan(args):
     surface = load_surface(args.surface)
-    radius_sq = _max_len_sq(args)
-    kw = _bound_kwargs(args)
+    decompositions = sweep(surface, _max_len_sq(args), **_bound_kwargs(args))
     if args.mode == "periodicity":
-        rep = complete_periodicity_scan(surface, radius_sq, **kw)
-        rep = {k: v for k, v in rep.items() if k != "decompositions"}
+        rep = complete_periodicity_scan(decompositions)
     elif args.mode == "parabolicity":
-        rep = complete_parabolicity_check(surface, radius_sq, **kw)
+        rep = complete_parabolicity_check(decompositions)
     else:
-        scan = complete_periodicity_scan(surface, radius_sq, **kw)
-        table = []
-        for d, dec in scan["decompositions"].items():
-            if not dec.cylinders:
-                continue
-            fr = field_bound(dec)
-            table.append({
-                "direction": [str(d.vector.x), str(d.vector.y)],
-                "status": dec.status,
-                "field": fr.field_name,
-                "single_cylinder": fr.single_cylinder,
-                "circumference_ratios": [str(r) for r in fr.ratios],
-                "equality_hypothesis": (
-                    "field equals Q[ratios] only if these cylinders form "
-                    "one parallelism class of the orbit closure"),
-            })
-        rep = {"mode": "field", "entries": table,
-               "directions": scan["directions"]}
+        rep = {"mode": "field", "directions": len(decompositions),
+               "entries": [field_bound(dec) for dec in decompositions
+                           if dec.cylinders]}
     rep["format"] = FORMAT_VERSION
     _emit(args, rep)
     return 0
@@ -204,10 +187,10 @@ def cmd_scan(args):
 
 def cmd_render(args):
     surface = load_surface(args.surface)
+    kw = _bound_kwargs(args)
     dec = None
     if args.direction:
-        dec = decompose(surface, _direction(args.direction),
-                        **_bound_kwargs(args))
+        dec = decompose(surface, _direction(args.direction), **kw)
     from .render import render_surface
     svg = render_surface(surface, dec)
     with open(args.output, "w", encoding="utf-8") as fh:

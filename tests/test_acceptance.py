@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from flatdef.analysis import (HAS_UNCERTIFIED, accumulate_tangent,
                               field_bound, complete_periodicity_scan,
-                              rank_lower_bound)
+                              rank_lower_bound, sweep)
 from flatdef.cylinders import PERIODIC, decompose
 from flatdef.deform import torus_closure, twist_space, verify_linearity
 from flatdef.equivalence import translation_equivalent
 from flatdef.field import FieldCtx, FieldScalar, Vec2, parse_scalar
 from flatdef.homology import homology_frame
 from flatdef.linalg import ComplexScalar, Echelon, row_reduce
-from flatdef.search import enumerate_directions
 from flatdef.serialize import (decomposition_to_json, dumps, span_to_json,
                                surface_to_json)
 from flatdef.deform import shear
@@ -89,10 +88,8 @@ def _scan_corpus():
     out = []
     for name, surf in fixtures():
         radius = 10 if name == "golden-l" else 5
-        factor = 50
         frame = homology_frame(surf)
-        for d in enumerate_directions(surf, radius):
-            dec = decompose(surf, d, trace_factor=factor, frame=frame)
+        for dec in sweep(surf, radius, trace_factor=50):
             out.append((name, surf, frame, dec))
     return out
 
@@ -134,11 +131,11 @@ def _gl2_span_rank(span):
 def _rank_certificate(surf):
     """(dim_C, p-dim, k_lb, GL(2,R)-span rank, every direction certified)
     of the span accumulated over all directions up to radius 10."""
-    dirs = [d.vector for d in enumerate_directions(surf, 10)]
-    span = accumulate_tangent(surf, dirs)
+    decompositions = sweep(surf, 10)
+    span = accumulate_tangent(surf, decompositions)
     certified = sum(1 for _, prov in span.generators
                     if prov["rule"] == "CertifiedPeriodic")
-    complete = not span.skipped and certified == len(dirs)
+    complete = not span.skipped and certified == len(decompositions)
     return (span.dim(), span.p_dim(), rank_lower_bound(span),
             _gl2_span_rank(span), complete)
 
@@ -205,7 +202,7 @@ def test_criterion_05_dimension_bookkeeping():
 def test_criterion_06_golden_complete_periodicity():
     t0 = time.time()
     golden = l_shape(PHI, 1, 1, PHI - 1, label="golden-l")
-    scan = complete_periodicity_scan(golden, 10, trace_factor=50)
+    scan = complete_periodicity_scan(sweep(golden, 10, trace_factor=50))
     zero_bad = scan["counts"][HAS_UNCERTIFIED] == 0
     dec = decompose(golden, Vec2(1, 0))
     moduli = [c.modulus for c in dec.cylinders]
@@ -232,15 +229,15 @@ def test_criterion_07_field_bounds():
         if not dec.cylinders:
             continue
         rep = field_bound(dec)
-        if rep.single_cylinder:
+        if rep["single_cylinder"]:
             singles += 1
-            if rep.field_name != "Q":
+            if rep["field"] != "Q":
                 ok = False
-        if name in ("torus", "l-origami") and rep.field_name != "Q":
+        if name in ("torus", "l-origami") and rep["field"] != "Q":
             ok = False
     golden = l_shape(PHI, 1, 1, PHI - 1)
     rep = field_bound(decompose(golden, Vec2(1, 0)))
-    if rep.field_name != "Q(sqrt(5))":
+    if rep["field"] != "Q(sqrt(5))":
         ok = False
     elapsed = time.time() - t0
     report(7, ok, f"field bounds: {singles} single-cylinder directions all "
@@ -352,7 +349,8 @@ def test_criterion_09_order_invariance():
         dirs = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(2, 1)]
         seen = set()
         for perm in itertools.permutations(dirs):
-            span = accumulate_tangent(surf, list(perm))
+            span = accumulate_tangent(
+                surf, [decompose(surf, v) for v in perm])
             seen.add((span.dim(), span.p_dim()))
         if len(seen) != 1:
             ok = False
@@ -375,9 +373,11 @@ def test_criterion_10_round_trip_determinism():
         dec_b = dumps(decomposition_to_json(decompose(fresh, Vec2(1, 1))))
         if dec_a != dec_b:
             ok = False
-        span1 = accumulate_tangent(surf, [Vec2(1, 0), Vec2(0, 1)])
+        span1 = accumulate_tangent(
+            surf, [decompose(surf, v) for v in (Vec2(1, 0), Vec2(0, 1))])
         cert1 = dumps(span_to_json(span1, rank_lower_bound(span1)))
-        span2 = accumulate_tangent(fresh, [Vec2(1, 0), Vec2(0, 1)])
+        span2 = accumulate_tangent(
+            fresh, [decompose(fresh, v) for v in (Vec2(1, 0), Vec2(0, 1))])
         cert2 = dumps(span_to_json(span2, rank_lower_bound(span2)))
         if cert1 != cert2:
             ok = False

@@ -7,7 +7,7 @@ from flatdef.analysis import (HAS_UNCERTIFIED, accumulate_tangent,
                               complete_parabolicity_check,
                               complete_periodicity_scan, field_bound,
                               more_cylinders_search,
-                              rank_lower_bound)
+                              rank_lower_bound, sweep)
 from flatdef.cylinders import PERIODIC, decompose
 from flatdef.deform import deform_from_periods
 from flatdef.errors import InternalInvariantError, NonPositiveLength
@@ -15,7 +15,6 @@ from flatdef.field import FieldCtx, FieldScalar, Vec2
 from flatdef.homology import homology_frame
 from flatdef.linalg import ComplexScalar, row_reduce
 from flatdef.surface import l_shape, square_tiled
-from flatdef.search import enumerate_directions
 
 Q5 = FieldCtx.get(5)
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), Q5)
@@ -24,7 +23,7 @@ SQRT5 = FieldScalar(0, 1, Q5)
 
 class TestTangentSpan:
     def test_torus_saturates(self, torus):
-        span = accumulate_tangent(torus, [Vec2(1, 0)])
+        span = accumulate_tangent(torus, [decompose(torus, Vec2(1, 0))])
         assert span.dim() == 2
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
@@ -39,15 +38,16 @@ class TestTangentSpan:
         # conjugated global horocycle, so the certified span never grows
         # past the 2-dimensional GL(2,R) span; see README, "Criterion 4:
         # the rank certificate of a square-tiled surface is rank 1"
-        span = accumulate_tangent(l_origami,
-                                  [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)])
+        span = accumulate_tangent(
+            l_origami, [decompose(l_origami, v)
+                        for v in (Vec2(1, 0), Vec2(0, 1), Vec2(1, 1))])
         assert span.dim() == 2
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
 
     def test_golden_l_rank_one(self, golden_l):
-        dirs = [d.vector for d in enumerate_directions(golden_l, 4)]
-        span = accumulate_tangent(golden_l, dirs, trace_factor=50)
+        span = accumulate_tangent(golden_l,
+                                  sweep(golden_l, 4, trace_factor=50))
         assert span.p_dim() == 2
         assert rank_lower_bound(span) == 1
 
@@ -57,7 +57,8 @@ class TestTangentSpan:
             dims = set()
             pdims = set()
             for perm in itertools.permutations(dirs):
-                span = accumulate_tangent(surf, list(perm))
+                span = accumulate_tangent(
+                    surf, [decompose(surf, v) for v in perm])
                 dims.add(span.dim())
                 pdims.add(span.p_dim())
             assert len(dims) == 1 and len(pdims) == 1
@@ -83,8 +84,9 @@ class TestTangentSpan:
 
     def test_partial_directions_quarantined(self, golden_l):
         # absurdly small bound: nothing certifies
-        span = accumulate_tangent(golden_l, [Vec2(13, 8)],
-                                  trace_length=FieldScalar(Fraction(1, 100)))
+        span = accumulate_tangent(golden_l, [
+            decompose(golden_l, Vec2(13, 8),
+                      trace_length=FieldScalar(Fraction(1, 100)))])
         assert span.dim() == 1
         assert len(span.skipped) == 1
         assert span.skipped[0]["rule"] == "NotCertified"
@@ -94,19 +96,19 @@ class TestFieldBound:
     def test_l_origami_rational(self, l_origami):
         d = decompose(l_origami, Vec2(1, 0))
         rep = field_bound(d)
-        assert rep.field_name == "Q"
-        assert not rep.single_cylinder
+        assert rep["field"] == "Q"
+        assert not rep["single_cylinder"]
 
     def test_golden_horizontal(self, golden_l):
         rep = field_bound(decompose(golden_l, Vec2(1, 0)))
-        assert rep.field_name == "Q(sqrt(5))"
+        assert rep["field"] == "Q(sqrt(5))"
 
     def test_single_cylinder_flag(self, l_origami):
         d = decompose(l_origami, Vec2(1, 1))
         assert len(d.cylinders) == 1
         rep = field_bound(d)
-        assert rep.single_cylinder
-        assert rep.field_name == "Q"
+        assert rep["single_cylinder"]
+        assert rep["field"] == "Q"
 
     def test_invariant_under_rational_gl2(self, golden_l):
         from flatdef.field import Mat2
@@ -114,35 +116,48 @@ class TestFieldBound:
         moved = golden_l.apply_matrix(g)
         r1 = field_bound(decompose(golden_l, Vec2(1, 0)))
         r2 = field_bound(decompose(moved, g.apply(Vec2(1, 0))))
-        assert r1.rational == r2.rational
+        assert r1["field"] == r2["field"]
 
 
 class TestScans:
     def test_torus_all_periodic(self, torus):
-        rep = complete_periodicity_scan(torus, 5)
+        rep = complete_periodicity_scan(sweep(torus, 5))
         assert rep["counts"][HAS_UNCERTIFIED] == 0
         assert rep["counts"][PERIODIC] == rep["directions"]
 
     def test_golden_completely_periodic(self, golden_l):
-        rep = complete_periodicity_scan(golden_l, 4, trace_factor=50)
+        rep = complete_periodicity_scan(
+            sweep(golden_l, 4, trace_factor=50))
         assert rep["counts"][HAS_UNCERTIFIED] == 0
         assert rep["offending_directions"] == []
 
     def test_l_origami_rational_scan(self, l_origami):
-        rep = complete_periodicity_scan(l_origami, 5, trace_factor=120)
+        rep = complete_periodicity_scan(
+            sweep(l_origami, 5, trace_factor=120))
         assert rep["counts"][HAS_UNCERTIFIED] == 0
         assert rep["counts"][PERIODIC] == rep["directions"]
 
     def test_golden_parabolic(self, golden_l):
-        rep = complete_parabolicity_check(golden_l, 4, trace_factor=50)
+        rep = complete_parabolicity_check(
+            sweep(golden_l, 4, trace_factor=50))
         assert rep["parabolic"]
         assert rep["periodic_directions_checked"] > 0
 
     def test_generic_lshape_fails_parabolicity(self):
         surf = l_shape(FieldScalar(1) + SQRT5, 1, 1, 1, label="generic-l")
-        rep = complete_parabolicity_check(surf, 2, trace_factor=40)
+        rep = complete_parabolicity_check(sweep(surf, 2, trace_factor=40))
         assert not rep["parabolic"]
-        assert rep["failures"]
+        assert rep["periodic_directions_checked"] == 2
+        assert [f["direction"] for f in rep["failures"]] == [
+            ["0", "1"], ["1", "0"]]
+
+    @pytest.mark.parametrize("kw", [{"trace_factor": 0},
+                                    {"trace_length": Fraction(-1, 2)}])
+    def test_sweep_refuses_a_bound_that_traces_nothing(self, torus, kw):
+        # no direction lies within 1/1000, so no decompose checks the bound
+        assert sweep(torus, Fraction(1, 1000)) == []
+        with pytest.raises(NonPositiveLength, match="must be positive"):
+            sweep(torus, Fraction(1, 1000), **kw)
 
     def test_horizontal_moduli_of_failure(self):
         surf = l_shape(FieldScalar(1) + SQRT5, 1, 1, 1)

@@ -26,7 +26,8 @@ from math import gcd
 
 import pytest
 
-from flatdef.analysis import HAS_UNCERTIFIED, complete_periodicity_scan
+from flatdef.analysis import (HAS_UNCERTIFIED, complete_periodicity_scan,
+                              sweep)
 from flatdef.cli import main
 from flatdef.cylinders import (NO_CYLINDER, PARTIAL, PERIODIC,
                                _check_component, _edge_runs, decompose)
@@ -165,7 +166,7 @@ OFFENDING = [["2", "-1"], ["2", "1"], ["1", "-1-1*sqrt(2)"],
 
 
 def test_periodicity_scan_lists_uncertified_directions():
-    rep = complete_periodicity_scan(_sqrt2_l(), 9)
+    rep = complete_periodicity_scan(sweep(_sqrt2_l(), 9))
     assert rep["directions"] == 14
     assert rep["counts"] == {PERIODIC: 2, HAS_UNCERTIFIED: 4,
                              NO_CYLINDER: 8}

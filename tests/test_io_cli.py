@@ -508,10 +508,22 @@ class TestCLI:
         ["--factor", "0"], ["--factor", "-3"], ["--bound=-1"], ["--bound", "0"],
     ])
     def test_nonpositive_bound_flags_exit_1(self, cli_surfaces, capsys, flags):
-        _, lori, _ = cli_surfaces
-        assert main(["decompose", str(lori), "--direction", "1,0"]
-                    + flags) == 1
-        assert "NonPositiveLength" in capsys.readouterr().err
+        # rank and scan within a --max-len that holds no direction, and
+        # render with no direction, trace nothing: the flags are refused
+        # all the same
+        tmp, lori, _ = cli_surfaces
+        out = tmp / "out"
+        for command in (["decompose", "--direction", "1,0"],
+                        ["rank", "--max-len", "1/1000"],
+                        *(["scan", "--mode", mode, "--max-len", "1/1000"]
+                          for mode in ("periodicity", "parabolicity",
+                                       "field")),
+                        ["render"]):
+            assert main([command[0], str(lori)] + command[1:] + flags
+                        + ["-o", str(out)]) == 1, command
+            captured = capsys.readouterr()
+            assert "NonPositiveLength" in captured.err
+            assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", [["scan", "--mode", "periodicity"],
                                          ["rank"]])

@@ -1005,3 +1005,49 @@ def test_directions_search_through_the_module_binding(monkeypatch, golden_l):
     monkeypatch.setattr(search, "enumerate_saddle_connections", counted)
     assert search.enumerate_directions(golden_l, 4)
     assert len(calls) == 1
+
+
+def _sweep_rule_breaches(sources: dict) -> list[str]:
+    """The places ("module: scope") other than `analysis.sweep` that
+    enumerate directions, and the functions of analysis.py other than
+    `sweep` that take a trace bound ("analysis.py: name (trace
+    bounds)")."""
+    found = [place for place in _calls(sources, "enumerate_directions")
+             if place != "analysis.py: sweep"]
+    for func in ast.walk(ast.parse(sources.get("analysis.py", ""))):
+        if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and func.name != "sweep"
+                and {a.arg for a in ast.walk(func.args)
+                     if isinstance(a, ast.arg)}
+                & {"trace_factor", "trace_length"}):
+            found.append(f"analysis.py: {func.name} (trace bounds)")
+    return sorted(found)
+
+
+def test_one_sweep_picks_the_directions():
+    # every certificate and scan folds over the decompositions of one
+    # `analysis.sweep`, which alone enumerates directions and takes the
+    # trace bounds
+    src = Path(__file__).resolve().parent.parent / "src" / "flatdef"
+    sources = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert len(sources) >= 17
+    assert _calls(sources, "enumerate_directions") == ["analysis.py: sweep"]
+    assert _sweep_rule_breaches(sources) == []
+
+
+def test_sweep_rule_breaches_are_found():
+    sources = {
+        "analysis.py": ("def sweep(s, r, trace_factor=20, trace_length=None):\n"
+                        "    return enumerate_directions(s, r)\n"
+                        "def scan(s, r, trace_factor=20):\n"
+                        "    return search.enumerate_directions(s, r)\n"
+                        "class Span:\n"
+                        "    def add(self, d, *, trace_length=None):\n"
+                        "        pass\n"),
+        "cli.py": ("def cmd_rank(args):\n"
+                   "    return enumerate_directions(args.s, 1)\n"),
+        "deform.py": "def shear(dec, t, trace_factor=20):\n    pass\n",
+    }
+    assert _sweep_rule_breaches(sources) == [
+        "analysis.py: add (trace bounds)", "analysis.py: scan",
+        "analysis.py: scan (trace bounds)", "cli.py: cmd_rank"]

@@ -63,7 +63,8 @@ def test_sqrt2_lshape_partial_direction():
 
 
 def test_golden_span_certificate(golden_l):
-    span = accumulate_tangent(golden_l, [Vec2(1, 0), Vec2(1, 1)])
+    span = accumulate_tangent(
+        golden_l, [decompose(golden_l, v) for v in (Vec2(1, 0), Vec2(1, 1))])
     assert _digest(span_to_json(span, rank_lower_bound(span))) == \
         "6edbb045e72b00db6fc5fcb056079704c55b2424dbb2d397c3f935e334456640"
 

@@ -15,7 +15,7 @@ import pytest
 
 import reference_search
 from flatdef import search
-from flatdef.analysis import complete_periodicity_scan
+from flatdef.analysis import sweep
 from flatdef.errors import NonPositiveLength
 from flatdef.field import FieldCtx, FieldScalar, Mat2
 from flatdef.search import (_Tri, _delaunay, _incircle,
@@ -95,7 +95,7 @@ class TestBoundary:
         surface = square_tiled([2, 1, 3], [1, 3, 2])
         message = f"bound_sq must be positive, got {bound_sq}"
         for search_ in (enumerate_saddle_connections, enumerate_directions,
-                        complete_periodicity_scan):
+                        sweep):
             with pytest.raises(NonPositiveLength, match=message):
                 search_(surface, bound_sq)
 
