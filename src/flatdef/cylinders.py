@@ -2,14 +2,16 @@
 
 The pipeline: normalize the direction to horizontal with the
 rotation-scaling matrix [[vx, vy], [-vy, vx]] (field entries, conformal
-up to scale), trace every eastward separatrix germ, cut the polygons
-along the saddle connections found, glue the resulting pieces across
-non-horizontal sub-edges, and certify each connected component as a
-cylinder by one rule: every piece has one sub-edge running down and one
-running up, so the component is a cycle of strips, and a saddle
-connection was found along every horizontal edge of its boundary.  The
-walk around that cycle gives the core, the boundary circles and the
-cross curve.  This certification is what makes the Periodic status
+up to scale), on a view of the image's lattice form with the surface's
+gluing and family (`tracing._Shell`); on that view, trace every
+eastward separatrix germ, cut the polygons along the saddle
+connections found, glue the resulting pieces across non-horizontal
+sub-edges, and certify each connected component as a cylinder by one
+rule: every piece has one sub-edge running down and one running up,
+so the component is a cycle of strips, and a saddle connection was
+found along every horizontal edge of its boundary.  The walk around
+that cycle gives the core, the boundary circles and the cross curve.
+This certification is what makes the Periodic status
 rigorous, and it keeps partial decompositions sound: a component that
 passes is a complete cylinder of the direction even when other
 separatrices exceeded the trace bound.
@@ -18,7 +20,7 @@ separatrices exceeded the trace bound.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalInvariantError, StaleCocycle
 from .field import (FieldScalar, Mat2, Vec2, _new, _positive, _sign,
@@ -27,7 +29,7 @@ from .homology import HomologyFrame, homology_frame
 from .polygon import (_EAST, _ORIGIN, _WEST, _dot, _norm, _sub, cross_sign,
                       signed_area2)
 from .surface import TranslationSurface, component_labels
-from .tracing import east_ray_corners, trace_from_corner
+from .tracing import _Shell, east_ray_corners, trace_from_corner
 
 __all__ = ["Direction", "SaddleConnection", "Cylinder", "Decomposition",
            "decompose", "default_bound_sq", "PERIODIC", "PARTIAL",
@@ -74,6 +76,13 @@ class Direction:
 
 def _canonical(v: Vec2) -> Vec2:
     x, y = v.x, v.y
+    if not (x._B or y._B):
+        # rational: the primitive integer vector, by one gcd
+        a, b = x._A * y._D, y._A * x._D
+        if a < 0 or not a and b < 0:
+            a, b = -a, -b
+        g = gcd(a, b)
+        return Vec2(FieldScalar(a // g), FieldScalar(b // g))
     if x.sign() == 0:
         return Vec2(FieldScalar(0), FieldScalar(1))
     if x.sign() < 0:
@@ -187,18 +196,22 @@ FailedComponent = namedtuple("FailedComponent", "piece_ids reason")
 class Decomposition:
     """The result of decompose(); immutable by convention.
 
+    `view` is the `tracing._Shell` the direction was traced, cut and
+    certified on: the lattice form of the surface's image under
+    `matrix`, with the surface's gluing and family.
     `failed_components` holds a FailedComponent (the piece ids in `cut`
     and the reason) for each component of the cut that did not certify.
     """
 
-    def __init__(self, surface, frame, direction, matrix, normalized, status,
+    def __init__(self, surface, frame, direction, matrix, view, status,
                  cylinders, saddle_connections, bound_sq,
                  unresolved_rays, cut, failed_components):
         self.surface = surface
         self.frame = frame
         self.direction = direction
         self.matrix = matrix
-        self.normalized = normalized
+        self.view = view
+        self._normalized = None
         self.status = status
         self.cylinders = cylinders
         self.saddle_connections = saddle_connections
@@ -209,17 +222,28 @@ class Decomposition:
         self._crossings = None
 
     @property
+    def normalized(self) -> TranslationSurface:
+        """The normalized surface, `surface.apply_matrix(matrix)`, built
+        on first read: the surface whose lattice form `view` holds.  A
+        test oracle of tests/test_direction_view.py, which holds every
+        trace on the view to the same trace on it."""
+        if self._normalized is None:
+            self._normalized = self.surface.apply_matrix(self.matrix)
+        return self._normalized
+
+    @property
     def cut(self):
         """The normalized surface cut along the saddle connections found:
         its pieces, sub-edges per polygon edge, chords and chords per
         polygon, each piece marked with its component.
 
         `decompose` passes None when no separatrix closed, since nothing
-        then needs the cut; it is built here, without chords, on first
-        access, with the contents `decompose` would have built.
+        then needs the cut; it is built here, on the view, without
+        chords, on first access, with the contents `decompose` would
+        have built.
         """
         if self._cut is None:
-            self._cut = _build_cut(self.normalized, [], {})[0]
+            self._cut = _build_cut(self.view, [], {})[0]
         return self._cut
 
     @property
@@ -375,14 +399,14 @@ def _build_cut_pieces(surface, chords_by_polygon):
 
     Pieces are the faces of the chord arrangement, walked with interior
     on the left, so their boundary item lists run counterclockwise.  The
-    surface is normalized, so a sub-edge points along its lattice edge
-    and a chord east (west when reversed): each turn of the walk is a
-    few sign tests on those lattice vectors.
+    surface, or view, is normalized, so a sub-edge points along its
+    lattice edge and a chord east (west when reversed): each turn of the
+    walk is a few sign tests on those lattice vectors.
     """
     lat = surface.lattice()
     d = lat.d
-    zero = _new(0, 0, 1, surface.ctx)
-    one = _new(1, 0, 1, surface.ctx)
+    zero = _new(0, 0, 1, lat.ctx)
+    one = _new(1, 0, 1, lat.ctx)
     pieces = []
     subs = {}
 
@@ -700,31 +724,35 @@ def _midpoint(item):
 
 
 def _normalize(surface, direction):
-    """(Direction, normalizing matrix g, g-image of the surface); g has
-    det |v|^2 > 0, so the image carries the surface's validated vertex
-    classes, ready for tracing."""
+    """(Direction, normalizing matrix g, view of the g-image).
+
+    The view (`tracing._Shell`) holds the image's lattice form
+    (`Lattice.image`) with the surface's gluing and family: g has
+    det |v|^2 > 0, so the image has the surface's corners, gluing and
+    validated vertex classes (`TranslationSurface.apply_matrix`), and no
+    determinant is taken.  `Decomposition.normalized` builds the image
+    itself when it is read."""
     if not isinstance(direction, Direction):
         direction = Direction(direction if isinstance(direction, Vec2)
                               else Vec2(*direction))
     g = Mat2.direction_normalizer(direction.vector)
-    normalized = surface.apply_matrix(g, label=surface.label)
-    return direction, g, normalized
+    return direction, g, _Shell(surface, surface.lattice().image(g))
 
 
-def _connection(normalized, res, east, class_of, corner, sc_id):
+def _connection(view, res, east, class_of, corner, sc_id):
     """The SaddleConnection of a trace `res` from `corner` of a normalized
-    surface that ended at a vertex.
+    view that ended at a vertex.
 
     `east` is v / |v|^2 for the direction vector v, which the
     normalizing map sends to (1, 0), so a connection advancing by a has
     holonomy a * east on the surface; `class_of` is the surface's
-    `vertex_class_map`.
+    `vertex_class_map`, which the view's corners share.
     """
     return SaddleConnection(
         sc_id=sc_id,
         holonomy=east.scale(res.advance),
         normalized_holonomy=Vec2(res.advance,
-                                 FieldScalar(0, 0, normalized.ctx)),
+                                 FieldScalar(0, 0, view.ctx)),
         start_corner=corner,
         end_corner=res.end_corner,
         start_class=class_of[corner],
@@ -732,7 +760,7 @@ def _connection(normalized, res, east, class_of, corner, sc_id):
         chords=list(res.chords),
         crossings=list(res.crossings),
         is_edge_run=(len(res.chords) == 1
-                     and _is_edge_run(normalized, res.chords[0])),
+                     and _is_edge_run(view, res.chords[0])),
     )
 
 
@@ -769,7 +797,7 @@ def decompose(surface: TranslationSurface, direction,
         frame = own
     elif frame is not own and frame.hash != own.hash:
         raise StaleCocycle("frame is not the surface's frame")
-    direction, g, normalized = _normalize(surface, direction)
+    direction, g, view = _normalize(surface, direction)
     v = direction.vector
 
     if trace_length is None:
@@ -785,18 +813,17 @@ def decompose(surface: TranslationSurface, direction,
     # built when the first ray closes: a direction in which none does
     # needs neither
     east = class_of = None
-    for corner in east_ray_corners(normalized):
-        res = trace_from_corner(normalized, corner,
-                                max_advance_sq=max_advance_sq)
+    for corner in east_ray_corners(view):
+        res = trace_from_corner(view, corner, max_advance_sq=max_advance_sq)
         if res.kind == "bound":
             unresolved.append(corner)
             continue
         if east is None:
             east = v.scale(n.inverse())
-            class_of = normalized.vertex_class_map()
+            class_of = surface.vertex_class_map()
         saddle_connections.append(_connection(
-            normalized, res, east, class_of, corner, len(saddle_connections)))
-    edge_run_sc = _edge_runs(normalized, saddle_connections)
+            view, res, east, class_of, corner, len(saddle_connections)))
+    edge_run_sc = _edge_runs(view, saddle_connections)
 
     # collect interior cut chords per polygon
     chords_by_polygon: dict[int, list] = {}
@@ -814,13 +841,12 @@ def decompose(surface: TranslationSurface, direction,
     # Skip the cut, and let the Decomposition build it if asked.
     cut, components = None, []
     if saddle_connections:
-        cut, components = _build_cut(normalized, chord_table,
-                                     chords_by_polygon)
+        cut, components = _build_cut(view, chord_table, chords_by_polygon)
 
     cylinders = []
     failed = []
     for comp in components:
-        check = _check_component(normalized, comp, edge_run_sc)
+        check = _check_component(view, comp, edge_run_sc)
         if not check.ok:
             failed.append(FailedComponent(tuple(piece.pid for piece in comp),
                                           check.reason))
@@ -830,8 +856,7 @@ def decompose(surface: TranslationSurface, direction,
         core_chords = [(piece.polygon, _midpoint(entry), _midpoint(exit_))
                        for piece, entry, exit_ in check.walk]
         core_coords = frame.coords_of_path(core_chords)
-        cross_chords, laps = _cross_from_pieces(normalized, check,
-                                                core_chords)
+        cross_chords, laps = _cross_from_pieces(view, check, core_chords)
         cross_coords = [x + laps * y for x, y in
                         zip(frame.coords_of_path(cross_chords), core_coords)]
         nv = len(frame.boundary_matrix[0]) if frame.boundary_matrix else 0
@@ -843,7 +868,7 @@ def decompose(surface: TranslationSurface, direction,
         if any(x != 0 for x in bnd):
             raise InternalInvariantError("core class is not absolute")
         crossings_per_cell = [0] * len(frame.cells)
-        lat = normalized.lattice()
+        lat = view.lattice()
         for p, _start, (_, e, _t) in core_chords:
             cidx, _side = frame.cell_of[(p, e)]
             rp, re = frame.cells[cidx]
@@ -879,8 +904,8 @@ def decompose(surface: TranslationSurface, direction,
                                           f"{f.reason}" for f in failed))
         status = PERIODIC
         acc = sum((cyl.area for cyl in cylinders),
-                  FieldScalar(0, 0, normalized.ctx))
-        if (acc - normalized.area()).sign() != 0:
+                  FieldScalar(0, 0, view.ctx))
+        if (acc - view.lattice().area2() / 2).sign() != 0:
             raise InternalInvariantError(
                 "cylinder areas do not sum to the surface area")
     elif cylinders:
@@ -888,12 +913,12 @@ def decompose(surface: TranslationSurface, direction,
     else:
         status = NO_CYLINDER
 
-    return Decomposition(surface, frame, direction, g, normalized, status,
+    return Decomposition(surface, frame, direction, g, view, status,
                          tuple(cylinders), tuple(saddle_connections),
                          bound_sq, tuple(unresolved), cut, tuple(failed))
 
 
-def _edge_runs(normalized, saddle_connections):
+def _edge_runs(view, saddle_connections):
     """{(polygon, edge): sc_id} for each horizontal edge whose run is a
     saddle connection, under both of its glued sides."""
     runs = {}
@@ -901,18 +926,18 @@ def _edge_runs(normalized, saddle_connections):
         if sc.is_edge_run:
             p0, start, _end = sc.chords[0]
             runs[(p0, start[1])] = sc.sc_id
-            runs[normalized.gluing[(p0, start[1])]] = sc.sc_id
+            runs[view.gluing[(p0, start[1])]] = sc.sc_id
     return runs
 
 
 _CutData = namedtuple("_CutData", "pieces subs chords chords_by_polygon")
 
 
-def _build_cut(normalized, chord_table, chords_by_polygon):
-    """(cut, components): the normalized surface cut along the chords,
-    its pieces glued across non-horizontal sub-edges and each marked
-    with its component, and the components' piece lists."""
-    pieces, subs = _build_cut_pieces(normalized, chords_by_polygon)
-    _glue_items(normalized, subs)
+def _build_cut(view, chord_table, chords_by_polygon):
+    """(cut, components): the normalized view cut along the chords, its
+    pieces glued across non-horizontal sub-edges and each marked with
+    its component, and the components' piece lists."""
+    pieces, subs = _build_cut_pieces(view, chords_by_polygon)
+    _glue_items(view, subs)
     components = _components(pieces)
     return _CutData(pieces, subs, chord_table, chords_by_polygon), components

@@ -55,7 +55,7 @@ def _crossing_cocycle(decomposition: Decomposition, weighted,
     scalars = [w for w, _ in weighted]
     weights, W = _pairs(scalars)
     (f,), F, ctx, _ = _quads(
-        [factor], join_ctx(decomposition.normalized.ctx, *scalars))
+        [factor], join_ctx(decomposition.view.ctx, *scalars))
     fa, fb, fc, fe = f
     d = ctx.d
     rows = [(w, decomposition.crossings[cyl.cyl_id])
@@ -207,7 +207,7 @@ def _member_shares(decomposition: Decomposition, member_ids) -> list:
     """
     members = _member_components(decomposition, member_ids)
     subs = decomposition.cut.subs
-    ctx = decomposition.normalized.ctx
+    ctx = decomposition.view.ctx
     zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
     shares = []
     for cell in decomposition.frame.cells:
@@ -219,13 +219,13 @@ def _member_shares(decomposition: Decomposition, member_ids) -> list:
 
 
 def _recut(decomposition: Decomposition, members):
-    """Recut the normalized surface along the boundaries separating the
+    """Recut the normalized view along the boundaries separating the
     member components from the rest.
 
     Returns (pieces, subs, treat), `treat` telling for each piece id
     whether the deformation acts on it.
     """
-    normalized = decomposition.normalized
+    view = decomposition.view
     cut = decomposition.cut
 
     # chords that separate a member region from a non-member region
@@ -247,12 +247,12 @@ def _recut(decomposition: Decomposition, members):
     for new_id, ch in enumerate(needed):
         reduced_by_polygon.setdefault(ch.polygon, []).append(
             ch._replace(chord_id=new_id))
-    pieces, subs = _build_cut_pieces(normalized, reduced_by_polygon)
+    pieces, subs = _build_cut_pieces(view, reduced_by_polygon)
 
     # a reduced piece is a union of fine pieces of one membership, and
     # each of its sub-edges starts at a fine subdivision point, so its
     # first sub-edge off a horizontal edge names its treatment
-    edges = normalized.lattice().edges
+    edges = view.lattice().edges
     member = {(p, e, fine.t0): fine.piece.component in members
               for (p, e), fines in cut.subs.items()
               if edges[p][e][2:] != (0, 0) for fine in fines}
@@ -273,7 +273,6 @@ def _recut_surface(decomposition: Decomposition, recut,
     """The recut pieces as a surface, read on the surface itself (a
     vertex or edge parameter is the same on it and its normalized
     image), with `conj` applied to the treated ones."""
-    normalized = decomposition.normalized
     surface = decomposition.surface
     pieces, subs, treat = recut
 
@@ -290,7 +289,7 @@ def _recut_surface(decomposition: Decomposition, recut,
     # sub-edges pair with their mates across every cell, horizontal or
     # not, and each chord's two sides pair up
     gluing = [((item.piece.pid, item.index), (mate.piece.pid, mate.index))
-              for p, e in subs for item, mate in _mates(normalized, subs, p, e)]
+              for p, e in subs for item, mate in _mates(surface, subs, p, e)]
     sides = {}
     for piece in pieces:
         for k, item in enumerate(piece.items):
@@ -348,7 +347,7 @@ def verify_linearity(surface: TranslationSurface, frame: HomologyFrame,
     """
     decomposition.check_own(surface, frame)
     _as_scalar(t)  # raises on inexact input
-    lat = decomposition.normalized.lattice()
+    lat = decomposition.view.lattice()
     image = surface.lattice().image(decomposition.matrix)
     if (image.D, image.edges) != (lat.D, lat.edges):
         return False

@@ -143,8 +143,9 @@ class Lattice:
                 G = gcd(G, *e)
                 out.append(e)
             edges.append(out)
-        edges = [[(xa // G, xb // G, ya // G, yb // G)
-                  for xa, xb, ya, yb in poly] for poly in edges]
+        if G != 1:
+            edges = [[(xa // G, xb // G, ya // G, yb // G)
+                      for xa, xb, ya, yb in poly] for poly in edges]
         if not any(e[1] or e[3] for poly in edges for e in poly):
             ctx = QQ
         lat = Lattice.__new__(Lattice)
@@ -318,9 +319,11 @@ def segments_intersect_interior(p, q, r, s, d) -> bool:
     d4 = cross_sign(rs, _sub(q, r), d)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True  # proper crossing
-    # collinear / touching configurations
-    for x, (u, v) in ((r, (p, q)), (s, (p, q)), (p, (r, s)), (q, (r, s))):
-        if cross_sign(_sub(v, u), _sub(x, u), d) == 0 and _on_segment(x, u, v, d):
+    # collinear / touching configurations: an endpoint on the other
+    # segment's line, by the sign taken above, inside that segment
+    for side, x, u, v in ((d1, r, p, q), (d2, s, p, q), (d3, p, r, s),
+                          (d4, q, r, s)):
+        if side == 0 and _on_segment(x, u, v, d):
             return True
     if d1 == 0 and d2 == 0:
         # fully collinear: overlap iff neither is strictly separated

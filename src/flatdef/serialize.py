@@ -236,7 +236,9 @@ def decomposition_to_json(dec: Decomposition) -> dict:
         "cylinders": cyls,
         "saddle_connections": scs,
         "unresolved_rays": [list(c) for c in dec.unresolved_rays],
-        "area_normalized": str(dec.normalized.area()),
+        # the normalizer has determinant |v|^2
+        "area_normalized": str(dec.surface.area()
+                               * dec.direction.vector.norm_sq()),
     }
 
 

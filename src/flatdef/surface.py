@@ -75,8 +75,8 @@ class TranslationSurface:
     `_set` ends by validating the surface, so no invalid one exists.
 
     Computed data is cached in two dicts.  `_cache` holds what depends on
-    the surface's own coordinates: its lattice form, homology frame,
-    east corners and exit lines.  `_family` holds what every
+    the surface's own coordinates: its lattice form, area, homology
+    frame, east corners and exit lines.  `_family` holds what every
     image of positive determinant shares with it, and `apply_matrix`
     hands such an image the same dict: the singularity data, the frame's
     integer data and the triangulation (`search.triangulated`).
@@ -142,7 +142,11 @@ class TranslationSurface:
         return self.lattice().area2()
 
     def area(self) -> FieldScalar:
-        return self.area2() / 2
+        """The flat area, kept in `_cache` from its first read."""
+        area = self._cache.get("area")
+        if area is None:
+            area = self._cache["area"] = self.area2() / 2
+        return area
 
     # -- corner combinatorics ------------------------------------------
 

@@ -1,9 +1,13 @@
 """Exact straight-line tracing through glued polygons, on the lattice form.
 
-All tracing here happens on a direction-normalized surface, and only
-east: the separatrices of the horizontal foliation.  Positions carry
-exact coordinates in the current polygon's frame together with the
-boundary parameterization needed for homology bookkeeping.
+All tracing here runs east, along the separatrices of the horizontal
+foliation: of a surface, or of a `_Shell`, the view of a surface's
+lattice form under a matrix of positive determinant that `decompose`
+traces a direction on (`cylinders._normalize`).  A view holds what a
+trace reads of a surface (its lattice form, gluing and family) and a
+`_cache` of its own.  Positions carry exact coordinates in the current
+polygon's frame together with the boundary parameterization needed for
+homology bookkeeping.
 
 A ray walks through the family's ear-clip triangles
 (`search.triangulated`, shared by every image of positive determinant,
@@ -41,8 +45,8 @@ cross-multiplied sign, in the field of the lattice and the bound
 another irrational field raises ValueError whichever way the ray runs.
 At a crossing the sign is taken inline on the row's side of the test,
 `_Bound.scaled`, so the rows serve the bound they were built for.
-`FieldScalar`s are built only for what a trace returns: its advance
-and, on first access, its chords' and crossings' edge parameters.
+`FieldScalar`s are built only for what a trace returns, each on first
+access: its advance and its chords' and crossings' edge parameters.
 """
 
 from __future__ import annotations
@@ -71,25 +75,35 @@ class TraceResult:
     per crossing, with the height H = (HA, HB) over D, and chords and
     crossings are `_Built` views of them: their lengths are known at
     once, and their PathPoints, with `FieldScalar` edge parameters, are
-    built on first access, once.  The first chord starts at `key`, a corner's ("vertex", i), or None for
-    an interior start.  A view is made per read, so that the result and
-    its views form no reference cycle, which would outlive the trace
-    until the garbage collector ran.
+    built on first access, once.  The first chord starts at `key`, a
+    corner's ("vertex", i), or None for an interior start.  A `_Built`
+    is made per read, so that the result and its lists form no
+    reference cycle, which would outlive the trace until the garbage
+    collector ran.  The advance is kept as (N, R, scale), N / (R * scale) of pairs
+    and an integer (`_quotient`), until it is first read.
     """
 
-    __slots__ = ("kind", "advance", "end_corner", "_surface", "_d", "_key",
+    __slots__ = ("kind", "_advance", "end_corner", "_surface", "_d", "_key",
                  "_steps", "_built")
 
     def __init__(self, kind, advance, surface, d, key, steps,
                  end_corner=None):
         self.kind = kind
-        self.advance = advance
+        self._advance = advance
         self.end_corner = end_corner
         self._surface = surface
         self._d = d
         self._key = key
         self._steps = steps
         self._built = None
+
+    @property
+    def advance(self) -> FieldScalar:
+        """The plain x-progress of the trace, in the lattice's field."""
+        if self._advance.__class__ is tuple:
+            self._advance = _quotient(*self._advance, self._d,
+                                      self._surface.lattice().ctx)
+        return self._advance
 
     @property
     def chords(self):
@@ -149,9 +163,17 @@ class _Built(Sequence):
 
 
 class _Shell:
-    """A surface's gluing and family triangles on another lattice form
-    of its polygons, with a cache of its own: what `_trace` reads of a
-    surface."""
+    """A surface's gluing and family on another lattice form of its
+    polygons, with a cache of its own: what `_trace`, the cut and the
+    certification read of a surface.
+
+    The form is the surface's re-expressed over a finer denominator
+    (`trace_from_point`) or its image under a matrix of positive
+    determinant, which keeps the gluing and the family (`decompose`,
+    README, "An image shares its source's family").  The view's
+    `_cache` holds what is read from its own coordinates: east corners
+    and exit rows.
+    """
 
     __slots__ = ("gluing", "_family", "_lattice", "_cache")
 
@@ -160,6 +182,10 @@ class _Shell:
         self._family = surface._family
         self._lattice = lattice
         self._cache = {}
+
+    @property
+    def ctx(self):
+        return self._lattice.ctx
 
     def lattice(self):
         return self._lattice
@@ -171,18 +197,25 @@ def east_ray_corners(surface: TranslationSurface):
     Each eastward separatrix germ of the horizontal foliation appears at
     exactly one corner, so these are the rays to trace for a horizontal
     decomposition.  Each corner is decided by the rises of its two
-    edges and at most one cross sign (`polygon.corner_crosses_east`).
-    The list is cached on the surface: callers read it and must not
-    change it.
+    edges, one sign per edge: with both edges falling east is inside,
+    with both rising outside, and otherwise `polygon.corner_crosses_east`
+    decides, by at most one cross sign.  The list is cached on the
+    surface: callers read it and must not change it.
     """
     corners = surface._cache.get("east")
     if corners is None:
         lat = surface.lattice()
-        corners = surface._cache["east"] = [
-            (p, i) for p, edges in enumerate(lat.edges)
-            for i in range(len(edges))
-            if corner_crosses_east(*lat.corner_rays((p, i)), lat.d,
-                                   closed="start")]
+        d = lat.d
+        corners = surface._cache["east"] = []
+        for p, edges in enumerate(lat.edges):
+            rises = [_sign(e[2], e[3], d) for e in edges]
+            for i, rise in enumerate(rises):
+                if rise > 0 and rises[i - 1] > 0:
+                    continue
+                if (rise < 0 and rises[i - 1] < 0
+                        or corner_crosses_east(*lat.corner_rays((p, i)), d,
+                                               closed="start")):
+                    corners.append((p, i))
     return corners
 
 
@@ -417,8 +450,8 @@ def _trace(surface, p, H, base, key, max_advance_sq):
             XA, XB = verts[v][0] - bA, verts[v][1] - bB
             if not bound.within((XA * XA + d * XB * XB, 2 * XA * XB)):
                 break
-            return TraceResult("vertex", _new(XA, XB, D, ctx), surface, d,
-                               key, steps, end_corner=(p, v))
+            return TraceResult("vertex", ((XA, XB), (1, 0), D), surface,
+                               d, key, steps, end_corner=(p, v))
         row = rows[m] or _exit_row(surface, rows, m, bound)
         e, CA, CB, MA, MB, RA, RB, SA, SB, q, gA, gB, tA, tB, tris = row
         # the advance to the exit is X / (R * D), within the bound when
@@ -448,6 +481,5 @@ def _trace(surface, p, H, base, key, max_advance_sq):
             bR = _mul((bA, bB), (RA, RB), d)
             ref = (bR[0] + XA, bR[1] + XB), (RA, RB)
         p, verts = q, all_verts[q]
-    return TraceResult("bound", _new(0, 0, 1, ctx) if last is None
-                       else _quotient((NA, NB), last[5:7], D, d, ctx),
-                       surface, d, key, steps)
+    return TraceResult("bound", ((0, 0), (1, 0), 1) if last is None
+                       else ((NA, NB), last[5:7], D), surface, d, key, steps)

@@ -294,36 +294,37 @@ class TestFamilyCache:
                                                     seeded_origami):
         source = _golden() if name == "golden" else seeded_origami(6, 3)
         triangulated(source)
-        images = []
+        images, views = [], []
         # directions whose normalizers move every edge, so no two of the
         # surfaces have equal coordinates
         for v in [(0, 1), (1, 1), (2, -1)]:
             dec = decompose(source, Vec2(*v))
-            normalized = dec.normalized
+            normalized, view = dec.normalized, dec.view
             # read everything a surface caches of its own coordinates:
             # the trace made its exit rows for its bound, and every edge
             # a ray can leave by gets its row, under the walk state
             # across it
-            east_ray_corners(normalized)
-            bound = _Bound(normalized.lattice(),
+            east_ray_corners(view)
+            bound = _Bound(view.lattice(),
                            dec.bound_sq * dec.direction.vector.norm_sq())
-            key, rows = normalized._cache["exits"]
+            key, rows = view._cache["exits"]
             assert key == (bound.RA_D2, bound.RB_D2, bound.d)
-            sides = triangulated(normalized).sides
-            for p, edges in enumerate(normalized.lattice().edges):
+            sides = triangulated(view).sides
+            for p, edges in enumerate(view.lattice().edges):
                 for e, vec in enumerate(edges):
                     if vec[2:] != (0, 0):
-                        q, f = normalized.gluing[(p, e)]
-                        _exit_row(normalized, rows, sides[q][f], bound)
+                        q, f = view.gluing[(p, e)]
+                        _exit_row(view, rows, sides[q][f], bound)
                 normalized.vertices(p)
+            east_ray_corners(normalized)
             normalized.polygons
             homology_frame(normalized)
-            assert normalized._family is source._family
+            assert normalized._family is view._family is source._family
             images.append(normalized)
+            views.append(view)
         assert set(source._family) == FAMILY_KEYS
         assert not {"east", "exits"} & set(source._cache)
         for a in [source] + images:
-            assert not set(a._cache) & FAMILY_KEYS
             for b in [source] + images:
                 if a is b:
                     continue
@@ -332,6 +333,11 @@ class TestFamilyCache:
                 assert a.vertices(0) != b.vertices(0)
                 assert a.polygons != b.polygons
                 assert homology_frame(a) is not homology_frame(b)
+        for a in [source] + images + views:
+            assert not set(a._cache) & FAMILY_KEYS
+            for b in [source] + images + views:
+                if a is b:
+                    continue
                 for key in ("east", "exits"):
                     if key in a._cache and key in b._cache:
                         assert a._cache[key] is not b._cache[key]

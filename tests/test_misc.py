@@ -215,6 +215,8 @@ NAMED = {
     "analysis.py: more_cylinders_search":
         "awaiting ROADMAP item 16 (the paper's other two applications)",
     "cli.py: cmd_*": "CLI command: main looks it up by command name",
+    "cylinders.py: Decomposition.normalized":
+        "oracle: tests/test_direction_view.py, tests/test_certify.py",
     "deform.py: torus_closure":
         "awaiting ROADMAP item 2 (horocycle-closure twists)",
     "equivalence.py: delaunay_cells":
@@ -754,11 +756,12 @@ def test_complex_scalar_scopes_are_found():
 # positive determinant shares it with its source.  Shared keys live in
 # `_family`, the dict `apply_matrix` hands such an image; the rest live in
 # `_cache`, the surface's own.  What is read from the surface's own
-# coordinates (its lattice form, its frame, whose hash reads
+# coordinates (its lattice form and area, its frame, whose hash reads
 # its polygons, and what is built for its horizontal direction: east
 # corners and exit lines) must never be shared.
 _SHARED_WITH_IMAGES = {
     "lattice": False,
+    "area": False,
     "frame": False,
     "east": False,
     "exits": False,

@@ -326,9 +326,9 @@ def _check_decomposition(monkeypatch, surface, v, **kwargs):
     _check_walk(dec.normalized, dec.cut.chords_by_polygon)
     recuts = []
 
-    def recorded(normalized, chords_by_polygon):
-        recuts.append(_check_walk(normalized, chords_by_polygon))
-        return _build_cut_pieces(normalized, chords_by_polygon)
+    def recorded(view, chords_by_polygon):
+        recuts.append(_check_walk(dec.normalized, chords_by_polygon))
+        return _build_cut_pieces(view, chords_by_polygon)
 
     monkeypatch.setattr(deform, "_build_cut_pieces", recorded)
     for cyl in dec.cylinders:

@@ -244,7 +244,7 @@ class TestTrace:
         # decides: below, the ray stops before that crossing or reports
         # "bound" at that vertex; above, it passes
         surface = square_tiled([(1, 2)], [(1, 3)], n=3)
-        _, _, normalized = _normalize(surface, Vec2(3, 1))
+        normalized = surface.apply_matrix(_normalize(surface, Vec2(3, 1))[1])
         eps = FieldCtx.get(5).sqrt_gen() / 100
         for corner in east_ray_corners(normalized):
             advances = self.crossing_advances(normalized, corner, 1000)
@@ -294,7 +294,7 @@ class TestTrace:
         # (3 + sqrt 5)|v|^2: compared in Q(sqrt 5), as the reference does;
         # in (3, 1) every ray crosses twice and then passes the bound
         surface = square_tiled([(1, 2)], [(1, 3)], n=3)
-        _, _, normalized = _normalize(surface, Vec2(*v))
+        normalized = surface.apply_matrix(_normalize(surface, Vec2(*v))[1])
         bound = FieldScalar(3, 1, FieldCtx.get(5)) * (v[0] ** 2 + v[1] ** 2)
         for corner in east_ray_corners(normalized):
             found = outcome(trace_from_corner, normalized, corner,
