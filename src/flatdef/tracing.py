@@ -79,8 +79,8 @@ class TraceResult:
     corner's ("vertex", i), or None for an interior start.  A `_Built`
     is made per read, so that the result and its lists form no
     reference cycle, which would outlive the trace until the garbage
-    collector ran.  The advance is kept as (N, R, scale), N / (R * scale) of pairs
-    and an integer (`_quotient`), until it is first read.
+    collector ran.  The advance is kept as (N, R, scale), N / (R * scale)
+    of pairs and an integer (`_quotient`), until it is first read.
     """
 
     __slots__ = ("kind", "_advance", "end_corner", "_surface", "_d", "_key",
