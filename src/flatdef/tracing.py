@@ -22,7 +22,10 @@ each triangle of a polygon at most once, so a walk that visits more
 raises InternalInvariantError.  A ray from a corner starts in the
 triangle of the corner's fan whose sector holds east, the rule that
 picks the corners (`polygon.corner_crosses_east`), read on a triangle's
-sector as two heights.  A crossing reads one flat row of the image's
+sector as two heights (`_corner_state`); a ray from a point of a
+polygon starts in the triangle that holds it, entered by the side that
+runs down across the point's height (`_point_state`).  So the walk has
+one way in, a start state.  A crossing reads one flat row of the image's
 `_cache["exits"]`, built the first time a ray crosses that edge: the
 edge's exit line, the bound's side of the test there, and the gluing
 translation.
@@ -34,10 +37,13 @@ lattice from polygon to polygon, and so does `base`, its start's
 x-coordinate plus the x-parts of the translations it has crossed: the
 advance to a point of x-coordinate x in the current polygon's frame is
 x - base, and an exit lies at x = (C + H*M)/R of lattice pairs, R > 0.
-An interior point need not be a lattice point, so `trace_from_point`
+A start point need not be a lattice point, so `trace_from_point`
 re-expresses the lattice over a multiple of D and in a field that hold
-it (`polygon.Lattice.over`), on a `_Shell` of the surface, and finds
-its first exit by one scan of its polygon's edges (`_first_exit`).
+it (`polygon.Lattice.over`), on a `_Shell` of the surface.  It refuses
+a start from which east does not run into its polygon, and a start on
+a horizontal edge stops at the edge's east end.  Nothing in the
+library calls it: it stays for the span that `perfbench`'s tracer
+wraps by name.
 
 Every trace has a bound, tested by `polygon._Bound`, one
 cross-multiplied sign, in the field of the lattice and the bound
@@ -55,8 +61,8 @@ from collections.abc import Sequence
 from math import lcm
 
 from .errors import InternalInvariantError
-from .field import FieldScalar, Vec2, _new, _sign, join_ctx
-from .polygon import _Bound, _mul, _sub, corner_crosses_east
+from .field import FieldScalar, Vec2, _new, _positive, _sign, join_ctx
+from .polygon import _Bound, _mul, _sub, corner_crosses_east, cross_sign
 from .search import triangulated
 from .surface import TranslationSurface
 
@@ -76,7 +82,7 @@ class TraceResult:
     crossings are `_Built` views of them: their lengths are known at
     once, and their PathPoints, with `FieldScalar` edge parameters, are
     built on first access, once.  The first chord starts at `key`, a
-    corner's ("vertex", i), or None for an interior start.  A `_Built`
+    corner's ("vertex", i), or None for a point start.  A `_Built`
     is made per read, so that the result and its lists form no
     reference cycle, which would outlive the trace until the garbage
     collector ran.  The advance is kept as (N, R, scale), N / (R * scale)
@@ -264,75 +270,55 @@ def _exit_row(surface, rows, m, bound):
     return row
 
 
-def _cmp(X, Y, P, Q, d) -> int:
-    """The sign of X/Y - P/Q, for pairs with Y, Q > 0, cross-multiplied."""
-    XQ, PY = _mul(X, Q, d), _mul(P, Y, d)
-    return _sign(XQ[0] - PY[0], XQ[1] - PY[1], d)
-
-
-def _first_exit(lat, p, H, ref, d):
-    """The first exit of polygon p of the lattice form `lat` strictly
-    ahead of the point at height H and x-coordinate P/Q, ref = (P, Q)
-    pairs over D with Q > 0: a vertex (v, None), an edge (None, e), or
-    None when nothing is ahead.
-
-    The candidates are, in edge order, each end at height H of a
-    non-horizontal edge and each edge crossing H inside.  The nearest
-    wins; at one point, a vertex found first stays and an edge gives
-    way to a later candidate."""
-    verts, edges = lat.verts[p], lat.edges[p]
-    best = None
-    for e, vec in enumerate(edges):
-        if not (vec[2] or vec[3]):
-            continue  # horizontal
-        f = (e + 1) % len(edges)
-        s0 = _sign(verts[e][2] - H[0], verts[e][3] - H[1], d)
-        s1 = _sign(verts[f][2] - H[0], verts[f][3] - H[1], d)
-        if not (s0 and s1):
-            found = e if not s0 else f, None
-            at = verts[found[0]][:2], (1, 0)
-        elif s0 != s1:
-            C, M, R = _exit_line(verts[e], vec, d)
-            hM = _mul(H, M, d)
-            found, at = (None, e), ((C[0] + hM[0], C[1] + hM[1]), R)
-        else:
-            continue
-        if _cmp(*at, *ref, d) <= 0:
-            continue  # not ahead
-        c = 1 if best is None else _cmp(*best_at, *at, d)
-        if c > 0 or c == 0 and best[0] is None:
-            best, best_at = found, at
-    return best
-
-
 def trace_from_corner(surface: TranslationSurface, corner,
                       max_advance_sq: FieldScalar):
     """Trace the leaf leaving `corner` east.
 
     The advance of the trace is the plain x-progress.  Stops at the
     first vertex hit, or returns kind "bound" once the squared advance
-    would exceed max_advance_sq.  A corner that east does not leave, one
-    not in `east_ray_corners`, raises ValueError.
+    would exceed max_advance_sq; one that is not positive raises
+    NonPositiveLength.  A corner that is not a pair of ints, or that
+    east does not leave, one not in `east_ray_corners`, raises
+    ValueError.
     """
+    max_advance_sq = _positive("max_advance_sq", max_advance_sq)
     p, i = corner
+    if type(p) is not int or type(i) is not int:
+        raise ValueError(f"corner {corner!r} is not a pair of ints")
     if (p, i) not in east_ray_corners(surface):
         raise ValueError(f"direction Vec2(1, 0) does not leave corner {corner}")
-    pt = surface.lattice().verts[p][i]
-    return _trace(surface, p, pt[2:], pt[:2], ("vertex", i),
-                  max_advance_sq)
+    lat = surface.lattice()
+    verts = lat.verts[p]
+    s = _corner_state(triangulated(surface), verts, p, i, lat.d)
+    return _trace(surface, p, s, verts[i], ("vertex", i), max_advance_sq)
 
 
 def trace_from_point(surface: TranslationSurface, p: int, origin: Vec2,
                      max_advance_sq: FieldScalar):
-    """Trace the leaf through an interior point of polygon p east, on
+    """Trace the leaf through `origin`, a point of polygon p, east, on
     the surface's lattice re-expressed over a denominator and in a
-    field that hold the point."""
+    field that hold the point.
+
+    The point lies inside p, or on an edge of p that east enters or
+    runs along; a start on a horizontal edge ends at the edge's east
+    end.  A start outside p, at a vertex of p or on an edge that east
+    leaves p by (`_point_state` finds none), and a p that is not a
+    polygon index raise ValueError; the bound is checked as in
+    `trace_from_corner`.
+    """
+    max_advance_sq = _positive("max_advance_sq", max_advance_sq)
     ctx = join_ctx(surface.ctx, origin.x, origin.y)
     lat = surface.lattice()
+    if type(p) is not int or not 0 <= p < len(lat.verts):
+        raise ValueError(f"{p!r} is not a polygon index")
     lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), ctx)
     pt = lat.point(origin)
-    return _trace(_Shell(surface, lat), p, pt[2:], pt[:2], None,
-                  max_advance_sq)
+    shell = _Shell(surface, lat)
+    s = _point_state(triangulated(shell), lat.verts[p], p, pt, lat.d)
+    if s is None:
+        raise ValueError(f"{origin} is outside polygon {p}, a vertex of it or "
+                         f"on an edge that east leaves it by")
+    return _trace(shell, p, s, pt, None, max_advance_sq)
 
 
 def _corner_state(tri, verts, p, i, d):
@@ -366,27 +352,61 @@ def _corner_state(tri, verts, p, i, d):
         state, out_down = below, not rev_in_up
 
 
-def _trace(surface, p, H, base, key, max_advance_sq):
-    """Trace east from the point at height H and x-coordinate `base`
-    (pairs over D) of polygon p of the surface's lattice, standing on
-    `key` (a corner's ("vertex", i)) or inside the polygon (None).
+def _point_state(tri, verts, p, pt, d):
+    """The walk state of the ray leaving the point pt of polygon p
+    east, or None when east does not run into p from pt: the triangle
+    of p that holds pt, entered by its side that runs down across pt's
+    height H, from an end at or above H to one at or below it.
+
+    From there the walk sees what the ray sees: the chord of the
+    triangle at H leaves by the side the apex's height names, or ends
+    at the apex at H, as the run along a horizontal edge or diagonal
+    ends at its east end.  A start on a side that runs up would leave
+    at once, so a start on a diagonal is found in the triangle east of
+    it, and one on an edge that east leaves p by, at a vertex or
+    outside p is found in none."""
+    if pt in verts:
+        return None
+    HA, HB = pt[2], pt[3]
+    for t, (q, ends) in enumerate(tri.triangles):
+        if q != p:
+            continue
+        corners = [verts[i] for i in ends]
+        # the side of H each corner lies on
+        ups = [_sign(c[2] - HA, c[3] - HB, d) for c in corners]
+        state = None
+        for k in range(3):
+            # side k, from corner k to corner k + 1
+            a, up, b, up_b = corners[k], ups[k], corners[k - 2], ups[k - 2]
+            side = cross_sign(_sub(b, a), _sub(pt, a), d)
+            if side < 0 or not side and up < up_b:
+                break  # outside the triangle, or on a side that runs up
+            if up >= 0 >= up_b != up:
+                state = 3 * t + k
+        else:
+            return state
+    return None
+
+
+def _trace(surface, p, s, start, key, max_advance_sq):
+    """Trace east from the point `start` (pairs over D) of polygon p of
+    the surface's lattice, standing on `key` (a corner's ("vertex", i))
+    or inside the polygon or on its boundary (None), from walk state s.
 
     The ray walks the family's triangles (`Triangulated.walk`) to a
     polygon edge, which it crosses by the edge's row of
-    `_cache["exits"]`, or to a vertex, where it ends.  A start inside a
-    polygon finds its next stop by `_first_exit`, for as long as it
-    stands outside the polygon it is in, and enters the walk at the
-    state of the side it crosses into.  The returned scalars live in
-    the lattice's field; the arithmetic runs in the field of the
-    lattice and the bound, decided here once, before any step.
+    `_cache["exits"]`, or to a vertex, where it ends.  The start state
+    is `_corner_state`'s or `_point_state`'s, so the walk has one way
+    in.  The returned scalars live in the lattice's field; the
+    arithmetic runs in the field of the lattice and the bound, decided
+    here once, before any step.
     """
     lat = surface.lattice()
-    D, ctx, all_verts = lat.D, lat.ctx, lat.verts
+    D, all_verts = lat.D, lat.verts
     bound = _Bound(lat, max_advance_sq)
     d = bound.d
     Rd = bound.Rd
-    tri = triangulated(surface)
-    walk = tri.walk
+    walk = triangulated(surface).walk
     # the rows hold the bound's side of each crossing's test, so they
     # serve the bound they were built for, as every ray of `decompose`
     # on one image has the same bound
@@ -401,51 +421,30 @@ def _trace(surface, p, H, base, key, max_advance_sq):
     # the advance at the last crossing: N / (R * D), R from its row
     NA = NB = 0
     last = None
-    HA, HB = H
-    bA, bB = base
-    if key is None:
-        s = None
-        ref = base, (1, 0)  # the x-coordinate P / Q the ray stands at
-    else:
-        s = _corner_state(tri, verts, p, key[1], d)
+    bA, bB, HA, HB = start
     while True:
         # the next stop: a vertex v, where the ray ends, or the walk
-        # state m across the polygon edge it crosses
-        if s is None:
-            found = _first_exit(lat, p, (HA, HB), ref, d)
-            if found is None:
-                x = _new(bA, bB, D, ctx)
-                if last is not None:
-                    x = x + _quotient((NA, NB), last[5:7], D, d, ctx)
-                raise InternalInvariantError(
-                    f"ray from {Vec2(x, _new(HA, HB, D, ctx))} in polygon "
-                    f"{p} escaped the boundary")
-            v, e = found
-            if v is None:
-                q, f = surface.gluing[(p, e)]
-                m = tri.sides[q][f]
+        # state m across the polygon edge it crosses.  In the triangle
+        # of state s only the apex can lie at height H ahead of the
+        # ray, and above or below it names the side out.  The sign of
+        # the height difference A + B*sqrt(d) is `field._sign`, inline
+        for _ in tris:
+            v, above, below = walk[s]
+            apex = verts[v]
+            A = apex[2] - HA
+            B = apex[3] - HB
+            if B and (not A or (A > 0) != (B > 0) and A * A < d * B * B):
+                A = B
+            if not A:
+                break
+            s = above if A > 0 else below
+            if s < 0:
+                v, m = None, ~s
+                break
         else:
-            # in the triangle of state s, entered strictly between the
-            # ends of a side: only the apex can lie at height H, and
-            # above or below it names the side out.  The sign of the
-            # height difference A + B*sqrt(d) is `field._sign`, inline
-            for _ in tris:
-                v, above, below = walk[s]
-                apex = verts[v]
-                A = apex[2] - HA
-                B = apex[3] - HB
-                if B and (not A or (A > 0) != (B > 0) and A * A < d * B * B):
-                    A = B
-                if not A:
-                    break
-                s = above if A > 0 else below
-                if s < 0:
-                    v, m = None, ~s
-                    break
-            else:
-                raise InternalInvariantError(
-                    f"the walk visited more triangles of polygon {p} "
-                    f"than it has")
+            raise InternalInvariantError(
+                f"the walk visited more triangles of polygon {p} "
+                f"than it has")
         if v is not None:
             XA, XB = verts[v][0] - bA, verts[v][1] - bB
             if not bound.within((XA * XA + d * XB * XB, 2 * XA * XB)):
@@ -471,15 +470,7 @@ def _trace(surface, p, H, base, key, max_advance_sq):
         HB += gB
         bA += tA
         bB += tB
-        NA, NB, last = XA, XB, row
-        if s is not None or _sign(*lat.edges[p][e][2:], d) > 0:
-            # from the walk, or from a point that left p upwards, so it
-            # enters q: on to the walk
-            s = m
-        else:
-            # the point stood outside p, and stands outside q
-            bR = _mul((bA, bB), (RA, RB), d)
-            ref = (bR[0] + XA, bR[1] + XB), (RA, RB)
+        NA, NB, last, s = XA, XB, row, m
         p, verts = q, all_verts[q]
     return TraceResult("bound", ((0, 0), (1, 0), 1) if last is None
                        else ((NA, NB), last[5:7], D), surface, d, key, steps)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -1054,3 +1055,60 @@ def test_sweep_rule_breaches_are_found():
     assert _sweep_rule_breaches(sources) == [
         "analysis.py: add (trace bounds)", "analysis.py: scan",
         "analysis.py: scan (trace bounds)", "cli.py: cmd_rank"]
+
+
+def _tracer_targets(source: str) -> list[tuple]:
+    """(module, class or None, attribute) of each row of the SPANS and
+    COUNTS tables of a tracer module's source; a count wraps a method
+    of `field.FieldScalar`."""
+    tables = {node.targets[0].id: node.value
+              for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)}
+    return ([tuple(ast.literal_eval(e) for e in row.elts[:3])
+             for row in tables["SPANS"].elts]
+            + [("field", "FieldScalar", ast.literal_eval(row.elts[0]))
+               for row in tables["COUNTS"].elts])
+
+
+def _unresolved(targets) -> list[str]:
+    """The targets that name no module of flatdef, no class of it, or
+    no attribute of it: a module's own binding, or one in a class's own
+    namespace, as the tracer wraps them."""
+    found = []
+    for module, cls, attr in targets:
+        try:
+            owner = importlib.import_module(f"flatdef.{module}")
+        except ModuleNotFoundError:
+            owner = None
+        if owner is not None and cls is not None:
+            owner = vars(owner).get(cls)
+        if owner is None or attr not in vars(owner):
+            found.append(".".join(n for n in (module, cls, attr) if n))
+    return sorted(found)
+
+
+def test_the_tracer_wraps_names_that_exist():
+    # perfbench/tracer.py wraps library functions and methods that it
+    # names by string, read here without importing perfbench, so a
+    # deleted or renamed one fails here and not only in a traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    targets = _tracer_targets(path.read_text())
+    assert ("tracing", None, "trace_from_point") in targets
+    assert ("field", "FieldScalar", "__mul__") in targets
+    assert _unresolved(targets) == []
+
+
+def test_unresolved_tracer_names_are_found():
+    source = (
+        "SPANS = (\n"
+        "    ('tracing', None, 'trace_from_point', 'tracing.p', _hook),\n"
+        "    ('surface', 'TranslationSurface', 'gone', 'surface.g', None),\n"
+        "    ('surface', 'Gone', '__init__', 'surface.G', None),\n"
+        "    ('nowhere', None, 'f', 'nowhere.f', None),\n"
+        ")\n"
+        "COUNTS = (('__mul__', 'field.mul.calls'), ('gone', 'field.g'))\n")
+    assert _unresolved(_tracer_targets(source)) == [
+        "field.FieldScalar.gone", "nowhere.f", "surface.Gone.__init__",
+        "surface.TranslationSurface.gone"]
+

@@ -1,47 +1,36 @@
-"""Differential tests of the interior-start exit scan, the window
-predicate, the incircle test and the polygon predicates.
+"""Differential tests of the window predicate, the incircle test and
+the polygon predicates.
 
-`tracing._first_exit` finds where an eastward ray from a point leaves
-a polygon by one scan of its edges, and `search._window_within` decides
-a window, both by cross-multiplication alone on the integer lattice
-form of their points: each Vec2 case is converted by `polygon.Lattice`,
-re-expressed for an exit ray over a denominator that holds its origin,
-as a trace from an interior point does (`tracing.trace_from_point`).
-The scan looks ahead of a point given as a quotient, so a case with an
-entry edge is scanned again from that edge's point at the origin's
-height, as a trace standing outside a polygon is after a crossing.  The
-references below are the versions
-that divided for every candidate: `ref_exit_ray` computed t and s for
-each edge and kept the nearest hit, and the search clipped each window
-to exact intersection points
+`search._window_within` decides a window by cross-multiplication alone
+on the integer lattice form of its points: each Vec2 case is converted
+by `polygon.Lattice`.  The reference below is the version that divided:
+the search clipped each window to exact intersection points
 (`ref_clip_window`) and then measured the clipped segment's distance
-from the origin (`ref_beyond`).  Both sides
-must agree exactly: the same values, labels and tie-breaks, or the same
-`InternalInvariantError`.  `search._incircle` is checked the same
-way against the 3x3 determinant on FieldScalar coordinates
-(`ref_incircle`) that Delaunay flipping used before the lattice form.
-The predicates of `polygon` (validation, ear clipping, sectors, segment
-crossings, area) are checked against copies of the `FieldScalar` code
-they replaced, named `ref_*`: the same results, triangles and error
-messages, valid and invalid polygons and straight vertices included.
+from the origin (`ref_beyond`).  Both sides must agree exactly: the
+same values, or the same `InternalInvariantError`.  `search._incircle`
+is checked the same way against the 3x3 determinant on FieldScalar
+coordinates (`ref_incircle`) that Delaunay flipping used before the
+lattice form.  The predicates of `polygon` (validation, ear clipping,
+sectors, segment crossings, area) are checked against copies of the
+`FieldScalar` code they replaced, named `ref_*`: the same results,
+triangles and error messages, valid and invalid polygons and straight
+vertices included.
 """
 
 from fractions import Fraction
-from itertools import accumulate
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdef.equivalence import delaunay_cells
 from flatdef.errors import InternalInvariantError
-from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2, _new
+from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import (Lattice, _point_in_closed_triangle,
                              check_simple, corner_crosses_east, cross_sign,
                              ear_clip, same_ray, segments_intersect_interior)
 from flatdef.search import _Bound, _incircle, _window_within
 from flatdef.surface import l_shape, square_tiled
-from flatdef.tracing import _exit_line, _first_exit, _quotient
 
 from reference_trace import sector_contains
 
@@ -49,87 +38,6 @@ FIELDS = (0, 2, 5)
 
 
 # -- references ---------------------------------------------------------------
-
-def ref_exit_ray(surface, p, origin, direction):
-    verts = surface.vertices(p)
-    poly = surface.polygons[p]
-    n = len(poly)
-    best = None  # (advance, kind, data, point)
-    for e in range(n):
-        a = verts[e]
-        d = poly[e]
-        denom = direction.cross(d)
-        if denom.sign() == 0:
-            continue
-        rel = a - origin
-        t = rel.cross(d) / denom
-        if t.sign() <= 0:
-            continue
-        s = rel.cross(direction) / denom
-        ssgn = s.sign()
-        if ssgn < 0 or (s - 1).sign() > 0:
-            continue
-        if best is not None and (t - best[0]).sign() >= 0:
-            if (t - best[0]).sign() > 0:
-                continue
-            if best[1] == "vertex":
-                continue
-        point = Vec2(a.x + d.x * s, a.y + d.y * s)
-        if ssgn == 0:
-            best = (t, "vertex", e, verts[e])
-        elif (s - 1).sign() == 0:
-            best = (t, "vertex", (e + 1) % n, verts[(e + 1) % n])
-        else:
-            best = (t, "edge", (e, s), point)
-    if best is None:
-        raise InternalInvariantError(
-            f"ray from {origin} in polygon {p} escaped the boundary")
-    t, kind, data, point = best
-    return point, t, kind, data
-
-
-def scan_exit(surface, p, origin, direction, entry=None):
-    """The exit scan, in the shape `ref_exit_ray` returns.
-
-    Each case is converted to its lattice form: the polygon through
-    `polygon.Lattice` re-expressed over a denominator that holds the
-    origin, as an interior start of a trace is.  With a non-horizontal
-    entry edge the scan looks ahead of that edge's point at the origin's
-    height, a quotient (C + H*M)/R, instead of the origin's x-coordinate.  The
-    scan serves east rays only, so `direction`, taken to share
-    `ref_exit_ray`'s arguments, is (1, 0).
-    """
-    verts, edges = surface.vertices(p), surface.polygons[p]
-    lat = Lattice([edges])
-    lat = lat.over(lcm(lat.D, origin.x._D, origin.y._D), lat.ctx)
-    pt = lat.point(origin)
-    H, A = pt[2:], pt[:2]
-    # scalars come back in the field of the polygon's edges, as the
-    # surface's field is that of its edges
-    D, d, ctx = lat.D, lat.d, edges[0].ctx
-
-    def at(e):
-        """Edge e's point at height H, as (P, Q)."""
-        C, M, R = _exit_line(lat.verts[0][e], lat.edges[0][e], d)
-        return (C[0] + H[0] * M[0] + d * H[1] * M[1],
-                C[1] + H[0] * M[1] + H[1] * M[0]), R
-
-    # a horizontal entry edge holds the whole ray's height, so its point
-    # at the origin is the origin itself; a trace never enters by one
-    flat = entry is None or not any(lat.edges[0][entry][2:])
-    found = _first_exit(lat, 0, H, (A, (1, 0)) if flat else at(entry), d)
-    if found is None:
-        raise InternalInvariantError(
-            f"ray from {origin} in polygon {p} escaped the boundary")
-    v, e = found
-    if v is not None:
-        along = _new(*lat.verts[0][v][:2], D, ctx)
-        return verts[v], along - _new(*A, D, ctx), "vertex", v
-    h0, rise = lat.verts[0][e][2:], lat.edges[0][e][2:]
-    s = _quotient((H[0] - h0[0], H[1] - h0[1]), rise, 1, d, ctx)
-    return (verts[e] + edges[e].scale(s),
-            _quotient(*at(e), D, d, ctx) - _new(*A, D, ctx), "edge", (e, s))
-
 
 def ref_beyond(a, b, bound_sq):
     d = b - a
@@ -436,22 +344,10 @@ RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
 BASE_RAYS = ((0, 4, 8, 12), (0, 6, 11), (2, 7, 13), (3, 9, 14))
 
 
-class OnePolygon:
-    """The two attributes the exit lookups read, for one polygon."""
-
-    def __init__(self, edges):
-        self.polygons = (tuple(edges),)
-        zero = FieldScalar(0, 0, edges[0].ctx)
-        self._verts = list(accumulate(edges[:-1], Vec2.__add__,
-                                      initial=Vec2(zero, zero)))
-
-    def vertices(self, p):
-        return self._verts
-
-
 @st.composite
 def star_polygons(draw, fields=FIELDS):
-    """A polygon star-shaped around an interior point, and that point.
+    """The edges of a polygon star-shaped around an interior point, and
+    their field.
 
     One vertex sits on each chosen ray from the center, at a random
     distance (a quadratic irrational in Q(sqrt d), d drawn from
@@ -466,51 +362,7 @@ def star_polygons(draw, fields=FIELDS):
         r = _scalar(draw, ctx, 1, 5, positive=True)
         pts.append(Vec2(FieldScalar(RAYS[i][0], 0, ctx) * r,
                         FieldScalar(RAYS[i][1], 0, ctx) * r))
-    edges = [pts[(i + 1) % len(pts)] - pts[i] for i in range(len(pts))]
-    center = -pts[0]  # the star's center in the frame anchored at pts[0]
-    return OnePolygon(edges), center, ctx
-
-
-@st.composite
-def ray_casts(draw):
-    """A star polygon, the east direction, an origin and its entry edge.
-
-    The origin sits at a vertex, at a vertex's height (so on a
-    breakpoint line, inside or outside the polygon), inside an edge
-    (whose index is the entry edge), inside the polygon, or at the
-    star's center; the entry edge is None off the edges.
-    """
-    surf, center, ctx = draw(star_polygons())
-    verts = surf.vertices(0)
-    edges = surf.polygons[0]
-    n = len(edges)
-    zero, one = FieldScalar(0, 0, ctx), FieldScalar(1, 0, ctx)
-    direction = Vec2(one, zero)
-    where = draw(st.sampled_from(
-        ["vertex", "vertex height", "edge", "interior", "center"]))
-    i = draw(st.integers(0, n - 1))
-    entry = None
-
-    def inside(k):
-        lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
-                   .filter(lambda x: 0 < x < 1))
-        return center + (verts[k] - center).scale(FieldScalar(lam, 0, ctx))
-
-    if where == "vertex":
-        origin = verts[i]
-    elif where == "vertex height":
-        pt = inside(draw(st.integers(0, n - 1)))
-        origin = Vec2(pt.x, verts[i].y)
-    elif where == "edge":
-        s = draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
-                 .filter(lambda x: 0 < x < 1))
-        origin = verts[i] + edges[i].scale(FieldScalar(s, 0, ctx))
-        entry = i
-    elif where == "interior":
-        origin = inside(i)
-    else:
-        origin = center
-    return surf, origin, direction, entry
+    return [pts[(i + 1) % len(pts)] - pts[i] for i in range(len(pts))], ctx
 
 
 @st.composite
@@ -619,58 +471,6 @@ def _cell_corners(cell):
 
 
 # -- the tests ----------------------------------------------------------------
-
-class TestExitRay:
-    @settings(max_examples=300, deadline=None)
-    @given(ray_casts())
-    def test_matches_reference(self, case):
-        surf, origin, direction, entry = case
-        args = (surf, 0, origin, direction)
-        found = outcome(scan_exit, *args)
-        assert found == outcome(ref_exit_ray, *args)
-        if entry is not None:
-            assert outcome(scan_exit, *args, entry) == found
-
-    @pytest.mark.parametrize("edges, origin, direction, expected", [
-        # a diamond whose diagonal is the ray: it leaves through the
-        # corner (2, 0), which edges 1 and 2 both report as vertex 2
-        ([(1, -1), (1, 1), (-1, 1), (-1, -1)], (0, 0), (1, 0),
-         ("vertex", 2)),
-        # the same diamond labelled from its bottom corner, the ray
-        # starting at vertex 3 and leaving through the opposite vertex 1
-        ([(1, 1), (-1, 1), (-1, -1), (1, -1)], (-1, 1), (1, 0),
-         ("vertex", 1)),
-        # vertex 3 touches the middle of edge 0: the edge hit found first
-        # gives way to the vertex label at the same advance
-        ([(0, 2), (-2, 0), (2, -1), (-2, -1), (2, 0)], (-1, 1), (1, 0),
-         ("vertex", 3)),
-        # the same polygon labelled from its next corner: vertex 2 now
-        # touches the middle of the last edge, scanned after it
-        ([(-2, 0), (2, -1), (-2, -1), (2, 0), (0, 2)], (-1, -1), (1, 0),
-         ("vertex", 2)),
-    ])
-    def test_ties(self, edges, origin, direction, expected):
-        poly = OnePolygon([Vec2(*e) for e in edges])
-        args = (poly, 0, Vec2(*origin), Vec2(*direction))
-        out = scan_exit(*args)
-        assert _exact(out) == _exact(ref_exit_ray(*args))
-        assert out[2:] == expected
-
-    def test_escape_raises_like_reference(self):
-        # rays leaving the unit square through the edge they start on,
-        # scanned from the origin and from that edge's point, and a ray
-        # above it
-        square = OnePolygon([Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)])
-        for origin, direction, entry in [
-            ((1, Fraction(1, 2)), (1, 0), None),
-            ((1, Fraction(1, 2)), (1, 0), 1),
-            ((0, 2), (1, 0), None),
-        ]:
-            args = (square, 0, Vec2(*origin), Vec2(*direction))
-            assert outcome(scan_exit, *args, entry)[0] == "error"
-            assert outcome(scan_exit, *args, entry) == \
-                outcome(ref_exit_ray, *args)
-
 
 class TestWindow:
     @settings(max_examples=200, deadline=None)
@@ -879,9 +679,8 @@ def polygon_cases(draw, valid=None):
     if family == "polyomino":
         edges, ctx = draw(polyomino_polygons()), FieldCtx.get(0)
     else:
-        surf, _, ctx = draw(star_polygons((0,) if family == "midpoints"
-                                          else FIELDS))
-        edges = list(surf.polygons[0])
+        edges, ctx = draw(star_polygons((0,) if family == "midpoints"
+                                        else FIELDS))
     if family == "midpoints":
         half = FieldScalar(Fraction(1, 2), 0, ctx)
         edges = [e.scale(half) for e in edges for _ in (0, 1)]

@@ -11,10 +11,15 @@ inverted each edge's height step and kept slopes, and `ref_trace`
 summed the advance chord by chord and tested the bound with
 `ref_beyond`.  Both must agree on every `TraceResult` field -- kind,
 advance, end corner, and the chords and crossings, of bound results
-too -- or raise the same error.  The cases run from corners and from
-interior points with mixed denominators, over Q, Q(sqrt 2) and
-Q(sqrt 5), with bounds drawn at random and exactly at an advance the
-reference reached at a crossing.  Among the surfaces, sheared strips
+too -- or raise the same error.  Two kinds of point start are held to
+other oracles: one that east does not run into its polygon from, which
+the library refuses with ValueError, and one on a horizontal edge,
+which stops at the first vertex ahead on the edge's line, where the
+reference's slab scan runs past a vertex between two horizontal edges.
+The cases run from corners and from points of a polygon with mixed
+denominators, over Q, Q(sqrt 2) and Q(sqrt 5), with bounds drawn at
+random and exactly at an advance the reference reached at a crossing.
+Among the surfaces, sheared strips
 of 4 or 5 squares have one polygon of 10 or 12 vertices, so a ray
 crosses several diagonals of its triangles inside one polygon.  A bound or a start over another
 field than the surface follows the one field rule of `field.join_ctx`:
@@ -31,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatdef import tracing
 from flatdef.cylinders import NO_CYLINDER, _normalize, decompose
-from flatdef.errors import InternalInvariantError
+from flatdef.errors import InternalInvariantError, NonPositiveLength
 from flatdef.field import FieldCtx, FieldScalar, Mat2, Vec2
 from flatdef.polygon import ear_clip
 from flatdef.serialize import decomposition_to_json
@@ -131,9 +136,10 @@ def surfaces(draw):
 
 @st.composite
 def starts(draw, surface):
-    """("corner", corner) or ("point", p, origin): a point inside a
-    triangle of polygon p, on one of its edges, or moved to a vertex's
-    height (inside or outside the polygon), at denominators up to 7."""
+    """("corner", corner) or ("point", p, origin, where): a point inside
+    a triangle of polygon p (where "interior"), inside its edge e
+    (("edge", e)), or moved to a vertex's height, inside or outside the
+    polygon or at a vertex ("vertex height"), at denominators up to 7."""
     p = draw(st.integers(0, len(surface.polygons) - 1))
     verts = surface.vertices(p)
     n = len(verts)
@@ -146,7 +152,8 @@ def starts(draw, surface):
     where = draw(st.sampled_from(["interior", "edge", "vertex height"]))
     if where == "edge":
         e = draw(st.integers(0, n - 1))
-        return ("point", p, verts[e] + surface.polygons[p][e].scale(draw(w)))
+        return ("point", p, verts[e] + surface.polygons[p][e].scale(draw(w)),
+                ("edge", e))
     w1, w2 = draw(w), draw(w)
     if w1 + w2 >= 1:
         w1, w2 = w1 / 2, w2 / 2
@@ -155,7 +162,28 @@ def starts(draw, surface):
     if where == "vertex height":
         v = verts[draw(st.integers(0, n - 1))]
         origin = draw(st.sampled_from([Vec2(origin.x, v.y), Vec2(v.x, origin.y)]))
-    return ("point", p, origin)
+    return ("point", p, origin, where)
+
+
+def horizontal_run(surface, p, origin, max_advance_sq):
+    """The outcome of a trace from `origin` inside a horizontal edge of
+    polygon p, or None for a start on no such edge: the first vertex of
+    p ahead on the edge's line, or the bound at advance 0 when that
+    vertex lies past it."""
+    verts, edges = surface.vertices(p), surface.polygons[p]
+    if not any(edges[e].y.is_zero() and verts[e].y == origin.y
+               and (verts[e].x - origin.x).sign()
+               * (verts[e].x + edges[e].x - origin.x).sign() < 0
+               for e in range(len(edges))):
+        return None
+    v = min((i for i, w in enumerate(verts)
+             if w.y == origin.y and (w.x - origin.x).sign() > 0),
+            key=lambda i: verts[i].x)
+    advance = verts[v].x - origin.x
+    if (advance * advance - max_advance_sq).sign() > 0:
+        return ("ok", ("bound", _exact(advance * 0), None, (), ()))
+    return ("ok", ("vertex", _exact(advance), (p, v),
+                   ((p, None, ("vertex", v)),), ()))
 
 
 def run(trace_corner, trace_point, surface, start, **kw):
@@ -211,11 +239,30 @@ class TestTrace:
     @settings(max_examples=300, deadline=None)
     @given(cases())
     def test_matches_reference(self, case):
+        # a point start inside a triangle or inside an edge that east
+        # does not leave by is traced, one inside an edge that east
+        # leaves by is refused, and every refusal is a ValueError.  A
+        # start on a horizontal edge is held to `horizontal_run`, and
+        # every other start the library traces to the reference
         surface, start, kw = case
-        assert outcome(run, trace_from_corner, trace_from_point, surface,
-                       start, **kw) == \
-            outcome(run, ref_trace_from_corner, ref_trace_from_point,
-                    surface, start, **kw)
+        found = outcome(run, trace_from_corner, trace_from_point, surface,
+                        start, **kw)
+        if start[0] == "point":
+            _, p, origin, where = start
+            if where != "vertex height":
+                leaves = where != "interior" and \
+                    surface.polygons[p][where[1]].y.sign() > 0
+                assert found[0] == ("ValueError" if leaves else "ok")
+            if found[0] != "ok":
+                assert found[0] == "ValueError" and "is outside polygon" \
+                    in found[1]
+                return
+            expected = horizontal_run(surface, p, origin, **kw)
+            if expected is not None:
+                assert found == expected
+                return
+        assert found == outcome(run, ref_trace_from_corner,
+                                ref_trace_from_point, surface, start, **kw)
 
     def crossing_advances(self, surface, corner, bound_sq):
         advances = []
@@ -318,43 +365,85 @@ class TestTrace:
         assert found == outcome(ref_trace_from_point, *args,
                                 max_advance_sq=bound)
 
-    @pytest.mark.parametrize("origin", [
-        (2, Fraction(1, 2)),
-        (Fraction(1, 2), -1),
-        (Fraction(1, 2), 2),
-        (1, Fraction(2, 3)),
+    @pytest.mark.parametrize("surface, p, origin", [
+        # a U of five unit squares: a start in its notch, and one left
+        # of it
+        ("u", 0, (Fraction(3, 2), Fraction(3, 2))),
+        ("u", 0, (-1, Fraction(1, 2))),
+        # beside, above and below the first of two squares, on its right
+        # side, which east leaves by, and at its vertex 0
+        ("squares", 0, (Fraction(5, 2), Fraction(1, 3))),
+        ("squares", 0, (Fraction(1, 2), Fraction(7, 3))),
+        ("squares", 0, (Fraction(1, 2), Fraction(-2, 3))),
+        ("squares", 0, (1, Fraction(1, 3))),
+        ("squares", 0, (0, 0)),
+        # polygon indices that name no polygon, or are not ints
+        ("squares", -1, (Fraction(1, 2), Fraction(1, 3))),
+        ("squares", 2, (Fraction(1, 2), Fraction(1, 3))),
+        ("squares", True, (Fraction(1, 2), Fraction(1, 3))),
     ])
-    def test_escape_raises_like_reference(self, origin):
-        # origins beside, below and above the unit torus's square, and
-        # one on its exit edge
-        torus = square_tiled([1], [1])
-        args = (torus, 0, Vec2(*origin))
-        found = outcome(trace_from_point, *args, max_advance_sq=4)
-        assert found[0] == "InternalInvariantError"
-        assert "escaped the boundary" in found[1]
-        assert found == outcome(ref_trace_from_point, *args, max_advance_sq=4)
+    def test_refused_starts(self, surface, p, origin):
+        # a start from which east does not run into polygon p raises
+        # ValueError before the first step, never a trace through the
+        # outside, an InternalInvariantError or an IndexError
+        if surface == "u":
+            edges = [(1, 0), (1, 0), (1, 0), (0, 2), (-1, 0), (0, -1),
+                     (-1, 0), (0, 1), (-1, 0), (0, -2)]
+            gluing = [((0, 3), (0, 9)), ((0, 5), (0, 7)), ((0, 0), (0, 8)),
+                      ((0, 1), (0, 6)), ((0, 2), (0, 4))]
+            surface = TranslationSurface([edges], gluing, "u")
+        else:
+            surface = square_tiled([2, 1], [1, 2])
+        message = ("is outside polygon 0, a vertex of it or on an edge"
+                   if (type(p), p) == (int, 0)
+                   else f"^{p!r} is not a polygon index$")
+        with pytest.raises(ValueError, match=message):
+            trace_from_point(surface, p, Vec2(*origin), max_advance_sq=30)
 
-    @pytest.mark.parametrize("origin, kind", [
-        ((Fraction(3, 2), Fraction(3, 2)), "ok"),
-        ((-1, Fraction(1, 2)), "InternalInvariantError"),
+    @pytest.mark.parametrize("bound", [-1, 0, Fraction(-1, 4)])
+    def test_a_bound_that_is_not_positive_is_refused(self, bound):
+        # a squared advance bound that is not positive is refused as
+        # every length is (`field._positive`), from a corner and from a
+        # point, before anything is traced
+        surface = l_shape(2, 1, 1, 1)
+        with pytest.raises(NonPositiveLength,
+                           match="^max_advance_sq must be positive"):
+            trace_from_corner(surface, (0, 0), max_advance_sq=bound)
+        with pytest.raises(NonPositiveLength,
+                           match="^max_advance_sq must be positive"):
+            trace_from_point(surface, 0, Vec2(Fraction(1, 2), Fraction(1, 2)),
+                             max_advance_sq=bound)
+
+    @pytest.mark.parametrize("corner", [(True, 0), (0, False), (0.0, 0)])
+    def test_a_corner_that_is_not_a_pair_of_ints_is_refused(self, corner):
+        # (True, 0) equals (1, 0), an east corner of the two squares, but
+        # is no corner index, as a bool is no gluing index
+        surface = square_tiled([2, 1], [1, 2])
+        assert (1, 0) in east_ray_corners(surface)
+        with pytest.raises(ValueError, match="is not a pair of ints$"):
+            trace_from_corner(surface, corner, max_advance_sq=9)
+
+    @pytest.mark.parametrize("surface, origin, corner", [
+        # l_shape(2, 1, 1, 1)'s bottom runs along edges 0 and 1 through
+        # its vertex 1 at (1, 0)
+        (l_shape(2, 1, 1, 1), (Fraction(1, 2), 0), (0, 1)),
+        # a strip of three squares: its bottom and top each run along
+        # three edges
+        (strip([0, 1, 2]), (Fraction(1, 2), 0), (0, 1)),
+        (strip([0, 1, 2]), (Fraction(1, 2), 1), (0, 6)),
     ])
-    def test_start_outside_its_polygon(self, origin, kind):
-        # a U of five unit squares, as one polygon.  From its notch the
-        # ray crosses the notch's right side down, lands on the glued
-        # left side of the notch, still outside, and keeps crossing the
-        # notch to the bound; from the left of the U it crosses the left
-        # side down, lands outside on the right side, and escapes
-        edges = [(1, 0), (1, 0), (1, 0), (0, 2), (-1, 0), (0, -1), (-1, 0),
-                 (0, 1), (-1, 0), (0, -2)]
-        gluing = [((0, 3), (0, 9)), ((0, 5), (0, 7)), ((0, 0), (0, 8)),
-                  ((0, 1), (0, 6)), ((0, 2), (0, 4))]
-        args = (TranslationSurface([edges], gluing, "u"), 0, Vec2(*origin))
-        found = outcome(trace_from_point, *args, max_advance_sq=30)
-        assert found[0] == kind
-        assert found == outcome(ref_trace_from_point, *args,
-                                max_advance_sq=30)
-        if kind == "ok":
-            assert found[1][0] == "bound" and len(found[1][4]) == 5
+    def test_a_horizontal_run_stops_at_its_first_vertex(self, surface, origin,
+                                                       corner):
+        # a start on a horizontal edge runs along it to its east end
+        # and stops there, the first vertex ahead, at advance 1/2
+        res = trace_from_point(surface, 0, Vec2(*origin), max_advance_sq=100)
+        assert (res.kind, res.end_corner, res.advance) == \
+            ("vertex", corner, Fraction(1, 2))
+        assert (list(res.chords), list(res.crossings)) == \
+            ([(0, None, ("vertex", corner[1]))], [])
+        assert outcome(trace_from_point, surface, 0, Vec2(*origin),
+                       max_advance_sq=100) == \
+            horizontal_run(surface, 0, Vec2(*origin), max_advance_sq=100)
 
     def test_point_trace_leaves_the_surface_caches_alone(self):
         # a start at denominator 7 needs a finer lattice than the
